@@ -8,13 +8,11 @@ only as test oracles.
 
 from .exprdsl import EvalDomainError, ParseError, eval_jet, fd_oracle, parse_expr
 from .jets import Jet, JetDomainError
-from .kernels import BACKEND
 from .points import ChartPoint, sample_box
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ChartPoint",
     "EvalDomainError",
     "Jet",

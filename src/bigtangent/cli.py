@@ -1,10 +1,11 @@
 """Command line front end: scene checking, object evaluation, version.
 
 Exit code contract: 0 all identities pass, 1 at least one identity
-fails, 2 input error (bad scene, unknown object, bad point).  Reports
-are emitted as JSON and are byte-identical across runs for the same
-scene, seed, and flags; point evaluation inside each suite is batched
-over numpy arrays, report assembly is sequential and ordered.
+fails, 2 input error (bad scene, unknown object, bad point, or a scene
+expression evaluated outside its domain, such as log of a non-positive
+value).  Reports are emitted as JSON and are byte-identical across runs
+for the same scene, seed, and flags; point evaluation inside each suite
+is batched over numpy arrays, report assembly is sequential and ordered.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import __version__, bigcore, conns, dfield, fields, gstruct, horizon
 from . import metrics, scene as scene_mod, tensorcalc as tc
+from .exprdsl import EvalDomainError
+from .jets import JetDomainError
 from .points import ChartPoint, sample_box
 from .report import Report
 from .scene import SceneError, SceneFile, load_scene
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
         point = parse_point(args.point, sc.m)
         _emit(eval_object(sc, args.object, point), args.json_path)
         return 0
-    except (SceneError, OSError, ValueError) as exc:
+    except (SceneError, OSError, ValueError, JetDomainError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -284,11 +284,6 @@ def eval_jet(e: Expr, p: ChartPoint, order: int) -> Jet:
     return _eval(e, p, jet_space(3 * p.m, order))
 
 
-def eval_jet_unchecked(e: Expr, p: ChartPoint, order: int) -> Jet:
-    """As eval_jet but without the order cap (internal machinery)."""
-    return _eval(e, p, jet_space(3 * p.m, order))
-
-
 def fd_oracle(e: Expr, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
     """Central-difference estimate of a partial derivative (tests only).
 

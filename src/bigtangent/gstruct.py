@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, tensorcalc as tc
-from .bigcore import CanonicalPack, rand_x_poly
+from .bigcore import CanonicalPack, _nullspace, _same_colspace
 from .points import ChartPoint
 from .report import Report
 from .tensorcalc import TensorField
@@ -270,26 +270,11 @@ def integrability_check(
     return rep
 
 
-def _nullspace(A, tol=1e-9):
-    U, s, Vt = np.linalg.svd(A)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
-    return Vt[r:].T
-
-
 def _colspace(A, tol=1e-9):
     U, s, _ = np.linalg.svd(A)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     r = int(np.sum(s > cutoff))
     return U[:, :r]
-
-
-def _same_colspace(A, B, tol=1e-9):
-    ra = tc.matrix_rank(A, tol) if A.size else 0
-    rb = tc.matrix_rank(B, tol) if B.size else 0
-    if ra != rb:
-        return False
-    return tc.matrix_rank(np.hstack([A, B]), tol) == ra
 
 
 def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:
@@ -305,15 +290,3 @@ def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:
         Q=TensorField(("up", "up"), Qc, T.m),
         m=T.m,
     )
-
-
-def rand_quadratic_fields(m: int, count: int, seed: int):
-    """Random quadratic scalar fields on the chart (test helper)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        f = rand_x_poly(m, rng)
-        for i in range(3 * m):
-            f = f + float(rng.uniform(-1, 1)) * fields.Coord(i)
-        out.append(f)
-    return out

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .multiindex import JetSpace, jet_space
 
 
@@ -109,10 +108,18 @@ class Jet:
             return Jet(self.space, self.c * other)
         if other.space is not self.space:
             raise ValueError("jet space mismatch")
-        oi, ai, bi = self.space.mul_table
-        out = np.zeros_like(self.c)
-        kernels.mul_accum(out, self.c, other.c, oi, ai, bi)
-        return Jet(self.space, out)
+        # Each term's products are summed in mul_table order, starting from
+        # +0.0, so results match np.add.at over mul_table bit for bit.
+        layers, pos = self.space.mul_layers
+        a, b = self.c, other.c
+        if len(layers) == 1:  # order 0: one product per point
+            return Jet(self.space, a * b + 0.0)
+        (_, ai, bi), *rest = layers
+        acc = a[ai] * b[bi]
+        for start, ai, bi in rest:
+            acc[start:] += a[ai] * b[bi]
+        acc += 0.0  # a -0.0 sum becomes +0.0, as when accumulating from zeros
+        return Jet(self.space, acc if pos is None else acc[pos])
 
     __rmul__ = __mul__
 

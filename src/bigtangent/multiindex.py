@@ -3,8 +3,8 @@
 A jet in ``n`` variables truncated at total degree ``order`` stores one
 coefficient per multi-index of degree <= order.  Everything here is
 precomputed once per (n, order) pair and cached: the term list, the
-index lookup, the sparse multiplication table and the tables used to
-read off partial derivatives.
+index lookup, the sparse multiplication table, its layered form used by
+the jet product, and the tables used to read off partial derivatives.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+
+Index = np.ndarray | slice  # rows to take: gathered by an array, viewed by a slice
 
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
@@ -47,29 +49,80 @@ class JetSpace:
         self.index = {t: i for i, t in enumerate(self.terms)}
         self.degrees = np.array([sum(t) for t in self.terms], dtype=np.int64)
         self._mul_table = None
+        self._mul_layers = None
         self._partial_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _encode(self, exps) -> np.ndarray:
+        """Integer key of each exponent row: its digits in base order + 1.
+
+        The key of a sum of exponents of degree <= order is the sum of the
+        keys.
+        """
+        base = self.order + 1
+        dtype = np.int64 if base ** self.nvars < 2 ** 62 else object
+        weights = base ** np.arange(self.nvars, dtype=dtype)
+        return np.asarray(exps, dtype=dtype) @ weights
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Term index of each exponent key."""
+        own = self._encode(self.terms)
+        by_key = np.argsort(own)
+        return by_key[np.searchsorted(own[by_key], keys)]
 
     # -- multiplication -------------------------------------------------
     @property
     def mul_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(out_idx, a_idx, b_idx): c[out] += a[ai] * b[bi] over all rows."""
+        """(out_idx, a_idx, b_idx): c[out] += a[ai] * b[bi] over all rows.
+
+        Rows run over the pairs (i, j) of terms with deg i + deg j <= order,
+        in row-major (i, j) order.  Terms are sorted by degree, so the
+        partners j of term i are the terms of degree <= order - deg i, a
+        prefix of the term list.
+        """
         if self._mul_table is None:
-            oi, ai, bi = [], [], []
-            for i, ta in enumerate(self.terms):
-                da = sum(ta)
-                for j, tb in enumerate(self.terms):
-                    if da + sum(tb) > self.order:
-                        continue
-                    tc = tuple(a + b for a, b in zip(ta, tb))
-                    oi.append(self.index[tc])
-                    ai.append(i)
-                    bi.append(j)
-            self._mul_table = (
-                np.array(oi, dtype=np.int64),
-                np.array(ai, dtype=np.int64),
-                np.array(bi, dtype=np.int64),
-            )
+            upto = np.searchsorted(self.degrees, np.arange(self.order + 1), side="right")
+            lens = upto[self.order - self.degrees]
+            ai = np.repeat(np.arange(self.nterms), lens)
+            bi = np.arange(len(ai)) - np.repeat(np.cumsum(lens) - lens, lens)
+            keys = self._encode(self.terms)
+            self._mul_table = (self._lookup(keys[ai] + keys[bi]), ai, bi)
         return self._mul_table
+
+    @property
+    def mul_layers(self) -> tuple[list[tuple[int, Index, Index]], np.ndarray | None]:
+        """``mul_table`` regrouped for the jet product: (layers, pos).
+
+        Output terms are sorted by their number of table rows, fewest
+        first.  Layer k is (start, a_idx, b_idx): the k-th row, in table
+        order, of every output term with more than k rows, in sorted term
+        order, so each layer covers the sorted terms from ``start`` on.
+        ``pos[t]`` is the sorted position of term t, and ``pos`` is None
+        when the sorted order is the term order.  Summing the layers in
+        turn adds each term's products in table order, the order
+        ``np.add.at`` uses.  Up to order 1 the sorted order is the term
+        order and every index is a slice, so the product gathers nothing.
+        """
+        if self._mul_layers is None:
+            oi, ai, bi = self.mul_table
+            counts = np.bincount(oi, minlength=self.nterms)
+            by_count = np.argsort(counts, kind="stable")
+            pos = np.empty(self.nterms, dtype=np.int64)
+            pos[by_count] = np.arange(self.nterms)
+            # rank of each row among the rows of its output term
+            grouped = np.argsort(oi, kind="stable")
+            first = np.cumsum(counts) - counts
+            rank = np.empty(len(oi), dtype=np.int64)
+            rank[grouped] = np.arange(len(oi)) - first[oi[grouped]]
+            rows = np.lexsort((pos[oi], rank))
+            ends = np.cumsum(np.bincount(rank))
+            self._mul_layers = (
+                [
+                    (self.nterms - len(r), _as_slice(ai[r]), _as_slice(bi[r]))
+                    for r in np.split(rows, ends[:-1])
+                ],
+                None if np.array_equal(pos, np.arange(self.nterms)) else pos,
+            )
+        return self._mul_layers
 
     # -- partial derivatives --------------------------------------------
     def partial_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,15 +135,24 @@ class JetSpace:
             raise ValueError("cannot differentiate an order-0 jet")
         if var not in self._partial_tables:
             lower = jet_space(self.nvars, self.order - 1)
-            src = np.empty(lower.nterms, dtype=np.int64)
-            fac = np.empty(lower.nterms, dtype=np.float64)
-            for k, t in enumerate(lower.terms):
-                up = list(t)
-                up[var] += 1
-                src[k] = self.index[tuple(up)]
-                fac[k] = up[var]
-            self._partial_tables[var] = (src, fac)
+            up = np.array(lower.terms, dtype=np.int64)
+            up[:, var] += 1
+            self._partial_tables[var] = (
+                self._lookup(self._encode(up)),
+                up[:, var].astype(np.float64),
+            )
         return self._partial_tables[var]
+
+
+def _as_slice(idx: np.ndarray) -> Index:
+    """``idx`` as a slice when it is a run of consecutive indices, or one
+    index repeated (a length-1 slice, which broadcasts); else ``idx``."""
+    lo = int(idx[0])
+    if np.all(idx == lo):
+        return slice(lo, lo + 1)
+    if np.array_equal(idx, np.arange(lo, lo + len(idx))):
+        return slice(lo, lo + len(idx))
+    return idx
 
 
 @lru_cache(maxsize=None)

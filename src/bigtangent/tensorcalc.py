@@ -105,10 +105,6 @@ def basis_form(var: int, m: int) -> TensorField:
     return one_form(c, m)
 
 
-def zero_tensor(sig, m: int, frame: str = "natural") -> TensorField:
-    return TensorField(sig, fzeros(*((3 * m,) * len(sig))), m, frame)
-
-
 @dataclass
 class GeneralizedSection:
     """A pair (vector field, 1-form) on the chart."""
@@ -249,18 +245,15 @@ def schouten_bracket(P1: TensorField, P2: TensorField) -> TensorField:
 
 
 # -- Nijenhuis tensor -----------------------------------------------------
-def nijenhuis_tensor(A: TensorField, include_square_term: bool = True) -> TensorField:
+def nijenhuis_tensor(A: TensorField) -> TensorField:
     """Nijenhuis torsion of a (1,1) tensor, components N^k_{ij}.
 
     The classical tensor N(X,Y) = A^2[X,Y] + [AX,AY] - A[AX,Y] - A[X,AY]
-    evaluated on coordinate fields; the A^2 bracket term vanishes there,
-    so the bracket-display variant (valid as a tensor only when A^2 = 0)
-    produces identical coordinate components.
+    evaluated on coordinate fields; the A^2 bracket term vanishes there.
     """
     _require_natural(A)
     if A.sig != ("up", "down"):
         raise ValueError("Nijenhuis tensor needs a (1,1) tensor")
-    del include_square_term  # same coordinate components either way
     n = A.n
     out = fzeros(n, n, n)  # [k, i, j]
     for k, i, j in np.ndindex(n, n, n):

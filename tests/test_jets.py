@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bigtangent.jets import Jet, JetDomainError, jet_space
-from bigtangent.multiindex import multi_indices
+from bigtangent.multiindex import JetSpace, multi_indices
 
 
 def test_multi_index_count():
@@ -130,3 +130,67 @@ def test_truncate():
     assert g.deriv((1, 0))[0] == pytest.approx(math.exp(0.3))
     with pytest.raises(ValueError):
         g.truncated(3)
+
+
+def _mul_reference(space, a, b):
+    """The jet product as np.add.at over the multiplication table."""
+    oi, ai, bi = space.mul_table
+    out = np.zeros_like(a)
+    np.add.at(out, oi, a[ai] * b[bi])
+    return out
+
+
+def test_product_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(24):
+        sp = jet_space(int(rng.integers(1, 10)), int(rng.integers(0, 5)))
+        for width in (1, 7, 1024):
+            a, b = rng.standard_normal((2, sp.nterms, width))
+            for arr in (a, b):
+                hole = rng.random(arr.shape) < 0.3
+                arr[hole] = rng.choice([0.0, -0.0], size=int(hole.sum()))
+            got = (Jet(sp, a) * Jet(sp, b)).c
+            want = _mul_reference(sp, a, b)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_product_of_signed_zeros_is_positive_zero():
+    sp = jet_space(2, 2)
+    a = np.full((sp.nterms, 3), -0.0)
+    b = np.ones((sp.nterms, 3))
+    got = (Jet(sp, a) * Jet(sp, b)).c
+    assert np.array_equal(np.signbit(got), np.signbit(_mul_reference(sp, a, b)))
+    assert not np.signbit(got).any()
+
+
+def _loop_tables(space):
+    """mul_table and partial tables built term by term."""
+    oi, ai, bi = [], [], []
+    for i, ta in enumerate(space.terms):
+        for j, tb in enumerate(space.terms):
+            if sum(ta) + sum(tb) <= space.order:
+                oi.append(space.index[tuple(x + y for x, y in zip(ta, tb))])
+                ai.append(i)
+                bi.append(j)
+    partials = []
+    if space.order:
+        lower = multi_indices(space.nvars, space.order - 1)
+        for var in range(space.nvars):
+            ups = [t[:var] + (t[var] + 1,) + t[var + 1 :] for t in lower]
+            partials.append(([space.index[u] for u in ups], [u[var] for u in ups]))
+    return (oi, ai, bi), partials
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 0), (1, 4), (3, 2), (4, 3), (6, 2), (63, 1)])
+def test_vectorised_tables_match_loop_reference(nvars, order):
+    # (63, 1) encodes exponents as Python integers: 2**63 overflows int64
+    sp = JetSpace(nvars, order)
+    mul, partials = _loop_tables(sp)
+    for got, want in zip(sp.mul_table, mul):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    for var, (src, fac) in enumerate(partials):
+        got_src, got_fac = sp.partial_table(var)
+        assert np.array_equal(got_src, src)
+        assert np.array_equal(got_fac, np.array(fac, dtype=float))

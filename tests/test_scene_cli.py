@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +158,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["eval", scene, "--object", "P", "--point", "x=0,0;y=0;z=0"]) == 2
     )
     capsys.readouterr()
+
+
+def test_cli_domain_error_exits_2_without_traceback(tmp_path):
+    # log(x1) leaves its domain at sample points with x1 <= 0
+    path = _write(
+        tmp_path, "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1 + log(x1); 0\nrow2 = 0; 1\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigtangent.cli", "check", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_parse_point():
