@@ -3,9 +3,10 @@
 Exit code contract: 0 all identities pass, 1 at least one identity
 fails, 2 input error (bad scene, unknown object, bad point, or a scene
 expression evaluated outside its domain, such as log of a non-positive
-value).  Reports are emitted as JSON and are byte-identical across runs
-for the same scene, seed, and flags; point evaluation inside each suite
-is batched over numpy arrays, report assembly is sequential and ordered.
+value; its message names the suite or object and the chart point).
+Reports are emitted as JSON and are byte-identical across runs for the
+same scene, seed, and flags; point evaluation inside each suite is
+batched over numpy arrays, report assembly is sequential and ordered.
 """
 
 from __future__ import annotations
@@ -152,7 +153,11 @@ def run_suites(
     }
     all_pass = True
     for name in which:
-        reports = _SUITES[name](sc, seed, samples, sc.suite_tol(name, tol))
+        try:
+            reports = _SUITES[name](sc, seed, samples, sc.suite_tol(name, tol))
+        except JetDomainError as err:
+            err.where = f"suite {name}"
+            raise
         ok = all(r.passed for r in reports)
         all_pass &= ok
         out["suites"].append(
@@ -287,7 +292,12 @@ def main(argv=None) -> int:
             _emit(payload, args.json_path)
             return code
         point = parse_point(args.point, sc.m)
-        _emit(eval_object(sc, args.object, point), args.json_path)
+        try:
+            payload = eval_object(sc, args.object, point)
+        except JetDomainError as err:
+            err.where = f"object {args.object}"
+            raise
+        _emit(payload, args.json_path)
         return 0
     except (SceneError, OSError, ValueError, JetDomainError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,15 @@ Grammar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ['^' INT]
+    factor := atom ['^' INT]      (no '^' after an atom starting with '-')
     atom   := NUMBER | VAR | FUNC '(' expr ')' | '(' expr ')' | '-' atom
     VAR    := ('x'|'y'|'z') INT
     FUNC   := sin | cos | exp | log | sqrt
 
 Variables are 1-based per coordinate block: ``x1..xm, y1..ym, z1..zm``.
-Exponents are integer literals only, so jets stay exact.
+Exponents are integer literals only, so jets stay exact.  A unary minus
+directly before an unparenthesised power (``-x1^2``) is a ``ParseError``:
+write ``-(x1^2)`` or ``(-x1)^2``.
 """
 
 from __future__ import annotations
@@ -153,8 +155,11 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        negated = self.peek() == "-"
         e = self.atom()
         if self.peek() == "^":
+            if negated:
+                self.error("write -(a^n) or (-a)^n, not -a^n")
             start = self.pos
             self.pos += 1
             sign = 1

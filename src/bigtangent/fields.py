@@ -7,32 +7,95 @@ higher.  This keeps every derived tensor component (connection
 coefficients, curvatures, ...) representable as a field again, with all
 derivatives exact.
 
-Evaluation results are cached on the ChartPoint keyed by (node, order),
-so one point shared across a verification suite is evaluated once per
-node and the cache is freed when the point is dropped.
+Nodes are hash-consed: every constructor looks its arguments up in one
+module-level table of weak references, keyed by (class, arguments) with
+child nodes compared by identity, and returns the live node equal to the
+one requested instead of building a second; a hit does not run
+``__init__`` again.  Structurally equal subgraphs are therefore one object.
+A ``Const`` key also carries the sign of its value, so ``Const(-0.0)``
+stays distinct from ``ZERO``.  An entry lives as long as its node, so
+dropping the last reference to a graph frees it.
+
+Each node records at construction its ``support``, the frozenset of
+chart variables it can depend on; ``f.partial(v)`` is ``ZERO`` when ``v``
+is not in ``f.support``, so structurally zero derivatives are never
+built or evaluated.
+
+Evaluation results are cached on the ChartPoint keyed by (node, order);
+since equal subgraphs are one node, they share one cache slot.  One point
+shared across a verification suite is evaluated once per node and the
+cache is freed when the point is dropped.  A ``JetDomainError`` raised
+while evaluating gets the chart point of its first bad sample attached
+by the innermost node that evaluated it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from . import exprdsl
-from .jets import Jet, jet_space
+from .jets import Jet, JetDomainError, jet_space
 from .points import ChartPoint
 
+_NO_VARS = frozenset()
 
-class ScalarField:
-    """Base node; subclasses implement ``_jet``."""
+# key -> _Ref to the live node; _forget drops the entry when the node dies.
+# (A WeakValueDictionary does the same, but its Python-level get and set
+# made an interning hit about 1.5 times as slow.)
+_NODES: dict = {}
 
-    __slots__ = ()
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+class _Interned(type):
+    """Metaclass returning the live node equal to the one requested."""
+
+    def _key(cls, *args) -> tuple:
+        return (cls, *args)
+
+    def __call__(cls, *args):
+        key = cls._key(*args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = super().__call__(*args)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, reusing an operand when it already covers the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+class ScalarField(metaclass=_Interned):
+    """Base node; subclasses set ``support`` and implement ``_jet``."""
+
+    __slots__ = ("support", "__weakref__")
 
     def jet(self, p: ChartPoint, order: int) -> Jet:
         key = (self, order)
         hit = p._cache.get(key)
         if hit is None:
-            hit = p._cache[key] = self._jet(p, order)
+            try:
+                hit = p._cache[key] = self._jet(p, order)
+            except JetDomainError as err:
+                if err.point is None:
+                    err.point = p.text(err.index)
+                raise
         return hit
 
     def _jet(self, p: ChartPoint, order: int) -> Jet:
@@ -42,27 +105,30 @@ class ScalarField:
         return self.jet(p, 0).value
 
     def partial(self, var: int) -> "ScalarField":
-        return Partial(self, var)
+        return Partial(self, var) if var in self.support else ZERO
 
     # -- arithmetic (with light constant folding) ------------------------
+    # Most operands are not constants, so each fold sits behind one test.
     def __add__(self, other):
         other = as_field(other)
-        if _is_const(other, 0.0):
-            return self
-        if _is_const(self, 0.0):
-            return other
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.v + other.v)
+        if type(self) is Const or type(other) is Const:
+            if _is_const(other, 0.0):
+                return self
+            if _is_const(self, 0.0):
+                return other
+            if type(self) is type(other):
+                return Const(self.v + other.v)
         return Bin("+", self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_field(other)
-        if _is_const(other, 0.0):
-            return self
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.v - other.v)
+        if type(other) is Const:
+            if other.v == 0.0:
+                return self
+            if type(self) is Const:
+                return Const(self.v - other.v)
         return Bin("-", self, other)
 
     def __rsub__(self, other):
@@ -75,14 +141,15 @@ class ScalarField:
 
     def __mul__(self, other):
         other = as_field(other)
-        if _is_const(self, 0.0) or _is_const(other, 0.0):
-            return ZERO
-        if _is_const(self, 1.0):
-            return other
-        if _is_const(other, 1.0):
-            return self
-        if isinstance(self, Const) and isinstance(other, Const):
-            return Const(self.v * other.v)
+        if type(self) is Const or type(other) is Const:
+            if _is_const(self, 0.0) or _is_const(other, 0.0):
+                return ZERO
+            if _is_const(self, 1.0):
+                return other
+            if _is_const(other, 1.0):
+                return self
+            if type(self) is type(other):
+                return Const(self.v * other.v)
         return Bin("*", self, other)
 
     __rmul__ = __mul__
@@ -122,8 +189,14 @@ class ScalarField:
 class Const(ScalarField):
     __slots__ = ("v",)
 
+    @classmethod
+    def _key(cls, v) -> tuple:
+        v = float(v)
+        return (cls, v, math.copysign(1.0, v))
+
     def __init__(self, v: float):
         self.v = float(v)
+        self.support = _NO_VARS
 
     def _jet(self, p, order):
         return Jet.constant(jet_space(3 * p.m, order), self.v, p.npoints)
@@ -134,7 +207,7 @@ ONE = Const(1.0)
 
 
 def _is_const(f, v) -> bool:
-    return isinstance(f, Const) and f.v == v
+    return type(f) is Const and f.v == v
 
 
 def as_field(x) -> ScalarField:
@@ -150,6 +223,7 @@ class Coord(ScalarField):
 
     def __init__(self, var: int):
         self.var = int(var)
+        self.support = frozenset((self.var,))
 
     def _jet(self, p, order):
         space = jet_space(3 * p.m, order)
@@ -161,6 +235,7 @@ class Bin(ScalarField):
 
     def __init__(self, op, a, b):
         self.op, self.a, self.b = op, a, b
+        self.support = _union(a.support, b.support)
 
     def _jet(self, p, order):
         a = self.a.jet(p, order)
@@ -179,6 +254,7 @@ class Pow(ScalarField):
 
     def __init__(self, base, n):
         self.base, self.n = base, n
+        self.support = base.support
 
     def _jet(self, p, order):
         return self.base.jet(p, order) ** self.n
@@ -189,6 +265,7 @@ class Func(ScalarField):
 
     def __init__(self, name, arg):
         self.name, self.arg = name, arg
+        self.support = arg.support
 
     def _jet(self, p, order):
         return getattr(self.arg.jet(p, order), self.name)()
@@ -199,6 +276,7 @@ class Partial(ScalarField):
 
     def __init__(self, parent, var):
         self.parent, self.var = parent, int(var)
+        self.support = parent.support
 
     def _jet(self, p, order):
         return self.parent.jet(p, order + 1).partial(self.var)
@@ -309,26 +387,29 @@ def _jet_inverse(A, space, npoints):
     return X
 
 
-class _MatrixInverse:
-    """Shared owner computing all entries of an inverse at once."""
+class _MatrixInverse(metaclass=_Interned):
+    """Shared owner computing all entries of an inverse at once.
 
-    __slots__ = ("mat", "n")
+    Interned by its entries like the field nodes, so inverting an equal
+    matrix again shares one Newton inversion per point.
+    """
 
-    def __init__(self, mat: np.ndarray):
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square")
-        self.mat = mat
-        self.n = mat.shape[0]
+    __slots__ = ("rows", "n", "support", "__weakref__")
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
+        self.n = len(rows)
+        self.support = _NO_VARS
+        for row in rows:
+            for f in row:
+                self.support = _union(self.support, f.support)
 
     def jets(self, p: ChartPoint, order: int):
         key = (self, order)
         hit = p._cache.get(key)
         if hit is None:
             space = jet_space(3 * p.m, order)
-            A = [
-                [as_field(self.mat[i, j]).jet(p, order) for j in range(self.n)]
-                for i in range(self.n)
-            ]
+            A = [[f.jet(p, order) for f in row] for row in self.rows]
             hit = p._cache[key] = _jet_inverse(A, space, p.npoints)
         return hit
 
@@ -338,6 +419,7 @@ class _MatInvEntry(ScalarField):
 
     def __init__(self, owner, i, j):
         self.owner, self.i, self.j = owner, i, j
+        self.support = owner.support
 
     def _jet(self, p, order):
         return self.owner.jets(p, order)[self.i][self.j]
@@ -345,7 +427,9 @@ class _MatInvEntry(ScalarField):
 
 def finverse(mat: np.ndarray) -> np.ndarray:
     """Entrywise fields of the inverse of a field matrix (jet-exact)."""
-    owner = _MatrixInverse(mat)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    owner = _MatrixInverse(tuple(tuple(as_field(f) for f in row) for row in mat))
     out = np.empty((owner.n, owner.n), dtype=object)
     for i in range(owner.n):
         for j in range(owner.n):

@@ -20,7 +20,24 @@ from .multiindex import JetSpace, jet_space
 
 
 class JetDomainError(ArithmeticError):
-    """Evaluation hit a singular point (log/sqrt/division)."""
+    """Evaluation hit a singular point (log/sqrt/division).
+
+    ``index`` is the first bad sample of the batch.  The field node that
+    evaluated the jet sets ``point`` to that sample's chart coordinates,
+    and a caller may set ``where`` to name what was being evaluated; both
+    appear in the message.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message, self.index = message, index
+        self.point = self.where = None
+
+    def __str__(self):
+        text = self.message
+        if self.point is not None:
+            text = f"{text} at {self.point}"
+        return text if self.where is None else f"{self.where}: {text}"
 
 
 class Jet:
@@ -164,7 +181,7 @@ class Jet:
 
     def _checked_value(self, cond: np.ndarray, what: str) -> np.ndarray:
         if np.any(cond):
-            raise JetDomainError(what)
+            raise JetDomainError(what, int(np.argmax(cond)))
         return self.value
 
     def reciprocal(self) -> "Jet":

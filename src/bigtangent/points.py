@@ -47,6 +47,14 @@ class ChartPoint:
         """Coordinate values for flat variable index 0 <= var < 3m."""
         return self.flat[var]
 
+    def text(self, k: int) -> str:
+        """The k-th point as ``x=..;y=..;z=..``, the CLI's ``--point`` form."""
+        blocks = self.flat.reshape(3, self.m, -1)[:, :, k]
+        return ";".join(
+            f"{key}=" + ",".join(repr(v) for v in blk.tolist())
+            for key, blk in zip("xyz", blocks)
+        )
+
     def select(self, k: int) -> "ChartPoint":
         """The k-th point of a batch, as an unbatched point."""
         if not self.batched:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import dfield, fields, horizon, metrics
 from .bigcore import parse_components
+from .jets import JetDomainError
 from .points import sample_box
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
@@ -224,7 +225,10 @@ def load_scene(path: str) -> SceneFile:
         rows = _rows(cfg, path, "base_metric", "row", m)
         g = _parse_grid(rows, m, {"x"}, path, "base_metric")
         p = sample_box(m, 10, seed=0)
-        gv = fields.fvalue(g, p)
+        try:
+            gv = fields.fvalue(g, p)
+        except JetDomainError as exc:
+            _fail(path, "base_metric", str(exc))
         if np.max(np.abs(gv - np.swapaxes(gv, 0, 1))) > 1e-10:
             _fail(path, "base_metric", "metric is not symmetric")
         sc.base_metric = g

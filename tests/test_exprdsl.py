@@ -23,7 +23,7 @@ def test_parse_precedence_and_values():
         "1 + 2 * 3": 7.0,
         "(1 + 2) * 3": 9.0,
         "(2 ^ 3) ^ 2": 64.0,
-        "-x1^2": 4.0,  # unary minus is part of the atom, so this is (-x1)^2
+        "(-x1)^2": 4.0,
         "x1 * y1 - z1": 2.0,
         "x1 / y1 / 2": 1.0 / 3.0,
         "6 / 2 * 3": 9.0,
@@ -36,10 +36,13 @@ def test_parse_precedence_and_values():
 
 
 def test_unary_minus_vs_power():
-    # -x1^2 parses as -(x1^2) per the grammar? No: '-' atom comes first,
-    # so -x1^2 is (-x1)^2 = 4.  Pin the actual grammar behavior.
+    # -x1^2 could mean -(x1^2) or (-x1)^2, so the parser refuses it
     p = ChartPoint([2.0], [0.0], [0.0])
-    assert eval_jet(parse_expr("-x1^2", 1), p, 0).value[0] == 4.0
+    for text in ("-x1^2", "-(x1)^2", "y1 * -x1^2", "--x1^2"):
+        with pytest.raises(ParseError):
+            parse_expr(text, 1)
+    assert eval_jet(parse_expr("(-x1)^2", 1), p, 0).value[0] == 4.0
+    assert eval_jet(parse_expr("-x1 * 3", 1), p, 0).value[0] == -6.0
     assert eval_jet(parse_expr("-(x1^2)", 1), p, 0).value[0] == -4.0
     assert eval_jet(parse_expr("0 - x1^2", 1), p, 0).value[0] == -4.0
 

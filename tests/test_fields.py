@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bigtangent import fields
-from bigtangent.exprdsl import fd_oracle, parse_expr
+from bigtangent.exprdsl import eval_jet, fd_oracle, parse_expr
 from bigtangent.points import ChartPoint, sample_box
 
 
@@ -130,3 +135,87 @@ def test_constant_folding_keeps_zero_nodes_out():
     assert isinstance(f, fields.Const) and f.v == 0.0
     g = fields.ONE * fields.field("x1", 1)
     assert isinstance(g, fields.Coord)
+
+
+def test_equal_constructions_are_one_node():
+    text = "sin(x1*y2) + z1^3 / exp(x2)"
+    f = fields.field(text, 2)
+    assert fields.field(text, 2) is f
+    assert fields.Bin("+", f.a, f.b) is f
+    assert f.partial(0) is f.partial(0)
+    assert fields.Const(2) is fields.Const(2.0)
+    a = fields.fmat([[fields.field("1 + x1^2", 1), 0.0], [0.0, 2.0]])
+    assert fields.finverse(a)[0, 0] is fields.finverse(a.copy())[0, 0]
+
+
+def test_partial_outside_support_is_zero():
+    f = fields.field("exp(x1)", 1)
+    assert f.support == {0}
+    assert f.partial(1) is fields.ZERO and f.partial(2) is fields.ZERO
+    g = fields.field("x1*y2 + sin(z1)", 2)
+    assert g.support == {0, 3, 4}
+    assert g.partial(0).support == g.support
+    assert fields.ONE.support == frozenset()
+    inv = fields.finverse(fields.fmat([[fields.field("2 + x1", 1), 0.0], [0.0, 1.0]]))
+    assert inv[1, 1].support == {0} and inv[1, 1].partial(1) is fields.ZERO
+
+
+def test_negative_zero_constant_is_its_own_node():
+    neg = fields.Const(-0.0)
+    assert neg is not fields.ZERO and neg is fields.Const(-0.0)
+    p = sample_box(1, 3, seed=0)
+    assert np.all(np.signbit(neg.value(p)))
+    assert not np.any(np.signbit(fields.ZERO.value(p)))
+
+
+def test_dropped_graph_is_freed():
+    f = fields.field("cos(x1 * 12.375) + y1^7 * 0.3125", 1)
+    probe = weakref.ref(f.a)
+    f.jet(sample_box(1, 2, seed=0), 1)
+    del f
+    gc.collect()
+    assert probe() is None
+
+
+@pytest.mark.parametrize("text", ["exp(x1)", "sin(x1) * cos(z1) - 2", "x1^3 / (1 + z1^2)"])
+def test_folded_partial_matches_jet_partial(text):
+    f = fields.field(text, 1)
+    p = sample_box(1, 5, seed=4, low=0.2, high=0.9)
+    for var in {0, 1, 2} - f.support:
+        assert f.partial(var) is fields.ZERO
+        for order in range(3):
+            got = f.partial(var).jet(p, order).c
+            want = f.jet(p, order + 1).partial(var).c
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _dsl_exprs(m):
+    leaf = st.sampled_from(
+        [f"{b}{i}" for b in "xyz" for i in range(1, m + 1)] + ["0", "1", "2", "0.5"]
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map("({0[0]} {0[1]} {0[2]})".format),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map("{0[0]}({0[1]})".format),
+            st.tuples(inner, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+            inner.map("(-({}))".format),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), _dsl_exprs(m))))
+def test_field_graph_matches_expr_evaluator(case):
+    m, text = case
+    p = sample_box(m, 4, seed=m)
+    f = fields.field(text, m)
+    e = parse_expr(text, m)
+    for order in range(3):
+        want = eval_jet(e, p, order).c
+        assume(np.all(np.abs(want) < 1e100))
+        np.testing.assert_allclose(f.jet(p, order).c, want, rtol=1e-13)
+    assert fields.field(text, m) is f

@@ -160,20 +160,37 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_domain_error_exits_2_without_traceback(tmp_path):
-    # log(x1) leaves its domain at sample points with x1 <= 0
-    path = _write(
-        tmp_path, "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1 + log(x1); 0\nrow2 = 0; 1\n"
-    )
+def test_cli_domain_error_exits_2_without_traceback(tmp_path, capsys):
+    # log(x1) leaves its domain at sample points with x1 <= 0: at load time
+    # in [base_metric], inside the double suite when it is the density
+    cases = {
+        "[base_metric]": "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1 + log(x1); 0\nrow2 = 0; 1\n",
+        "suite double": (
+            "[scene]\nm = 2\nsuites = double\n\n[double_field]\n"
+            "sigma1 = 1; 0\nsigma2 = 0; 1\ndensity = 2 + log(x1)\n"
+        ),
+    }
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bigtangent.cli", "check", path],
-        capture_output=True, text=True, env=env, timeout=120,
+    for where, text in cases.items():
+        path = _write(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigtangent.cli", "check", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        head, sep, point = proc.stderr.strip().partition(" at ")
+        assert where + ": log of a non-positive value" in head and sep
+        assert cli.parse_point(point, 2).x[0, 0] <= 0.0
+    # eval names the object and reports the point it was given
+    assert cli.main(["eval", path, "--object", "dfield.density", "--point", "x=-0.5,0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: object dfield.density: log of a non-positive value"
+        " at x=-0.5,0.25;y=0.0,0.0;z=0.0,0.0\n"
     )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_parse_point():
