@@ -22,6 +22,11 @@ from .report import Report
 from .tensorcalc import GeneralizedSection, TensorField
 
 
+# Largest condition number a sampled matrix may have and still count as
+# invertible.
+COND_LIMIT = 1e8
+
+
 class DependencyError(ValueError):
     """A component uses a coordinate block its role forbids."""
 
@@ -69,6 +74,16 @@ def parse_components(
     return out
 
 
+def parse_grid(raw, m: int, allowed, what: str) -> np.ndarray:
+    """Parse an m x m table of components into an object array, enforcing
+    coordinate blocks as ``parse_components`` does."""
+    arr = np.asarray(raw, dtype=object)
+    if arr.shape != (m, m):
+        raise ValueError(f"{what} must be an {m} x {m} table")
+    flat = parse_components(arr.reshape(-1), m, allowed, what, count=m * m)
+    return np.array(flat, dtype=object).reshape(m, m)
+
+
 @dataclass
 class CanonicalPack:
     m: int
@@ -111,12 +126,11 @@ def canonical_pack(m: int) -> CanonicalPack:
         wV_c[zi, yi] = as_field(0.5)
         wV_c[yi, zi] = as_field(-0.5)
     lam = tc.one_form(lam_c, m)
-    ev = fields.ZERO
+    ev = fields.fsum((1, fields.Coord(2 * m + i), fields.Coord(m + i)) for i in range(m))
     E1_c = fields.fzeros(n)
     E2_c = fields.fzeros(n)
     E_c = fields.fzeros(n)
     for i in range(m):
-        ev = ev + fields.Coord(2 * m + i) * fields.Coord(m + i)
         E1_c[m + i] = fields.Coord(m + i)
         E2_c[2 * m + i] = fields.Coord(2 * m + i)
         E_c[m + i] = fields.Coord(m + i)
@@ -156,13 +170,12 @@ def complete_lift(X, m: int) -> TensorField:
     comps = fields.fzeros(3 * m)
     for i in range(m):
         comps[i] = xi[i]
-        s = fields.ZERO
-        t = fields.ZERO
-        for j in range(m):
-            s = s + fields.Coord(m + j) * xi[i].partial(j)
-            t = t - fields.Coord(2 * m + j) * xi[j].partial(i)
-        comps[m + i] = s
-        comps[2 * m + i] = t
+        comps[m + i] = fields.fsum(
+            (1, fields.Coord(m + j), xi[i].partial(j)) for j in range(m)
+        )
+        comps[2 * m + i] = fields.fsum(
+            (-1, fields.Coord(2 * m + j), xi[j].partial(i)) for j in range(m)
+        )
     return tc.vector(comps, m)
 
 
@@ -176,10 +189,9 @@ def extended_lift_tm(xi, eta, m: int, generalized: bool = False) -> TensorField:
     for i in range(m):
         comps[i] = xi[i]
         comps[m + i] = eta[i]
-        s = fields.ZERO
-        for j in range(m):
-            s = s - fields.Coord(2 * m + j) * eta[j].partial(m + i)
-        comps[2 * m + i] = s
+        comps[2 * m + i] = fields.fsum(
+            (-1, fields.Coord(2 * m + j), eta[j].partial(m + i)) for j in range(m)
+        )
     return tc.vector(comps, m)
 
 
@@ -192,10 +204,9 @@ def extended_lift_cotm(xi, zeta, m: int, generalized: bool = False) -> TensorFie
     comps = fields.fzeros(3 * m)
     for i in range(m):
         comps[i] = xi[i]
-        s = fields.ZERO
-        for j in range(m):
-            s = s - fields.Coord(2 * m + j) * zeta[j].partial(2 * m + i)
-        comps[m + i] = s
+        comps[m + i] = fields.fsum(
+            (-1, fields.Coord(2 * m + j), zeta[j].partial(2 * m + i)) for j in range(m)
+        )
         comps[2 * m + i] = zeta[i]
     return tc.vector(comps, m)
 
@@ -204,24 +215,18 @@ def generalized_moment(X, alpha, m: int) -> ScalarField:
     """l = a_i y^i + z_i xi^i."""
     xi = parse_components(X, m, "x", "vector components")
     al = parse_components(alpha, m, "x", "form components")
-    out = fields.ZERO
-    for i in range(m):
-        out = out + al[i] * fields.Coord(m + i)
-        out = out + fields.Coord(2 * m + i) * xi[i]
-    return out
+    return fields.fsum(
+        term
+        for i in range(m)
+        for term in ((1, al[i], fields.Coord(m + i)), (1, fields.Coord(2 * m + i), xi[i]))
+    )
 
 
 def base_bracket(X, Y, m: int) -> list[ScalarField]:
     """Bracket of base vector fields (components in x only)."""
     xi = parse_components(X, m, "x", "vector components")
     et = parse_components(Y, m, "x", "vector components")
-    out = []
-    for k in range(m):
-        s = fields.ZERO
-        for j in range(m):
-            s = s + xi[j] * et[k].partial(j) - et[j] * xi[k].partial(j)
-        out.append(s)
-    return out
+    return list(tc.bracket_components(xi, et))
 
 
 # -- pair endomorphisms of Prop 2.3 ---------------------------------------
@@ -278,11 +283,14 @@ def _courant_nijenhuis_residual(pack, endo, p) -> float:
 def rand_x_poly(m: int, rng) -> ScalarField:
     """A random quadratic polynomial in the base coordinates only."""
     f = as_field(float(rng.uniform(-1, 1)))
-    for i in range(m):
-        f = f + float(rng.uniform(-1, 1)) * fields.Coord(i)
-        for j in range(i, m):
-            f = f + float(rng.uniform(-1, 1)) * fields.Coord(i) * fields.Coord(j)
-    return f
+
+    def terms():  # draws the coefficients in the order they are summed
+        for i in range(m):
+            yield 1, float(rng.uniform(-1, 1)), fields.Coord(i)
+            for j in range(i, m):
+                yield 1, float(rng.uniform(-1, 1)), fields.Coord(i), fields.Coord(j)
+
+    return fields.fsum(terms(), start=f)
 
 
 # -- verification suite ---------------------------------------------------
@@ -414,11 +422,8 @@ def verify_section2(
     Yv = vertical_lift(Y, zero, m)
 
     # pair-metric identity: (1/2)(p* a)(X^c) = (1/2)(a(X))^v
-    lhs = fields.ZERO
-    rhs = fields.ZERO
-    for i in range(m):
-        lhs = lhs + alpha[i] * Xc.comps[i]
-        rhs = rhs + alpha[i] * X[i]
+    lhs = fields.fsum((1, alpha[i], Xc.comps[i]) for i in range(m))
+    rhs = fields.fsum((1, alpha[i], X[i]) for i in range(m))
     rep.add(
         "g(X^c, a^v) = (1/2)(a(X))^v",
         float(np.max(np.abs(0.5 * lhs.value(p) - 0.5 * rhs.value(p)))),

@@ -65,14 +65,7 @@ class Connection:
 
     def frame_derivative(self, f: ScalarField, a: int) -> ScalarField:
         """Directional derivative of a scalar along the frame field e_a."""
-        m = self.m
-        if self.H is None or a >= m:
-            return f.partial(a)
-        out = f.partial(a)
-        for j in range(m):
-            out = out - self.H.t[a, j] * f.partial(m + j)
-            out = out - self.H.tau[a, j] * f.partial(2 * m + j)
-        return out
+        return f.partial(a) if self.H is None else self.H.frame_derivative(f, a)
 
     def preservation_residuals(self, p: ChartPoint) -> dict:
         """Largest cross-block coefficient for each declared flag."""
@@ -107,15 +100,9 @@ def _structure_functions(conn: Connection) -> np.ndarray:
         for b in range(a + 1, n):
             if a >= m and b >= m:
                 continue  # coordinate vertical fields commute
-            br = fields.fzeros(n)
+            br = tc.bracket_components(E[:, a], E[:, b])
             for k in range(n):
-                for l in range(n):
-                    br[k] = br[k] + E[l, a] * E[k, b].partial(l)
-                    br[k] = br[k] - E[l, b] * E[k, a].partial(l)
-            for k in range(n):
-                s = fields.ZERO
-                for r in range(n):
-                    s = s + C[k, r] * br[r]
+                s = fields.fsum((1, C[k, r], br[r]) for r in range(n))
                 c[a, b, k] = s
                 c[b, a, k] = -1.0 * s
     return c
@@ -139,10 +126,7 @@ def levi_civita(g: TensorField) -> Connection:
         )
     gamma = fields.fzeros(n, n, n)
     for a, b, c in np.ndindex(n, n, n):
-        s = fields.ZERO
-        for d in range(n):
-            s = s + ginv[c, d] * sym[a, b, d]
-        gamma[a, b, c] = 0.5 * s
+        gamma[a, b, c] = 0.5 * fields.fsum((1, ginv[c, d], sym[a, b, d]) for d in range(n))
     return Connection(gamma, g.m, H=None)
 
 
@@ -170,20 +154,11 @@ def vranceanu_bott(
                 continue  # pr_{V_b} of a vanishing coordinate bracket
             if (ba == 0) != (bb == 0):
                 # mixed pair: bracket plus projection
-                nat = fields.fzeros(n)
-                for k in range(n):
-                    for l in range(n):
-                        nat[k] = nat[k] + E[l, a] * E[k, b].partial(l)
-                        nat[k] = nat[k] - E[l, b] * E[k, a].partial(l)
+                nat = tc.bracket_components(E[:, a], E[:, b])
                 keep = range(m) if bb == 0 else range(m, n)
             else:
                 # aligned pair: ambient derivative plus projection
-                nat = fields.fzeros(n)
-                for k in range(n):
-                    for l in range(n):
-                        nat[k] = nat[k] + E[l, a] * E[k, b].partial(l)
-                        for j in range(n):
-                            nat[k] = nat[k] + E[l, a] * E[j, b] * D.gamma[l, j, k]
+                nat = [fields.fsum(_ambient_terms(D, E, a, b, k)) for k in range(n)]
                 if bb == 0:
                     keep = range(m)
                 elif multi:
@@ -191,14 +166,21 @@ def vranceanu_bott(
                 else:
                     keep = range(m, n)
             for c in keep:
-                s = fields.ZERO
-                for r in range(n):
-                    s = s + C[c, r] * nat[r]
-                gamma[a, b, c] = s
+                gamma[a, b, c] = fields.fsum((1, C[c, r], nat[r]) for r in range(n))
     # the finer vertical blocks are preserved along vertical directions
     # only; whether they survive horizontal directions depends on the
     # bundle, so the constructor claims just the coarse flags
     return Connection(gamma, m, H=H, preserves=("H", "V"))
+
+
+def _ambient_terms(D: Connection, E: np.ndarray, a: int, b: int, k: int):
+    """fsum terms of the k-th natural component of D_{e_a} e_b for the
+    frame fields e = columns of E."""
+    n = len(E)
+    for l in range(n):
+        yield 1, E[l, a], E[k, b].partial(l)
+        for j in range(n):
+            yield 1, E[l, a], E[j, b], D.gamma[l, j, k]
 
 
 def canonical_bott(H: horizon.HorizontalBundle) -> Connection:
@@ -254,12 +236,19 @@ def curvature(conn: Connection) -> TensorField:
         for b in range(a + 1, n):
             for cc in range(n):
                 for e in range(n):
-                    s = conn.frame_derivative(g[b, cc, e], a)
-                    s = s - conn.frame_derivative(g[a, cc, e], b)
-                    for d in range(n):
-                        s = s + g[b, cc, d] * g[a, d, e]
-                        s = s - g[a, cc, d] * g[b, d, e]
-                        s = s - c[a, b, d] * g[d, cc, e]
+                    s = fields.fsum(
+                        (
+                            term
+                            for d in range(n)
+                            for term in (
+                                (1, g[b, cc, d], g[a, d, e]),
+                                (-1, g[a, cc, d], g[b, d, e]),
+                                (-1, c[a, b, d], g[d, cc, e]),
+                            )
+                        ),
+                        start=conn.frame_derivative(g[b, cc, e], a)
+                        - conn.frame_derivative(g[a, cc, e], b),
+                    )
                     out[e, a, b, cc] = s
                     out[e, b, a, cc] = -1.0 * s
     return TensorField(("up", "down", "down", "down"), out, conn.m, frame=conn.frame)
@@ -271,18 +260,22 @@ def covariant_differential(conn: Connection, T: TensorField) -> TensorField:
     if T.frame != conn.frame:
         raise tc.FrameError("tensor components must be in the connection's frame")
     n = conn.n
+
+    def terms(a, idx):
+        for slot, var in enumerate(T.sig):
+            for d in range(n):
+                swapped = T.comps[idx[:slot] + (d,) + idx[slot + 1 :]]
+                if var == "up":
+                    yield 1, conn.gamma[a, d, idx[slot]], swapped
+                else:
+                    yield -1, conn.gamma[a, idx[slot], d], swapped
+
     out = fields.fzeros(*((n,) * (len(T.sig) + 1)))
     for a in range(n):
         for idx in np.ndindex(T.comps.shape):
-            s = conn.frame_derivative(T.comps[idx], a)
-            for slot, var in enumerate(T.sig):
-                for d in range(n):
-                    swapped = idx[:slot] + (d,) + idx[slot + 1 :]
-                    if var == "up":
-                        s = s + conn.gamma[a, d, idx[slot]] * T.comps[swapped]
-                    else:
-                        s = s - conn.gamma[a, idx[slot], d] * T.comps[swapped]
-            out[(a,) + idx] = s
+            out[(a,) + idx] = fields.fsum(
+                terms(a, idx), start=conn.frame_derivative(T.comps[idx], a)
+            )
     return TensorField(("down",) + T.sig, out, conn.m, frame=conn.frame)
 
 
@@ -321,16 +314,11 @@ def canonical_rule_check(
             SXj = tc.apply_11(S, Xs[j])
             br = tc.lie_bracket(Xs[i], SXj)
             ad = np.tensordot(br.comps, C, axes=([0], [1]))
-            rhs = fields.fzeros(n)  # S^{-1}|_H sends d/dy_k to X_k
-            for k in range(m):
-                for r in range(n):
-                    rhs[r] = rhs[r] + ad[m + k] * E[r, k]
-            lhs = fields.fzeros(n)
-            for cix in range(n):
-                for r in range(n):
-                    lhs[r] = lhs[r] + conn.gamma[i, j, cix] * E[r, cix]
             for r in range(n):
-                res.append(lhs[r] - rhs[r])
+                # S^{-1}|_H sends d/dy_k to X_k
+                rhs = fields.fsum((1, ad[m + k], E[r, k]) for k in range(m))
+                lhs = fields.fsum((1, conn.gamma[i, j, cix], E[r, cix]) for cix in range(n))
+                res.append(lhs - rhs)
     rep.add(
         "horizontal rule: nabla_X X' = S^{-1} pr_V1 [X, S X']",
         _max_field_value(res, p),
@@ -359,10 +347,7 @@ def canonical_rule_check(
             lder = tc.lie_derivative(tc.basis_vector(2 * m + i, m), tc.one_form(form, m))
             # H*-part: coefficients on the dx's of the adapted coframe
             for k in range(m):
-                coef = fields.ZERO
-                for r in range(n):
-                    coef = coef + lder.comps[r] * E[r, k]
-                res.append(coef)
+                res.append(fields.fsum((1, lder.comps[r], E[r, k]) for r in range(n)))
             for cix in range(n):
                 res.append(conn.gamma[2 * m + i, 2 * m + j, cix])
     rep.add(
@@ -440,15 +425,14 @@ def verify_section4(
     res = []
     for i in range(m):
         for j in range(m):
-            Wnat = fields.fzeros(dim)
-            for k in range(m):
-                for r in range(dim):
-                    Wnat[r] = Wnat[r] + nab.gamma[i, j, k] * E[r, k]
+            Wnat = [
+                fields.fsum((1, nab.gamma[i, j, k], E[r, k]) for k in range(m))
+                for r in range(dim)
+            ]
             for a in range(m, dim):
                 rhs = fields.fzeros(dim)
                 for cix in range(m):
-                    for r in range(dim):
-                        rhs[cix] = rhs[cix] + C[cix, r] * Wnat[r].partial(a)
+                    rhs[cix] = fields.fsum((1, C[cix, r], Wnat[r].partial(a)) for r in range(dim))
                 for e in range(dim):
                     res.append(R.comps[e, a, i, j] - rhs[e])
     rep.add(
@@ -465,10 +449,17 @@ def verify_section4(
                 w[k] = R_H.comps[k, i, j]
             for a in range(m, dim):
                 for e in range(dim):
-                    rhs = -1.0 * w[e].partial(a)
-                    for b in range(dim):
-                        rhs = rhs + T.comps[e, a, b] * w[b]
-                        rhs = rhs - nab.gamma[a, b, e] * w[b]
+                    rhs = fields.fsum(
+                        (
+                            term
+                            for b in range(dim)
+                            for term in (
+                                (1, T.comps[e, a, b], w[b]),
+                                (-1, nab.gamma[a, b, e], w[b]),
+                            )
+                        ),
+                        start=-1.0 * w[e].partial(a),
+                    )
                     res.append(R.comps[e, i, j, a] - rhs)
     rep.add(
         "R(X, X') Y = T(Y, R_H(X, X')) - nabla_Y R_H(X, X')",
@@ -509,9 +500,10 @@ def verify_section4(
         for j in range(i + 1, m):
             for a in range(m, dim):
                 for e in range(dim):
-                    rhs = T.comps[e, i, j].partial(a)
-                    for b in range(dim):
-                        rhs = rhs + nab.gamma[a, b, e] * T.comps[b, i, j]
+                    rhs = fields.fsum(
+                        ((1, nab.gamma[a, b, e], T.comps[b, i, j]) for b in range(dim)),
+                        start=T.comps[e, i, j].partial(a),
+                    )
                     res.append(R.comps[e, i, j, a] - rhs)
     rep.add(
         "R(X, X') Y = nabla_Y T(X, X')",
@@ -546,9 +538,7 @@ def verify_section4(
                 br[m + k] = H.t[i, k].partial(b)
                 br[2 * m + k] = H.tau[i, k].partial(b)
             for cix in range(dim):
-                rhs = fields.ZERO
-                for r in range(dim):
-                    rhs = rhs + C[cix, r] * br[r]
+                rhs = fields.fsum((1, C[cix, r], br[r]) for r in range(dim))
                 res.append(nab.gamma[i, b, cix] - rhs)
     rep.add(
         "nabla_X Y = [X, Y] along lifted horizontal fields",

@@ -24,25 +24,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import conns, fields, horizon, metrics, tensorcalc as tc
-from .bigcore import parse_components
-from .fields import ScalarField
+from .bigcore import COND_LIMIT, parse_components, parse_grid
+from .fields import ScalarField, fsum
 from .points import ChartPoint, sample_box
 from .report import Report
 from .tensorcalc import TensorField
-
-_COND_LIMIT = 1e8
-
-
-def _grid(raw, m: int, what: str, allowed=("x", "y", "z")) -> np.ndarray:
-    """Parse an m x m table of expressions/numbers/fields."""
-    arr = np.asarray(raw, dtype=object)
-    if arr.shape != (m, m):
-        raise ValueError(f"{what} must be an {m} x {m} table")
-    flat = parse_components(arr.reshape(-1), m, set(allowed), what, count=m * m)
-    out = np.empty((m, m), dtype=object)
-    for i, j in np.ndindex(m, m):
-        out[i, j] = flat[i * m + j]
-    return out
 
 
 def _sample_matrix(comps: np.ndarray, p: ChartPoint) -> np.ndarray:
@@ -95,8 +81,8 @@ class VerticalMetric:
         if np.max(np.abs(kv - np.swapaxes(kv, 1, 2))) > 1e-10:
             raise ValueError("k block is not symmetric")
         Gv = _sample_matrix(self.matrix(), p)
-        self.nondegenerate = bool(np.max(np.linalg.cond(Gv)) < _COND_LIMIT)
-        self.strongly_nondegenerate = bool(np.max(np.linalg.cond(kv)) < _COND_LIMIT)
+        self.nondegenerate = bool(np.max(np.linalg.cond(Gv)) < COND_LIMIT)
+        self.strongly_nondegenerate = bool(np.max(np.linalg.cond(kv)) < COND_LIMIT)
 
     def matrix(self) -> np.ndarray:
         """Full 2m x 2m object matrix in (y, z) coordinates."""
@@ -114,8 +100,8 @@ class VerticalMetric:
 def vm_from_sigma_psi(sigma, psi, m: int) -> VerticalMetric:
     """Fiber metric of a pair: k = sigma^{-1}, l = -sharp_sigma flat_psi,
     h = sigma - psi sigma^{-1} psi."""
-    S = _grid(sigma, m, "sigma")
-    P = _grid(psi, m, "psi")
+    S = parse_grid(sigma, m, "xyz", "sigma")
+    P = parse_grid(psi, m, "xyz", "psi")
     Sinv = fields.finverse(S)
     L = -1.0 * fields.fmatmul(Sinv, P)
     H = S - fields.fmatmul(P, fields.fmatmul(Sinv, P))
@@ -301,10 +287,10 @@ class DoubleField:
 
     def __post_init__(self):
         m = self.H.m
-        self.sigma = _grid(self.sigma, m, "sigma")
+        self.sigma = parse_grid(self.sigma, m, "xyz", "sigma")
         if self.psi is None:
             self.psi = fields.fzeros(m, m)
-        self.psi = _grid(self.psi, m, "psi")
+        self.psi = parse_grid(self.psi, m, "xyz", "psi")
         if self.density is None:
             self.density = fields.ZERO
         else:
@@ -315,7 +301,7 @@ class DoubleField:
         sv = _sample_matrix(self.sigma, p)
         if np.max(np.abs(sv - np.swapaxes(sv, 1, 2))) > 1e-10:
             raise ValueError("sigma is not symmetric")
-        if np.max(np.linalg.cond(sv)) > _COND_LIMIT:
+        if np.max(np.linalg.cond(sv)) > COND_LIMIT:
             raise ValueError("sigma is singular at a sample point")
         pv = _sample_matrix(self.psi, p)
         if np.max(np.abs(pv + np.swapaxes(pv, 1, 2))) > 1e-10:
@@ -332,7 +318,7 @@ class DoubleField:
 def field_from_riemannian(gamma, m: int) -> DoubleField:
     """Double field of a base metric: the horizontal bundle of its
     Levi-Civita connection, sigma the metric itself, psi = 0."""
-    g = metrics._sym_grid(gamma, m, {"x"})
+    g = parse_grid(gamma, m, "x", "g")
     H = horizon.from_linear_connection(metrics.base_christoffels(gamma, m), m)
     return DoubleField(H, g)
 
@@ -382,41 +368,41 @@ class VerticalConnection:
         return self.H.m
 
 
-def _frame_deriv(H: horizon.HorizontalBundle, f: ScalarField, a: int) -> ScalarField:
-    """Derivative along the a-th adapted frame field."""
-    m = H.m
-    if a >= m:
-        return f.partial(a)
-    out = f.partial(a)
-    for j in range(m):
-        out = out - H.t[a, j] * f.partial(m + j)
-        out = out - H.tau[a, j] * f.partial(2 * m + j)
-    return out
-
-
 def section_derivative(nabla: VerticalConnection, a: int, s: np.ndarray) -> np.ndarray:
     """Covariant derivative of a fiber section (2m components) along
     the a-th adapted frame direction."""
     m = nabla.m
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        acc = _frame_deriv(nabla.H, s[c], a)
-        for b in range(2 * m):
-            acc = acc + s[b] * nabla.gamma[a, b, c]
-        out[c] = acc
+        out[c] = fsum(
+            ((1, s[b], nabla.gamma[a, b, c]) for b in range(2 * m)),
+            start=nabla.H.frame_derivative(s[c], a),
+        )
     return out
 
 
 def vertical_derivative(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray):
     """Covariant derivative along a fiber vector field Z (2m direction
-    components)."""
+    components); directions with a constant-zero component are skipped
+    before their section derivative is built."""
     m = nabla.m
+    parts = [
+        (Z[v], section_derivative(nabla, m + v, s))
+        for v in range(2 * m)
+        if not fields.is_zero(Z[v])
+    ]
     out = fields.fzeros(2 * m)
-    for v in range(2 * m):
-        d = section_derivative(nabla, m + v, s)
-        for c in range(2 * m):
-            out[c] = out[c] + Z[v] * d[c]
+    for c in range(2 * m):
+        out[c] = fsum((1, z, d[c]) for z, d in parts)
     return out
+
+
+def _coord_basis(m: int) -> list:
+    """The 2m coordinate fiber vectors as component arrays."""
+    basis = [fields.fzeros(2 * m) for _ in range(2 * m)]
+    for a in range(2 * m):
+        basis[a][a] = fields.ONE
+    return basis
 
 
 def _iota_frame(sigma: np.ndarray, psi: np.ndarray, m: int):
@@ -449,49 +435,48 @@ def pair_connection(
             Ga[m + k, m + j] = cminus[a, j, k]
         dB = np.empty((2 * m, 2 * m), dtype=object)
         for idx in np.ndindex(2 * m, 2 * m):
-            dB[idx] = _frame_deriv(F.H, B[idx], a)
+            dB[idx] = F.H.frame_derivative(B[idx], a)
         Ma = fields.fmatmul(fields.fmatmul(B, Ga) - dB, Binv)
         for b, c in np.ndindex(2 * m, 2 * m):
             gamma[a, b, c] = Ma[c, b]
     return VerticalConnection(gamma, F.H, preserves=preserves)
 
 
+def _sigma_differential(F: DoubleField, c: np.ndarray) -> np.ndarray:
+    """Covariant differential T[a, i, j] = (nabla_a sigma)_ij of sigma
+    under a y-block connection c[a, i, j]."""
+    m = F.m
+    sigma = F.sigma
+    T = fields.fzeros(3 * m, m, m)
+    for a, i, j in np.ndindex(3 * m, m, m):
+        T[a, i, j] = fsum(
+            (
+                term
+                for k in range(m)
+                for term in ((-1, c[a, i, k], sigma[k, j]), (-1, c[a, j, k], sigma[i, k]))
+            ),
+            start=F.H.frame_derivative(sigma[i, j], a),
+        )
+    return T
+
+
 def _metricize(F: DoubleField, c: np.ndarray) -> np.ndarray:
     """Correct a y-block connection by half the sharped covariant
     differential of sigma, which makes sigma parallel."""
     m = F.m
-    sigma = F.sigma
-    sinv = fields.finverse(sigma)
+    sinv = fields.finverse(F.sigma)
+    T = _sigma_differential(F, c)
     out = fields.fzeros(3 * m, m, m)
-    for a in range(3 * m):
-        T = fields.fzeros(m, m)
-        for i, j in np.ndindex(m, m):
-            acc = _frame_deriv(F.H, sigma[i, j], a)
-            for k in range(m):
-                acc = acc - c[a, i, k] * sigma[k, j]
-                acc = acc - c[a, j, k] * sigma[i, k]
-            T[i, j] = acc
-        for i, j in np.ndindex(m, m):
-            corr = fields.ZERO
-            for b in range(m):
-                corr = corr + sinv[j, b] * T[b, i]
-            out[a, i, j] = c[a, i, j] + 0.5 * corr
+    for a, i, j in np.ndindex(3 * m, m, m):
+        corr = fsum((1, sinv[j, b], T[a, b, i]) for b in range(m))
+        out[a, i, j] = c[a, i, j] + 0.5 * corr
     return out
 
 
 def sigma_preservation_residual(F: DoubleField, c: np.ndarray, p: ChartPoint) -> float:
     """Max covariant-differential entry of sigma for a y-block
     connection c[a, i, j]."""
-    m = F.m
-    res = []
-    for a in range(3 * m):
-        for i, j in np.ndindex(m, m):
-            acc = _frame_deriv(F.H, F.sigma[i, j], a)
-            for k in range(m):
-                acc = acc - c[a, i, k] * F.sigma[k, j]
-                acc = acc - c[a, j, k] * F.sigma[i, k]
-            res.append(acc)
-    vals = fields.fvalue(np.array(res, dtype=object), p)
+    vals = fields.fvalue(_sigma_differential(F, c), p)
     return float(np.max(np.abs(vals)))
 
 
@@ -505,11 +490,19 @@ def metric_preservation_residual(
     res = []
     for a in range(3 * m):
         for b, c in np.ndindex(2 * m, 2 * m):
-            acc = _frame_deriv(nabla.H, fields.as_field(G[b, c]), a)
-            for e in range(2 * m):
-                acc = acc - nabla.gamma[a, b, e] * fields.as_field(G[e, c])
-                acc = acc - nabla.gamma[a, c, e] * fields.as_field(G[b, e])
-            res.append(acc)
+            res.append(
+                fsum(
+                    (
+                        term
+                        for e in range(2 * m)
+                        for term in (
+                            (-1, nabla.gamma[a, b, e], fields.as_field(G[e, c])),
+                            (-1, nabla.gamma[a, c, e], fields.as_field(G[b, e])),
+                        )
+                    ),
+                    start=nabla.H.frame_derivative(fields.as_field(G[b, c]), a),
+                )
+            )
     vals = fields.fvalue(np.array(res, dtype=object), p)
     return float(np.max(np.abs(vals)))
 
@@ -581,9 +574,7 @@ def dpm_connections(pack: DoublePack):
         c = pack.c0.copy()
         for i in range(m):
             for j, k in np.ndindex(m, m):
-                corr = fields.ZERO
-                for b in range(m):
-                    corr = corr + sinv[k, b] * dpsi[i, j, b]
+                corr = fsum((1, sinv[k, b], dpsi[i, j, b]) for b in range(m))
                 c[m + i, j, k] = c[m + i, j, k] + (0.5 * sign) * corr
         out.append(_metricize(F, c))
     return out[0], out[1]
@@ -600,17 +591,14 @@ def wedge_product(
     for b in range(2 * m):
         d2 = section_derivative(nabla, m + b, Y2)
         d1 = section_derivative(nabla, m + b, Y1)
-        acc = fields.ZERO
-        for p_, q in np.ndindex(2 * m, 2 * m):
-            acc = acc + Y1[p_] * pack.G[p_, q] * d2[q]
-            acc = acc - Y2[p_] * pack.G[p_, q] * d1[q]
-        beta[b] = acc
+        beta[b] = fsum(
+            term
+            for p_, q in np.ndindex(2 * m, 2 * m)
+            for term in ((1, Y1[p_], pack.G[p_, q], d2[q]), (-1, Y2[p_], pack.G[p_, q], d1[q]))
+        )
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        acc = fields.ZERO
-        for b in range(2 * m):
-            acc = acc + pack.Ginv[c, b] * beta[b]
-        out[c] = 0.5 * acc
+        out[c] = 0.5 * fsum((1, pack.Ginv[c, b], beta[b]) for b in range(2 * m))
     return out
 
 
@@ -627,10 +615,7 @@ def vertical_gradient(pack: DoublePack, f: ScalarField) -> np.ndarray:
     m = pack.F.m
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        acc = fields.ZERO
-        for b in range(2 * m):
-            acc = acc + pack.Ginv[c, b] * f.partial(m + b)
-        out[c] = acc
+        out[c] = fsum((1, pack.Ginv[c, b], f.partial(m + b)) for b in range(2 * m))
     return out
 
 
@@ -640,11 +625,10 @@ def gualtieri_torsion(nabla: VerticalConnection, pack: DoublePack) -> np.ndarray
     m = nabla.m
     xi = fields.fzeros(2 * m, 2 * m, 2 * m)
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        acc = fields.ZERO
-        for e in range(2 * m):
-            theta = nabla.gamma[m + a, b, e] - pack.D0.gamma[m + a, b, e]
-            acc = acc + theta * pack.G[e, c]
-        xi[a, b, c] = acc
+        xi[a, b, c] = fsum(
+            (1, nabla.gamma[m + a, b, e] - pack.D0.gamma[m + a, b, e], pack.G[e, c])
+            for e in range(2 * m)
+        )
     tau = fields.fzeros(2 * m, 2 * m, 2 * m)
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
         tau[a, b, c] = xi[a, b, c] + xi[b, c, a] + xi[c, a, b]
@@ -658,9 +642,7 @@ def gualtieri_via_deformed_torsion(
     derivative minus the wedge-deformed bracket) with the metric."""
     m = nabla.m
     tau = fields.fzeros(2 * m, 2 * m, 2 * m)
-    basis = [fields.fzeros(2 * m) for _ in range(2 * m)]
-    for a in range(2 * m):
-        basis[a][a] = fields.ONE
+    basis = _coord_basis(m)
     for a in range(2 * m):
         for b in range(2 * m):
             da = nabla.gamma[m + a, b, :].copy()
@@ -669,10 +651,7 @@ def gualtieri_via_deformed_torsion(
             wd = wedge_product(nabla, pack, basis[a], basis[b])
             T = da - db - br - wd
             for c in range(2 * m):
-                acc = fields.ZERO
-                for e in range(2 * m):
-                    acc = acc + T[e] * pack.G[e, c]
-                tau[a, b, c] = acc
+                tau[a, b, c] = fsum((1, T[e], pack.G[e, c]) for e in range(2 * m))
     return tau
 
 
@@ -701,22 +680,25 @@ def field_adapted_connection(F: DoubleField):
         prUp = fields.fzeros(2 * m)
         prUm = fields.fzeros(2 * m)
         for r in range(2 * m):
-            for q in range(m):
-                prUp[r] = prUp[r] + pack.B[r, q] * pack.Binv[q, v]
-                prUm[r] = prUm[r] + pack.B[r, m + q] * pack.Binv[m + q, v]
+            prUp[r] = fsum((1, pack.B[r, q], pack.Binv[q, v]) for q in range(m))
+            prUm[r] = fsum((1, pack.B[r, m + q], pack.Binv[m + q, v]) for q in range(m))
         for i in range(m):
             brp = metric_bracket(pack, prUm, pack.B[:, i])
             brm = metric_bracket(pack, prUp, pack.B[:, m + i])
             for j in range(m):
-                tp = fields.ZERO
-                tm = fields.ZERO
-                for r in range(2 * m):
-                    tp = tp + prUp[r] * cplus[m + r, i, j]
-                    tm = tm + prUm[r] * cminus[m + r, i, j]
-                    tp = tp + pack.Binv[j, r] * brp[r]
-                    tm = tm + pack.Binv[m + j, r] * brm[r]
-                ctp[m + v, i, j] = tp
-                ctm[m + v, i, j] = tm
+                ctp[m + v, i, j] = fsum(
+                    term
+                    for r in range(2 * m)
+                    for term in ((1, prUp[r], cplus[m + r, i, j]), (1, pack.Binv[j, r], brp[r]))
+                )
+                ctm[m + v, i, j] = fsum(
+                    term
+                    for r in range(2 * m)
+                    for term in (
+                        (1, prUm[r], cminus[m + r, i, j]),
+                        (1, pack.Binv[m + j, r], brm[r]),
+                    )
+                )
     Dtilde = pair_connection(F, ctp, ctm, preserves=("U+", "U-"))
     tau = gualtieri_torsion(Dtilde, pack)
     gamma = pack.D0.gamma.copy()
@@ -724,9 +706,7 @@ def field_adapted_connection(F: DoubleField):
         for b, c in np.ndindex(2 * m, 2 * m):
             gamma[a, b, c] = Dtilde.gamma[a, b, c]
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        phi = fields.ZERO
-        for e in range(2 * m):
-            phi = phi + pack.Ginv[c, e] * tau[a, b, e]
+        phi = fsum((1, pack.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
         gamma[m + a, b, c] = gamma[m + a, b, c] - (1.0 / 3.0) * phi
     Dbar = VerticalConnection(gamma, F.H, preserves=("U+", "U-"))
     return Dbar, Dtilde, pack
@@ -756,9 +736,7 @@ def deformed_curvatures(nabla: VerticalConnection, pack: DoublePack):
     frame, and the scalar contraction against the inverse metric.
     Returns (R, Ric, rho) with object-array components."""
     m = nabla.m
-    basis = [fields.fzeros(2 * m) for _ in range(2 * m)]
-    for a in range(2 * m):
-        basis[a][a] = fields.ONE
+    basis = _coord_basis(m)
     R = fields.fzeros(2 * m, 2 * m, 2 * m, 2 * m)
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
@@ -769,13 +747,10 @@ def deformed_curvatures(nabla: VerticalConnection, pack: DoublePack):
                     R[b, a, c, d] = -1.0 * val[d]
     Ric = fields.fzeros(2 * m, 2 * m)
     for b, c in np.ndindex(2 * m, 2 * m):
-        acc = fields.ZERO
-        for a in range(2 * m):
-            acc = acc + R[a, b, c, a] + R[a, c, b, a]
-        Ric[b, c] = 0.5 * acc
-    rho = fields.ZERO
-    for q, s in np.ndindex(2 * m, 2 * m):
-        rho = rho + pack.Ginv[q, s] * Ric[q, s]
+        Ric[b, c] = 0.5 * fsum(
+            term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
+        )
+    rho = fsum((1, pack.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
     return R, Ric, rho
 
 
@@ -790,25 +765,19 @@ def scalar_curvature_in_basis(
     P = np.asarray(P, dtype=object)
     for idx in np.ndindex(P.shape):
         P[idx] = fields.as_field(P[idx])
-    basis = [fields.fzeros(2 * m) for _ in range(2 * m)]
-    for a in range(2 * m):
-        basis[a][a] = fields.ONE
+    basis = _coord_basis(m)
     Ric = fields.fzeros(2 * m, 2 * m)
     for q in range(2 * m):
         for s in range(q, 2 * m):
-            acc = fields.ZERO
-            for a in range(2 * m):
-                v1 = deformed_curvature_apply(nabla, pack, basis[a], P[:, q], P[:, s])
-                v2 = deformed_curvature_apply(nabla, pack, basis[a], P[:, s], P[:, q])
-                acc = acc + v1[a] + v2[a]
-            Ric[q, s] = 0.5 * acc
+            Ric[q, s] = 0.5 * fsum(
+                (1, deformed_curvature_apply(nabla, pack, basis[a], P[:, k], P[:, l])[a])
+                for a in range(2 * m)
+                for k, l in ((q, s), (s, q))
+            )
             Ric[s, q] = Ric[q, s]
     Gt = fields.fmatmul(fields.fmatmul(fields.ftranspose(P), pack.G), P)
     Gtinv = fields.finverse(Gt)
-    rho = fields.ZERO
-    for q, s in np.ndindex(2 * m, 2 * m):
-        rho = rho + Gtinv[q, s] * Ric[q, s]
-    return rho
+    return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
 
 
 @dataclass
@@ -973,12 +942,8 @@ def verify_double_field(
     Y2 = np.array([fields.as_field(v) for v in rng.normal(size=2 * m)], dtype=object)
     f = fields.field("exp(y1) + x1*z1", m)
     lhs = metric_bracket(pack, Y1, Y2 * f)
-    Yf = fields.ZERO
-    for v in range(2 * m):
-        Yf = Yf + Y1[v] * f.partial(m + v)
-    gYY = fields.ZERO
-    for a, b in np.ndindex(2 * m, 2 * m):
-        gYY = gYY + Y1[a] * pack.G[a, b] * Y2[b]
+    Yf = fsum((1, Y1[v], f.partial(m + v)) for v in range(2 * m))
+    gYY = fsum((1, Y1[a], pack.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
     rhs = (
         metric_bracket(pack, Y1, Y2) * f
         + Y2 * Yf

@@ -21,6 +21,15 @@ chart variables it can depend on; ``f.partial(v)`` is ``ZERO`` when ``v``
 is not in ``f.support``, so structurally zero derivatives are never
 built or evaluated.
 
+Every sum of field products in the package is formed by ``fsum``: a
+term ``(sign, *factors)`` multiplies its factors left to right and is
+added to or subtracted from the running sum with ``+``/``-``; a term with
+a constant-zero factor (``is_zero``, the test the arithmetic folds use)
+is skipped before any product is built.  The folds would drop such a
+term anyway, so ``fsum`` preserves the graph: it returns the very node
+the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
+the terms shapes that node (and so the last bits of its values).
+
 Evaluation results are cached on the ChartPoint keyed by (node, order);
 since equal subgraphs are one node, they share one cache slot.  One point
 shared across a verification suite is evaluated once per node and the
@@ -112,9 +121,9 @@ class ScalarField(metaclass=_Interned):
     def __add__(self, other):
         other = as_field(other)
         if type(self) is Const or type(other) is Const:
-            if _is_const(other, 0.0):
+            if is_zero(other):
                 return self
-            if _is_const(self, 0.0):
+            if is_zero(self):
                 return other
             if type(self) is type(other):
                 return Const(self.v + other.v)
@@ -125,7 +134,7 @@ class ScalarField(metaclass=_Interned):
     def __sub__(self, other):
         other = as_field(other)
         if type(other) is Const:
-            if other.v == 0.0:
+            if is_zero(other):
                 return self
             if type(self) is Const:
                 return Const(self.v - other.v)
@@ -142,7 +151,7 @@ class ScalarField(metaclass=_Interned):
     def __mul__(self, other):
         other = as_field(other)
         if type(self) is Const or type(other) is Const:
-            if _is_const(self, 0.0) or _is_const(other, 0.0):
+            if is_zero(self) or is_zero(other):
                 return ZERO
             if _is_const(self, 1.0):
                 return other
@@ -158,7 +167,7 @@ class ScalarField(metaclass=_Interned):
         other = as_field(other)
         if _is_const(other, 1.0):
             return self
-        if _is_const(self, 0.0) and isinstance(other, Const):
+        if is_zero(self) and isinstance(other, Const):
             return ZERO
         return Bin("/", self, other)
 
@@ -208,6 +217,31 @@ ONE = Const(1.0)
 
 def _is_const(f, v) -> bool:
     return type(f) is Const and f.v == v
+
+
+def is_zero(f) -> bool:
+    """True for a constant-zero field, ``ZERO`` or ``Const(-0.0)``."""
+    return type(f) is Const and f.v == 0.0
+
+
+def fsum(terms, start=ZERO):
+    """``start`` plus or minus the product of each term's factors.
+
+    Each term is ``(sign, *factors)`` with ``sign`` +1 or -1; the factors
+    are multiplied left to right.  A term with a constant-zero factor is
+    skipped before any product is built.  The result is the node the loop
+    ``acc = start; acc = acc +/- f1 * f2 * ...`` over the same terms
+    returns.
+    """
+    acc = start
+    for sign, *factors in terms:
+        if any(map(is_zero, factors)):
+            continue
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        acc = acc + prod if sign > 0 else acc - prod
+    return acc
 
 
 def as_field(x) -> ScalarField:
@@ -323,14 +357,11 @@ def fzeros(*shape) -> np.ndarray:
 def fmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, k = a.shape
     k2, mm = b.shape
-    assert k == k2
+    if k != k2:
+        raise ValueError(f"cannot multiply a {n} x {k} by a {k2} x {mm} matrix")
     out = fzeros(n, mm)
-    for i in range(n):
-        for j in range(mm):
-            s = ZERO
-            for s_ in range(k):
-                s = s + a[i, s_] * b[s_, j]
-            out[i, j] = s
+    for i, j in np.ndindex(n, mm):
+        out[i, j] = fsum((1, a[i, s], b[s, j]) for s in range(k))
     return out
 
 
@@ -443,10 +474,7 @@ def fsolve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = inv.shape[0]
     out = np.empty(n, dtype=object)
     for i in range(n):
-        s = ZERO
-        for j in range(n):
-            s = s + inv[i, j] * as_field(rhs[j])
-        out[i] = s
+        out[i] = fsum((1, inv[i, j], as_field(rhs[j])) for j in range(n))
     return out
 
 
@@ -457,9 +485,8 @@ def fdet(mat: np.ndarray) -> ScalarField:
         return as_field(mat[0, 0])
     if n == 2:
         return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    out = ZERO
-    for j in range(n):
-        minor = np.delete(np.delete(mat, 0, axis=0), j, axis=1)
-        term = as_field(mat[0, j]) * fdet(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+    rows = np.delete(mat, 0, axis=0)
+    return fsum(
+        (-1 if j % 2 else 1, as_field(mat[0, j]), fdet(np.delete(rows, j, axis=1)))
+        for j in range(n)
+    )

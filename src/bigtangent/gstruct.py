@@ -222,9 +222,7 @@ def integrability_check(
         rng = np.random.default_rng(seed)
         test_functions = [fields.Coord(i) for i in range(n)]
         for _ in range(5):
-            f = fields.ZERO
-            for i in range(n):
-                f = f + float(rng.uniform(-1, 1)) * fields.Coord(i)
+            f = fields.fsum((1, float(rng.uniform(-1, 1)), fields.Coord(i)) for i in range(n))
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, m)) if i >= m else int(rng.integers(0, n))
             f = f + float(rng.uniform(-1, 1)) * fields.Coord(i) * fields.Coord(j)

@@ -18,21 +18,10 @@ from itertools import product
 import numpy as np
 
 from . import fields, tensorcalc as tc
-from .bigcore import DependencyError, canonical_pack, parse_components
-from .fields import ScalarField, as_field
+from .bigcore import COND_LIMIT, canonical_pack, parse_components, parse_grid
+from .fields import ScalarField
 from .points import ChartPoint, sample_box
 from .tensorcalc import TensorField
-
-
-def _coef_grid(raw, m: int, allowed, what: str) -> np.ndarray:
-    flat = parse_components(
-        np.asarray(raw, dtype=object).reshape(-1), m, allowed, what, count=m * m
-    )
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = flat[i * m + j]
-    return out
 
 
 @dataclass
@@ -45,8 +34,23 @@ class HorizontalBundle:
     m: int
 
     def __post_init__(self):
-        self.t = _coef_grid(self.t, self.m, {"x", "y", "z"}, "t")
-        self.tau = _coef_grid(self.tau, self.m, {"x", "y", "z"}, "tau")
+        self.t = parse_grid(self.t, self.m, "xyz", "t")
+        self.tau = parse_grid(self.tau, self.m, "xyz", "tau")
+
+    def frame_derivative(self, f: ScalarField, a: int) -> ScalarField:
+        """Derivative of a scalar along the a-th adapted frame field:
+        X_a for a < m, the coordinate field d/dy or d/dz otherwise."""
+        m = self.m
+        if a >= m:
+            return f.partial(a)
+        return fields.fsum(
+            (
+                (-1, coef[a, j], f.partial(block * m + j))
+                for j in range(m)
+                for block, coef in ((1, self.t), (2, self.tau))
+            ),
+            start=f.partial(a),
+        )
 
     def horizontal_vector(self, i: int) -> TensorField:
         m = self.m
@@ -98,35 +102,33 @@ def from_linear_connection(Gamma, m: int) -> HorizontalBundle:
     G = G.reshape(m, m, m)
     t = fields.fzeros(m, m)
     tau = fields.fzeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                t[i, j] = t[i, j] + fields.Coord(m + k) * G[j, i, k]
-                tau[i, j] = tau[i, j] - fields.Coord(2 * m + k) * G[k, i, j]
+    for i, j in np.ndindex(m, m):
+        t[i, j] = fields.fsum((1, fields.Coord(m + k), G[j, i, k]) for k in range(m))
+        tau[i, j] = fields.fsum((-1, fields.Coord(2 * m + k), G[k, i, j]) for k in range(m))
     return HorizontalBundle(t, tau, m)
 
 
 def lift_from_tm(t, m: int) -> HorizontalBundle:
     """Complete tangent-side coefficients t_i^j(x,y) by
     tau_ij = -z_h dt_i^h/dy^j."""
-    tg = _coef_grid(t, m, {"x", "y"}, "t")
+    tg = parse_grid(t, m, "xy", "t")
     tau = fields.fzeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            for h in range(m):
-                tau[i, j] = tau[i, j] - fields.Coord(2 * m + h) * tg[i, h].partial(m + j)
+    for i, j in np.ndindex(m, m):
+        tau[i, j] = fields.fsum(
+            (-1, fields.Coord(2 * m + h), tg[i, h].partial(m + j)) for h in range(m)
+        )
     return HorizontalBundle(tg, tau, m)
 
 
 def lift_from_cotm(tau, m: int) -> HorizontalBundle:
     """Complete cotangent-side coefficients tau_ij(x,z) by
     t_i^j = -z_h dtau_ih/dz_j."""
-    tg = _coef_grid(tau, m, {"x", "z"}, "tau")
+    tg = parse_grid(tau, m, "xz", "tau")
     t = fields.fzeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            for h in range(m):
-                t[i, j] = t[i, j] - fields.Coord(2 * m + h) * tg[i, h].partial(2 * m + j)
+    for i, j in np.ndindex(m, m):
+        t[i, j] = fields.fsum(
+            (-1, fields.Coord(2 * m + h), tg[i, h].partial(2 * m + j)) for h in range(m)
+        )
     return HorizontalBundle(t, tg, m)
 
 
@@ -158,8 +160,9 @@ def canonical_second_order_extension(eta, m: int) -> SecondOrderField:
     ec = parse_components(eta, m, {"x", "y", "z"}, "eta")
     zeta = fields.fzeros(m)
     for i in range(m):
-        for h in range(m):
-            zeta[i] = zeta[i] - 0.5 * fields.Coord(2 * m + h) * ec[h].partial(m + i)
+        zeta[i] = fields.fsum(
+            (-1, 0.5, fields.Coord(2 * m + h), ec[h].partial(m + i)) for h in range(m)
+        )
     return SecondOrderField(ec, zeta, m)
 
 
@@ -175,14 +178,16 @@ def spray_from_lagrangian(L, m: int, check_points: ChartPoint | None = None):
     g = fields.fzeros(m, m)
     rhs = fields.fzeros(m)
     for j in range(m):
-        rhs[j] = Lf.partial(j)
         for k in range(m):
             g[j, k] = Lf.partial(m + j).partial(m + k)
-            rhs[j] = rhs[j] - fields.Coord(m + k) * Lf.partial(m + j).partial(k)
+        rhs[j] = fields.fsum(
+            ((-1, fields.Coord(m + k), Lf.partial(m + j).partial(k)) for k in range(m)),
+            start=Lf.partial(j),
+        )
     if check_points is None:
         check_points = sample_box(m, 10, seed=0)
     gv = np.moveaxis(fields.fvalue(g, check_points), -1, 0)
-    if np.max(np.linalg.cond(gv)) > 1e8:
+    if np.max(np.linalg.cond(gv)) > COND_LIMIT:
         raise ValueError("Lagrangian Hessian is singular at a sample point")
     eta = fields.fsolve(g, rhs)
     t = fields.fzeros(m, m)
@@ -198,18 +203,19 @@ def lagrangian_spray_residual(L, sof: SecondOrderField, p: ChartPoint) -> float:
     m = sof.m
     Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
     theta_comps = fields.fzeros(3 * m)
-    E = -1.0 * Lf
     for i in range(m):
         theta_comps[i] = Lf.partial(m + i)
-        E = E + fields.Coord(m + i) * Lf.partial(m + i)
+    E = fields.fsum(
+        ((1, fields.Coord(m + i), Lf.partial(m + i)) for i in range(m)), start=-1.0 * Lf
+    )
     theta = tc.exterior_derivative(tc.one_form(theta_comps, m))
     X = sof.as_vector()
     res = fields.fzeros(3 * m)
     dE = tc.differential(E, m)
     for j in range(3 * m):
-        res[j] = dE.comps[j]
-        for i in range(3 * m):
-            res[j] = res[j] + X.comps[i] * theta.comps[i, j]
+        res[j] = fields.fsum(
+            ((1, X.comps[i], theta.comps[i, j]) for i in range(3 * m)), start=dE.comps[j]
+        )
     return tc.one_form(res, m).max_abs(p)
 
 
@@ -380,9 +386,8 @@ def nonlinear_covariant_derivative(H: HorizontalBundle, nu, kappa, xi):
     out_v = fields.fzeros(m)
     out_f = fields.fzeros(m)
     for i in range(m):
-        for j in range(m):
-            out_v[i] = out_v[i] + xi[j] * (nu[i].partial(j) + H.t[j, i])
-            out_f[i] = out_f[i] + xi[j] * (kap[i].partial(j) - H.tau[j, i])
+        out_v[i] = fields.fsum((1, xi[j], nu[i].partial(j) + H.t[j, i]) for j in range(m))
+        out_f[i] = fields.fsum((1, xi[j], kap[i].partial(j) - H.tau[j, i]) for j in range(m))
     return out_v, out_f
 
 
@@ -405,25 +410,16 @@ def transformed_gamma_bundle(Gamma, A: np.ndarray, m: int) -> HorizontalBundle:
     )
     G = G.reshape(m, m, m)
     # substitute x = Ainv xt inside the coefficients and contract indices
-    def pullback(f):
-        subs = []
-        for r in range(m):
-            s = fields.ZERO
-            for c in range(m):
-                s = s + float(Ainv[r, c]) * fields.Coord(c)
-            subs.append(s)
-        return _substitute_x(f, subs)
-
+    subs = [
+        fields.fsum((1, float(Ainv[r, c]), fields.Coord(c)) for c in range(m))
+        for r in range(m)
+    ]
     Gt = fields.fzeros(m, m, m)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                acc = fields.ZERO
-                for a in range(m):
-                    for b in range(m):
-                        for c in range(m):
-                            acc = acc + float(A[i, a] * Ainv[b, j] * Ainv[c, k]) * pullback(G[a, b, c])
-                Gt[i, j, k] = acc
+    for i, j, k in np.ndindex(m, m, m):
+        Gt[i, j, k] = fields.fsum(
+            (1, float(A[i, a] * Ainv[b, j] * Ainv[c, k]), _substitute_x(G[a, b, c], subs))
+            for a, b, c in np.ndindex(m, m, m)
+        )
     return from_linear_connection(Gt, m)
 
 

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conns, fields, horizon, tensorcalc as tc
-from .bigcore import parse_components
+from .bigcore import COND_LIMIT, parse_components, parse_grid
 from .points import ChartPoint, sample_box
 from .report import Report
 from .tensorcalc import TensorField
-
-_COND_LIMIT = 1e8
 
 
 @dataclass
@@ -44,7 +42,7 @@ class BigMetric:
         if np.max(np.abs(gv - np.swapaxes(gv, 1, 2))) > 1e-10:
             raise ValueError("metric is not symmetric")
         vv = gv[:, m:, m:]
-        if np.max(np.linalg.cond(vv)) > _COND_LIMIT:
+        if np.max(np.linalg.cond(vv)) > COND_LIMIT:
             raise ValueError("vertical restriction is singular at a sample point")
         if self.H is None:
             self.H = self._orthogonal_bundle()
@@ -72,28 +70,14 @@ class BigMetric:
 # -- constructors ---------------------------------------------------------
 def base_christoffels(g, m: int):
     """Christoffel symbols Gamma[i][j][k] of a base metric g_{ij}(x)."""
-    gm = _sym_grid(g, m, {"x"})
+    gm = parse_grid(g, m, "x", "g")
     ginv = fields.finverse(gm)
     out = fields.fzeros(m, m, m)
     for i, j, k in np.ndindex(m, m, m):
-        s = fields.ZERO
-        for d in range(m):
-            s = s + ginv[i, d] * (
-                gm[d, k].partial(j) + gm[j, d].partial(k) - gm[j, k].partial(d)
-            )
-        out[i, j, k] = 0.5 * s
-    return out
-
-
-def _sym_grid(g, m: int, allowed) -> np.ndarray:
-    raw = np.asarray(g, dtype=object)
-    if raw.shape != (m, m):
-        raise ValueError(f"metric coefficients must have shape {(m, m)}")
-    flat = parse_components(raw.reshape(-1), m, allowed, "g", count=m * m)
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = flat[i * m + j]
+        out[i, j, k] = 0.5 * fields.fsum(
+            (1, ginv[i, d], gm[d, k].partial(j) + gm[j, d].partial(k) - gm[j, k].partial(d))
+            for d in range(m)
+        )
     return out
 
 
@@ -101,10 +85,10 @@ def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
     """g dx (.) dx + g theta (.) theta + g^{-1} kappa (.) kappa in the
     adapted coframe of H; g may depend on (x, y)."""
     m = H.m
-    gm = _sym_grid(g, m, {"x", "y"})
+    gm = parse_grid(g, m, "xy", "g")
     p = sample_box(m, 10, seed=0)
     gv = np.moveaxis(fields.fvalue(gm, p), -1, 0)
-    if np.max(np.linalg.cond(gv)) > _COND_LIMIT:
+    if np.max(np.linalg.cond(gv)) > COND_LIMIT:
         raise ValueError("fiber metric is singular at a sample point")
     ginv = fields.finverse(gm)
     comps = fields.fzeros(3 * m, 3 * m)
@@ -195,13 +179,14 @@ def leafwise_levi_civita_residual(
     gVinv = fields.finverse(gV)
     res = []
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        s = fields.ZERO
-        for d in range(2 * m):
-            s = s + gVinv[c, d] * (
-                gV[d, b].partial(m + a)
-                + gV[a, d].partial(m + b)
-                - gV[a, b].partial(m + d)
+        s = fields.fsum(
+            (
+                1,
+                gVinv[c, d],
+                gV[d, b].partial(m + a) + gV[a, d].partial(m + b) - gV[a, b].partial(m + d),
             )
+            for d in range(2 * m)
+        )
         res.append(0.5 * s - nab.gamma[m + a, m + b, m + c])
     vals = fields.fvalue(np.array(res, dtype=object), p)
     return float(np.max(np.abs(vals)))
@@ -239,10 +224,9 @@ def cartan_via_lie_derivative(gm: BigMetric) -> TensorField:
         # S X_i is the i-th y-direction for the standard nilpotent S
         lg = tc.lie_derivative(tc.basis_vector(m + i, m), g_ext)
         for j, k in np.ndindex(m, m):
-            s = fields.ZERO
-            for r, q in np.ndindex(3 * m, 3 * m):
-                s = s + lg.comps[r, q] * E[r, j] * E[q, k]
-            comps[i, j, k] = s
+            comps[i, j, k] = fields.fsum(
+                (1, lg.comps[r, q], E[r, j], E[q, k]) for r, q in np.ndindex(3 * m, 3 * m)
+            )
     return TensorField(("down", "down", "down"), comps, m, frame="adapted")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import dfield, fields, horizon, metrics
-from .bigcore import parse_components
+from .bigcore import parse_components, parse_grid
 from .jets import JetDomainError
 from .points import sample_box
 
@@ -32,6 +32,12 @@ _SCENE_KEYS = {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "pe
 
 class SceneError(ValueError):
     """Unparsable or inconsistent scene file; message carries the location."""
+
+
+# What building a scene object raises for bad input: parse, dependency,
+# frame and linear-algebra errors are ValueErrors, jet and evaluation
+# domain errors ArithmeticErrors.  Anything else is a bug and propagates.
+_INPUT_ERRORS = (ValueError, ArithmeticError)
 
 
 def _fail(path, where, msg):
@@ -54,12 +60,10 @@ def _rows(cfg, path, section, prefix, m, count=None):
 
 
 def _parse_grid(rows, m, allowed, path, where):
-    flat = [e for row in rows for e in row]
     try:
-        comps = parse_components(flat, m, allowed, where, count=len(flat))
-    except Exception as exc:
+        return parse_grid(rows, m, allowed, where)
+    except _INPUT_ERRORS as exc:
         _fail(path, where, str(exc))
-    return np.array(comps, dtype=object).reshape(len(rows), m)
 
 
 @dataclass
@@ -118,7 +122,10 @@ def _load_scalar_options(cfg, path, sc):
             vals = part.split()
             if len(vals) != 2:
                 _fail(path, sec, f"box interval {part!r} is not 'lo hi'")
-            lo, hi = float(vals[0]), float(vals[1])
+            try:
+                lo, hi = float(vals[0]), float(vals[1])
+            except ValueError as exc:
+                _fail(path, sec, f"box interval {part!r}: {exc}")
             if not lo < hi:
                 _fail(path, sec, f"empty box interval {part!r}")
             pairs.append((lo, hi))
@@ -146,7 +153,7 @@ def _load_bundle(cfg, path, sc):
                 return horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
         except SceneError:
             raise
-        except Exception as exc:
+        except _INPUT_ERRORS as exc:
             _fail(path, sec, str(exc))
         _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
     if cfg.has_section("connection"):
@@ -165,7 +172,7 @@ def _load_bundle(cfg, path, sc):
             gamma.append(block)
         try:
             return horizon.from_linear_connection(gamma, m)
-        except Exception as exc:
+        except _INPUT_ERRORS as exc:
             _fail(path, sec, str(exc))
     if sc.base_metric is not None:
         return horizon.from_linear_connection(
@@ -242,7 +249,7 @@ def load_scene(path: str) -> SceneFile:
             sc.spray, sc._spray_bundle = horizon.spray_from_lagrangian(
                 sc.lagrangian, m
             )
-        except Exception as exc:
+        except _INPUT_ERRORS as exc:
             _fail(path, "lagrangian", str(exc))
 
     sc.bundle = _load_bundle(cfg, path, sc)
@@ -263,7 +270,7 @@ def load_scene(path: str) -> SceneFile:
                 )
             except SceneError:
                 raise
-            except Exception as exc:
+            except _INPUT_ERRORS as exc:
                 _fail(path, "vector_fields", f"{name}: {exc}")
 
     g_base = sc.base_metric
@@ -274,12 +281,12 @@ def load_scene(path: str) -> SceneFile:
         )
     try:
         sc.big_metric = metrics.sasaki_type_metric(g_base, sc.bundle)
-    except Exception as exc:
+    except _INPUT_ERRORS as exc:
         _fail(path, "base_metric", str(exc))
     if sc.lagrangian is not None:
         try:
             sc.lagrangian_metric = metrics.lagrangian_metric(sc.lagrangian, m)
-        except Exception as exc:
+        except _INPUT_ERRORS as exc:
             _fail(path, "lagrangian", str(exc))
 
     if cfg.has_section("double_field"):
@@ -289,7 +296,7 @@ def load_scene(path: str) -> SceneFile:
         density = cfg.get(sec, "density", fallback=None)
         try:
             sc.double_field = dfield.DoubleField(sc.bundle, sigma, psi, density)
-        except Exception as exc:
+        except _INPUT_ERRORS as exc:
             _fail(path, sec, str(exc))
     elif sc.base_metric is not None:
         sc.double_field = dfield.DoubleField(sc.bundle, sc.base_metric)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import ScalarField, as_field, fvalue, fzeros
+from .fields import ScalarField, as_field, fsum, fvalue, fzeros
 from .points import ChartPoint
 
 
@@ -134,49 +134,52 @@ def apply_11(A: TensorField, v: TensorField) -> TensorField:
 
 def pair(alpha: TensorField, v: TensorField) -> ScalarField:
     """<alpha, v> = alpha_i v^i."""
-    s = fields.ZERO
-    for i in range(alpha.n):
-        s = s + alpha.comps[i] * v.comps[i]
-    return s
+    return fsum((1, alpha.comps[i], v.comps[i]) for i in range(alpha.n))
 
 
 def directional(X: TensorField, f: ScalarField) -> ScalarField:
     """X f = X^s d_s f."""
-    s = fields.ZERO
-    for i in range(X.n):
-        s = s + X.comps[i] * f.partial(i)
-    return s
+    return fsum((1, X.comps[i], f.partial(i)) for i in range(X.n))
 
 
 # -- Lie bracket and Lie derivative ---------------------------------------
-def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
-    _require_natural(X, Y)
-    n = X.n
+def bracket_components(X, Y) -> np.ndarray:
+    """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k for natural-frame component
+    sequences X, Y of one length n; j runs over the first n chart
+    variables."""
+    n = len(X)
     out = fzeros(n)
     for k in range(n):
-        s = fields.ZERO
-        for j in range(n):
-            s = s + X.comps[j] * Y.comps[k].partial(j)
-            s = s - Y.comps[j] * X.comps[k].partial(j)
-        out[k] = s
-    return vector(out, X.m)
+        out[k] = fsum(
+            term
+            for j in range(n)
+            for term in ((1, X[j], Y[k].partial(j)), (-1, Y[j], X[k].partial(j)))
+        )
+    return out
+
+
+def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
+    _require_natural(X, Y)
+    return vector(bracket_components(X.comps, Y.comps), X.m)
 
 
 def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     """L_X T for any (r,s) signature, natural frame."""
     _require_natural(X, T)
     n = T.n
-    out = np.empty(T.comps.shape, dtype=object)
-    for idx in np.ndindex(T.comps.shape):
-        s = directional(X, T.comps[idx])
+
+    def terms(idx):
         for a, var in enumerate(T.sig):
             for r in range(n):
-                swapped = idx[:a] + (r,) + idx[a + 1 :]
+                swapped = T.comps[idx[:a] + (r,) + idx[a + 1 :]]
                 if var == "up":
-                    s = s - T.comps[swapped] * X.comps[idx[a]].partial(r)
+                    yield -1, swapped, X.comps[idx[a]].partial(r)
                 else:
-                    s = s + T.comps[swapped] * X.comps[r].partial(idx[a])
-        out[idx] = s
+                    yield 1, swapped, X.comps[r].partial(idx[a])
+
+    out = np.empty(T.comps.shape, dtype=object)
+    for idx in np.ndindex(T.comps.shape):
+        out[idx] = fsum(terms(idx), start=directional(X, T.comps[idx]))
     return TensorField(T.sig, out, T.m)
 
 
@@ -190,12 +193,10 @@ def exterior_derivative(w: TensorField) -> TensorField:
     k = len(w.sig)
     out = fzeros(*((n,) * (k + 1)))
     for idx in np.ndindex(out.shape):
-        s = fields.ZERO
-        for a in range(k + 1):
-            rest = idx[:a] + idx[a + 1 :]
-            term = w.comps[rest].partial(idx[a])
-            s = s + term if a % 2 == 0 else s - term
-        out[idx] = s
+        out[idx] = fsum(
+            (-1 if a % 2 else 1, w.comps[idx[:a] + idx[a + 1 :]].partial(idx[a]))
+            for a in range(k + 1)
+        )
     return TensorField(("down",) * (k + 1), out, w.m)
 
 
@@ -235,12 +236,15 @@ def schouten_bracket(P1: TensorField, P2: TensorField) -> TensorField:
     n = P1.n
     out = fzeros(n, n, n)
     for i, j, k in np.ndindex(n, n, n):
-        s = fields.ZERO
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for r in range(n):
-                s = s + P1.comps[r, a] * P2.comps[b, c].partial(r)
-                s = s + P2.comps[r, a] * P1.comps[b, c].partial(r)
-        out[i, j, k] = s
+        out[i, j, k] = fsum(
+            term
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            for r in range(n)
+            for term in (
+                (1, P1.comps[r, a], P2.comps[b, c].partial(r)),
+                (1, P2.comps[r, a], P1.comps[b, c].partial(r)),
+            )
+        )
     return TensorField(("up", "up", "up"), out, P1.m)
 
 
@@ -257,13 +261,16 @@ def nijenhuis_tensor(A: TensorField) -> TensorField:
     n = A.n
     out = fzeros(n, n, n)  # [k, i, j]
     for k, i, j in np.ndindex(n, n, n):
-        s = fields.ZERO
-        for r in range(n):
-            s = s + A.comps[r, i] * A.comps[k, j].partial(r)
-            s = s - A.comps[r, j] * A.comps[k, i].partial(r)
-            s = s - A.comps[k, r] * A.comps[r, j].partial(i)
-            s = s + A.comps[k, r] * A.comps[r, i].partial(j)
-        out[k, i, j] = s
+        out[k, i, j] = fsum(
+            term
+            for r in range(n)
+            for term in (
+                (1, A.comps[r, i], A.comps[k, j].partial(r)),
+                (-1, A.comps[r, j], A.comps[k, i].partial(r)),
+                (-1, A.comps[k, r], A.comps[r, j].partial(i)),
+                (1, A.comps[k, r], A.comps[r, i].partial(j)),
+            )
+        )
     return TensorField(("up", "down", "down"), out, A.m)
 
 

@@ -219,3 +219,88 @@ def test_field_graph_matches_expr_evaluator(case):
         assume(np.all(np.abs(want) < 1e100))
         np.testing.assert_allclose(f.jet(p, order).c, want, rtol=1e-13)
     assert fields.field(text, m) is f
+
+
+def test_fmatmul_rejects_mismatched_shapes():
+    a = fields.fzeros(2, 3)
+    with pytest.raises(ValueError, match="2 x 3 by a 2 x 2"):
+        fields.fmatmul(a, fields.fzeros(2, 2))
+
+
+_FACTORS = [
+    fields.ZERO,
+    fields.Const(-0.0),
+    fields.ONE,
+    fields.Const(2.5),
+    0.5,
+    -3.0,
+    0.0,
+    fields.Coord(0),
+    fields.Coord(2),
+    fields.field("sin(x1) * y1", 1),
+    fields.field("exp(z1) - x1", 1).partial(2),
+]
+
+
+def _hand_sum(terms, start):
+    """The accumulation loop fsum replaces: every product built, none skipped."""
+    acc = start
+    for sign, a, b, *rest in terms:
+        prod = a * b * rest[0] if rest else a * b
+        acc = acc + prod if sign > 0 else acc - prod
+    return acc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, -1]),
+            st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=3),
+        ).map(lambda t: (t[0], *t[1])),
+        max_size=6,
+    ),
+    st.sampled_from([fields.ZERO, fields.Coord(1), fields.field("x1 + y1^2", 1)]),
+)
+def test_fsum_is_the_hand_loop_node(terms, start):
+    assert fields.fsum(terms, start) is _hand_sum(terms, start)
+    assert fields.fsum(iter(terms), start=start) is _hand_sum(terms, start)
+
+
+def test_fsum_skips_zero_terms_before_multiplying(monkeypatch):
+    calls = []
+    mul = fields.ScalarField.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(fields.ScalarField, "__mul__", counting)
+    x, y, z = (fields.Coord(i) for i in range(3))
+    terms = [(1, x, y, fields.ZERO), (-1, fields.Const(-0.0), z), (1, x, fields.ZERO, y)]
+    assert fields.fsum(terms, start=z) is z
+    assert calls == []
+    fields.fsum([(1, x, y)])
+    assert len(calls) == 1
+
+
+def test_vertical_derivative_builds_only_nonzero_directions(monkeypatch):
+    from bigtangent import dfield, horizon
+
+    m = 1
+    F = dfield.DoubleField(horizon.flat_bundle(m), [["1 + y1^2"]])
+    nabla = dfield.d0_connection(F).D0
+    s = np.array([fields.field("x1*y1", m), fields.field("z1", m)], dtype=object)
+    want = dfield.section_derivative(nabla, m + 1, s)
+    built = []
+    section_derivative = dfield.section_derivative
+
+    def counting(nabla, a, s):
+        built.append(a)
+        return section_derivative(nabla, a, s)
+
+    monkeypatch.setattr(dfield, "section_derivative", counting)
+    Z = dfield._coord_basis(m)[1]
+    out = dfield.vertical_derivative(nabla, Z, s)
+    assert built == [m + 1]
+    assert all(out[c] is want[c] for c in range(2 * m))

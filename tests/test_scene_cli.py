@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bigtangent import cli, fields
+from bigtangent import cli, fields, metrics
 from bigtangent.bigcore import canonical_pack
 from bigtangent.scene import SceneError, load_scene
 
@@ -67,6 +74,8 @@ def test_load_scene_box(tmp_path):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nbox = 0 1\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nbox = 1 0; -2 2; 0 1\n"))
+    with pytest.raises(SceneError, match=r"\[scene\]: box interval 'a 1'"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\nbox = a 1; -2 2; 0 1\n"))
 
 
 def test_bundle_resolution_precedence(tmp_path):
@@ -238,3 +247,66 @@ def test_eval_rho_matches_library(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert abs(payload["components"][0]) < 1e-12
+
+
+def test_load_scene_lets_program_errors_propagate(tmp_path, monkeypatch):
+    # only input errors become SceneError (exit 2); a TypeError is a bug
+    def broken(g, H):
+        raise TypeError("bug inside sasaki_type_metric")
+
+    monkeypatch.setattr(metrics, "sasaki_type_metric", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\n"))
+
+
+_FUZZ_TOKENS = (
+    "x1", "y2", "z1", "x5", "q1", "exp(", "log(x1)", "sqrt(y1 - 2)", "1/0", "0/0",
+    "-x1^2", "x1^", "x1^-1", "^", "(", ")", ";", "1; 2; 3", "", "nan", "inf", "1e400",
+    "0", "-1", "2.5e-3", "[", "=", "%(m)s", "exp(exp(exp(9)))", "x1^40",
+)
+
+
+@st.composite
+def _mutated_scene(draw):
+    # kitchen-sink twice: it is the only shipped scene with expression tables
+    name = draw(st.sampled_from(["kitchen-sink", "kitchen-sink", "flat", "perturbed"]))
+    lines = (SCENES / f"{name}.scene").read_text().splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        keyed = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+        if not keyed:
+            break
+        i = draw(st.sampled_from(keyed))
+        key, _, value = lines[i].partition("=")
+        entries = value.split(";")
+        op = draw(st.sampled_from(["drop", "duplicate", "token", "garbage", "m"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op in ("token", "garbage"):
+            # replace one entry of a row, so the row keeps its length
+            k = draw(st.integers(0, len(entries) - 1))
+            if op == "token":
+                entries[k] = draw(st.sampled_from(_FUZZ_TOKENS))
+            else:
+                entries[k] = draw(st.text(string.printable + "üπ", max_size=12))
+            lines[i] = f"{key}= " + ";".join(entries)
+        else:
+            m = draw(st.integers(0, 5))
+            lines = [f"m = {m}" if re.match(r"m\s*=", line) else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_mutated_scene())
+def test_fuzzed_scenes_exit_0_or_2(text):
+    found = re.search(r"(?m)^m\s*=\s*([1-4])\s*$", text)
+    m = int(found.group(1)) if found else 1
+    point = ";".join(f"{b}=" + ",".join(["0.25"] * m) for b in "xyz")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.scene")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["eval", path, "--object", "H.t", "--point", point])
+    assert code in (0, 2)
