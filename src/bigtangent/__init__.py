@@ -6,7 +6,7 @@ arithmetic over a small expression language; finite differences appear
 only as test oracles.
 """
 
-from .exprdsl import EvalDomainError, ParseError, eval_jet, fd_oracle, parse_expr
+from .exprdsl import ParseError, eval_jet, fd_oracle, parse_expr
 from .jets import Jet, JetDomainError
 from .points import ChartPoint, sample_box
 
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChartPoint",
-    "EvalDomainError",
     "Jet",
     "JetDomainError",
     "ParseError",

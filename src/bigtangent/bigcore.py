@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, fields, tensorcalc as tc
+from .exprdsl import DependencyError  # noqa: F401 (raised by parse_components)
 from .fields import ScalarField, as_field
 from .points import ChartPoint, sample_box
 from .report import Report
@@ -25,22 +26,6 @@ from .tensorcalc import GeneralizedSection, TensorField
 # Largest condition number a sampled matrix may have and still count as
 # invertible.
 COND_LIMIT = 1e8
-
-
-class DependencyError(ValueError):
-    """A component uses a coordinate block its role forbids."""
-
-
-def _blocks_used(e: exprdsl.Expr) -> set:
-    if isinstance(e, exprdsl.Var):
-        return {e.block}
-    if isinstance(e, exprdsl.Num):
-        return set()
-    if isinstance(e, (exprdsl.Neg, exprdsl.Func)):
-        return _blocks_used(e.arg)
-    if isinstance(e, exprdsl.Pow):
-        return _blocks_used(e.base)
-    return _blocks_used(e.left) | _blocks_used(e.right)
 
 
 def parse_components(
@@ -61,13 +46,7 @@ def parse_components(
         if isinstance(c, (int, float)):
             out.append(as_field(c))
             continue
-        e = c if isinstance(c, exprdsl.Expr) else exprdsl.parse_expr(str(c), m)
-        bad = _blocks_used(e) - set(allowed)
-        if bad:
-            raise DependencyError(
-                f"{what} may depend on {sorted(allowed)} only, found {sorted(bad)}"
-            )
-        out.append(fields.from_expr(e, m))
+        out.append(exprdsl.parse_expr(str(c), m, allowed, what))
     expected = m if count is None else count
     if len(out) != expected:
         raise ValueError(f"{what} needs {expected} components")

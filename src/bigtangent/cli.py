@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__, bigcore, conns, dfield, fields, gstruct, horizon
 from . import metrics, scene as scene_mod, tensorcalc as tc
-from .exprdsl import EvalDomainError
 from .jets import JetDomainError
 from .points import ChartPoint, sample_box
 from .report import Report
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
             raise
         _emit(payload, args.json_path)
         return 0
-    except (SceneError, OSError, ValueError, JetDomainError, EvalDomainError) as exc:
+    except (SceneError, OSError, ValueError, JetDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and jet evaluator for the coordinate DSL.
+"""Recursive-descent parser from the coordinate DSL to field-graph nodes.
 
 Grammar (whitespace insignificant)::
 
@@ -13,18 +13,39 @@ Variables are 1-based per coordinate block: ``x1..xm, y1..ym, z1..zm``.
 Exponents are integer literals only, so jets stay exact.  A unary minus
 directly before an unparenthesised power (``-x1^2``) is a ``ParseError``:
 write ``-(x1^2)`` or ``(-x1)^2``.
+
+The parser builds interned ``fields`` nodes as it reads: ``Const`` for a
+number, ``Coord`` for a variable, and the field operators, with their
+constant folds, for unary minus, ``^``, the functions and ``+ - * /``.
+The same text therefore gives the very same node, and the field graph is
+the only evaluator: ``eval_jet`` is ``f.jet`` with the order checked, and
+a domain error is a ``JetDomainError`` naming the sample point.
+
+Two bounds keep parsing and evaluation inside Python's recursion limit.
+A graph may be at most ``MAX_HEIGHT`` levels tall (a number or variable
+is one level, each operator or function adds one), so a long flat sum is
+refused as well as a deep nesting; and parentheses, function calls and
+unary minus may nest at most ``MAX_HEIGHT`` deep.  Past either bound the
+parser raises ``ParseError``.
+
+A caller may name the coordinate blocks the text may read.  Once the text
+has parsed, a variable of any other block raises ``DependencyError``,
+also when a fold erased it from the graph (``0*y1`` in an x-only slot).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .jets import Jet, JetDomainError, jet_space
+from .fields import Const, Coord, ScalarField
+from .jets import Jet
 from .points import ChartPoint
 
 MAX_ORDER = 4
+
+# Evaluating a graph takes two stack frames per level, so Python's default
+# limit of 1000 frames ends a lone expression at about 500 levels.  With an
+# entry at this bound, the tallest graph built from scene entries, the m = 4
+# curvature rho, evaluates under a recursion limit of about 450.
+MAX_HEIGHT = 100
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -35,83 +56,18 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class EvalDomainError(ArithmeticError):
-    """Domain failure (log/sqrt/division), tagged with the AST node."""
-
-    def __init__(self, message: str, node: "Expr"):
-        super().__init__(f"{message} in `{node}`")
-        self.node = node
+class DependencyError(ValueError):
+    """A component uses a coordinate block its role forbids."""
 
 
-# -- AST ------------------------------------------------------------------
-@dataclass(frozen=True)
-class Expr:
-    pos: int
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
-
-    def __str__(self):
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    block: str  # 'x' | 'y' | 'z'
-    index: int  # 1-based
-
-    def __str__(self):
-        return f"{self.block}{self.index}"
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def __str__(self):
-        return f"({self.base}^{self.exponent})"
-
-
-@dataclass(frozen=True)
-class Func(Expr):
-    name: str
-    arg: Expr
-
-    def __str__(self):
-        return f"{self.name}({self.arg})"
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-    def __str__(self):
-        return f"(-{self.arg})"
-
-
-# -- parser ---------------------------------------------------------------
 class _Parser:
     def __init__(self, text: str, m: int):
         self.text = text
         self.m = m
         self.pos = 0
+        self.depth = 0
+        self.heights: dict = {}  # node -> graph levels
+        self.blocks: set = set()
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -129,38 +85,58 @@ class _Parser:
             self.error(f"expected '{ch}'")
         self.pos += 1
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def parse(self) -> ScalarField:
+        f = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
-        return e
+        return f
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def built(self, f: ScalarField, *operands: ScalarField) -> ScalarField:
+        """Record the height of ``f``, made from ``operands`` by one operator
+        (a leaf has none)."""
+        if f not in self.heights:
+            height = 1
+            if type(f) is not Const:
+                height += max((self.heights[a] for a in operands), default=0)
+            if height > MAX_HEIGHT:
+                self.error(f"expression is more than {MAX_HEIGHT} levels tall")
+            self.heights[f] = height
+        return f
+
+    def nested(self, parse) -> ScalarField:
+        """``parse()`` one nesting level deeper."""
+        if self.depth == MAX_HEIGHT:
+            self.error(f"expression nests more than {MAX_HEIGHT} levels deep")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
+    def expr(self) -> ScalarField:
+        f = self.term()
         while self.peek() in ("+", "-"):
-            start = self.pos
             op = self.text[self.pos]
             self.pos += 1
-            e = BinOp(start, op, e, self.term())
-        return e
+            g = self.term()
+            f = self.built(f + g if op == "+" else f - g, f, g)
+        return f
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self) -> ScalarField:
+        f = self.factor()
         while self.peek() in ("*", "/"):
-            start = self.pos
             op = self.text[self.pos]
             self.pos += 1
-            e = BinOp(start, op, e, self.factor())
-        return e
+            g = self.factor()
+            f = self.built(f * g if op == "*" else f / g, f, g)
+        return f
 
-    def factor(self) -> Expr:
+    def factor(self) -> ScalarField:
         negated = self.peek() == "-"
-        e = self.atom()
+        f = self.atom()
         if self.peek() == "^":
             if negated:
                 self.error("write -(a^n) or (-a)^n, not -a^n")
-            start = self.pos
             self.pos += 1
             sign = 1
             if self.peek() == "-":
@@ -170,40 +146,42 @@ class _Parser:
             digits = self._digits()
             if not digits:
                 self.error("exponent must be an integer literal")
-            e = Pow(start, e, sign * int(digits))
-        return e
+            f = self.built(f ** (sign * int(digits)), f)
+        return f
 
-    def atom(self) -> Expr:
+    def atom(self) -> ScalarField:
         ch = self.peek()
         start = self.pos
         if ch == "-":
             self.pos += 1
-            return Neg(start, self.atom())
+            f = self.nested(self.atom)
+            return self.built(-f, f)
         if ch == "(":
             self.pos += 1
-            e = self.expr()
+            f = self.nested(self.expr)
             self.take(")")
-            return e
+            return f
         if ch.isdigit() or ch == ".":
-            return self.number()
+            return self.built(self.number())
         if ch.isalpha():
             name = self._ident()
             if name in FUNCTIONS:
                 self.take("(")
-                arg = self.expr()
+                f = self.nested(self.expr)
                 self.take(")")
-                return Func(start, name, arg)
+                return self.built(getattr(f, name)(), f)
             if len(name) >= 2 and name[0] in "xyz" and name[1:].isdigit():
                 index = int(name[1:])
                 if not 1 <= index <= self.m:
                     raise ParseError(
                         f"variable {name} out of range for dimension {self.m}", start
                     )
-                return Var(start, name[0], index)
+                self.blocks.add(name[0])
+                return self.built(Coord("xyz".index(name[0]) * self.m + index - 1))
             raise ParseError(f"unknown name '{name}'", start)
         self.error("expected a number, variable or '('")
 
-    def number(self) -> Expr:
+    def number(self) -> Const:
         start = self.pos
         digits = self._digits()
         if self.pos < len(self.text) and self.text[self.pos] == ".":
@@ -223,7 +201,7 @@ class _Parser:
             value = float(digits)
         except ValueError:
             raise ParseError("malformed number", start) from None
-        return Num(start, value)
+        return Const(value)
 
     def _digits(self) -> str:
         start = self.pos
@@ -240,56 +218,35 @@ class _Parser:
         return self.text[start : self.pos]
 
 
-def parse_expr(text: str, m: int) -> Expr:
-    """Parse ``text`` over the 3m chart variables x1..xm, y1..ym, z1..zm."""
-    return _Parser(text, m).parse()
+def parse_expr(
+    text: str, m: int, allowed="xyz", what: str = "expression"
+) -> ScalarField:
+    """The field graph of ``text`` over the chart variables x1..xm, y1..ym, z1..zm.
+
+    ``allowed`` names the coordinate blocks ``text`` may read; reading
+    another raises ``DependencyError`` naming ``what``.
+    """
+    parser = _Parser(text, m)
+    f = parser.parse()
+    bad = parser.blocks - set(allowed)
+    if bad:
+        raise DependencyError(
+            f"{what} may depend on {sorted(allowed)} only, found {sorted(bad)}"
+        )
+    return f
 
 
-# -- evaluation -----------------------------------------------------------
-def var_index(m: int, block: str, index: int) -> int:
-    return {"x": 0, "y": 1, "z": 2}[block] * m + (index - 1)
-
-
-def _eval(e: Expr, p: ChartPoint, space) -> Jet:
-    try:
-        if isinstance(e, Num):
-            return Jet.constant(space, e.value, p.npoints)
-        if isinstance(e, Var):
-            var = var_index(p.m, e.block, e.index)
-            return Jet.variable(space, var, np.atleast_1d(p.coord(var)))
-        if isinstance(e, Neg):
-            return -_eval(e.arg, p, space)
-        if isinstance(e, Pow):
-            return _eval(e.base, p, space) ** e.exponent
-        if isinstance(e, Func):
-            arg = _eval(e.arg, p, space)
-            return getattr(arg, e.name)()
-        if isinstance(e, BinOp):
-            a = _eval(e.left, p, space)
-            b = _eval(e.right, p, space)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            return a / b
-    except JetDomainError as err:
-        raise EvalDomainError(str(err), e) from None
-    raise TypeError(f"unknown node {e!r}")
-
-
-def eval_jet(e: Expr, p: ChartPoint, order: int) -> Jet:
-    """Exact value and partials of ``e`` at ``p`` up to ``order``.
+def eval_jet(f: ScalarField, p: ChartPoint, order: int) -> Jet:
+    """Exact value and partials of ``f`` at ``p`` up to ``order``.
 
     Computed by truncated Taylor arithmetic, never finite differences.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    return _eval(e, p, jet_space(3 * p.m, order))
+    return f.jet(p, order)
 
 
-def fd_oracle(e: Expr, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
+def fd_oracle(f: ScalarField, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
     """Central-difference estimate of a partial derivative (tests only).
 
     ``multi_index`` is an exponent tuple of length 3m, total degree <= 3.
@@ -311,6 +268,6 @@ def fd_oracle(e: Expr, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
                 return (
                     rec(point.shifted(var, h), down) - rec(point.shifted(var, -h), down)
                 ) / (2.0 * h)
-        return float(eval_jet(e, point, 0).value[0])
+        return float(eval_jet(f, point, 0).value[0])
 
     return rec(p, multi_index)

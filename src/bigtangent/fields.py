@@ -45,7 +45,6 @@ import weakref
 
 import numpy as np
 
-from . import exprdsl
 from .jets import Jet, JetDomainError, jet_space
 from .points import ChartPoint
 
@@ -316,26 +315,11 @@ class Partial(ScalarField):
         return self.parent.jet(p, order + 1).partial(self.var)
 
 
-def from_expr(e: exprdsl.Expr, m: int) -> ScalarField:
-    """Convert a parsed expression tree into a field graph."""
-    if isinstance(e, exprdsl.Num):
-        return Const(e.value)
-    if isinstance(e, exprdsl.Var):
-        return Coord(exprdsl.var_index(m, e.block, e.index))
-    if isinstance(e, exprdsl.Neg):
-        return -from_expr(e.arg, m)
-    if isinstance(e, exprdsl.Pow):
-        return from_expr(e.base, m) ** e.exponent
-    if isinstance(e, exprdsl.Func):
-        return getattr(from_expr(e.arg, m), e.name)()
-    if isinstance(e, exprdsl.BinOp):
-        a, b = from_expr(e.left, m), from_expr(e.right, m)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[e.op]
-    raise TypeError(f"unknown node {e!r}")
-
-
 def field(text: str, m: int) -> ScalarField:
-    return from_expr(exprdsl.parse_expr(text, m), m)
+    """The graph of the DSL expression ``text``, as ``exprdsl.parse_expr``."""
+    from .exprdsl import parse_expr  # exprdsl builds the nodes of this module
+
+    return parse_expr(text, m)
 
 
 # -- object-array matrix helpers ------------------------------------------

@@ -100,16 +100,19 @@ def _load_scalar_options(cfg, path, sc):
     for key in cfg.options(sec):
         if key not in _SCENE_KEYS:
             _fail(path, sec, f"unknown key {key}")
-    try:
-        sc.seed = cfg.getint(sec, "seed", fallback=sc.seed)
-        sc.samples = cfg.getint(sec, "samples", fallback=sc.samples)
-        sc.mc_samples = cfg.getint(sec, "mc_samples", fallback=sc.mc_samples)
-        sc.tol = cfg.getfloat(sec, "tol", fallback=sc.tol)
-        # negative-control switch: adds eps * dx^1 (x) dz_1 to the
-        # canonical tensor S before the canonical suite runs
-        sc.perturb_s = cfg.getfloat(sec, "perturb_s", fallback=sc.perturb_s)
-    except ValueError as exc:
-        _fail(path, sec, str(exc))
+    # perturb_s is the negative-control switch: it adds eps * dx^1 (x) dz_1
+    # to the canonical tensor S before the canonical suite runs
+    for key, get in (
+        ("seed", cfg.getint),
+        ("samples", cfg.getint),
+        ("mc_samples", cfg.getint),
+        ("tol", cfg.getfloat),
+        ("perturb_s", cfg.getfloat),
+    ):
+        try:
+            setattr(sc, key, get(sec, key, fallback=getattr(sc, key)))
+        except ValueError as exc:
+            _fail(path, sec, f"{key}: {exc}")
     if cfg.has_option(sec, "suites"):
         names = cfg.get(sec, "suites").replace(",", " ").split()
         for name in names:

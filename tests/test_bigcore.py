@@ -50,6 +50,9 @@ def test_vertical_lift_and_dependency_check():
     np.testing.assert_allclose(v.value(p), [[0] * 4, [1] * 4, [1] * 4])
     with pytest.raises(bigcore.DependencyError):
         bigcore.vertical_lift(["y1"], ["0"], m)
+    # the fold 0*y1 -> 0 erases y1 from the graph, but the text reads it
+    with pytest.raises(bigcore.DependencyError, match=r"found \['y'\]"):
+        bigcore.vertical_lift(["0*y1"], ["0"], m)
 
 
 def test_complete_lift_hand_case():

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bigtangent import fields
 from bigtangent.exprdsl import (
-    EvalDomainError,
+    MAX_HEIGHT,
+    DependencyError,
     ParseError,
     eval_jet,
     fd_oracle,
     parse_expr,
 )
+from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
 
 
@@ -103,16 +106,65 @@ def test_order_cap():
         eval_jet(e, p, -1)
 
 
-def test_domain_error_reports_offending_node():
+def test_domain_error_reports_the_point():
     p = ChartPoint([-1.0], [0.0], [0.0])
     e = parse_expr("1 + log(x1)", 1)
-    with pytest.raises(EvalDomainError) as err:
+    with pytest.raises(JetDomainError) as err:
         eval_jet(e, p, 1)
-    assert "log" in str(err.value)
+    assert str(err.value) == "log of a non-positive value at x=-1.0;y=0.0;z=0.0"
     e = parse_expr("y1 / x1 + 1", 1)
     p0 = ChartPoint([0.0], [2.0], [0.0])
-    with pytest.raises(EvalDomainError):
+    with pytest.raises(JetDomainError) as err:
         eval_jet(e, p0, 2)
+    assert err.value.point == "x=0.0;y=2.0;z=0.0"
+
+
+def test_parser_builds_the_field_nodes():
+    m = 2
+    x1, x2, y1, z2 = (fields.Coord(v) for v in (0, 1, 2, 5))
+    assert parse_expr("x1", m) is x1
+    assert parse_expr("2.5", m) is fields.Const(2.5)
+    assert parse_expr("sin(x1) * y1^3 - z2 / x2", m) is x1.sin() * y1**3 - z2 / x2
+    assert parse_expr("-x1", m) is -x1
+    assert parse_expr("-2", m) is fields.Const(-2.0)
+    assert parse_expr("0*x1 + 1*y1", m) is y1  # the field operators fold
+
+
+def test_dependency_blocks():
+    assert parse_expr("x1 + y1", 1, "xy", "eta") is parse_expr("x1 + y1", 1)
+    with pytest.raises(DependencyError, match=r"eta may depend on \['x'\] only, found \['y', 'z'\]"):
+        parse_expr("z1 + x1*y1", 1, "x", "eta")
+    # a fold erases y1 from the graph, but the text still reads it
+    assert parse_expr("0*y1", 1) is fields.ZERO
+    with pytest.raises(DependencyError):
+        parse_expr("0*y1", 1, "x")
+    # a syntax error is reported before a forbidden block
+    with pytest.raises(ParseError):
+        parse_expr("y1 +", 1, "x")
+
+
+def _flat_sum(terms):
+    # "1" is one level, "0.01*x1" two, and each "+" adds one
+    return " + ".join(["1"] + ["0.01*x1"] * terms)
+
+
+def test_height_bound():
+    tallest = _flat_sum(MAX_HEIGHT - 2)
+    assert parse_expr(tallest, 1).value(ChartPoint([1.0], [0.0], [0.0]))[0] == pytest.approx(1.98)
+    for text in (
+        _flat_sum(MAX_HEIGHT - 1),
+        " + ".join(["x1"] * 5000),
+        "sin(" * MAX_HEIGHT + "x1" + ")" * MAX_HEIGHT,
+    ):
+        with pytest.raises(ParseError, match=f"more than {MAX_HEIGHT} levels tall"):
+            parse_expr(text, 1)
+    # redundant parentheses add no level to the graph, but the nesting is bounded
+    assert parse_expr("(" * MAX_HEIGHT + "x1" + ")" * MAX_HEIGHT, 1) is fields.Coord(0)
+    for n in (MAX_HEIGHT + 1, 3000):
+        with pytest.raises(ParseError, match=f"nests more than {MAX_HEIGHT} levels deep"):
+            parse_expr("(" * n + "1" + ")" * n, 1)
+    with pytest.raises(ParseError, match="nests more than"):
+        parse_expr("-" * 3000 + "x1", 1)
 
 
 def test_deterministic_sampling():

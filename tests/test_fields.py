@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigtangent import fields
-from bigtangent.exprdsl import eval_jet, fd_oracle, parse_expr
+from bigtangent.exprdsl import fd_oracle, parse_expr
 from bigtangent.points import ChartPoint, sample_box
 
 
@@ -15,14 +15,13 @@ def test_field_value_matches_expr():
     p = sample_box(2, 8, seed=3, low=0.5, high=1.5)
     text = "sin(x1*y1) + z2^2 / x2"
     f = fields.field(text, 2)
-    e = parse_expr(text, 2)
+    assert parse_expr(text, 2) is f
     for k in range(p.npoints):
         pk = p.select(k)
         assert f.value(pk)[0] == pytest.approx(f.value(p)[k])
         assert f.value(pk)[0] == pytest.approx(
             float(np.sin(pk.x[0] * pk.y[0]) + pk.z[1] ** 2 / pk.x[1])
         )
-    del e
 
 
 def test_partial_matches_fd():
@@ -30,11 +29,10 @@ def test_partial_matches_fd():
     p = sample_box(m, 5, seed=11, low=0.4, high=1.1)
     text = "exp(x1)*sin(y1) + z1^3"
     f = fields.field(text, m)
-    e = parse_expr(text, m)
     # d/dx1 then d/dy1 (vars 0 and 1 in flat order)
     fxy = f.partial(0).partial(1)
     for k in range(p.npoints):
-        fd = fd_oracle(e, p.select(k), (1, 1, 0), h=1e-5)
+        fd = fd_oracle(f, p.select(k), (1, 1, 0), h=1e-5)
         assert fxy.value(p)[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     # second partial in z
     fzz = f.partial(2).partial(2)
@@ -192,33 +190,122 @@ def test_folded_partial_matches_jet_partial(text):
 
 
 def _dsl_exprs(m):
+    """DSL texts over the 3m chart, each with a numpy function of the flat
+    coordinates that computes the same value."""
+
+    def var(block, i):
+        v = "xyz".index(block) * m + i - 1
+        return f"{block}{i}", lambda c: c[v]
+
+    def num(text):
+        return text, lambda c: np.full(c.shape[1:], float(text))
+
     leaf = st.sampled_from(
-        [f"{b}{i}" for b in "xyz" for i in range(1, m + 1)] + ["0", "1", "2", "0.5"]
+        [var(b, i) for b in "xyz" for i in range(1, m + 1)] + [num(t) for t in ("0", "1", "2", "0.5")]
     )
+    binary = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
     def extend(inner):
         return st.one_of(
-            st.tuples(inner, st.sampled_from("+-*"), inner).map("({0[0]} {0[1]} {0[2]})".format),
-            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map("{0[0]}({0[1]})".format),
-            st.tuples(inner, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
-            inner.map("(-({}))".format),
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})", lambda c: binary[t[1]](t[0][1](c), t[2][1](c)))
+            ),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+                lambda t: (f"{t[0]}({t[1][0]})", lambda c: getattr(np, t[0])(t[1][1](c)))
+            ),
+            st.tuples(inner, st.integers(0, 3)).map(
+                lambda t: (f"({t[0][0]})^{t[1]}", lambda c: t[0][1](c) ** t[1])
+            ),
+            inner.map(lambda t: (f"(-({t[0]}))", lambda c: -t[1](c))),
         )
 
     return st.recursive(leaf, extend, max_leaves=8)
 
 
+_DSL_CASES = st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), _dsl_exprs(m)))
+
+
+def _fd(f, p, alpha):
+    """``fd_oracle`` with Richardson extrapolation for second partials."""
+    if sum(alpha) == 1:
+        return fd_oracle(f, p, alpha, h=1e-5)
+    return (4.0 * fd_oracle(f, p, alpha, h=1e-3) - fd_oracle(f, p, alpha, h=2e-3)) / 3.0
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), _dsl_exprs(m))))
-def test_field_graph_matches_expr_evaluator(case):
-    m, text = case
+@given(_DSL_CASES)
+def test_field_graph_matches_numpy_and_fd(case):
+    m, (text, numpy_value) = case
     p = sample_box(m, 4, seed=m)
     f = fields.field(text, m)
-    e = parse_expr(text, m)
-    for order in range(3):
-        want = eval_jet(e, p, order).c
-        assume(np.all(np.abs(want) < 1e100))
-        np.testing.assert_allclose(f.jet(p, order).c, want, rtol=1e-13)
+    with np.errstate(all="ignore"):
+        want = numpy_value(p.flat)
+    assume(np.all(np.abs(want) < 1e100))
+    np.testing.assert_allclose(f.value(p), want, rtol=1e-13)
+    # first and second partials at the first sample point, within 1e-6
+    # relative to max(1, |fd|)
+    p0 = p.select(0)
+    j = f.jet(p0, 2)
+    assume(np.all(np.abs(j.c) < 1e8))
+    for v in sorted(f.support):
+        for w in [None] + [w for w in sorted(f.support) if w >= v]:
+            alpha = [0] * (3 * m)
+            alpha[v] += 1
+            if w is not None:
+                alpha[w] += 1
+            fd = _fd(f, p0, alpha)
+            assert abs(j.deriv(alpha)[0] - fd) <= 1e-6 * max(1.0, abs(fd)), (text, alpha)
     assert fields.field(text, m) is f
+
+
+def _assert_jets_close(got, want, scale):
+    """Order-2 jets agree within 1e-10 * scale in every coefficient."""
+    assume(np.isfinite(scale) and scale < 1e100)
+    assert np.max(np.abs(got.c - want.c)) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_DSL_CASES)
+def test_jet_reciprocal_identity(case):
+    # f * (1/f) = 1 where f is nonzero
+    m, (text, _) = case
+    f = fields.field(text, m)
+    p = sample_box(m, 4, seed=m)
+    assume(np.min(np.abs(f.value(p))) > 1e-2)
+    fj, rj = f.jet(p, 2), (1 / f).jet(p, 2)
+    scale = np.max(np.abs(fj.c)) * np.max(np.abs(rj.c))
+    _assert_jets_close((f * (1 / f)).jet(p, 2), fields.ONE.jet(p, 2), scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_DSL_CASES)
+def test_jet_exp_log_and_sqrt_square_identities(case):
+    # exp(log g) = g and sqrt(g)^2 = g for the positive g = 1 + f^2
+    m, (text, _) = case
+    g = 1 + fields.field(text, m) ** 2
+    p = sample_box(m, 4, seed=m)
+    want = g.jet(p, 2)
+    scale = max(1.0, np.max(np.abs(want.c)))
+    _assert_jets_close(g.log().exp().jet(p, 2), want, scale)
+    _assert_jets_close((g.sqrt() ** 2).jet(p, 2), want, scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_DSL_CASES)
+def test_second_partials_commute(case):
+    # both orders of a mixed partial read the same order-2 jet coefficient
+    m, (text, _) = case
+    f = fields.field(text, m)
+    p = sample_box(m, 4, seed=m)
+    j = f.jet(p, 2)
+    for v in range(3 * m):
+        for w in range(v, 3 * m):
+            vw = f.partial(v).partial(w).value(p)
+            assert np.array_equal(vw, f.partial(w).partial(v).value(p), equal_nan=True)
+            alpha = [0] * (3 * m)
+            alpha[v] += 1
+            alpha[w] += 1
+            assert np.array_equal(vw, j.deriv(alpha), equal_nan=True)
 
 
 def test_fmatmul_rejects_mismatched_shapes():

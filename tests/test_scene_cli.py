@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bigtangent import cli, fields, metrics
 from bigtangent.bigcore import canonical_pack
+from bigtangent.exprdsl import MAX_HEIGHT
 from bigtangent.scene import SceneError, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -57,6 +58,10 @@ def test_load_scene_errors(tmp_path):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites = nope\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nwhatever = 3\n"))
+    with pytest.raises(SceneError, match=r"\[scene\]: seed: invalid literal for int\(\)"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\nseed = x1\n"))
+    with pytest.raises(SceneError, match=r"\[scene\]: perturb_s: could not convert"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\nperturb_s = 1e-3x\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\n\n[garbage]\na = 1\n"))
     asym = "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1; x1\nrow2 = 0; 1\n"
@@ -202,6 +207,40 @@ def test_cli_domain_error_exits_2_without_traceback(tmp_path, capsys):
     )
 
 
+def test_overdeep_expressions_exit_2(tmp_path, capsys):
+    # a graph taller than the parser's bound, or a nesting deeper, is an
+    # input error; in-process, a RecursionError would escape main()
+    for row in ("(" * 3000 + "1" + ")" * 3000, " + ".join(["x1"] * 5000)):
+        path = _write(tmp_path, f"[scene]\nm = 2\n\n[base_metric]\nrow1 = {row}; 0\nrow2 = 0; 1\n")
+        for argv in (["check", path], ["eval", path, "--object", "dfield.rho", "--point", "x=0,0"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: {path}: [base_metric]: expression ")
+
+
+def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
+    # sigma11 = 1 + 0.97*y2^2, written as a sum as tall as the parser allows:
+    # "1" is one level, "0.01*y2^2" three, and each "+" adds one
+    point = "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2"
+    rho = {}
+    for name, terms in (("tallest", MAX_HEIGHT - 3), ("too tall", MAX_HEIGHT - 2), ("short", 0)):
+        entry = " + ".join(["1"] + ["0.01*y2^2"] * terms) if terms else "1 + 0.97*y2^2"
+        text = (
+            "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1; 0\nrow2 = 0; exp(2*x1)\n\n"
+            f"[double_field]\nsigma1 = {entry}; 0\nsigma2 = 0; 1\n"
+        )
+        code = cli.main(["eval", _write(tmp_path, text), "--object", "dfield.rho", "--point", point])
+        out, err = capsys.readouterr()
+        if name == "too tall":
+            assert code == 2 and "levels tall" in err
+        else:
+            assert code == 0
+            rho[name] = json.loads(out)["components"][0]
+    assert rho["short"] != 0.0
+    assert rho["tallest"] == pytest.approx(rho["short"], rel=1e-12)
+
+
 def test_parse_point():
     p = cli.parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
     assert p.batched and p.npoints == 1
@@ -297,16 +336,27 @@ def _mutated_scene(draw):
     return "\n".join(lines) + "\n"
 
 
+def _main_on_scene(text, argv):
+    """In-process ``main`` on ``text`` written to a scene file, output discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.scene")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([argv[0], path, *argv[1:]])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_mutated_scene())
 def test_fuzzed_scenes_exit_0_or_2(text):
     found = re.search(r"(?m)^m\s*=\s*([1-4])\s*$", text)
     m = int(found.group(1)) if found else 1
     point = ";".join(f"{b}=" + ",".join(["0.25"] * m) for b in "xyz")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.scene")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["eval", path, "--object", "H.t", "--point", point])
-    assert code in (0, 2)
+    assert _main_on_scene(text, ["eval", "--object", "H.t", "--point", point]) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_mutated_scene())
+def test_fuzzed_scenes_check_exits_0_1_or_2(text):
+    # the triple suite is the cheapest; loading still builds every object
+    assert _main_on_scene(text, ["check", "--suite", "triple"]) in (0, 1, 2)
