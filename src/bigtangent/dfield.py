@@ -790,14 +790,19 @@ class ActionResult:
     seed: int | None = None
 
 
+def _integrand_tape(F: DoubleField, rho: ScalarField) -> fields.Tape:
+    """One tape for the integrand's fields rho, density and det sigma."""
+    return fields.Tape((rho, F.density, fields.fdet(F.sigma)), 0)
+
+
 def _integrand_values(F: DoubleField, rho: ScalarField, pts: np.ndarray) -> np.ndarray:
     """exp(-2 density) * rho * |det sigma|^{1/2} at chart points given
     as an (3m, npoints) array."""
     m = F.m
     p = ChartPoint(pts[:m], pts[m : 2 * m], pts[2 * m :])
-    rv = np.asarray(rho.value(p), dtype=float)
-    dv = np.asarray(F.density.value(p), dtype=float)
-    detv = np.asarray(fields.fdet(F.sigma).value(p), dtype=float)
+    rv, dv, detv = (
+        np.asarray(jet.value, dtype=float) for jet in _integrand_tape(F, rho).run(p)
+    )
     vals = np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv))
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
@@ -831,6 +836,9 @@ def action(
         raise ValueError(f"box must have {n} coordinate intervals")
     Dbar, _, pack = field_adapted_connection(F)
     _, _, rho = deformed_curvatures(Dbar, pack)
+    # held for the call, so every chunk's _integrand_values finds this tape
+    # interned instead of compiling it again
+    tape = _integrand_tape(F, rho)
     volume = float(np.prod([hi - lo for lo, hi in box]))
 
     if method == "mc":

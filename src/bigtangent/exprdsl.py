@@ -21,12 +21,13 @@ The same text therefore gives the very same node, and the field graph is
 the only evaluator: ``eval_jet`` is ``f.jet`` with the order checked, and
 a domain error is a ``JetDomainError`` naming the sample point.
 
-Two bounds keep parsing and evaluation inside Python's recursion limit.
-A graph may be at most ``MAX_HEIGHT`` levels tall (a number or variable
-is one level, each operator or function adds one), so a long flat sum is
-refused as well as a deep nesting; and parentheses, function calls and
-unary minus may nest at most ``MAX_HEIGHT`` deep.  Past either bound the
-parser raises ``ParseError``.
+Two bounds validate the input.  Parentheses, function calls and unary
+minus may nest at most ``MAX_HEIGHT`` deep, which keeps this parser, the
+one recursive walk left, inside Python's recursion limit.  A graph may be
+at most ``MAX_HEIGHT`` levels tall (a number or variable is one level,
+each operator or function adds one), so a long flat sum is refused as
+well as a deep nesting.  Evaluation keeps its own stack and needs neither
+bound.  Past either bound the parser raises ``ParseError``.
 
 A caller may name the coordinate blocks the text may read.  Once the text
 has parsed, a variable of any other block raises ``DependencyError``,
@@ -41,10 +42,9 @@ from .points import ChartPoint
 
 MAX_ORDER = 4
 
-# Evaluating a graph takes two stack frames per level, so Python's default
-# limit of 1000 frames ends a lone expression at about 500 levels.  With an
-# entry at this bound, the tallest graph built from scene entries, the m = 4
-# curvature rho, evaluates under a recursion limit of about 450.
+# Input validation: the deepest nesting and the tallest graph one entry may
+# have.  The nesting bound keeps the recursive-descent parser well inside
+# Python's default limit of 1000 frames; evaluation keeps its own stack.
 MAX_HEIGHT = 100
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")

@@ -30,18 +30,34 @@ term anyway, so ``fsum`` preserves the graph: it returns the very node
 the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
 the terms shapes that node (and so the last bits of its values).
 
-Evaluation results are cached on the ChartPoint keyed by (node, order);
-since equal subgraphs are one node, they share one cache slot.  One point
-shared across a verification suite is evaluated once per node and the
-cache is freed when the point is dropped.  A ``JetDomainError`` raised
-while evaluating gets the chart point of its first bad sample attached
-by the innermost node that evaluated it.
+Evaluation never recurses.  The (node, order) keys below a set of roots
+are compiled into a list of entries in dependency order (a ``Partial``
+reads its parent one order higher, a matrix inverse all its entries at
+the same order), and one loop runs them, each entry doing one ``Jet``
+operation on its operands' jets.  Graph height is therefore bounded by
+memory, not by Python's recursion limit.  The loop serves two callers:
+
+- suite points, which verification reuses across many fields: ``jet``,
+  ``value`` and ``fvalue`` keep every jet in the point's memo, keyed by
+  (node, order), compile only what the memo lacks and store the results
+  there.  Equal subgraphs are one node, so they share one memo slot, and
+  the memo is freed when the point is dropped.
+- points evaluated once, the action integrand's chunks: a ``Tape``
+  compiled once for its roots frees each jet right after its last use,
+  so a run holds only the jets still to be read, and it stores nothing
+  on the point.
+
+Both run the same operations on the same operands in the same order, so
+their jets agree bit for bit.  A ``JetDomainError`` raised by a run gets
+the chart point of its first bad sample attached.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import weakref
+from itertools import repeat
 
 import numpy as np
 
@@ -90,24 +106,22 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 class ScalarField(metaclass=_Interned):
-    """Base node; subclasses set ``support`` and implement ``_jet``."""
+    """Base node; subclasses set ``support`` and name their ``_operands``."""
 
     __slots__ = ("support", "__weakref__")
 
     def jet(self, p: ChartPoint, order: int) -> Jet:
+        """The jet at ``p`` truncated at ``order``, memoised on ``p``."""
         key = (self, order)
         hit = p._cache.get(key)
         if hit is None:
-            try:
-                hit = p._cache[key] = self._jet(p, order)
-            except JetDomainError as err:
-                if err.point is None:
-                    err.point = p.text(err.index)
-                raise
+            hit = _memo_jets([key], p)[0]
         return hit
 
-    def _jet(self, p: ChartPoint, order: int) -> Jet:
-        raise NotImplementedError
+    def _operands(self, order: int) -> tuple:
+        """The (node, order) keys whose jets this node's jet is computed
+        from, in the order it reads them."""
+        return ()
 
     def value(self, p: ChartPoint) -> np.ndarray:
         return self.jet(p, 0).value
@@ -206,9 +220,6 @@ class Const(ScalarField):
         self.v = float(v)
         self.support = _NO_VARS
 
-    def _jet(self, p, order):
-        return Jet.constant(jet_space(3 * p.m, order), self.v, p.npoints)
-
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -258,10 +269,6 @@ class Coord(ScalarField):
         self.var = int(var)
         self.support = frozenset((self.var,))
 
-    def _jet(self, p, order):
-        space = jet_space(3 * p.m, order)
-        return Jet.variable(space, self.var, np.atleast_1d(p.coord(self.var)))
-
 
 class Bin(ScalarField):
     __slots__ = ("op", "a", "b")
@@ -270,16 +277,8 @@ class Bin(ScalarField):
         self.op, self.a, self.b = op, a, b
         self.support = _union(a.support, b.support)
 
-    def _jet(self, p, order):
-        a = self.a.jet(p, order)
-        b = self.b.jet(p, order)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+    def _operands(self, order):
+        return ((self.a, order), (self.b, order))
 
 
 class Pow(ScalarField):
@@ -289,8 +288,8 @@ class Pow(ScalarField):
         self.base, self.n = base, n
         self.support = base.support
 
-    def _jet(self, p, order):
-        return self.base.jet(p, order) ** self.n
+    def _operands(self, order):
+        return ((self.base, order),)
 
 
 class Func(ScalarField):
@@ -300,8 +299,8 @@ class Func(ScalarField):
         self.name, self.arg = name, arg
         self.support = arg.support
 
-    def _jet(self, p, order):
-        return getattr(self.arg.jet(p, order), self.name)()
+    def _operands(self, order):
+        return ((self.arg, order),)
 
 
 class Partial(ScalarField):
@@ -311,8 +310,8 @@ class Partial(ScalarField):
         self.parent, self.var = parent, int(var)
         self.support = parent.support
 
-    def _jet(self, p, order):
-        return self.parent.jet(p, order + 1).partial(self.var)
+    def _operands(self, order):
+        return ((self.parent, order + 1),)
 
 
 def field(text: str, m: int) -> ScalarField:
@@ -355,9 +354,10 @@ def ftranspose(a: np.ndarray) -> np.ndarray:
 
 def fvalue(arr: np.ndarray, p: ChartPoint) -> np.ndarray:
     """Evaluate an object array of fields to floats, batched last axis."""
+    jets = _memo_jets([(as_field(f), 0) for f in arr.flat], p)
     out = np.empty(arr.shape + (p.npoints,))
-    for idx in np.ndindex(arr.shape):
-        out[idx] = as_field(arr[idx]).value(p)
+    for idx, jet in zip(np.ndindex(arr.shape), jets):
+        out[idx] = jet.value
     return out
 
 
@@ -419,14 +419,8 @@ class _MatrixInverse(metaclass=_Interned):
             for f in row:
                 self.support = _union(self.support, f.support)
 
-    def jets(self, p: ChartPoint, order: int):
-        key = (self, order)
-        hit = p._cache.get(key)
-        if hit is None:
-            space = jet_space(3 * p.m, order)
-            A = [[f.jet(p, order) for f in row] for row in self.rows]
-            hit = p._cache[key] = _jet_inverse(A, space, p.npoints)
-        return hit
+    def _operands(self, order):
+        return tuple((f, order) for row in self.rows for f in row)
 
 
 class _MatInvEntry(ScalarField):
@@ -436,8 +430,8 @@ class _MatInvEntry(ScalarField):
         self.owner, self.i, self.j = owner, i, j
         self.support = owner.support
 
-    def _jet(self, p, order):
-        return self.owner.jets(p, order)[self.i][self.j]
+    def _operands(self, order):
+        return ((self.owner, order),)
 
 
 def finverse(mat: np.ndarray) -> np.ndarray:
@@ -474,3 +468,111 @@ def fdet(mat: np.ndarray) -> ScalarField:
         (-1 if j % 2 else 1, as_field(mat[0, j]), fdet(np.delete(rows, j, axis=1)))
         for j in range(n)
     )
+
+
+# -- evaluation -------------------------------------------------------------
+_DONE = object()  # pushed above a key, so it is popped once the key's operands are done
+
+
+def _compile(keys, memo) -> list:
+    """The (node, order) keys at and below ``keys`` that ``memo`` lacks,
+    each after its operands.
+
+    The order is the one in which a depth-first evaluation of the keys in
+    turn, each node reading its operands in turn, completes them; the
+    first domain error a run raises is therefore the one that evaluation
+    would raise.  The walk keeps its own stack, so graph height is bounded
+    by memory only.
+    """
+    done, seen = [], set()
+    stack = list(reversed(keys))
+    push, pop = stack.append, stack.pop
+    while stack:
+        key = pop()
+        if key is _DONE:
+            done.append(pop())
+        elif key not in seen and key not in memo:
+            seen.add(key)
+            push(key)
+            push(_DONE)
+            stack.extend(reversed(key[0]._operands(key[1])))
+    return done
+
+
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _run(entries, vals: dict, p: ChartPoint):
+    """Evaluate ``(key, free)`` entries in order at ``p``.
+
+    Each entry reads its operands' jets from ``vals``, stores its own jet
+    there under ``key`` and then deletes the keys named in ``free``.  A
+    ``JetDomainError`` gets the chart point of its first bad sample.
+    """
+    try:
+        for key, free in entries:
+            node, order = key
+            kind = type(node)
+            if kind is Bin:
+                jet = _BIN_OPS[node.op](vals[node.a, order], vals[node.b, order])
+            elif kind is Partial:
+                jet = vals[node.parent, order + 1].partial(node.var)
+            elif kind is Pow:
+                jet = vals[node.base, order] ** node.n
+            elif kind is Func:
+                jet = getattr(vals[node.arg, order], node.name)()
+            elif kind is _MatInvEntry:
+                jet = vals[node.owner, order][node.i][node.j]
+            elif kind is Const:
+                jet = Jet.constant(jet_space(3 * p.m, order), node.v, p.npoints)
+            elif kind is Coord:
+                space = jet_space(3 * p.m, order)
+                jet = Jet.variable(space, node.var, np.atleast_1d(p.coord(node.var)))
+            else:  # _MatrixInverse: every entry of the inverse at once
+                A = [[vals[f, order] for f in row] for row in node.rows]
+                jet = _jet_inverse(A, jet_space(3 * p.m, order), p.npoints)
+            vals[key] = jet
+            for dead in free:
+                del vals[dead]
+    except JetDomainError as err:
+        if err.point is None:
+            err.point = p.text(err.index)
+        raise
+
+
+def _memo_jets(keys, p: ChartPoint) -> list:
+    """The jets of ``keys`` at ``p``, evaluating only what the point's
+    memo lacks and keeping every result in it."""
+    memo = p._cache
+    _run(zip(_compile(keys, memo), repeat(())), memo, p)
+    return [memo[key] for key in keys]
+
+
+class Tape(metaclass=_Interned):
+    """The evaluation of ``roots`` at ``order``, for points used once.
+
+    Compiled once, it runs at any number of points.  Each entry frees
+    the jets it was the last to read, so a run holds only the jets still
+    to be read, and nothing is stored on the point.  Interned by roots
+    and order like the nodes: while one caller holds a tape, building it
+    again returns that tape instead of compiling another.
+    """
+
+    __slots__ = ("keys", "entries", "__weakref__")
+
+    def __init__(self, roots: tuple, order: int):
+        self.keys = [(f, order) for f in roots]
+        done = _compile(self.keys, {})
+        last = {arg: k for k, key in enumerate(done) for arg in key[0]._operands(key[1])}
+        for key in self.keys:
+            last.pop(key, None)  # roots outlive the run
+        free = [[] for _ in done]
+        for arg, k in last.items():
+            free[k].append(arg)
+        self.entries = list(zip(done, map(tuple, free)))
+
+    def run(self, p: ChartPoint) -> list:
+        """The roots' jets at ``p``."""
+        vals = {}
+        _run(self.entries, vals, p)
+        return [vals[key] for key in self.keys]

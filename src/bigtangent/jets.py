@@ -88,14 +88,6 @@ class Jet:
         lower = jet_space(self.space.nvars, self.space.order - 1)
         return Jet(lower, self.c[src] * fac[:, None])
 
-    def truncated(self, order: int) -> "Jet":
-        if order == self.space.order:
-            return self
-        if order > self.space.order:
-            raise ValueError("cannot extend a jet to higher order")
-        lower = jet_space(self.space.nvars, order)
-        return Jet(lower, self.c[: lower.nterms].copy())
-
     # -- ring operations -------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Jet):

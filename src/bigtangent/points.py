@@ -2,9 +2,11 @@
 
 A ``ChartPoint`` may hold a single point (coordinate arrays of shape
 (m,)) or a batch (shape (m, npoints)); all evaluation machinery
-broadcasts over the batch axis.  Each point object also owns the jet
-cache used by the lazy scalar-field graph, so dropping the point frees
-every cached evaluation.
+broadcasts over the batch axis.  Each point object also owns the memo
+that ``fields`` keeps for points a verification suite reuses: every jet
+evaluated there, keyed by (node, order), freed when the point is dropped.
+Points evaluated once, such as the action integrand's chunks, go through
+a ``fields.Tape`` instead, which stores nothing on them.
 """
 
 from __future__ import annotations

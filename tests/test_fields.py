@@ -1,13 +1,16 @@
 import gc
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bigtangent import fields
+from bigtangent import dfield, fields, horizon, scene
 from bigtangent.exprdsl import fd_oracle, parse_expr
+from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
 
 
@@ -391,3 +394,132 @@ def test_vertical_derivative_builds_only_nonzero_directions(monkeypatch):
     out = dfield.vertical_derivative(nabla, Z, s)
     assert built == [m + 1]
     assert all(out[c] is want[c] for c in range(2 * m))
+
+
+# -- the evaluation tape ----------------------------------------------------
+def _assert_same_jets(got, want):
+    """Jets equal bit for bit, the sign of zero included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.space is w.space
+        assert np.array_equal(g.c, w.c, equal_nan=True)
+        assert np.array_equal(np.signbit(g.c), np.signbit(w.c))
+
+
+def _memo_eval(roots, order, pts):
+    """The roots' jets at a fresh point, through the per-point memo."""
+    p = ChartPoint(*np.split(pts, 3))
+    return [f.jet(p, order) for f in roots]
+
+
+@pytest.fixture(scope="module")
+def kitchen_sink_integrand():
+    """The kitchen-sink double field, its rho, the integrand tape and one
+    1024-point chunk, as ``dfield.action`` builds them."""
+    F = scene.load_scene(str(Path(__file__).resolve().parent.parent / "scenes" / "kitchen-sink.scene")).double_field
+    Dbar, _, pack = dfield.field_adapted_connection(F)
+    _, _, rho = dfield.deformed_curvatures(Dbar, pack)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3 * F.m, 1024))
+    return F, rho, dfield._integrand_tape(F, rho), pts
+
+
+def test_integrand_tape_matches_the_memo(kitchen_sink_integrand):
+    F, rho, tape, pts = kitchen_sink_integrand
+    assert [key[0] for key in tape.keys] == [rho, F.density, fields.fdet(F.sigma)]
+    got = tape.run(ChartPoint(*np.split(pts, 3)))
+    want = _memo_eval([key[0] for key in tape.keys], 0, pts)
+    _assert_same_jets(got, want)
+    rv, dv, detv = (j.value for j in want)
+    vals = dfield._integrand_values(F, rho, pts)
+    assert np.array_equal(vals, np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv)))
+
+
+def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
+    F, rho, tape, pts = kitchen_sink_integrand
+
+    class Held(dict):
+        peak = 0
+
+        def __setitem__(self, key, jet):
+            super().__setitem__(key, jet)
+            self.peak = max(self.peak, len(self))
+
+    held = Held()
+    p = ChartPoint(*np.split(pts, 3))
+    fields._run(tape.entries, held, p)
+    assert len(tape.entries) > 20000
+    assert held.peak <= 0.05 * len(tape.entries), (held.peak, len(tape.entries))
+    assert set(held) == set(tape.keys)  # only the roots outlive the run
+    assert p._cache == {}  # nothing is stored on the point
+    assert dfield._integrand_tape(F, rho) is tape  # interned while held
+
+
+def test_action_compiles_the_integrand_tape_once(monkeypatch):
+    # every chunk's _integrand_values must find the tape that action holds,
+    # not compile its own
+    F = dfield.DoubleField(horizon.flat_bundle(2), [["1 + (1/2)*y2^2", "0"], ["0", "1"]])
+    compiled = []
+    compile_ = fields._compile
+
+    def counting(keys, memo):
+        compiled.append(list(keys))
+        return compile_(keys, memo)
+
+    monkeypatch.setattr(fields, "_compile", counting)
+    dfield.action(F, method="mc", samples=40, chunk=8)  # five chunks
+    # the tape's roots are rho, the density and det sigma, all at order 0;
+    # the other compiles are the memo evaluations of the field's checks
+    tapes = [keys for keys in compiled if len(keys) == 3 and keys[1] == (F.density, 0)]
+    assert len(tapes) == 1
+
+
+def test_tape_domain_error_names_the_point():
+    m = 2
+    F = dfield.DoubleField(horizon.flat_bundle(m), [["1", "0"], ["0", "1"]], density="2 + log(x1)")
+    Dbar, _, pack = dfield.field_adapted_connection(F)
+    _, _, rho = dfield.deformed_curvatures(Dbar, pack)
+    pts = np.random.default_rng(1).uniform(0.1, 1.0, size=(3 * m, 5))
+    pts[0, 3] = -0.25
+    pts[0, 4] = 0.0
+    with pytest.raises(JetDomainError) as info:
+        dfield._integrand_values(F, rho, pts)
+    point = ChartPoint(*np.split(pts, 3)).text(3)
+    assert info.value.point == point
+    assert str(info.value) == f"log of a non-positive value at {point}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_DSL_CASES)
+def test_tape_matches_the_memo(case):
+    # the tape, which frees jets as it goes, against the memoised evaluation,
+    # for the field and its first partials as one root set
+    m, (text, _) = case
+    f = fields.field(text, m)
+    roots = (f, *(f.partial(v) for v in sorted(f.support)))
+    pts = sample_box(m, 4, seed=m).flat
+    for order in range(3):
+        with np.errstate(all="ignore"):
+            got = fields.Tape(roots, order).run(ChartPoint(*np.split(pts, 3)))
+            want = _memo_eval(roots, order, pts)
+        _assert_same_jets(got, want)
+
+
+def test_deep_graph_evaluates_at_the_default_recursion_limit():
+    # a 5,000-level chain of operator-built nodes, which a recursive
+    # evaluator could not walk within Python's default limit of 1000 frames
+    x, y = fields.Coord(0), fields.Coord(1)
+    f = x
+    for k in range(5000):
+        f = f * 0.5 if k % 2 else f + y
+    p = sample_box(1, 3, seed=0)
+    value, dy = p.x[0].copy(), np.zeros(3)
+    for k in range(5000):
+        value, dy = (value * 0.5, dy * 0.5) if k % 2 else (value + p.y[0], dy + 1.0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        assert np.array_equal(f.value(p), value)
+        assert np.array_equal(f.partial(1).value(p), dy)
+        assert np.array_equal(fields.Tape((f,), 2).run(p)[0].c, f.jet(p, 2).c)
+    finally:
+        sys.setrecursionlimit(limit)

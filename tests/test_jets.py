@@ -121,17 +121,6 @@ def test_domain_errors():
     assert Jet.variable(sp0, 0, np.array([0.0])).sqrt().value[0] == 0.0
 
 
-def test_truncate():
-    sp = jet_space(2, 3)
-    x = Jet.variable(sp, 0, np.array([0.3]))
-    f = x.exp()
-    g = f.truncated(1)
-    assert g.space.order == 1
-    assert g.deriv((1, 0))[0] == pytest.approx(math.exp(0.3))
-    with pytest.raises(ValueError):
-        g.truncated(3)
-
-
 def _mul_reference(space, a, b):
     """The jet product as np.add.at over the multiplication table."""
     oi, ai, bi = space.mul_table

@@ -221,24 +221,43 @@ def test_overdeep_expressions_exit_2(tmp_path, capsys):
 
 def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
     # sigma11 = 1 + 0.97*y2^2, written as a sum as tall as the parser allows:
-    # "1" is one level, "0.01*y2^2" three, and each "+" adds one
-    point = "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2"
-    rho = {}
-    for name, terms in (("tallest", MAX_HEIGHT - 3), ("too tall", MAX_HEIGHT - 2), ("short", 0)):
-        entry = " + ".join(["1"] + ["0.01*y2^2"] * terms) if terms else "1 + 0.97*y2^2"
-        text = (
-            "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1; 0\nrow2 = 0; exp(2*x1)\n\n"
-            f"[double_field]\nsigma1 = {entry}; 0\nsigma2 = 0; 1\n"
+    # "1" is one level, "0.01*y2^2" three, and each "+" adds one.  At m = 4
+    # this is the tallest graph a scene can build; it is evaluated at
+    # Python's default recursion limit, so evaluation must not recurse.
+    points = {
+        2: "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2",
+        4: "x=0.3,-0.2,0.1,0.2;y=0.1,0.4,-0.3,0.2;z=-0.5,0.2,0.1,0.3",
+    }
+
+    def rows(m, key, first, second):
+        diagonal = [first, second] + ["1"] * (m - 2)
+        return "".join(
+            f"{key}{i + 1} = " + "; ".join(diagonal[i] if i == j else "0" for j in range(m)) + "\n"
+            for i in range(m)
         )
-        code = cli.main(["eval", _write(tmp_path, text), "--object", "dfield.rho", "--point", point])
-        out, err = capsys.readouterr()
-        if name == "too tall":
-            assert code == 2 and "levels tall" in err
-        else:
-            assert code == 0
-            rho[name] = json.loads(out)["components"][0]
-    assert rho["short"] != 0.0
-    assert rho["tallest"] == pytest.approx(rho["short"], rel=1e-12)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        for m, point in points.items():
+            rho = {}
+            for name, terms in (("tallest", MAX_HEIGHT - 3), ("too tall", MAX_HEIGHT - 2), ("short", 0)):
+                entry = " + ".join(["1"] + ["0.01*y2^2"] * terms) if terms else "1 + 0.97*y2^2"
+                text = (
+                    f"[scene]\nm = {m}\n\n[base_metric]\n{rows(m, 'row', '1', 'exp(2*x1)')}\n"
+                    f"[double_field]\n{rows(m, 'sigma', entry, '1')}"
+                )
+                code = cli.main(["eval", _write(tmp_path, text), "--object", "dfield.rho", "--point", point])
+                out, err = capsys.readouterr()
+                if name == "too tall":
+                    assert code == 2 and "levels tall" in err
+                else:
+                    assert code == 0, err
+                    rho[name] = json.loads(out)["components"][0]
+            assert rho["short"] != 0.0
+            assert rho["tallest"] == pytest.approx(rho["short"], rel=1e-12)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_point():
