@@ -241,11 +241,10 @@ def _courant_nijenhuis_residual(pack, endo, p) -> float:
     basis = [
         GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)
     ] + [GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)]
+    images = [endo(pack, A) for A in basis]
     worst = 0.0
-    for a, A in enumerate(basis):
-        FA = endo(pack, A)
-        for B in basis[a + 1 :]:
-            FB = endo(pack, B)
+    for a, (A, FA) in enumerate(zip(basis, images)):
+        for B, FB in zip(basis[a + 1 :], images[a + 1 :]):
             N = tc.courant_bracket(FA, FB)
             inner = tc.courant_bracket(FA, B)
             inner2 = tc.courant_bracket(A, FB)

@@ -224,8 +224,7 @@ def _object_registry(sc: SceneFile) -> dict:
 def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:
     """Evaluate a named object of the scene at one chart point."""
     if name == "dfield.rho":
-        nabla, _, pack = dfield.field_adapted_connection(sc.double_field)
-        _, _, rho = dfield.deformed_curvatures(nabla, pack)
+        _, _, rho = sc.double_field.curvatures
         comps = np.array([rho], dtype=object)
     else:
         reg = _object_registry(sc)

@@ -177,10 +177,16 @@ def _ambient_terms(D: Connection, E: np.ndarray, a: int, b: int, k: int):
     """fsum terms of the k-th natural component of D_{e_a} e_b for the
     frame fields e = columns of E."""
     n = len(E)
+    Ekb = E[k, b]
+    column = [j for j in range(n) if not fields.is_zero(E[j, b])]
     for l in range(n):
-        yield 1, E[l, a], E[k, b].partial(l)
-        for j in range(n):
-            yield 1, E[l, a], E[j, b], D.gamma[l, j, k]
+        Ela = E[l, a]
+        if fields.is_zero(Ela):
+            continue
+        if l in Ekb.support:
+            yield 1, Ela, Ekb.partial(l)
+        for j in column:
+            yield 1, Ela, E[j, b], D.gamma[l, j, k]
 
 
 def canonical_bott(H: horizon.HorizontalBundle) -> Connection:
@@ -235,17 +241,20 @@ def curvature(conn: Connection) -> TensorField:
     for a in range(n):
         for b in range(a + 1, n):
             for cc in range(n):
+                # (sign, d-factor, row of e-factors) of the d-sum, zero d-factors dropped
+                rows = [
+                    (sign, f, row)
+                    for d in range(n)
+                    for sign, f, row in (
+                        (1, g[b, cc, d], g[a, d]),
+                        (-1, g[a, cc, d], g[b, d]),
+                        (-1, c[a, b, d], g[d, cc]),
+                    )
+                    if not fields.is_zero(f)
+                ]
                 for e in range(n):
                     s = fields.fsum(
-                        (
-                            term
-                            for d in range(n)
-                            for term in (
-                                (1, g[b, cc, d], g[a, d, e]),
-                                (-1, g[a, cc, d], g[b, d, e]),
-                                (-1, c[a, b, d], g[d, cc, e]),
-                            )
-                        ),
+                        ((sign, f, row[e]) for sign, f, row in rows),
                         start=conn.frame_derivative(g[b, cc, e], a)
                         - conn.frame_derivative(g[a, cc, e], b),
                     )

@@ -20,6 +20,7 @@ truncated-box action integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -314,6 +315,24 @@ class DoubleField:
     def vertical_metric(self) -> VerticalMetric:
         return vm_from_sigma_psi(self.sigma, self.psi, self.m)
 
+    # Built once per field, so the identity suite and every action share
+    # one final connection, with its section-derivative memo, and one tape.
+    @cached_property
+    def connections(self):
+        """(Dbar, Dtilde, pack) of ``field_adapted_connection``."""
+        return field_adapted_connection(self)
+
+    @cached_property
+    def curvatures(self):
+        """(R, Ric, rho) of ``deformed_curvatures`` for the final connection."""
+        Dbar, _, pack = self.connections
+        return deformed_curvatures(Dbar, pack)
+
+    @cached_property
+    def integrand_tape(self) -> fields.Tape:
+        """The action integrand's tape for rho; its first root is rho."""
+        return _integrand_tape(self, self.curvatures[2])
+
 
 def field_from_riemannian(gamma, m: int) -> DoubleField:
     """Double field of a base metric: the horizontal bundle of its
@@ -353,6 +372,8 @@ class VerticalConnection:
     gamma: np.ndarray
     H: horizon.HorizontalBundle
     preserves: tuple = ()
+    # section_derivative results, keyed by (direction, *section nodes)
+    _derivatives: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.H.m
@@ -370,14 +391,26 @@ class VerticalConnection:
 
 def section_derivative(nabla: VerticalConnection, a: int, s: np.ndarray) -> np.ndarray:
     """Covariant derivative of a fiber section (2m components) along
-    the a-th adapted frame direction."""
-    m = nabla.m
-    out = fields.fzeros(2 * m)
-    for c in range(2 * m):
-        out[c] = fsum(
-            ((1, s[b], nabla.gamma[a, b, c]) for b in range(2 * m)),
-            start=nabla.H.frame_derivative(s[c], a),
-        )
+    the a-th adapted frame direction.
+
+    Results are memoised on ``nabla``, keyed by the direction and the
+    section's nodes; nodes are interned, so a hit is the array a rebuild
+    would return.  The array is read-only, since every caller with equal
+    inputs shares it.
+    """
+    key = (a, *s)
+    out = nabla._derivatives.get(key)
+    if out is None:
+        m = nabla.m
+        nonzero = [b for b in range(2 * m) if not fields.is_zero(s[b])]
+        out = fields.fzeros(2 * m)
+        for c in range(2 * m):
+            out[c] = fsum(
+                ((1, s[b], nabla.gamma[a, b, c]) for b in nonzero),
+                start=nabla.H.frame_derivative(s[c], a),
+            )
+        out.flags.writeable = False
+        nabla._derivatives[key] = out
     return out
 
 
@@ -587,15 +620,21 @@ def wedge_product(
     """Fiber vector W with G(Y, W) = (1/2)[G(Y1, nabla_Y Y2)
     - G(Y2, nabla_Y Y1)] for every fiber direction Y."""
     m = nabla.m
+    # (sign, Y factor, G factor, which derivative, q) of the (p, q)-sum's
+    # terms whose first two factors are nonzero, in the sum's order
+    terms = []
+    for p_, q in np.ndindex(2 * m, 2 * m):
+        g = pack.G[p_, q]
+        if fields.is_zero(g):
+            continue
+        if not fields.is_zero(Y1[p_]):
+            terms.append((1, Y1[p_], g, 1, q))
+        if not fields.is_zero(Y2[p_]):
+            terms.append((-1, Y2[p_], g, 0, q))
     beta = fields.fzeros(2 * m)
     for b in range(2 * m):
-        d2 = section_derivative(nabla, m + b, Y2)
-        d1 = section_derivative(nabla, m + b, Y1)
-        beta[b] = fsum(
-            term
-            for p_, q in np.ndindex(2 * m, 2 * m)
-            for term in ((1, Y1[p_], pack.G[p_, q], d2[q]), (-1, Y2[p_], pack.G[p_, q], d1[q]))
-        )
+        d = (section_derivative(nabla, m + b, Y1), section_derivative(nabla, m + b, Y2))
+        beta[b] = fsum((sign, y, g, d[w][q]) for sign, y, g, w, q in terms)
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
         out[c] = 0.5 * fsum((1, pack.Ginv[c, b], beta[b]) for b in range(2 * m))
@@ -834,11 +873,9 @@ def action(
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError(f"box must have {n} coordinate intervals")
-    Dbar, _, pack = field_adapted_connection(F)
-    _, _, rho = deformed_curvatures(Dbar, pack)
-    # held for the call, so every chunk's _integrand_values finds this tape
-    # interned instead of compiling it again
-    tape = _integrand_tape(F, rho)
+    # F holds the tape of its rho (built on first use), so every chunk's
+    # _integrand_values finds that tape interned: it is compiled once per field
+    rho = F.integrand_tape.keys[0][0]
     volume = float(np.prod([hi - lo for lo, hi in box]))
 
     if method == "mc":
@@ -913,7 +950,7 @@ def verify_double_field(
         tol=1e-10,
     )
 
-    Dbar, Dtilde, pack = field_adapted_connection(F)
+    Dbar, Dtilde, pack = F.connections
     rep.add(
         "base connection preserves sigma",
         sigma_preservation_residual(F, pack.c0, p),
@@ -986,7 +1023,7 @@ def verify_double_field(
         tol=1e-9,
     )
 
-    _, Ric, rho = deformed_curvatures(Dbar, pack)
+    _, Ric, rho = F.curvatures
     ricv = fields.fvalue(Ric, p)
     rep.add(
         "deformed Ricci tensor is symmetric",

@@ -28,7 +28,12 @@ a constant-zero factor (``is_zero``, the test the arithmetic folds use)
 is skipped before any product is built.  The folds would drop such a
 term anyway, so ``fsum`` preserves the graph: it returns the very node
 the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
-the terms shapes that node (and so the last bits of its values).
+the terms shapes that node (and so the last bits of its values).  The
+hot construction loops (curvature, Lie bracket and derivative, the
+fiber wedge product) no longer hand it zero terms: they walk only the
+indices in a factor's ``support`` or with a nonzero outer factor, in
+the dense loop's order, so they build the same node.  The zero skip
+stays for the remaining callers.
 
 Evaluation never recurses.  The (node, order) keys below a set of roots
 are compiled into a list of entries in dependency order (a ``Partial``

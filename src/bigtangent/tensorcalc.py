@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import ScalarField, as_field, fsum, fvalue, fzeros
+from .fields import ScalarField, as_field, fsum, fvalue, fzeros, is_zero
 from .points import ChartPoint
 
 
@@ -139,7 +139,9 @@ def pair(alpha: TensorField, v: TensorField) -> ScalarField:
 
 def directional(X: TensorField, f: ScalarField) -> ScalarField:
     """X f = X^s d_s f."""
-    return fsum((1, X.comps[i], f.partial(i)) for i in range(X.n))
+    return fsum(
+        (1, X.comps[i], f.partial(i)) for i in sorted(f.support) if not is_zero(X.comps[i])
+    )
 
 
 # -- Lie bracket and Lie derivative ---------------------------------------
@@ -148,13 +150,19 @@ def bracket_components(X, Y) -> np.ndarray:
     sequences X, Y of one length n; j runs over the first n chart
     variables."""
     n = len(X)
+
+    def terms(Xk, Yk):  # the dense j-loop's terms that can be nonzero
+        for j in sorted(Xk.support | Yk.support):
+            if j >= n:
+                break
+            if j in Yk.support and not is_zero(X[j]):
+                yield 1, X[j], Yk.partial(j)
+            if j in Xk.support and not is_zero(Y[j]):
+                yield -1, Y[j], Xk.partial(j)
+
     out = fzeros(n)
     for k in range(n):
-        out[k] = fsum(
-            term
-            for j in range(n)
-            for term in ((1, X[j], Y[k].partial(j)), (-1, Y[j], X[k].partial(j)))
-        )
+        out[k] = fsum(terms(X[k], Y[k]))
     return out
 
 
@@ -167,15 +175,22 @@ def lie_derivative(X: TensorField, T: TensorField) -> TensorField:
     """L_X T for any (r,s) signature, natural frame."""
     _require_natural(X, T)
     n = T.n
+    Xc = X.comps
+    # the r with d_r X^i or d_i X^r possibly nonzero, for an upper or a lower slot i
+    upper = [sorted(Xc[i].support) for i in range(n)]
+    lower = [[r for r in range(n) if i in Xc[r].support] for i in range(n)]
 
     def terms(idx):
         for a, var in enumerate(T.sig):
-            for r in range(n):
+            i = idx[a]
+            for r in upper[i] if var == "up" else lower[i]:
                 swapped = T.comps[idx[:a] + (r,) + idx[a + 1 :]]
+                if is_zero(swapped):
+                    continue
                 if var == "up":
-                    yield -1, swapped, X.comps[idx[a]].partial(r)
+                    yield -1, swapped, Xc[i].partial(r)
                 else:
-                    yield 1, swapped, X.comps[r].partial(idx[a])
+                    yield 1, swapped, Xc[r].partial(i)
 
     out = np.empty(T.comps.shape, dtype=object)
     for idx in np.ndindex(T.comps.shape):

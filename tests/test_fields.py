@@ -414,13 +414,11 @@ def _memo_eval(roots, order, pts):
 
 @pytest.fixture(scope="module")
 def kitchen_sink_integrand():
-    """The kitchen-sink double field, its rho, the integrand tape and one
-    1024-point chunk, as ``dfield.action`` builds them."""
+    """The kitchen-sink double field, its rho, the integrand tape it holds
+    and one 1024-point chunk, as ``dfield.action`` uses them."""
     F = scene.load_scene(str(Path(__file__).resolve().parent.parent / "scenes" / "kitchen-sink.scene")).double_field
-    Dbar, _, pack = dfield.field_adapted_connection(F)
-    _, _, rho = dfield.deformed_curvatures(Dbar, pack)
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3 * F.m, 1024))
-    return F, rho, dfield._integrand_tape(F, rho), pts
+    return F, F.curvatures[2], F.integrand_tape, pts
 
 
 def test_integrand_tape_matches_the_memo(kitchen_sink_integrand):
@@ -455,7 +453,7 @@ def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
 
 
 def test_action_compiles_the_integrand_tape_once(monkeypatch):
-    # every chunk's _integrand_values must find the tape that action holds,
+    # every chunk's _integrand_values must find the tape the field holds,
     # not compile its own
     F = dfield.DoubleField(horizon.flat_bundle(2), [["1 + (1/2)*y2^2", "0"], ["0", "1"]])
     compiled = []
