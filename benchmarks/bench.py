@@ -8,9 +8,13 @@ For each workload that ``perfbench/run.py`` of ``CHECKOUT`` (default: this
 checkout) defines, the script runs ``python3 perfbench/run.py --workload W
 --seed 1 --trace 0`` there as a subprocess and keeps the JSON object that run
 prints on its last line.  It adds the git revision of the checkout (with
-``-dirty`` when ``src/`` has uncommitted changes) and the line count of its
-``src/`` Python files (``cat src/bigtangent/*.py | wc -l``), and writes the
-result into this directory as ``BENCH_<label>.json``.  Every file is taken
+``-dirty`` when ``src/`` has uncommitted changes), a sha256 over its ``src/bigtangent/*.py``
+files (names and contents, in name order), so a dirty tree can be tied to
+the files it measured, and the line count of those files
+(``cat src/bigtangent/*.py | wc -l``), and writes the result into this
+directory as ``BENCH_<label>.json``.  When any workload reports
+``correct: false`` or a failed operation, it names them on stderr, writes
+nothing and exits 1.  Every file is taken
 with perfbench's default seed 1, so any two files compare two revisions when
 taken one after the other on the same machine; the perfbench times are
 already scaled to a reference host speed.
@@ -19,6 +23,7 @@ already scaled to a reference host speed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -51,8 +56,29 @@ def _git(root: Path, *args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
 
 
+def _src_files(root: Path) -> list[Path]:
+    return sorted((root / "src" / "bigtangent").glob("*.py"))
+
+
 def src_lines(root: Path) -> int:
-    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "bigtangent").glob("*.py"))
+    return sum(path.read_bytes().count(b"\n") for path in _src_files(root))
+
+
+def src_sha256(root: Path) -> str:
+    """sha256 over each source file's name and contents, in name order."""
+    digest = hashlib.sha256()
+    for path in _src_files(root):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def failures(workloads: dict) -> list[str]:
+    """The workloads whose run is not correct or failed an operation."""
+    return [
+        f"{name}: correct={run.get('correct')} failed={run.get('failed')}"
+        for name, run in workloads.items()
+        if run.get("correct") is not True or run.get("failed") != 0
+    ]
 
 
 def main(argv=None) -> int:
@@ -65,12 +91,18 @@ def main(argv=None) -> int:
     revision = _git(root, "rev-parse", "HEAD").stdout.strip()
     if _git(root, "diff", "--quiet", "HEAD", "--", "src").returncode:
         revision += "-dirty"  # src/ differs from the commit
+    workloads = {w: run_workload(root, w) for w in perfbench_workloads(root)}
+    bad = failures(workloads)
+    if bad:
+        print("not written, a workload failed:", *bad, sep="\n  ", file=sys.stderr)
+        return 1
     result = {
         "label": args.label,
         "revision": revision,
+        "src_sha256": src_sha256(root),
         "src_lines": src_lines(root),
         "seed": SEED,
-        "workloads": {w: run_workload(root, w) for w in perfbench_workloads(root)},
+        "workloads": workloads,
     }
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")

@@ -414,20 +414,34 @@ def section_derivative(nabla: VerticalConnection, a: int, s: np.ndarray) -> np.n
     return out
 
 
-def vertical_derivative(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray):
-    """Covariant derivative along a fiber vector field Z (2m direction
-    components); directions with a constant-zero component are skipped
-    before their section derivative is built."""
+def _direction_parts(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray) -> list:
+    """(Z[v], section derivative along fiber direction v) for each v with a
+    nonzero component; directions with a constant-zero component are
+    skipped before their section derivative is built."""
     m = nabla.m
-    parts = [
+    return [
         (Z[v], section_derivative(nabla, m + v, s))
         for v in range(2 * m)
         if not fields.is_zero(Z[v])
     ]
+
+
+def vertical_derivative(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray):
+    """Covariant derivative along a fiber vector field Z (2m direction
+    components)."""
+    m = nabla.m
+    parts = _direction_parts(nabla, Z, s)
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
         out[c] = fsum((1, z, d[c]) for z, d in parts)
     return out
+
+
+def _vertical_derivative_component(
+    nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray, c: int
+) -> ScalarField:
+    """Component c of ``vertical_derivative(nabla, Z, s)``, the same node."""
+    return fsum((1, z, d[c]) for z, d in _direction_parts(nabla, Z, s))
 
 
 def _coord_basis(m: int) -> list:
@@ -475,9 +489,9 @@ def pair_connection(
     return VerticalConnection(gamma, F.H, preserves=preserves)
 
 
-def _sigma_differential(F: DoubleField, c: np.ndarray) -> np.ndarray:
+def _sigma_differential(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
     """Covariant differential T[a, i, j] = (nabla_a sigma)_ij of sigma
-    under a y-block connection c[a, i, j]."""
+    under a y-block connection c[a, i, j]; F is the field or its pack."""
     m = F.m
     sigma = F.sigma
     T = fields.fzeros(3 * m, m, m)
@@ -493,9 +507,10 @@ def _sigma_differential(F: DoubleField, c: np.ndarray) -> np.ndarray:
     return T
 
 
-def _metricize(F: DoubleField, c: np.ndarray) -> np.ndarray:
+def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
     """Correct a y-block connection by half the sharped covariant
-    differential of sigma, which makes sigma parallel."""
+    differential of sigma, which makes sigma parallel; F is the field or
+    its pack."""
     m = F.m
     sinv = fields.finverse(F.sigma)
     T = _sigma_differential(F, c)
@@ -542,9 +557,15 @@ def metric_preservation_residual(
 
 @dataclass
 class DoublePack:
-    """Shared data of the connection ladder of a double field."""
+    """Shared data of the connection ladder of a double field.
 
-    F: DoubleField
+    It holds the field's bundle and components, not the field, so a
+    field that caches its ladder is freed by reference counting alone.
+    """
+
+    H: horizon.HorizontalBundle
+    sigma: np.ndarray
+    psi: np.ndarray
     vm: VerticalMetric
     G: np.ndarray
     Ginv: np.ndarray
@@ -552,6 +573,10 @@ class DoublePack:
     Binv: np.ndarray
     c0: np.ndarray
     D0: VerticalConnection
+
+    @property
+    def m(self) -> int:
+        return self.H.m
 
 
 def d0_connection(F: DoubleField) -> DoublePack:
@@ -585,22 +610,21 @@ def d0_connection(F: DoubleField) -> DoublePack:
     Ginv = fields.finverse(G)
     B, Binv = _iota_frame(F.sigma, F.psi, m)
     D0 = pair_connection(F, c0, c0, preserves=("U+", "U-"))
-    return DoublePack(F, vm, G, Ginv, B, Binv, c0, D0)
+    return DoublePack(F.H, F.sigma, F.psi, vm, G, Ginv, B, Binv, c0, D0)
 
 
 def dpm_connections(pack: DoublePack):
     """The psi-torsion pair: along y-directions each connection of the
     pair picks up half the sharped contraction of the leafwise exterior
     derivative of psi, with opposite signs; both preserve sigma."""
-    F = pack.F
-    m = F.m
-    sinv = fields.finverse(F.sigma)
+    m = pack.m
+    sinv = fields.finverse(pack.sigma)
     dpsi = fields.fzeros(m, m, m)
     for i, j, k in np.ndindex(m, m, m):
         dpsi[i, j, k] = (
-            F.psi[j, k].partial(m + i)
-            - F.psi[i, k].partial(m + j)
-            + F.psi[i, j].partial(m + k)
+            pack.psi[j, k].partial(m + i)
+            - pack.psi[i, k].partial(m + j)
+            + pack.psi[i, j].partial(m + k)
         )
     out = []
     for sign in (1.0, -1.0):
@@ -609,7 +633,7 @@ def dpm_connections(pack: DoublePack):
             for j, k in np.ndindex(m, m):
                 corr = fsum((1, sinv[k, b], dpsi[i, j, b]) for b in range(m))
                 c[m + i, j, k] = c[m + i, j, k] + (0.5 * sign) * corr
-        out.append(_metricize(F, c))
+        out.append(_metricize(pack, c))
     return out[0], out[1]
 
 
@@ -651,7 +675,7 @@ def metric_bracket(pack: DoublePack, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarr
 
 def vertical_gradient(pack: DoublePack, f: ScalarField) -> np.ndarray:
     """Sharped fiber differential of a scalar."""
-    m = pack.F.m
+    m = pack.m
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
         out[c] = fsum((1, pack.Ginv[c, b], f.partial(m + b)) for b in range(2 * m))
@@ -799,19 +823,40 @@ def scalar_curvature_in_basis(
     """Scalar curvature recomputed in the fiber basis whose columns are
     the (possibly point-dependent) combinations P of the coordinate
     frame; equality with the coordinate-frame value tests that the
-    deformed curvature is tensorial."""
+    deformed curvature is tensorial.
+
+    The Ricci trace reads only component a of the curvature applied to
+    (e_a, P_k, P_l), so only that component is built, as
+    ``deformed_curvature_apply`` builds it: the inner derivative
+    nabla_{P_k} P_l is shared by every a, and the deformed bracket of
+    (e_a, P_k) by every l.
+    """
     m = nabla.m
     P = np.asarray(P, dtype=object)
     for idx in np.ndindex(P.shape):
         P[idx] = fields.as_field(P[idx])
     basis = _coord_basis(m)
+    inner, bracket = {}, {}
+
+    def component(a, k, l):
+        if (k, l) not in inner:
+            inner[k, l] = vertical_derivative(nabla, P[:, k], P[:, l])
+        if (a, k) not in bracket:
+            bracket[a, k] = metric_bracket(pack, basis[a], P[:, k]) + wedge_product(
+                nabla, pack, basis[a], P[:, k]
+            )
+        first = _vertical_derivative_component(nabla, basis[a], inner[k, l], a)
+        second = _vertical_derivative_component(
+            nabla, P[:, k], vertical_derivative(nabla, basis[a], P[:, l]), a
+        )
+        third = _vertical_derivative_component(nabla, bracket[a, k], P[:, l], a)
+        return first - second - third
+
     Ric = fields.fzeros(2 * m, 2 * m)
     for q in range(2 * m):
         for s in range(q, 2 * m):
             Ric[q, s] = 0.5 * fsum(
-                (1, deformed_curvature_apply(nabla, pack, basis[a], P[:, k], P[:, l])[a])
-                for a in range(2 * m)
-                for k, l in ((q, s), (s, q))
+                (1, component(a, k, l)) for a in range(2 * m) for k, l in ((q, s), (s, q))
             )
             Ric[s, q] = Ric[q, s]
     Gt = fields.fmatmul(fields.fmatmul(fields.ftranspose(P), pack.G), P)

@@ -52,9 +52,27 @@ memory, not by Python's recursion limit.  The loop serves two callers:
   so a run holds only the jets still to be read, and it stores nothing
   on the point.
 
-Both run the same operations on the same operands in the same order, so
-their jets agree bit for bit.  A ``JetDomainError`` raised by a run gets
-the chart point of its first bad sample attached.
+The memo path evaluates every jet in all 3m chart variables.  A tape
+evaluates each key of order >= 1 only in the variables its readers
+differentiate along, its demand D: a ``Partial`` along v read along D
+reads its parent along D and v, every other node reads its operands
+along its own D, a key read by several readers gets the union, and the
+roots (and every order-0 key) keep all 3m.  The jet over D is the
+full-space jet restricted to the terms in D's variables, bit for bit: a
+coefficient in those variables sums the same products of coefficients
+in those variables, and restricting the term order (by degree, then
+lexicographic) to a subset of the variables keeps it as a subsequence,
+so the products come in the same order (``multiindex``).  An operand
+over more variables than its reader is restricted by one row gather; a
+``Partial`` reads its parent's rows through a table between the two
+spaces; a ``Coord`` whose variable is outside D is a constant.  The
+demand is not intersected with a node's ``support``: a product of jets
+over unequal variables would drop exact zeros, which can flip the sign
+of a zero coefficient.
+
+Both paths therefore return the same jets, bit for bit and in the same
+space.  A ``JetDomainError`` raised by a run gets the chart point of its
+first bad sample attached.
 """
 
 from __future__ import annotations
@@ -62,11 +80,10 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from itertools import repeat
-
 import numpy as np
 
 from .jets import Jet, JetDomainError, jet_space
+from .multiindex import partial_rows, restriction
 from .points import ChartPoint
 
 _NO_VARS = frozenset()
@@ -476,66 +493,92 @@ def fdet(mat: np.ndarray) -> ScalarField:
 
 
 # -- evaluation -------------------------------------------------------------
-_DONE = object()  # pushed above a key, so it is popped once the key's operands are done
+_DONE = object()  # pushed above an entry, so it is popped once the entry's operands are done
 
 
-def _compile(keys, memo) -> list:
-    """The (node, order) keys at and below ``keys`` that ``memo`` lacks,
-    each after its operands.
+def _compile(keys, memo):
+    """Yield entries ``(key, reads, plan, free)`` for the (node, order) keys
+    at and below ``keys`` that ``memo`` lacks, each after its operands.
 
-    The order is the one in which a depth-first evaluation of the keys in
-    turn, each node reading its operands in turn, completes them; the
-    first domain error a run raises is therefore the one that evaluation
-    would raise.  The walk keeps its own stack, so graph height is bounded
-    by memory only.
+    The consumer must add each yielded key to ``memo`` before it asks for
+    the next entry: the walk skips the keys ``memo`` holds, and graphs
+    are acyclic, so no key is yielded twice.  ``reads`` are the keys of
+    the operands, ``plan`` is None (every jet in the full space) and
+    ``free`` is empty.  The order is the one in which a depth-first
+    evaluation of the keys in turn, each node reading its operands in
+    turn, completes them; the first domain error a run raises is
+    therefore the one that evaluation would raise.  The walk keeps its
+    own stack, so graph height is bounded by memory only, and a run that
+    consumes it as it goes holds no list of entries.
     """
-    done, seen = [], set()
     stack = list(reversed(keys))
     push, pop = stack.append, stack.pop
     while stack:
         key = pop()
         if key is _DONE:
-            done.append(pop())
-        elif key not in seen and key not in memo:
-            seen.add(key)
-            push(key)
+            yield pop()
+        elif key not in memo:
+            reads = key[0]._operands(key[1])
+            push((key, reads, None, ()))
             push(_DONE)
-            stack.extend(reversed(key[0]._operands(key[1])))
-    return done
+            stack.extend(reversed(reads))
+
+
+class _Restriction:
+    """The node of a tape entry that restricts an operand's jet to the
+    fewer variables of its reader."""
+
+    __slots__ = ()
 
 
 _BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _run(entries, vals: dict, p: ChartPoint):
-    """Evaluate ``(key, free)`` entries in order at ``p``.
+    """Evaluate ``(key, reads, plan, free)`` entries in order at ``p``.
 
-    Each entry reads its operands' jets from ``vals``, stores its own jet
-    there under ``key`` and then deletes the keys named in ``free``.  A
-    ``JetDomainError`` gets the chart point of its first bad sample.
+    Each entry reads its operands' jets from ``vals`` under the keys in
+    ``reads``, stores its own jet there under ``key`` and then deletes the
+    keys named in ``free``.  A ``plan`` of None evaluates in the full
+    space of the chart; a tape's plan names the entry's smaller space and
+    the table it reads its operand through.  A ``JetDomainError`` gets the
+    chart point of its first bad sample.
     """
     try:
-        for key, free in entries:
+        for key, reads, plan, free in entries:
             node, order = key
             kind = type(node)
             if kind is Bin:
-                jet = _BIN_OPS[node.op](vals[node.a, order], vals[node.b, order])
+                a, b = reads
+                jet = _BIN_OPS[node.op](vals[a], vals[b])
             elif kind is Partial:
-                jet = vals[node.parent, order + 1].partial(node.var)
+                if plan is None:
+                    jet = vals[reads[0]].partial(node.var)
+                else:
+                    space, rows, factor = plan
+                    jet = Jet(space, vals[reads[0]].c[rows] * factor)
             elif kind is Pow:
-                jet = vals[node.base, order] ** node.n
+                jet = vals[reads[0]] ** node.n
             elif kind is Func:
-                jet = getattr(vals[node.arg, order], node.name)()
+                jet = getattr(vals[reads[0]], node.name)()
             elif kind is _MatInvEntry:
-                jet = vals[node.owner, order][node.i][node.j]
+                jet = vals[reads[0]][node.i][node.j]
+            elif kind is _Restriction:
+                space, rows = plan
+                jet = Jet(space, vals[reads[0]].c[rows])
             elif kind is Const:
-                jet = Jet.constant(jet_space(3 * p.m, order), node.v, p.npoints)
+                jet = Jet.constant(plan or jet_space(3 * p.m, order), node.v, p.npoints)
             elif kind is Coord:
-                space = jet_space(3 * p.m, order)
-                jet = Jet.variable(space, node.var, np.atleast_1d(p.coord(node.var)))
+                value = np.atleast_1d(p.coord(node.var))
+                space, at = plan or (jet_space(3 * p.m, order), node.var)
+                if at is None:  # the reader does not differentiate along it
+                    jet = Jet.constant(space, value, p.npoints)
+                else:
+                    jet = Jet.variable(space, at, value)
             else:  # _MatrixInverse: every entry of the inverse at once
-                A = [[vals[f, order] for f in row] for row in node.rows]
-                jet = _jet_inverse(A, jet_space(3 * p.m, order), p.npoints)
+                n = node.n
+                A = [[vals[r] for r in reads[i * n : (i + 1) * n]] for i in range(n)]
+                jet = _jet_inverse(A, A[0][0].space, p.npoints)
             vals[key] = jet
             for dead in free:
                 del vals[dead]
@@ -549,35 +592,120 @@ def _memo_jets(keys, p: ChartPoint) -> list:
     """The jets of ``keys`` at ``p``, evaluating only what the point's
     memo lacks and keeping every result in it."""
     memo = p._cache
-    _run(zip(_compile(keys, memo), repeat(())), memo, p)
+    _run(_compile(keys, memo), memo, p)
     return [memo[key] for key in keys]
+
+
+def _demand(entries, demand: dict) -> dict:
+    """Extend ``demand``, the chart variables the roots are differentiated
+    along, to every key of order >= 1 below them: a ``Partial`` along
+    ``v`` read along D reads its parent along D and ``v``; every other
+    node reads its operands along its own D.  A key read by several
+    readers gets the union.  Order-0 keys are read along nothing."""
+    for key, reads, _, _ in reversed(entries):
+        want = demand.get(key, _NO_VARS)
+        if type(key[0]) is Partial:
+            want = want | {key[0].var}
+        for r in reads:
+            if r[1]:
+                demand[r] = _union(demand[r], want) if r in demand else want
+    return demand
+
+
+def _tape_entries(keys, m: int) -> list:
+    """The entries of a tape for ``keys`` at points of dimension ``m``.
+
+    A key of order >= 1 is evaluated over the variables ``_demand`` gives
+    it, the roots and every order-0 key over all 3m.  A ``Partial`` reads
+    its parent through ``multiindex.partial_rows``; a ``Coord`` is a
+    constant where its variable is not read; an operand over more
+    variables than its reader is restricted once per set of variables, by
+    an entry placed before its first reader.  Each entry frees the jets
+    it was the last to read.
+    """
+    full = tuple(range(3 * m))
+    compiled = {}
+    for entry in _compile(keys, compiled):
+        compiled[entry[0]] = entry
+    demand = _demand(list(compiled.values()), {key: frozenset(full) for key in keys if key[1]})
+    sorted_vars = {frozenset(full): full}  # demand -> its sorted tuple, one object per set
+    over = {}  # key -> the sorted variables its jet is over
+    restricted = {}  # (key, variables) -> the key of that restriction
+    entries = []
+
+    def read(r, own):
+        if over[r] is own:
+            return r
+        rkey = restricted.get((r, own))
+        if rkey is None:
+            rkey = restricted[r, own] = (_Restriction(), r[1])
+            plan = (jet_space(len(own), r[1]), restriction(over[r], own, r[1]))
+            entries.append([rkey, (r,), plan, ()])
+        return rkey
+
+    for key, reads, _, _ in compiled.values():
+        node, order = key
+        kind = type(node)
+        own = full
+        if order:
+            d = demand[key]
+            own = sorted_vars.get(d) or sorted_vars.setdefault(d, tuple(sorted(d)))
+        plan = None
+        if kind is Partial:
+            space = jet_space(len(own), order)
+            plan = (space, *partial_rows(over[reads[0]], own, order, node.var))
+        elif kind is Const:
+            plan = jet_space(len(own), order)
+        elif kind is Coord:
+            at = own.index(node.var) if node.var in own else None
+            plan = (jet_space(len(own), order), at)
+        elif kind is _MatInvEntry:
+            own = over[reads[0]]  # the owner's space holds the whole inverse
+        else:
+            for r in reads:
+                if over[r] is not own:
+                    reads = tuple(read(r, own) for r in reads)
+                    break
+        over[key] = own
+        entries.append([key, reads, plan, ()])
+    later = set(keys)  # keys read after the entry at hand; roots outlive the run
+    for entry in reversed(entries):
+        dead = [r for r in entry[1] if r not in later]
+        if dead:
+            later.update(dead)
+            entry[3] = tuple(dict.fromkeys(dead))
+    return entries
 
 
 class Tape(metaclass=_Interned):
     """The evaluation of ``roots`` at ``order``, for points used once.
 
-    Compiled once, it runs at any number of points.  Each entry frees
-    the jets it was the last to read, so a run holds only the jets still
-    to be read, and nothing is stored on the point.  Interned by roots
-    and order like the nodes: while one caller holds a tape, building it
-    again returns that tape instead of compiling another.
+    Compiled once per point dimension m, at its first run there, it runs
+    at any number of points.  Each (node, order) key with order >= 1 is
+    evaluated over the chart variables its readers differentiate along
+    (``_demand``), not all 3m; each entry frees the jets it was the last
+    to read, so a run holds only the jets still to be read, and nothing
+    is stored on the point.  The roots' jets equal the memo path's bit
+    for bit.  Interned by roots and order like the nodes: while one
+    caller holds a tape, building it again returns that tape instead of
+    compiling another.
     """
 
-    __slots__ = ("keys", "entries", "__weakref__")
+    __slots__ = ("keys", "_entries", "__weakref__")
 
     def __init__(self, roots: tuple, order: int):
         self.keys = [(f, order) for f in roots]
-        done = _compile(self.keys, {})
-        last = {arg: k for k, key in enumerate(done) for arg in key[0]._operands(key[1])}
-        for key in self.keys:
-            last.pop(key, None)  # roots outlive the run
-        free = [[] for _ in done]
-        for arg, k in last.items():
-            free[k].append(arg)
-        self.entries = list(zip(done, map(tuple, free)))
+        self._entries = {}
+
+    def entries(self, m: int) -> list:
+        """The run's entries at points of dimension ``m``."""
+        entries = self._entries.get(m)
+        if entries is None:
+            entries = self._entries[m] = _tape_entries(self.keys, m)
+        return entries
 
     def run(self, p: ChartPoint) -> list:
         """The roots' jets at ``p``."""
         vals = {}
-        _run(self.entries, vals, p)
+        _run(self.entries(p.m), vals, p)
         return [vals[key] for key in self.keys]

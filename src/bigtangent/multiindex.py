@@ -5,6 +5,26 @@ coefficient per multi-index of degree <= order.  Everything here is
 precomputed once per (n, order) pair and cached: the term list, the
 index lookup, the sparse multiplication table, its layered form used by
 the jet product, and the tables used to read off partial derivatives.
+
+A jet need not carry every chart variable.  A jet "over" a sorted tuple
+of chart variables ``vars`` lives in ``jet_space(len(vars), order)``, its
+i-th variable standing for chart variable ``vars[i]``.  Terms are sorted
+by degree and then lexicographically, and the terms of a jet over a
+subset ``dst`` of ``src`` are the terms of the jet over ``src`` that
+involve only ``dst``, in the same relative order.  Two tables connect
+such jets, each built once per (source variables, target variables,
+order) and cached:
+
+- ``restriction(src, dst, order)``: the rows of a jet over ``src`` that
+  form the same jet over ``dst``;
+- ``partial_rows(src, dst, order, var)``: the rows and factors that read
+  the derivative along ``var`` of a jet over ``src`` at ``order + 1`` as
+  a jet over ``dst`` at ``order``.
+
+A product, sum or analytic function of restricted jets is the
+restriction of the full result, bit for bit: a coefficient in ``dst``
+only is the sum of the products of coefficients in ``dst`` only, and
+those products come in the same order in both spaces.
 """
 
 from __future__ import annotations
@@ -21,7 +41,7 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     """All exponent tuples of length n with total degree <= order.
 
     Sorted by (degree, lexicographic) so index 0 is always the constant
-    term and the n linear terms follow in variable order.
+    term and the n linear terms follow, the last variable first.
     """
     out = []
     for deg in range(order + 1):
@@ -158,3 +178,45 @@ def _as_slice(idx: np.ndarray) -> Index:
 @lru_cache(maxsize=None)
 def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
+
+
+# -- tables between jets over different chart variables --------------------
+def _terms_over(src: tuple, dst: tuple, order: int) -> np.ndarray:
+    """The exponents of the terms of a jet over ``dst``, as rows over ``src``.
+
+    A variable of ``dst`` outside ``src`` may only carry exponent 0, so a
+    jet over any variables at order 0 reads the constant term.
+    """
+    terms = np.array(jet_space(len(dst), order).terms, dtype=np.int64)
+    out = np.zeros((len(terms), len(src)), dtype=np.int64)
+    at = {v: i for i, v in enumerate(src)}
+    for j, v in enumerate(dst):
+        if v in at:
+            out[:, at[v]] = terms[:, j]
+        elif terms[:, j].any():
+            raise ValueError(f"variable {v} is not among {src}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def restriction(src: tuple, dst: tuple, order: int) -> Index:
+    """Rows of a jet over ``src`` that form the jet over ``dst`` (a subset
+    of ``src``), in its term order; a slice when they are consecutive."""
+    space = jet_space(len(src), order)
+    return _as_slice(space._lookup(space._encode(_terms_over(src, dst, order))))
+
+
+@lru_cache(maxsize=None)
+def partial_rows(src: tuple, dst: tuple, order: int, var: int) -> tuple[Index, np.ndarray]:
+    """(rows, factor): the derivative along chart variable ``var`` of a jet
+    over ``src`` at ``order + 1``, as a jet over ``dst`` at ``order``, is
+    ``factor * c[rows]``; ``factor`` is a column, to broadcast over points.
+
+    Over ``src == dst`` this is ``partial_table`` of the higher space.
+    """
+    up = _terms_over(src, dst, order)
+    col = src.index(var)
+    up[:, col] += 1
+    space = jet_space(len(src), order + 1)
+    rows = _as_slice(space._lookup(space._encode(up)))
+    return rows, up[:, col, None].astype(np.float64)

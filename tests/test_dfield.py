@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,19 @@ def test_verify_double_field_sigma_curved():
     rep = dfield.verify_double_field(_curved_field(2), n=5)
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-8
+
+
+def test_verified_field_is_freed_without_the_cycle_collector():
+    # the field caches its ladder, whose pack must not point back at it
+    F = dfield.DoubleField(horizon.flat_bundle(1), [["1 + y1^2"]], density="x1*z1")
+    dfield.verify_double_field(F)
+    ref = weakref.ref(F)
+    gc.disable()
+    try:
+        del F
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_double_field_sigma_psi_curved():

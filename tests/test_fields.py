@@ -444,12 +444,34 @@ def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
 
     held = Held()
     p = ChartPoint(*np.split(pts, 3))
-    fields._run(tape.entries, held, p)
-    assert len(tape.entries) > 20000
-    assert held.peak <= 0.05 * len(tape.entries), (held.peak, len(tape.entries))
+    entries = tape.entries(p.m)
+    fields._run(entries, held, p)
+    assert len(entries) > 20000
+    assert held.peak <= 0.05 * len(entries), (held.peak, len(entries))
     assert set(held) == set(tape.keys)  # only the roots outlive the run
     assert p._cache == {}  # nothing is stored on the point
     assert dfield._integrand_tape(F, rho) is tape  # interned while held
+
+
+def test_integrand_tape_reads_fewer_coefficient_rows(kitchen_sink_integrand):
+    # keys of order >= 1 carry only the variables their readers
+    # differentiate along; rows are counted over every jet an entry
+    # stores, restrictions included, against the same keys in the full space
+    F, rho, tape, pts = kitchen_sink_integrand
+
+    class Rows(dict):
+        count = 0
+
+        def __setitem__(self, key, jet):
+            super().__setitem__(key, jet)
+            jets = [j for row in jet for j in row] if isinstance(jet, list) else [jet]
+            self.count += sum(j.c.shape[0] for j in jets)
+
+    p = ChartPoint(*np.split(pts[:, :4], 3))
+    restricted, whole = Rows(), Rows()
+    fields._run(tape.entries(p.m), restricted, p)
+    fields._run(fields._compile(tape.keys, whole), whole, p)  # the memo path
+    assert restricted.count <= 0.8 * whole.count, (restricted.count, whole.count)
 
 
 def test_action_compiles_the_integrand_tape_once(monkeypatch):

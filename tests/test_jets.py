@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bigtangent.fields import _jet_inverse
 from bigtangent.jets import Jet, JetDomainError, jet_space
-from bigtangent.multiindex import JetSpace, multi_indices
+from bigtangent.multiindex import JetSpace, multi_indices, partial_rows, restriction
 
 
 def test_multi_index_count():
@@ -183,3 +184,98 @@ def test_vectorised_tables_match_loop_reference(nvars, order):
         got_src, got_fac = sp.partial_table(var)
         assert np.array_equal(got_src, src)
         assert np.array_equal(got_fac, np.array(fac, dtype=float))
+
+
+# -- jets over a subset of the chart variables ------------------------------
+def _holey(rng, shape):
+    """Random coefficients with 30% of them +0.0 or -0.0."""
+    arr = rng.standard_normal(shape)
+    hole = rng.random(shape) < 0.3
+    arr[hole] = rng.choice([0.0, -0.0], size=int(hole.sum()))
+    return arr
+
+
+def _subset(rng, variables):
+    """A random nonempty sorted subset of ``variables``."""
+    k = int(rng.integers(1, len(variables) + 1))
+    return tuple(sorted(int(v) for v in rng.choice(variables, size=k, replace=False)))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_restricted_arithmetic_is_the_restricted_full_result_bit_for_bit():
+    # products, sums, the _compose functions and the Newton inverse of jets
+    # over a subset of the variables equal the full-space results on the
+    # subset's rows
+    rng = np.random.default_rng(13)
+    for _ in range(24):
+        n, order = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        full = tuple(range(n))
+        sub = _subset(rng, full)
+        big, small = jet_space(n, order), jet_space(len(sub), order)
+        rows = restriction(full, sub, order)
+
+        def cut(jet):
+            return Jet(small, jet.c[rows])
+
+        for width in (1, 7, 64):
+            a, b = (Jet(big, _holey(rng, (big.nterms, width))) for _ in range(2))
+            pos = Jet(big, a.c.copy())
+            pos.c[0] = np.abs(pos.c[0]) + 0.5  # inside every function's domain
+            pairs = [(a * b, cut(a) * cut(b)), (a + b, cut(a) + cut(b)), (a - b, cut(a) - cut(b))]
+            for name in ("reciprocal", "exp", "log", "sqrt", "sin", "cos"):
+                pairs.append((getattr(pos, name)(), getattr(cut(pos), name)()))
+            k = 3
+            A = [[Jet(big, _holey(rng, (big.nterms, width))) for _ in range(k)] for _ in range(k)]
+            for i in range(k):
+                A[i][i].c[0] = np.abs(A[i][i].c[0]) + 4.0  # diagonally dominant
+            inv = _jet_inverse(A, big, width)
+            inv_small = _jet_inverse([[cut(f) for f in row] for row in A], small, width)
+            pairs += [(inv[i][j], inv_small[i][j]) for i in range(k) for j in range(k)]
+            for whole, part in pairs:
+                assert part.space is small
+                _assert_same_bits(part.c, whole.c[rows])
+
+
+def test_restriction_and_partial_tables_between_subsets():
+    # tables between two subsets compose with the tables from the full
+    # space, and a partial read through partial_rows is the full partial
+    # restricted; order 0 reads the constant term from any variables
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n, order = int(rng.integers(1, 10)), int(rng.integers(0, 4))
+        full = tuple(range(n))
+        src = _subset(rng, full)
+        var = src[int(rng.integers(len(src)))]
+        dst = _subset(rng, src) if order else full
+        dst = tuple(sorted(set(dst) | {var})) if order else dst
+        up = jet_space(n, order + 1)
+        c = _holey(rng, (up.nterms, 5))
+        jet = Jet(up, c)
+        c_src = c[restriction(full, src, order + 1)]
+        whole = jet.partial(var).c
+        rows, factor = partial_rows(src, dst, order, var)
+        assert factor.shape == (jet_space(len(dst), order).nterms, 1)
+        _assert_same_bits(c_src[rows] * factor, whole[restriction(full, dst, order)] if order else whole)
+        if order:
+            inner = _subset(rng, dst)
+            _assert_same_bits(
+                c[restriction(full, dst, order)][restriction(dst, inner, order)],
+                c[restriction(full, inner, order)],
+            )
+        table_rows, table_factor = up.partial_table(var)
+        rows, factor = partial_rows(full, full, order, var)
+        _assert_same_bits(c[rows] * factor, c[table_rows] * table_factor[:, None])
+
+
+def test_restriction_rows_are_a_slice_when_consecutive():
+    # linear terms come last variable first, so the first-order terms of
+    # the last variables are the first rows
+    assert restriction((0, 1, 2, 3, 4, 5), (2, 3, 4, 5), 1) == slice(0, 5)
+    assert list(restriction((0, 1, 2, 3, 4, 5), (1, 3), 1)) == [0, 3, 5]
+    with pytest.raises(ValueError):
+        restriction((0, 2), (0, 1), 1)

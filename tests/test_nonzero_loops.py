@@ -186,6 +186,25 @@ def dense_courant_nijenhuis_residual(pack, endo, p):
     return worst
 
 
+def dense_scalar_curvature_in_basis(nabla, pack, P):
+    """The construction that applies the whole deformed curvature for
+    each component it reads."""
+    m = nabla.m
+    basis = dfield._coord_basis(m)
+    Ric = fields.fzeros(2 * m, 2 * m)
+    for q in range(2 * m):
+        for s in range(q, 2 * m):
+            Ric[q, s] = 0.5 * fsum(
+                (1, dfield.deformed_curvature_apply(nabla, pack, basis[a], P[:, k], P[:, l])[a])
+                for a in range(2 * m)
+                for k, l in ((q, s), (s, q))
+            )
+            Ric[s, q] = Ric[q, s]
+    Gt = fields.fmatmul(fields.fmatmul(fields.ftranspose(P), pack.G), P)
+    Gtinv = fields.finverse(Gt)
+    return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
+
+
 # -- the rewritten loops against them ----------------------------------------
 def test_section_derivative_matches_the_dense_loop(ladder):
     F, (Dbar, Dtilde, pack), *_ = ladder
@@ -291,3 +310,17 @@ def test_section_derivative_is_memoised_read_only(monkeypatch):
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = fields.ONE
+
+
+def test_scalar_curvature_in_basis_matches_the_dense_construction(ladder):
+    # the basis of verify_double_field: a seeded mix of the coordinate
+    # frame with a y1-dependent part
+    F, (Dbar, _, pack), *_ = ladder
+    m = F.m
+    mix = np.random.default_rng(1).normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
+    y1 = fields.field("y1", m)
+    P = fields.fzeros(2 * m, 2 * m)
+    for a, b in np.ndindex(2 * m, 2 * m):
+        P[a, b] = fields.as_field(mix[a, b]) + (0.1 * ((a + b) % 3)) * y1
+    rho2 = dfield.scalar_curvature_in_basis(Dbar, pack, P)
+    assert rho2 is dense_scalar_curvature_in_basis(Dbar, pack, P)
