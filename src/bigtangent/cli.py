@@ -242,6 +242,20 @@ def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:
 
 
 # -- entry point -----------------------------------------------------------
+def _in_range(key: str, convert):
+    """An argparse type: ``convert``, then the scene file's range for ``key``."""
+
+    def parse(text):
+        value = convert(text)
+        err = scene_mod.option_error(key, value)
+        if err:
+            raise argparse.ArgumentTypeError(err)
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _emit(payload: dict, json_path: str | None):
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     sys.stdout.write(text)
@@ -260,9 +274,9 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run verification suites on a scene")
     p_check.add_argument("scene")
     p_check.add_argument("--suite", action="append", default=None)
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--samples", type=int, default=None)
-    p_check.add_argument("--tol", type=float, default=None)
+    p_check.add_argument("--seed", type=_in_range("seed", int), default=None)
+    p_check.add_argument("--samples", type=_in_range("samples", int), default=None)
+    p_check.add_argument("--tol", type=_in_range("tol", float), default=None)
     p_check.add_argument("--json", dest="json_path", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a named object at a point")

@@ -909,7 +909,11 @@ def action(
     Jacobian against the chart coordinates, so plain chart quadrature
     applies.  method "mc" gives a seeded Monte Carlo estimate with its
     standard error; "gauss" a tensor Gauss-Legendre value with the
-    difference from the next-lower order as the error estimate.
+    difference from the next-lower order as the error estimate.  The
+    Gauss rule evaluates the integrand (order-1)^|S| + order^|S| times,
+    where S is the set of chart variables the integrand reads (the union
+    of its fields' ``support``): full-grid points that agree on S share
+    one value.
     """
     m = F.m
     n = 3 * m
@@ -924,6 +928,8 @@ def action(
     volume = float(np.prod([hi - lo for lo, hi in box]))
 
     if method == "mc":
+        if samples < 2:  # the standard error divides by samples - 1
+            raise ValueError(f"Monte Carlo needs samples >= 2, got {samples}")
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in box])[:, None]
         hi = np.array([b[1] for b in box])[:, None]
@@ -939,6 +945,10 @@ def action(
         return ActionResult(est, se, "mc", samples, box, seed=seed)
 
     if method == "gauss":
+        # the integrand is evaluated on the sub-grid over S, its other
+        # coordinates at their first node, so each evaluated point is a grid
+        # point; every full-grid point then takes the value at its projection
+        S = set().union(*(f.support for f, _ in F.integrand_tape.keys))
         results = []
         for deg in (max(order - 1, 1), order):
             nodes, weights = [], []
@@ -946,16 +956,21 @@ def action(
                 xg, wg = np.polynomial.legendre.leggauss(deg)
                 nodes.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
                 weights.append(0.5 * (hi - lo) * wg)
-            grids = np.meshgrid(*nodes, indexing="ij")
+            grids = np.meshgrid(
+                *(x if k in S else x[:1] for k, x in enumerate(nodes)), indexing="ij"
+            )
             pts = np.stack([g.reshape(-1) for g in grids])
+            vals = np.empty(pts.shape[1])
+            for start in range(0, pts.shape[1], chunk):
+                sl = slice(start, start + chunk)
+                vals[sl] = _integrand_values(F, rho, pts[:, sl])
+            vals = np.broadcast_to(vals.reshape(grids[0].shape), (deg,) * n).reshape(-1)
             wgrid = np.meshgrid(*weights, indexing="ij")
             w = np.prod(np.stack([g.reshape(-1) for g in wgrid]), axis=0)
             total = 0.0
-            for start in range(0, pts.shape[1], chunk):
+            for start in range(0, w.size, chunk):
                 sl = slice(start, start + chunk)
-                total += float(
-                    np.sum(w[sl] * _integrand_values(F, rho, pts[:, sl]))
-                )
+                total += float(np.sum(w[sl] * vals[sl]))
             results.append(total)
         return ActionResult(
             results[1], abs(results[1] - results[0]), "gauss", order, box

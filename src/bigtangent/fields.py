@@ -77,6 +77,7 @@ first bad sample attached.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import weakref
@@ -701,7 +702,15 @@ class Tape(metaclass=_Interned):
         """The run's entries at points of dimension ``m``."""
         entries = self._entries.get(m)
         if entries is None:
-            entries = self._entries[m] = _tape_entries(self.keys, m)
+            # compiling allocates ~100k tuples and lists, which would set
+            # off full cycle collections over the live graph's nodes
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                entries = self._entries[m] = _tape_entries(self.keys, m)
+            finally:
+                if enabled:
+                    gc.enable()
         return entries
 
     def run(self, p: ChartPoint) -> list:

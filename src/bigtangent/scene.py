@@ -16,6 +16,7 @@ SceneFile is ready for the verification suites.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,6 +33,22 @@ _SCENE_KEYS = {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "pe
 
 class SceneError(ValueError):
     """Unparsable or inconsistent scene file; message carries the location."""
+
+
+# The least value each count option may take: every suite needs a sample
+# point, and the Monte Carlo standard error divides by mc_samples - 1.
+_LEAST = {"seed": 0, "samples": 1, "mc_samples": 2}
+
+
+def option_error(key: str, value) -> str | None:
+    """Why ``value`` is out of range for ``key``, one of the counts in
+    ``_LEAST`` or a tolerance; None when it is in range."""
+    if key in _LEAST:
+        if value < _LEAST[key]:
+            return f"must be >= {_LEAST[key]}, got {value}"
+    elif not (math.isfinite(value) and value > 0):
+        return f"must be finite and > 0, got {value}"
+    return None
 
 
 # What building a scene object raises for bad input: parse, dependency,
@@ -110,9 +127,12 @@ def _load_scalar_options(cfg, path, sc):
         ("perturb_s", cfg.getfloat),
     ):
         try:
-            setattr(sc, key, get(sec, key, fallback=getattr(sc, key)))
+            value = get(sec, key, fallback=getattr(sc, key))
         except ValueError as exc:
             _fail(path, sec, f"{key}: {exc}")
+        if key != "perturb_s" and (err := option_error(key, value)):
+            _fail(path, sec, f"{key}: {err}")
+        setattr(sc, key, value)
     if cfg.has_option(sec, "suites"):
         names = cfg.get(sec, "suites").replace(",", " ").split()
         for name in names:
@@ -227,9 +247,12 @@ def load_scene(path: str) -> SceneFile:
             if key not in SUITE_NAMES:
                 _fail(path, "tolerances", f"unknown suite {key!r}")
             try:
-                sc.tol_overrides[key] = cfg.getfloat("tolerances", key)
+                tol = cfg.getfloat("tolerances", key)
             except ValueError as exc:
-                _fail(path, "tolerances", str(exc))
+                _fail(path, "tolerances", f"{key}: {exc}")
+            if err := option_error("tol", tol):
+                _fail(path, "tolerances", f"{key}: {err}")
+            sc.tol_overrides[key] = tol
 
     if cfg.has_section("base_metric"):
         rows = _rows(cfg, path, "base_metric", "row", m)

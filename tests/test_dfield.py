@@ -1,11 +1,15 @@
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bigtangent import dfield, fields, horizon, metrics
+from bigtangent import dfield, fields, horizon, metrics, scene
+from bigtangent.jets import JetDomainError
 from bigtangent.points import sample_box
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def _curved_field(m=2, psi=False, H=None):
@@ -328,6 +332,106 @@ def test_action_mc_is_seeded_and_matches_gauss():
     assert r1.value == r1b.value
     rg = dfield.action(F, method="gauss", order=4)
     assert abs(r1.value - rg.value) < 4.0 * r1.error + abs(rg.error)
+
+
+def _full_grid_gauss(F, box, order, chunk=1024):
+    """The tensor Gauss rule with the integrand evaluated at every point
+    of both full grids: the reference that ``dfield.action``, which
+    evaluates it on the sub-grid of the variables it reads, must match
+    bit for bit."""
+    rho = F.integrand_tape.keys[0][0]
+    results = []
+    for deg in (max(order - 1, 1), order):
+        nodes, weights = [], []
+        for lo, hi in box:
+            xg, wg = np.polynomial.legendre.leggauss(deg)
+            nodes.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
+            weights.append(0.5 * (hi - lo) * wg)
+        grids = np.meshgrid(*nodes, indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids])
+        wgrid = np.meshgrid(*weights, indexing="ij")
+        w = np.prod(np.stack([g.reshape(-1) for g in wgrid]), axis=0)
+        total = 0.0
+        for start in range(0, pts.shape[1], chunk):
+            sl = slice(start, start + chunk)
+            total += float(np.sum(w[sl] * dfield._integrand_values(F, rho, pts[:, sl])))
+        results.append(total)
+    return results[1], abs(results[1] - results[0])
+
+
+def _integrand_reads(F):
+    """S: the chart variables the integrand's fields read."""
+    return set().union(*(f.support for f, _ in F.integrand_tape.keys))
+
+
+_GAUSS_FIELDS = {
+    "kitchen-sink": lambda: scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field,
+    # the integrand reads all 3m = 6 variables: the sub-grid is the full grid
+    "all variables": lambda: dfield.DoubleField(
+        horizon.flat_bundle(2),
+        [["2 + sin(y2)", "0"], ["0", "3/2 + cos(y1)"]],
+        density="(1/5)*log(2 + x2) + (1/10)*x1*z1*z2",
+    ),
+    # constant sigma and density: one sub-grid point per rule
+    "empty support": lambda: dfield.DoubleField(
+        horizon.flat_bundle(2), [["2", "1/2"], ["1/2", "1"]], density="1/4"
+    ),
+    "sin, cos, log": lambda: dfield.DoubleField(
+        horizon.flat_bundle(2),
+        [["2 + sin(y2)", "0"], ["0", "3/2 + cos(y1)"]],
+        density="(1/5)*log(2 + x2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GAUSS_FIELDS))
+def test_action_gauss_matches_the_full_grid_bit_for_bit(name, monkeypatch):
+    F = _GAUSS_FIELDS[name]()
+    n = 3 * F.m
+    box = ((-1.0, 1.0),) * n
+    k = len(_integrand_reads(F))
+    assert k == {"kitchen-sink": 5, "all variables": n, "empty support": 0, "sin, cos, log": 3}[name]
+    widths = []
+    values = dfield._integrand_values
+
+    def counted(F, rho, pts):
+        widths.append(pts.shape[1])
+        return values(F, rho, pts)
+
+    for order in (3, 4):
+        want = _full_grid_gauss(F, box, order)
+        monkeypatch.setattr(dfield, "_integrand_values", counted)
+        widths.clear()
+        r = dfield.action(F, method="gauss", order=order)
+        monkeypatch.setattr(dfield, "_integrand_values", values)
+        assert (r.value.hex(), r.error.hex()) == (want[0].hex(), want[1].hex())
+        assert sum(widths) == (order - 1) ** k + order**k
+        assert max(widths) <= 1024
+    if name == "kitchen-sink":
+        assert widths == [243, 1024]
+    if name in ("all variables", "sin, cos, log"):
+        assert r.value != 0.0
+
+
+def test_action_gauss_domain_error_names_a_bad_node():
+    # log(x1 + 3/2) is defined on [-1, 1] but not at the lowest Gauss nodes
+    # of [-2, 1]; the error names the first full-grid point where it fails
+    F = dfield.DoubleField(horizon.flat_bundle(2), [["1", "0"], ["0", "1"]], density="log(x1 + 3/2)")
+    box = ((-2.0, 1.0),) + ((-1.0, 1.0),) * 5
+    with pytest.raises(JetDomainError) as full:
+        _full_grid_gauss(F, box, 4)
+    with pytest.raises(JetDomainError) as sub:
+        dfield.action(F, box=box, method="gauss", order=4)
+    assert str(sub.value) == str(full.value)
+    x1 = float(sub.value.point.split("=")[1].split(",")[0])
+    assert x1 + 1.5 <= 0.0
+
+
+def test_action_mc_needs_two_samples():
+    F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="samples >= 2"):
+            dfield.action(F, method="mc", samples=samples)
 
 
 def test_field_from_riemannian_matches_sasaki_vertical_part():

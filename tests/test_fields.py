@@ -493,6 +493,31 @@ def test_action_compiles_the_integrand_tape_once(monkeypatch):
     assert len(tapes) == 1
 
 
+def test_tape_compile_pauses_the_cycle_collector(monkeypatch):
+    # the collector is off while a tape compiles and comes back in the
+    # state it was in, also when compiling raises
+    f = fields.field("x1*y1 + exp(z1)", 1)
+    seen = []
+
+    def failing(keys, m):
+        seen.append(gc.isenabled())
+        raise RuntimeError("compile failed")
+
+    monkeypatch.setattr(fields, "_tape_entries", failing)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="compile failed"):
+                fields.Tape((f,), 1).entries(1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    assert seen == [False, False]
+    monkeypatch.undo()
+    assert gc.isenabled()
+    assert fields.Tape((f,), 1).entries(1) and gc.isenabled()
+
+
 def test_tape_domain_error_names_the_point():
     m = 2
     F = dfield.DoubleField(horizon.flat_bundle(m), [["1", "0"], ["0", "1"]], density="2 + log(x1)")

@@ -7,6 +7,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,91 @@ def test_cli_domain_error_exits_2_without_traceback(tmp_path, capsys):
         "error: object dfield.density: log of a non-positive value"
         " at x=-0.5,0.25;y=0.0,0.0;z=0.0,0.0\n"
     )
+
+
+def test_out_of_range_options_exit_2_at_load(tmp_path, capsys):
+    # each would otherwise fail inside a suite: a NaN Monte Carlo error
+    # (exit 1), a numpy error (exit 2 without the key) or no passing identity
+    cases = {
+        "mc_samples = 0": "[scene]: mc_samples: must be >= 2, got 0",
+        "mc_samples = 1": "[scene]: mc_samples: must be >= 2, got 1",
+        "mc_samples = -1": "[scene]: mc_samples: must be >= 2, got -1",
+        "samples = 0": "[scene]: samples: must be >= 1, got 0",
+        "samples = -3": "[scene]: samples: must be >= 1, got -3",
+        "seed = -1": "[scene]: seed: must be >= 0, got -1",
+        "tol = -1": "[scene]: tol: must be finite and > 0, got -1.0",
+        "tol = nan": "[scene]: tol: must be finite and > 0, got nan",
+        "tol = 0": "[scene]: tol: must be finite and > 0, got 0.0",
+        "\n[tolerances]\ndouble = -1": "[tolerances]: double: must be finite and > 0, got -1.0",
+        "\n[tolerances]\nmetric = inf": "[tolerances]: metric: must be finite and > 0, got inf",
+    }
+    for line, message in cases.items():
+        path = _write(tmp_path, f"[scene]\nm = 1\n{line}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", path]) == 2, line
+        out, err = capsys.readouterr()
+        assert not caught and out == "", line
+        assert err == f"error: {path}: {message}\n"
+    # the least values in range run every suite
+    path = _write(tmp_path, "[scene]\nm = 1\nseed = 0\nsamples = 1\nmc_samples = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check", path]) == 0
+    assert not caught
+    capsys.readouterr()
+
+
+def test_out_of_range_check_flags_exit_2(capsys):
+    scene = str(SCENES / "flat.scene")
+    for flag, value, message in (
+        ("--seed", "-1", "must be >= 0, got -1"),
+        ("--samples", "0", "must be >= 1, got 0"),
+        ("--tol", "-1", "must be finite and > 0, got -1.0"),
+        ("--tol", "nan", "must be finite and > 0, got nan"),
+        ("--seed", "x", "invalid int value: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["check", scene, flag, value])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1] == f"bigtangent check: error: argument {flag}: {message}"
+
+
+def test_action_domain_error_names_a_gauss_node(tmp_path, capsys):
+    # the density is defined on [-1, 1]^6, where the identities sample it,
+    # but not at the lowest Gauss nodes of the box's x1 interval [-2, 1]
+    path = _write(
+        tmp_path,
+        "[scene]\nm = 2\nsuites = double\nbox = -2 1; -1 1; -1 1; -1 1; -1 1; -1 1\n\n"
+        "[double_field]\nsigma1 = 1; 0\nsigma2 = 0; 1\ndensity = log(x1 + 3/2)\n",
+    )
+    assert cli.main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    head, sep, point = err.strip().partition(" at ")
+    assert head == "error: suite double: log of a non-positive value" and sep
+    assert cli.parse_point(point, 2).x[0, 0] + 1.5 <= 0.0
+
+
+def test_m3_double_suite_runs_in_bounded_time(tmp_path):
+    # the Gauss rule evaluates the integrand over the chart variables it
+    # reads (3^6 + 4^6 points here), not all 3^9 + 4^9 points of the chart
+    path = _write(
+        tmp_path,
+        "[scene]\nm = 3\nseed = 5\nsamples = 3\nmc_samples = 64\nsuites = double\n\n"
+        "[base_metric]\nrow1 = 1; 0; 0\nrow2 = 0; exp(2*x1); 0\nrow3 = 0; 0; 1\n",
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigtangent.cli", "check", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads(proc.stdout)["suites"][0]["reports"][0]["meta"]
+    assert np.isfinite(meta["action_value"]) and np.isfinite(meta["action_mc_value"])
 
 
 def test_overdeep_expressions_exit_2(tmp_path, capsys):
