@@ -18,14 +18,36 @@ import numpy as np
 from . import exprdsl, fields, tensorcalc as tc
 from .exprdsl import DependencyError  # noqa: F401 (raised by parse_components)
 from .fields import ScalarField, as_field
-from .points import ChartPoint, sample_box
-from .report import Report
+from .points import sample_box
+from .report import Report, largest
 from .tensorcalc import GeneralizedSection, TensorField
 
 
 # Largest condition number a sampled matrix may have and still count as
 # invertible.
 COND_LIMIT = 1e8
+
+
+def validation_values(comps, m: int) -> np.ndarray:
+    """Values of an object matrix at the points its constructor validates
+    it at, ``sample_box(m, 10, seed=0)``, with shape (10, rows, cols)."""
+    return np.moveaxis(fields.fvalue(comps, sample_box(m, 10, seed=0)), -1, 0)
+
+
+def well_conditioned(values: np.ndarray) -> bool:
+    """Whether every sampled matrix ``values[k]`` counts as invertible."""
+    return bool(np.max(np.linalg.cond(values)) < COND_LIMIT)
+
+
+def check_matrix(values, what: str, symmetry: int = 0, invertible: bool = False):
+    """Raise ValueError naming ``what`` unless the sampled matrices
+    ``values[k]`` are symmetric (``symmetry`` 1) or antisymmetric (-1) to
+    1e-10 and, when ``invertible``, well conditioned; return ``values``."""
+    if symmetry and largest(values - symmetry * np.swapaxes(values, 1, 2)) > 1e-10:
+        raise ValueError(f"{what} is not {'symmetric' if symmetry > 0 else 'antisymmetric'}")
+    if invertible and not well_conditioned(values):
+        raise ValueError(f"{what} is singular at a sample point")
+    return values
 
 
 def parse_components(
@@ -228,12 +250,9 @@ def pair_endo_varpi(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSe
     return GeneralizedSection(X, form)
 
 
-def _section_max_abs(A: GeneralizedSection, p: ChartPoint) -> float:
-    return max(A.X.max_abs(p), A.alpha.max_abs(p))
-
-
-def _courant_nijenhuis_residual(pack, endo, p) -> float:
-    """Courant-Nijenhuis tensor of a pair endomorphism on basis sections."""
+def _courant_nijenhuis_values(pack, endo, p) -> list:
+    """Courant-Nijenhuis tensor of a pair endomorphism on pairs of basis
+    sections: the values at ``p`` of its vector and form parts."""
     m = pack.m
     n = 3 * m
     zero_vec = tc.vector(fields.fzeros(n), m)
@@ -242,7 +261,7 @@ def _courant_nijenhuis_residual(pack, endo, p) -> float:
         GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)
     ] + [GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)]
     images = [endo(pack, A) for A in basis]
-    worst = 0.0
+    values = []
     for a, (A, FA) in enumerate(zip(basis, images)):
         for B, FB in zip(basis[a + 1 :], images[a + 1 :]):
             N = tc.courant_bracket(FA, FB)
@@ -252,9 +271,8 @@ def _courant_nijenhuis_residual(pack, endo, p) -> float:
                 pack,
                 GeneralizedSection(inner.X + inner2.X, inner.alpha + inner2.alpha),
             )
-            N = GeneralizedSection(N.X - corr.X, N.alpha - corr.alpha)
-            worst = max(worst, _section_max_abs(N, p))
-    return worst
+            values += [(N.X - corr.X).value(p), (N.alpha - corr.alpha).value(p)]
+    return values
 
 
 # -- random base data helpers ---------------------------------------------
@@ -306,20 +324,14 @@ def verify_section2(
     wv = pack.varpi.value(p)
 
     # Eq-level relations of the tensor triple
-    rep.add("S.S = 0", np.max(np.abs(np.einsum("ijp,jkp->ikp", Sv, Sv))))
+    rep.add("S.S = 0", np.einsum("ijp,jkp->ikp", Sv, Sv))
     # (S o sharp_P) a = S (sharp_P a); sharp_P as matrix P^T on covectors
-    rep.add(
-        "S o sharp_P = 0",
-        np.max(np.abs(np.einsum("ijp,kjp->ikp", Sv, Pv))),
-    )
-    rep.add(
-        "flat_varpi o S = 0",
-        np.max(np.abs(np.einsum("jip,jkp->ikp", wv, Sv))),
-    )
+    rep.add("S o sharp_P = 0", np.einsum("ijp,kjp->ikp", Sv, Pv))
+    rep.add("flat_varpi o S = 0", np.einsum("jip,jkp->ikp", wv, Sv))
 
     # rank and subspace properties, per point
     rank_ok = sub_ok = True
-    prop2_res = 0.0
+    prop2 = []
     rng = np.random.default_rng(seed + 2)
     for k in range(p.npoints):
         Sk = Sv[:, :, k]
@@ -330,61 +342,50 @@ def verify_section2(
         rank_ok &= tc.matrix_rank(Pk) == 2 * m
         rank_ok &= tc.matrix_rank(Qk) == 2 * m
         rank_ok &= tc.matrix_rank(wk) == 2 * m
-        kerS = _nullspace(Sk)
+        kerS, _ = tc.kernel_image(Sk.T)  # ker and im of Sk
         sub_ok &= _same_colspace(kerS, Pk)
         sub_ok &= _same_colspace(kerS, Qk)
         # property 2: on a random image vector and a random full vector
         v = Qk @ rng.standard_normal(n)
         lhs = tc.sharp_value(Pv[:, :, k], np.linalg.pinv(Qk, rcond=1e-9) @ v)
         rhs = tc.sharp_value(Qv[:, :, k], np.linalg.pinv(Pk, rcond=1e-9) @ v)
-        prop2_res = max(prop2_res, float(np.max(np.abs(lhs - rhs))))
         w = rng.standard_normal(n)
         sw = Sk @ w
         comp = tc.sharp_value(Qv[:, :, k], np.linalg.pinv(Pk, rcond=1e-9) @ sw)
-        prop2_res = max(prop2_res, float(np.max(np.abs(comp + sw))))
+        prop2 += [lhs - rhs, comp + sw]
     rep.add_bool("rank S = m, rank P = rank Q = rank varpi = 2m", bool(rank_ok))
     rep.add_bool("ker S = im sharp_P = im sharp_Q", bool(sub_ok))
-    rep.add("sharp_P flat_Q = sharp_Q flat_P and sharp_Q flat_P S = -S", prop2_res)
+    rep.add("sharp_P flat_Q = sharp_Q flat_P and sharp_Q flat_P S = -S", *prop2)
 
     # Remark list (Euler fields away from the zero section)
-    rep.add(
-        "L_E lam = lam",
-        (tc.lie_derivative(pack.E, pack.lam) - pack.lam).max_abs(pe),
-    )
+    rep.add("L_E lam = lam", (tc.lie_derivative(pack.E, pack.lam) - pack.lam).value(pe))
     rep.add(
         "L_E varpi = varpi",
-        (tc.lie_derivative(pack.E, pack.varpi) - pack.varpi).max_abs(pe),
+        (tc.lie_derivative(pack.E, pack.varpi) - pack.varpi).value(pe),
     )
-    rep.add("sharp_P lam = 0", tc.sharp_field(pack.P, pack.lam).max_abs(p))
+    rep.add("sharp_P lam = 0", tc.sharp_field(pack.P, pack.lam).value(p))
     dev = tc.differential(pack.ev, m)
-    rep.add(
-        "sharp_Q d(ev) = E",
-        (tc.sharp_field(pack.Q, dev) - pack.E).max_abs(pe),
-    )
-    rep.add(
-        "L_E P = -2P", (tc.lie_derivative(pack.E, pack.P) + pack.P * 2.0).max_abs(pe)
-    )
-    rep.add(
-        "L_E Q = -2Q", (tc.lie_derivative(pack.E, pack.Q) + pack.Q * 2.0).max_abs(pe)
-    )
+    rep.add("sharp_Q d(ev) = E", (tc.sharp_field(pack.Q, dev) - pack.E).value(pe))
+    rep.add("L_E P = -2P", (tc.lie_derivative(pack.E, pack.P) + pack.P * 2.0).value(pe))
+    rep.add("L_E Q = -2Q", (tc.lie_derivative(pack.E, pack.Q) + pack.Q * 2.0).value(pe))
 
     # generalized 2-nilpotent pair structures
     pk = p.select(0)
     for name, endo in (("S_P", pair_endo_P), ("S_varpi", pair_endo_varpi)):
         zero_form = tc.one_form(fields.fzeros(n), m)
         zero_vec = tc.vector(fields.fzeros(n), m)
-        worst = 0.0
+        twice = []
         for i in range(n):
             for sec in (
                 GeneralizedSection(tc.basis_vector(i, m), zero_form),
                 GeneralizedSection(zero_vec, tc.basis_form(i, m)),
             ):
-                twice = endo(pack, endo(pack, sec))
-                worst = max(worst, _section_max_abs(twice, pk))
-        rep.add(f"{name}^2 = 0 on pairs", worst)
+                sq = endo(pack, endo(pack, sec))
+                twice += [sq.X.value(pk), sq.alpha.value(pk)]
+        rep.add(f"{name}^2 = 0 on pairs", *twice)
         rep.add(
             f"Courant-Nijenhuis of {name} on basis sections",
-            _courant_nijenhuis_residual(pack, endo, pk),
+            *_courant_nijenhuis_values(pack, endo, pk),
         )
 
     # complete/vertical lift identities on random base data
@@ -402,19 +403,14 @@ def verify_section2(
     # pair-metric identity: (1/2)(p* a)(X^c) = (1/2)(a(X))^v
     lhs = fields.fsum((1, alpha[i], Xc.comps[i]) for i in range(m))
     rhs = fields.fsum((1, alpha[i], X[i]) for i in range(m))
-    rep.add(
-        "g(X^c, a^v) = (1/2)(a(X))^v",
-        float(np.max(np.abs(0.5 * lhs.value(p) - 0.5 * rhs.value(p)))),
-    )
+    rep.add("g(X^c, a^v) = (1/2)(a(X))^v", 0.5 * lhs.value(p) - 0.5 * rhs.value(p))
     rep.add(
         "[X^c, Y^v] = [X,Y]^v",
-        (
-            tc.lie_bracket(Xc, Yv) - vertical_lift(base_bracket(X, Y, m), zero, m)
-        ).max_abs(p),
+        (tc.lie_bracket(Xc, Yv) - vertical_lift(base_bracket(X, Y, m), zero, m)).value(p),
     )
     rep.add(
         "[X^c, Y^c] = [X,Y]^c",
-        (tc.lie_bracket(Xc, Yc) - complete_lift(base_bracket(X, Y, m), m)).max_abs(p),
+        (tc.lie_bracket(Xc, Yc) - complete_lift(base_bracket(X, Y, m), m)).value(p),
     )
     # (fX)^c = f^v X^c + l_df X^v - l_X (df)^v
     fX = [f * X[i] for i in range(m)]
@@ -426,16 +422,9 @@ def verify_section2(
     expect = Xc * f + Xv * l_df - dfv * l_X
     rep.add(
         "(fX)^c = f^v X^c + l_df X^v - l_X (df)^v",
-        (complete_lift(fX, m) - expect).max_abs(p),
+        (complete_lift(fX, m) - expect).value(p),
     )
     return rep
-
-
-def _nullspace(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(A)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
-    return Vt[r:].T
 
 
 def _same_colspace(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:

@@ -20,15 +20,21 @@ truncated-box action integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import conns, fields, horizon, metrics, tensorcalc as tc
-from .bigcore import COND_LIMIT, parse_components, parse_grid
+from .bigcore import (
+    check_matrix,
+    parse_components,
+    parse_grid,
+    validation_values,
+    well_conditioned,
+)
 from .fields import ScalarField, fsum
 from .points import ChartPoint, sample_box
-from .report import Report
+from .report import Report, largest
 from .tensorcalc import TensorField
 
 
@@ -74,16 +80,11 @@ class VerticalMetric:
             for idx in np.ndindex(m, m):
                 arr[idx] = fields.as_field(arr[idx])
             setattr(self, name, arr)
-        p = sample_box(m, 10, seed=0)
-        hv = _sample_matrix(self.h, p)
-        kv = _sample_matrix(self.k, p)
-        if np.max(np.abs(hv - np.swapaxes(hv, 1, 2))) > 1e-10:
-            raise ValueError("h block is not symmetric")
-        if np.max(np.abs(kv - np.swapaxes(kv, 1, 2))) > 1e-10:
-            raise ValueError("k block is not symmetric")
-        Gv = _sample_matrix(self.matrix(), p)
-        self.nondegenerate = bool(np.max(np.linalg.cond(Gv)) < COND_LIMIT)
-        self.strongly_nondegenerate = bool(np.max(np.linalg.cond(kv)) < COND_LIMIT)
+        Gv = validation_values(self.matrix(), m)
+        check_matrix(Gv[:, :m, :m], "h block", symmetry=1)
+        kv = check_matrix(Gv[:, m:, m:], "k block", symmetry=1)
+        self.nondegenerate = well_conditioned(Gv)
+        self.strongly_nondegenerate = well_conditioned(kv)
 
     def matrix(self) -> np.ndarray:
         """Full 2m x 2m object matrix in (y, z) coordinates."""
@@ -149,38 +150,20 @@ def compatibility_check(
     Gv = _sample_matrix(vm.matrix(), p)
     g2 = pairing_matrix(m)
 
-    rep.add(
-        "phi squared is the identity",
-        float(np.max(np.abs(Pv @ Pv - np.eye(2 * m)))),
-    )
-    rep.add(
-        "phi is symmetric for the split pairing",
-        float(np.max(np.abs(g2 @ Pv - np.swapaxes(Pv, 1, 2) @ g2))),
-    )
+    rep.add("phi squared is the identity", Pv @ Pv - np.eye(2 * m))
+    rep.add("phi is symmetric for the split pairing", g2 @ Pv - np.swapaxes(Pv, 1, 2) @ g2)
     rep.add(
         "twice the pairing equals the metric of a phi-shifted slot",
-        float(np.max(np.abs(np.swapaxes(Pv, 1, 2) @ Gv - 2.0 * g2))),
+        np.swapaxes(Pv, 1, 2) @ Gv - 2.0 * g2,
     )
-    rep.add(
-        "phi is symmetric for the fiber metric",
-        float(np.max(np.abs(np.swapaxes(Pv, 1, 2) @ Gv - Gv @ Pv))),
-    )
+    rep.add("phi is symmetric for the fiber metric", np.swapaxes(Pv, 1, 2) @ Gv - Gv @ Pv)
 
     hv = _sample_matrix(vm.h, p)
     kv = _sample_matrix(vm.k, p)
     lv = _sample_matrix(vm.l, p)
-    rep.add(
-        "block condition: l^2 + k h = id",
-        float(np.max(np.abs(lv @ lv + kv @ hv - np.eye(m)))),
-    )
-    rep.add(
-        "block condition: l k + k l^t = 0",
-        float(np.max(np.abs(lv @ kv + kv @ np.swapaxes(lv, 1, 2)))),
-    )
-    rep.add(
-        "block condition: h l + l^t h = 0",
-        float(np.max(np.abs(hv @ lv + np.swapaxes(lv, 1, 2) @ hv))),
-    )
+    rep.add("block condition: l^2 + k h = id", lv @ lv + kv @ hv - np.eye(m))
+    rep.add("block condition: l k + k l^t = 0", lv @ kv + kv @ np.swapaxes(lv, 1, 2))
+    rep.add("block condition: h l + l^t h = 0", hv @ lv + np.swapaxes(lv, 1, 2) @ hv)
     return phi, rep
 
 
@@ -216,34 +199,22 @@ def eigenbundles(vm: VerticalMetric, seed: int = 0, n: int = 20, tol: float = 1e
 
     rep.add(
         "iota images are eigenvectors of phi",
-        float(
-            max(
-                np.max(np.abs(Phiv @ Ipv - Ipv)),
-                np.max(np.abs(Phiv @ Imv + Imv)),
-            )
-        ),
+        Phiv @ Ipv - Ipv,
+        Phiv @ Imv + Imv,
     )
     rep.add(
         "the two eigenbundles are orthogonal for the fiber metric",
-        float(np.max(np.abs(np.swapaxes(Ipv, 1, 2) @ Gv @ Imv))),
+        np.swapaxes(Ipv, 1, 2) @ Gv @ Imv,
     )
     rep.add(
         "sigma pulls back to half the fiber metric on each eigenbundle",
-        float(
-            max(
-                np.max(np.abs(np.swapaxes(Ipv, 1, 2) @ Gv @ Ipv - 2.0 * Sv)),
-                np.max(np.abs(np.swapaxes(Imv, 1, 2) @ Gv @ Imv - 2.0 * Sv)),
-            )
-        ),
+        np.swapaxes(Ipv, 1, 2) @ Gv @ Ipv - 2.0 * Sv,
+        np.swapaxes(Imv, 1, 2) @ Gv @ Imv - 2.0 * Sv,
     )
     rep.add(
         "the split pairing restricts to plus/minus sigma",
-        float(
-            max(
-                np.max(np.abs(np.swapaxes(Ipv, 1, 2) @ g2 @ Ipv - Sv)),
-                np.max(np.abs(np.swapaxes(Imv, 1, 2) @ g2 @ Imv + Sv)),
-            )
-        ),
+        np.swapaxes(Ipv, 1, 2) @ g2 @ Ipv - Sv,
+        np.swapaxes(Imv, 1, 2) @ g2 @ Imv + Sv,
     )
     return Ip, Im, rep
 
@@ -298,15 +269,8 @@ class DoubleField:
             self.density = parse_components(
                 [self.density], m, {"x", "y", "z"}, "density", count=1
             )[0]
-        p = sample_box(m, 10, seed=0)
-        sv = _sample_matrix(self.sigma, p)
-        if np.max(np.abs(sv - np.swapaxes(sv, 1, 2))) > 1e-10:
-            raise ValueError("sigma is not symmetric")
-        if np.max(np.linalg.cond(sv)) > COND_LIMIT:
-            raise ValueError("sigma is singular at a sample point")
-        pv = _sample_matrix(self.psi, p)
-        if np.max(np.abs(pv + np.swapaxes(pv, 1, 2))) > 1e-10:
-            raise ValueError("psi is not antisymmetric")
+        check_matrix(validation_values(self.sigma, m), "sigma", symmetry=1, invertible=True)
+        check_matrix(validation_values(self.psi, m), "psi", symmetry=-1)
 
     @property
     def m(self) -> int:
@@ -524,8 +488,7 @@ def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
 def sigma_preservation_residual(F: DoubleField, c: np.ndarray, p: ChartPoint) -> float:
     """Max covariant-differential entry of sigma for a y-block
     connection c[a, i, j]."""
-    vals = fields.fvalue(_sigma_differential(F, c), p)
-    return float(np.max(np.abs(vals)))
+    return largest(fields.fvalue(_sigma_differential(F, c), p))
 
 
 def metric_preservation_residual(
@@ -551,8 +514,7 @@ def metric_preservation_residual(
                     start=nabla.H.frame_derivative(fields.as_field(G[b, c]), a),
                 )
             )
-    vals = fields.fvalue(np.array(res, dtype=object), p)
-    return float(np.max(np.abs(vals)))
+    return largest(fields.fvalue(res, p))
 
 
 @dataclass
@@ -965,8 +927,9 @@ def action(
                 sl = slice(start, start + chunk)
                 vals[sl] = _integrand_values(F, rho, pts[:, sl])
             vals = np.broadcast_to(vals.reshape(grids[0].shape), (deg,) * n).reshape(-1)
-            wgrid = np.meshgrid(*weights, indexing="ij")
-            w = np.prod(np.stack([g.reshape(-1) for g in wgrid]), axis=0)
+            # a grid point's weight multiplies its 1-D weights left to right;
+            # only the last outer product is full length
+            w = reduce(np.multiply.outer, weights).reshape(-1)
             total = 0.0
             for start in range(0, w.size, chunk):
                 sl = slice(start, start + chunk)
@@ -1006,22 +969,17 @@ def verify_double_field(
         rt.append(P2[i, j] - F.psi[i, j])
     rep.add(
         "component pair round trip",
-        float(np.max(np.abs(fields.fvalue(np.array(rt, dtype=object), p)))),
+        fields.fvalue(rt, p),
         tol=1e-10,
     )
 
     Dbar, Dtilde, pack = F.connections
-    rep.add(
-        "base connection preserves sigma",
-        sigma_preservation_residual(F, pack.c0, p),
-    )
+    rep.add("base connection preserves sigma", sigma_preservation_residual(F, pack.c0, p))
     cplus, cminus = dpm_connections(pack)
     rep.add(
         "torsion pair preserves sigma",
-        max(
-            sigma_preservation_residual(F, cplus, p),
-            sigma_preservation_residual(F, cminus, p),
-        ),
+        sigma_preservation_residual(F, cplus, p),
+        sigma_preservation_residual(F, cminus, p),
     )
     g2 = pairing_matrix(m)
     rep.add(
@@ -1056,39 +1014,29 @@ def verify_double_field(
     )
     rep.add(
         "metric bracket satisfies the deformed Leibniz rule",
-        float(np.max(np.abs(fields.fvalue(lhs - rhs, p)))),
+        fields.fvalue(lhs - rhs, p),
         tol=1e-9,
     )
 
     tau_bar = gualtieri_torsion(Dbar, pack)
-    rep.add(
-        "final connection has vanishing skew torsion",
-        float(np.max(np.abs(fields.fvalue(tau_bar, p)))),
-    )
+    rep.add("final connection has vanishing skew torsion", fields.fvalue(tau_bar, p))
     tau_tilde = gualtieri_torsion(Dtilde, pack)
     tv = fields.fvalue(tau_tilde, p)
     rep.add(
         "skew torsion is totally antisymmetric",
-        float(
-            max(
-                np.max(np.abs(tv + np.swapaxes(tv, 0, 1))),
-                np.max(np.abs(tv + np.swapaxes(tv, 1, 2))),
-            )
-        ),
+        tv + np.swapaxes(tv, 0, 1),
+        tv + np.swapaxes(tv, 1, 2),
     )
     tv2 = fields.fvalue(gualtieri_via_deformed_torsion(Dtilde, pack), p)
     rep.add(
         "deformed-torsion route agrees with the cyclic-sum route",
-        float(np.max(np.abs(tv - tv2))),
+        tv - tv2,
         tol=1e-9,
     )
 
     _, Ric, rho = F.curvatures
     ricv = fields.fvalue(Ric, p)
-    rep.add(
-        "deformed Ricci tensor is symmetric",
-        float(np.max(np.abs(ricv - np.swapaxes(ricv, 0, 1)))),
-    )
+    rep.add("deformed Ricci tensor is symmetric", ricv - np.swapaxes(ricv, 0, 1))
     P = fields.fzeros(2 * m, 2 * m)
     mix = rng.normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
     y1 = fields.field("y1", m)
@@ -1097,10 +1045,8 @@ def verify_double_field(
     rho2 = scalar_curvature_in_basis(Dbar, pack, P)
     rep.add(
         "scalar curvature is basis independent",
-        float(np.max(np.abs(fields.fvalue(np.array([rho - rho2], dtype=object), p)))),
+        fields.fvalue([rho - rho2], p),
         tol=1e-9,
     )
-    rep.meta["scalar_curvature_max"] = float(
-        np.max(np.abs(np.asarray(rho.value(p), dtype=float)))
-    )
+    rep.meta["scalar_curvature_max"] = largest(rho.value(p))
     return rep

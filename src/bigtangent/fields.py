@@ -375,8 +375,10 @@ def ftranspose(a: np.ndarray) -> np.ndarray:
     return a.T.copy()
 
 
-def fvalue(arr: np.ndarray, p: ChartPoint) -> np.ndarray:
-    """Evaluate an object array of fields to floats, batched last axis."""
+def fvalue(arr, p: ChartPoint) -> np.ndarray:
+    """Evaluate an object array (or a list) of fields to floats, batched
+    last axis."""
+    arr = np.asarray(arr, dtype=object)
     jets = _memo_jets([(as_field(f), 0) for f in arr.flat], p)
     out = np.empty(arr.shape + (p.npoints,))
     for idx, jet in zip(np.ndindex(arr.shape), jets):

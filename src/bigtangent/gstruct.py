@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, tensorcalc as tc
-from .bigcore import CanonicalPack, _nullspace, _same_colspace
+from .bigcore import CanonicalPack, _same_colspace
 from .points import ChartPoint
-from .report import Report
+from .report import Report, largest
 from .tensorcalc import TensorField
 
 
@@ -58,7 +58,7 @@ def triple_axiom_check(T: TriplePack, points: ChartPoint, tol: float = 1e-9) -> 
     Pv = T.P.value(points)
     Qv = T.Q.value(points)
     rank_ok = sub_ok = True
-    comp_res = 0.0
+    comp = []
     rng = np.random.default_rng(0)
     for k in range(points.npoints):
         Sk, Pk, Qk = Sv[:, :, k], Pv[:, :, k], Qv[:, :, k]
@@ -66,19 +66,18 @@ def triple_axiom_check(T: TriplePack, points: ChartPoint, tol: float = 1e-9) -> 
         rank_ok &= tc.matrix_rank(Sk, tol) == m
         rank_ok &= tc.matrix_rank(sharpP, tol) == 2 * m
         rank_ok &= tc.matrix_rank(sharpQ, tol) == 2 * m
-        kerS = _nullspace(Sk, tol)
+        kerS, _ = tc.kernel_image(Sk.T, tol)  # ker and im of Sk
         sub_ok &= _same_colspace(kerS, sharpP, tol)
         sub_ok &= _same_colspace(kerS, sharpQ, tol)
         v = sharpQ @ rng.standard_normal(n)
         lhs = tc.sharp_value(Pk, np.linalg.pinv(sharpQ, rcond=tol) @ v)
         rhs = tc.sharp_value(Qk, np.linalg.pinv(sharpP, rcond=tol) @ v)
-        comp_res = max(comp_res, float(np.max(np.abs(lhs - rhs))))
         w = Sk @ rng.standard_normal(n)
         back = tc.sharp_value(Qk, np.linalg.pinv(sharpP, rcond=tol) @ w)
-        comp_res = max(comp_res, float(np.max(np.abs(back + w))))
+        comp += [lhs - rhs, back + w]
     rep.add_bool("rank S = m and rank P = rank Q = 2m", bool(rank_ok))
     rep.add_bool("ker S = im sharp_P = im sharp_Q", bool(sub_ok))
-    rep.add("sharp_P flat_Q = sharp_Q flat_P, sharp_Q flat_P S = -S", comp_res)
+    rep.add("sharp_P flat_Q = sharp_Q flat_P, sharp_Q flat_P S = -S", *comp)
     return rep
 
 
@@ -100,7 +99,7 @@ def adapted_frame(T: TriplePack, p: ChartPoint, a_seed: np.ndarray | None = None
     if a_seed is None:
         # orthogonal complement of ker S = top-m right singular vectors
         _, s, Vt = np.linalg.svd(Sk)
-        if np.sum(s > 1e-9 * s[0]) != m:
+        if tc.singular_rank(s) != m:
             raise ValueError("axioms violated: rank S != m at the point")
         a = Vt[:m].T
     else:
@@ -138,16 +137,16 @@ def frame_residuals(T: TriplePack, fr: AdaptedFrame) -> dict:
     Pk = T.P.value(p)[:, :, 0]
     Qk = T.Q.value(p)[:, :, 0]
     res = {}
-    res["b = S a"] = float(np.max(np.abs(Sk @ fr.a - fr.b)))
-    res["S b = 0"] = float(np.max(np.abs(Sk @ fr.b)))
-    res["S c = 0"] = float(np.max(np.abs(Sk @ fr.c)))
+    res["b = S a"] = largest(Sk @ fr.a - fr.b)
+    res["S b = 0"] = largest(Sk @ fr.b)
+    res["S c = 0"] = largest(Sk @ fr.c)
     P_re = np.zeros_like(Pk)
     Q_re = np.zeros_like(Qk)
     for i in range(m):
         P_re += np.outer(fr.b[:, i], fr.c[:, i]) - np.outer(fr.c[:, i], fr.b[:, i])
         Q_re += np.outer(fr.b[:, i], fr.c[:, i]) + np.outer(fr.c[:, i], fr.b[:, i])
-    res["P = b_i ^ c^i"] = float(np.max(np.abs(P_re - Pk)))
-    res["Q = b_i (.) c^i"] = float(np.max(np.abs(Q_re - Qk)))
+    res["P = b_i ^ c^i"] = largest(P_re - Pk)
+    res["Q = b_i (.) c^i"] = largest(Q_re - Qk)
     return res
 
 
@@ -158,7 +157,7 @@ def _block_pattern(M, m, tol, zero_blocks):
     A = M[:m, :m]
     if abs(np.linalg.det(A)) < tol:
         return False
-    scale = max(1.0, float(np.max(np.abs(M))))
+    scale = max(1.0, largest(M))
     for r, c in zero_blocks:
         if np.max(np.abs(M[r * m : (r + 1) * m, c * m : (c + 1) * m])) > tol * scale:
             return False
@@ -211,8 +210,8 @@ def integrability_check(
     m = T.m
     n = 3 * m
     rep = Report("integrability", tol=tol, meta={"m": m})
-    rep.add("N_S = 0", tc.nijenhuis_tensor(T.S).max_abs(points))
-    rep.add("[P,P] = 0", tc.schouten_bracket(T.P, T.P).max_abs(points))
+    rep.add("N_S = 0", tc.nijenhuis_tensor(T.S).value(points))
+    rep.add("[P,P] = 0", tc.schouten_bracket(T.P, T.P).value(points))
     if test_functions is None:
         # Defaults: the 3m coordinates plus random quadratics.  Quadratic
         # terms along im S are excluded: even in the model structure the
@@ -227,11 +226,11 @@ def integrability_check(
             j = int(rng.integers(0, m)) if i >= m else int(rng.integers(0, n))
             f = f + float(rng.uniform(-1, 1)) * fields.Coord(i) * fields.Coord(j)
             test_functions.append(f)
-    worst = 0.0
+    lie = []
     for f in test_functions:
         ham = tc.sharp_field(T.P, tc.differential(fields.as_field(f), m))
-        worst = max(worst, tc.lie_derivative(ham, T.S).max_abs(points))
-    rep.add("L_{sharp_P df} S = 0 on test functions", worst)
+        lie.append(tc.lie_derivative(ham, T.S).value(points))
+    rep.add("L_{sharp_P df} S = 0 on test functions", *lie)
 
     if Delta is not None:
         Pv = T.P.value(points)
@@ -246,7 +245,7 @@ def integrability_check(
             if brackets
             else np.zeros((n, 0, points.npoints))
         )
-        iso_res = 0.0
+        iso = []
         ok_invol = ok_split = True
         for k in range(points.npoints):
             Zk = Zv[:, :, k]
@@ -254,25 +253,17 @@ def integrability_check(
                 alphaP = np.linalg.pinv(Pv[:, :, k].T, rcond=1e-9) @ Zk[:, i]
                 alphaQ = np.linalg.pinv(Qv[:, :, k].T, rcond=1e-9) @ Zk[:, i]
                 for j in range(m):
-                    iso_res = max(iso_res, abs(alphaP @ Zk[:, j]))
-                    iso_res = max(iso_res, abs(alphaQ @ Zk[:, j]))
+                    iso += [alphaP @ Zk[:, j], alphaQ @ Zk[:, j]]
             stacked = np.hstack([Zk, Bv[:, :, k]])
             ok_invol &= tc.matrix_rank(stacked, 1e-8) == tc.matrix_rank(Zk, 1e-8)
-            imS = _colspace(Sv[:, :, k])
+            kerS, imS = tc.kernel_image(Sv[:, :, k].T)  # ker and im of S
             split = np.hstack([imS, Zk])
             ok_split &= tc.matrix_rank(split, 1e-8) == 2 * m
-            ok_split &= _same_colspace(split, _nullspace(Sv[:, :, k]), 1e-8)
-        rep.add("Delta is P-Lagrangian and Q-isotropic", iso_res)
+            ok_split &= _same_colspace(split, kerS, 1e-8)
+        rep.add("Delta is P-Lagrangian and Q-isotropic", *iso)
         rep.add_bool("Delta involutive (no rank growth)", bool(ok_invol))
         rep.add_bool("ker S = im S (+) Delta", bool(ok_split))
     return rep
-
-
-def _colspace(A, tol=1e-9):
-    U, s, _ = np.linalg.svd(A)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
-    return U[:, :r]
 
 
 def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:

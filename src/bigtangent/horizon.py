@@ -18,9 +18,16 @@ from itertools import product
 import numpy as np
 
 from . import fields, tensorcalc as tc
-from .bigcore import COND_LIMIT, canonical_pack, parse_components, parse_grid
+from .bigcore import (
+    canonical_pack,
+    check_matrix,
+    parse_components,
+    parse_grid,
+    validation_values,
+)
 from .fields import ScalarField
 from .points import ChartPoint, sample_box
+from .report import largest
 from .tensorcalc import TensorField
 
 
@@ -166,7 +173,7 @@ def canonical_second_order_extension(eta, m: int) -> SecondOrderField:
     return SecondOrderField(ec, zeta, m)
 
 
-def spray_from_lagrangian(L, m: int, check_points: ChartPoint | None = None):
+def spray_from_lagrangian(L, m: int):
     """Spray and horizontal bundle of a regular Lagrangian L(x,y).
 
     eta solves the pointwise linear system
@@ -184,11 +191,7 @@ def spray_from_lagrangian(L, m: int, check_points: ChartPoint | None = None):
             ((-1, fields.Coord(m + k), Lf.partial(m + j).partial(k)) for k in range(m)),
             start=Lf.partial(j),
         )
-    if check_points is None:
-        check_points = sample_box(m, 10, seed=0)
-    gv = np.moveaxis(fields.fvalue(g, check_points), -1, 0)
-    if np.max(np.linalg.cond(gv)) > COND_LIMIT:
-        raise ValueError("Lagrangian Hessian is singular at a sample point")
+    check_matrix(validation_values(g, m), "Lagrangian Hessian", invertible=True)
     eta = fields.fsolve(g, rhs)
     t = fields.fzeros(m, m)
     for i in range(m):
@@ -231,7 +234,7 @@ def second_order_projector(
     if check_points is None:
         check_points = sample_box(m, 10, seed=1)
     Qv = np.moveaxis(Q.value(check_points), -1, 0)
-    res = float(np.max(np.abs(Qv @ Qv @ Qv - Qv)))
+    res = largest(Qv @ Qv @ Qv - Qv)
     if res > tol:
         raise ValueError(f"Q^3 - Q residual {res:.3e}: input is not second order")
     t = fields.fzeros(m, m)
@@ -396,7 +399,7 @@ def is_liouville_related(a: TensorField, points: ChartPoint, tol: float = 1e-10)
     i.e. the dy-coefficients equal the z-coordinates."""
     m = a.m
     vals = fields.fvalue(a.comps[m : 2 * m], points)
-    return bool(np.max(np.abs(vals - points.z)) <= tol)
+    return largest(vals - points.z) <= tol
 
 
 def transformed_gamma_bundle(Gamma, A: np.ndarray, m: int) -> HorizontalBundle:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conns, fields, horizon, tensorcalc as tc
-from .bigcore import COND_LIMIT, parse_components, parse_grid
+from .bigcore import check_matrix, parse_components, parse_grid, validation_values
 from .points import ChartPoint, sample_box
-from .report import Report
+from .report import Report, largest
 from .tensorcalc import TensorField
 
 
@@ -37,13 +37,8 @@ class BigMetric:
         if t.sig != ("down", "down") or t.frame != "natural":
             raise ValueError("metric must be a natural-frame (0,2) tensor")
         m = self.m
-        p = sample_box(m, 10, seed=0)
-        gv = np.moveaxis(t.value(p), -1, 0)
-        if np.max(np.abs(gv - np.swapaxes(gv, 1, 2))) > 1e-10:
-            raise ValueError("metric is not symmetric")
-        vv = gv[:, m:, m:]
-        if np.max(np.linalg.cond(vv)) > COND_LIMIT:
-            raise ValueError("vertical restriction is singular at a sample point")
+        gv = check_matrix(validation_values(t.comps, m), "metric", symmetry=1)
+        check_matrix(gv[:, m:, m:], "vertical restriction", invertible=True)
         if self.H is None:
             self.H = self._orthogonal_bundle()
 
@@ -86,10 +81,7 @@ def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
     adapted coframe of H; g may depend on (x, y)."""
     m = H.m
     gm = parse_grid(g, m, "xy", "g")
-    p = sample_box(m, 10, seed=0)
-    gv = np.moveaxis(fields.fvalue(gm, p), -1, 0)
-    if np.max(np.linalg.cond(gv)) > COND_LIMIT:
-        raise ValueError("fiber metric is singular at a sample point")
+    check_matrix(validation_values(gm, m), "fiber metric", invertible=True)
     ginv = fields.finverse(gm)
     comps = fields.fzeros(3 * m, 3 * m)
     for i in range(m):
@@ -138,29 +130,17 @@ def canonical_metric_connection(
     rep = Report("canonical metric connection properties", tol=tol)
 
     pres = nab.preservation_residuals(p)
-    rep.add("horizontal and vertical bundles are preserved", max(pres.values()), tol=1e-10)
+    rep.add("horizontal and vertical bundles are preserved", *pres.values(), tol=1e-10)
 
     gad = horizon.to_adapted(gm.tensor, H)
     dg = conns.covariant_differential(nab, gad)
     dgv = dg.value(p)
-    rep.add(
-        "metric is parallel on horizontal triples",
-        float(np.max(np.abs(dgv[:m, :m, :m]))),
-    )
-    rep.add(
-        "metric is parallel on vertical triples",
-        float(np.max(np.abs(dgv[m:, m:, m:]))),
-    )
+    rep.add("metric is parallel on horizontal triples", dgv[:m, :m, :m])
+    rep.add("metric is parallel on vertical triples", dgv[m:, m:, m:])
 
     Tv = conns.torsion(nab).value(p)
-    rep.add(
-        "torsion on horizontal pairs is vertical",
-        float(np.max(np.abs(Tv[:m, :m, :m]))),
-    )
-    rep.add(
-        "torsion on vertical pairs is horizontal",
-        float(np.max(np.abs(Tv[m:, m:, m:]))),
-    )
+    rep.add("torsion on horizontal pairs is vertical", Tv[:m, :m, :m])
+    rep.add("torsion on vertical pairs is horizontal", Tv[m:, m:, m:])
 
     rep.add(
         "fiber restriction is the leafwise Levi-Civita connection",
@@ -188,8 +168,7 @@ def leafwise_levi_civita_residual(
             for d in range(2 * m)
         )
         res.append(0.5 * s - nab.gamma[m + a, m + b, m + c])
-    vals = fields.fvalue(np.array(res, dtype=object), p)
-    return float(np.max(np.abs(vals)))
+    return largest(fields.fvalue(res, p))
 
 
 # -- Cartan tensor and curvature identities -------------------------------
@@ -261,7 +240,7 @@ def curvature_identity_suite(
 
     rep.add(
         "covariant curvature is antisymmetric in the direction pair",
-        float(np.max(np.abs(R4 + np.swapaxes(R4, 2, 3)))),
+        R4 + np.swapaxes(R4, 2, 3),
     )
 
     cyc = (
@@ -269,46 +248,34 @@ def curvature_identity_suite(
         + np.transpose(R4, (0, 3, 1, 2, 4))
         + np.transpose(R4, (0, 2, 3, 1, 4))
     )
-    rep.add(
-        "cyclic sum over three horizontal arguments vanishes",
-        float(np.max(np.abs(cyc[:, :m, :m, :m]))),
-    )
+    rep.add("cyclic sum over three horizontal arguments vanishes", cyc[:, :m, :m, :m])
 
     # horizontal defect identities against the Cartan correction
     Rh = R4[:m, :m, :m, :m]
     corr = np.einsum("kabp,kcdp->abcdp", Cv[:m, :m, :m], Tv[m : 2 * m, :m, :m])
     lhs1 = Rh + np.transpose(Rh, (1, 0, 2, 3, 4))
-    rep.add(
-        "first-pair symmetry defect equals the Cartan correction",
-        float(np.max(np.abs(lhs1 + corr))),
-    )
+    rep.add("first-pair symmetry defect equals the Cartan correction", lhs1 + corr)
     lhs2 = Rh - np.transpose(Rh, (2, 3, 0, 1, 4))
     rhs2 = 0.5 * (np.transpose(corr, (2, 3, 0, 1, 4)) - corr)
     rep.add(
         "pair-swap defect equals half the antisymmetrized Cartan correction",
-        float(np.max(np.abs(lhs2 - rhs2))),
+        lhs2 - rhs2,
     )
 
-    c_max = float(np.max(np.abs(Cv)))
-    t_hh = float(np.max(np.abs(Tv[:, :m, :m])))
+    c_max = largest(Cv)
+    t_hh = largest(Tv[:, :m, :m])
     rep.meta["cartan_max"] = c_max
     rep.meta["horizontal_torsion_max"] = t_hh
     if c_max <= tol or t_hh <= tol:
         rep.add(
             "riemannian symmetry: antisymmetric argument pair",
-            float(np.max(np.abs(Rh + np.transpose(Rh, (1, 0, 2, 3, 4))))),
+            Rh + np.transpose(Rh, (1, 0, 2, 3, 4)),
         )
-        rep.add(
-            "riemannian symmetry: pair swap",
-            float(np.max(np.abs(Rh - np.transpose(Rh, (2, 3, 0, 1, 4))))),
-        )
+        rep.add("riemannian symmetry: pair swap", Rh - np.transpose(Rh, (2, 3, 0, 1, 4)))
         bianchi = (
             Rh
             + np.transpose(Rh, (0, 3, 1, 2, 4))
             + np.transpose(Rh, (0, 2, 3, 1, 4))
         )
-        rep.add(
-            "riemannian symmetry: first Bianchi sum",
-            float(np.max(np.abs(bianchi))),
-        )
+        rep.add("riemannian symmetry: first Bianchi sum", bianchi)
     return rep

@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 SCHOUTEN_CONVENTION = (
     "[P1,P2]^{ijk} = sum_{cyc(ijk)} (P1^{si} d_s P2^{jk} + P2^{si} d_s P1^{jk})"
 )
 
 DEFAULT_TOL = 1e-8
+
+
+def largest(*residuals) -> float:
+    """The largest absolute value over every number and array given: 0.0
+    when they hold no values, NaN when any value is NaN."""
+    peaks = [np.max(np.abs(r)) for r in map(np.asarray, residuals) if r.size]
+    return float(np.max(peaks, initial=0.0))
 
 
 class Report:
@@ -22,9 +31,11 @@ class Report:
             self.meta.update(meta)
         self.entries: list[dict] = []
 
-    def add(self, name: str, residual: float, tol: float | None = None) -> bool:
+    def add(self, name: str, *residuals, tol: float | None = None) -> bool:
+        """Record the identity ``name`` with the ``largest`` of its sampled
+        residuals; it passes when that is at most ``tol``."""
         tol = self.tol if tol is None else tol
-        residual = float(residual)
+        residual = largest(*residuals)
         ok = bool(residual <= tol)
         self.entries.append(
             {"identity": name, "max_residual": residual, "tol": tol, "pass": ok}
@@ -32,7 +43,7 @@ class Report:
         return ok
 
     def add_bool(self, name: str, ok: bool) -> bool:
-        return self.add(name, 0.0 if ok else 1.0, 0.5)
+        return self.add(name, 0.0 if ok else 1.0, tol=0.5)
 
     def extend(self, other: "Report"):
         self.entries.extend(other.entries)
@@ -43,7 +54,7 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        return max((e["max_residual"] for e in self.entries), default=0.0)
+        return largest(*(e["max_residual"] for e in self.entries))
 
     def __getitem__(self, name: str) -> dict:
         for e in self.entries:

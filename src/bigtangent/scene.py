@@ -22,9 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import dfield, fields, horizon, metrics
-from .bigcore import parse_components, parse_grid
-from .jets import JetDomainError
-from .points import sample_box
+from .bigcore import check_matrix, parse_components, parse_grid, validation_values
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
 
@@ -41,11 +39,19 @@ _LEAST = {"seed": 0, "samples": 1, "mc_samples": 2}
 
 
 def option_error(key: str, value) -> str | None:
-    """Why ``value`` is out of range for ``key``, one of the counts in
-    ``_LEAST`` or a tolerance; None when it is in range."""
+    """Why ``value`` is out of range for ``key``: one of the counts in
+    ``_LEAST``, ``perturb_s``, a ``box`` interval (lo, hi) or a tolerance;
+    None when it is in range."""
     if key in _LEAST:
         if value < _LEAST[key]:
             return f"must be >= {_LEAST[key]}, got {value}"
+    elif key == "perturb_s":
+        if not math.isfinite(value):
+            return f"must be finite, got {value}"
+    elif key == "box":
+        lo, hi = value
+        if not math.isfinite(hi - lo):  # a bound is not finite, or the width overflows
+            return f"intervals must have finite bounds and width, got {lo} {hi}"
     elif not (math.isfinite(value) and value > 0):
         return f"must be finite and > 0, got {value}"
     return None
@@ -130,7 +136,7 @@ def _load_scalar_options(cfg, path, sc):
             value = get(sec, key, fallback=getattr(sc, key))
         except ValueError as exc:
             _fail(path, sec, f"{key}: {exc}")
-        if key != "perturb_s" and (err := option_error(key, value)):
+        if err := option_error(key, value):
             _fail(path, sec, f"{key}: {err}")
         setattr(sc, key, value)
     if cfg.has_option(sec, "suites"):
@@ -149,6 +155,8 @@ def _load_scalar_options(cfg, path, sc):
                 lo, hi = float(vals[0]), float(vals[1])
             except ValueError as exc:
                 _fail(path, sec, f"box interval {part!r}: {exc}")
+            if err := option_error("box", (lo, hi)):
+                _fail(path, sec, f"box: {err}")
             if not lo < hi:
                 _fail(path, sec, f"empty box interval {part!r}")
             pairs.append((lo, hi))
@@ -257,13 +265,10 @@ def load_scene(path: str) -> SceneFile:
     if cfg.has_section("base_metric"):
         rows = _rows(cfg, path, "base_metric", "row", m)
         g = _parse_grid(rows, m, {"x"}, path, "base_metric")
-        p = sample_box(m, 10, seed=0)
         try:
-            gv = fields.fvalue(g, p)
-        except JetDomainError as exc:
+            check_matrix(validation_values(g, m), "metric", symmetry=1)
+        except _INPUT_ERRORS as exc:
             _fail(path, "base_metric", str(exc))
-        if np.max(np.abs(gv - np.swapaxes(gv, 0, 1))) > 1e-10:
-            _fail(path, "base_metric", "metric is not symmetric")
         sc.base_metric = g
 
     sc._spray_bundle = None

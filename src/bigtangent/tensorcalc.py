@@ -26,6 +26,7 @@ import numpy as np
 from . import fields
 from .fields import ScalarField, as_field, fsum, fvalue, fzeros, is_zero
 from .points import ChartPoint
+from .report import largest
 
 
 class FrameError(ValueError):
@@ -82,8 +83,7 @@ class TensorField:
             raise ValueError("tensor signature/frame mismatch")
 
     def max_abs(self, p: ChartPoint) -> float:
-        v = self.value(p)
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return largest(self.value(p))
 
 
 def vector(comps, m: int, frame: str = "natural") -> TensorField:
@@ -330,12 +330,17 @@ def sharp_value(W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return alpha @ W
 
 
+def singular_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
+    """The number of singular values ``s`` (descending) above ``tol`` times
+    the largest one: the rank rule of every numeric rank and subspace."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
 def kernel_image(W: np.ndarray, tol: float = RANK_TOL):
     """Orthonormal bases (columns) of ker and im of the sharp map of W."""
     M = W.T  # sharp acts as a |-> M a
     U, s, Vt = np.linalg.svd(M)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
+    r = singular_rank(s, tol)
     im = U[:, :r]
     ker = Vt[r:].T
     return ker, im
@@ -370,10 +375,7 @@ def sharp_flat(W: np.ndarray, arg: np.ndarray, mode: str):
 
 
 def matrix_rank(W: np.ndarray, tol: float = RANK_TOL) -> int:
-    s = np.linalg.svd(W, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return singular_rank(np.linalg.svd(W, compute_uv=False), tol)
 
 
 # -- field-level musical helpers ------------------------------------------

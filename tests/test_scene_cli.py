@@ -223,9 +223,26 @@ def test_out_of_range_options_exit_2_at_load(tmp_path, capsys):
         "tol = 0": "[scene]: tol: must be finite and > 0, got 0.0",
         "\n[tolerances]\ndouble = -1": "[tolerances]: double: must be finite and > 0, got -1.0",
         "\n[tolerances]\nmetric = inf": "[tolerances]: metric: must be finite and > 0, got inf",
+        # an infinite perturb_s would hang the canonical suite's SVD, a NaN
+        # one fail it; a non-finite box fails the double suite with warnings
+        "perturb_s = inf": "[scene]: perturb_s: must be finite, got inf",
+        "perturb_s = nan": "[scene]: perturb_s: must be finite, got nan",
+        "box = -inf 1; -1 1; -1 1": (
+            "[scene]: box: intervals must have finite bounds and width, got -inf 1.0"
+        ),
+        "box = -1 1; -1 nan; -1 1": (
+            "[scene]: box: intervals must have finite bounds and width, got -1.0 nan"
+        ),
+        "box = -1 1; -1 1; -1e308 1e308": (
+            "[scene]: box: intervals must have finite bounds and width, got -1e+308 1e+308"
+        ),
     }
     for line, message in cases.items():
         path = _write(tmp_path, f"[scene]\nm = 1\n{line}\n")
+        # at load time, so no suite runs on the value
+        with pytest.raises(SceneError) as info:
+            load_scene(path)
+        assert str(info.value) == f"{path}: {message}", line
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(["check", path]) == 2, line
