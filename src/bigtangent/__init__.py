@@ -10,7 +10,7 @@ from .exprdsl import ParseError, eval_jet, fd_oracle, parse_expr
 from .jets import Jet, JetDomainError
 from .points import ChartPoint, sample_box
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ChartPoint",

@@ -21,7 +21,6 @@ from . import __version__, bigcore, conns, dfield, fields, gstruct, horizon
 from . import metrics, scene as scene_mod, tensorcalc as tc
 from .jets import JetDomainError
 from .points import ChartPoint, sample_box
-from .report import Report
 from .scene import SceneError, SceneFile, load_scene
 
 
@@ -92,19 +91,19 @@ def _suite_metric(sc: SceneFile, seed, samples, tol) -> list:
 def _suite_double(sc: SceneFile, seed, samples, tol) -> list:
     F = sc.double_field
     rep = dfield.verify_double_field(F, seed=seed, n=samples, tol=tol)
-    gauss = dfield.action(F, box=sc.box, method="gauss", order=4)
+    quad = dfield.action(F, box=sc.box, method="sparse")
     mc = dfield.action(F, box=sc.box, method="mc", samples=sc.mc_samples, seed=seed)
-    rep.meta["action_value"] = gauss.value
-    rep.meta["action_quadrature_error"] = gauss.error
+    rep.meta["action_value"] = quad.value
+    rep.meta["action_quadrature_error"] = quad.error
     rep.meta["action_mc_value"] = mc.value
     rep.meta["action_mc_stderr"] = mc.error
     rep.add_bool(
         "action values are finite",
-        bool(np.isfinite([gauss.value, gauss.error, mc.value, mc.error]).all()),
+        bool(np.isfinite([quad.value, quad.error, mc.value, mc.error]).all()),
     )
     rep.add_bool(
         "monte carlo action is within four standard errors of the quadrature",
-        abs(mc.value - gauss.value) <= 4.0 * mc.error + gauss.error + 1e-12,
+        abs(mc.value - quad.value) <= 4.0 * mc.error + quad.error + 1e-12,
     )
     return [rep]
 

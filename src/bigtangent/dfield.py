@@ -19,6 +19,7 @@ truncated-box action integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 
@@ -831,9 +832,74 @@ class ActionResult:
     value: float
     error: float
     method: str
-    samples: int
+    points: int  # integrand evaluations
     box: tuple
     seed: int | None = None
+
+
+def _clenshaw_curtis(i: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level i >= 1 of the nested Clenshaw-Curtis rules on [-1, 1], which
+    has 1 node for i = 1 and 2^(i-1) + 1 nodes after that: the nodes'
+    positions J in 0..2^top (node J is -cos(pi J / 2^top)) and weights."""
+    if i == 1:
+        return np.array([2 ** (top - 1)]), np.array([2.0])
+    n = 2 ** (i - 1)
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0) / (4 * k**2 - 1)
+    w = (1.0 - b @ np.cos(2 * np.pi * np.outer(k, j) / n)) / n
+    w[1:-1] *= 2.0
+    return j * 2 ** (top - i + 1), w
+
+
+def _level_tuples(d: int, budget: int):
+    """Every d-tuple of 1-D levels >= 1 whose excesses over 1 sum to at
+    most ``budget``."""
+    if d == 0:
+        yield ()
+        return
+    for extra in range(budget + 1):
+        for rest in _level_tuples(d - 1, budget - extra):
+            yield (extra + 1,) + rest
+
+
+def sparse_grid(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-``level`` Smolyak rule on [-1, 1]^d built from nested
+    Clenshaw-Curtis rules (Smolyak 1963; Gerstner and Griebel, Numer.
+    Algorithms 18, 1998): its distinct nodes, shape (d, N), and weights,
+    shape (N,).  It integrates every polynomial of total degree
+    <= 2 level + 1 exactly.
+
+    Nodes are ordered by the level at which they enter, so the first
+    nodes of this grid are the nodes of level - 1, in the same order."""
+    if d == 0:
+        return np.zeros((0, 1)), np.ones(1)
+    top = max(level, 1)
+    rules = [_clenshaw_curtis(i, top) for i in range(1, level + 2)]
+    entry = np.zeros(2**top + 1, dtype=np.int64)  # the level a 1-D node enters at, less 1
+    for i in range(level + 1, 0, -1):
+        entry[rules[i - 1][0]] = i - 1
+    # combination technique: the rule is a signed sum of the tensor rules
+    # whose levels' excesses q sum to level - d + 1 .. level.  A node is
+    # coded by its positions J as digits in base 2^top + 1
+    radix = 2**top + 1
+    if radix**d > np.iinfo(np.int64).max:
+        raise ValueError(f"a level-{level} sparse grid in {d} variables is too large")
+    codes, weights = [], []
+    for levels in _level_tuples(d, level):
+        q = sum(levels) - d
+        if q <= level - d:
+            continue
+        digits = (rules[i - 1][0] * radix**k for k, i in enumerate(levels))
+        codes.append(reduce(np.add.outer, digits).reshape(-1))
+        w = reduce(np.multiply.outer, (rules[i - 1][1] for i in levels))
+        weights.append((-1) ** (level - q) * math.comb(d - 1, level - q) * w.reshape(-1))
+    codes, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    w = np.bincount(inverse, weights=np.concatenate(weights))
+    keys = codes // radix ** np.arange(d)[:, None] % radix
+    order = np.argsort(entry[keys].sum(axis=0), kind="stable")
+    nodes = np.sin(np.pi * (2 * keys[:, order] - 2**top) / 2 ** (top + 1))
+    return nodes, w[order]
 
 
 def _integrand_tape(F: DoubleField, rho: ScalarField) -> fields.Tape:
@@ -861,7 +927,7 @@ def action(
     method: str = "mc",
     samples: int = 10000,
     seed: int = 0,
-    order: int = 4,
+    level: int = 4,
     chunk: int = 1024,
 ) -> ActionResult:
     """Truncated action integral of a double field.
@@ -870,12 +936,15 @@ def action(
     box (default [-1, 1]^{3m}); the adapted coframe volume has unit
     Jacobian against the chart coordinates, so plain chart quadrature
     applies.  method "mc" gives a seeded Monte Carlo estimate with its
-    standard error; "gauss" a tensor Gauss-Legendre value with the
-    difference from the next-lower order as the error estimate.  The
-    Gauss rule evaluates the integrand (order-1)^|S| + order^|S| times,
-    where S is the set of chart variables the integrand reads (the union
-    of its fields' ``support``): full-grid points that agree on S share
-    one value.
+    standard error.  method "sparse" applies the Smolyak rule of
+    ``sparse_grid`` at ``level`` over S, the set of chart variables the
+    integrand reads (the union of its fields' ``support``), with the
+    other coordinates at their intervals' midpoints, and scales the sum
+    by the volume of the other intervals; for such an integrand this is
+    the Smolyak rule over all 3m variables.  Its error estimate is the
+    difference from the rule of level - 1, whose nodes are among the
+    evaluated ones.  The integrand is evaluated once per node, in runs
+    of at most ``chunk`` points.
     """
     m = F.m
     n = 3 * m
@@ -887,14 +956,14 @@ def action(
     # F holds the tape of its rho (built on first use), so every chunk's
     # _integrand_values finds that tape interned: it is compiled once per field
     rho = F.integrand_tape.keys[0][0]
-    volume = float(np.prod([hi - lo for lo, hi in box]))
+    lo = np.array([b[0] for b in box])[:, None]
+    hi = np.array([b[1] for b in box])[:, None]
+    volume = float(np.prod(hi - lo))
 
     if method == "mc":
         if samples < 2:  # the standard error divides by samples - 1
             raise ValueError(f"Monte Carlo needs samples >= 2, got {samples}")
         rng = np.random.default_rng(seed)
-        lo = np.array([b[0] for b in box])[:, None]
-        hi = np.array([b[1] for b in box])[:, None]
         vals = np.empty(samples)
         done = 0
         while done < samples:
@@ -906,38 +975,24 @@ def action(
         se = volume * float(np.std(vals, ddof=1)) / np.sqrt(samples)
         return ActionResult(est, se, "mc", samples, box, seed=seed)
 
-    if method == "gauss":
-        # the integrand is evaluated on the sub-grid over S, its other
-        # coordinates at their first node, so each evaluated point is a grid
-        # point; every full-grid point then takes the value at its projection
-        S = set().union(*(f.support for f, _ in F.integrand_tape.keys))
-        results = []
-        for deg in (max(order - 1, 1), order):
-            nodes, weights = [], []
-            for lo, hi in box:
-                xg, wg = np.polynomial.legendre.leggauss(deg)
-                nodes.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
-                weights.append(0.5 * (hi - lo) * wg)
-            grids = np.meshgrid(
-                *(x if k in S else x[:1] for k, x in enumerate(nodes)), indexing="ij"
-            )
-            pts = np.stack([g.reshape(-1) for g in grids])
-            vals = np.empty(pts.shape[1])
-            for start in range(0, pts.shape[1], chunk):
-                sl = slice(start, start + chunk)
-                vals[sl] = _integrand_values(F, rho, pts[:, sl])
-            vals = np.broadcast_to(vals.reshape(grids[0].shape), (deg,) * n).reshape(-1)
-            # a grid point's weight multiplies its 1-D weights left to right;
-            # only the last outer product is full length
-            w = reduce(np.multiply.outer, weights).reshape(-1)
-            total = 0.0
-            for start in range(0, w.size, chunk):
-                sl = slice(start, start + chunk)
-                total += float(np.sum(w[sl] * vals[sl]))
-            results.append(total)
-        return ActionResult(
-            results[1], abs(results[1] - results[0]), "gauss", order, box
+    if method == "sparse":
+        if level < 1:  # the error estimate needs the rule of level - 1
+            raise ValueError(f"the sparse rule needs level >= 1, got {level}")
+        S = sorted(set().union(*(f.support for f, _ in F.integrand_tape.keys)))
+        nodes, w = sparse_grid(len(S), level)
+        coarse = sparse_grid(len(S), level - 1)[1]
+        pts = np.repeat(0.5 * (hi + lo), nodes.shape[1], axis=1)
+        pts[S] = 0.5 * (hi - lo)[S] * nodes + pts[S]
+        vals = np.concatenate(
+            [
+                _integrand_values(F, rho, pts[:, start : start + chunk])
+                for start in range(0, pts.shape[1], chunk)
+            ]
         )
+        scale = volume / 2 ** len(S)
+        value = scale * float(w @ vals)
+        error = abs(value - scale * float(coarse @ vals[: coarse.size]))
+        return ActionResult(value, error, "sparse", vals.size, box)
 
     raise ValueError(f"unknown quadrature method {method!r}")
 

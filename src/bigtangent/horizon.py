@@ -13,7 +13,6 @@ derivative and the induced covariant derivative on base sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 

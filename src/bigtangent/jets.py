@@ -159,7 +159,10 @@ class Jet:
     def _compose(self, derivs: list[np.ndarray]) -> "Jet":
         """Compose a scalar power series with the nilpotent part.
 
-        ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.
+        ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.  The
+        rows of w^k below degree k are exact zeros, so its term is added
+        to the rows of degree >= k only: an overflowed f^(k) leaves the
+        lower rows finite.
         """
         order = self.space.order
         w = Jet(self.space, self.c.copy())
@@ -168,7 +171,8 @@ class Jet:
         wk = None
         for k in range(1, order + 1):
             wk = w if wk is None else wk * w
-            out = out + wk * derivs[k][None, :]
+            low = int(np.searchsorted(self.space.degrees, k))  # terms are sorted by degree
+            out.c[low:] += wk.c[low:] * derivs[k][None, :]
         return out
 
     def _checked_value(self, cond: np.ndarray, what: str) -> np.ndarray:

@@ -162,6 +162,10 @@ def _load_scalar_options(cfg, path, sc):
             pairs.append((lo, hi))
         if len(pairs) != 3 * sc.m:
             _fail(path, sec, f"box needs {3 * sc.m} intervals, got {len(pairs)}")
+        volume = math.prod(hi - lo for lo, hi in pairs)
+        if not math.isfinite(volume):  # the action's weights would overflow
+            msg = f"box: the volume, the product of the widths, must be finite, got {volume}"
+            _fail(path, sec, msg)
         sc.box = tuple(pairs)
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -313,13 +314,13 @@ def test_action_flat_gauss_is_zero():
     F = dfield.DoubleField(
         horizon.flat_bundle(2), [["1", "0"], ["0", "1"]], density="x1"
     )
-    r = dfield.action(F, method="gauss", order=3)
+    r = dfield.action(F, method="sparse", level=3)
     assert abs(r.value) < 1e-12
 
 
 def test_action_constant_sigma_scales_nothing():
     F = dfield.DoubleField(horizon.flat_bundle(1), [["4"]])
-    r = dfield.action(F, method="gauss", order=3)
+    r = dfield.action(F, method="sparse", level=3)
     assert abs(r.value) < 1e-12
 
 
@@ -331,15 +332,66 @@ def test_action_mc_is_seeded_and_matches_gauss():
     r1 = dfield.action(F, method="mc", samples=4000, seed=20)
     r1b = dfield.action(F, method="mc", samples=4000, seed=20)
     assert r1.value == r1b.value
-    rg = dfield.action(F, method="gauss", order=4)
+    rg = dfield.action(F, method="sparse", level=4)
     assert abs(r1.value - rg.value) < 4.0 * r1.error + abs(rg.error)
 
 
+@pytest.mark.parametrize(
+    "d,counts", [(5, (241, 801)), (6, (389, 1457)), (9, (1177, 6001)), (12, (2649, 17265))]
+)
+def test_sparse_grid_point_counts_and_nesting(d, counts):
+    (x3, w3), (x4, w4) = dfield.sparse_grid(d, 3), dfield.sparse_grid(d, 4)
+    assert (x3.shape, x4.shape, w3.shape, w4.shape) == (
+        (d, counts[0]), (d, counts[1]), (counts[0],), (counts[1],)
+    )
+    # the level-3 nodes are the first nodes of level 4, so the integrand
+    # values at level 4 give both rules
+    assert np.array_equal(x3, x4[:, : counts[0]])
+    assert len({tuple(x) for x in x4.T}) == counts[1]
+    assert np.all(np.abs(x4) <= 1.0)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_sparse_grid_is_exact_to_total_degree_2l_plus_1(level):
+    # on a box symmetric about no axis, every monomial of total degree
+    # <= 2 level + 1 integrates to rounding; some of degree 2 level + 2 do not
+    box = np.array([(-1.3, 0.7), (0.2, 1.5), (-2.0, -0.5), (0.5, 0.9), (-0.4, 2.2)])
+    lo, hi = box[:, :1], box[:, 1:]
+    nodes, w = dfield.sparse_grid(len(box), level)
+    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    w = w * np.prod(0.5 * (hi - lo))
+    worst = {}
+    for deg in range(2 * level + 3):
+        for c in itertools.combinations_with_replacement(range(len(box)), deg):
+            a = np.bincount(c, minlength=len(box))
+            f = np.prod(x ** a[:, None], axis=0)
+            exact = np.prod((hi[:, 0] ** (a + 1) - lo[:, 0] ** (a + 1)) / (a + 1))
+            # rounding is relative to the sum of the terms' magnitudes
+            err = abs(float(w @ f) - exact) / float(np.abs(w) @ np.abs(f))
+            worst[deg] = max(worst.get(deg, 0.0), err)
+    assert max(worst[deg] for deg in range(2 * level + 2)) < 1e-14
+    assert worst[2 * level + 2] > 1e-5
+
+
+def test_sparse_grid_over_the_variables_read_is_the_full_rule():
+    # an integrand of x1, x2 only: the rule in 2 variables, times the
+    # volume 2^2 of the others, is the rule in all 4
+    def f(x):
+        return np.exp(x[0]) * np.cos(3.0 * x[1])
+
+    nodes, w = dfield.sparse_grid(4, 4)
+    sub_nodes, sub_w = dfield.sparse_grid(2, 4)
+    full = float(w @ f(nodes))
+    rounding = 1e-13 * float(np.abs(w) @ np.abs(f(nodes)))
+    assert abs(4.0 * float(sub_w @ f(sub_nodes)) - full) < rounding
+    # and f is not integrated exactly, so the two rules are compared
+    assert abs(full - 4.0 * (np.e - 1 / np.e) * 2 * np.sin(3.0) / 3.0) > 1e-9
+
+
 def _full_grid_gauss(F, box, order, chunk=1024):
-    """The tensor Gauss rule with the integrand evaluated at every point
-    of both full grids: the reference that ``dfield.action``, which
-    evaluates it on the sub-grid of the variables it reads, must match
-    bit for bit."""
+    """The tensor Gauss-Legendre rule of ``order`` with the integrand
+    evaluated at every point of its full grid, and the difference from
+    order - 1 as its error estimate: the oracle for the sparse rule."""
     rho = F.integrand_tape.keys[0][0]
     results = []
     for deg in (max(order - 1, 1), order):
@@ -367,13 +419,13 @@ def _integrand_reads(F):
 
 _GAUSS_FIELDS = {
     "kitchen-sink": lambda: scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field,
-    # the integrand reads all 3m = 6 variables: the sub-grid is the full grid
+    # the integrand reads all 3m = 6 variables
     "all variables": lambda: dfield.DoubleField(
         horizon.flat_bundle(2),
         [["2 + sin(y2)", "0"], ["0", "3/2 + cos(y1)"]],
         density="(1/5)*log(2 + x2) + (1/10)*x1*z1*z2",
     ),
-    # constant sigma and density: one sub-grid point per rule
+    # constant sigma and density: one node, the box's center
     "empty support": lambda: dfield.DoubleField(
         horizon.flat_bundle(2), [["2", "1/2"], ["1/2", "1"]], density="1/4"
     ),
@@ -386,7 +438,7 @@ _GAUSS_FIELDS = {
 
 
 @pytest.mark.parametrize("name", list(_GAUSS_FIELDS))
-def test_action_gauss_matches_the_full_grid_bit_for_bit(name, monkeypatch):
+def test_action_sparse_matches_the_gauss_oracle(name, monkeypatch):
     F = _GAUSS_FIELDS[name]()
     n = 3 * F.m
     box = ((-1.0, 1.0),) * n
@@ -399,58 +451,80 @@ def test_action_gauss_matches_the_full_grid_bit_for_bit(name, monkeypatch):
         widths.append(pts.shape[1])
         return values(F, rho, pts)
 
-    for order in (3, 4):
-        want = _full_grid_gauss(F, box, order)
-        monkeypatch.setattr(dfield, "_integrand_values", counted)
-        widths.clear()
-        r = dfield.action(F, method="gauss", order=order)
-        monkeypatch.setattr(dfield, "_integrand_values", values)
-        assert (r.value.hex(), r.error.hex()) == (want[0].hex(), want[1].hex())
-        assert sum(widths) == (order - 1) ** k + order**k
-        assert max(widths) <= 1024
+    monkeypatch.setattr(dfield, "_integrand_values", counted)
+    r = dfield.action(F, method="sparse")
+    monkeypatch.setattr(dfield, "_integrand_values", values)
+    # each node of the level-4 grid over the variables read, once
+    assert sum(widths) == r.points == dfield.sparse_grid(k, 4)[0].shape[1]
+    assert max(widths) <= 1024
     if name == "kitchen-sink":
-        assert widths == [243, 1024]
+        assert widths == [801]
+    want = _full_grid_gauss(F, box, 4)
+    # the two rules agree within both error estimates, up to rounding
+    assert abs(r.value - want[0]) <= r.error + want[1] + 1e-12 * abs(want[0])
     if name in ("all variables", "sin, cos, log"):
-        assert r.value != 0.0
+        assert r.value != 0.0 and r.error > 0.0
+    if name == "empty support":
+        assert r.error == 0.0
 
 
-def test_action_gauss_weights_are_the_meshgrid_product_in_one_array(monkeypatch):
-    # 3m = 9 variables at order 4: 4^9 weights, 2.1 MB as one float array
-    F = dfield.DoubleField(
-        horizon.flat_bundle(3), [["2", "1/2", "0"], ["1/2", "1", "0"], ["0", "0", "1"]]
-    )
+@pytest.fixture(scope="module")
+def all_variables_m3():
+    """An m = 3 double field whose action integrand reads all 9 chart
+    variables."""
+    g = [["1", "0", "0"], ["0", "exp(2*x1)", "0"], ["0", "0", "1"]]
+    H = horizon.from_linear_connection(metrics.base_christoffels(g, 3), 3)
+    sigma = [["1 + y1^2/10", "0", "0"], ["0", "1 + z2^2/10", "0"], ["0", "0", "1 + y3^2/10"]]
+    F = dfield.DoubleField(H, sigma, density="(x2^2 + x3^2 + z1^2 + z3^2 + y2^2)/10")
+    assert _integrand_reads(F) == set(range(9))
+    return F
+
+
+def test_action_evaluates_the_integrand_at_6001_points_at_m3(all_variables_m3, monkeypatch):
+    # 3^9 + 4^9 = 281,827 points for the tensor rule of orders 3 and 4
+    widths = []
+    values = dfield._integrand_values
+
+    def counted(F, rho, pts):
+        widths.append(pts.shape[1])
+        return values(F, rho, pts)
+
+    monkeypatch.setattr(dfield, "_integrand_values", counted)
+    r = dfield.action(all_variables_m3, method="sparse")
+    assert widths == [1024] * 5 + [881] and r.points == 6001
+    assert np.isfinite([r.value, r.error]).all()
+
+
+def test_action_sparse_weights_sum_to_the_volume_without_a_full_grid(all_variables_m3, monkeypatch):
+    # 3m = 9 variables read, on a box symmetric about no axis
+    F = all_variables_m3
     box = tuple((-1.0 - k / 10, 1.0 + k / 20) for k in range(9))
+    volume = float(np.prod([hi - lo for lo, hi in box]))
     # an integrand of 1 makes the action the sum of the weights
     monkeypatch.setattr(dfield, "_integrand_values", lambda F, rho, pts: np.ones(pts.shape[1]))
-    sums = []
-    for deg in (3, 4):
-        weights = [0.5 * (hi - lo) * np.polynomial.legendre.leggauss(deg)[1] for lo, hi in box]
-        wgrid = np.meshgrid(*weights, indexing="ij")
-        w = np.prod(np.stack([g.reshape(-1) for g in wgrid]), axis=0)
-        sums.append(sum(float(np.sum(w[s : s + 1024] * 1.0)) for s in range(0, w.size, 1024)))
-    dfield.action(F, box=box, method="gauss", order=4)  # builds the integrand tape
     tracemalloc.start()
     try:
-        r = dfield.action(F, box=box, method="gauss", order=4)
+        r = dfield.action(F, box=box, method="sparse")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (r.value.hex(), r.error.hex()) == (sums[1].hex(), abs(sums[1] - sums[0]).hex())
-    # the weights and the integrand values over the full grid, and no copy
-    # of the grid per variable
+    assert r.points == 6001
+    # the weights' magnitudes sum to 110 times their sum at d = 9, so the
+    # rounding of the signed sum reaches about 1e-13 of the volume
+    assert abs(r.value - volume) < 1e-12 * volume and r.error < 1e-12 * volume
+    # no array over the 4^9 points of the tensor rule's full grid
     assert peak < 3 * 8 * 4**9
 
 
 def test_action_gauss_domain_error_names_a_bad_node():
-    # log(x1 + 3/2) is defined on [-1, 1] but not at the lowest Gauss nodes
-    # of [-2, 1]; the error names the first full-grid point where it fails
+    # log(x1 + 3/2) is defined on [-1, 1] but not at the ends of [-2, 1];
+    # the error names the first node where it fails: x1 = -2, the other
+    # coordinates at their intervals' midpoints
     F = dfield.DoubleField(horizon.flat_bundle(2), [["1", "0"], ["0", "1"]], density="log(x1 + 3/2)")
     box = ((-2.0, 1.0),) + ((-1.0, 1.0),) * 5
-    with pytest.raises(JetDomainError) as full:
-        _full_grid_gauss(F, box, 4)
     with pytest.raises(JetDomainError) as sub:
-        dfield.action(F, box=box, method="gauss", order=4)
-    assert str(sub.value) == str(full.value)
+        dfield.action(F, box=box, method="sparse")
+    assert str(sub.value) == "log of a non-positive value at x=-2.0,0.0;y=0.0,0.0;z=0.0,0.0"
     x1 = float(sub.value.point.split("=")[1].split(",")[0])
     assert x1 + 1.5 <= 0.0
 
@@ -460,6 +534,14 @@ def test_action_mc_needs_two_samples():
     for samples in (-1, 0, 1):
         with pytest.raises(ValueError, match="samples >= 2"):
             dfield.action(F, method="mc", samples=samples)
+
+
+def test_action_sparse_needs_level_1():
+    # level 0 has no coarser rule to estimate its error from
+    F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
+    for level in (-1, 0):
+        with pytest.raises(ValueError, match="level >= 1"):
+            dfield.action(F, method="sparse", level=level)
 
 
 def test_field_from_riemannian_matches_sasaki_vertical_part():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bigtangent import fields
 from bigtangent.fields import _jet_inverse
 from bigtangent.jets import Jet, JetDomainError, jet_space
 from bigtangent.multiindex import JetSpace, multi_indices, partial_rows, restriction
+from bigtangent.points import ChartPoint
 
 
 def test_multi_index_count():
@@ -55,6 +57,17 @@ def test_reciprocal_and_division():
         assert r.deriv((k,))[0] == pytest.approx(expect, rel=1e-14)
     q = (x * x + 1) / x
     assert q.value[0] == pytest.approx(2.5)
+
+
+def test_overflowing_high_derivative_leaves_lower_rows_finite():
+    # at x1 = 1e-120, d^3(1/x1)/3! = -1e480 overflows; the value and first
+    # derivative rows, where w^3 is an exact zero, must not turn into NaN
+    f = fields.field("1/x1", 1)
+    p = ChartPoint(np.array([[1e-120]]), np.array([[0.0]]), np.array([[0.0]]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = f.jet(p, 3).c[:, 0]
+    # rows: 1, then z1, y1, x1 (the last variable first)
+    assert c[:4].tolist() == [1e120, 0.0, 0.0, -1e240]
 
 
 def test_analytic_functions_against_closed_forms():

@@ -236,6 +236,10 @@ def test_out_of_range_options_exit_2_at_load(tmp_path, capsys):
         "box = -1 1; -1 1; -1e308 1e308": (
             "[scene]: box: intervals must have finite bounds and width, got -1e+308 1e+308"
         ),
+        # each width is finite, but the volume 4e400 is not
+        "box = -1e200 1e200; -1 1; -1e200 1e200": (
+            "[scene]: box: the volume, the product of the widths, must be finite, got inf"
+        ),
     }
     for line, message in cases.items():
         path = _write(tmp_path, f"[scene]\nm = 1\n{line}\n")
@@ -277,7 +281,8 @@ def test_out_of_range_check_flags_exit_2(capsys):
 
 def test_action_domain_error_names_a_gauss_node(tmp_path, capsys):
     # the density is defined on [-1, 1]^6, where the identities sample it,
-    # but not at the lowest Gauss nodes of the box's x1 interval [-2, 1]
+    # but not at the quadrature's node x1 = -2, the low end of the box's
+    # x1 interval [-2, 1]
     path = _write(
         tmp_path,
         "[scene]\nm = 2\nsuites = double\nbox = -2 1; -1 1; -1 1; -1 1; -1 1; -1 1\n\n"
@@ -292,8 +297,8 @@ def test_action_domain_error_names_a_gauss_node(tmp_path, capsys):
 
 
 def test_m3_double_suite_runs_in_bounded_time(tmp_path):
-    # the Gauss rule evaluates the integrand over the chart variables it
-    # reads (3^6 + 4^6 points here), not all 3^9 + 4^9 points of the chart
+    # the sparse rule evaluates the integrand over the chart variables it
+    # reads (the 1,457 level-4 nodes in 6 variables here), not over all 9
     path = _write(
         tmp_path,
         "[scene]\nm = 3\nseed = 5\nsamples = 3\nmc_samples = 64\nsuites = double\n\n"
@@ -411,7 +416,7 @@ def test_eval_rho_matches_library(capsys):
 
 
 def test_check_double_builds_rho_and_its_tape_once(tmp_path, capsys, monkeypatch):
-    # the identity suite, the Gauss action and the Monte Carlo action (three
+    # the identity suite, the sparse-grid action and the Monte Carlo action (three
     # chunks) share one rho and one integrand tape
     from bigtangent import dfield
 
