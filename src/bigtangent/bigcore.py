@@ -180,6 +180,14 @@ def complete_lift(X, m: int) -> TensorField:
     return tc.vector(comps, m)
 
 
+def forced_fiber_part(row, var: int) -> ScalarField:
+    """-z_h d(row[h])/d(chart variable var), h < m = len(row): the fiber
+    component that the given block of a lift, or of horizontal bundle
+    coefficients, forces on the other block."""
+    m = len(row)
+    return fields.fsum((-1, fields.Coord(2 * m + h), row[h].partial(var)) for h in range(m))
+
+
 def extended_lift_tm(xi, eta, m: int, generalized: bool = False) -> TensorField:
     """Lift of xi(x) dx + eta(x,y) dy on TM; the z-part is forced."""
     dep_xi = "xz" if generalized else "x"
@@ -190,9 +198,7 @@ def extended_lift_tm(xi, eta, m: int, generalized: bool = False) -> TensorField:
     for i in range(m):
         comps[i] = xi[i]
         comps[m + i] = eta[i]
-        comps[2 * m + i] = fields.fsum(
-            (-1, fields.Coord(2 * m + j), eta[j].partial(m + i)) for j in range(m)
-        )
+        comps[2 * m + i] = forced_fiber_part(eta, m + i)
     return tc.vector(comps, m)
 
 
@@ -205,9 +211,7 @@ def extended_lift_cotm(xi, zeta, m: int, generalized: bool = False) -> TensorFie
     comps = fields.fzeros(3 * m)
     for i in range(m):
         comps[i] = xi[i]
-        comps[m + i] = fields.fsum(
-            (-1, fields.Coord(2 * m + j), zeta[j].partial(2 * m + i)) for j in range(m)
-        )
+        comps[m + i] = forced_fiber_part(zeta, 2 * m + i)
         comps[2 * m + i] = zeta[i]
     return tc.vector(comps, m)
 
@@ -250,16 +254,21 @@ def pair_endo_varpi(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSe
     return GeneralizedSection(X, form)
 
 
-def _courant_nijenhuis_values(pack, endo, p) -> list:
-    """Courant-Nijenhuis tensor of a pair endomorphism on pairs of basis
-    sections: the values at ``p`` of its vector and form parts."""
-    m = pack.m
+def _basis_sections(m: int) -> list:
+    """The pairs (d/dx^a, 0), then the pairs (0, dx^a), over the 3m chart
+    variables."""
     n = 3 * m
     zero_vec = tc.vector(fields.fzeros(n), m)
     zero_form = tc.one_form(fields.fzeros(n), m)
-    basis = [
-        GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)
-    ] + [GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)]
+    return [GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)] + [
+        GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)
+    ]
+
+
+def _courant_nijenhuis_values(pack, endo, p) -> list:
+    """Courant-Nijenhuis tensor of a pair endomorphism on pairs of basis
+    sections: the values at ``p`` of its vector and form parts."""
+    basis = _basis_sections(pack.m)
     images = [endo(pack, A) for A in basis]
     values = []
     for a, (A, FA) in enumerate(zip(basis, images)):
@@ -302,7 +311,6 @@ def verify_section2(
     ``perturb_S`` adds eps * dx^1 (x) dz_1 to S as a negative control.
     """
     pack = canonical_pack(m)
-    n = 3 * m
     rep = Report(
         "canonical structures",
         tol=tol,
@@ -330,31 +338,10 @@ def verify_section2(
     rep.add("flat_varpi o S = 0", np.einsum("jip,jkp->ikp", wv, Sv))
 
     # rank and subspace properties, per point
-    rank_ok = sub_ok = True
-    prop2 = []
-    rng = np.random.default_rng(seed + 2)
-    for k in range(p.npoints):
-        Sk = Sv[:, :, k]
-        Pk = Pv[:, :, k].T  # sharp_P matrix acting on covectors
-        Qk = Qv[:, :, k].T
-        wk = wv[:, :, k]
-        rank_ok &= tc.matrix_rank(Sk) == m
-        rank_ok &= tc.matrix_rank(Pk) == 2 * m
-        rank_ok &= tc.matrix_rank(Qk) == 2 * m
-        rank_ok &= tc.matrix_rank(wk) == 2 * m
-        kerS, _ = tc.kernel_image(Sk.T)  # ker and im of Sk
-        sub_ok &= _same_colspace(kerS, Pk)
-        sub_ok &= _same_colspace(kerS, Qk)
-        # property 2: on a random image vector and a random full vector
-        v = Qk @ rng.standard_normal(n)
-        lhs = tc.sharp_value(Pv[:, :, k], np.linalg.pinv(Qk, rcond=1e-9) @ v)
-        rhs = tc.sharp_value(Qv[:, :, k], np.linalg.pinv(Pk, rcond=1e-9) @ v)
-        w = rng.standard_normal(n)
-        sw = Sk @ w
-        comp = tc.sharp_value(Qv[:, :, k], np.linalg.pinv(Pk, rcond=1e-9) @ sw)
-        prop2 += [lhs - rhs, comp + sw]
-    rep.add_bool("rank S = m, rank P = rank Q = rank varpi = 2m", bool(rank_ok))
-    rep.add_bool("ker S = im sharp_P = im sharp_Q", bool(sub_ok))
+    rank_ok, sub_ok, prop2 = triple_axioms(Sv, Pv, Qv, 1e-9, np.random.default_rng(seed + 2))
+    rank_ok &= all(tc.matrix_rank(wv[:, :, k]) == 2 * m for k in range(p.npoints))
+    rep.add_bool("rank S = m, rank P = rank Q = rank varpi = 2m", rank_ok)
+    rep.add_bool("ker S = im sharp_P = im sharp_Q", sub_ok)
     rep.add("sharp_P flat_Q = sharp_Q flat_P and sharp_Q flat_P S = -S", *prop2)
 
     # Remark list (Euler fields away from the zero section)
@@ -372,16 +359,10 @@ def verify_section2(
     # generalized 2-nilpotent pair structures
     pk = p.select(0)
     for name, endo in (("S_P", pair_endo_P), ("S_varpi", pair_endo_varpi)):
-        zero_form = tc.one_form(fields.fzeros(n), m)
-        zero_vec = tc.vector(fields.fzeros(n), m)
         twice = []
-        for i in range(n):
-            for sec in (
-                GeneralizedSection(tc.basis_vector(i, m), zero_form),
-                GeneralizedSection(zero_vec, tc.basis_form(i, m)),
-            ):
-                sq = endo(pack, endo(pack, sec))
-                twice += [sq.X.value(pk), sq.alpha.value(pk)]
+        for sec in _basis_sections(m):
+            sq = endo(pack, endo(pack, sec))
+            twice += [sq.X.value(pk), sq.alpha.value(pk)]
         rep.add(f"{name}^2 = 0 on pairs", *twice)
         rep.add(
             f"Courant-Nijenhuis of {name} on basis sections",
@@ -425,6 +406,37 @@ def verify_section2(
         (complete_lift(fX, m) - expect).value(p),
     )
     return rep
+
+
+def triple_axioms(Sv: np.ndarray, Pv: np.ndarray, Qv: np.ndarray, tol: float, rng):
+    """Pointwise axioms of a triple (S, P, Q) sampled as (3m, 3m, npoints)
+    arrays, with ``tol`` as the rank cutoff and pseudo-inverse rcond.
+
+    Returns whether rank S = m and rank sharp_P = rank sharp_Q = 2m at
+    every point, whether ker S = im sharp_P = im sharp_Q at every point,
+    and the residuals of sharp_P flat_Q = sharp_Q flat_P on a vector
+    v in im sharp_Q and of sharp_Q flat_P S = -S on a vector S w; v and
+    then w are drawn from ``rng`` at each point.
+    """
+    n = Sv.shape[0]
+    m = n // 3
+    rank_ok = sub_ok = True
+    residuals = []
+    for k in range(Sv.shape[-1]):
+        Sk, Pk, Qk = Sv[:, :, k], Pv[:, :, k], Qv[:, :, k]
+        sharpP, sharpQ = Pk.T, Qk.T
+        rank_ok &= tc.matrix_rank(Sk, tol) == m
+        rank_ok &= tc.matrix_rank(sharpP, tol) == 2 * m
+        rank_ok &= tc.matrix_rank(sharpQ, tol) == 2 * m
+        kerS, _ = tc.kernel_image(Sk.T, tol)  # ker and im of Sk
+        sub_ok &= _same_colspace(kerS, sharpP, tol)
+        sub_ok &= _same_colspace(kerS, sharpQ, tol)
+        flatP = np.linalg.pinv(sharpP, rcond=tol)
+        v = sharpQ @ rng.standard_normal(n)
+        lhs = tc.sharp_value(Pk, np.linalg.pinv(sharpQ, rcond=tol) @ v)
+        w = Sk @ rng.standard_normal(n)
+        residuals += [lhs - tc.sharp_value(Qk, flatP @ v), tc.sharp_value(Qk, flatP @ w) + w]
+    return bool(rank_ok), bool(sub_ok), residuals
 
 
 def _same_colspace(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:

@@ -130,9 +130,11 @@ def run_suites(
     and tol override the scene's values when given.
     """
     which = list(which) if which else list(sc.suites)
-    for name in which:
+    for k, name in enumerate(which):
         if name not in _SUITES:
             raise SceneError(f"unknown suite {name!r}")
+        if name in which[:k]:
+            raise SceneError(f"suite {name!r} is named twice")
     seed = sc.seed if seed is None else seed
     samples = sc.samples if samples is None else samples
     out = {
@@ -174,6 +176,8 @@ def parse_point(text: str, m: int) -> ChartPoint:
         key = key.strip()
         if key not in blocks:
             raise SceneError(f"unknown coordinate block {key!r}")
+        if blocks[key] is not None:
+            raise SceneError(f"coordinate block {key!r} is given twice")
         try:
             arr = np.array([float(v) for v in vals.split(",")], dtype=float)
         except ValueError as exc:

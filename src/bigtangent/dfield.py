@@ -36,7 +36,6 @@ from .bigcore import (
 from .fields import ScalarField, fsum
 from .points import ChartPoint, sample_box
 from .report import Report, largest
-from .tensorcalc import TensorField
 
 
 def _sample_matrix(comps: np.ndarray, p: ChartPoint) -> np.ndarray:
@@ -180,14 +179,8 @@ def eigenbundles(vm: VerticalMetric, seed: int = 0, n: int = 20, tol: float = 1e
     """
     m = vm.m
     S, P = sigma_psi_from_vm(vm)
-    Ip = fields.fzeros(2 * m, m)
-    Im = fields.fzeros(2 * m, m)
-    for i in range(m):
-        Ip[i, i] = fields.ONE
-        Im[i, i] = fields.ONE
-        for j in range(m):
-            Ip[m + j, i] = P[j, i] + S[j, i]
-            Im[m + j, i] = P[j, i] - S[j, i]
+    B = _iota_frame(S, P, m)
+    Ip, Im = B[:, :m], B[:, m:]
 
     p = sample_box(m, n, seed=seed)
     rep = Report("eigenbundles of the compatibility endomorphism", tol=tol)
@@ -336,7 +329,6 @@ class VerticalConnection:
 
     gamma: np.ndarray
     H: horizon.HorizontalBundle
-    preserves: tuple = ()
     # section_derivative results, keyed by (direction, *section nodes)
     _derivatives: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -417,9 +409,9 @@ def _coord_basis(m: int) -> list:
     return basis
 
 
-def _iota_frame(sigma: np.ndarray, psi: np.ndarray, m: int):
-    """Frame matrix whose columns are the eigenbundle images of the
-    y-basis, and its inverse."""
+def _iota_frame(sigma: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
+    """Frame matrix whose columns are the images of the y-basis under
+    iota_+, then under iota_-."""
     B = fields.fzeros(2 * m, 2 * m)
     for i in range(m):
         B[i, i] = fields.ONE
@@ -427,17 +419,16 @@ def _iota_frame(sigma: np.ndarray, psi: np.ndarray, m: int):
         for j in range(m):
             B[m + j, i] = psi[j, i] + sigma[j, i]
             B[m + j, m + i] = psi[j, i] - sigma[j, i]
-    return B, fields.finverse(B)
+    return B
 
 
-def pair_connection(
-    F: DoubleField, cplus: np.ndarray, cminus: np.ndarray, preserves: tuple = ()
-) -> VerticalConnection:
+def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> VerticalConnection:
     """Fiber connection acting as the pair (cplus, cminus) through the
     eigenbundle frames: sections of each eigenbundle are differentiated
     by transporting their y-components with the matching connection."""
     m = F.m
-    B, Binv = _iota_frame(F.sigma, F.psi, m)
+    B = _iota_frame(F.sigma, F.psi, m)
+    Binv = fields.finverse(B)
     n = 3 * m
     gamma = fields.fzeros(n, 2 * m, 2 * m)
     for a in range(n):
@@ -451,25 +442,28 @@ def pair_connection(
         Ma = fields.fmatmul(fields.fmatmul(B, Ga) - dB, Binv)
         for b, c in np.ndindex(2 * m, 2 * m):
             gamma[a, b, c] = Ma[c, b]
-    return VerticalConnection(gamma, F.H, preserves=preserves)
+    return VerticalConnection(gamma, F.H)
 
 
-def _sigma_differential(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
-    """Covariant differential T[a, i, j] = (nabla_a sigma)_ij of sigma
-    under a y-block connection c[a, i, j]; F is the field or its pack."""
-    m = F.m
-    sigma = F.sigma
-    T = fields.fzeros(3 * m, m, m)
-    for a, i, j in np.ndindex(3 * m, m, m):
-        T[a, i, j] = fsum(
+def covariant_metric_differential(
+    H: horizon.HorizontalBundle, gamma: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """(nabla_a G)_bc = X_a(G_bc) - sum_e gamma[a, b, e] G[e, c]
+    - sum_e gamma[a, c, e] G[b, e] for a fiber metric G (a square matrix of
+    fields) under connection coefficients gamma[a, b, e], a running over
+    the 3m adapted frame directions of H."""
+    n = len(G)
+    out = fields.fzeros(3 * H.m, n, n)
+    for a, b, c in np.ndindex(out.shape):
+        out[a, b, c] = fsum(
             (
                 term
-                for k in range(m)
-                for term in ((-1, c[a, i, k], sigma[k, j]), (-1, c[a, j, k], sigma[i, k]))
+                for e in range(n)
+                for term in ((-1, gamma[a, b, e], G[e, c]), (-1, gamma[a, c, e], G[b, e]))
             ),
-            start=F.H.frame_derivative(sigma[i, j], a),
+            start=H.frame_derivative(G[b, c], a),
         )
-    return T
+    return out
 
 
 def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
@@ -478,7 +472,7 @@ def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
     its pack."""
     m = F.m
     sinv = fields.finverse(F.sigma)
-    T = _sigma_differential(F, c)
+    T = covariant_metric_differential(F.H, c, F.sigma)
     out = fields.fzeros(3 * m, m, m)
     for a, i, j in np.ndindex(3 * m, m, m):
         corr = fsum((1, sinv[j, b], T[a, b, i]) for b in range(m))
@@ -486,36 +480,19 @@ def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma_preservation_residual(F: DoubleField, c: np.ndarray, p: ChartPoint) -> float:
-    """Max covariant-differential entry of sigma for a y-block
-    connection c[a, i, j]."""
-    return largest(fields.fvalue(_sigma_differential(F, c), p))
+def sigma_preservation_residual(F: DoubleField, c: np.ndarray, p: ChartPoint) -> np.ndarray:
+    """Sampled covariant differential of sigma under a y-block connection
+    c[a, i, j]."""
+    return fields.fvalue(covariant_metric_differential(F.H, c, F.sigma), p)
 
 
 def metric_preservation_residual(
     nabla: VerticalConnection, G: np.ndarray, p: ChartPoint
-) -> float:
-    """Max covariant-differential entry of a fiber metric G (object or
+) -> np.ndarray:
+    """Sampled covariant differential of a fiber metric G (object or
     numeric 2m x 2m matrix) under a fiber connection."""
-    m = nabla.m
-    G = np.asarray(G, dtype=object)
-    res = []
-    for a in range(3 * m):
-        for b, c in np.ndindex(2 * m, 2 * m):
-            res.append(
-                fsum(
-                    (
-                        term
-                        for e in range(2 * m)
-                        for term in (
-                            (-1, nabla.gamma[a, b, e], fields.as_field(G[e, c])),
-                            (-1, nabla.gamma[a, c, e], fields.as_field(G[b, e])),
-                        )
-                    ),
-                    start=nabla.H.frame_derivative(fields.as_field(G[b, c]), a),
-                )
-            )
-    return largest(fields.fvalue(res, p))
+    G = np.vectorize(fields.as_field, otypes=[object])(G)
+    return fields.fvalue(covariant_metric_differential(nabla.H, nabla.gamma, G), p)
 
 
 @dataclass
@@ -546,23 +523,14 @@ def d0_connection(F: DoubleField) -> DoublePack:
     """Base fiber connection of a double field.
 
     Lifts sigma to a block-diagonal chart metric over the adapted
-    coframe, projects its Levi-Civita connection onto the splitting,
-    restricts to the y-block and corrects it to preserve sigma; the
-    result acts on both eigenbundles through the frame map.
+    coframe (``metrics.block_lift``), projects its Levi-Civita
+    connection onto the splitting, restricts to the y-block and corrects
+    it to preserve sigma; the result acts on both eigenbundles through
+    the frame map.
     """
     m = F.m
-    H = F.H
-    sinv = fields.finverse(F.sigma)
-    comps = fields.fzeros(3 * m, 3 * m)
-    for i, j in np.ndindex(m, m):
-        comps[i, j] = F.sigma[i, j]
-        comps[m + i, m + j] = F.sigma[i, j]
-        comps[2 * m + i, 2 * m + j] = sinv[i, j]
-    gsig = horizon.to_natural(
-        TensorField(("down", "down"), comps, m, frame="adapted"), H
-    )
-    Dsig = conns.levi_civita(gsig)
-    vb = conns.vranceanu_bott(Dsig, H)
+    Dsig = conns.levi_civita(metrics.block_lift(F.sigma, F.H))
+    vb = conns.vranceanu_bott(Dsig, F.H)
     cprime = fields.fzeros(3 * m, m, m)
     for a in range(3 * m):
         for i, j in np.ndindex(m, m):
@@ -571,9 +539,9 @@ def d0_connection(F: DoubleField) -> DoublePack:
     vm = F.vertical_metric()
     G = vm.matrix()
     Ginv = fields.finverse(G)
-    B, Binv = _iota_frame(F.sigma, F.psi, m)
-    D0 = pair_connection(F, c0, c0, preserves=("U+", "U-"))
-    return DoublePack(F.H, F.sigma, F.psi, vm, G, Ginv, B, Binv, c0, D0)
+    B = _iota_frame(F.sigma, F.psi, m)
+    D0 = pair_connection(F, c0, c0)
+    return DoublePack(F.H, F.sigma, F.psi, vm, G, Ginv, B, fields.finverse(B), c0, D0)
 
 
 def dpm_connections(pack: DoublePack):
@@ -725,7 +693,7 @@ def field_adapted_connection(F: DoubleField):
                         (1, pack.Binv[m + j, r], brm[r]),
                     )
                 )
-    Dtilde = pair_connection(F, ctp, ctm, preserves=("U+", "U-"))
+    Dtilde = pair_connection(F, ctp, ctm)
     tau = gualtieri_torsion(Dtilde, pack)
     gamma = pack.D0.gamma.copy()
     for a in range(3 * m):
@@ -734,7 +702,7 @@ def field_adapted_connection(F: DoubleField):
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
         phi = fsum((1, pack.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
         gamma[m + a, b, c] = gamma[m + a, b, c] - (1.0 / 3.0) * phi
-    Dbar = VerticalConnection(gamma, F.H, preserves=("U+", "U-"))
+    Dbar = VerticalConnection(gamma, F.H)
     return Dbar, Dtilde, pack
 
 

@@ -20,6 +20,7 @@ from . import fields, tensorcalc as tc
 from .bigcore import (
     canonical_pack,
     check_matrix,
+    forced_fiber_part,
     parse_components,
     parse_grid,
     validation_values,
@@ -59,36 +60,44 @@ class HorizontalBundle:
         )
 
     def horizontal_vector(self, i: int) -> TensorField:
-        m = self.m
-        comps = fields.fzeros(3 * m)
-        comps[i] = fields.ONE
-        for j in range(m):
-            comps[m + j] = -1.0 * self.t[i, j]
-            comps[2 * m + j] = -1.0 * self.tau[i, j]
-        return tc.vector(comps, m)
+        return self.horizontal_frame()[i]
 
     def horizontal_frame(self) -> list:
-        return [self.horizontal_vector(i) for i in range(self.m)]
+        """The fields X_i: the first m columns of the frame matrix."""
+        E, _ = frame_matrices(self)
+        return [tc.vector(E[:, i], self.m) for i in range(self.m)]
 
     def projector_h(self) -> TensorField:
+        """Projection onto H along the fibers: the frame matrix with its
+        fiber columns zeroed."""
         m = self.m
         comps = fields.fzeros(3 * m, 3 * m)
-        for i in range(m):
-            comps[i, i] = fields.ONE
-            for j in range(m):
-                comps[m + j, i] = -1.0 * self.t[i, j]
-                comps[2 * m + j, i] = -1.0 * self.tau[i, j]
+        comps[:, :m] = frame_matrices(self)[0][:, :m]
         return TensorField(("up", "down"), comps, m)
 
     def projector_v(self) -> TensorField:
         m = self.m
-        comps = fields.fzeros(3 * m, 3 * m)
-        for a in range(3 * m):
-            comps[a, a] = fields.ONE
-        pr = self.projector_h().comps
-        for idx in np.ndindex(comps.shape):
-            comps[idx] = comps[idx] - pr[idx]
-        return TensorField(("up", "down"), comps, m)
+        eye = fields.fzeros(3 * m, 3 * m)
+        np.fill_diagonal(eye, fields.ONE)
+        return TensorField(("up", "down"), eye - self.projector_h().comps, m)
+
+
+def frame_matrices(H: HorizontalBundle):
+    """(E, C): frame matrix with columns (X_i, d/dy, d/dz) and its
+    inverse, whose rows are the adapted coframe."""
+    m = H.m
+    E = fields.fzeros(3 * m, 3 * m)
+    C = fields.fzeros(3 * m, 3 * m)
+    for a in range(3 * m):
+        E[a, a] = fields.ONE
+        C[a, a] = fields.ONE
+    for i in range(m):
+        for j in range(m):
+            E[m + j, i] = -1.0 * H.t[i, j]
+            E[2 * m + j, i] = -1.0 * H.tau[i, j]
+            C[m + j, i] = H.t[i, j]
+            C[2 * m + j, i] = H.tau[i, j]
+    return E, C
 
 
 def flat_bundle(m: int) -> HorizontalBundle:
@@ -120,9 +129,7 @@ def lift_from_tm(t, m: int) -> HorizontalBundle:
     tg = parse_grid(t, m, "xy", "t")
     tau = fields.fzeros(m, m)
     for i, j in np.ndindex(m, m):
-        tau[i, j] = fields.fsum(
-            (-1, fields.Coord(2 * m + h), tg[i, h].partial(m + j)) for h in range(m)
-        )
+        tau[i, j] = forced_fiber_part(tg[i], m + j)
     return HorizontalBundle(tg, tau, m)
 
 
@@ -132,9 +139,7 @@ def lift_from_cotm(tau, m: int) -> HorizontalBundle:
     tg = parse_grid(tau, m, "xz", "tau")
     t = fields.fzeros(m, m)
     for i, j in np.ndindex(m, m):
-        t[i, j] = fields.fsum(
-            (-1, fields.Coord(2 * m + h), tg[i, h].partial(2 * m + j)) for h in range(m)
-        )
+        t[i, j] = forced_fiber_part(tg[i], 2 * m + j)
     return HorizontalBundle(t, tg, m)
 
 
@@ -199,9 +204,9 @@ def spray_from_lagrangian(L, m: int):
     return canonical_second_order_extension(eta, m), lift_from_tm(t, m)
 
 
-def lagrangian_spray_residual(L, sof: SecondOrderField, p: ChartPoint) -> float:
-    """Max residual of i(spray)(d theta) + dE for theta = dL o S and
-    E = y.dL/dy - L, at the given points."""
+def lagrangian_spray_residual(L, sof: SecondOrderField, p: ChartPoint) -> np.ndarray:
+    """Components of i(spray)(d theta) + dE for theta = dL o S and
+    E = y.dL/dy - L at the given points, shape (3m, npoints)."""
     m = sof.m
     Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
     theta_comps = fields.fzeros(3 * m)
@@ -218,7 +223,7 @@ def lagrangian_spray_residual(L, sof: SecondOrderField, p: ChartPoint) -> float:
         res[j] = fields.fsum(
             ((1, X.comps[i], theta.comps[i, j]) for i in range(3 * m)), start=dE.comps[j]
         )
-    return tc.one_form(res, m).max_abs(p)
+    return fields.fvalue(res, p)
 
 
 def second_order_projector(
@@ -247,68 +252,39 @@ def second_order_projector(
 
 # -- coframe, curvature, bigrading ----------------------------------------
 def adapted_coframe(H: HorizontalBundle):
-    """Dual cobasis (dx^i, theta^i, kappa_i) of the adapted frame."""
+    """Dual cobasis (dx^i, theta^i, kappa_i) of the adapted frame: the rows
+    of the coframe matrix."""
     m = H.m
-    dxs, thetas, kappas = [], [], []
-    for i in range(m):
-        comps = fields.fzeros(3 * m)
-        comps[i] = fields.ONE
-        dxs.append(tc.one_form(comps, m))
-        comps = fields.fzeros(3 * m)
-        comps[m + i] = fields.ONE
-        for j in range(m):
-            comps[j] = H.t[j, i]
-        thetas.append(tc.one_form(comps, m))
-        comps = fields.fzeros(3 * m)
-        comps[2 * m + i] = fields.ONE
-        for j in range(m):
-            comps[j] = H.tau[j, i]
-        kappas.append(tc.one_form(comps, m))
-    return dxs, thetas, kappas
-
-
-def frame_matrices(H: HorizontalBundle):
-    """(E, C): frame matrix with columns (X_i, d/dy, d/dz) and its
-    inverse, whose rows are the adapted coframe."""
-    m = H.m
-    E = fields.fzeros(3 * m, 3 * m)
-    C = fields.fzeros(3 * m, 3 * m)
-    for a in range(3 * m):
-        E[a, a] = fields.ONE
-        C[a, a] = fields.ONE
-    for i in range(m):
-        for j in range(m):
-            E[m + j, i] = -1.0 * H.t[i, j]
-            E[2 * m + j, i] = -1.0 * H.tau[i, j]
-            C[m + j, i] = H.t[i, j]
-            C[2 * m + j, i] = H.tau[i, j]
-    return E, C
+    _, C = frame_matrices(H)
+    forms = [tc.one_form(C[a], m) for a in range(3 * m)]
+    return forms[:m], forms[m : 2 * m], forms[2 * m :]
 
 
 def to_adapted(T: TensorField, H: HorizontalBundle) -> TensorField:
     """Re-express components in the adapted frame of H."""
-    if T.frame != "natural":
-        raise tc.FrameError("input must carry natural components")
-    E, C = frame_matrices(H)
-    comps = T.comps
-    for var in T.sig:
-        M = C if var == "up" else E
-        axes = ([0], [1] if var == "up" else [0])
-        comps = np.tensordot(comps, M, axes=axes)
-    return TensorField(T.sig, comps, T.m, frame="adapted")
+    return _change_frame(T, H, "natural", "adapted")
 
 
 def to_natural(T: TensorField, H: HorizontalBundle) -> TensorField:
     """Inverse of to_adapted."""
-    if T.frame != "adapted":
-        raise tc.FrameError("input must carry adapted components")
+    return _change_frame(T, H, "adapted", "natural")
+
+
+def _change_frame(T: TensorField, H: HorizontalBundle, source: str, target: str):
+    """Components of T, given in frame ``source``, in frame ``target``: up
+    slots contract with the coframe matrix C towards the adapted frame and
+    with the frame matrix E back, down slots the other way round."""
+    if T.frame != source:
+        raise tc.FrameError(f"input must carry {source} components")
     E, C = frame_matrices(H)
+    up, down = (C, E) if target == "adapted" else (E, C)
     comps = T.comps
     for var in T.sig:
-        M = E if var == "up" else C
-        axes = ([0], [1] if var == "up" else [0])
-        comps = np.tensordot(comps, M, axes=axes)
-    return TensorField(T.sig, comps, T.m, frame="natural")
+        if var == "up":
+            comps = np.tensordot(comps, up, axes=([0], [1]))
+        else:
+            comps = np.tensordot(comps, down, axes=([0], [0]))
+    return TensorField(T.sig, comps, T.m, frame=target)
 
 
 def ehresmann_curvature(H: HorizontalBundle) -> TensorField:

@@ -64,33 +64,31 @@ class BigMetric:
 
 # -- constructors ---------------------------------------------------------
 def base_christoffels(g, m: int):
-    """Christoffel symbols Gamma[i][j][k] of a base metric g_{ij}(x)."""
+    """Christoffel symbols Gamma[i][j][k] = Gamma^i_{jk} of a base metric
+    g_{ij}(x)."""
     gm = parse_grid(g, m, "x", "g")
-    ginv = fields.finverse(gm)
-    out = fields.fzeros(m, m, m)
-    for i, j, k in np.ndindex(m, m, m):
-        out[i, j, k] = 0.5 * fields.fsum(
-            (1, ginv[i, d], gm[d, k].partial(j) + gm[j, d].partial(k) - gm[j, k].partial(d))
-            for d in range(m)
-        )
-    return out
+    return conns.christoffel_symbols(gm, range(m)).transpose(2, 0, 1)
+
+
+def block_lift(g: np.ndarray, H: horizon.HorizontalBundle) -> TensorField:
+    """Natural components of g dx (.) dx + g theta (.) theta
+    + g^{-1} kappa (.) kappa over the adapted coframe of H."""
+    m = H.m
+    ginv = fields.finverse(g)
+    comps = fields.fzeros(3 * m, 3 * m)
+    for i, j in np.ndindex(m, m):
+        comps[i, j] = g[i, j]
+        comps[m + i, m + j] = g[i, j]
+        comps[2 * m + i, 2 * m + j] = ginv[i, j]
+    return horizon.to_natural(TensorField(("down", "down"), comps, m, frame="adapted"), H)
 
 
 def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
-    """g dx (.) dx + g theta (.) theta + g^{-1} kappa (.) kappa in the
-    adapted coframe of H; g may depend on (x, y)."""
+    """The block lift of g over H; g may depend on (x, y)."""
     m = H.m
     gm = parse_grid(g, m, "xy", "g")
     check_matrix(validation_values(gm, m), "fiber metric", invertible=True)
-    ginv = fields.finverse(gm)
-    comps = fields.fzeros(3 * m, 3 * m)
-    for i in range(m):
-        for j in range(m):
-            comps[i, j] = gm[i, j]
-            comps[m + i, m + j] = gm[i, j]
-            comps[2 * m + i, 2 * m + j] = ginv[i, j]
-    ad = TensorField(("down", "down"), comps, m, frame="adapted")
-    return BigMetric(horizon.to_natural(ad, H), m, H=H)
+    return BigMetric(block_lift(gm, H), m, H=H)
 
 
 def sasaki_metric(g, m: int) -> BigMetric:
@@ -151,24 +149,13 @@ def canonical_metric_connection(
 
 def leafwise_levi_civita_residual(
     gm: BigMetric, nab: conns.Connection, p: ChartPoint
-) -> float:
-    """Compare the vertical-block coefficients with the Levi-Civita
-    symbols of the fiber metric, differentiating along fibers only."""
+) -> np.ndarray:
+    """Sampled differences between the vertical-block coefficients and
+    the Levi-Civita symbols of the fiber metric, differentiating along
+    fibers only."""
     m = gm.m
-    gV = gm.tensor.comps[m:, m:]
-    gVinv = fields.finverse(gV)
-    res = []
-    for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        s = fields.fsum(
-            (
-                1,
-                gVinv[c, d],
-                gV[d, b].partial(m + a) + gV[a, d].partial(m + b) - gV[a, b].partial(m + d),
-            )
-            for d in range(2 * m)
-        )
-        res.append(0.5 * s - nab.gamma[m + a, m + b, m + c])
-    return largest(fields.fvalue(res, p))
+    leaf = conns.christoffel_symbols(gm.tensor.comps[m:, m:], range(m, 3 * m))
+    return fields.fvalue(leaf - nab.gamma[m:, m:, m:], p)
 
 
 # -- Cartan tensor and curvature identities -------------------------------

@@ -141,9 +141,13 @@ def _load_scalar_options(cfg, path, sc):
         setattr(sc, key, value)
     if cfg.has_option(sec, "suites"):
         names = cfg.get(sec, "suites").replace(",", " ").split()
-        for name in names:
+        if not names:
+            _fail(path, sec, "suites: must name at least one suite")
+        for k, name in enumerate(names):
             if name not in SUITE_NAMES:
                 _fail(path, sec, f"unknown suite {name!r}")
+            if name in names[:k]:
+                _fail(path, sec, f"suites: {name!r} is named twice")
         sc.suites = tuple(names)
     if cfg.has_option(sec, "box"):
         pairs = []

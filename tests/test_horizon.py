@@ -3,6 +3,7 @@ import pytest
 
 from bigtangent import bigcore, fields, horizon, tensorcalc as tc
 from bigtangent.points import ChartPoint, sample_box
+from bigtangent.report import largest
 
 
 def _gamma_zero(m):
@@ -117,7 +118,7 @@ def test_spray_equation_residual():
         m = 2 if "y2" in L else 1
         sof, H = horizon.spray_from_lagrangian(L, m)
         p = sample_box(m, 20, seed=8)
-        assert horizon.lagrangian_spray_residual(L, sof, p) < 1e-8
+        assert largest(horizon.lagrangian_spray_residual(L, sof, p)) < 1e-8
 
 
 def test_spray_singular_hessian_raises():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bigtangent import cli, fields, metrics
 from bigtangent.bigcore import canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
-from bigtangent.scene import SceneError, load_scene
+from bigtangent.scene import SUITE_NAMES, SceneError, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -57,6 +57,10 @@ def test_load_scene_errors(tmp_path):
         load_scene(_write(tmp_path, "[scene]\nm = 9\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites = nope\n"))
+    with pytest.raises(SceneError, match=r"\[scene\]: suites: must name at least one suite"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites =\n"))
+    with pytest.raises(SceneError, match=r"\[scene\]: suites: 'triple' is named twice"):
+        load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites = triple triple\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nwhatever = 3\n"))
     with pytest.raises(SceneError, match=r"\[scene\]: seed: invalid literal for int\(\)"):
@@ -277,6 +281,37 @@ def test_out_of_range_check_flags_exit_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.splitlines()[-1] == f"bigtangent check: error: argument {flag}: {message}"
+    assert cli.main(["check", scene, "--suite", "triple", "--suite", "triple"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: suite 'triple' is named twice\n"
+
+
+_BUNDLE_SOURCES = {
+    "t rows": "[horizontal_bundle]\nt1 = x1*y1; y2^2\nt2 = y1*y2; sin(x2)*y1\n",
+    "tau rows": "[horizontal_bundle]\ntau1 = x1*z1; z2*x2\ntau2 = z2*z1; sin(x1)*z1\n",
+    "t and tau rows": (
+        "[horizontal_bundle]\nt1 = x1*y1; y2^2\nt2 = y1*y2; sin(x2)*y1\n"
+        "tau1 = x1*z1; z2*x2\ntau2 = z2*z1; sin(x1)*z1\n"
+    ),
+    "connection": (
+        "[connection]\nc1_1 = x1; 0\nc1_2 = 0; x2\nc2_1 = sin(x1); 0\nc2_2 = 0; x1*x2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", _BUNDLE_SOURCES)
+def test_check_passes_on_every_bundle_source(tmp_path, capsys, source):
+    # the tangent-side and cotangent-side lifts, the constructor from both
+    # tables and the bundle of a linear connection, each read from a scene
+    path = _write(
+        tmp_path, "[scene]\nm = 2\nsamples = 6\nmc_samples = 64\n\n" + _BUNDLE_SOURCES[source]
+    )
+    assert cli.main(["check", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [s["suite"] for s in payload["suites"]] == list(SUITE_NAMES)
+    assert all(
+        e["pass"] for s in payload["suites"] for r in s["reports"] for e in r["identities"]
+    )
 
 
 def test_action_domain_error_names_a_gauss_node(tmp_path, capsys):
@@ -379,6 +414,8 @@ def test_parse_point():
         cli.parse_point("q=1,2", 2)
     with pytest.raises(SceneError):
         cli.parse_point("x=1", 2)
+    with pytest.raises(SceneError, match="coordinate block 'x' is given twice"):
+        cli.parse_point("x=0.1;x=0.7;y=0.2;z=0.3", 1)
 
 
 def test_eval_object_matches_library(capsys):

@@ -1,0 +1,67 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bigtangent"
+
+
+def _bound_names(tree: ast.Module, lines: list) -> dict:
+    """Names bound by the module's imports, each with its line, except
+    ``__future__`` imports and lines marked ``# noqa: F401``."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            # an alias can sit on a continuation line of the statement
+            marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+            if any("# noqa: F401" in line for line in marked):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            out[name] = alias.lineno
+    return out
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names the module reads: every ``Name`` node (the root of an
+    attribute chain is one), every name inside a string annotation, and
+    the names a module-level ``__all__`` exports."""
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                parsed = ast.parse(sub.value, mode="eval")
+                read |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return read
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    text = path.read_text()
+    tree = ast.parse(text)
+    read = _read_names(tree)
+    unused = {
+        name: line
+        for name, line in _bound_names(tree, text.splitlines()).items()
+        if name not in read
+    }
+    assert not unused, f"{path.name}: imported but never read: {unused}"
