@@ -48,11 +48,9 @@ def _suite_triple(sc: SceneFile, seed, samples, tol) -> list:
 
 
 def _suite_horizontal(sc: SceneFile, seed, samples, tol) -> list:
-    rep = conns.verify_section4(
-        sc.bundle, sc.big_metric.tensor, seed=seed, n=samples, tol=tol
-    )
+    p = sample_box(sc.m, samples, seed=seed)
+    rep = conns.verify_section4(sc.bundle, sc.big_metric.tensor, p, tol=tol)
     if sc.spray is not None:
-        p = sample_box(sc.m, samples, seed=seed)
         rep.add(
             "spray satisfies the Lagrangian field equation",
             horizon.lagrangian_spray_residual(sc.lagrangian, sc.spray, p),
@@ -64,27 +62,18 @@ def _suite_horizontal(sc: SceneFile, seed, samples, tol) -> list:
 
 
 def _suite_metric(sc: SceneFile, seed, samples, tol) -> list:
+    p = sample_box(sc.m, samples, seed=seed)
     reports = []
-    _, rep = metrics.canonical_metric_connection(
-        sc.big_metric, seed=seed, n=samples, tol=tol
-    )
-    rep.extend(
-        metrics.curvature_identity_suite(
-            sc.big_metric, seed=seed, n=samples, tol=max(tol, 1e-7)
-        )
-    )
-    reports.append(rep)
-    if sc.lagrangian_metric is not None:
-        _, lrep = metrics.canonical_metric_connection(
-            sc.lagrangian_metric, seed=seed, n=samples, tol=tol
-        )
-        lrep.extend(
-            metrics.curvature_identity_suite(
-                sc.lagrangian_metric, seed=seed, n=samples, tol=max(tol, 1e-7)
-            )
-        )
-        lrep.title = "lagrangian metric identities"
-        reports.append(lrep)
+    for gm, title in (
+        (sc.big_metric, None),
+        (sc.lagrangian_metric, "lagrangian metric identities"),
+    ):
+        if gm is None:
+            continue
+        _, rep = metrics.canonical_metric_connection(gm, p, tol=tol)
+        rep.extend(metrics.curvature_identity_suite(gm, p, tol=max(tol, 1e-7)))
+        rep.title = title or rep.title
+        reports.append(rep)
     return reports
 
 
@@ -194,9 +183,11 @@ def parse_point(text: str, m: int) -> ChartPoint:
 
 
 def _object_registry(sc: SceneFile) -> dict:
-    """Name -> components table (object ndarray of ScalarFields)."""
+    """Name -> components table (object ndarray of ScalarFields): the
+    built-in objects of ``scene.OBJECT_NAMES`` but dfield.rho, which
+    ``eval_object`` builds on demand, then the scene's vector fields."""
     pack = bigcore.canonical_pack(sc.m)
-    reg = {
+    tables = {
         "S": pack.S.comps,
         "P": pack.P.comps,
         "Q": pack.Q.comps,
@@ -212,10 +203,10 @@ def _object_registry(sc: SceneFile) -> dict:
         "dfield.density": np.array([sc.double_field.density], dtype=object),
     }
     if sc.spray is not None:
-        reg["spray.eta"] = sc.spray.eta
-        reg["spray.zeta"] = sc.spray.zeta
-    for name, comps in sc.vector_fields.items():
-        reg[name] = comps
+        tables["spray.eta"] = sc.spray.eta
+        tables["spray.zeta"] = sc.spray.zeta
+    reg = {name: tables[name] for name in scene_mod.OBJECT_NAMES if name in tables}
+    reg.update(sc.vector_fields)  # loading rejects a vector field with a built-in name
     return reg
 
 

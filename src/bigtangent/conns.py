@@ -22,7 +22,7 @@ import numpy as np
 from . import fields, horizon, tensorcalc as tc
 from .bigcore import canonical_pack
 from .fields import ScalarField
-from .points import ChartPoint, sample_box
+from .points import ChartPoint
 from .report import Report, largest
 from .tensorcalc import TensorField
 
@@ -302,19 +302,16 @@ def projectability_residual(conn: Connection, p: ChartPoint) -> np.ndarray:
 
 
 # -- rule-level self-check for the canonical connection -------------------
-def canonical_rule_check(
-    H: horizon.HorizontalBundle, p: ChartPoint | None = None, tol: float = 1e-9
-) -> Report:
+def canonical_rule_check(H: horizon.HorizontalBundle, p: ChartPoint) -> Report:
     """Verify the three defining derivative rules of canonical_bott on
-    the adapted frame fields, each built from first principles."""
+    the adapted frame fields at the points p, each built from first
+    principles."""
     m = H.m
     n = 3 * m
-    if p is None:
-        p = sample_box(m, 10, seed=0)
     conn = canonical_bott(H)
     S = canonical_pack(m).S
     E, C = horizon.frame_matrices(H)
-    rep = Report("canonical connection derivative rules", tol=tol)
+    rep = Report("canonical connection derivative rules", tol=1e-9)
 
     # rule 1: nabla_X X' as S^{-1} of the V1 part of [X, S X']
     res = []
@@ -375,12 +372,11 @@ def _cyclic_sum(Rv: np.ndarray) -> np.ndarray:
 def verify_section4(
     H: horizon.HorizontalBundle,
     g_for_D: TensorField,
-    seed: int = 0,
-    n: int = 20,
+    p: ChartPoint,
     tol: float = 1e-8,
 ) -> Report:
     """Check the torsion and curvature identities of the projected and
-    canonical connections of H at seeded sample points.
+    canonical connections of H at the points p.
 
     g_for_D supplies the torsionless ambient connection (its
     Levi-Civita connection).  Projectable horizontal test fields are
@@ -389,7 +385,6 @@ def verify_section4(
     """
     m = H.m
     dim = 3 * m
-    p = sample_box(m, n, seed=seed)
     rep = Report("horizontal bundle connection identities", tol=tol)
 
     D = levi_civita(g_for_D)

@@ -132,17 +132,15 @@ def phi_matrix(vm: VerticalMetric) -> np.ndarray:
     return phi
 
 
-def compatibility_check(
-    vm: VerticalMetric, seed: int = 0, n: int = 20, tol: float = 1e-9
-):
+def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     """The compatibility endomorphism and its defining identities.
 
-    Returns (phi, Report).  Checks phi^2 = Id, the symmetry of phi for
-    the split pairing, the two pairing/metric exchange identities, and
-    the three block conditions equivalent to phi^2 = Id.
+    Returns (phi, Report).  Checks, at the points p, phi^2 = Id, the
+    symmetry of phi for the split pairing, the two pairing/metric
+    exchange identities, and the three block conditions equivalent to
+    phi^2 = Id.
     """
     m = vm.m
-    p = sample_box(m, n, seed=seed)
     phi = phi_matrix(vm)
     rep = Report("fiber metric compatibility", tol=tol)
 
@@ -167,22 +165,21 @@ def compatibility_check(
     return phi, rep
 
 
-def eigenbundles(vm: VerticalMetric, seed: int = 0, n: int = 20, tol: float = 1e-9):
+def eigenbundles(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     """Eigenbundle frames of the compatibility endomorphism.
 
     Returns (Ip, Im, Report) where the columns of the 2m x m object
     matrices Ip, Im are the images of the y-basis under
     iota_pm Y = (Y, (flat_psi pm flat_sigma) Y); they span the
-    (pm 1)-eigenbundles.  The report checks the eigenvector property,
-    the mutual orthogonality of the two bundles, and the two pullback
-    identities for sigma.
+    (pm 1)-eigenbundles.  The report checks, at the points p, the
+    eigenvector property, the mutual orthogonality of the two bundles,
+    and the two pullback identities for sigma.
     """
     m = vm.m
     S, P = sigma_psi_from_vm(vm)
     B = _iota_frame(S, P, m)
     Ip, Im = B[:, :m], B[:, m:]
 
-    p = sample_box(m, n, seed=seed)
     rep = Report("eigenbundles of the compatibility endomorphism", tol=tol)
     Gv = _sample_matrix(vm.matrix(), p)
     Phiv = _sample_matrix(phi_matrix(vm), p)
@@ -979,10 +976,11 @@ def verify_double_field(
     p = sample_box(m, n, seed=seed)
     rep = Report("double field identities", tol=tol)
 
-    vm = F.vertical_metric()
-    _, crep = compatibility_check(vm, seed=seed, n=n)
+    Dbar, Dtilde, pack = F.connections
+    vm = pack.vm
+    _, crep = compatibility_check(vm, p)
     rep.extend(crep)
-    _, _, erep = eigenbundles(vm, seed=seed, n=n)
+    _, _, erep = eigenbundles(vm, p)
     rep.extend(erep)
 
     S2, P2 = sigma_psi_from_vm(vm)
@@ -996,7 +994,6 @@ def verify_double_field(
         tol=1e-10,
     )
 
-    Dbar, Dtilde, pack = F.connections
     rep.add("base connection preserves sigma", sigma_preservation_residual(F, pack.c0, p))
     cplus, cminus = dpm_connections(pack)
     rep.add(

@@ -13,12 +13,13 @@ the fiber derivative of the horizontal metric (the Cartan tensor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import conns, fields, horizon, tensorcalc as tc
 from .bigcore import check_matrix, parse_components, parse_grid, validation_values
-from .points import ChartPoint, sample_box
+from .points import ChartPoint
 from .report import Report, largest
 from .tensorcalc import TensorField
 
@@ -55,6 +56,13 @@ class BigMetric:
                 t[i, j] = u[j]
                 tau[i, j] = u[m + j]
         return horizon.HorizontalBundle(t, tau, m)
+
+    # Built once per metric, so both metric checks share one connection.
+    @cached_property
+    def connection(self) -> conns.Connection:
+        """The canonical metric connection: the Levi-Civita connection
+        of the metric, projected onto the blocks of H."""
+        return conns.vranceanu_bott(conns.levi_civita(self.tensor), self.H)
 
     def vertical_block(self, p: ChartPoint) -> np.ndarray:
         """Numeric 2m x 2m restriction to the fibers, shape (2m,2m,npoints)."""
@@ -113,18 +121,14 @@ def lagrangian_metric(L, m: int) -> BigMetric:
 
 
 # -- canonical metric connection ------------------------------------------
-def canonical_metric_connection(
-    gm: BigMetric, seed: int = 0, n: int = 20, tol: float = 1e-8
-):
+def canonical_metric_connection(gm: BigMetric, p: ChartPoint, tol: float = 1e-8):
     """Projected Levi-Civita connection of the metric, with a report on
-    its three characterizing properties: block preservation, parallel
-    transport of the blockwise metric, and cross-block torsion values.
-    Returns (Connection, Report)."""
+    its three characterizing properties at the points p: block
+    preservation, parallel transport of the blockwise metric, and
+    cross-block torsion values.  Returns (Connection, Report)."""
     m = gm.m
     H = gm.H
-    p = sample_box(m, n, seed=seed)
-    D = conns.levi_civita(gm.tensor)
-    nab = conns.vranceanu_bott(D, H)
+    nab = gm.connection
     rep = Report("canonical metric connection properties", tol=tol)
 
     pres = nab.preservation_residuals(p)
@@ -196,10 +200,9 @@ def cartan_via_lie_derivative(gm: BigMetric) -> TensorField:
     return TensorField(("down", "down", "down"), comps, m, frame="adapted")
 
 
-def curvature_identity_suite(
-    gm: BigMetric, seed: int = 0, n: int = 20, tol: float = 1e-7
-) -> Report:
-    """Covariant curvature identities of the canonical connection.
+def curvature_identity_suite(gm: BigMetric, p: ChartPoint, tol: float = 1e-7) -> Report:
+    """Covariant curvature identities of the canonical connection at
+    the points p.
 
     The covariant tensor is R4(z1, z2, z3, z4) = g(R(z3, z4) z2, z1).
     Checks the displayed antisymmetry and cyclic identities, the two
@@ -208,11 +211,9 @@ def curvature_identity_suite(
     correction terms vanish.
     """
     m = gm.m
-    p = sample_box(m, n, seed=seed)
     rep = Report("covariant curvature identities", tol=tol)
 
-    D = conns.levi_civita(gm.tensor)
-    nab = conns.vranceanu_bott(D, gm.H)
+    nab = gm.connection
     R = conns.curvature(nab)
     T = conns.torsion(nab)
     gad = horizon.to_adapted(gm.tensor, gm.H)

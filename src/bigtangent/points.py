@@ -78,15 +78,13 @@ def sample_box(
     seed: int,
     low: float = -1.0,
     high: float = 1.0,
-    z_offset: float = 0.0,
     min_vertical: float | None = None,
 ) -> ChartPoint:
     """Uniform sample points in a coordinate box, batched.
 
-    ``z_offset`` shifts the z block (used where a z-dependent matrix
-    must stay invertible).  ``min_vertical`` resamples y and z entries
-    until they are at least that far from zero (Euler-field checks are
-    meaningless on the zero section).
+    ``min_vertical`` resamples y and z entries until they are at least
+    that far from zero (Euler-field checks are meaningless on the zero
+    section).
     """
     rng = np.random.default_rng(seed)
     coords = rng.uniform(low, high, size=(3, m, npoints))
@@ -96,5 +94,4 @@ def sample_box(
             while np.any(small):
                 coords[blk][small] = rng.uniform(low, high, size=int(small.sum()))
                 small = np.abs(coords[blk]) < min_vertical
-    coords[2] += z_offset
     return ChartPoint(coords[0], coords[1], coords[2])

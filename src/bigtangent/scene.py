@@ -26,6 +26,14 @@ from .bigcore import check_matrix, parse_components, parse_grid, validation_valu
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
 
+# The built-in objects that ``eval --object`` names besides the scene's
+# vector fields (the spray's two when the scene has a Lagrangian).  A
+# vector field may not take one of these names.
+OBJECT_NAMES = (
+    "S", "P", "Q", "U", "lambda", "g_V", "omega_V", "H.t", "H.tau", "metric.tensor",
+    "dfield.sigma", "dfield.psi", "dfield.density", "dfield.rho", "spray.eta", "spray.zeta",
+)
+
 _SCENE_KEYS = {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "perturb_s"}
 
 
@@ -197,18 +205,7 @@ def _load_bundle(cfg, path, sc):
         _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
     if cfg.has_section("connection"):
         sec = "connection"
-        gamma = []
-        for i in range(1, m + 1):
-            block = []
-            for j in range(1, m + 1):
-                key = f"c{i}_{j}"
-                if not cfg.has_option(sec, key):
-                    _fail(path, sec, f"missing key {key}")
-                row = [s.strip() for s in cfg.get(sec, key).split(";")]
-                if len(row) != m:
-                    _fail(path, sec, f"{key} has {len(row)} entries, expected {m}")
-                block.append(row)
-            gamma.append(block)
+        gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
         try:
             return horizon.from_linear_connection(gamma, m)
         except _INPUT_ERRORS as exc:
@@ -295,6 +292,8 @@ def load_scene(path: str) -> SceneFile:
 
     if cfg.has_section("vector_fields"):
         for name in cfg.options("vector_fields"):
+            if name in OBJECT_NAMES:
+                _fail(path, "vector_fields", f"{name}: reserved for a built-in object")
             comps = [s.strip() for s in cfg.get("vector_fields", name).split(";")]
             if len(comps) != 3 * m:
                 _fail(

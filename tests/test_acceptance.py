@@ -133,7 +133,7 @@ def test_acceptance_4_gamma_bundle_identities():
     m = 2
     H = horizon.from_linear_connection(metrics.base_christoffels(_BASE, m), m)
     gm = metrics.sasaki_type_metric(_BASE, H)
-    rep = conns.verify_section4(H, gm.tensor, seed=0, n=20, tol=1e-8)
+    rep = conns.verify_section4(H, gm.tensor, sample_box(m, 20, seed=0), tol=1e-8)
     assert rep["projected torsion is minus the curvature of H"]["max_residual"] < 1e-8
     for name in (
         "R(Y, X) X' is the horizontal part of [Y, nabla_X X']",
@@ -188,10 +188,10 @@ def test_acceptance_4_spray_residuals():
 def test_acceptance_5_metric_connection_and_cartan():
     m = 2
     gm = metrics.sasaki_metric(_BASE, m)
-    _, rep = metrics.canonical_metric_connection(gm, n=20, tol=1e-8)
+    _, rep = metrics.canonical_metric_connection(gm, sample_box(m, 20, seed=0), tol=1e-8)
     assert rep.passed, rep.to_json()
 
-    crep = metrics.curvature_identity_suite(gm, n=20)
+    crep = metrics.curvature_identity_suite(gm, sample_box(m, 20, seed=0))
     assert crep.passed, crep.to_json()
     # projectable metric: the Riemannian branch must appear and hold
     assert crep["riemannian symmetry: pair swap"]["pass"]
@@ -203,7 +203,7 @@ def test_acceptance_5_metric_connection_and_cartan():
     Cv = metrics.cartan_tensor(quartic).value(sample_box(m, 20, seed=11))
     for perm in [(1, 0, 2, 3), (0, 2, 1, 3), (2, 1, 0, 3)]:
         assert np.max(np.abs(Cv - np.transpose(Cv, perm))) < 1e-10
-    qrep = metrics.curvature_identity_suite(quartic, n=20)
+    qrep = metrics.curvature_identity_suite(quartic, sample_box(m, 20, seed=0))
     assert qrep.meta["cartan_max"] > 1e-3
     assert (
         qrep["first-pair symmetry defect equals the Cartan correction"]["max_residual"]

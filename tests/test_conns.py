@@ -156,7 +156,7 @@ def test_canonical_bott_flat_and_gamma_bundle():
 def test_canonical_bott_rule_check():
     m = 2
     H = horizon.from_linear_connection(_gamma_curved(m), m)
-    rep = conns.canonical_rule_check(H)
+    rep = conns.canonical_rule_check(H, sample_box(m, 10, seed=0))
     assert rep.passed, rep.to_json()
 
 
@@ -193,7 +193,7 @@ def test_torsion_curvature_antisymmetry():
 def test_verify_section4_flat():
     m = 2
     rep = conns.verify_section4(
-        horizon.flat_bundle(m), _diag_metric([1] * 6, m), seed=0, n=10
+        horizon.flat_bundle(m), _diag_metric([1] * 6, m), sample_box(m, 10, seed=0)
     )
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-12
@@ -203,7 +203,7 @@ def test_verify_section4_curved_gamma_bundle():
     m = 2
     H = horizon.from_linear_connection(_gamma_curved(m), m)
     g = _diag_metric([1, "exp(2*x1)", 1, "2 + y1^2", 1, 1], m)
-    rep = conns.verify_section4(H, g, seed=1, n=20)
+    rep = conns.verify_section4(H, g, sample_box(m, 20, seed=1))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-8
     # the projectable branch must have been exercised
@@ -213,7 +213,7 @@ def test_verify_section4_curved_gamma_bundle():
 def test_verify_section4_nonprojectable_bundle_skips_corollary():
     H = horizon.lift_from_tm([["y1^2"]], 1)
     g = _diag_metric([1, 1, 1], 1)
-    rep = conns.verify_section4(H, g, seed=2, n=10)
+    rep = conns.verify_section4(H, g, sample_box(1, 10, seed=2))
     with pytest.raises(KeyError):
         rep["projectable canonical connection: R(Y, X) X' = 0"]
     assert rep.meta["canonical_projectability_residual"] > 0.1

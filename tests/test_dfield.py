@@ -60,7 +60,7 @@ def test_sigma_psi_round_trip():
 
 def test_compatibility_flat_swap():
     vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    phi, rep = dfield.compatibility_check(vm, n=5)
+    phi, rep = dfield.compatibility_check(vm, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
     p = sample_box(1, 5, seed=3)
     pv = np.moveaxis(fields.fvalue(phi, p), -1, 0)
@@ -70,7 +70,7 @@ def test_compatibility_flat_swap():
 
 def test_compatibility_of_constructed_metrics():
     vm = _curved_field(2, psi=True).vertical_metric()
-    _, rep = dfield.compatibility_check(vm)
+    _, rep = dfield.compatibility_check(vm, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 
@@ -79,7 +79,7 @@ def test_compatibility_flags_incompatible_metric():
     one = fields.ONE
     bad = dfield.VerticalMetric([[one]], [[one]], [[one]], 1)
     assert not bad.nondegenerate
-    _, rep = dfield.compatibility_check(bad, n=5)
+    _, rep = dfield.compatibility_check(bad, sample_box(1, 5, seed=0))
     assert not rep.passed
     # l^2 + k h = 2 for this metric, one away from the identity
     assert abs(rep["block condition: l^2 + k h = id"]["max_residual"] - 1.0) < 1e-12
@@ -87,7 +87,7 @@ def test_compatibility_flags_incompatible_metric():
 
 def test_eigenbundles_flat_hand_value():
     vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    Ip, Im, rep = dfield.eigenbundles(vm, n=5)
+    Ip, Im, rep = dfield.eigenbundles(vm, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
     p = sample_box(1, 5, seed=4)
     assert np.max(np.abs(fields.fvalue(Ip, p)[:, 0] - np.array([[1.0], [1.0]]))) < 1e-12
@@ -96,7 +96,7 @@ def test_eigenbundles_flat_hand_value():
 
 def test_eigenbundles_curved():
     vm = _curved_field(2, psi=True).vertical_metric()
-    _, _, rep = dfield.eigenbundles(vm)
+    _, _, rep = dfield.eigenbundles(vm, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 

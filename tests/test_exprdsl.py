@@ -168,10 +168,9 @@ def test_height_bound():
 
 
 def test_deterministic_sampling():
-    a = sample_box(2, 20, seed=9, z_offset=2.0)
-    b = sample_box(2, 20, seed=9, z_offset=2.0)
+    a = sample_box(2, 20, seed=9)
+    b = sample_box(2, 20, seed=9)
     np.testing.assert_array_equal(a.flat, b.flat)
-    assert np.all(a.z >= 1.0)
     c = sample_box(2, 50, seed=1, min_vertical=0.05)
     assert np.all(np.abs(c.y) >= 0.05)
     assert np.all(np.abs(c.z) >= 0.05)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtangent import cli, fields, metrics
+from bigtangent import cli, conns, fields, metrics
 from bigtangent.bigcore import canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
+from bigtangent.points import sample_box
 from bigtangent.scene import SUITE_NAMES, SceneError, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -69,6 +70,11 @@ def test_load_scene_errors(tmp_path):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nperturb_s = 1e-3x\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\n\n[garbage]\na = 1\n"))
+    conn = "[scene]\nm = 2\n\n[connection]\nc1_1 = x1; 0\nc2_1 = 0; 0\nc2_2 = 0; 0\n"
+    with pytest.raises(SceneError, match=r"\[connection\]: missing key c1_2$"):
+        load_scene(_write(tmp_path, conn))
+    with pytest.raises(SceneError, match=r"\[connection\]: c1_2 has 3 entries, expected 2$"):
+        load_scene(_write(tmp_path, conn + "c1_2 = 0; x2; 1\n"))
     asym = "[scene]\nm = 2\n\n[base_metric]\nrow1 = 1; x1\nrow2 = 0; 1\n"
     with pytest.raises(SceneError) as err:
         load_scene(_write(tmp_path, asym))
@@ -481,6 +487,49 @@ def test_check_double_builds_rho_and_its_tape_once(tmp_path, capsys, monkeypatch
     # the tape's roots are rho, the density and det sigma, all at order 0
     tapes = [keys for keys in compiled if len(keys) == 3 and keys[0] == (rhos[0], 0)]
     assert len(tapes) == 1
+
+
+def test_metric_suite_builds_each_connection_once_on_one_batch(capsys, monkeypatch):
+    # both metric checks read the metric's one connection, at the suite's
+    # one batch of points
+    scene = str(SCENES / "kitchen-sink.scene")
+    sc = load_scene(scene)
+    p = sample_box(sc.m, 3, seed=0)
+    for gm in (sc.big_metric, sc.lagrangian_metric):
+        nab, _ = metrics.canonical_metric_connection(gm, p)
+        assert nab is gm.connection
+
+    built, drawn = [], []
+    vranceanu_bott = conns.vranceanu_bott
+
+    def counting_vranceanu_bott(*args, **kwargs):
+        built.append(vranceanu_bott(*args, **kwargs))
+        return built[-1]
+
+    def counting_sample_box(*args, **kwargs):
+        drawn.append(sample_box(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(conns, "vranceanu_bott", counting_vranceanu_bott)
+    monkeypatch.setattr(cli, "sample_box", counting_sample_box)
+    assert cli.main(["check", scene, "--suite", "metric"]) == 0
+    capsys.readouterr()
+    assert len(built) == 2  # the big metric's and the Lagrangian metric's
+    assert len(drawn) == 1
+
+
+def test_vector_field_cannot_take_a_builtin_name(tmp_path, capsys):
+    # such a vector field would hide the built-in object from `eval`, or
+    # be hidden by it
+    for name in ("lambda", "metric.tensor", "dfield.rho"):
+        path = _write(tmp_path, f"[scene]\nm = 1\n\n[vector_fields]\n{name} = 1; 2; 3\n")
+        message = f"{path}: [vector_fields]: {name}: reserved for a built-in object"
+        with pytest.raises(SceneError) as info:
+            load_scene(path)
+        assert str(info.value) == message
+        assert cli.main(["eval", path, "--object", name, "--point", "x=0;y=0;z=0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_load_scene_lets_program_errors_propagate(tmp_path, monkeypatch):
