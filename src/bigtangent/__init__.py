@@ -2,11 +2,12 @@
 
 Coordinates are (x^i, y^i, z_i): base, fiber-vector and fiber-covector
 blocks.  All derivatives are exact, computed by truncated Taylor jet
-arithmetic over a small expression language; finite differences appear
-only as test oracles.
+arithmetic over a small expression language (``parse_expr``, then
+``f.jet(point, order)``); finite differences appear only in the test
+suite, as oracles.
 """
 
-from .exprdsl import ParseError, eval_jet, fd_oracle, parse_expr
+from .exprdsl import ParseError, parse_expr
 from .jets import Jet, JetDomainError
 from .points import ChartPoint, sample_box
 
@@ -17,8 +18,6 @@ __all__ = [
     "Jet",
     "JetDomainError",
     "ParseError",
-    "eval_jet",
-    "fd_oracle",
     "parse_expr",
     "sample_box",
     "__version__",

@@ -18,7 +18,7 @@ import numpy as np
 from . import exprdsl, fields, tensorcalc as tc
 from .exprdsl import DependencyError  # noqa: F401 (raised by parse_components)
 from .fields import ScalarField, as_field
-from .points import sample_box
+from .points import ChartPoint, sample_box
 from .report import Report, largest
 from .tensorcalc import GeneralizedSection, TensorField
 
@@ -28,10 +28,16 @@ from .tensorcalc import GeneralizedSection, TensorField
 COND_LIMIT = 1e8
 
 
+def sample_matrix(comps, p: ChartPoint) -> np.ndarray:
+    """Values of an object matrix at the points ``p``, with shape
+    (npoints, rows, cols)."""
+    return np.moveaxis(fields.fvalue(comps, p), -1, 0)
+
+
 def validation_values(comps, m: int) -> np.ndarray:
     """Values of an object matrix at the points its constructor validates
     it at, ``sample_box(m, 10, seed=0)``, with shape (10, rows, cols)."""
-    return np.moveaxis(fields.fvalue(comps, sample_box(m, 10, seed=0)), -1, 0)
+    return sample_matrix(comps, sample_box(m, 10, seed=0))
 
 
 def well_conditioned(values: np.ndarray) -> bool:
@@ -186,34 +192,6 @@ def forced_fiber_part(row, var: int) -> ScalarField:
     coefficients, forces on the other block."""
     m = len(row)
     return fields.fsum((-1, fields.Coord(2 * m + h), row[h].partial(var)) for h in range(m))
-
-
-def extended_lift_tm(xi, eta, m: int, generalized: bool = False) -> TensorField:
-    """Lift of xi(x) dx + eta(x,y) dy on TM; the z-part is forced."""
-    dep_xi = "xz" if generalized else "x"
-    dep_eta = "xyz" if generalized else "xy"
-    xi = parse_components(xi, m, dep_xi, "x-components")
-    eta = parse_components(eta, m, dep_eta, "y-components")
-    comps = fields.fzeros(3 * m)
-    for i in range(m):
-        comps[i] = xi[i]
-        comps[m + i] = eta[i]
-        comps[2 * m + i] = forced_fiber_part(eta, m + i)
-    return tc.vector(comps, m)
-
-
-def extended_lift_cotm(xi, zeta, m: int, generalized: bool = False) -> TensorField:
-    """Lift of xi(x) dx + zeta(x,z) dz on T*M; the y-part is forced."""
-    dep_xi = "xy" if generalized else "x"
-    dep_zeta = "xyz" if generalized else "xz"
-    xi = parse_components(xi, m, dep_xi, "x-components")
-    zeta = parse_components(zeta, m, dep_zeta, "z-components")
-    comps = fields.fzeros(3 * m)
-    for i in range(m):
-        comps[i] = xi[i]
-        comps[m + i] = forced_fiber_part(zeta, 2 * m + i)
-        comps[2 * m + i] = zeta[i]
-    return tc.vector(comps, m)
 
 
 def generalized_moment(X, alpha, m: int) -> ScalarField:

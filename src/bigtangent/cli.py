@@ -56,8 +56,9 @@ def _suite_horizontal(sc: SceneFile, seed, samples, tol) -> list:
             horizon.lagrangian_spray_residual(sc.lagrangian, sc.spray, p),
         )
         Q, _ = horizon.second_order_projector(sc.spray)
-        Qv = np.moveaxis(Q.value(p), -1, 0)
-        rep.add("second-order projector satisfies Q^3 = Q", Qv @ Qv @ Qv - Qv, tol=1e-10)
+        rep.add(
+            "second-order projector satisfies Q^3 = Q", horizon.projector_defect(Q, p), tol=1e-10
+        )
     return [rep]
 
 
@@ -246,11 +247,13 @@ def _in_range(key: str, convert):
 
 
 def _emit(payload: dict, json_path: str | None):
+    """Write the report to ``json_path``, when given, then to stdout: a path
+    that cannot be written fails the run before anything is printed."""
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    sys.stdout.write(text)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def main(argv=None) -> int:

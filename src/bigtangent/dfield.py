@@ -30,17 +30,13 @@ from .bigcore import (
     check_matrix,
     parse_components,
     parse_grid,
+    sample_matrix,
     validation_values,
     well_conditioned,
 )
 from .fields import ScalarField, fsum
 from .points import ChartPoint, sample_box
 from .report import Report, largest
-
-
-def _sample_matrix(comps: np.ndarray, p: ChartPoint) -> np.ndarray:
-    """Values of an object matrix moved to shape (npoints, r, c)."""
-    return np.moveaxis(fields.fvalue(comps, p), -1, 0)
 
 
 def pairing_matrix(m: int) -> np.ndarray:
@@ -60,8 +56,8 @@ class VerticalMetric:
     (1,1) tensor: the full matrix in (y, z) coordinates is
     [[h, l^t], [l, k]].  Invertibility of the full matrix is recorded
     in `nondegenerate` (operations that need the inverse enforce it);
-    invertibility of k alone, which gives the Legendre-type involution,
-    in `strongly_nondegenerate`.
+    invertibility of k alone, which the inverse correspondence
+    ``sigma_psi_from_vm`` needs, in `strongly_nondegenerate`.
     """
 
     h: np.ndarray
@@ -144,8 +140,8 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     phi = phi_matrix(vm)
     rep = Report("fiber metric compatibility", tol=tol)
 
-    Pv = _sample_matrix(phi, p)
-    Gv = _sample_matrix(vm.matrix(), p)
+    Pv = sample_matrix(phi, p)
+    Gv = sample_matrix(vm.matrix(), p)
     g2 = pairing_matrix(m)
 
     rep.add("phi squared is the identity", Pv @ Pv - np.eye(2 * m))
@@ -156,9 +152,9 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     )
     rep.add("phi is symmetric for the fiber metric", np.swapaxes(Pv, 1, 2) @ Gv - Gv @ Pv)
 
-    hv = _sample_matrix(vm.h, p)
-    kv = _sample_matrix(vm.k, p)
-    lv = _sample_matrix(vm.l, p)
+    hv = sample_matrix(vm.h, p)
+    kv = sample_matrix(vm.k, p)
+    lv = sample_matrix(vm.l, p)
     rep.add("block condition: l^2 + k h = id", lv @ lv + kv @ hv - np.eye(m))
     rep.add("block condition: l k + k l^t = 0", lv @ kv + kv @ np.swapaxes(lv, 1, 2))
     rep.add("block condition: h l + l^t h = 0", hv @ lv + np.swapaxes(lv, 1, 2) @ hv)
@@ -181,11 +177,11 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     Ip, Im = B[:, :m], B[:, m:]
 
     rep = Report("eigenbundles of the compatibility endomorphism", tol=tol)
-    Gv = _sample_matrix(vm.matrix(), p)
-    Phiv = _sample_matrix(phi_matrix(vm), p)
-    Ipv = _sample_matrix(Ip, p)
-    Imv = _sample_matrix(Im, p)
-    Sv = _sample_matrix(S, p)
+    Gv = sample_matrix(vm.matrix(), p)
+    Phiv = sample_matrix(phi_matrix(vm), p)
+    Ipv = sample_matrix(Ip, p)
+    Imv = sample_matrix(Im, p)
+    Sv = sample_matrix(S, p)
     g2 = pairing_matrix(m)
 
     rep.add(
@@ -208,33 +204,6 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
         np.swapaxes(Imv, 1, 2) @ g2 @ Imv + Sv,
     )
     return Ip, Im, rep
-
-
-# -- Hessian metrics and the Legendre-type involution ---------------------
-def hessian_vm(K, m: int) -> VerticalMetric:
-    """Fiber metric from the fiber Hessian of a chart function: the
-    three blocks are the second partials on the (y,y), (z,z) and (y,z)
-    coordinate pairs."""
-    Kf = parse_components([K], m, {"x", "y", "z"}, "K", count=1)[0]
-    h = fields.fzeros(m, m)
-    k = fields.fzeros(m, m)
-    l = fields.fzeros(m, m)
-    for i, j in np.ndindex(m, m):
-        h[i, j] = Kf.partial(m + i).partial(m + j)
-        k[i, j] = Kf.partial(2 * m + i).partial(2 * m + j)
-        # l maps the y-block to itself; row index from the z-slot
-        l[i, j] = Kf.partial(m + j).partial(2 * m + i)
-    return VerticalMetric(h, k, l, m)
-
-
-def legendre_involution(vm: VerticalMetric, p: ChartPoint) -> ChartPoint:
-    """(x, y, z) -> (x, k z, k^{-1} y) with k evaluated at the point."""
-    if not vm.strongly_nondegenerate:
-        raise ValueError("the z-block restriction is degenerate")
-    kv = _sample_matrix(vm.k, p)
-    y = np.einsum("pij,jp->ip", kv, p.z)
-    z = np.linalg.solve(kv, np.moveaxis(p.y, -1, 0)[..., None])[..., 0].T
-    return ChartPoint(p.x, y, z)
 
 
 # -- double fields ---------------------------------------------------------
@@ -287,14 +256,6 @@ class DoubleField:
     def integrand_tape(self) -> fields.Tape:
         """The action integrand's tape for rho; its first root is rho."""
         return _integrand_tape(self, self.curvatures[2])
-
-
-def field_from_riemannian(gamma, m: int) -> DoubleField:
-    """Double field of a base metric: the horizontal bundle of its
-    Levi-Civita connection, sigma the metric itself, psi = 0."""
-    g = parse_grid(gamma, m, "x", "g")
-    H = horizon.from_linear_connection(metrics.base_christoffels(gamma, m), m)
-    return DoubleField(H, g)
 
 
 def field_from_lagrangian(L, m: int) -> DoubleField:

@@ -18,8 +18,8 @@ The parser builds interned ``fields`` nodes as it reads: ``Const`` for a
 number, ``Coord`` for a variable, and the field operators, with their
 constant folds, for unary minus, ``^``, the functions and ``+ - * /``.
 The same text therefore gives the very same node, and the field graph is
-the only evaluator: ``eval_jet`` is ``f.jet`` with the order checked, and
-a domain error is a ``JetDomainError`` naming the sample point.
+the only evaluator: ``f.jet(p, order)`` gives the exact value and partials,
+and a domain error is a ``JetDomainError`` naming the sample point.
 
 Two bounds validate the input.  Parentheses, function calls and unary
 minus may nest at most ``MAX_HEIGHT`` deep, which keeps this parser, the
@@ -37,10 +37,6 @@ also when a fold erased it from the graph (``0*y1`` in an x-only slot).
 from __future__ import annotations
 
 from .fields import Const, Coord, ScalarField
-from .jets import Jet
-from .points import ChartPoint
-
-MAX_ORDER = 4
 
 # Input validation: the deepest nesting and the tallest graph one entry may
 # have.  The nesting bound keeps the recursive-descent parser well inside
@@ -235,39 +231,3 @@ def parse_expr(
         )
     return f
 
-
-def eval_jet(f: ScalarField, p: ChartPoint, order: int) -> Jet:
-    """Exact value and partials of ``f`` at ``p`` up to ``order``.
-
-    Computed by truncated Taylor arithmetic, never finite differences.
-    """
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    return f.jet(p, order)
-
-
-def fd_oracle(f: ScalarField, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
-    """Central-difference estimate of a partial derivative (tests only).
-
-    ``multi_index`` is an exponent tuple of length 3m, total degree <= 3.
-    """
-    multi_index = tuple(int(a) for a in multi_index)
-    if len(multi_index) != 3 * p.m:
-        raise ValueError("multi_index must have length 3m")
-    if sum(multi_index) > 3:
-        raise ValueError("fd_oracle supports total degree <= 3")
-    if h <= 0:
-        raise ValueError("h must be positive")
-
-    def rec(point: ChartPoint, alpha: tuple[int, ...]) -> float:
-        for var, a in enumerate(alpha):
-            if a > 0:
-                down = list(alpha)
-                down[var] -= 1
-                down = tuple(down)
-                return (
-                    rec(point.shifted(var, h), down) - rec(point.shifted(var, -h), down)
-                ) / (2.0 * h)
-        return float(eval_jet(f, point, 0).value[0])
-
-    return rec(p, multi_index)

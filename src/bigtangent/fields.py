@@ -345,15 +345,6 @@ def field(text: str, m: int) -> ScalarField:
 
 
 # -- object-array matrix helpers ------------------------------------------
-def fmat(rows) -> np.ndarray:
-    """A 2D object array of ScalarFields from nested lists."""
-    rows = [[as_field(e) for e in row] for row in rows]
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        out[i, :] = row
-    return out
-
-
 def fzeros(*shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = ZERO

@@ -5,8 +5,7 @@ and a symmetric 2-contravariant Q satisfying the canonical rank and
 composition axioms is equivalent to a reduction of the frame bundle to
 the block group Bt(3m): frames (a_i, b_i, c^i) with b_i = S a_i.  This
 module checks the axioms at sample points, constructs such a frame
-numerically, tests the integrability conditions and recognizes the
-Bt-pattern of canonical-atlas Jacobians.
+numerically and tests the integrability conditions.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from . import fields, tensorcalc as tc
 from .bigcore import CanonicalPack, _same_colspace, triple_axioms
 from .points import ChartPoint
-from .report import Report, largest
+from .report import Report
 from .tensorcalc import TensorField
 
 
@@ -130,51 +129,6 @@ def frame_residuals(T: TriplePack, fr: AdaptedFrame) -> dict:
     return res
 
 
-def _block_pattern(M, m, tol, zero_blocks):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3 * m, 3 * m):
-        return False
-    A = M[:m, :m]
-    if abs(np.linalg.det(A)) < tol:
-        return False
-    scale = max(1.0, largest(M))
-    for r, c in zero_blocks:
-        if np.max(np.abs(M[r * m : (r + 1) * m, c * m : (c + 1) * m])) > tol * scale:
-            return False
-    if not np.allclose(M[m : 2 * m, m : 2 * m], A, atol=tol * scale):
-        return False
-    return np.allclose(M[2 * m :, 2 * m :], np.linalg.inv(A).T, atol=tol * scale)
-
-
-def bt_pattern_check(M: np.ndarray, m: int, tol: float = 1e-9) -> bool:
-    """True iff M has the Bt(3m) group block pattern.
-
-    Blocks in m-sized groups: upper-left A invertible, middle block
-    equal to A, lower-right the inverse transpose of A, zero blocks at
-    (2,1), (2,3), (3,1), (3,2); blocks (1,2) and (1,3) are free.
-    """
-    return _block_pattern(M, m, tol, [(1, 0), (1, 2), (2, 0), (2, 1)])
-
-
-def canonical_atlas_jacobian_check(
-    J: np.ndarray, tol: float = 1e-9, integrable: bool = False
-) -> bool:
-    """True iff J has the block pattern of a coordinate-change Jacobian
-    between charts of a canonical (quasi-integrable) atlas.
-
-    Zero blocks at (2,1), (2,3), (3,1); middle block equals the
-    invertible upper-left block and the lower-right block is its inverse
-    transpose.  With ``integrable=True`` the (3,2) block must vanish too.
-    """
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 3:
-        return False
-    zeros = [(1, 0), (1, 2), (2, 0)]
-    if integrable:
-        zeros.append((2, 1))
-    return _block_pattern(J, J.shape[0] // 3, tol, zeros)
-
-
 # -- integrability --------------------------------------------------------
 def integrability_check(
     T: TriplePack,
@@ -245,17 +199,3 @@ def integrability_check(
         rep.add_bool("ker S = im S (+) Delta", bool(ok_split))
     return rep
 
-
-def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:
-    """Transform the triple by a constant invertible linear chart map G."""
-    G = np.asarray(G, dtype=float)
-    Ginv = np.linalg.inv(G)
-    Sc = np.tensordot(np.tensordot(G, T.S.comps, axes=([1], [0])), Ginv, axes=([1], [0]))
-    Pc = np.tensordot(np.tensordot(G, T.P.comps, axes=([1], [0])), G, axes=([1], [1]))
-    Qc = np.tensordot(np.tensordot(G, T.Q.comps, axes=([1], [0])), G, axes=([1], [1]))
-    return TriplePack(
-        S=TensorField(("up", "down"), Sc, T.m),
-        P=TensorField(("up", "up"), Pc, T.m),
-        Q=TensorField(("up", "up"), Qc, T.m),
-        m=T.m,
-    )

@@ -5,9 +5,9 @@ X_i = d/dx^i - t_i^j d/dy^j - tau_ij d/dz_j, complementary to the
 vertical coordinate distributions.  The module builds such bundles from
 linear connection coefficients, from tangent-side or cotangent-side
 horizontal data, from regular Lagrangians via their spray, and from
-second-order vector fields; it also provides the adapted coframe, the
-Ehresmann curvature, the bidegree decomposition of the exterior
-derivative and the induced covariant derivative on base sections.
+second-order vector fields; it also provides the adapted frame and
+coframe, the change to and from the adapted frame, and the Ehresmann
+curvature.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .bigcore import (
     forced_fiber_part,
     parse_components,
     parse_grid,
+    sample_matrix,
     validation_values,
 )
 from .fields import ScalarField
@@ -59,27 +60,10 @@ class HorizontalBundle:
             start=f.partial(a),
         )
 
-    def horizontal_vector(self, i: int) -> TensorField:
-        return self.horizontal_frame()[i]
-
     def horizontal_frame(self) -> list:
         """The fields X_i: the first m columns of the frame matrix."""
         E, _ = frame_matrices(self)
         return [tc.vector(E[:, i], self.m) for i in range(self.m)]
-
-    def projector_h(self) -> TensorField:
-        """Projection onto H along the fibers: the frame matrix with its
-        fiber columns zeroed."""
-        m = self.m
-        comps = fields.fzeros(3 * m, 3 * m)
-        comps[:, :m] = frame_matrices(self)[0][:, :m]
-        return TensorField(("up", "down"), comps, m)
-
-    def projector_v(self) -> TensorField:
-        m = self.m
-        eye = fields.fzeros(3 * m, 3 * m)
-        np.fill_diagonal(eye, fields.ONE)
-        return TensorField(("up", "down"), eye - self.projector_h().comps, m)
 
 
 def frame_matrices(H: HorizontalBundle):
@@ -234,8 +218,7 @@ def second_order_projector(sof: SecondOrderField):
     m = sof.m
     S = canonical_pack(m).S
     Q = tc.lie_derivative(sof.as_vector(), S)
-    Qv = np.moveaxis(Q.value(sample_box(m, 10, seed=1)), -1, 0)
-    res = largest(Qv @ Qv @ Qv - Qv)
+    res = largest(projector_defect(Q, sample_box(m, 10, seed=1)))
     if res > 1e-9:
         raise ValueError(f"Q^3 - Q residual {res:.3e}: input is not second order")
     t = fields.fzeros(m, m)
@@ -247,16 +230,14 @@ def second_order_projector(sof: SecondOrderField):
     return Q, HorizontalBundle(t, tau, m)
 
 
-# -- coframe, curvature, bigrading ----------------------------------------
-def adapted_coframe(H: HorizontalBundle):
-    """Dual cobasis (dx^i, theta^i, kappa_i) of the adapted frame: the rows
-    of the coframe matrix."""
-    m = H.m
-    _, C = frame_matrices(H)
-    forms = [tc.one_form(C[a], m) for a in range(3 * m)]
-    return forms[:m], forms[m : 2 * m], forms[2 * m :]
+def projector_defect(Q: TensorField, p: ChartPoint) -> np.ndarray:
+    """Q^3 - Q at the points ``p``, shape (npoints, 3m, 3m): zero where Q
+    is the projector of a second-order field."""
+    Qv = sample_matrix(Q.comps, p)
+    return Qv @ Qv @ Qv - Qv
 
 
+# -- frame change and curvature -------------------------------------------
 def to_adapted(T: TensorField, H: HorizontalBundle) -> TensorField:
     """Re-express components in the adapted frame of H."""
     return _change_frame(T, H, "natural", "adapted")
@@ -298,117 +279,3 @@ def ehresmann_curvature(H: HorizontalBundle) -> TensorField:
                 comps[k, i, j] = br.comps[k]
                 comps[k, j, i] = -1.0 * br.comps[k]
     return TensorField(("up", "down", "down"), comps, m)
-
-
-def _bidegree_of_index(a: int, m: int) -> int:
-    return 0 if a < m else 1
-
-
-def decompose_d(omega: TensorField, H: HorizontalBundle):
-    """Split d(omega) into its (p+1,q), (p,q+1) and (p+2,q-1) parts.
-
-    omega must be homogeneous of some bidegree (p,q) with respect to the
-    horizontal/vertical splitting; the bidegree is detected by
-    evaluating the adapted components at a fixed validation batch.
-    """
-    m = omega.m
-    k = len(omega.sig)
-    if any(v != "down" for v in omega.sig):
-        raise ValueError("decompose_d expects a differential form")
-    p, q = _detect_bidegree(omega, H, sample_box(m, 8, seed=2))
-    d = tc.exterior_derivative(omega)
-    d_ad = to_adapted(d, H)
-    parts = []
-    for tp, tq in [(p + 1, q), (p, q + 1), (p + 2, q - 1)]:
-        proj = fields.fzeros(*([3 * m] * (k + 1)))
-        if 0 <= tp and 0 <= tq and tp + tq == k + 1:
-            for idx in np.ndindex(proj.shape):
-                deg = sum(_bidegree_of_index(a, m) for a in idx)
-                if deg == tq:
-                    proj[idx] = d_ad.comps[idx]
-        part = to_natural(TensorField(d.sig, proj, m, frame="adapted"), H)
-        parts.append(part)
-    return tuple(parts)
-
-
-def _detect_bidegree(omega: TensorField, H: HorizontalBundle, points: ChartPoint):
-    m = omega.m
-    k = len(omega.sig)
-    if k == 0:
-        return 0, 0
-    ad = to_adapted(omega, H)
-    vals = fields.fvalue(ad.comps, points)
-    seen = set()
-    for idx in np.ndindex(omega.comps.shape):
-        if np.max(np.abs(vals[idx])) > 1e-10:
-            seen.add(sum(_bidegree_of_index(a, m) for a in idx))
-    if len(seen) > 1:
-        raise ValueError(f"form is not bidegree-homogeneous: V-degrees {sorted(seen)}")
-    q = seen.pop() if seen else 0
-    return k - q, q
-
-
-def nonlinear_covariant_derivative(H: HorizontalBundle, nu, kappa, xi):
-    """Covariant derivative of a base section (nu^i(x), kappa_i(x))
-    along X = xi^j(x) d/dx^j, with values in the pulled-back pair
-    bundle: component arrays (vector part, form part)."""
-    m = H.m
-    nu = parse_components(nu, m, {"x"}, "nu")
-    kap = parse_components(kappa, m, {"x"}, "kappa")
-    xi = parse_components(xi, m, {"x"}, "xi")
-    out_v = fields.fzeros(m)
-    out_f = fields.fzeros(m)
-    for i in range(m):
-        out_v[i] = fields.fsum((1, xi[j], nu[i].partial(j) + H.t[j, i]) for j in range(m))
-        out_f[i] = fields.fsum((1, xi[j], kap[i].partial(j) - H.tau[j, i]) for j in range(m))
-    return out_v, out_f
-
-
-def is_liouville_related(a: TensorField, points: ChartPoint, tol: float = 1e-10) -> bool:
-    """True iff composing the 1-form with S gives the tautological form,
-    i.e. the dy-coefficients equal the z-coordinates."""
-    m = a.m
-    vals = fields.fvalue(a.comps[m : 2 * m], points)
-    return largest(vals - points.z) <= tol
-
-
-def transformed_gamma_bundle(Gamma, A: np.ndarray, m: int) -> HorizontalBundle:
-    """Bundle of the connection Gamma re-expressed in linear coordinates
-    xt = A x (test helper for the equivariance law)."""
-    A = np.asarray(A, dtype=float)
-    Ainv = np.linalg.inv(A)
-    raw = np.asarray(Gamma, dtype=object)
-    G = np.array(
-        parse_components(raw.reshape(-1), m, {"x"}, "Gamma", count=m ** 3), dtype=object
-    )
-    G = G.reshape(m, m, m)
-    # substitute x = Ainv xt inside the coefficients and contract indices
-    subs = [
-        fields.fsum((1, float(Ainv[r, c]), fields.Coord(c)) for c in range(m))
-        for r in range(m)
-    ]
-    Gt = fields.fzeros(m, m, m)
-    for i, j, k in np.ndindex(m, m, m):
-        Gt[i, j, k] = fields.fsum(
-            (1, float(A[i, a] * Ainv[b, j] * Ainv[c, k]), _substitute_x(G[a, b, c], subs))
-            for a, b, c in np.ndindex(m, m, m)
-        )
-    return from_linear_connection(Gt, m)
-
-
-def _substitute_x(f: ScalarField, subs) -> ScalarField:
-    """Replace Coord(i) (x-block only) by the given fields inside a
-    field graph built from Coord/Const and arithmetic."""
-    if isinstance(f, fields.Coord):
-        return subs[f.var] if f.var < len(subs) else f
-    if isinstance(f, fields.Const):
-        return f
-    if isinstance(f, fields.Bin):
-        return fields.Bin(f.op, _substitute_x(f.a, subs), _substitute_x(f.b, subs))
-    if isinstance(f, fields.Pow):
-        return fields.Pow(_substitute_x(f.base, subs), f.n)
-    if isinstance(f, fields.Func):
-        return fields.Func(f.name, _substitute_x(f.arg, subs))
-    if isinstance(f, fields.Partial):
-        raise ValueError("cannot substitute under a derivative node")
-    raise TypeError(f"unsupported node {type(f).__name__}")

@@ -3,7 +3,7 @@
 A metric on the 3m-chart whose restriction to the vertical coordinate
 blocks is invertible singles out a horizontal bundle: the orthogonal
 complement of the fibers.  The module builds the classical lifted
-metrics (covariant-differential form, coframe form, Lagrangian form),
+metrics (coframe form over a given bundle, Lagrangian form),
 derives that bundle, constructs the canonical metric connection by
 projecting the Levi-Civita connection, and verifies its characterizing
 properties together with the covariant curvature identities governed by
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import conns, fields, horizon, tensorcalc as tc
+from . import conns, fields, horizon
 from .bigcore import check_matrix, parse_components, parse_grid, validation_values
 from .points import ChartPoint
 from .report import Report, largest
@@ -64,11 +64,6 @@ class BigMetric:
         of the metric, projected onto the blocks of H."""
         return conns.vranceanu_bott(conns.levi_civita(self.tensor), self.H)
 
-    def vertical_block(self, p: ChartPoint) -> np.ndarray:
-        """Numeric 2m x 2m restriction to the fibers, shape (2m,2m,npoints)."""
-        m = self.m
-        return fields.fvalue(self.tensor.comps[m:, m:], p)
-
 
 # -- constructors ---------------------------------------------------------
 def base_christoffels(g, m: int):
@@ -97,15 +92,6 @@ def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
     gm = parse_grid(g, m, "xy", "g")
     check_matrix(validation_values(gm, m), "fiber metric", invertible=True)
     return BigMetric(block_lift(gm, H), m, H=H)
-
-
-def sasaki_metric(g, m: int) -> BigMetric:
-    """Lifted metric of a base metric g(x): the coframe form over the
-    horizontal bundle of the base Levi-Civita connection, so the fiber
-    terms are the classical covariant differentials of y and z."""
-    Gamma = base_christoffels(g, m)
-    H = horizon.from_linear_connection(Gamma, m)
-    return sasaki_type_metric(g, H)
 
 
 def lagrangian_metric(L, m: int) -> BigMetric:
@@ -172,31 +158,6 @@ def cartan_tensor(gm: BigMetric) -> TensorField:
     comps = fields.fzeros(3 * m, 3 * m, 3 * m)
     for i, j, k in np.ndindex(m, m, m):
         comps[i, j, k] = gad.comps[j, k].partial(m + i)
-    return TensorField(("down", "down", "down"), comps, m, frame="adapted")
-
-
-def cartan_via_lie_derivative(gm: BigMetric) -> TensorField:
-    """Oracle for the Cartan tensor: (L_{S X_i} g)(X_j, X_k) with g the
-    horizontal metric extended by zero."""
-    m = gm.m
-    H = gm.H
-    gad = horizon.to_adapted(gm.tensor, H)
-    hcomps = fields.fzeros(3 * m, 3 * m)
-    for i in range(m):
-        for j in range(m):
-            hcomps[i, j] = gad.comps[i, j]
-    g_ext = horizon.to_natural(
-        TensorField(("down", "down"), hcomps, m, frame="adapted"), H
-    )
-    E, _ = horizon.frame_matrices(H)
-    comps = fields.fzeros(3 * m, 3 * m, 3 * m)
-    for i in range(m):
-        # S X_i is the i-th y-direction for the standard nilpotent S
-        lg = tc.lie_derivative(tc.basis_vector(m + i, m), g_ext)
-        for j, k in np.ndindex(m, m):
-            comps[i, j, k] = fields.fsum(
-                (1, lg.comps[r, q], E[r, j], E[q, k]) for r, q in np.ndindex(3 * m, 3 * m)
-            )
     return TensorField(("down", "down", "down"), comps, m, frame="adapted")
 
 

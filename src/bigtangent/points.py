@@ -65,12 +65,6 @@ class ChartPoint:
             return self
         return ChartPoint(self.x[:, k], self.y[:, k], self.z[:, k])
 
-    def shifted(self, var: int, h: float) -> "ChartPoint":
-        flat = self.flat.copy()
-        flat[var] = flat[var] + h
-        m = self.m
-        return ChartPoint(flat[:m], flat[m : 2 * m], flat[2 * m :])
-
 
 def sample_box(
     m: int,

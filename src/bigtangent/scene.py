@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -75,6 +76,19 @@ def _fail(path, where, msg):
     raise SceneError(f"{path}: [{where}]: {msg}")
 
 
+@contextmanager
+def _building(path, where, prefix=""):
+    """Turn an input error of the construction inside the block into a
+    SceneError naming section ``where``, its message after ``prefix``; a
+    SceneError passes unchanged."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except _INPUT_ERRORS as exc:
+        _fail(path, where, f"{prefix}{exc}")
+
+
 def _rows(cfg, path, section, prefix, m, count=None):
     """Collect keys prefix1..prefixN as a list of ``;``-split rows."""
     count = m if count is None else count
@@ -88,13 +102,6 @@ def _rows(cfg, path, section, prefix, m, count=None):
             _fail(path, section, f"{key} has {len(row)} entries, expected {m}")
         rows.append(row)
     return rows
-
-
-def _parse_grid(rows, m, allowed, path, where):
-    try:
-        return parse_grid(rows, m, allowed, where)
-    except _INPUT_ERRORS as exc:
-        _fail(path, where, str(exc))
 
 
 @dataclass
@@ -188,7 +195,7 @@ def _load_bundle(cfg, path, sc):
         sec = "horizontal_bundle"
         has_t = cfg.has_option(sec, "t1")
         has_tau = cfg.has_option(sec, "tau1")
-        try:
+        with _building(path, sec):
             if has_t and has_tau:
                 t = _rows(cfg, path, sec, "t", m)
                 tau = _rows(cfg, path, sec, "tau", m)
@@ -198,18 +205,12 @@ def _load_bundle(cfg, path, sc):
                 return horizon.lift_from_tm(_rows(cfg, path, sec, "t", m), m)
             if has_tau:
                 return horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
-        except SceneError:
-            raise
-        except _INPUT_ERRORS as exc:
-            _fail(path, sec, str(exc))
         _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
     if cfg.has_section("connection"):
         sec = "connection"
         gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
-        try:
+        with _building(path, sec):
             return horizon.from_linear_connection(gamma, m)
-        except _INPUT_ERRORS as exc:
-            _fail(path, sec, str(exc))
     if sc.base_metric is not None:
         return horizon.from_linear_connection(
             metrics.base_christoffels(sc.base_metric, m), m
@@ -269,11 +270,9 @@ def load_scene(path: str) -> SceneFile:
 
     if cfg.has_section("base_metric"):
         rows = _rows(cfg, path, "base_metric", "row", m)
-        g = _parse_grid(rows, m, {"x"}, path, "base_metric")
-        try:
+        with _building(path, "base_metric"):
+            g = parse_grid(rows, m, {"x"}, "base_metric")
             check_matrix(validation_values(g, m), "metric", symmetry=1)
-        except _INPUT_ERRORS as exc:
-            _fail(path, "base_metric", str(exc))
         sc.base_metric = g
 
     sc._spray_bundle = None
@@ -281,12 +280,10 @@ def load_scene(path: str) -> SceneFile:
         if not cfg.has_option("lagrangian", "l"):
             _fail(path, "lagrangian", "missing key L")
         sc.lagrangian = cfg.get("lagrangian", "l")
-        try:
+        with _building(path, "lagrangian"):
             sc.spray, sc._spray_bundle = horizon.spray_from_lagrangian(
                 sc.lagrangian, m
             )
-        except _INPUT_ERRORS as exc:
-            _fail(path, "lagrangian", str(exc))
 
     sc.bundle = _load_bundle(cfg, path, sc)
 
@@ -301,15 +298,11 @@ def load_scene(path: str) -> SceneFile:
                     "vector_fields",
                     f"{name} has {len(comps)} components, expected {3 * m}",
                 )
-            try:
+            with _building(path, "vector_fields", f"{name}: "):
                 sc.vector_fields[name] = np.array(
                     parse_components(comps, m, {"x", "y", "z"}, name, count=3 * m),
                     dtype=object,
                 )
-            except SceneError:
-                raise
-            except _INPUT_ERRORS as exc:
-                _fail(path, "vector_fields", f"{name}: {exc}")
 
     g_base = sc.base_metric
     if g_base is None:
@@ -317,25 +310,19 @@ def load_scene(path: str) -> SceneFile:
             [[fields.ONE if i == j else fields.ZERO for j in range(m)] for i in range(m)],
             dtype=object,
         )
-    try:
+    with _building(path, "base_metric"):
         sc.big_metric = metrics.sasaki_type_metric(g_base, sc.bundle)
-    except _INPUT_ERRORS as exc:
-        _fail(path, "base_metric", str(exc))
     if sc.lagrangian is not None:
-        try:
+        with _building(path, "lagrangian"):
             sc.lagrangian_metric = metrics.lagrangian_metric(sc.lagrangian, m)
-        except _INPUT_ERRORS as exc:
-            _fail(path, "lagrangian", str(exc))
 
     if cfg.has_section("double_field"):
         sec = "double_field"
         sigma = _rows(cfg, path, sec, "sigma", m)
         psi = _rows(cfg, path, sec, "psi", m) if cfg.has_option(sec, "psi1") else None
         density = cfg.get(sec, "density", fallback=None)
-        try:
+        with _building(path, sec):
             sc.double_field = dfield.DoubleField(sc.bundle, sigma, psi, density)
-        except _INPUT_ERRORS as exc:
-            _fail(path, sec, str(exc))
     elif sc.base_metric is not None:
         sc.double_field = dfield.DoubleField(sc.bundle, sc.base_metric)
     elif sc.lagrangian is not None:

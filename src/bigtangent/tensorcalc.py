@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,27 +220,6 @@ def differential(f: ScalarField, m: int) -> TensorField:
     return one_form([f.partial(i) for i in range(3 * m)], m)
 
 
-def check_antisymmetric(T: TensorField, p: ChartPoint, tol: float = 1e-12) -> bool:
-    v = T.value(p)
-    k = len(T.sig)
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        if not np.allclose(v, sign * np.transpose(v, perm + (k,)), atol=tol):
-            return False
-    return True
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
-
-
 # -- Schouten bracket -----------------------------------------------------
 def schouten_bracket(P1: TensorField, P2: TensorField) -> TensorField:
     """[P1,P2]^{ijk} = sum_cyc(ijk) (P1^{si} d_s P2^{jk} + P2^{si} d_s P1^{jk})."""
@@ -289,26 +267,6 @@ def nijenhuis_tensor(A: TensorField) -> TensorField:
     return TensorField(("up", "down", "down"), out, A.m)
 
 
-def nijenhuis_via_brackets(A: TensorField) -> TensorField:
-    """Oracle: N(e_i, e_j) assembled from explicit Lie brackets."""
-    _require_natural(A)
-    n = A.n
-    m = A.m
-    out = fzeros(n, n, n)
-    basis = [basis_vector(i, m) for i in range(n)]
-    for i in range(n):
-        Ai = apply_11(A, basis[i])
-        for j in range(n):
-            Aj = apply_11(A, basis[j])
-            term = lie_bracket(Ai, Aj)
-            term = term - apply_11(A, lie_bracket(Ai, basis[j]))
-            term = term - apply_11(A, lie_bracket(basis[i], Aj))
-            # A^2 [e_i, e_j] = 0 for coordinate fields
-            for k in range(n):
-                out[k, i, j] = term.comps[k]
-    return TensorField(("up", "down", "down"), out, m)
-
-
 # -- Courant bracket ------------------------------------------------------
 def courant_bracket(A: GeneralizedSection, B: GeneralizedSection) -> GeneralizedSection:
     """[(X,a),(Y,mu)] = ([X,Y], L_X mu - L_Y a + 1/2 d(a(Y) - mu(X)))."""
@@ -344,34 +302,6 @@ def kernel_image(W: np.ndarray, tol: float = RANK_TOL):
     im = U[:, :r]
     ker = Vt[r:].T
     return ker, im
-
-
-def flat_value(W: np.ndarray, v: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Minimal-norm preimage of v under the sharp map of W.
-
-    Raises ValueError when v is not in the image (residual > 1e-8).
-    """
-    M = W.T
-    alpha = np.linalg.pinv(M, rcond=tol) @ v
-    resid = np.linalg.norm(M @ alpha - v)
-    scale = max(1.0, np.linalg.norm(v))
-    if resid > 1e-8 * scale:
-        raise ValueError(f"value outside the image of sharp (residual {resid:.3e})")
-    return alpha
-
-
-def sharp_flat(W: np.ndarray, arg: np.ndarray, mode: str):
-    """Numeric sharp or flat with kernel/image bases.
-
-    mode="sharp": arg is a covector, returns its raise plus (ker, im).
-    mode="flat": arg is a vector in the image, returns a preimage.
-    """
-    ker, im = kernel_image(W)
-    if mode == "sharp":
-        return sharp_value(W, arg), ker, im
-    if mode == "flat":
-        return flat_value(W, arg), ker, im
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def matrix_rank(W: np.ndarray, tol: float = RANK_TOL) -> int:

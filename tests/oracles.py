@@ -1,0 +1,108 @@
+"""Independent oracles and constructions that several test modules share.
+
+Each is compared against the package code it checks: finite differences
+against exact jets, explicit Lie brackets against the Nijenhuis formula,
+permutations against the stored antisymmetry of forms, and the lifted
+metric of a base metric against the scene's and the double field's
+constructions.  None is part of the package.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from bigtangent import horizon, metrics, tensorcalc as tc
+from bigtangent.fields import ScalarField, fzeros
+from bigtangent.metrics import BigMetric
+from bigtangent.points import ChartPoint
+from bigtangent.tensorcalc import TensorField
+
+
+# -- finite differences ---------------------------------------------------
+def shifted(point: ChartPoint, var: int, h: float) -> ChartPoint:
+    """``point`` with chart variable ``var`` moved by ``h``."""
+    flat = point.flat.copy()
+    flat[var] = flat[var] + h
+    m = point.m
+    return ChartPoint(flat[:m], flat[m : 2 * m], flat[2 * m :])
+
+
+def fd_oracle(f: ScalarField, p: ChartPoint, multi_index, h: float = 1e-5) -> float:
+    """Central-difference estimate of a partial derivative.
+
+    ``multi_index`` is an exponent tuple of length 3m, total degree <= 3.
+    """
+    multi_index = tuple(int(a) for a in multi_index)
+    if len(multi_index) != 3 * p.m:
+        raise ValueError("multi_index must have length 3m")
+    if sum(multi_index) > 3:
+        raise ValueError("fd_oracle supports total degree <= 3")
+    if h <= 0:
+        raise ValueError("h must be positive")
+
+    def rec(point: ChartPoint, alpha: tuple[int, ...]) -> float:
+        for var, a in enumerate(alpha):
+            if a > 0:
+                down = list(alpha)
+                down[var] -= 1
+                down = tuple(down)
+                return (
+                    rec(shifted(point, var, h), down) - rec(shifted(point, var, -h), down)
+                ) / (2.0 * h)
+        return float(f.jet(point, 0).value[0])
+
+    return rec(p, multi_index)
+
+
+# -- tensors --------------------------------------------------------------
+def check_antisymmetric(T: TensorField, p: ChartPoint, tol: float = 1e-12) -> bool:
+    v = T.value(p)
+    k = len(T.sig)
+    for perm in itertools.permutations(range(k)):
+        sign = _perm_sign(perm)
+        if not np.allclose(v, sign * np.transpose(v, perm + (k,)), atol=tol):
+            return False
+    return True
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    perm = list(perm)
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def nijenhuis_via_brackets(A: TensorField) -> TensorField:
+    """Oracle: N(e_i, e_j) assembled from explicit Lie brackets."""
+    tc._require_natural(A)
+    n = A.n
+    m = A.m
+    out = fzeros(n, n, n)
+    basis = [tc.basis_vector(i, m) for i in range(n)]
+    for i in range(n):
+        Ai = tc.apply_11(A, basis[i])
+        for j in range(n):
+            Aj = tc.apply_11(A, basis[j])
+            term = tc.lie_bracket(Ai, Aj)
+            term = term - tc.apply_11(A, tc.lie_bracket(Ai, basis[j]))
+            term = term - tc.apply_11(A, tc.lie_bracket(basis[i], Aj))
+            # A^2 [e_i, e_j] = 0 for coordinate fields
+            for k in range(n):
+                out[k, i, j] = term.comps[k]
+    return TensorField(("up", "down", "down"), out, m)
+
+
+# -- metrics --------------------------------------------------------------
+def sasaki_metric(g, m: int) -> BigMetric:
+    """Lifted metric of a base metric g(x): the coframe form over the
+    horizontal bundle of the base Levi-Civita connection, so the fiber
+    terms are the classical covariant differentials of y and z."""
+    Gamma = metrics.base_christoffels(g, m)
+    H = horizon.from_linear_connection(Gamma, m)
+    return metrics.sasaki_type_metric(g, H)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bigtangent import conns, fields, horizon, tensorcalc as tc
-from bigtangent.points import sample_box
-from bigtangent.report import largest
+from bigtangent.bigcore import canonical_pack
+from bigtangent.points import ChartPoint, sample_box
+from bigtangent.report import Report, largest
 from bigtangent.tensorcalc import TensorField
 
 
@@ -153,10 +154,69 @@ def test_canonical_bott_flat_and_gamma_bundle():
     assert np.max(np.abs(Rv[:, m:, m:, :])) < 1e-12
 
 
+def canonical_rule_check(H: horizon.HorizontalBundle, p: ChartPoint) -> Report:
+    """Verify the three defining derivative rules of canonical_bott on
+    the adapted frame fields at the points p, each built from first
+    principles."""
+    m = H.m
+    n = 3 * m
+    conn = conns.canonical_bott(H)
+    S = canonical_pack(m).S
+    E, C = horizon.frame_matrices(H)
+    rep = Report("canonical connection derivative rules", tol=1e-9)
+
+    # rule 1: nabla_X X' as S^{-1} of the V1 part of [X, S X']
+    res = []
+    Xs = H.horizontal_frame()
+    for i in range(m):
+        for j in range(m):
+            SXj = tc.apply_11(S, Xs[j])
+            br = tc.lie_bracket(Xs[i], SXj)
+            ad = np.tensordot(br.comps, C, axes=([0], [1]))
+            for r in range(n):
+                # S^{-1}|_H sends d/dy_k to X_k
+                rhs = fields.fsum((1, ad[m + k], E[r, k]) for k in range(m))
+                lhs = fields.fsum((1, conn.gamma[i, j, cix], E[r, cix]) for cix in range(n))
+                res.append(lhs - rhs)
+    rep.add("horizontal rule: nabla_X X' = S^{-1} pr_V1 [X, S X']", fields.fvalue(res, p))
+
+    # rule 2: nabla along the y-block is S pr_H [Y1, S^{-1} Y1']
+    res = []
+    for i in range(m):
+        for j in range(m):
+            br = tc.lie_bracket(tc.basis_vector(m + i, m), Xs[j])
+            ad = np.tensordot(br.comps, C, axes=([0], [1]))
+            for k in range(m):  # S maps the horizontal part back into V1
+                res.append(ad[k])
+            for cix in range(n):
+                res.append(conn.gamma[m + i, m + j, cix])
+    rep.add("y-block rule: nabla_{Y1} Y1' = S pr_H [Y1, S^{-1} Y1']", fields.fvalue(res, p))
+
+    # rule 3: nabla along the z-block via the transposed map into H*
+    res = []
+    for i in range(m):
+        for j in range(m):
+            # transpose of S pairs d/dz_j with the coframe form dy^j o S
+            form = fields.fzeros(n)
+            for r in range(n):
+                form[r] = S.comps[m + j, r]
+            lder = tc.lie_derivative(tc.basis_vector(2 * m + i, m), tc.one_form(form, m))
+            # H*-part: coefficients on the dx's of the adapted coframe
+            for k in range(m):
+                res.append(fields.fsum((1, lder.comps[r], E[r, k]) for r in range(n)))
+            for cix in range(n):
+                res.append(conn.gamma[2 * m + i, 2 * m + j, cix])
+    rep.add(
+        "z-block rule: nabla_{Y2} Y2' from the H*-projected Lie derivative",
+        fields.fvalue(res, p),
+    )
+    return rep
+
+
 def test_canonical_bott_rule_check():
     m = 2
     H = horizon.from_linear_connection(_gamma_curved(m), m)
-    rep = conns.canonical_rule_check(H, sample_box(m, 10, seed=0))
+    rep = canonical_rule_check(H, sample_box(m, 10, seed=0))
     assert rep.passed, rep.to_json()
 
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from bigtangent import dfield, fields, horizon, metrics, scene
+from bigtangent.bigcore import parse_components, sample_matrix
 from bigtangent.jets import JetDomainError
-from bigtangent.points import sample_box
+from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
+from oracles import sasaki_metric
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -101,8 +103,34 @@ def test_eigenbundles_curved():
     assert rep.max_residual < 1e-9
 
 
+def hessian_vm(K, m: int) -> dfield.VerticalMetric:
+    """Fiber metric from the fiber Hessian of a chart function: the
+    three blocks are the second partials on the (y,y), (z,z) and (y,z)
+    coordinate pairs."""
+    Kf = parse_components([K], m, {"x", "y", "z"}, "K", count=1)[0]
+    h = fields.fzeros(m, m)
+    k = fields.fzeros(m, m)
+    l = fields.fzeros(m, m)
+    for i, j in np.ndindex(m, m):
+        h[i, j] = Kf.partial(m + i).partial(m + j)
+        k[i, j] = Kf.partial(2 * m + i).partial(2 * m + j)
+        # l maps the y-block to itself; row index from the z-slot
+        l[i, j] = Kf.partial(m + j).partial(2 * m + i)
+    return dfield.VerticalMetric(h, k, l, m)
+
+
+def legendre_involution(vm: dfield.VerticalMetric, p: ChartPoint) -> ChartPoint:
+    """(x, y, z) -> (x, k z, k^{-1} y) with k evaluated at the point."""
+    if not vm.strongly_nondegenerate:
+        raise ValueError("the z-block restriction is degenerate")
+    kv = sample_matrix(vm.k, p)
+    y = np.einsum("pij,jp->ip", kv, p.z)
+    z = np.linalg.solve(kv, np.moveaxis(p.y, -1, 0)[..., None])[..., 0].T
+    return ChartPoint(p.x, y, z)
+
+
 def test_hessian_vm_hand_values():
-    vm = dfield.hessian_vm("y1*z1", 1)
+    vm = hessian_vm("y1*z1", 1)
     assert not vm.strongly_nondegenerate
     assert vm.nondegenerate
     p = sample_box(1, 5, seed=5)
@@ -110,7 +138,7 @@ def test_hessian_vm_hand_values():
     assert np.max(np.abs(fields.fvalue(vm.k, p))) < 1e-12
     assert np.max(np.abs(fields.fvalue(vm.l, p) - 1.0)) < 1e-12
 
-    vm2 = dfield.hessian_vm("(1/2)*(y1^2 + z1^2) + y1*z1", 1)
+    vm2 = hessian_vm("(1/2)*(y1^2 + z1^2) + y1*z1", 1)
     assert vm2.strongly_nondegenerate
     assert not vm2.nondegenerate
     for blk in (vm2.h, vm2.k, vm2.l):
@@ -120,17 +148,17 @@ def test_hessian_vm_hand_values():
 def test_legendre_involution_swaps_and_squares_to_identity():
     vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
     p = sample_box(1, 10, seed=6)
-    q = dfield.legendre_involution(vm, p)
+    q = legendre_involution(vm, p)
     assert np.allclose(q.y, p.z) and np.allclose(q.z, p.y)
-    qq = dfield.legendre_involution(vm, q)
+    qq = legendre_involution(vm, q)
     assert np.allclose(qq.y, p.y) and np.allclose(qq.z, p.z)
 
 
 def test_legendre_involution_needs_invertible_k():
-    vm = dfield.hessian_vm("y1*z1", 1)
+    vm = hessian_vm("y1*z1", 1)
     lame = dfield.VerticalMetric(vm.l, vm.h, vm.l, 1)  # k block is zero
     with pytest.raises(ValueError):
-        dfield.legendre_involution(lame, sample_box(1, 3, seed=7))
+        legendre_involution(lame, sample_box(1, 3, seed=7))
 
 
 def test_double_field_validation():
@@ -548,11 +576,12 @@ def test_action_sparse_needs_level_1():
 def test_field_from_riemannian_matches_sasaki_vertical_part():
     m = 2
     g = [["1", "0"], ["0", "exp(2*x1)"]]
-    F = dfield.field_from_riemannian(g, m)
-    gm = metrics.sasaki_metric(g, m)
+    H = horizon.from_linear_connection(metrics.base_christoffels(g, m), m)
+    F = dfield.DoubleField(H, g)
+    gm = sasaki_metric(g, m)
     p = sample_box(m, 10, seed=21)
     Gv = fields.fvalue(F.vertical_metric().matrix(), p)
-    assert np.max(np.abs(Gv - gm.vertical_block(p))) < 1e-10
+    assert np.max(np.abs(Gv - fields.fvalue(gm.tensor.comps[m:, m:], p))) < 1e-10
     assert np.max(np.abs(fields.fvalue(F.psi, p))) < 1e-12
 
 

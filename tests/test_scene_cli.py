@@ -162,6 +162,22 @@ def test_check_json_byte_identical(tmp_path, capsys):
     assert payload["tool"] == "bigtangent" and payload["pass"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", str(SCENES / "flat.scene"), "--suite", "triple"],
+        ["eval", str(SCENES / "flat.scene"), "--object", "S", "--point", "x=0.1;y=0.2;z=0.3"],
+    ],
+    ids=["check", "eval"],
+)
+def test_unwritable_json_path_exits_2_with_nothing_on_stdout(tmp_path, capsys, args):
+    code = cli.main(args + ["--json", str(tmp_path / "missing" / "out.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2]")
+
+
 def test_check_suite_and_flag_overrides(capsys):
     scene = str(SCENES / "flat.scene")
     code = cli.main(["check", scene, "--suite", "canonical", "--seed", "3"])

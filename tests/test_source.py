@@ -65,3 +65,35 @@ def test_every_imported_name_is_read(path):
         if name not in read
     }
     assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+# Accessors on product classes that tests read and no package code does.
+# Methods named like ``__getitem__`` are called by syntax, which a name
+# scan cannot see, so every such dunder is exempt as well.
+READ_ONLY_BY_TESTS = {"Report.to_json", "Report.max_residual", "TensorField.max_abs", "Jet.deriv"}
+
+
+def test_every_definition_is_read():
+    """Every function, method and class defined in the package is read by
+    name somewhere in the package, so none is reached from tests alone."""
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.setdefault(prefix + node.name, f"{path.name}:{node.lineno}")
+                    scopes.append((node, prefix + node.name + "."))
+                else:
+                    scopes.append((node, prefix))
+    unread = {
+        qualname: where
+        for qualname, where in defined.items()
+        if (name := qualname.rsplit(".", 1)[-1]) not in read
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert set(unread) == READ_ONLY_BY_TESTS, f"defined but never read in src/: {unread}"
