@@ -4,7 +4,7 @@ The chart carries constant-coefficient canonical tensors: the Liouville
 form lam = z_i dx^i, its differential varpi = -dx^i ^ dz_i, the vertical
 bivector P = dy_i ^ dz_i, the symmetric pairing Q = dy_i (.) dz_i, the
 2-nilpotent S = dx^i (x) dy_i, U = (Q+P)/2, the evaluation function
-ev = z_i y^i and the Euler fields.  Lifts take base data (components in
+ev = z_i y^i and the Euler field E = y^i d/dy^i + z_i d/dz_i.  Lifts take base data (components in
 x only, or the declared extended dependencies) to vector fields on the
 chart.
 """
@@ -101,8 +101,6 @@ class CanonicalPack:
     S: TensorField
     U: TensorField
     ev: ScalarField
-    E1: TensorField
-    E2: TensorField
     E: TensorField
     g_V: TensorField
     omega_V: TensorField
@@ -134,12 +132,8 @@ def canonical_pack(m: int) -> CanonicalPack:
         wV_c[yi, zi] = as_field(-0.5)
     lam = tc.one_form(lam_c, m)
     ev = fields.fsum((1, fields.Coord(2 * m + i), fields.Coord(m + i)) for i in range(m))
-    E1_c = fields.fzeros(n)
-    E2_c = fields.fzeros(n)
     E_c = fields.fzeros(n)
     for i in range(m):
-        E1_c[m + i] = fields.Coord(m + i)
-        E2_c[2 * m + i] = fields.Coord(2 * m + i)
         E_c[m + i] = fields.Coord(m + i)
         E_c[2 * m + i] = fields.Coord(2 * m + i)
     return CanonicalPack(
@@ -151,8 +145,6 @@ def canonical_pack(m: int) -> CanonicalPack:
         S=TensorField(("up", "down"), S_c, m),
         U=TensorField(("up", "up"), U_c, m),
         ev=ev,
-        E1=tc.vector(E1_c, m),
-        E2=tc.vector(E2_c, m),
         E=tc.vector(E_c, m),
         g_V=TensorField(("down", "down"), gV_c, m),
         omega_V=TensorField(("down", "down"), wV_c, m),

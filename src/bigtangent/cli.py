@@ -183,46 +183,14 @@ def parse_point(text: str, m: int) -> ChartPoint:
     )
 
 
-def _object_registry(sc: SceneFile) -> dict:
-    """Name -> components table (object ndarray of ScalarFields): the
-    built-in objects of ``scene.OBJECT_NAMES`` but dfield.rho, which
-    ``eval_object`` builds on demand, then the scene's vector fields."""
-    pack = bigcore.canonical_pack(sc.m)
-    tables = {
-        "S": pack.S.comps,
-        "P": pack.P.comps,
-        "Q": pack.Q.comps,
-        "U": pack.U.comps,
-        "lambda": pack.lam.comps,
-        "g_V": pack.g_V.comps,
-        "omega_V": pack.omega_V.comps,
-        "H.t": sc.bundle.t,
-        "H.tau": sc.bundle.tau,
-        "metric.tensor": sc.big_metric.tensor.comps,
-        "dfield.sigma": sc.double_field.sigma,
-        "dfield.psi": sc.double_field.psi,
-        "dfield.density": np.array([sc.double_field.density], dtype=object),
-    }
-    if sc.spray is not None:
-        tables["spray.eta"] = sc.spray.eta
-        tables["spray.zeta"] = sc.spray.zeta
-    reg = {name: tables[name] for name in scene_mod.OBJECT_NAMES if name in tables}
-    reg.update(sc.vector_fields)  # loading rejects a vector field with a built-in name
-    return reg
-
-
 def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:
     """Evaluate a named object of the scene at one chart point."""
-    if name == "dfield.rho":
-        _, _, rho = sc.double_field.curvatures
-        comps = np.array([rho], dtype=object)
-    else:
-        reg = _object_registry(sc)
-        if name not in reg:
-            known = ", ".join(sorted(reg) + ["dfield.rho"])
-            raise SceneError(f"unknown object {name!r} (known: {known})")
-        comps = reg[name]
-    vals = fields.fvalue(np.asarray(comps, dtype=object), point)[..., 0]
+    objects = sc.objects()
+    if name not in objects:
+        known = ", ".join(sorted(n for n in objects if n != "dfield.rho") + ["dfield.rho"])
+        raise SceneError(f"unknown object {name!r} (known: {known})")
+    comps = np.asarray(objects[name](sc), dtype=object)
+    vals = fields.fvalue(comps, point)[..., 0]
     return {
         "object": name,
         "frame": "natural",

@@ -35,15 +35,12 @@ class Connection:
     """Frame coefficients gamma[a, b, c] of nabla_{e_a} e_b = gamma e_c.
 
     H is the horizontal bundle whose adapted frame the coefficients
-    refer to; None means the natural coordinate frame.  `preserves`
-    lists blocks ("H", "V", "V1", "V2") whose sections stay inside the
-    block under covariant differentiation.
+    refer to; None means the natural coordinate frame.
     """
 
     gamma: np.ndarray
     m: int
     H: horizon.HorizontalBundle | None = None
-    preserves: tuple = ()
 
     def __post_init__(self):
         n = 3 * self.m
@@ -67,23 +64,16 @@ class Connection:
         return f.partial(a) if self.H is None else self.H.frame_derivative(f, a)
 
     def preservation_residuals(self, p: ChartPoint) -> dict:
-        """Sampled cross-block coefficients for each declared flag."""
-        m = self.m
+        """Sampled cross-block coefficients gamma[a, b, c], b inside the
+        block and c outside it, for the horizontal block "H" and the
+        vertical block "V": zero where the connection preserves both, as
+        the projected connections do."""
         gv = fields.fvalue(self.gamma, p)
-        out = {}
-        for flag in self.preserves:
-            if flag == "H":
-                inside = np.arange(3 * m) < m
-            elif flag == "V":
-                inside = np.arange(3 * m) >= m
-            elif flag == "V1":
-                inside = (np.arange(3 * m) >= m) & (np.arange(3 * m) < 2 * m)
-            elif flag == "V2":
-                inside = np.arange(3 * m) >= 2 * m
-            else:
-                raise ValueError(f"unknown preservation flag {flag!r}")
-            out[flag] = gv[:, inside][:, :, ~inside]
-        return out
+        horizontal = np.arange(3 * self.m) < self.m
+        return {
+            "H": gv[:, horizontal][:, :, ~horizontal],
+            "V": gv[:, ~horizontal][:, :, horizontal],
+        }
 
 
 def _structure_functions(conn: Connection) -> np.ndarray:
@@ -170,8 +160,8 @@ def vranceanu_bott(
                 gamma[a, b, c] = fields.fsum((1, C[c, r], nat[r]) for r in range(n))
     # the finer vertical blocks are preserved along vertical directions
     # only; whether they survive horizontal directions depends on the
-    # bundle, so the constructor claims just the coarse flags
-    return Connection(gamma, m, H=H, preserves=("H", "V"))
+    # bundle, so preservation_residuals checks just the coarse H and V
+    return Connection(gamma, m, H=H)
 
 
 def _ambient_terms(D: Connection, E: np.ndarray, a: int, b: int, k: int):
@@ -214,7 +204,7 @@ def canonical_bott(H: horizon.HorizontalBundle) -> Connection:
                 gamma[i, m + j, 2 * m + k] = dy_tau
                 gamma[i, 2 * m + j, m + k] = dz_t
                 gamma[i, 2 * m + j, 2 * m + k] = dz_tau
-    return Connection(gamma, m, H=H, preserves=("H", "V"))
+    return Connection(gamma, m, H=H)
 
 
 # -- torsion, curvature, covariant differential ---------------------------

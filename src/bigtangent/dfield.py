@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import conns, fields, horizon, metrics, tensorcalc as tc
+from . import conns, fields, horizon, metrics
 from .bigcore import (
     check_matrix,
     parse_components,
@@ -54,17 +54,16 @@ class VerticalMetric:
     h is the y-block (0,2) part, k the z-block written as a symmetric
     2-contravariant tensor on the y-side, and l the mixed block as a
     (1,1) tensor: the full matrix in (y, z) coordinates is
-    [[h, l^t], [l, k]].  Invertibility of the full matrix is recorded
-    in `nondegenerate` (operations that need the inverse enforce it);
-    invertibility of k alone, which the inverse correspondence
-    ``sigma_psi_from_vm`` needs, in `strongly_nondegenerate`.
+    [[h, l^t], [l, k]].  Invertibility of k, which the inverse
+    correspondence ``sigma_psi_from_vm`` needs, is recorded in
+    `strongly_nondegenerate`; operations that need the inverse of the
+    full matrix enforce it.
     """
 
     h: np.ndarray
     k: np.ndarray
     l: np.ndarray
     m: int
-    nondegenerate: bool = dc_field(init=False)
     strongly_nondegenerate: bool = dc_field(init=False)
 
     def __post_init__(self):
@@ -79,7 +78,6 @@ class VerticalMetric:
         Gv = validation_values(self.matrix(), m)
         check_matrix(Gv[:, :m, :m], "h block", symmetry=1)
         kv = check_matrix(Gv[:, m:, m:], "k block", symmetry=1)
-        self.nondegenerate = well_conditioned(Gv)
         self.strongly_nondegenerate = well_conditioned(kv)
 
     def matrix(self) -> np.ndarray:
@@ -258,24 +256,13 @@ class DoubleField:
         return _integrand_tape(self, self.curvatures[2])
 
 
-def field_from_lagrangian(L, m: int) -> DoubleField:
-    """Double field of a regular Lagrangian: the spray bundle, the
-    fiber Hessian as sigma, and the horizontal part of d(dL o S) as
-    psi."""
-    _, H = horizon.spray_from_lagrangian(L, m)
-    Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
-    sigma = fields.fzeros(m, m)
-    for i, j in np.ndindex(m, m):
-        sigma[i, j] = Lf.partial(m + i).partial(m + j)
-    theta = fields.fzeros(3 * m)
-    for i in range(m):
-        theta[i] = Lf.partial(m + i)
-    dtheta = tc.exterior_derivative(tc.one_form(theta, m))
-    ad = horizon.to_adapted(dtheta, H)
-    psi = np.empty((m, m), dtype=object)
-    for i, j in np.ndindex(m, m):
-        psi[i, j] = ad.comps[i, j]
-    return DoubleField(H, sigma, psi)
+def field_from_lagrangian(L, H: horizon.HorizontalBundle) -> DoubleField:
+    """Double field of a regular Lagrangian over H, the horizontal bundle
+    of its spray: the fiber Hessian as sigma, and the horizontal part of
+    d(dL o S) as psi."""
+    m = H.m
+    ad = horizon.to_adapted(horizon.lagrangian_two_form(L, m), H)
+    return DoubleField(H, horizon.fiber_hessian(L, m), ad.comps[:m, :m])
 
 
 # -- connections on the fibers --------------------------------------------
@@ -755,12 +742,11 @@ def scalar_curvature_in_basis(
 
 @dataclass
 class ActionResult:
+    """An action value and its error estimate: the standard error of a
+    Monte Carlo estimate, or the distance to the rule one level down."""
+
     value: float
     error: float
-    method: str
-    points: int  # integrand evaluations
-    box: tuple
-    seed: int | None = None
 
 
 def _clenshaw_curtis(i: int, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -899,7 +885,7 @@ def action(
             done += take
         est = volume * float(np.mean(vals))
         se = volume * float(np.std(vals, ddof=1)) / np.sqrt(samples)
-        return ActionResult(est, se, "mc", samples, box, seed=seed)
+        return ActionResult(est, se)
 
     if method == "sparse":
         if level < 1:  # the error estimate needs the rule of level - 1
@@ -918,7 +904,7 @@ def action(
         scale = volume / 2 ** len(S)
         value = scale * float(w @ vals)
         error = abs(value - scale * float(coarse @ vals[: coarse.size]))
-        return ActionResult(value, error, "sparse", vals.size, box)
+        return ActionResult(value, error)
 
     raise ValueError(f"unknown quadrature method {method!r}")
 

@@ -49,7 +49,6 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
 
 class DependencyError(ValueError):

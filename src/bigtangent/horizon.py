@@ -161,6 +161,33 @@ def canonical_second_order_extension(eta, m: int) -> SecondOrderField:
     return SecondOrderField(ec, zeta, m)
 
 
+def _lagrangian_field(L, m: int) -> ScalarField:
+    """A Lagrangian L(x, y), given as DSL text or as a field."""
+    return parse_components([L], m, {"x", "y"}, "L", count=1)[0]
+
+
+def fiber_hessian(L, m: int) -> np.ndarray:
+    """The fiber Hessian d2L/dy^i dy^j of a Lagrangian: the matrix of the
+    spray's linear system, the fiber metric of the Lagrangian big metric
+    and the sigma of the Lagrangian double field."""
+    Lf = _lagrangian_field(L, m)
+    g = fields.fzeros(m, m)
+    for i, j in np.ndindex(m, m):
+        g[i, j] = Lf.partial(m + i).partial(m + j)
+    return g
+
+
+def lagrangian_two_form(L, m: int) -> TensorField:
+    """d theta for theta = dL o S = (dL/dy^i) dx^i: the 2-form of the
+    spray's field equation, whose horizontal part is the psi of the
+    Lagrangian double field."""
+    Lf = _lagrangian_field(L, m)
+    theta = fields.fzeros(3 * m)
+    for i in range(m):
+        theta[i] = Lf.partial(m + i)
+    return tc.exterior_derivative(tc.one_form(theta, m))
+
+
 def spray_from_lagrangian(L, m: int):
     """Spray and horizontal bundle of a regular Lagrangian L(x,y).
 
@@ -169,12 +196,10 @@ def spray_from_lagrangian(L, m: int):
     t_i^j = -(1/2) d eta^j / dy^i and lifts to the full chart.
     Returns (SecondOrderField, HorizontalBundle).
     """
-    Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
-    g = fields.fzeros(m, m)
+    Lf = _lagrangian_field(L, m)
+    g = fiber_hessian(Lf, m)
     rhs = fields.fzeros(m)
     for j in range(m):
-        for k in range(m):
-            g[j, k] = Lf.partial(m + j).partial(m + k)
         rhs[j] = fields.fsum(
             ((-1, fields.Coord(m + k), Lf.partial(m + j).partial(k)) for k in range(m)),
             start=Lf.partial(j),
@@ -192,14 +217,11 @@ def lagrangian_spray_residual(L, sof: SecondOrderField, p: ChartPoint) -> np.nda
     """Components of i(spray)(d theta) + dE for theta = dL o S and
     E = y.dL/dy - L at the given points, shape (3m, npoints)."""
     m = sof.m
-    Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
-    theta_comps = fields.fzeros(3 * m)
-    for i in range(m):
-        theta_comps[i] = Lf.partial(m + i)
+    Lf = _lagrangian_field(L, m)
     E = fields.fsum(
         ((1, fields.Coord(m + i), Lf.partial(m + i)) for i in range(m)), start=-1.0 * Lf
     )
-    theta = tc.exterior_derivative(tc.one_form(theta_comps, m))
+    theta = lagrangian_two_form(Lf, m)
     X = sof.as_vector()
     res = fields.fzeros(3 * m)
     dE = tc.differential(E, m)

@@ -162,7 +162,9 @@ class Jet:
         ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.  The
         rows of w^k below degree k are exact zeros, so its term is added
         to the rows of degree >= k only: an overflowed f^(k) leaves the
-        lower rows finite.
+        lower rows finite.  Where f^(k) overflowed, a row of degree >= k
+        in which w^k is an exact zero takes no term either, as 0 * inf
+        would make it NaN.
         """
         order = self.space.order
         w = Jet(self.space, self.c.copy())
@@ -172,7 +174,13 @@ class Jet:
         for k in range(1, order + 1):
             wk = w if wk is None else wk * w
             low = int(np.searchsorted(self.space.degrees, k))  # terms are sorted by degree
-            out.c[low:] += wk.c[low:] * derivs[k][None, :]
+            d = derivs[k][None, :]
+            if np.isinf(d).any():
+                with np.errstate(invalid="ignore"):  # the 0 * inf products are dropped
+                    term = wk.c[low:] * d
+                out.c[low:] += np.where((wk.c[low:] == 0.0) & np.isinf(d), 0.0, term)
+            else:
+                out.c[low:] += wk.c[low:] * d
         return out
 
     def _checked_value(self, cond: np.ndarray, what: str) -> np.ndarray:

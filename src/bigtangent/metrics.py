@@ -3,11 +3,12 @@
 A metric on the 3m-chart whose restriction to the vertical coordinate
 blocks is invertible singles out a horizontal bundle: the orthogonal
 complement of the fibers.  The module builds the classical lifted
-metrics (coframe form over a given bundle, Lagrangian form),
-derives that bundle, constructs the canonical metric connection by
-projecting the Levi-Civita connection, and verifies its characterizing
-properties together with the covariant curvature identities governed by
-the fiber derivative of the horizontal metric (the Cartan tensor).
+metrics over a given bundle (coframe form, Lagrangian form), for which
+that bundle is the orthogonal complement, constructs the canonical
+metric connection by projecting the Levi-Civita connection onto its
+blocks, and verifies its characterizing properties together with the
+covariant curvature identities governed by the fiber derivative of the
+horizontal metric (the Cartan tensor).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import conns, fields, horizon
-from .bigcore import check_matrix, parse_components, parse_grid, validation_values
+from .bigcore import check_matrix, parse_grid, validation_values
 from .points import ChartPoint
 from .report import Report, largest
 from .tensorcalc import TensorField
@@ -26,12 +27,12 @@ from .tensorcalc import TensorField
 
 @dataclass
 class BigMetric:
-    """Symmetric (0,2) chart tensor plus its orthogonal horizontal
-    bundle, solved from g(X_i, vertical) = 0."""
+    """Symmetric (0,2) chart tensor plus the horizontal bundle H its
+    canonical connection projects onto."""
 
     tensor: TensorField
     m: int
-    H: horizon.HorizontalBundle | None = None
+    H: horizon.HorizontalBundle
 
     def __post_init__(self):
         t = self.tensor
@@ -40,22 +41,6 @@ class BigMetric:
         m = self.m
         gv = check_matrix(validation_values(t.comps, m), "metric", symmetry=1)
         check_matrix(gv[:, m:, m:], "vertical restriction", invertible=True)
-        if self.H is None:
-            self.H = self._orthogonal_bundle()
-
-    def _orthogonal_bundle(self) -> horizon.HorizontalBundle:
-        m = self.m
-        comps = self.tensor.comps
-        gVV = comps[m:, m:]
-        t = fields.fzeros(m, m)
-        tau = fields.fzeros(m, m)
-        for i in range(m):
-            rhs = comps[i, m:]
-            u = fields.fsolve(gVV, rhs)
-            for j in range(m):
-                t[i, j] = u[j]
-                tau[i, j] = u[m + j]
-        return horizon.HorizontalBundle(t, tau, m)
 
     # Built once per metric, so both metric checks share one connection.
     @cached_property
@@ -91,19 +76,13 @@ def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
     m = H.m
     gm = parse_grid(g, m, "xy", "g")
     check_matrix(validation_values(gm, m), "fiber metric", invertible=True)
-    return BigMetric(block_lift(gm, H), m, H=H)
+    return BigMetric(block_lift(gm, H), m, H)
 
 
-def lagrangian_metric(L, m: int) -> BigMetric:
-    """Coframe-form metric of the y-Hessian of a regular Lagrangian,
-    over the horizontal bundle of its spray."""
-    _, H = horizon.spray_from_lagrangian(L, m)
-    Lf = parse_components([L], m, {"x", "y"}, "L", count=1)[0]
-    g = fields.fzeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = Lf.partial(m + i).partial(m + j)
-    return sasaki_type_metric(g, H)
+def lagrangian_metric(L, H: horizon.HorizontalBundle) -> BigMetric:
+    """Coframe-form metric of the fiber Hessian of a regular Lagrangian,
+    over H, the horizontal bundle of its spray."""
+    return sasaki_type_metric(horizon.fiber_hessian(L, H.m), H)
 
 
 # -- canonical metric connection ------------------------------------------

@@ -23,17 +23,39 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import dfield, fields, horizon, metrics
-from .bigcore import check_matrix, parse_components, parse_grid, validation_values
+from .bigcore import (
+    canonical_pack,
+    check_matrix,
+    parse_components,
+    parse_grid,
+    validation_values,
+)
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
 
 # The built-in objects that ``eval --object`` names besides the scene's
-# vector fields (the spray's two when the scene has a Lagrangian).  A
-# vector field may not take one of these names.
-OBJECT_NAMES = (
-    "S", "P", "Q", "U", "lambda", "g_V", "omega_V", "H.t", "H.tau", "metric.tensor",
-    "dfield.sigma", "dfield.psi", "dfield.density", "dfield.rho", "spray.eta", "spray.zeta",
-)
+# vector fields, each with the function that builds its components from
+# the loaded scene, so that ``eval`` builds only the object it names.  The
+# spray's two exist when the scene has a Lagrangian.  A vector field may
+# not take one of these names.
+OBJECTS = {
+    "S": lambda sc: canonical_pack(sc.m).S.comps,
+    "P": lambda sc: canonical_pack(sc.m).P.comps,
+    "Q": lambda sc: canonical_pack(sc.m).Q.comps,
+    "U": lambda sc: canonical_pack(sc.m).U.comps,
+    "lambda": lambda sc: canonical_pack(sc.m).lam.comps,
+    "g_V": lambda sc: canonical_pack(sc.m).g_V.comps,
+    "omega_V": lambda sc: canonical_pack(sc.m).omega_V.comps,
+    "H.t": lambda sc: sc.bundle.t,
+    "H.tau": lambda sc: sc.bundle.tau,
+    "metric.tensor": lambda sc: sc.big_metric.tensor.comps,
+    "dfield.sigma": lambda sc: sc.double_field.sigma,
+    "dfield.psi": lambda sc: sc.double_field.psi,
+    "dfield.density": lambda sc: [sc.double_field.density],
+    "dfield.rho": lambda sc: [sc.double_field.curvatures[2]],
+    "spray.eta": lambda sc: sc.spray.eta,
+    "spray.zeta": lambda sc: sc.spray.zeta,
+}
 
 _SCENE_KEYS = {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "perturb_s"}
 
@@ -127,6 +149,20 @@ class SceneFile:
     spray: "horizon.SecondOrderField | None" = None
     double_field: "dfield.DoubleField | None" = None
 
+    def objects(self) -> dict:
+        """Name -> function of the scene that builds the components, for
+        each object ``eval --object`` can name here: the built-ins of
+        ``OBJECTS`` (the spray's two only with a Lagrangian), then the
+        vector fields."""
+        table = {
+            name: build
+            for name, build in OBJECTS.items()
+            if self.spray is not None or not name.startswith("spray.")
+        }
+        for name, comps in self.vector_fields.items():
+            table[name] = lambda sc, comps=comps: comps
+        return table
+
     def suite_tol(self, name: str, override: float | None = None) -> float:
         if override is not None:
             return override
@@ -188,8 +224,9 @@ def _load_scalar_options(cfg, path, sc):
         sc.box = tuple(pairs)
 
 
-def _load_bundle(cfg, path, sc):
-    """Resolve the horizontal bundle from the most specific data given."""
+def _load_bundle(cfg, path, sc, spray_bundle):
+    """Resolve the horizontal bundle from the most specific data given;
+    ``spray_bundle`` is the Lagrangian's, or None without one."""
     m = sc.m
     if cfg.has_section("horizontal_bundle"):
         sec = "horizontal_bundle"
@@ -215,8 +252,8 @@ def _load_bundle(cfg, path, sc):
         return horizon.from_linear_connection(
             metrics.base_christoffels(sc.base_metric, m), m
         )
-    if sc.spray is not None:
-        return sc._spray_bundle
+    if spray_bundle is not None:
+        return spray_bundle
     return horizon.flat_bundle(m)
 
 
@@ -275,21 +312,21 @@ def load_scene(path: str) -> SceneFile:
             check_matrix(validation_values(g, m), "metric", symmetry=1)
         sc.base_metric = g
 
-    sc._spray_bundle = None
+    # the spray is built once: its bundle also carries the Lagrangian metric
+    # and, when no other source gives one, the bundle and double field
+    spray_bundle = None
     if cfg.has_section("lagrangian"):
         if not cfg.has_option("lagrangian", "l"):
             _fail(path, "lagrangian", "missing key L")
         sc.lagrangian = cfg.get("lagrangian", "l")
         with _building(path, "lagrangian"):
-            sc.spray, sc._spray_bundle = horizon.spray_from_lagrangian(
-                sc.lagrangian, m
-            )
+            sc.spray, spray_bundle = horizon.spray_from_lagrangian(sc.lagrangian, m)
 
-    sc.bundle = _load_bundle(cfg, path, sc)
+    sc.bundle = _load_bundle(cfg, path, sc, spray_bundle)
 
     if cfg.has_section("vector_fields"):
         for name in cfg.options("vector_fields"):
-            if name in OBJECT_NAMES:
+            if name in OBJECTS:
                 _fail(path, "vector_fields", f"{name}: reserved for a built-in object")
             comps = [s.strip() for s in cfg.get("vector_fields", name).split(";")]
             if len(comps) != 3 * m:
@@ -314,7 +351,7 @@ def load_scene(path: str) -> SceneFile:
         sc.big_metric = metrics.sasaki_type_metric(g_base, sc.bundle)
     if sc.lagrangian is not None:
         with _building(path, "lagrangian"):
-            sc.lagrangian_metric = metrics.lagrangian_metric(sc.lagrangian, m)
+            sc.lagrangian_metric = metrics.lagrangian_metric(sc.lagrangian, spray_bundle)
 
     if cfg.has_section("double_field"):
         sec = "double_field"
@@ -326,7 +363,7 @@ def load_scene(path: str) -> SceneFile:
     elif sc.base_metric is not None:
         sc.double_field = dfield.DoubleField(sc.bundle, sc.base_metric)
     elif sc.lagrangian is not None:
-        sc.double_field = dfield.field_from_lagrangian(sc.lagrangian, m)
+        sc.double_field = dfield.field_from_lagrangian(sc.lagrangian, spray_bundle)
     else:
         eye = [["1" if i == j else "0" for j in range(m)] for i in range(m)]
         sc.double_field = dfield.DoubleField(sc.bundle, eye)

@@ -106,3 +106,9 @@ def sasaki_metric(g, m: int) -> BigMetric:
     Gamma = metrics.base_christoffels(g, m)
     H = horizon.from_linear_connection(Gamma, m)
     return metrics.sasaki_type_metric(g, H)
+
+
+def lagrangian_metric(L, m: int) -> BigMetric:
+    """The Lagrangian metric of L over the bundle of its spray, as a scene
+    with a ``[lagrangian]`` section builds it."""
+    return metrics.lagrangian_metric(L, horizon.spray_from_lagrangian(L, m)[1])

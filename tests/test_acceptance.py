@@ -13,7 +13,7 @@ from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
 import bigtangent.tensorcalc as tc
-from oracles import fd_oracle, sasaki_metric
+from oracles import fd_oracle, lagrangian_metric, sasaki_metric
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -198,7 +198,7 @@ def test_acceptance_5_metric_connection_and_cartan():
     assert crep["riemannian symmetry: pair swap"]["pass"]
     assert crep["riemannian symmetry: first Bianchi sum"]["pass"]
 
-    quartic = metrics.lagrangian_metric(
+    quartic = lagrangian_metric(
         "(1/4)*(y1^4 + y2^4) + (1/2)*(y1^2 + y2^2)*exp(x1)", m
     )
     Cv = metrics.cartan_tensor(quartic).value(sample_box(m, 20, seed=11))

@@ -70,6 +70,24 @@ def test_overflowing_high_derivative_leaves_lower_rows_finite():
     assert c[:4].tolist() == [1e120, 0.0, 0.0, -1e240]
 
 
+def test_overflowing_derivative_leaves_exactly_zero_rows_zero():
+    # at x = 1e-120, d^k(1/x)/k! overflows for k >= 2; a row in another
+    # variable, where every power of the nilpotent part is an exact zero, is
+    # 0 and not 0 * inf = NaN
+    sp = jet_space(3, 3)
+    with np.errstate(over="ignore", divide="ignore"):
+        c = Jet.variable(sp, 0, np.array([1e-120])).reciprocal().c[:, 0]
+    for t, v in zip(sp.terms, c):
+        assert v == {(0, 0, 0): 1e120, (1, 0, 0): -1e240, (2, 0, 0): np.inf,
+                     (3, 0, 0): -np.inf}.get(t, 0.0), t
+    f = fields.field("1/x1", 1)
+    p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
+    with np.errstate(over="ignore", divide="ignore"):
+        c = f.jet(p, 2).c[:, 0]
+    # rows: 1, then z1, y1, x1, then the degree-2 rows, x1^2 last
+    assert c.tolist() == [1e120, 0.0, 0.0, -1e240] + [0.0] * 5 + [np.inf]
+
+
 def test_analytic_functions_against_closed_forms():
     sp = jet_space(1, 4)
     v = 0.7

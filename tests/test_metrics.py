@@ -4,7 +4,7 @@ import pytest
 from bigtangent import conns, fields, horizon, metrics, tensorcalc as tc
 from bigtangent.points import sample_box
 from bigtangent.tensorcalc import TensorField
-from oracles import sasaki_metric
+from oracles import lagrangian_metric, sasaki_metric
 
 
 def _curved_base(m=2):
@@ -51,12 +51,12 @@ def test_big_metric_rejects_degenerate_vertical_part():
     comps[1, 2] = comps[2, 1] = fields.ONE
     comps[1, 1] = fields.ONE
     # z-z entry identically zero but the block is still invertible
-    metrics.BigMetric(TensorField(("down", "down"), comps, m), m)
+    metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
     comps2 = fields.fzeros(3, 3)
     comps2[0, 0] = fields.ONE
     comps2[1, 1] = fields.ONE
     with pytest.raises(ValueError):
-        metrics.BigMetric(TensorField(("down", "down"), comps2, m), m)
+        metrics.BigMetric(TensorField(("down", "down"), comps2, m), m, horizon.flat_bundle(m))
 
 
 def test_big_metric_rejects_asymmetry():
@@ -65,7 +65,7 @@ def test_big_metric_rejects_asymmetry():
     comps[0, 0] = comps[1, 1] = comps[2, 2] = fields.ONE
     comps[0, 1] = fields.ONE
     with pytest.raises(ValueError):
-        metrics.BigMetric(TensorField(("down", "down"), comps, m), m)
+        metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
 
 
 def test_canonical_metric_connection_flat():
@@ -97,7 +97,7 @@ def test_canonical_metric_connection_arbitrary_bundle():
 
 def test_lagrangian_metric_hand_blocks():
     m = 1
-    gm = metrics.lagrangian_metric("(1/2)*exp(x1)*y1^2", m)
+    gm = lagrangian_metric("(1/2)*exp(x1)*y1^2", m)
     p = sample_box(m, 10, seed=4)
     e = np.exp(p.x[0])
     vv = fields.fvalue(gm.tensor.comps[m:, m:], p)
@@ -112,13 +112,13 @@ def test_cartan_tensor_projectable_and_exponential():
     p = sample_box(m, 50, seed=5)
     assert metrics.cartan_tensor(gm).max_abs(p) < 1e-12
 
-    gm2 = metrics.lagrangian_metric("(1/2)*exp(x1)*y1^2", 1)
+    gm2 = lagrangian_metric("(1/2)*exp(x1)*y1^2", 1)
     assert metrics.cartan_tensor(gm2).max_abs(sample_box(1, 20, seed=6)) < 1e-12
 
 
 def test_cartan_tensor_quartic_hand_value():
     m = 1
-    gm = metrics.lagrangian_metric("(1/4)*y1^4 + (1/2)*y1^2", m)
+    gm = lagrangian_metric("(1/4)*y1^4 + (1/2)*y1^2", m)
     p = sample_box(m, 10, seed=7)
     C = metrics.cartan_tensor(gm)
     vals = C.value(p)
@@ -127,7 +127,7 @@ def test_cartan_tensor_quartic_hand_value():
 
 def test_cartan_tensor_total_symmetry_for_hessian_metrics():
     m = 2
-    gm = metrics.lagrangian_metric(
+    gm = lagrangian_metric(
         "(1/4)*(y1^4 + y2^4) + (1/2)*(y1^2 + y2^2)*exp(x1)", m
     )
     p = sample_box(m, 20, seed=8)
@@ -163,7 +163,7 @@ def cartan_via_lie_derivative(gm: metrics.BigMetric) -> TensorField:
 
 def test_cartan_tensor_matches_lie_derivative_oracle():
     m = 2
-    gm = metrics.lagrangian_metric(
+    gm = lagrangian_metric(
         "(1/4)*(y1^4 + y2^4) + (1/2)*(y1^2 + y2^2)*exp(x1)", m
     )
     p = sample_box(m, 10, seed=9)
@@ -192,7 +192,7 @@ def test_curvature_identity_suite_curved_sasaki():
 
 def test_curvature_identity_suite_quartic_cartan():
     m = 2
-    gm = metrics.lagrangian_metric(
+    gm = lagrangian_metric(
         "(1/4)*(y1^4 + y2^4) + (1/2)*(y1^2 + y2^2)*exp(x1)", m
     )
     rep = metrics.curvature_identity_suite(gm, sample_box(m, 20, seed=0))

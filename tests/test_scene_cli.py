@@ -19,7 +19,7 @@ from bigtangent import cli, conns, fields, metrics
 from bigtangent.bigcore import canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
 from bigtangent.points import sample_box
-from bigtangent.scene import SUITE_NAMES, SceneError, load_scene
+from bigtangent.scene import OBJECTS, SUITE_NAMES, SceneError, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -546,6 +546,98 @@ def test_vector_field_cannot_take_a_builtin_name(tmp_path, capsys):
         assert cli.main(["eval", path, "--object", name, "--point", "x=0;y=0;z=0"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+
+_M3_SCENE = """\
+[scene]
+m = 3
+
+[base_metric]
+row1 = 1; 0; 0
+row2 = 0; exp(2*x1); 0
+row3 = 0; 0; 1
+"""
+
+
+@pytest.mark.parametrize("name", ["flat", "kitchen-sink", "m3"])
+def test_eval_every_builtin_object(tmp_path, capsys, name):
+    path = _write(tmp_path, _M3_SCENE) if name == "m3" else str(SCENES / f"{name}.scene")
+    sc = load_scene(path)
+    m = sc.m
+    point = ";".join(f"{b}=" + ",".join(str(0.1 * (k + 1)) for k in range(m)) for b in "xyz")
+    names = [n for n in OBJECTS if sc.spray is not None or not n.startswith("spray.")]
+    assert len(names) == (16 if name == "kitchen-sink" else 14)
+    for obj in names:
+        assert cli.main(["eval", path, "--object", obj, "--point", point]) == 0, obj
+        payload = json.loads(capsys.readouterr().out)
+        vals = np.asarray(payload["components"], dtype=float)
+        assert payload["object"] == obj and list(vals.shape) == payload["shape"]
+        assert np.isfinite(vals).all(), obj
+
+
+def test_eval_spray_without_a_lagrangian_is_unknown(capsys):
+    path = str(SCENES / "flat.scene")
+    assert cli.main(["eval", path, "--object", "spray.eta", "--point", "x=0;y=0;z=0"]) == 2
+    out, err = capsys.readouterr()
+    known = (
+        "H.t, H.tau, P, Q, S, U, dfield.density, dfield.psi, dfield.sigma, g_V, lambda, "
+        "metric.tensor, omega_V, dfield.rho"
+    )
+    assert out == "" and err == f"error: unknown object 'spray.eta' (known: {known})\n"
+
+
+def test_load_builds_the_spray_once(tmp_path, monkeypatch):
+    # its bundle carries the Lagrangian metric and, without another source,
+    # the scene's bundle and the Lagrangian double field
+    from bigtangent import horizon
+
+    built = []
+    spray_from_lagrangian = horizon.spray_from_lagrangian
+
+    def counting(L, m):
+        built.append(L)
+        return spray_from_lagrangian(L, m)
+
+    monkeypatch.setattr(horizon, "spray_from_lagrangian", counting)
+    load_scene(str(SCENES / "kitchen-sink.scene"))
+    assert len(built) == 1
+    built.clear()
+    sc = load_scene(_write(tmp_path, "[scene]\nm = 1\n\n[lagrangian]\nL = exp(x1)*y1^2/2\n"))
+    assert len(built) == 1
+    assert sc.bundle is sc.double_field.H is sc.lagrangian_metric.H
+
+
+def test_eval_builds_only_the_object_it_names(capsys, monkeypatch):
+    from bigtangent import bigcore
+
+    packs = []
+    canonical = bigcore.canonical_pack
+
+    def counting(m):
+        packs.append(m)
+        return canonical(m)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bigtangent") and getattr(mod, "canonical_pack", None) is canonical:
+            monkeypatch.setattr(mod, "canonical_pack", counting)
+    path = str(SCENES / "kitchen-sink.scene")
+    point = "x=0.1,0.2;y=0.3,0.4;z=0.5,0.6"
+    assert cli.main(["eval", path, "--object", "metric.tensor", "--point", point]) == 0
+    assert packs == []
+    assert cli.main(["eval", path, "--object", "P", "--point", point]) == 0
+    assert packs == [2]
+    capsys.readouterr()
+
+
+def test_docs_name_every_reserved_object_name():
+    # keys are stored lowercased, so only a lowercase built-in name can
+    # clash with a vector field
+    text = (Path(__file__).resolve().parent.parent / "docs" / "scene-format.md").read_text()
+    section = text.split("### `[vector_fields]`")[1].split("###")[0]
+    reserved, rest = section.split("are input errors")
+    lowercase = {n for n in OBJECTS if n == n.lower()}
+    assert set(re.findall(r"`([^`]+)`", reserved.split(":", 1)[1])) == lowercase
+    assert set(re.findall(r"`([^`]+)`", rest)) == set(OBJECTS) - lowercase
 
 
 def test_load_scene_lets_program_errors_propagate(tmp_path, monkeypatch):

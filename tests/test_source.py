@@ -73,14 +73,40 @@ def test_every_imported_name_is_read(path):
 READ_ONLY_BY_TESTS = {"Report.to_json", "Report.max_residual", "TensorField.max_abs", "Jet.deriv"}
 
 
+def _attributes(cls: ast.ClassDef) -> dict:
+    """Name -> line of each dataclass field of the class (an annotated name
+    in its body) and of each attribute its methods set on ``self``."""
+    out = {}
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.setdefault(node.target.id, node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    out.setdefault(sub.attr, sub.lineno)
+    return out
+
+
 def test_every_definition_is_read():
     """Every function, method and class defined in the package is read by
-    name somewhere in the package, so none is reached from tests alone."""
-    defined, read = {}, set()
+    name somewhere in the package, and so is every dataclass field and
+    instance attribute, which counts as read only where it is loaded
+    (``obj.name``), not where it is set; so none is reached from tests
+    alone."""
+    defined, attributes, read, loaded = {}, {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         read |= _read_names(tree)
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
         scopes = [(tree, "")]
         while scopes:
             scope, prefix = scopes.pop()
@@ -90,10 +116,14 @@ def test_every_definition_is_read():
                     scopes.append((node, prefix + node.name + "."))
                 else:
                     scopes.append((node, prefix))
+                if isinstance(node, ast.ClassDef):
+                    for name, line in _attributes(node).items():
+                        attributes.setdefault(f"{prefix}{node.name}.{name}", f"{path.name}:{line}")
     unread = {
         qualname: where
-        for qualname, where in defined.items()
-        if (name := qualname.rsplit(".", 1)[-1]) not in read
+        for table, names in ((defined, read), (attributes, loaded))
+        for qualname, where in table.items()
+        if (name := qualname.rsplit(".", 1)[-1]) not in names
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert set(unread) == READ_ONLY_BY_TESTS, f"defined but never read in src/: {unread}"
