@@ -20,7 +20,10 @@ output does:
   written by ``make_inputs`` of ``CHECKOUT/perfbench/workloads.py``;
 - ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for that
   scene's double field, with S its scene seed, as the benchmark calls it;
-- ``eval kitchen-sink.scene --object dfield.rho`` at one fixed point.
+- ``eval --object NAME`` for every name of ``EVAL_OBJECTS`` on
+  ``scenes/kitchen-sink.scene`` and ``scenes/flat.scene``, at the scene's
+  point in ``EVAL_POINTS``.  On ``flat``, which has no Lagrangian and no
+  vector field, ``spray.*`` and ``w`` exit 2 as unknown objects.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ import sys
 from pathlib import Path
 
 M3_SEED = 7  # the perfbench seed whose m3-identities scene is checked
-RHO_POINT = "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2"
+# the 16 built-in names of scene.OBJECTS, then kitchen-sink's vector field
+EVAL_OBJECTS = (
+    "S", "P", "Q", "U", "lambda", "g_V", "omega_V", "H.t", "H.tau", "metric.tensor",
+    "dfield.sigma", "dfield.psi", "dfield.density", "dfield.rho", "spray.eta", "spray.zeta",
+    "w",
+)
+# scene -> the --point of its eval runs, in the scene's m
+EVAL_POINTS = {"kitchen-sink": "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2", "flat": "x=0.3;y=0.1;z=-0.5"}
 # the scene header that test_check_passes_on_every_bundle_source writes
 BUNDLE_HEADER = "[scene]\nm = 2\nsamples = 6\nmc_samples = 64\n\n"
 VERIFY = (
@@ -103,13 +113,10 @@ def main(argv=None) -> int:
     name, scene_seed = m3_scene(root, work)
     run(out, "check-m3", cli + ["check", name], work, src)
     run(out, "verify-m3", ["-c", VERIFY, name, str(scene_seed)], work, src)
-    run(
-        out,
-        "eval-rho",
-        cli + ["eval", "scenes/kitchen-sink.scene", "--object", "dfield.rho", "--point", RHO_POINT],
-        root,
-        src,
-    )
+    for stem, point in EVAL_POINTS.items():
+        for obj in EVAL_OBJECTS:
+            argv = ["eval", f"scenes/{stem}.scene", "--object", obj, "--point", point]
+            run(out, f"eval-{stem}-{obj}", cli + argv, root, src)
     return 0
 
 

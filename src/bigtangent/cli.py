@@ -5,8 +5,8 @@ fails, 2 input error (bad scene, unknown object, bad point, or a scene
 expression evaluated outside its domain, such as log of a non-positive
 value; its message names the suite or object and the chart point).
 Reports are emitted as JSON and are byte-identical across runs for the
-same scene, seed, and flags; point evaluation inside each suite is
-batched over numpy arrays, report assembly is sequential and ordered.
+same scene, seed, and flags; each suite evaluates its fields at one
+batch of points, and report assembly is sequential and ordered.
 """
 
 from __future__ import annotations
@@ -178,9 +178,7 @@ def parse_point(text: str, m: int) -> ChartPoint:
     for key, arr in blocks.items():
         if arr is None:
             blocks[key] = np.zeros(m)
-    return ChartPoint(
-        blocks["x"][:, None], blocks["y"][:, None], blocks["z"][:, None]
-    )
+    return ChartPoint(blocks["x"], blocks["y"], blocks["z"])
 
 
 def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:

@@ -44,12 +44,7 @@ class Connection:
 
     def __post_init__(self):
         n = 3 * self.m
-        g = np.asarray(self.gamma, dtype=object)
-        if g.shape != (n, n, n):
-            raise ValueError(f"gamma must have shape {(n, n, n)}")
-        for idx in np.ndindex(g.shape):
-            g[idx] = fields.as_field(g[idx])
-        self.gamma = g
+        self.gamma = fields.field_array(self.gamma, (n, n, n), "gamma")
 
     @property
     def n(self) -> int:

@@ -69,12 +69,7 @@ class VerticalMetric:
     def __post_init__(self):
         m = self.m
         for name in ("h", "k", "l"):
-            arr = np.asarray(getattr(self, name), dtype=object)
-            if arr.shape != (m, m):
-                raise ValueError(f"{name} must have shape {(m, m)}")
-            for idx in np.ndindex(m, m):
-                arr[idx] = fields.as_field(arr[idx])
-            setattr(self, name, arr)
+            setattr(self, name, fields.field_array(getattr(self, name), (m, m), name))
         Gv = validation_values(self.matrix(), m)
         check_matrix(Gv[:, :m, :m], "h block", symmetry=1)
         kv = check_matrix(Gv[:, m:, m:], "k block", symmetry=1)
@@ -126,7 +121,7 @@ def phi_matrix(vm: VerticalMetric) -> np.ndarray:
     return phi
 
 
-def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
+def compatibility_check(vm: VerticalMetric, p: ChartPoint):
     """The compatibility endomorphism and its defining identities.
 
     Returns (phi, Report).  Checks, at the points p, phi^2 = Id, the
@@ -136,7 +131,7 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     """
     m = vm.m
     phi = phi_matrix(vm)
-    rep = Report("fiber metric compatibility", tol=tol)
+    rep = Report("fiber metric compatibility", tol=1e-9)
 
     Pv = sample_matrix(phi, p)
     Gv = sample_matrix(vm.matrix(), p)
@@ -159,7 +154,7 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     return phi, rep
 
 
-def eigenbundles(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
+def eigenbundles(vm: VerticalMetric, p: ChartPoint):
     """Eigenbundle frames of the compatibility endomorphism.
 
     Returns (Ip, Im, Report) where the columns of the 2m x m object
@@ -174,7 +169,7 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint, tol: float = 1e-9):
     B = _iota_frame(S, P, m)
     Ip, Im = B[:, :m], B[:, m:]
 
-    rep = Report("eigenbundles of the compatibility endomorphism", tol=tol)
+    rep = Report("eigenbundles of the compatibility endomorphism", tol=1e-9)
     Gv = sample_matrix(vm.matrix(), p)
     Phiv = sample_matrix(phi_matrix(vm), p)
     Ipv = sample_matrix(Ip, p)
@@ -252,8 +247,9 @@ class DoubleField:
 
     @cached_property
     def integrand_tape(self) -> fields.Tape:
-        """The action integrand's tape for rho; its first root is rho."""
-        return _integrand_tape(self, self.curvatures[2])
+        """The one tape of the action integrand's fields: rho, the density
+        and det sigma."""
+        return fields.Tape((self.curvatures[2], self.density, fields.fdet(self.sigma)), 0)
 
 
 def field_from_lagrangian(L, H: horizon.HorizontalBundle) -> DoubleField:
@@ -279,12 +275,7 @@ class VerticalConnection:
 
     def __post_init__(self):
         m = self.H.m
-        g = np.asarray(self.gamma, dtype=object)
-        if g.shape != (3 * m, 2 * m, 2 * m):
-            raise ValueError(f"gamma must have shape {(3 * m, 2 * m, 2 * m)}")
-        for idx in np.ndindex(g.shape):
-            g[idx] = fields.as_field(g[idx])
-        self.gamma = g
+        self.gamma = fields.field_array(self.gamma, (3 * m, 2 * m, 2 * m), "gamma")
 
     @property
     def m(self) -> int:
@@ -436,7 +427,7 @@ def metric_preservation_residual(
 ) -> np.ndarray:
     """Sampled covariant differential of a fiber metric G (object or
     numeric 2m x 2m matrix) under a fiber connection."""
-    G = np.vectorize(fields.as_field, otypes=[object])(G)
+    G = fields.field_array(G, (2 * nabla.m, 2 * nabla.m), "G")
     return fields.fvalue(covariant_metric_differential(nabla.H, nabla.gamma, G), p)
 
 
@@ -708,9 +699,7 @@ def scalar_curvature_in_basis(
     (e_a, P_k) by every l.
     """
     m = nabla.m
-    P = np.asarray(P, dtype=object)
-    for idx in np.ndindex(P.shape):
-        P[idx] = fields.as_field(P[idx])
+    P = fields.field_array(P, (2 * m, 2 * m), "P")
     basis = _coord_basis(m)
     inner, bracket = {}, {}
 
@@ -814,19 +803,12 @@ def sparse_grid(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, w[order]
 
 
-def _integrand_tape(F: DoubleField, rho: ScalarField) -> fields.Tape:
-    """One tape for the integrand's fields rho, density and det sigma."""
-    return fields.Tape((rho, F.density, fields.fdet(F.sigma)), 0)
-
-
-def _integrand_values(F: DoubleField, rho: ScalarField, pts: np.ndarray) -> np.ndarray:
+def _integrand_values(m: int, tape: fields.Tape, pts: np.ndarray) -> np.ndarray:
     """exp(-2 density) * rho * |det sigma|^{1/2} at chart points given
-    as an (3m, npoints) array."""
-    m = F.m
+    as an (3m, npoints) array, run on ``tape``, the field's
+    ``integrand_tape``."""
     p = ChartPoint(pts[:m], pts[m : 2 * m], pts[2 * m :])
-    rv, dv, detv = (
-        np.asarray(jet.value, dtype=float) for jet in _integrand_tape(F, rho).run(p)
-    )
+    rv, dv, detv = (jet.value for jet in tape.run(p))
     vals = np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv))
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")
@@ -865,9 +847,7 @@ def action(
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError(f"box must have {n} coordinate intervals")
-    # F holds the tape of its rho (built on first use), so every chunk's
-    # _integrand_values finds that tape interned: it is compiled once per field
-    rho = F.integrand_tape.keys[0][0]
+    tape = F.integrand_tape
     lo = np.array([b[0] for b in box])[:, None]
     hi = np.array([b[1] for b in box])[:, None]
     volume = float(np.prod(hi - lo))
@@ -881,7 +861,7 @@ def action(
         while done < samples:
             take = min(chunk, samples - done)
             pts = rng.uniform(0.0, 1.0, size=(n, take)) * (hi - lo) + lo
-            vals[done : done + take] = _integrand_values(F, rho, pts)
+            vals[done : done + take] = _integrand_values(m, tape, pts)
             done += take
         est = volume * float(np.mean(vals))
         se = volume * float(np.std(vals, ddof=1)) / np.sqrt(samples)
@@ -890,14 +870,14 @@ def action(
     if method == "sparse":
         if level < 1:  # the error estimate needs the rule of level - 1
             raise ValueError(f"the sparse rule needs level >= 1, got {level}")
-        S = sorted(set().union(*(f.support for f, _ in F.integrand_tape.keys)))
+        S = sorted(set().union(*(f.support for f, _ in tape.keys)))
         nodes, w = sparse_grid(len(S), level)
         coarse = sparse_grid(len(S), level - 1)[1]
         pts = np.repeat(0.5 * (hi + lo), nodes.shape[1], axis=1)
         pts[S] = 0.5 * (hi - lo)[S] * nodes + pts[S]
         vals = np.concatenate(
             [
-                _integrand_values(F, rho, pts[:, start : start + chunk])
+                _integrand_values(m, tape, pts[:, start : start + chunk])
                 for start in range(0, pts.shape[1], chunk)
             ]
         )
@@ -968,8 +948,8 @@ def verify_double_field(
 
     # Leibniz rule of the metric bracket on seeded data
     rng = np.random.default_rng(seed + 1)
-    Y1 = np.array([fields.as_field(v) for v in rng.normal(size=2 * m)], dtype=object)
-    Y2 = np.array([fields.as_field(v) for v in rng.normal(size=2 * m)], dtype=object)
+    Y1 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y1")
+    Y2 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y2")
     f = fields.field("exp(y1) + x1*z1", m)
     lhs = metric_bracket(pack, Y1, Y2 * f)
     Yf = fsum((1, Y1[v], f.partial(m + v)) for v in range(2 * m))
@@ -1004,11 +984,11 @@ def verify_double_field(
     _, Ric, rho = F.curvatures
     ricv = fields.fvalue(Ric, p)
     rep.add("deformed Ricci tensor is symmetric", ricv - np.swapaxes(ricv, 0, 1))
-    P = fields.fzeros(2 * m, 2 * m)
     mix = rng.normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
+    P = fields.field_array(mix, (2 * m, 2 * m), "P")
     y1 = fields.field("y1", m)
     for a, b in np.ndindex(2 * m, 2 * m):
-        P[a, b] = fields.as_field(mix[a, b]) + (0.1 * ((a + b) % 3)) * y1
+        P[a, b] = P[a, b] + (0.1 * ((a + b) % 3)) * y1
     rho2 = scalar_curvature_in_basis(Dbar, pack, P)
     rep.add(
         "scalar curvature is basis independent",

@@ -39,18 +39,32 @@ Evaluation never recurses.  The (node, order) keys below a set of roots
 are compiled into a list of entries in dependency order (a ``Partial``
 reads its parent one order higher, a matrix inverse all its entries at
 the same order), and one loop runs them, each entry doing one ``Jet``
-operation on its operands' jets.  Graph height is therefore bounded by
-memory, not by Python's recursion limit.  The loop serves two callers:
+operation on its operands' jets (a constant factor of ``*``, or a
+constant numerator of ``/``, scales the other jet as a number, so an
+overflowed row takes no 0 * inf).  Graph height is therefore bounded by
+memory, not by Python's recursion limit.  Every point is one batch, a
+``ChartPoint`` whose ``flat`` array (3m, npoints) a ``Coord`` reads its
+row of.  The loop serves two callers:
 
 - suite points, which verification reuses across many fields: ``jet``,
   ``value`` and ``fvalue`` keep every jet in the point's memo, keyed by
   (node, order), compile only what the memo lacks and store the results
   there.  Equal subgraphs are one node, so they share one memo slot, and
   the memo is freed when the point is dropped.
-- points evaluated once, the action integrand's chunks: a ``Tape``
-  compiled once for its roots frees each jet right after its last use,
-  so a run holds only the jets still to be read, and it stores nothing
-  on the point.
+- points evaluated once, the action integrand's chunks: the ``Tape`` of
+  the integrand, which its one owner ``DoubleField.integrand_tape``
+  compiles once, frees each jet right after its last use, so a run holds
+  only the jets still to be read, and it stores nothing on the point.
+
+Each path wins a benchmark workload, so both stay.  Compiling every memo
+call as a tape gave the same reports but took the benchmark's m = 3
+identity-check body from 3.15-3.31 to 4.58-4.87 s and its body of four
+one-point ``eval --object dfield.rho`` probes from 0.99-1.01 to
+1.29-1.31 s (one width-1 ``rho`` took 157-242 ms on a tape, 121-185 ms
+on the memo; best of three, 2-vCPU host).  The integrand, evaluated
+once per point, pays for the tape through the restricted jet spaces
+below: without them the kitchen-sink check body took 1.77-1.79 s,
+against 1.54-1.56 s.
 
 The memo path evaluates every jet in all 3m chart variables.  A tape
 evaluates each key of order >= 1 only in the variables its readers
@@ -283,6 +297,18 @@ def as_field(x) -> ScalarField:
     return Const(float(x))
 
 
+_as_fields = np.frompyfunc(as_field, 1, 1)
+
+
+def field_array(arr, shape: tuple, what: str) -> np.ndarray:
+    """A new object array holding ``as_field`` of each entry of ``arr``,
+    which must have ``shape``; ``what`` names it in the error."""
+    arr = np.asarray(arr, dtype=object)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}")
+    return _as_fields(arr, out=np.empty(shape, dtype=object))
+
+
 class Coord(ScalarField):
     """The flat chart variable ``var`` (0 <= var < 3m)."""
 
@@ -367,8 +393,8 @@ def ftranspose(a: np.ndarray) -> np.ndarray:
 
 
 def fvalue(arr, p: ChartPoint) -> np.ndarray:
-    """Evaluate an object array (or a list) of fields to floats, batched
-    last axis."""
+    """Evaluate an object array (or a list) of fields to floats, with the
+    points on a last axis."""
     arr = np.asarray(arr, dtype=object)
     jets = _memo_jets([(as_field(f), 0) for f in arr.flat], p)
     out = np.empty(arr.shape + (p.npoints,))
@@ -392,7 +418,7 @@ def _jet_matmul(A, B, n):
 def _jet_inverse(A, space, npoints):
     """Invert a square matrix of jets (shared space) by Newton iteration.
 
-    The seed is the batched numpy inverse of the value part; each Newton
+    The seed is numpy's inverse of the value part at each point; each Newton
     step X <- X(2I - AX) doubles the order to which X is exact, so
     ceil(log2(order+1)) steps suffice.
     """
@@ -528,6 +554,14 @@ class _Restriction:
 _BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _scaled(jet: Jet, v: float) -> Jet:
+    """``jet`` times the constant ``v``, as a number.  On finite rows this
+    is the product with ``v``'s constant jet bit for bit (that jet's zero
+    rows add only zeros, and ``+ 0.0`` turns a -0.0 into +0.0 as the
+    product does), but a row where ``jet`` overflowed takes no 0 * inf."""
+    return Jet(jet.space, jet.c * v + 0.0)
+
+
 def _run(entries, vals: dict, p: ChartPoint):
     """Evaluate ``(key, reads, plan, free)`` entries in order at ``p``.
 
@@ -544,7 +578,15 @@ def _run(entries, vals: dict, p: ChartPoint):
             kind = type(node)
             if kind is Bin:
                 a, b = reads
-                jet = _BIN_OPS[node.op](vals[a], vals[b])
+                op = node.op
+                if op == "*" and type(node.a) is Const:
+                    jet = _scaled(vals[b], node.a.v)
+                elif op == "*" and type(node.b) is Const:
+                    jet = _scaled(vals[a], node.b.v)
+                elif op == "/" and type(node.a) is Const:
+                    jet = _scaled(vals[b].reciprocal(), node.a.v)
+                else:
+                    jet = _BIN_OPS[op](vals[a], vals[b])
             elif kind is Partial:
                 if plan is None:
                     jet = vals[reads[0]].partial(node.var)
@@ -563,7 +605,7 @@ def _run(entries, vals: dict, p: ChartPoint):
             elif kind is Const:
                 jet = Jet.constant(plan or jet_space(3 * p.m, order), node.v, p.npoints)
             elif kind is Coord:
-                value = np.atleast_1d(p.coord(node.var))
+                value = p.flat[node.var]
                 space, at = plan or (jet_space(3 * p.m, order), node.var)
                 if at is None:  # the reader does not differentiate along it
                     jet = Jet.constant(space, value, p.npoints)
@@ -671,7 +713,7 @@ def _tape_entries(keys, m: int) -> list:
     return entries
 
 
-class Tape(metaclass=_Interned):
+class Tape:
     """The evaluation of ``roots`` at ``order``, for points used once.
 
     Compiled once per point dimension m, at its first run there, it runs
@@ -680,12 +722,11 @@ class Tape(metaclass=_Interned):
     (``_demand``), not all 3m; each entry frees the jets it was the last
     to read, so a run holds only the jets still to be read, and nothing
     is stored on the point.  The roots' jets equal the memo path's bit
-    for bit.  Interned by roots and order like the nodes: while one
-    caller holds a tape, building it again returns that tape instead of
-    compiling another.
+    for bit.  A tape is not interned: its owner (the double field, for
+    the action integrand) keeps it, so it is compiled once.
     """
 
-    __slots__ = ("keys", "_entries", "__weakref__")
+    __slots__ = ("keys", "_entries")
 
     def __init__(self, roots: tuple, order: int):
         self.keys = [(f, order) for f in roots]

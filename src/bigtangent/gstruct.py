@@ -62,14 +62,14 @@ def triple_axiom_check(T: TriplePack, points: ChartPoint, tol: float = 1e-9) -> 
 
 # -- adapted frame --------------------------------------------------------
 def adapted_frame(T: TriplePack, p: ChartPoint, a_seed: np.ndarray | None = None) -> AdaptedFrame:
-    """Build a frame (a_i, b_i, c^i) at an unbatched point.
+    """Build a frame (a_i, b_i, c^i) at a one-point batch.
 
     a_i span the Euclidean-orthogonal complement of ker S (or the given
     ``a_seed`` columns), b_i = S a_i, and c^i is built from a dual basis
     of the vertical pairing metric projected onto the phi-eigenbundle
     complementary to im S, following the frame-existence recipe.
     """
-    if p.batched:
+    if p.npoints != 1:
         raise ValueError("adapted_frame works at a single point")
     m = T.m
     Sk = T.S.value(p)[:, :, 0]

@@ -56,14 +56,12 @@ class Jet:
 
     @staticmethod
     def variable(space: JetSpace, var: int, value: np.ndarray) -> "Jet":
-        npoints = np.shape(value)[0] if np.ndim(value) else 1
-        c = np.zeros((space.nterms, npoints))
-        c[0] = value
+        jet = Jet.constant(space, value, len(value))
         if space.order >= 1:
             e = [0] * space.nvars
             e[var] = 1
-            c[space.index[tuple(e)]] = 1.0
-        return Jet(space, c)
+            jet.c[space.index[tuple(e)]] = 1.0
+        return jet
 
     # -- basic accessors -------------------------------------------------
     @property

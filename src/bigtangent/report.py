@@ -70,5 +70,5 @@ class Report:
             "identities": self.entries,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=False)

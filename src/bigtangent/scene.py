@@ -111,11 +111,10 @@ def _building(path, where, prefix=""):
         _fail(path, where, f"{prefix}{exc}")
 
 
-def _rows(cfg, path, section, prefix, m, count=None):
-    """Collect keys prefix1..prefixN as a list of ``;``-split rows."""
-    count = m if count is None else count
+def _rows(cfg, path, section, prefix, m):
+    """Collect keys prefix1..prefixm as a list of ``;``-split rows."""
     rows = []
-    for i in range(1, count + 1):
+    for i in range(1, m + 1):
         key = f"{prefix}{i}"
         if not cfg.has_option(section, key):
             _fail(path, section, f"missing key {key}")

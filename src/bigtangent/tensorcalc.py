@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import ScalarField, as_field, fsum, fvalue, fzeros, is_zero
+from .fields import ScalarField, as_field, field_array, fsum, fvalue, fzeros, is_zero
 from .points import ChartPoint
 from .report import largest
 
@@ -38,15 +38,8 @@ class TensorField:
     __slots__ = ("sig", "comps", "frame", "m")
 
     def __init__(self, sig, comps, m: int, frame: str = "natural"):
-        sig = tuple(sig)
-        comps = np.asarray(comps, dtype=object)
-        n = 3 * m
-        if comps.shape != (n,) * len(sig):
-            raise ValueError(f"components must have shape {(n,) * len(sig)}")
-        for idx in np.ndindex(comps.shape):
-            comps[idx] = as_field(comps[idx])
-        self.sig = sig
-        self.comps = comps
+        self.sig = tuple(sig)
+        self.comps = field_array(comps, (3 * m,) * len(self.sig), "components")
         self.m = m
         self.frame = frame
 

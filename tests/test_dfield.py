@@ -426,7 +426,7 @@ def _full_grid_gauss(F, box, order, chunk=1024):
     """The tensor Gauss-Legendre rule of ``order`` with the integrand
     evaluated at every point of its full grid, and the difference from
     order - 1 as its error estimate: the oracle for the sparse rule."""
-    rho = F.integrand_tape.keys[0][0]
+    tape = F.integrand_tape
     results = []
     for deg in (max(order - 1, 1), order):
         nodes, weights = [], []
@@ -441,7 +441,7 @@ def _full_grid_gauss(F, box, order, chunk=1024):
         total = 0.0
         for start in range(0, pts.shape[1], chunk):
             sl = slice(start, start + chunk)
-            total += float(np.sum(w[sl] * dfield._integrand_values(F, rho, pts[:, sl])))
+            total += float(np.sum(w[sl] * dfield._integrand_values(F.m, tape, pts[:, sl])))
         results.append(total)
     return results[1], abs(results[1] - results[0])
 
@@ -481,9 +481,9 @@ def test_action_sparse_matches_the_gauss_oracle(name, monkeypatch):
     widths = []
     values = dfield._integrand_values
 
-    def counted(F, rho, pts):
+    def counted(m, tape, pts):
         widths.append(pts.shape[1])
-        return values(F, rho, pts)
+        return values(m, tape, pts)
 
     monkeypatch.setattr(dfield, "_integrand_values", counted)
     r = dfield.action(F, method="sparse")
@@ -519,9 +519,9 @@ def test_action_evaluates_the_integrand_at_6001_points_at_m3(all_variables_m3, m
     widths = []
     values = dfield._integrand_values
 
-    def counted(F, rho, pts):
+    def counted(m, tape, pts):
         widths.append(pts.shape[1])
-        return values(F, rho, pts)
+        return values(m, tape, pts)
 
     monkeypatch.setattr(dfield, "_integrand_values", counted)
     r = dfield.action(all_variables_m3, method="sparse")
@@ -537,7 +537,7 @@ def test_action_sparse_weights_sum_to_the_volume_without_a_full_grid(all_variabl
     # an integrand of 1 makes the action the sum of the weights
     widths = []
 
-    def ones(F, rho, pts):
+    def ones(m, tape, pts):
         widths.append(pts.shape[1])
         return np.ones(pts.shape[1])
 

@@ -24,6 +24,15 @@ def fmat(rows) -> np.ndarray:
     return out
 
 
+def test_a_point_of_coordinate_vectors_is_a_batch_of_one():
+    one = ChartPoint([0.3, -0.2], [0.1, 0.4], [-0.5, 0.2])
+    batch = ChartPoint([[0.3], [-0.2]], [[0.1], [0.4]], [[-0.5], [0.2]])
+    assert one.flat.shape == (6, 1) and np.array_equal(one.flat, batch.flat)
+    assert one.text(0) == batch.text(0) == "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2"
+    f = fields.field("sin(x1*y2) + z1^2/x2", 2)
+    assert np.array_equal(f.jet(one, 2).c, f.jet(batch, 2).c)
+
+
 def test_field_value_matches_expr():
     p = sample_box(2, 8, seed=3, low=0.5, high=1.5)
     text = "sin(x1*y1) + z2^2 / x2"
@@ -33,7 +42,7 @@ def test_field_value_matches_expr():
         pk = p.select(k)
         assert f.value(pk)[0] == pytest.approx(f.value(p)[k])
         assert f.value(pk)[0] == pytest.approx(
-            float(np.sin(pk.x[0] * pk.y[0]) + pk.z[1] ** 2 / pk.x[1])
+            float(np.sin(pk.x[0, 0] * pk.y[0, 0]) + pk.z[1, 0] ** 2 / pk.x[1, 0])
         )
 
 
@@ -438,7 +447,7 @@ def test_integrand_tape_matches_the_memo(kitchen_sink_integrand):
     want = _memo_eval([key[0] for key in tape.keys], 0, pts)
     _assert_same_jets(got, want)
     rv, dv, detv = (j.value for j in want)
-    vals = dfield._integrand_values(F, rho, pts)
+    vals = dfield._integrand_values(F.m, tape, pts)
     assert np.array_equal(vals, np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv)))
 
 
@@ -460,7 +469,7 @@ def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
     assert held.peak <= 0.05 * len(entries), (held.peak, len(entries))
     assert set(held) == set(tape.keys)  # only the roots outlive the run
     assert p._cache == {}  # nothing is stored on the point
-    assert dfield._integrand_tape(F, rho) is tape  # interned while held
+    assert not any(key[0] is fields.Tape for key in fields._NODES)  # tapes are not interned
 
 
 def test_integrand_tape_reads_fewer_coefficient_rows(kitchen_sink_integrand):
@@ -531,13 +540,11 @@ def test_tape_compile_pauses_the_cycle_collector(monkeypatch):
 def test_tape_domain_error_names_the_point():
     m = 2
     F = dfield.DoubleField(horizon.flat_bundle(m), [["1", "0"], ["0", "1"]], density="2 + log(x1)")
-    Dbar, _, pack = dfield.field_adapted_connection(F)
-    _, _, rho = dfield.deformed_curvatures(Dbar, pack)
     pts = np.random.default_rng(1).uniform(0.1, 1.0, size=(3 * m, 5))
     pts[0, 3] = -0.25
     pts[0, 4] = 0.0
     with pytest.raises(JetDomainError) as info:
-        dfield._integrand_values(F, rho, pts)
+        dfield._integrand_values(m, F.integrand_tape, pts)
     point = ChartPoint(*np.split(pts, 3)).text(3)
     assert info.value.point == point
     assert str(info.value) == f"log of a non-positive value at {point}"

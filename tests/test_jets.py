@@ -88,6 +88,22 @@ def test_overflowing_derivative_leaves_exactly_zero_rows_zero():
     assert c.tolist() == [1e120, 0.0, 0.0, -1e240] + [0.0] * 5 + [np.inf]
 
 
+def test_constant_over_an_overflowing_jet_has_the_reciprocals_rows():
+    # "1/x1" is the constant 1 over x1; at order 3 the product of 1's
+    # constant jet with the reciprocal made 0 * inf = NaN in the rows
+    # x1^2 y1, x1^2 z1 and x1^3; a constant numerator or factor scales the
+    # other jet as a number, on the memo path and on a tape
+    p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
+    with np.errstate(over="ignore", divide="ignore"):
+        want = Jet.variable(jet_space(3, 3), 0, np.array([1e-120])).reciprocal().c
+        for text in ("1/x1", "2*(1/x1)", "(1/x1)*2"):
+            f = fields.field(text, 1)
+            scale = 1.0 if text == "1/x1" else 2.0
+            for c in (f.jet(p, 3).c, fields.Tape((f,), 3).run(p)[0].c):
+                assert not np.isnan(c).any(), text
+                assert np.array_equal(c, want * scale), text
+
+
 def test_analytic_functions_against_closed_forms():
     sp = jet_space(1, 4)
     v = 0.7

@@ -427,7 +427,7 @@ def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
 
 def test_parse_point():
     p = cli.parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
-    assert p.batched and p.npoints == 1
+    assert p.flat.shape == (6, 1) and p.npoints == 1
     assert np.allclose(p.flat[:, 0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     # omitted blocks default to zero
     p2 = cli.parse_point("y=1,2", 2)

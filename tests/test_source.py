@@ -127,3 +127,70 @@ def test_every_definition_is_read():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert set(unread) == READ_ONLY_BY_TESTS, f"defined but never read in src/: {unread}"
+
+
+# Options no call in src/ passes, each with the reason it stays.
+OPTIONS_WITHOUT_A_SRC_CALLER = {
+    "action.level": "tests check the sparse rule at a chosen level; scenes have no level key",
+    "action.chunk": "tests run the integrand in small chunks to count its tape compiles",
+    "adapted_frame.a_seed": "tests build a frame from chosen a_i columns, not from ker S",
+    "integrability_check.test_functions": "a test shows the check fails on a chosen function",
+    "sample_box.low": "tests sample boxes that keep away from a field's singular points",
+    "sample_box.high": "tests sample boxes that keep away from a field's singular points",
+    "main.argv": "the console entry point calls main() with no argument; tests pass argv",
+}
+
+
+def _options(tree: ast.Module) -> list:
+    """(callable name, parameter, position) of every parameter with a
+    default.  The callable name of ``__init__`` is its class's; the
+    position counts the positional arguments a call passes (not ``self``)
+    and is None for a keyword-only parameter."""
+    out = []
+    scopes = [(tree, None)]
+    while scopes:
+        scope, cls = scopes.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, node.name))
+                continue
+            scopes.append((node, None))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = cls is not None and not static
+            name = cls if bound and node.name == "__init__" else node.name
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                out.append((name, positional[i].arg, i - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.append((name, arg.arg, None))
+    return out
+
+
+def test_every_option_has_a_caller():
+    """Every parameter with a default is passed, by keyword or by
+    position, by some call in the package to a callable of its name, so
+    no option is set by tests alone unless it is listed above."""
+    options, calls = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        options += _options(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                npos = float("inf") if starred else len(node.args)
+                calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    uncalled = {
+        f"{name}.{param}"
+        for name, param, pos in options
+        if not any(
+            param in kws or None in kws or (pos is not None and npos > pos)
+            for npos, kws in calls.get(name, ())
+        )
+    }
+    assert uncalled == set(OPTIONS_WITHOUT_A_SRC_CALLER), f"options no src/ call passes: {uncalled}"
