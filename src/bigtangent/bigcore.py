@@ -205,22 +205,16 @@ def base_bracket(X, Y, m: int) -> list[ScalarField]:
 
 
 # -- pair endomorphisms of Prop 2.3 ---------------------------------------
-def transpose_apply(S: TensorField, a: TensorField) -> TensorField:
-    """(tS a)_i = a_j S^j_i."""
-    out = np.tensordot(a.comps, S.comps, axes=([0], [0]))
-    return tc.one_form(out, S.m)
-
-
 def pair_endo_P(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSection:
-    """S_P (X, a) = (S X + sharp_P a, -tS a)."""
+    """S_P (X, a) = (S X + sharp_P a, -tS a), with (tS a)_i = a_j S^j_i."""
     X = tc.apply_11(pack.S, A.X) + tc.sharp_field(pack.P, A.alpha)
-    return GeneralizedSection(X, transpose_apply(pack.S, A.alpha) * -1.0)
+    return GeneralizedSection(X, tc.flat_field_form(pack.S, A.alpha) * -1.0)
 
 
 def pair_endo_varpi(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSection:
     """S_varpi (X, a) = (S X, flat_varpi X - tS a)."""
     X = tc.apply_11(pack.S, A.X)
-    form = tc.flat_field_form(pack.varpi, A.X) - transpose_apply(pack.S, A.alpha)
+    form = tc.flat_field_form(pack.varpi, A.X) - tc.flat_field_form(pack.S, A.alpha)
     return GeneralizedSection(X, form)
 
 
@@ -399,19 +393,12 @@ def triple_axioms(Sv: np.ndarray, Pv: np.ndarray, Qv: np.ndarray, tol: float, rn
         rank_ok &= tc.matrix_rank(sharpP, tol) == 2 * m
         rank_ok &= tc.matrix_rank(sharpQ, tol) == 2 * m
         kerS, _ = tc.kernel_image(Sk.T, tol)  # ker and im of Sk
-        sub_ok &= _same_colspace(kerS, sharpP, tol)
-        sub_ok &= _same_colspace(kerS, sharpQ, tol)
+        sub_ok &= tc.same_colspace(kerS, sharpP, tol)
+        sub_ok &= tc.same_colspace(kerS, sharpQ, tol)
         flatP = np.linalg.pinv(sharpP, rcond=tol)
         v = sharpQ @ rng.standard_normal(n)
-        lhs = tc.sharp_value(Pk, np.linalg.pinv(sharpQ, rcond=tol) @ v)
+        lhs = (np.linalg.pinv(sharpQ, rcond=tol) @ v) @ Pk
         w = Sk @ rng.standard_normal(n)
-        residuals += [lhs - tc.sharp_value(Qk, flatP @ v), tc.sharp_value(Qk, flatP @ w) + w]
+        residuals += [lhs - (flatP @ v) @ Qk, (flatP @ w) @ Qk + w]
     return bool(rank_ok), bool(sub_ok), residuals
 
-
-def _same_colspace(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
-    ra = tc.matrix_rank(A, tol) if A.size else 0
-    rb = tc.matrix_rank(B, tol) if B.size else 0
-    if ra != rb:
-        return False
-    return tc.matrix_rank(np.hstack([A, B]), tol) == ra

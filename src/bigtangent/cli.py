@@ -35,7 +35,7 @@ def _suite_canonical(sc: SceneFile, seed, samples, tol) -> list:
 
 def _suite_triple(sc: SceneFile, seed, samples, tol) -> list:
     m = sc.m
-    T = gstruct.triple_from_pack(bigcore.canonical_pack(m))
+    T = bigcore.canonical_pack(m)
     p = sample_box(m, samples, seed=seed)
     rep = gstruct.triple_axiom_check(T, p, tol=tol)
     Delta = [tc.basis_vector(2 * m + i, m) for i in range(m)]
@@ -71,7 +71,7 @@ def _suite_metric(sc: SceneFile, seed, samples, tol) -> list:
     ):
         if gm is None:
             continue
-        _, rep = metrics.canonical_metric_connection(gm, p, tol=tol)
+        rep = metrics.canonical_metric_connection(gm, p, tol=tol)
         rep.extend(metrics.curvature_identity_suite(gm, p, tol=max(tol, 1e-7)))
         rep.title = title or rep.title
         reports.append(rep)

@@ -12,7 +12,10 @@ The module builds the connection ladder of a double field: a
 sigma-preserving base connection from the projected Levi-Civita
 connection of the block-diagonal lift of sigma, a psi-torsion pair, a
 bracket-corrected pair, and finally a pairing- and metric-preserving
-connection on the fibers whose totally skew torsion vanishes.  On top
+connection on the fibers whose totally skew torsion vanishes.  The
+field holds the parts the rungs share (the fiber metric, the
+eigenbundle frame, the base connection, the torsion pair), each a
+cached property built once.  On top
 of that sit the deformed curvature, Ricci and scalar curvatures and a
 truncated-box action integral.
 """
@@ -94,8 +97,8 @@ def vm_from_sigma_psi(sigma, psi, m: int) -> VerticalMetric:
     S = parse_grid(sigma, m, "xyz", "sigma")
     P = parse_grid(psi, m, "xyz", "psi")
     Sinv = fields.finverse(S)
-    L = -1.0 * fields.fmatmul(Sinv, P)
-    H = S - fields.fmatmul(P, fields.fmatmul(Sinv, P))
+    L = -1.0 * (Sinv @ P)
+    H = S - P @ (Sinv @ P)
     return VerticalMetric(H, Sinv, L, m)
 
 
@@ -104,7 +107,7 @@ def sigma_psi_from_vm(vm: VerticalMetric):
     if not vm.strongly_nondegenerate:
         raise ValueError("the z-block restriction is degenerate")
     S = fields.finverse(vm.k)
-    P = -1.0 * fields.fmatmul(S, vm.l)
+    P = -1.0 * (S @ vm.l)
     return S, P
 
 
@@ -121,19 +124,18 @@ def phi_matrix(vm: VerticalMetric) -> np.ndarray:
     return phi
 
 
-def compatibility_check(vm: VerticalMetric, p: ChartPoint):
-    """The compatibility endomorphism and its defining identities.
+def compatibility_check(vm: VerticalMetric, p: ChartPoint) -> Report:
+    """The defining identities of the compatibility endomorphism phi
+    (``phi_matrix``).
 
-    Returns (phi, Report).  Checks, at the points p, phi^2 = Id, the
-    symmetry of phi for the split pairing, the two pairing/metric
-    exchange identities, and the three block conditions equivalent to
-    phi^2 = Id.
+    Checks, at the points p, phi^2 = Id, the symmetry of phi for the
+    split pairing, the two pairing/metric exchange identities, and the
+    three block conditions equivalent to phi^2 = Id.
     """
     m = vm.m
-    phi = phi_matrix(vm)
     rep = Report("fiber metric compatibility", tol=1e-9)
 
-    Pv = sample_matrix(phi, p)
+    Pv = sample_matrix(phi_matrix(vm), p)
     Gv = sample_matrix(vm.matrix(), p)
     g2 = pairing_matrix(m)
 
@@ -151,7 +153,7 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint):
     rep.add("block condition: l^2 + k h = id", lv @ lv + kv @ hv - np.eye(m))
     rep.add("block condition: l k + k l^t = 0", lv @ kv + kv @ np.swapaxes(lv, 1, 2))
     rep.add("block condition: h l + l^t h = 0", hv @ lv + np.swapaxes(lv, 1, 2) @ hv)
-    return phi, rep
+    return rep
 
 
 def eigenbundles(vm: VerticalMetric, p: ChartPoint):
@@ -229,21 +231,76 @@ class DoubleField:
     def m(self) -> int:
         return self.H.m
 
-    def vertical_metric(self) -> VerticalMetric:
+    # The parts of the connection ladder, each built once per field, so
+    # the identity suite, the connections and every action share them
+    # (and the section-derivative memo of D0).  No part holds the field,
+    # so a field is freed by reference counting alone.
+    @cached_property
+    def vm(self) -> VerticalMetric:
+        """The fiber metric of (sigma, psi)."""
         return vm_from_sigma_psi(self.sigma, self.psi, self.m)
 
-    # Built once per field, so the identity suite and every action share
-    # one final connection, with its section-derivative memo, and one tape.
     @cached_property
-    def connections(self):
-        """(Dbar, Dtilde, pack) of ``field_adapted_connection``."""
-        return field_adapted_connection(self)
+    def G(self) -> np.ndarray:
+        """The fiber metric as a 2m x 2m matrix in (y, z) coordinates."""
+        return self.vm.matrix()
+
+    @cached_property
+    def Ginv(self) -> np.ndarray:
+        return fields.finverse(self.G)
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        return fields.finverse(self.sigma)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The eigenbundle frame (``_iota_frame``) of (sigma, psi)."""
+        return _iota_frame(self.sigma, self.psi, self.m)
+
+    @cached_property
+    def Binv(self) -> np.ndarray:
+        return fields.finverse(self.B)
+
+    @cached_property
+    def c0(self) -> np.ndarray:
+        """The base y-block connection c0[a, i, j].
+
+        Lifts sigma to a block-diagonal chart metric over the adapted
+        coframe (``metrics.block_lift``), projects its Levi-Civita
+        connection onto the splitting, restricts to the y-block and
+        corrects it to preserve sigma.
+        """
+        m = self.m
+        Dsig = conns.levi_civita(metrics.block_lift(self.sigma, self.H))
+        vb = conns.vranceanu_bott(Dsig, self.H)
+        cprime = fields.fzeros(3 * m, m, m)
+        for a in range(3 * m):
+            for i, j in np.ndindex(m, m):
+                cprime[a, i, j] = vb.gamma[a, m + i, m + j]
+        return _metricize(self, cprime)
+
+    @cached_property
+    def D0(self) -> VerticalConnection:
+        """The base fiber connection: c0 acting on both eigenbundles
+        through the frame map."""
+        return pair_connection(self, self.c0, self.c0)
+
+    @cached_property
+    def torsion_pair(self) -> tuple:
+        """(cplus, cminus) of ``dpm_connections``."""
+        return dpm_connections(self)
+
+    @cached_property
+    def connections(self) -> tuple:
+        """(Dbar, Dtilde) of ``field_adapted_connection``, without its
+        third item, the field, which the field would hold in a cycle."""
+        return field_adapted_connection(self)[:2]
 
     @cached_property
     def curvatures(self):
         """(R, Ric, rho) of ``deformed_curvatures`` for the final connection."""
-        Dbar, _, pack = self.connections
-        return deformed_curvatures(Dbar, pack)
+        return deformed_curvatures(self.connections[0], self)
 
     @cached_property
     def integrand_tape(self) -> fields.Tape:
@@ -363,8 +420,7 @@ def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> Ve
     eigenbundle frames: sections of each eigenbundle are differentiated
     by transporting their y-components with the matching connection."""
     m = F.m
-    B = _iota_frame(F.sigma, F.psi, m)
-    Binv = fields.finverse(B)
+    B = F.B
     n = 3 * m
     gamma = fields.fzeros(n, 2 * m, 2 * m)
     for a in range(n):
@@ -375,7 +431,7 @@ def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> Ve
         dB = np.empty((2 * m, 2 * m), dtype=object)
         for idx in np.ndindex(2 * m, 2 * m):
             dB[idx] = F.H.frame_derivative(B[idx], a)
-        Ma = fields.fmatmul(fields.fmatmul(B, Ga) - dB, Binv)
+        Ma = (B @ Ga - dB) @ F.Binv
         for b, c in np.ndindex(2 * m, 2 * m):
             gamma[a, b, c] = Ma[c, b]
     return VerticalConnection(gamma, F.H)
@@ -402,12 +458,11 @@ def covariant_metric_differential(
     return out
 
 
-def _metricize(F: "DoubleField | DoublePack", c: np.ndarray) -> np.ndarray:
+def _metricize(F: DoubleField, c: np.ndarray) -> np.ndarray:
     """Correct a y-block connection by half the sharped covariant
-    differential of sigma, which makes sigma parallel; F is the field or
-    its pack."""
+    differential of sigma, which makes sigma parallel."""
     m = F.m
-    sinv = fields.finverse(F.sigma)
+    sinv = F.sigma_inv
     T = covariant_metric_differential(F.H, c, F.sigma)
     out = fields.fzeros(3 * m, m, m)
     for a, i, j in np.ndindex(3 * m, m, m):
@@ -431,82 +486,33 @@ def metric_preservation_residual(
     return fields.fvalue(covariant_metric_differential(nabla.H, nabla.gamma, G), p)
 
 
-@dataclass
-class DoublePack:
-    """Shared data of the connection ladder of a double field.
-
-    It holds the field's bundle and components, not the field, so a
-    field that caches its ladder is freed by reference counting alone.
-    """
-
-    H: horizon.HorizontalBundle
-    sigma: np.ndarray
-    psi: np.ndarray
-    vm: VerticalMetric
-    G: np.ndarray
-    Ginv: np.ndarray
-    B: np.ndarray
-    Binv: np.ndarray
-    c0: np.ndarray
-    D0: VerticalConnection
-
-    @property
-    def m(self) -> int:
-        return self.H.m
-
-
-def d0_connection(F: DoubleField) -> DoublePack:
-    """Base fiber connection of a double field.
-
-    Lifts sigma to a block-diagonal chart metric over the adapted
-    coframe (``metrics.block_lift``), projects its Levi-Civita
-    connection onto the splitting, restricts to the y-block and corrects
-    it to preserve sigma; the result acts on both eigenbundles through
-    the frame map.
-    """
-    m = F.m
-    Dsig = conns.levi_civita(metrics.block_lift(F.sigma, F.H))
-    vb = conns.vranceanu_bott(Dsig, F.H)
-    cprime = fields.fzeros(3 * m, m, m)
-    for a in range(3 * m):
-        for i, j in np.ndindex(m, m):
-            cprime[a, i, j] = vb.gamma[a, m + i, m + j]
-    c0 = _metricize(F, cprime)
-    vm = F.vertical_metric()
-    G = vm.matrix()
-    Ginv = fields.finverse(G)
-    B = _iota_frame(F.sigma, F.psi, m)
-    D0 = pair_connection(F, c0, c0)
-    return DoublePack(F.H, F.sigma, F.psi, vm, G, Ginv, B, fields.finverse(B), c0, D0)
-
-
-def dpm_connections(pack: DoublePack):
+def dpm_connections(F: DoubleField):
     """The psi-torsion pair: along y-directions each connection of the
     pair picks up half the sharped contraction of the leafwise exterior
     derivative of psi, with opposite signs; both preserve sigma."""
-    m = pack.m
-    sinv = fields.finverse(pack.sigma)
+    m = F.m
+    sinv = F.sigma_inv
     dpsi = fields.fzeros(m, m, m)
     for i, j, k in np.ndindex(m, m, m):
         dpsi[i, j, k] = (
-            pack.psi[j, k].partial(m + i)
-            - pack.psi[i, k].partial(m + j)
-            + pack.psi[i, j].partial(m + k)
+            F.psi[j, k].partial(m + i)
+            - F.psi[i, k].partial(m + j)
+            + F.psi[i, j].partial(m + k)
         )
     out = []
     for sign in (1.0, -1.0):
-        c = pack.c0.copy()
+        c = F.c0.copy()
         for i in range(m):
             for j, k in np.ndindex(m, m):
                 corr = fsum((1, sinv[k, b], dpsi[i, j, b]) for b in range(m))
                 c[m + i, j, k] = c[m + i, j, k] + (0.5 * sign) * corr
-        out.append(_metricize(pack, c))
+        out.append(_metricize(F, c))
     return out[0], out[1]
 
 
 # -- metric bracket and skew torsion --------------------------------------
 def wedge_product(
-    nabla: VerticalConnection, pack: DoublePack, Y1: np.ndarray, Y2: np.ndarray
+    nabla: VerticalConnection, F: DoubleField, Y1: np.ndarray, Y2: np.ndarray
 ) -> np.ndarray:
     """Fiber vector W with G(Y, W) = (1/2)[G(Y1, nabla_Y Y2)
     - G(Y2, nabla_Y Y1)] for every fiber direction Y."""
@@ -515,7 +521,7 @@ def wedge_product(
     # terms whose first two factors are nonzero, in the sum's order
     terms = []
     for p_, q in np.ndindex(2 * m, 2 * m):
-        g = pack.G[p_, q]
+        g = F.G[p_, q]
         if fields.is_zero(g):
             continue
         if not fields.is_zero(Y1[p_]):
@@ -528,35 +534,35 @@ def wedge_product(
         beta[b] = fsum((sign, y, g, d[w][q]) for sign, y, g, w, q in terms)
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        out[c] = 0.5 * fsum((1, pack.Ginv[c, b], beta[b]) for b in range(2 * m))
+        out[c] = 0.5 * fsum((1, F.Ginv[c, b], beta[b]) for b in range(2 * m))
     return out
 
 
-def metric_bracket(pack: DoublePack, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
+def metric_bracket(F: DoubleField, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
     """Antisymmetrized base-connection derivative minus the wedge term."""
-    a = vertical_derivative(pack.D0, Y1, Y2)
-    b = vertical_derivative(pack.D0, Y2, Y1)
-    w = wedge_product(pack.D0, pack, Y1, Y2)
+    a = vertical_derivative(F.D0, Y1, Y2)
+    b = vertical_derivative(F.D0, Y2, Y1)
+    w = wedge_product(F.D0, F, Y1, Y2)
     return a - b - w
 
 
-def vertical_gradient(pack: DoublePack, f: ScalarField) -> np.ndarray:
+def vertical_gradient(F: DoubleField, f: ScalarField) -> np.ndarray:
     """Sharped fiber differential of a scalar."""
-    m = pack.m
+    m = F.m
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        out[c] = fsum((1, pack.Ginv[c, b], f.partial(m + b)) for b in range(2 * m))
+        out[c] = fsum((1, F.Ginv[c, b], f.partial(m + b)) for b in range(2 * m))
     return out
 
 
-def gualtieri_torsion(nabla: VerticalConnection, pack: DoublePack) -> np.ndarray:
+def gualtieri_torsion(nabla: VerticalConnection, F: DoubleField) -> np.ndarray:
     """Totally covariant skew torsion via the cyclic sum of the
     difference tensor against the base connection."""
     m = nabla.m
     xi = fields.fzeros(2 * m, 2 * m, 2 * m)
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
         xi[a, b, c] = fsum(
-            (1, nabla.gamma[m + a, b, e] - pack.D0.gamma[m + a, b, e], pack.G[e, c])
+            (1, nabla.gamma[m + a, b, e] - F.D0.gamma[m + a, b, e], F.G[e, c])
             for e in range(2 * m)
         )
     tau = fields.fzeros(2 * m, 2 * m, 2 * m)
@@ -566,7 +572,7 @@ def gualtieri_torsion(nabla: VerticalConnection, pack: DoublePack) -> np.ndarray
 
 
 def gualtieri_via_deformed_torsion(
-    nabla: VerticalConnection, pack: DoublePack
+    nabla: VerticalConnection, F: DoubleField
 ) -> np.ndarray:
     """Oracle route: pair the deformed torsion (the antisymmetrized
     derivative minus the wedge-deformed bracket) with the metric."""
@@ -577,11 +583,11 @@ def gualtieri_via_deformed_torsion(
         for b in range(2 * m):
             da = nabla.gamma[m + a, b, :].copy()
             db = nabla.gamma[m + b, a, :].copy()
-            br = metric_bracket(pack, basis[a], basis[b])
-            wd = wedge_product(nabla, pack, basis[a], basis[b])
+            br = metric_bracket(F, basis[a], basis[b])
+            wd = wedge_product(nabla, F, basis[a], basis[b])
             T = da - db - br - wd
             for c in range(2 * m):
-                tau[a, b, c] = fsum((1, T[e], pack.G[e, c]) for e in range(2 * m))
+                tau[a, b, c] = fsum((1, T[e], F.G[e, c]) for e in range(2 * m))
     return tau
 
 
@@ -590,9 +596,10 @@ def field_adapted_connection(F: DoubleField):
     """Connection ladder ending in a pairing- and metric-preserving
     fiber connection with vanishing skew torsion.
 
-    Returns (Dbar, Dtilde, pack): the final connection, the
+    Returns (Dbar, Dtilde, F): the final connection, the
     bracket-corrected intermediate one (whose skew torsion supplies the
-    final correction), and the shared pack.
+    final correction), and the field, which holds the shared parts of
+    the ladder.
 
     Along fiber directions each side of the pair differentiates with
     its own connection only along the matching eigenbundle part of the
@@ -601,8 +608,7 @@ def field_adapted_connection(F: DoubleField):
     directional derivative would break the preservation of sigma.)
     """
     m = F.m
-    pack = d0_connection(F)
-    cplus, cminus = dpm_connections(pack)
+    cplus, cminus = F.torsion_pair
     ctp = cplus.copy()
     ctm = cminus.copy()
     for v in range(2 * m):
@@ -610,42 +616,42 @@ def field_adapted_connection(F: DoubleField):
         prUp = fields.fzeros(2 * m)
         prUm = fields.fzeros(2 * m)
         for r in range(2 * m):
-            prUp[r] = fsum((1, pack.B[r, q], pack.Binv[q, v]) for q in range(m))
-            prUm[r] = fsum((1, pack.B[r, m + q], pack.Binv[m + q, v]) for q in range(m))
+            prUp[r] = fsum((1, F.B[r, q], F.Binv[q, v]) for q in range(m))
+            prUm[r] = fsum((1, F.B[r, m + q], F.Binv[m + q, v]) for q in range(m))
         for i in range(m):
-            brp = metric_bracket(pack, prUm, pack.B[:, i])
-            brm = metric_bracket(pack, prUp, pack.B[:, m + i])
+            brp = metric_bracket(F, prUm, F.B[:, i])
+            brm = metric_bracket(F, prUp, F.B[:, m + i])
             for j in range(m):
                 ctp[m + v, i, j] = fsum(
                     term
                     for r in range(2 * m)
-                    for term in ((1, prUp[r], cplus[m + r, i, j]), (1, pack.Binv[j, r], brp[r]))
+                    for term in ((1, prUp[r], cplus[m + r, i, j]), (1, F.Binv[j, r], brp[r]))
                 )
                 ctm[m + v, i, j] = fsum(
                     term
                     for r in range(2 * m)
                     for term in (
                         (1, prUm[r], cminus[m + r, i, j]),
-                        (1, pack.Binv[m + j, r], brm[r]),
+                        (1, F.Binv[m + j, r], brm[r]),
                     )
                 )
     Dtilde = pair_connection(F, ctp, ctm)
-    tau = gualtieri_torsion(Dtilde, pack)
-    gamma = pack.D0.gamma.copy()
+    tau = gualtieri_torsion(Dtilde, F)
+    gamma = F.D0.gamma.copy()
     for a in range(3 * m):
         for b, c in np.ndindex(2 * m, 2 * m):
             gamma[a, b, c] = Dtilde.gamma[a, b, c]
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        phi = fsum((1, pack.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
+        phi = fsum((1, F.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
         gamma[m + a, b, c] = gamma[m + a, b, c] - (1.0 / 3.0) * phi
     Dbar = VerticalConnection(gamma, F.H)
-    return Dbar, Dtilde, pack
+    return Dbar, Dtilde, F
 
 
 # -- deformed curvatures and the action -----------------------------------
 def deformed_curvature_apply(
     nabla: VerticalConnection,
-    pack: DoublePack,
+    F: DoubleField,
     Za: np.ndarray,
     Zb: np.ndarray,
     Yc: np.ndarray,
@@ -655,12 +661,12 @@ def deformed_curvature_apply(
     m = nabla.m
     first = vertical_derivative(nabla, Za, vertical_derivative(nabla, Zb, Yc))
     second = vertical_derivative(nabla, Zb, vertical_derivative(nabla, Za, Yc))
-    W = metric_bracket(pack, Za, Zb) + wedge_product(nabla, pack, Za, Zb)
+    W = metric_bracket(F, Za, Zb) + wedge_product(nabla, F, Za, Zb)
     third = vertical_derivative(nabla, W, Yc)
     return first - second - third
 
 
-def deformed_curvatures(nabla: VerticalConnection, pack: DoublePack):
+def deformed_curvatures(nabla: VerticalConnection, F: DoubleField):
     """Deformed curvature R[a, b, c, d] (direction pair a, b; argument
     c; output d), the symmetrized Ricci trace over the fiber coordinate
     frame, and the scalar contraction against the inverse metric.
@@ -671,7 +677,7 @@ def deformed_curvatures(nabla: VerticalConnection, pack: DoublePack):
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
             for c in range(2 * m):
-                val = deformed_curvature_apply(nabla, pack, basis[a], basis[b], basis[c])
+                val = deformed_curvature_apply(nabla, F, basis[a], basis[b], basis[c])
                 for d in range(2 * m):
                     R[a, b, c, d] = val[d]
                     R[b, a, c, d] = -1.0 * val[d]
@@ -680,12 +686,12 @@ def deformed_curvatures(nabla: VerticalConnection, pack: DoublePack):
         Ric[b, c] = 0.5 * fsum(
             term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
         )
-    rho = fsum((1, pack.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
+    rho = fsum((1, F.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
     return R, Ric, rho
 
 
 def scalar_curvature_in_basis(
-    nabla: VerticalConnection, pack: DoublePack, P: np.ndarray
+    nabla: VerticalConnection, F: DoubleField, P: np.ndarray
 ) -> ScalarField:
     """Scalar curvature recomputed in the fiber basis whose columns are
     the (possibly point-dependent) combinations P of the coordinate
@@ -707,8 +713,8 @@ def scalar_curvature_in_basis(
         if (k, l) not in inner:
             inner[k, l] = vertical_derivative(nabla, P[:, k], P[:, l])
         if (a, k) not in bracket:
-            bracket[a, k] = metric_bracket(pack, basis[a], P[:, k]) + wedge_product(
-                nabla, pack, basis[a], P[:, k]
+            bracket[a, k] = metric_bracket(F, basis[a], P[:, k]) + wedge_product(
+                nabla, F, basis[a], P[:, k]
             )
         first = _vertical_derivative_component(nabla, basis[a], inner[k, l], a)
         second = _vertical_derivative_component(
@@ -724,7 +730,7 @@ def scalar_curvature_in_basis(
                 (1, component(a, k, l)) for a in range(2 * m) for k, l in ((q, s), (s, q))
             )
             Ric[s, q] = Ric[q, s]
-    Gt = fields.fmatmul(fields.fmatmul(fields.ftranspose(P), pack.G), P)
+    Gt = P.T @ F.G @ P
     Gtinv = fields.finverse(Gt)
     return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
 
@@ -903,10 +909,9 @@ def verify_double_field(
     p = sample_box(m, n, seed=seed)
     rep = Report("double field identities", tol=tol)
 
-    Dbar, Dtilde, pack = F.connections
-    vm = pack.vm
-    _, crep = compatibility_check(vm, p)
-    rep.extend(crep)
+    Dbar, Dtilde = F.connections
+    vm = F.vm
+    rep.extend(compatibility_check(vm, p))
     _, _, erep = eigenbundles(vm, p)
     rep.extend(erep)
 
@@ -921,8 +926,8 @@ def verify_double_field(
         tol=1e-10,
     )
 
-    rep.add("base connection preserves sigma", sigma_preservation_residual(F, pack.c0, p))
-    cplus, cminus = dpm_connections(pack)
+    rep.add("base connection preserves sigma", sigma_preservation_residual(F, F.c0, p))
+    cplus, cminus = F.torsion_pair
     rep.add(
         "torsion pair preserves sigma",
         sigma_preservation_residual(F, cplus, p),
@@ -931,15 +936,15 @@ def verify_double_field(
     g2 = pairing_matrix(m)
     rep.add(
         "base connection preserves the fiber metric",
-        metric_preservation_residual(pack.D0, pack.G, p),
+        metric_preservation_residual(F.D0, F.G, p),
     )
     rep.add(
         "base connection preserves the split pairing",
-        metric_preservation_residual(pack.D0, g2, p),
+        metric_preservation_residual(F.D0, g2, p),
     )
     rep.add(
         "final connection preserves the fiber metric",
-        metric_preservation_residual(Dbar, pack.G, p),
+        metric_preservation_residual(Dbar, F.G, p),
     )
     rep.add(
         "final connection preserves the split pairing",
@@ -951,13 +956,13 @@ def verify_double_field(
     Y1 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y1")
     Y2 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y2")
     f = fields.field("exp(y1) + x1*z1", m)
-    lhs = metric_bracket(pack, Y1, Y2 * f)
+    lhs = metric_bracket(F, Y1, Y2 * f)
     Yf = fsum((1, Y1[v], f.partial(m + v)) for v in range(2 * m))
-    gYY = fsum((1, Y1[a], pack.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
+    gYY = fsum((1, Y1[a], F.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
     rhs = (
-        metric_bracket(pack, Y1, Y2) * f
+        metric_bracket(F, Y1, Y2) * f
         + Y2 * Yf
-        - vertical_gradient(pack, f) * (0.5 * gYY)
+        - vertical_gradient(F, f) * (0.5 * gYY)
     )
     rep.add(
         "metric bracket satisfies the deformed Leibniz rule",
@@ -965,16 +970,16 @@ def verify_double_field(
         tol=1e-9,
     )
 
-    tau_bar = gualtieri_torsion(Dbar, pack)
+    tau_bar = gualtieri_torsion(Dbar, F)
     rep.add("final connection has vanishing skew torsion", fields.fvalue(tau_bar, p))
-    tau_tilde = gualtieri_torsion(Dtilde, pack)
+    tau_tilde = gualtieri_torsion(Dtilde, F)
     tv = fields.fvalue(tau_tilde, p)
     rep.add(
         "skew torsion is totally antisymmetric",
         tv + np.swapaxes(tv, 0, 1),
         tv + np.swapaxes(tv, 1, 2),
     )
-    tv2 = fields.fvalue(gualtieri_via_deformed_torsion(Dtilde, pack), p)
+    tv2 = fields.fvalue(gualtieri_via_deformed_torsion(Dtilde, F), p)
     rep.add(
         "deformed-torsion route agrees with the cyclic-sum route",
         tv - tv2,
@@ -989,7 +994,7 @@ def verify_double_field(
     y1 = fields.field("y1", m)
     for a, b in np.ndindex(2 * m, 2 * m):
         P[a, b] = P[a, b] + (0.1 * ((a + b) % 3)) * y1
-    rho2 = scalar_curvature_in_basis(Dbar, pack, P)
+    rho2 = scalar_curvature_in_basis(Dbar, F, P)
     rep.add(
         "scalar curvature is basis independent",
         fields.fvalue([rho - rho2], p),

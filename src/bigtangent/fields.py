@@ -21,7 +21,10 @@ chart variables it can depend on; ``f.partial(v)`` is ``ZERO`` when ``v``
 is not in ``f.support``, so structurally zero derivatives are never
 built or evaluated.
 
-Every sum of field products in the package is formed by ``fsum``: a
+A matrix product of object arrays of fields is numpy's ``@`` (or
+``tensordot``), which adds the entries' products left to right from the
+first; the arithmetic folds make that the node ``fsum`` builds for the
+same terms.  Every other sum of field products is formed by ``fsum``: a
 term ``(sign, *factors)`` multiplies its factors left to right and is
 added to or subtracted from the running sum with ``+``/``-``; a term with
 a constant-zero factor (``is_zero``, the test the arithmetic folds use)
@@ -215,10 +218,12 @@ class ScalarField(metaclass=_Interned):
 
     def __truediv__(self, other):
         other = as_field(other)
-        if _is_const(other, 1.0):
-            return self
-        if is_zero(self) and isinstance(other, Const):
-            return ZERO
+        if type(other) is Const:
+            if other.v != 0.0:
+                # a constant factor, which evaluation scales by as a number
+                return self * Const(1.0 / other.v)
+            if is_zero(self):
+                return ZERO
         return Bin("/", self, other)
 
     def __rtruediv__(self, other):
@@ -370,26 +375,11 @@ def field(text: str, m: int) -> ScalarField:
     return parse_expr(text, m)
 
 
-# -- object-array matrix helpers ------------------------------------------
+# -- object arrays of fields ----------------------------------------------
 def fzeros(*shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = ZERO
     return out
-
-
-def fmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, k = a.shape
-    k2, mm = b.shape
-    if k != k2:
-        raise ValueError(f"cannot multiply a {n} x {k} by a {k2} x {mm} matrix")
-    out = fzeros(n, mm)
-    for i, j in np.ndindex(n, mm):
-        out[i, j] = fsum((1, a[i, s], b[s, j]) for s in range(k))
-    return out
-
-
-def ftranspose(a: np.ndarray) -> np.ndarray:
-    return a.T.copy()
 
 
 def fvalue(arr, p: ChartPoint) -> np.ndarray:
@@ -404,43 +394,26 @@ def fvalue(arr, p: ChartPoint) -> np.ndarray:
 
 
 # -- jet-exact matrix inversion -------------------------------------------
-def _jet_matmul(A, B, n):
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = A[i][0] * B[0][j]
-            for k in range(1, n):
-                s = s + A[i][k] * B[k][j]
-            out[i][j] = s
-    return out
-
-
-def _jet_inverse(A, space, npoints):
-    """Invert a square matrix of jets (shared space) by Newton iteration.
+def _jet_inverse(A: np.ndarray) -> np.ndarray:
+    """Invert a square object array of jets (one shared space) by Newton
+    iteration.
 
     The seed is numpy's inverse of the value part at each point; each Newton
     step X <- X(2I - AX) doubles the order to which X is exact, so
     ceil(log2(order+1)) steps suffice.
     """
+    space, npoints = A[0, 0].space, A[0, 0].npoints
     n = len(A)
-    vals = np.empty((npoints, n, n))
-    for i in range(n):
-        for j in range(n):
-            vals[:, i, j] = A[i][j].value
-    inv0 = np.linalg.inv(vals)
-    X = [
-        [Jet.constant(space, inv0[:, i, j], npoints) for j in range(n)]
-        for i in range(n)
-    ]
+    inv0 = np.linalg.inv(np.moveaxis(np.array([[a.value for a in row] for row in A]), -1, 0))
+    X = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        X[i, j] = Jet.constant(space, inv0[:, i, j], npoints)
     steps = 0 if space.order == 0 else math.ceil(math.log2(space.order + 1))
-    two = 2.0
+    diag = np.diag_indices(n)
     for _ in range(steps):
-        AX = _jet_matmul(A, X, n)
-        # E = 2I - AX
-        E = [[(-AX[i][j]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            E[i][i] = E[i][i] + two
-        X = _jet_matmul(X, E, n)
+        E = -(A @ X)  # E = 2I - AX
+        E[diag] = E[diag] + 2.0
+        X = X @ E
     return X
 
 
@@ -485,16 +458,6 @@ def finverse(mat: np.ndarray) -> np.ndarray:
     for i in range(owner.n):
         for j in range(owner.n):
             out[i, j] = _MatInvEntry(owner, i, j)
-    return out
-
-
-def fsolve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs for a field vector rhs."""
-    inv = finverse(mat)
-    n = inv.shape[0]
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        out[i] = fsum((1, inv[i, j], as_field(rhs[j])) for j in range(n))
     return out
 
 
@@ -598,7 +561,7 @@ def _run(entries, vals: dict, p: ChartPoint):
             elif kind is Func:
                 jet = getattr(vals[reads[0]], node.name)()
             elif kind is _MatInvEntry:
-                jet = vals[reads[0]][node.i][node.j]
+                jet = vals[reads[0]][node.i, node.j]
             elif kind is _Restriction:
                 space, rows = plan
                 jet = Jet(space, vals[reads[0]].c[rows])
@@ -612,9 +575,8 @@ def _run(entries, vals: dict, p: ChartPoint):
                 else:
                     jet = Jet.variable(space, at, value)
             else:  # _MatrixInverse: every entry of the inverse at once
-                n = node.n
-                A = [[vals[r] for r in reads[i * n : (i + 1) * n]] for i in range(n)]
-                jet = _jet_inverse(A, A[0][0].space, p.npoints)
+                A = np.fromiter((vals[r] for r in reads), dtype=object, count=len(reads))
+                jet = _jet_inverse(A.reshape(node.n, node.n))
             vals[key] = jet
             for dead in free:
                 del vals[dead]

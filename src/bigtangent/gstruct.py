@@ -5,7 +5,8 @@ and a symmetric 2-contravariant Q satisfying the canonical rank and
 composition axioms is equivalent to a reduction of the frame bundle to
 the block group Bt(3m): frames (a_i, b_i, c^i) with b_i = S a_i.  This
 module checks the axioms at sample points, constructs such a frame
-numerically and tests the integrability conditions.
+numerically and tests the integrability conditions.  Each check reads
+the triple, and m, from a ``bigcore.CanonicalPack``.
 """
 
 from __future__ import annotations
@@ -15,22 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, tensorcalc as tc
-from .bigcore import CanonicalPack, _same_colspace, triple_axioms
+from .bigcore import CanonicalPack, triple_axioms
 from .points import ChartPoint
 from .report import Report
-from .tensorcalc import TensorField
-
-
-@dataclass
-class TriplePack:
-    S: TensorField
-    P: TensorField
-    Q: TensorField
-    m: int
-
-
-def triple_from_pack(pack: CanonicalPack) -> TriplePack:
-    return TriplePack(pack.S, pack.P, pack.Q, pack.m)
 
 
 @dataclass
@@ -48,7 +36,7 @@ class AdaptedFrame:
 
 
 # -- axiom check ----------------------------------------------------------
-def triple_axiom_check(T: TriplePack, points: ChartPoint, tol: float = 1e-9) -> Report:
+def triple_axiom_check(T: CanonicalPack, points: ChartPoint, tol: float = 1e-9) -> Report:
     """Rank and subspace axioms plus the composition identities, per point."""
     rep = Report("triple axioms", tol=tol, meta={"m": T.m})
     rank_ok, sub_ok, comp = triple_axioms(
@@ -61,7 +49,9 @@ def triple_axiom_check(T: TriplePack, points: ChartPoint, tol: float = 1e-9) -> 
 
 
 # -- adapted frame --------------------------------------------------------
-def adapted_frame(T: TriplePack, p: ChartPoint, a_seed: np.ndarray | None = None) -> AdaptedFrame:
+def adapted_frame(
+    T: CanonicalPack, p: ChartPoint, a_seed: np.ndarray | None = None
+) -> AdaptedFrame:
     """Build a frame (a_i, b_i, c^i) at a one-point batch.
 
     a_i span the Euclidean-orthogonal complement of ker S (or the given
@@ -108,7 +98,7 @@ def adapted_frame(T: TriplePack, p: ChartPoint, a_seed: np.ndarray | None = None
     return AdaptedFrame(a=a, b=b, c=c, point=p)
 
 
-def frame_residuals(T: TriplePack, fr: AdaptedFrame) -> dict:
+def frame_residuals(T: CanonicalPack, fr: AdaptedFrame) -> dict:
     """Residual arrays of the frame invariants at the frame's point."""
     p = fr.point
     m = T.m
@@ -131,7 +121,7 @@ def frame_residuals(T: TriplePack, fr: AdaptedFrame) -> dict:
 
 # -- integrability --------------------------------------------------------
 def integrability_check(
-    T: TriplePack,
+    T: CanonicalPack,
     points: ChartPoint,
     test_functions=None,
     Delta=None,
@@ -193,7 +183,7 @@ def integrability_check(
             kerS, imS = tc.kernel_image(Sv[:, :, k].T)  # ker and im of S
             split = np.hstack([imS, Zk])
             ok_split &= tc.matrix_rank(split, 1e-8) == 2 * m
-            ok_split &= _same_colspace(split, kerS, 1e-8)
+            ok_split &= tc.same_colspace(split, kerS, 1e-8)
         rep.add("Delta is P-Lagrangian and Q-isotropic", *iso)
         rep.add_bool("Delta involutive (no rank growth)", bool(ok_invol))
         rep.add_bool("ker S = im S (+) Delta", bool(ok_split))

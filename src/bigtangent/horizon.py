@@ -205,7 +205,7 @@ def spray_from_lagrangian(L, m: int):
             start=Lf.partial(j),
         )
     check_matrix(validation_values(g, m), "Lagrangian Hessian", invertible=True)
-    eta = fields.fsolve(g, rhs)
+    eta = fields.finverse(g) @ rhs
     t = fields.fzeros(m, m)
     for i in range(m):
         for j in range(m):

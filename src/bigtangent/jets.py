@@ -82,9 +82,9 @@ class Jet:
 
     def partial(self, var: int) -> "Jet":
         """The jet of d(self)/dx_var, one order lower."""
-        src, fac = self.space.partial_table(var)
+        rows, factor = self.space.partial_table(var)
         lower = jet_space(self.space.nvars, self.space.order - 1)
-        return Jet(lower, self.c[src] * fac[:, None])
+        return Jet(lower, self.c[rows] * factor)
 
     # -- ring operations -------------------------------------------------
     def _coerce(self, other):

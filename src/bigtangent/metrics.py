@@ -86,11 +86,11 @@ def lagrangian_metric(L, H: horizon.HorizontalBundle) -> BigMetric:
 
 
 # -- canonical metric connection ------------------------------------------
-def canonical_metric_connection(gm: BigMetric, p: ChartPoint, tol: float = 1e-8):
-    """Projected Levi-Civita connection of the metric, with a report on
-    its three characterizing properties at the points p: block
-    preservation, parallel transport of the blockwise metric, and
-    cross-block torsion values.  Returns (Connection, Report)."""
+def canonical_metric_connection(gm: BigMetric, p: ChartPoint, tol: float = 1e-8) -> Report:
+    """Report on the three characterizing properties, at the points p, of
+    the metric's canonical connection ``gm.connection`` (its projected
+    Levi-Civita connection): block preservation, parallel transport of
+    the blockwise metric, and cross-block torsion values."""
     m = gm.m
     H = gm.H
     nab = gm.connection
@@ -113,7 +113,7 @@ def canonical_metric_connection(gm: BigMetric, p: ChartPoint, tol: float = 1e-8)
         "fiber restriction is the leafwise Levi-Civita connection",
         leafwise_levi_civita_residual(gm, nab, p),
     )
-    return nab, rep
+    return rep
 
 
 def leafwise_levi_civita_residual(

@@ -70,7 +70,6 @@ class JetSpace:
         self.degrees = np.array([sum(t) for t in self.terms], dtype=np.int64)
         self._mul_table = None
         self._mul_layers = None
-        self._partial_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _encode(self, exps) -> np.ndarray:
         """Integer key of each exponent row: its digits in base order + 1.
@@ -145,23 +144,14 @@ class JetSpace:
         return self._mul_layers
 
     # -- partial derivatives --------------------------------------------
-    def partial_table(self, var: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tables mapping this space onto JetSpace(nvars, order-1).
-
-        Returns (src_idx, factor) such that the Taylor coefficients of
-        d/dx_var are ``factor * c[src_idx]`` in the lower-order space.
-        """
+    def partial_table(self, var: int) -> tuple[Index, np.ndarray]:
+        """(rows, factor): the Taylor coefficients of d/dx_var, in
+        JetSpace(nvars, order - 1), are ``factor * c[rows]``; this is
+        ``partial_rows`` over all of the space's variables."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        if var not in self._partial_tables:
-            lower = jet_space(self.nvars, self.order - 1)
-            up = np.array(lower.terms, dtype=np.int64)
-            up[:, var] += 1
-            self._partial_tables[var] = (
-                self._lookup(self._encode(up)),
-                up[:, var].astype(np.float64),
-            )
-        return self._partial_tables[var]
+        every = tuple(range(self.nvars))
+        return partial_rows(every, every, self.order - 1, var)
 
 
 def _as_slice(idx: np.ndarray) -> Index:
@@ -212,7 +202,7 @@ def partial_rows(src: tuple, dst: tuple, order: int, var: int) -> tuple[Index, n
     over ``src`` at ``order + 1``, as a jet over ``dst`` at ``order``, is
     ``factor * c[rows]``; ``factor`` is a column, to broadcast over points.
 
-    Over ``src == dst`` this is ``partial_table`` of the higher space.
+    Over all of a space's variables this is its ``partial_table``.
     """
     up = _terms_over(src, dst, order)
     col = src.index(var)

@@ -276,11 +276,6 @@ def courant_bracket(A: GeneralizedSection, B: GeneralizedSection) -> Generalized
 RANK_TOL = 1e-9
 
 
-def sharp_value(W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """(sharp_W a)^j = W^{ij} a_i for numeric W (n,n) and a (n,)."""
-    return alpha @ W
-
-
 def singular_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
     """The number of singular values ``s`` (descending) above ``tol`` times
     the largest one: the rank rule of every numeric rank and subspace."""
@@ -299,6 +294,15 @@ def kernel_image(W: np.ndarray, tol: float = RANK_TOL):
 
 def matrix_rank(W: np.ndarray, tol: float = RANK_TOL) -> int:
     return singular_rank(np.linalg.svd(W, compute_uv=False), tol)
+
+
+def same_colspace(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL) -> bool:
+    """Whether the columns of A and of B span one subspace."""
+    ra = matrix_rank(A, tol) if A.size else 0
+    rb = matrix_rank(B, tol) if B.size else 0
+    if ra != rb:
+        return False
+    return matrix_rank(np.hstack([A, B]), tol) == ra
 
 
 # -- field-level musical helpers ------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_acceptance_2_canonical_identities():
 # -- 3. triple and frame suite --------------------------------------------
 def test_acceptance_3_triple_integrability_and_frames():
     for m in (1, 2, 3):
-        T = gstruct.triple_from_pack(canonical_pack(m))
+        T = canonical_pack(m)
         p = sample_box(m, 50, seed=40 + m)
         rep = gstruct.triple_axiom_check(T, p, tol=1e-9)
         assert rep.passed, rep.to_json()
@@ -116,12 +117,10 @@ def test_acceptance_3_negative_controls_flagged():
     p = sample_box(m, 20, seed=7)
     comps = pack.S.comps.copy()
     comps[m, 1] = comps[m, 1] + fields.Coord(m)
-    bad_S = gstruct.TriplePack(
-        TensorField(("up", "down"), comps, m), pack.P, pack.Q, m
-    )
+    bad_S = replace(pack, S=TensorField(("up", "down"), comps, m))
     rep = gstruct.integrability_check(bad_S, p)
     assert not rep.passed
-    bad_P = gstruct.TriplePack(pack.S, pack.P * 2.0, pack.Q, m)
+    bad_P = replace(pack, P=pack.P * 2.0)
     rep2 = gstruct.triple_axiom_check(bad_P, p)
     assert not rep2.passed
 
@@ -189,7 +188,7 @@ def test_acceptance_4_spray_residuals():
 def test_acceptance_5_metric_connection_and_cartan():
     m = 2
     gm = sasaki_metric(_BASE, m)
-    _, rep = metrics.canonical_metric_connection(gm, sample_box(m, 20, seed=0), tol=1e-8)
+    rep = metrics.canonical_metric_connection(gm, sample_box(m, 20, seed=0), tol=1e-8)
     assert rep.passed, rep.to_json()
 
     crep = metrics.curvature_identity_suite(gm, sample_box(m, 20, seed=0))

@@ -57,7 +57,7 @@ def test_vm_from_sigma_psi_matrix_oracle():
 def test_sigma_psi_round_trip():
     m = 2
     F = _curved_field(m, psi=True)
-    S, P = dfield.sigma_psi_from_vm(F.vertical_metric())
+    S, P = dfield.sigma_psi_from_vm(F.vm)
     p = sample_box(m, 10, seed=2)
     ds = fields.fvalue(S - F.sigma, p)
     dp = fields.fvalue(P - F.psi, p)
@@ -67,17 +67,17 @@ def test_sigma_psi_round_trip():
 
 def test_compatibility_flat_swap():
     vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    phi, rep = dfield.compatibility_check(vm, sample_box(1, 5, seed=0))
+    rep = dfield.compatibility_check(vm, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
     p = sample_box(1, 5, seed=3)
-    pv = np.moveaxis(fields.fvalue(phi, p), -1, 0)
+    pv = np.moveaxis(fields.fvalue(dfield.phi_matrix(vm), p), -1, 0)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.max(np.abs(pv - swap)) < 1e-12
 
 
 def test_compatibility_of_constructed_metrics():
-    vm = _curved_field(2, psi=True).vertical_metric()
-    _, rep = dfield.compatibility_check(vm, sample_box(2, 20, seed=0))
+    vm = _curved_field(2, psi=True).vm
+    rep = dfield.compatibility_check(vm, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 
@@ -86,7 +86,7 @@ def test_compatibility_flags_incompatible_metric():
     one = fields.ONE
     bad = dfield.VerticalMetric([[one]], [[one]], [[one]], 1)
     assert not well_conditioned(validation_values(bad.matrix(), 1))
-    _, rep = dfield.compatibility_check(bad, sample_box(1, 5, seed=0))
+    rep = dfield.compatibility_check(bad, sample_box(1, 5, seed=0))
     assert not rep.passed
     # l^2 + k h = 2 for this metric, one away from the identity
     assert abs(rep["block condition: l^2 + k h = id"]["max_residual"] - 1.0) < 1e-12
@@ -102,7 +102,7 @@ def test_eigenbundles_flat_hand_value():
 
 
 def test_eigenbundles_curved():
-    vm = _curved_field(2, psi=True).vertical_metric()
+    vm = _curved_field(2, psi=True).vm
     _, _, rep = dfield.eigenbundles(vm, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
@@ -180,27 +180,24 @@ def test_double_field_validation():
 
 def test_d0_connection_flat_is_flat():
     F = dfield.DoubleField(horizon.flat_bundle(2), [["1", "0"], ["0", "1"]])
-    pack = dfield.d0_connection(F)
     p = sample_box(2, 5, seed=8)
-    assert np.max(np.abs(fields.fvalue(pack.c0, p))) < 1e-12
-    assert np.max(np.abs(fields.fvalue(pack.D0.gamma, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(F.c0, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(F.D0.gamma, p))) < 1e-12
 
 
 def test_d0_connection_preserves_sigma():
     m = 2
     F = dfield.DoubleField(horizon.flat_bundle(m), [["exp(2*x1)", "0"], ["0", "1"]])
-    pack = dfield.d0_connection(F)
     p = sample_box(m, 15, seed=9)
-    assert largest(dfield.sigma_preservation_residual(F, pack.c0, p)) < 1e-9
+    assert largest(dfield.sigma_preservation_residual(F, F.c0, p)) < 1e-9
     # y-independent sigma: nothing to differentiate along the leaves
-    pv = fields.fvalue(pack.c0[m : 2 * m], p)
+    pv = fields.fvalue(F.c0[m : 2 * m], p)
     assert np.max(np.abs(pv)) < 1e-12
 
 
 def test_d0_connection_leafwise_levi_civita():
     m = 2
     F = _curved_field(m)
-    pack = dfield.d0_connection(F)
     sinv = fields.finverse(F.sigma)
     res = []
     for i, j, k in np.ndindex(m, m, m):
@@ -211,7 +208,7 @@ def test_d0_connection_leafwise_levi_civita():
                 + F.sigma[i, d].partial(m + j)
                 - F.sigma[i, j].partial(m + d)
             )
-        res.append(0.5 * s - pack.c0[m + i, i * 0 + j, k])
+        res.append(0.5 * s - F.c0[m + i, i * 0 + j, k])
     p = sample_box(m, 10, seed=10)
     assert np.max(np.abs(fields.fvalue(np.array(res, dtype=object), p))) < 1e-9
 
@@ -224,11 +221,10 @@ def test_dpm_connections_need_leafwise_psi_variation():
         [["1", "0"], ["0", "1"]],
         [["0", "x1"], ["0 - x1", "0"]],
     )
-    pack = dfield.d0_connection(F)
-    cp, cm = dfield.dpm_connections(pack)
+    cp, cm = dfield.dpm_connections(F)
     p = sample_box(m, 5, seed=11)
-    assert np.max(np.abs(fields.fvalue(cp - pack.c0, p))) < 1e-12
-    assert np.max(np.abs(fields.fvalue(cm - pack.c0, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(cp - F.c0, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(cm - F.c0, p))) < 1e-12
 
 
 def test_dpm_connections_differ_on_leaf_directions_only():
@@ -241,53 +237,49 @@ def test_dpm_connections_differ_on_leaf_directions_only():
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
         [["0", "y3", "0"], ["0 - y3", "0", "0"], ["0", "0", "0"]],
     )
-    pack = dfield.d0_connection(F)
-    cp, cm = dfield.dpm_connections(pack)
+    cp, cm = dfield.dpm_connections(F)
     p = sample_box(m, 10, seed=12)
-    dv = fields.fvalue(cp - pack.c0, p)
+    dv = fields.fvalue(cp - F.c0, p)
     assert np.max(np.abs(dv[:m])) < 1e-12
     assert np.max(np.abs(dv[2 * m :])) < 1e-12
     assert np.max(np.abs(dv[m : 2 * m])) > 1e-3
     # opposite signs and sigma-skew corrections
-    assert np.max(np.abs(fields.fvalue(cp + cm - 2.0 * pack.c0, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(cp + cm - 2.0 * F.c0, p))) < 1e-12
     assert largest(dfield.sigma_preservation_residual(F, cp, p)) < 1e-9
     assert largest(dfield.sigma_preservation_residual(F, cm, p)) < 1e-9
 
 
 def test_metric_bracket_flat_constant_sections():
     F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
-    pack = dfield.d0_connection(F)
     Y1 = np.array([fields.as_field(1.0), fields.as_field(0.5)], dtype=object)
     Y2 = np.array([fields.as_field(-2.0), fields.as_field(1.0)], dtype=object)
     p = sample_box(1, 5, seed=13)
-    assert np.max(np.abs(fields.fvalue(dfield.metric_bracket(pack, Y1, Y2), p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(dfield.metric_bracket(F, Y1, Y2), p))) < 1e-12
 
 
 def test_metric_bracket_antisymmetry():
     F = _curved_field(2, psi=True)
-    pack = dfield.d0_connection(F)
     rng = np.random.default_rng(14)
     y1 = fields.field("y1", 2)
     Y1 = np.array(
         [fields.as_field(v) + v * y1 for v in rng.normal(size=4)], dtype=object
     )
     Y2 = np.array([fields.as_field(v) for v in rng.normal(size=4)], dtype=object)
-    s = dfield.metric_bracket(pack, Y1, Y2) + dfield.metric_bracket(pack, Y2, Y1)
+    s = dfield.metric_bracket(F, Y1, Y2) + dfield.metric_bracket(F, Y2, Y1)
     p = sample_box(2, 10, seed=15)
     assert np.max(np.abs(fields.fvalue(s, p))) < 1e-12
 
 
 def test_gualtieri_torsion_of_base_connection_vanishes():
     F = _curved_field(2, psi=True)
-    pack = dfield.d0_connection(F)
     p = sample_box(2, 5, seed=16)
-    tau = dfield.gualtieri_torsion(pack.D0, pack)
+    tau = dfield.gualtieri_torsion(F.D0, F)
     assert np.max(np.abs(fields.fvalue(tau, p))) < 1e-12
 
 
 def test_field_adapted_connection_flat():
     F = dfield.DoubleField(horizon.flat_bundle(2), [["1", "0"], ["0", "1"]])
-    Dbar, _, pack = dfield.field_adapted_connection(F)
+    Dbar, _, _ = dfield.field_adapted_connection(F)
     p = sample_box(2, 5, seed=17)
     assert np.max(np.abs(fields.fvalue(Dbar.gamma, p))) < 1e-12
 
@@ -326,8 +318,9 @@ def test_verify_double_field_curved_bundle():
 
 def test_deformed_curvatures_flat():
     F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
-    Dbar, _, pack = dfield.field_adapted_connection(F)
-    R, Ric, rho = dfield.deformed_curvatures(Dbar, pack)
+    # the third item is the field, which deformed_curvatures takes
+    Dbar, _, third = dfield.field_adapted_connection(F)
+    R, Ric, rho = dfield.deformed_curvatures(Dbar, third)
     p = sample_box(1, 5, seed=18)
     assert np.max(np.abs(fields.fvalue(R, p))) < 1e-12
     assert np.max(np.abs(np.asarray(rho.value(p)))) < 1e-12
@@ -338,8 +331,8 @@ def test_deformed_scalar_curvature_is_nontrivial_somewhere():
     F = dfield.DoubleField(
         horizon.flat_bundle(m), [["1 + (1/2)*y2^2", "0"], ["0", "1"]]
     )
-    Dbar, _, pack = dfield.field_adapted_connection(F)
-    _, _, rho = dfield.deformed_curvatures(Dbar, pack)
+    Dbar, _, third = dfield.field_adapted_connection(F)
+    _, _, rho = dfield.deformed_curvatures(Dbar, third)
     p = sample_box(m, 10, seed=19)
     assert np.max(np.abs(np.asarray(rho.value(p)))) > 0.1
 
@@ -591,7 +584,7 @@ def test_field_from_riemannian_matches_sasaki_vertical_part():
     F = dfield.DoubleField(H, g)
     gm = sasaki_metric(g, m)
     p = sample_box(m, 10, seed=21)
-    Gv = fields.fvalue(F.vertical_metric().matrix(), p)
+    Gv = fields.fvalue(F.G, p)
     assert np.max(np.abs(Gv - fields.fvalue(gm.tensor.comps[m:, m:], p))) < 1e-10
     assert np.max(np.abs(fields.fvalue(F.psi, p))) < 1e-12
 

@@ -82,7 +82,7 @@ def test_matrix_inverse_values_and_derivatives():
     )
     inv = fields.finverse(a)
     # A * A^-1 = I at values
-    prod = fields.fvalue(fields.fmatmul(a, inv), p)
+    prod = fields.fvalue(a @ inv, p)
     for i in range(2):
         for j in range(2):
             np.testing.assert_allclose(
@@ -136,12 +136,12 @@ def test_matrix_inverse_second_derivatives_fd():
     assert exact == pytest.approx(fd_xy, rel=1e-5, abs=1e-7)
 
 
-def test_fsolve_and_fdet():
+def test_inverse_solve_and_fdet():
     m = 1
     p = sample_box(m, 4, seed=2, low=0.3, high=1.0)
     a = fmat([[2.0, fields.field("x1", m)], [0.0, fields.field("1 + y1^2", m)]])
     rhs = np.array([fields.field("z1", m), fields.ONE], dtype=object)
-    x = fields.fsolve(a, rhs)
+    x = fields.finverse(a) @ rhs
     av = fields.fvalue(a, p)
     xv = fields.fvalue(np.array(x, dtype=object), p)
     rv = fields.fvalue(rhs, p)
@@ -330,12 +330,6 @@ def test_second_partials_commute(case):
             assert np.array_equal(vw, j.deriv(alpha), equal_nan=True)
 
 
-def test_fmatmul_rejects_mismatched_shapes():
-    a = fields.fzeros(2, 3)
-    with pytest.raises(ValueError, match="2 x 3 by a 2 x 2"):
-        fields.fmatmul(a, fields.fzeros(2, 2))
-
-
 _FACTORS = [
     fields.ZERO,
     fields.Const(-0.0),
@@ -376,6 +370,27 @@ def test_fsum_is_the_hand_loop_node(terms, start):
     assert fields.fsum(iter(terms), start=start) is _hand_sum(terms, start)
 
 
+def test_matrix_products_build_the_fsum_node():
+    # numpy's @, dot and tensordot over object arrays add each entry's
+    # products left to right from the first; the folds make that the node
+    # fsum builds for the same terms
+    rng = np.random.default_rng(20)
+    pool = [fields.as_field(f) for f in _FACTORS]
+    pick = np.frompyfunc(lambda i: pool[i], 1, 1)
+    for _ in range(200):
+        n, k, l = (int(v) for v in rng.integers(1, 4, size=3))
+        a = pick(rng.integers(len(pool), size=(n, k)))
+        b = pick(rng.integers(len(pool), size=(k, l)))
+        want = np.empty((n, l), dtype=object)
+        for i, j in np.ndindex(n, l):
+            want[i, j] = fields.fsum((1, a[i, s], b[s, j]) for s in range(k))
+        for got in (a @ b, np.dot(a, b), np.tensordot(a, b, axes=([1], [0]))):
+            assert got.shape == (n, l)
+            assert all(g is w for g, w in zip(got.flat, want.flat))
+        v = b[:, 0]
+        assert all(g is w for g, w in zip(a @ v, want[:, 0]))
+
+
 def test_fsum_skips_zero_terms_before_multiplying(monkeypatch):
     calls = []
     mul = fields.ScalarField.__mul__
@@ -398,7 +413,7 @@ def test_vertical_derivative_builds_only_nonzero_directions(monkeypatch):
 
     m = 1
     F = dfield.DoubleField(horizon.flat_bundle(m), [["1 + y1^2"]])
-    nabla = dfield.d0_connection(F).D0
+    nabla = F.D0
     s = np.array([fields.field("x1*y1", m), fields.field("z1", m)], dtype=object)
     want = dfield.section_derivative(nabla, m + 1, s)
     built = []
@@ -483,7 +498,7 @@ def test_integrand_tape_reads_fewer_coefficient_rows(kitchen_sink_integrand):
 
         def __setitem__(self, key, jet):
             super().__setitem__(key, jet)
-            jets = [j for row in jet for j in row] if isinstance(jet, list) else [jet]
+            jets = list(jet.flat) if isinstance(jet, np.ndarray) else [jet]
             self.count += sum(j.c.shape[0] for j in jets)
 
     p = ChartPoint(*np.split(pts[:, :4], 3))

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bigtangent import bigcore, fields, gstruct, tensorcalc as tc
-from bigtangent.gstruct import TriplePack
+from bigtangent.bigcore import CanonicalPack
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
@@ -54,36 +56,32 @@ def canonical_atlas_jacobian_check(
     return _block_pattern(J, J.shape[0] // 3, tol, zeros)
 
 
-def push_forward_constant(T: TriplePack, G: np.ndarray) -> TriplePack:
+def push_forward_constant(T: CanonicalPack, G: np.ndarray) -> CanonicalPack:
     """Transform the triple by a constant invertible linear chart map G."""
     G = np.asarray(G, dtype=float)
     Ginv = np.linalg.inv(G)
     Sc = np.tensordot(np.tensordot(G, T.S.comps, axes=([1], [0])), Ginv, axes=([1], [0]))
     Pc = np.tensordot(np.tensordot(G, T.P.comps, axes=([1], [0])), G, axes=([1], [1]))
     Qc = np.tensordot(np.tensordot(G, T.Q.comps, axes=([1], [0])), G, axes=([1], [1]))
-    return TriplePack(
+    return replace(
+        T,
         S=TensorField(("up", "down"), Sc, T.m),
         P=TensorField(("up", "up"), Pc, T.m),
         Q=TensorField(("up", "up"), Qc, T.m),
-        m=T.m,
     )
-
-
-def _canonical_triple(m):
-    return gstruct.triple_from_pack(bigcore.canonical_pack(m))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_triple_axiom_check_canonical(m):
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     p = sample_box(m, 50, seed=m)
     rep = gstruct.triple_axiom_check(T, p)
     assert rep.passed, rep.to_json()
 
 
 def test_triple_axiom_check_rank_failure():
-    T = _canonical_triple(1)
-    bad = gstruct.TriplePack(T.S * 0.0, T.P, T.Q, 1)
+    T = bigcore.canonical_pack(1)
+    bad = replace(T, S=T.S * 0.0)
     rep = gstruct.triple_axiom_check(bad, sample_box(1, 5, seed=0))
     assert not rep["rank S = m and rank P = rank Q = 2m"]["pass"]
 
@@ -91,8 +89,8 @@ def test_triple_axiom_check_rank_failure():
 def test_triple_axiom_check_composition_failure():
     # doubling P keeps all ranks and subspaces but breaks the
     # compatibility of the two musical compositions
-    T = _canonical_triple(1)
-    bad = gstruct.TriplePack(T.S, T.P * 2.0, T.Q, 1)
+    T = bigcore.canonical_pack(1)
+    bad = replace(T, P=T.P * 2.0)
     rep = gstruct.triple_axiom_check(bad, sample_box(1, 5, seed=1))
     assert rep["rank S = m and rank P = rank Q = 2m"]["pass"]
     assert not rep["sharp_P flat_Q = sharp_Q flat_P, sharp_Q flat_P S = -S"]["pass"]
@@ -100,7 +98,7 @@ def test_triple_axiom_check_composition_failure():
 
 def test_adapted_frame_canonical_spans():
     m = 2
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     p = ChartPoint([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
     fr = gstruct.adapted_frame(T, p)
     # a spans the x-directions, b the y-directions, c the z-directions
@@ -113,7 +111,7 @@ def test_adapted_frame_canonical_spans():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_adapted_frame_invariants_random_points(m):
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     pts = sample_box(m, 10, seed=20 + m)
     for k in range(pts.npoints):
         p = ChartPoint(pts.x[:, k], pts.y[:, k], pts.z[:, k])
@@ -125,7 +123,7 @@ def test_adapted_frame_invariants_random_points(m):
 def test_adapted_frame_on_pushed_forward_pack():
     m = 2
     rng = np.random.default_rng(7)
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     for _ in range(5):
         G = rng.standard_normal((3 * m, 3 * m))
         G += 3 * m * np.eye(3 * m)  # keep it well conditioned
@@ -141,7 +139,7 @@ def test_adapted_frame_on_pushed_forward_pack():
 def test_change_of_frame_matrix_has_bt_pattern():
     m = 2
     rng = np.random.default_rng(11)
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     p = ChartPoint([0.4, 0.1], [0.2, -0.3], [0.6, 0.5])
     fr1 = gstruct.adapted_frame(T, p)
     for _ in range(5):
@@ -158,7 +156,7 @@ def test_change_of_frame_matrix_has_bt_pattern():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_integrability_canonical_with_delta(m):
-    T = _canonical_triple(m)
+    T = bigcore.canonical_pack(m)
     p = sample_box(m, 50, seed=30 + m)
     Delta = [tc.basis_vector(2 * m + i, m) for i in range(m)]
     rep = gstruct.integrability_check(T, p, Delta=Delta)
@@ -175,7 +173,7 @@ def test_integrability_flags_nijenhuis():
     comps[m, 0] = fields.ONE
     comps[m, 1] = fields.Coord(m)
     S = TensorField(("up", "down"), comps, m)
-    T = gstruct.TriplePack(S, pk.P, pk.Q, m)
+    T = replace(pk, S=S)
     p = sample_box(m, 10, seed=5)
     # cross-check against the bracket definition of the torsion
     assert nijenhuis_via_brackets(S).max_abs(p) > 0.5
@@ -204,7 +202,7 @@ def test_integrability_flags_lie_derivative():
     comps[1, 2] = f
     comps[2, 1] = -1.0 * f
     P = TensorField(("up", "up"), comps, m)
-    T = gstruct.TriplePack(pk.S, P, pk.Q, m)
+    T = replace(pk, P=P)
     rep = gstruct.integrability_check(
         T, sample_box(m, 10, seed=6), test_functions=[fields.field("x1*z1", m)]
     )

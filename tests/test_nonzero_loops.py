@@ -33,9 +33,9 @@ def _m3_field():
 
 @pytest.fixture(scope="module", params=["kitchen-sink", "m3-flat"])
 def ladder(request):
-    """A double field, its connection ladder, the natural-frame lift of
-    sigma that d0_connection builds, its Levi-Civita connection and the
-    projection of that onto the bundle."""
+    """A double field, its connections (Dbar, Dtilde), the natural-frame
+    lift of sigma that the field's base connection c0 builds, its
+    Levi-Civita connection and the projection of that onto the bundle."""
     if request.param == "kitchen-sink":
         F = scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field
     else:
@@ -76,7 +76,7 @@ def dense_section_derivative(nabla, a, s):
     return out
 
 
-def dense_wedge_product(nabla, pack, Y1, Y2):
+def dense_wedge_product(nabla, F, Y1, Y2):
     m = nabla.m
     beta = fields.fzeros(2 * m)
     for b in range(2 * m):
@@ -85,11 +85,11 @@ def dense_wedge_product(nabla, pack, Y1, Y2):
         beta[b] = fsum(
             term
             for p_, q in np.ndindex(2 * m, 2 * m)
-            for term in ((1, Y1[p_], pack.G[p_, q], d2[q]), (-1, Y2[p_], pack.G[p_, q], d1[q]))
+            for term in ((1, Y1[p_], F.G[p_, q], d2[q]), (-1, Y2[p_], F.G[p_, q], d1[q]))
         )
     out = fields.fzeros(2 * m)
     for c in range(2 * m):
-        out[c] = 0.5 * fsum((1, pack.Ginv[c, b], beta[b]) for b in range(2 * m))
+        out[c] = 0.5 * fsum((1, F.Ginv[c, b], beta[b]) for b in range(2 * m))
     return out
 
 
@@ -187,7 +187,7 @@ def dense_courant_nijenhuis_values(pack, endo, p):
     return values
 
 
-def dense_scalar_curvature_in_basis(nabla, pack, P):
+def dense_scalar_curvature_in_basis(nabla, F, P):
     """The construction that applies the whole deformed curvature for
     each component it reads."""
     m = nabla.m
@@ -196,34 +196,34 @@ def dense_scalar_curvature_in_basis(nabla, pack, P):
     for q in range(2 * m):
         for s in range(q, 2 * m):
             Ric[q, s] = 0.5 * fsum(
-                (1, dfield.deformed_curvature_apply(nabla, pack, basis[a], P[:, k], P[:, l])[a])
+                (1, dfield.deformed_curvature_apply(nabla, F, basis[a], P[:, k], P[:, l])[a])
                 for a in range(2 * m)
                 for k, l in ((q, s), (s, q))
             )
             Ric[s, q] = Ric[q, s]
-    Gt = fields.fmatmul(fields.fmatmul(fields.ftranspose(P), pack.G), P)
+    Gt = P.T @ F.G @ P
     Gtinv = fields.finverse(Gt)
     return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
 
 
 # -- the rewritten loops against them ----------------------------------------
 def test_section_derivative_matches_the_dense_loop(ladder):
-    F, (Dbar, Dtilde, pack), *_ = ladder
+    F, (Dbar, Dtilde), *_ = ladder
     m = F.m
-    for nabla in (Dbar, Dtilde, pack.D0):
+    for nabla in (Dbar, Dtilde, F.D0):
         for s in _sections(m, F):
             for a in range(3 * m):
                 _same(dfield.section_derivative(nabla, a, s), dense_section_derivative(nabla, a, s))
 
 
 def test_wedge_product_matches_the_dense_loop(ladder):
-    F, (Dbar, _, pack), *_ = ladder
+    F, (Dbar, _), *_ = ladder
     m = F.m
     secs = _sections(m, F)
     pairs = [(secs[a], secs[b]) for a in range(2 * m) for b in range(a + 1, 2 * m)]
-    pairs += [(secs[0], secs[-1]), (secs[-1], pack.B[:, m])]
+    pairs += [(secs[0], secs[-1]), (secs[-1], F.B[:, m])]
     for Y1, Y2 in pairs:
-        _same(dfield.wedge_product(Dbar, pack, Y1, Y2), dense_wedge_product(Dbar, pack, Y1, Y2))
+        _same(dfield.wedge_product(Dbar, F, Y1, Y2), dense_wedge_product(Dbar, F, Y1, Y2))
 
 
 def test_curvature_matches_the_dense_loop(ladder):
@@ -293,7 +293,7 @@ def test_courant_nijenhuis_residual_builds_each_image_once():
 # -- the section-derivative memo ---------------------------------------------
 def test_section_derivative_is_memoised_read_only(monkeypatch):
     F = _m3_field()
-    nabla = dfield.d0_connection(F).D0
+    nabla = F.D0
     m = F.m
     s = _sections(m, F)[-1]
     calls = []
@@ -317,12 +317,12 @@ def test_section_derivative_is_memoised_read_only(monkeypatch):
 def test_scalar_curvature_in_basis_matches_the_dense_construction(ladder):
     # the basis of verify_double_field: a seeded mix of the coordinate
     # frame with a y1-dependent part
-    F, (Dbar, _, pack), *_ = ladder
+    F, (Dbar, _), *_ = ladder
     m = F.m
     mix = np.random.default_rng(1).normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
     y1 = fields.field("y1", m)
     P = fields.fzeros(2 * m, 2 * m)
     for a, b in np.ndindex(2 * m, 2 * m):
         P[a, b] = fields.as_field(mix[a, b]) + (0.1 * ((a + b) % 3)) * y1
-    rho2 = dfield.scalar_curvature_in_basis(Dbar, pack, P)
-    assert rho2 is dense_scalar_curvature_in_basis(Dbar, pack, P)
+    rho2 = dfield.scalar_curvature_in_basis(Dbar, F, P)
+    assert rho2 is dense_scalar_curvature_in_basis(Dbar, F, P)

@@ -505,6 +505,31 @@ def test_check_double_builds_rho_and_its_tape_once(tmp_path, capsys, monkeypatch
     assert len(tapes) == 1
 
 
+def test_check_builds_each_ladder_part_once(capsys, monkeypatch):
+    # the double field holds its ladder parts: the eigenbundle frame is
+    # built for the ladder and for the eigenbundles' round trip, the
+    # torsion pair once
+    from bigtangent import dfield
+
+    frames, pairs = [], []
+    iota_frame, dpm_connections = dfield._iota_frame, dfield.dpm_connections
+
+    def counting_frame(*args):
+        frames.append(args)
+        return iota_frame(*args)
+
+    def counting_pairs(*args):
+        pairs.append(args)
+        return dpm_connections(*args)
+
+    monkeypatch.setattr(dfield, "_iota_frame", counting_frame)
+    monkeypatch.setattr(dfield, "dpm_connections", counting_pairs)
+    assert cli.main(["check", str(SCENES / "kitchen-sink.scene")]) == 0
+    capsys.readouterr()
+    assert len(frames) == 2
+    assert len(pairs) == 1
+
+
 def test_metric_suite_builds_each_connection_once_on_one_batch(capsys, monkeypatch):
     # both metric checks read the metric's one connection, at the suite's
     # one batch of points
@@ -512,8 +537,9 @@ def test_metric_suite_builds_each_connection_once_on_one_batch(capsys, monkeypat
     sc = load_scene(scene)
     p = sample_box(sc.m, 3, seed=0)
     for gm in (sc.big_metric, sc.lagrangian_metric):
-        nab, _ = metrics.canonical_metric_connection(gm, p)
-        assert nab is gm.connection
+        nab = gm.connection
+        metrics.canonical_metric_connection(gm, p)
+        assert gm.connection is nab
 
     built, drawn = [], []
     vranceanu_bott = conns.vranceanu_bott

