@@ -80,14 +80,7 @@ class VerticalMetric:
 
     def matrix(self) -> np.ndarray:
         """Full 2m x 2m object matrix in (y, z) coordinates."""
-        m = self.m
-        G = fields.fzeros(2 * m, 2 * m)
-        for i, j in np.ndindex(m, m):
-            G[i, j] = self.h[i, j]
-            G[i, m + j] = self.l[j, i]
-            G[m + i, j] = self.l[i, j]
-            G[m + i, m + j] = self.k[i, j]
-        return G
+        return np.block([[self.h, self.l.T], [self.l, self.k]])
 
 
 # -- the (sigma, psi) correspondence --------------------------------------
@@ -114,14 +107,7 @@ def sigma_psi_from_vm(vm: VerticalMetric):
 def phi_matrix(vm: VerticalMetric) -> np.ndarray:
     """Endomorphism with 2 g(phi Z, Z') = gV(Z, Z'): blocks
     [[l, sharp_k], [flat_h, l^t]]."""
-    m = vm.m
-    phi = fields.fzeros(2 * m, 2 * m)
-    for i, j in np.ndindex(m, m):
-        phi[i, j] = vm.l[i, j]
-        phi[i, m + j] = vm.k[i, j]
-        phi[m + i, j] = vm.h[i, j]
-        phi[m + i, m + j] = vm.l[j, i]
-    return phi
+    return np.block([[vm.l, vm.k], [vm.h, vm.l.T]])
 
 
 def compatibility_check(vm: VerticalMetric, p: ChartPoint) -> Report:
@@ -274,11 +260,7 @@ class DoubleField:
         m = self.m
         Dsig = conns.levi_civita(metrics.block_lift(self.sigma, self.H))
         vb = conns.vranceanu_bott(Dsig, self.H)
-        cprime = fields.fzeros(3 * m, m, m)
-        for a in range(3 * m):
-            for i, j in np.ndindex(m, m):
-                cprime[a, i, j] = vb.gamma[a, m + i, m + j]
-        return _metricize(self, cprime)
+        return _metricize(self, vb.gamma[:, m : 2 * m, m : 2 * m])
 
     @cached_property
     def D0(self) -> VerticalConnection:
@@ -292,9 +274,21 @@ class DoubleField:
         return dpm_connections(self)
 
     @cached_property
+    def frame_brackets(self) -> np.ndarray:
+        """fb[q, i] = [B_{m+q}, B_i], the metric bracket of each minus-frame
+        column with each plus-frame column, from which
+        ``projected_brackets`` expands the ladder's brackets."""
+        m = self.m
+        fb = fields.fzeros(m, m, 2 * m)
+        for q, i in np.ndindex(m, m):
+            fb[q, i] = metric_bracket(self, self.B[:, m + q], self.B[:, i])
+        return fb
+
+    @cached_property
     def connections(self) -> tuple:
-        """(Dbar, Dtilde) of ``field_adapted_connection``, without its
-        third item, the field, which the field would hold in a cycle."""
+        """(Dbar, Dtilde) of ``field_adapted_connection``, built from the
+        field's frame brackets, without its third item, the field, which
+        the field would hold in a cycle."""
         return field_adapted_connection(self)[:2]
 
     @cached_property
@@ -396,23 +390,14 @@ def _vertical_derivative_component(
 
 def _coord_basis(m: int) -> list:
     """The 2m coordinate fiber vectors as component arrays."""
-    basis = [fields.fzeros(2 * m) for _ in range(2 * m)]
-    for a in range(2 * m):
-        basis[a][a] = fields.ONE
-    return basis
+    return list(fields.field_array(np.eye(2 * m), (2 * m, 2 * m), "basis"))
 
 
 def _iota_frame(sigma: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
     """Frame matrix whose columns are the images of the y-basis under
     iota_+, then under iota_-."""
-    B = fields.fzeros(2 * m, 2 * m)
-    for i in range(m):
-        B[i, i] = fields.ONE
-        B[i, m + i] = fields.ONE
-        for j in range(m):
-            B[m + j, i] = psi[j, i] + sigma[j, i]
-            B[m + j, m + i] = psi[j, i] - sigma[j, i]
-    return B
+    one = fields.field_array(np.eye(m), (m, m), "identity")
+    return np.block([[one, one], [psi + sigma, psi - sigma]])
 
 
 def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> VerticalConnection:
@@ -423,17 +408,13 @@ def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> Ve
     B = F.B
     n = 3 * m
     gamma = fields.fzeros(n, 2 * m, 2 * m)
+    Z = fields.fzeros(m, m)
     for a in range(n):
-        Ga = fields.fzeros(2 * m, 2 * m)
-        for j, k in np.ndindex(m, m):
-            Ga[k, j] = cplus[a, j, k]
-            Ga[m + k, m + j] = cminus[a, j, k]
+        Ga = np.block([[cplus[a].T, Z], [Z, cminus[a].T]])
         dB = np.empty((2 * m, 2 * m), dtype=object)
         for idx in np.ndindex(2 * m, 2 * m):
             dB[idx] = F.H.frame_derivative(B[idx], a)
-        Ma = (B @ Ga - dB) @ F.Binv
-        for b, c in np.ndindex(2 * m, 2 * m):
-            gamma[a, b, c] = Ma[c, b]
+        gamma[a] = ((B @ Ga - dB) @ F.Binv).T
     return VerticalConnection(gamma, F.H)
 
 
@@ -546,6 +527,40 @@ def metric_bracket(F: DoubleField, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray
     return a - b - w
 
 
+def fiber_derivative(Y: np.ndarray, f: ScalarField) -> ScalarField:
+    """Y(f) for a fiber vector field Y (2m direction components): the sum
+    of Y[r] times the partial of f along chart variable m + r."""
+    m = len(Y) // 2
+    return fsum((1, Y[r], f.partial(m + r)) for r in range(2 * m))
+
+
+def projected_brackets(F: DoubleField) -> tuple:
+    """(brp, brm) with brp[v, i] = [pr_-(e_v), B_i] and
+    brm[v, i] = [pr_+(e_v), B_{m+i}], the metric brackets of the
+    eigenbundle projections of the fiber directions with frame columns.
+
+    pr_-(e_v) = sum_q f_q B_{m+q} with f_q = Binv[m+q, v], and pr_+(e_v)
+    likewise over the plus columns.  Skew symmetry and the deformed
+    Leibniz rule [X, fY] = f[X, Y] + X(f) Y - 1/2 G(X, Y) grad f expand
+    [sum_q f_q X_q, Y] into sum_q f_q [X_q, Y] - Y(f_q) X_q, read from
+    ``F.frame_brackets``; the G term is zero, because the two
+    eigenbundles are G-orthogonal.
+    """
+    m = F.m
+    B, Binv, fb = F.B, F.Binv, F.frame_brackets
+    out = fields.fzeros(2, 2 * m, m, 2 * m)
+    for v, i in np.ndindex(2 * m, m):
+        # (f, [X_q, Y] over q, Y, columns X_q); [B_q, B_{m+i}] = -fb[i, q]
+        sides = (
+            (Binv[m:, v], fb[:, i], B[:, i], B[:, m:]),
+            (Binv[:m, v], -fb[i], B[:, m + i], B[:, :m]),
+        )
+        for side, (f, b, Y, X) in enumerate(sides):
+            Yf = np.array([fiber_derivative(Y, fq) for fq in f], dtype=object)
+            out[side, v, i] = f @ b - X @ Yf
+    return out[0], out[1]
+
+
 def vertical_gradient(F: DoubleField, f: ScalarField) -> np.ndarray:
     """Sharped fiber differential of a scalar."""
     m = F.m
@@ -559,16 +574,9 @@ def gualtieri_torsion(nabla: VerticalConnection, F: DoubleField) -> np.ndarray:
     """Totally covariant skew torsion via the cyclic sum of the
     difference tensor against the base connection."""
     m = nabla.m
-    xi = fields.fzeros(2 * m, 2 * m, 2 * m)
-    for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        xi[a, b, c] = fsum(
-            (1, nabla.gamma[m + a, b, e] - F.D0.gamma[m + a, b, e], F.G[e, c])
-            for e in range(2 * m)
-        )
-    tau = fields.fzeros(2 * m, 2 * m, 2 * m)
-    for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        tau[a, b, c] = xi[a, b, c] + xi[b, c, a] + xi[c, a, b]
-    return tau
+    xi = (nabla.gamma[m:] - F.D0.gamma[m:]) @ F.G
+    # tau[a, b, c] = xi[a, b, c] + xi[b, c, a] + xi[c, a, b]
+    return xi + xi.transpose(2, 0, 1) + xi.transpose(1, 2, 0)
 
 
 def gualtieri_via_deformed_torsion(
@@ -606,41 +614,30 @@ def field_adapted_connection(F: DoubleField):
     direction; along the opposite part the projected metric bracket
     takes over.  (Taking the bracket term as an addition to the full
     directional derivative would break the preservation of sigma.)
+    The projected brackets are expanded from the field's m^2 frame
+    brackets (``projected_brackets``), not built one by one.
     """
     m = F.m
     cplus, cminus = F.torsion_pair
+    brp, brm = projected_brackets(F)
+    # column v of each: an eigenbundle projection of the v-th fiber direction
+    prp, prm = F.B[:, :m] @ F.Binv[:m], F.B[:, m:] @ F.Binv[m:]
     ctp = cplus.copy()
     ctm = cminus.copy()
-    for v in range(2 * m):
-        # the two eigenbundle projections of the v-th fiber direction
-        prUp = fields.fzeros(2 * m)
-        prUm = fields.fzeros(2 * m)
-        for r in range(2 * m):
-            prUp[r] = fsum((1, F.B[r, q], F.Binv[q, v]) for q in range(m))
-            prUm[r] = fsum((1, F.B[r, m + q], F.Binv[m + q, v]) for q in range(m))
-        for i in range(m):
-            brp = metric_bracket(F, prUm, F.B[:, i])
-            brm = metric_bracket(F, prUp, F.B[:, m + i])
-            for j in range(m):
-                ctp[m + v, i, j] = fsum(
-                    term
-                    for r in range(2 * m)
-                    for term in ((1, prUp[r], cplus[m + r, i, j]), (1, F.Binv[j, r], brp[r]))
-                )
-                ctm[m + v, i, j] = fsum(
-                    term
-                    for r in range(2 * m)
-                    for term in (
-                        (1, prUm[r], cminus[m + r, i, j]),
-                        (1, F.Binv[m + j, r], brm[r]),
-                    )
-                )
+    for v, i, j in np.ndindex(2 * m, m, m):
+        ctp[m + v, i, j] = fsum(
+            term
+            for r in range(2 * m)
+            for term in ((1, prp[r, v], cplus[m + r, i, j]), (1, F.Binv[j, r], brp[v, i, r]))
+        )
+        ctm[m + v, i, j] = fsum(
+            term
+            for r in range(2 * m)
+            for term in ((1, prm[r, v], cminus[m + r, i, j]), (1, F.Binv[m + j, r], brm[v, i, r]))
+        )
     Dtilde = pair_connection(F, ctp, ctm)
     tau = gualtieri_torsion(Dtilde, F)
-    gamma = F.D0.gamma.copy()
-    for a in range(3 * m):
-        for b, c in np.ndindex(2 * m, 2 * m):
-            gamma[a, b, c] = Dtilde.gamma[a, b, c]
+    gamma = Dtilde.gamma.copy()
     for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
         phi = fsum((1, F.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
         gamma[m + a, b, c] = gamma[m + a, b, c] - (1.0 / 3.0) * phi
@@ -678,9 +675,8 @@ def deformed_curvatures(nabla: VerticalConnection, F: DoubleField):
         for b in range(a + 1, 2 * m):
             for c in range(2 * m):
                 val = deformed_curvature_apply(nabla, F, basis[a], basis[b], basis[c])
-                for d in range(2 * m):
-                    R[a, b, c, d] = val[d]
-                    R[b, a, c, d] = -1.0 * val[d]
+                R[a, b, c] = val
+                R[b, a, c] = -1.0 * val
     Ric = fields.fzeros(2 * m, 2 * m)
     for b, c in np.ndindex(2 * m, 2 * m):
         Ric[b, c] = 0.5 * fsum(
@@ -957,7 +953,7 @@ def verify_double_field(
     Y2 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y2")
     f = fields.field("exp(y1) + x1*z1", m)
     lhs = metric_bracket(F, Y1, Y2 * f)
-    Yf = fsum((1, Y1[v], f.partial(m + v)) for v in range(2 * m))
+    Yf = fiber_derivative(Y1, f)
     gYY = fsum((1, Y1[a], F.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
     rhs = (
         metric_bracket(F, Y1, Y2) * f

@@ -284,6 +284,63 @@ def test_field_adapted_connection_flat():
     assert np.max(np.abs(fields.fvalue(Dbar.gamma, p))) < 1e-12
 
 
+def _xyz_field_m3():
+    """An m = 3 double field over a curved bundle whose sigma and psi
+    depend on x, y and z."""
+    g = [["1", "0", "0"], ["0", "exp(2*x1)", "0"], ["0", "0", "1"]]
+    H = horizon.from_linear_connection(metrics.base_christoffels(g, 3), 3)
+    sigma = [
+        ["1 + y1^2/10 + x2*z3/20", "x1/10", "0"],
+        ["x1/10", "1 + z2^2/10", "y3/20"],
+        ["0", "y3/20", "2 + x3*z1/10"],
+    ]
+    psi = [
+        ["0", "x1*y2/5", "z1/10"],
+        ["0 - x1*y2/5", "0", "y1*z3/10 + x2/10"],
+        ["0 - z1/10", "0 - y1*z3/10 - x2/10", "0"],
+    ]
+    return dfield.DoubleField(H, sigma, psi)
+
+
+LEIBNIZ_FIELDS = {
+    "kitchen-sink": lambda: scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field,
+    "m3-xyz": _xyz_field_m3,
+    "m1-z": lambda: dfield.DoubleField(horizon.flat_bundle(1), [["1 + 0.01*z1"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_FIELDS))
+def test_eigenbundles_are_orthogonal_for_the_fiber_metric(name):
+    # the premise that drops the G term of the Leibniz rule in
+    # projected_brackets
+    F = LEIBNIZ_FIELDS[name]()
+    m = F.m
+    cross = F.B[:, m:].T @ F.G @ F.B[:, :m]
+    assert np.max(np.abs(fields.fvalue(cross, sample_box(m, 10, seed=23)))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_FIELDS))
+def test_projected_brackets_match_the_direct_metric_brackets(name):
+    F = LEIBNIZ_FIELDS[name]()
+    m = F.m
+    brp, brm = dfield.projected_brackets(F)
+    prp, prm = F.B[:, :m] @ F.Binv[:m], F.B[:, m:] @ F.Binv[m:]
+    direct = fields.fzeros(2, 2 * m, m, 2 * m)
+    for v, i in np.ndindex(2 * m, m):
+        direct[0, v, i] = dfield.metric_bracket(F, prm[:, v], F.B[:, i])
+        direct[1, v, i] = dfield.metric_bracket(F, prp[:, v], F.B[:, m + i])
+    p = sample_box(m, 10, seed=24)
+    got = fields.fvalue(np.stack([brp, brm]), p)
+    want = fields.fvalue(direct, p)
+    assert np.max(np.abs(want)) > 1e-3  # the brackets are not all zero
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_kitchen_sink_rho_tape_is_small():
+    F = scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field
+    assert len(fields.Tape((F.curvatures[2],), 0).entries(2)) <= 15000
+
+
 def test_verify_double_field_sigma_curved():
     rep = dfield.verify_double_field(_curved_field(2), n=5)
     assert rep.passed, rep.to_json()

@@ -480,7 +480,7 @@ def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
     p = ChartPoint(*np.split(pts, 3))
     entries = tape.entries(p.m)
     fields._run(entries, held, p)
-    assert len(entries) > 20000
+    assert len(entries) > 10000
     assert held.peak <= 0.05 * len(entries), (held.peak, len(entries))
     assert set(held) == set(tape.keys)  # only the roots outlive the run
     assert p._cache == {}  # nothing is stored on the point
