@@ -11,7 +11,7 @@ from .exprdsl import ParseError, parse_expr
 from .jets import Jet, JetDomainError
 from .points import ChartPoint, sample_box
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ChartPoint",

@@ -277,7 +277,7 @@ class DoubleField:
     def frame_brackets(self) -> np.ndarray:
         """fb[q, i] = [B_{m+q}, B_i], the metric bracket of each minus-frame
         column with each plus-frame column, from which
-        ``projected_brackets`` expands the ladder's brackets."""
+        ``ladder_brackets`` expands the ladder's brackets."""
         m = self.m
         fb = fields.fzeros(m, m, 2 * m)
         for q, i in np.ndindex(m, m):
@@ -534,31 +534,26 @@ def fiber_derivative(Y: np.ndarray, f: ScalarField) -> ScalarField:
     return fsum((1, Y[r], f.partial(m + r)) for r in range(2 * m))
 
 
-def projected_brackets(F: DoubleField) -> tuple:
-    """(brp, brm) with brp[v, i] = [pr_-(e_v), B_i] and
-    brm[v, i] = [pr_+(e_v), B_{m+i}], the metric brackets of the
-    eigenbundle projections of the fiber directions with frame columns.
+def ladder_brackets(F: DoubleField) -> tuple:
+    """(bp, bm): the frame components the connection ladder reads of the
+    metric brackets of projected fiber directions and frame columns,
+    bp[v, i, j] the plus one j of [pr_-(e_v), B_i], bm[v, i, j] the minus
+    one j of [B_{m+i}, pr_+(e_v)].
 
     pr_-(e_v) = sum_q f_q B_{m+q} with f_q = Binv[m+q, v], and pr_+(e_v)
     likewise over the plus columns.  Skew symmetry and the deformed
     Leibniz rule [X, fY] = f[X, Y] + X(f) Y - 1/2 G(X, Y) grad f expand
-    [sum_q f_q X_q, Y] into sum_q f_q [X_q, Y] - Y(f_q) X_q, read from
-    ``F.frame_brackets``; the G term is zero, because the two
-    eigenbundles are G-orthogonal.
+    [sum_q f_q X_q, Y] into sum_q f_q [X_q, Y] - Y(f_q) X_q (and likewise
+    [Y, sum_q f_q X_q]).  The G term is zero (the eigenbundles are
+    G-orthogonal), and X_q has no component on the other eigenbundle, so
+    the components read are those of ``F.frame_brackets`` in the frame,
+    Binv fb, summed against f.
     """
-    m = F.m
-    B, Binv, fb = F.B, F.Binv, F.frame_brackets
-    out = fields.fzeros(2, 2 * m, m, 2 * m)
-    for v, i in np.ndindex(2 * m, m):
-        # (f, [X_q, Y] over q, Y, columns X_q); [B_q, B_{m+i}] = -fb[i, q]
-        sides = (
-            (Binv[m:, v], fb[:, i], B[:, i], B[:, m:]),
-            (Binv[:m, v], -fb[i], B[:, m + i], B[:, :m]),
-        )
-        for side, (f, b, Y, X) in enumerate(sides):
-            Yf = np.array([fiber_derivative(Y, fq) for fq in f], dtype=object)
-            out[side, v, i] = f @ b - X @ Yf
-    return out[0], out[1]
+    m, Binv = F.m, F.Binv
+    fc = F.frame_brackets @ Binv.T  # fc[q, i] = Binv @ [B_{m+q}, B_i]
+    bp = np.tensordot(Binv[m:].T, fc[:, :, :m], axes=1)
+    bm = np.tensordot(Binv[:m].T, fc[:, :, m:].transpose(1, 0, 2), axes=1)
+    return bp, bm
 
 
 def vertical_gradient(F: DoubleField, f: ScalarField) -> np.ndarray:
@@ -614,27 +609,17 @@ def field_adapted_connection(F: DoubleField):
     direction; along the opposite part the projected metric bracket
     takes over.  (Taking the bracket term as an addition to the full
     directional derivative would break the preservation of sigma.)
-    The projected brackets are expanded from the field's m^2 frame
-    brackets (``projected_brackets``), not built one by one.
+    The projected brackets' components are read from the field's m^2
+    frame brackets (``ladder_brackets``), not built one by one.
     """
     m = F.m
     cplus, cminus = F.torsion_pair
-    brp, brm = projected_brackets(F)
+    bp, bm = ladder_brackets(F)
     # column v of each: an eigenbundle projection of the v-th fiber direction
     prp, prm = F.B[:, :m] @ F.Binv[:m], F.B[:, m:] @ F.Binv[m:]
-    ctp = cplus.copy()
-    ctm = cminus.copy()
-    for v, i, j in np.ndindex(2 * m, m, m):
-        ctp[m + v, i, j] = fsum(
-            term
-            for r in range(2 * m)
-            for term in ((1, prp[r, v], cplus[m + r, i, j]), (1, F.Binv[j, r], brp[v, i, r]))
-        )
-        ctm[m + v, i, j] = fsum(
-            term
-            for r in range(2 * m)
-            for term in ((1, prm[r, v], cminus[m + r, i, j]), (1, F.Binv[m + j, r], brm[v, i, r]))
-        )
+    ctp, ctm = cplus.copy(), cminus.copy()
+    ctp[m:] = np.tensordot(prp.T, cplus[m:], axes=1) + bp
+    ctm[m:] = np.tensordot(prm.T, cminus[m:], axes=1) - bm
     Dtilde = pair_connection(F, ctp, ctm)
     tau = gualtieri_torsion(Dtilde, F)
     gamma = Dtilde.gamma.copy()
@@ -646,19 +631,19 @@ def field_adapted_connection(F: DoubleField):
 
 
 # -- deformed curvatures and the action -----------------------------------
+def deformed_bracket(nabla: VerticalConnection, F: DoubleField, Za, Zb) -> np.ndarray:
+    """W, the wedge-deformed bracket of a direction pair: the metric
+    bracket plus the wedge product under ``nabla``."""
+    return metric_bracket(F, Za, Zb) + wedge_product(nabla, F, Za, Zb)
+
+
 def deformed_curvature_apply(
-    nabla: VerticalConnection,
-    F: DoubleField,
-    Za: np.ndarray,
-    Zb: np.ndarray,
-    Yc: np.ndarray,
+    nabla: VerticalConnection, Za: np.ndarray, Zb: np.ndarray, W: np.ndarray, Yc: np.ndarray
 ) -> np.ndarray:
     """The antisymmetrized second derivative minus the derivative along
-    the wedge-deformed bracket of the direction pair."""
-    m = nabla.m
+    W, the direction pair's ``deformed_bracket``."""
     first = vertical_derivative(nabla, Za, vertical_derivative(nabla, Zb, Yc))
     second = vertical_derivative(nabla, Zb, vertical_derivative(nabla, Za, Yc))
-    W = metric_bracket(F, Za, Zb) + wedge_product(nabla, F, Za, Zb)
     third = vertical_derivative(nabla, W, Yc)
     return first - second - third
 
@@ -673,8 +658,9 @@ def deformed_curvatures(nabla: VerticalConnection, F: DoubleField):
     R = fields.fzeros(2 * m, 2 * m, 2 * m, 2 * m)
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
+            W = deformed_bracket(nabla, F, basis[a], basis[b])
             for c in range(2 * m):
-                val = deformed_curvature_apply(nabla, F, basis[a], basis[b], basis[c])
+                val = deformed_curvature_apply(nabla, basis[a], basis[b], W, basis[c])
                 R[a, b, c] = val
                 R[b, a, c] = -1.0 * val
     Ric = fields.fzeros(2 * m, 2 * m)
@@ -709,9 +695,7 @@ def scalar_curvature_in_basis(
         if (k, l) not in inner:
             inner[k, l] = vertical_derivative(nabla, P[:, k], P[:, l])
         if (a, k) not in bracket:
-            bracket[a, k] = metric_bracket(F, basis[a], P[:, k]) + wedge_product(
-                nabla, F, basis[a], P[:, k]
-            )
+            bracket[a, k] = deformed_bracket(nabla, F, basis[a], P[:, k])
         first = _vertical_derivative_component(nabla, basis[a], inner[k, l], a)
         second = _vertical_derivative_component(
             nabla, P[:, k], vertical_derivative(nabla, basis[a], P[:, l]), a
@@ -872,7 +856,7 @@ def action(
     if method == "sparse":
         if level < 1:  # the error estimate needs the rule of level - 1
             raise ValueError(f"the sparse rule needs level >= 1, got {level}")
-        S = sorted(set().union(*(f.support for f, _ in tape.keys)))
+        S = sorted(set().union(*(f.support for f in tape.roots)))
         nodes, w = sparse_grid(len(S), level)
         coarse = sparse_grid(len(S), level - 1)[1]
         pts = np.repeat(0.5 * (hi + lo), nodes.shape[1], axis=1)

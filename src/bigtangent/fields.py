@@ -32,70 +32,68 @@ is skipped before any product is built.  The folds would drop such a
 term anyway, so ``fsum`` preserves the graph: it returns the very node
 the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
 the terms shapes that node (and so the last bits of its values).  The
-hot construction loops (curvature, Lie bracket and derivative, the
-fiber wedge product) no longer hand it zero terms: they walk only the
-indices in a factor's ``support`` or with a nonzero outer factor, in
-the dense loop's order, so they build the same node.  The zero skip
-stays for the remaining callers.
+hot construction loops hand it no zero terms: they walk only the
+indices that can give a nonzero term, in the dense loop's order.
 
-Evaluation never recurses.  The (node, order) keys below a set of roots
-are compiled into a list of entries in dependency order (a ``Partial``
-reads its parent one order higher, a matrix inverse all its entries at
-the same order), and one loop runs them, each entry doing one ``Jet``
-operation on its operands' jets (a constant factor of ``*``, or a
-constant numerator of ``/``, scales the other jet as a number, so an
-overflowed row takes no 0 * inf).  Graph height is therefore bounded by
-memory, not by Python's recursion limit.  Every point is one batch, a
-``ChartPoint`` whose ``flat`` array (3m, npoints) a ``Coord`` reads its
-row of.  The loop serves two callers:
+Evaluation never recurses, and it evaluates each node once per point
+batch, at its top order: the highest order any reader asks for (a
+reader's own top order, plus one through a ``Partial``).  Taylor
+propagation is triangular: the coefficients of degree <= k of a result
+read only those of degree <= k of its operands, and terms are sorted by
+degree, so a reader at a lower order reads the leading rows, bit for bit
+(the matrix inverse excepted: its Newton steps at a higher order refine
+the value row too).  One planner (``_plan``) walks the graph below a set
+of roots, giving the nodes in dependency order and their top orders, and
+one loop (``_run``) evaluates them, each doing one ``Jet`` operation on
+its operands' jets (a constant factor of ``*``, or a constant numerator
+of ``/``, scales the other jet as a number, so an overflowed row takes
+no 0 * inf).  Graph height is therefore bounded by memory, not by
+Python's recursion limit.  Every point is one batch, a ``ChartPoint``
+whose ``flat`` array (3m, npoints) a ``Coord`` reads its row of.  The
+loop serves two callers:
 
 - suite points, which verification reuses across many fields: ``jet``,
-  ``value`` and ``fvalue`` keep every jet in the point's memo, keyed by
-  (node, order), compile only what the memo lacks and store the results
-  there.  Equal subgraphs are one node, so they share one memo slot, and
-  the memo is freed when the point is dropped.
+  ``value`` and ``fvalue`` keep one jet per node in the point's memo,
+  plan only what the memo lacks, or holds at too low an order, and
+  store the results there.  Equal subgraphs are one node, so they share
+  one memo slot, and the memo is freed when the point is dropped.
 - points evaluated once, the action integrand's chunks: the ``Tape`` of
   the integrand, which its one owner ``DoubleField.integrand_tape``
   compiles once, frees each jet right after its last use, so a run holds
   only the jets still to be read, and it stores nothing on the point.
 
-Each path wins a benchmark workload, so both stay.  Compiling every memo
-call as a tape gave the same reports but took the benchmark's m = 3
-identity-check body from 3.15-3.31 to 4.58-4.87 s and its body of four
-one-point ``eval --object dfield.rho`` probes from 0.99-1.01 to
-1.29-1.31 s (one width-1 ``rho`` took 157-242 ms on a tape, 121-185 ms
-on the memo; best of three, 2-vCPU host).  The integrand, evaluated
-once per point, pays for the tape through the restricted jet spaces
-below: without them the kitchen-sink check body took 1.77-1.79 s,
-against 1.54-1.56 s.
+Each path wins a benchmark workload, so both stay (with jets keyed by
+node and order, on a 2-vCPU host, a tape for every memo call took the
+m = 3 identity-check body from 3.15-3.31 to 4.58-4.87 s; the tape's
+restricted jet spaces below took the kitchen-sink check body from
+1.77-1.79 to 1.54-1.56 s).  A ``JetDomainError`` raised by a run gets
+the chart point of its first bad sample attached.
 
 The memo path evaluates every jet in all 3m chart variables.  A tape
-evaluates each key of order >= 1 only in the variables its readers
-differentiate along, its demand D: a ``Partial`` along v read along D
-reads its parent along D and v, every other node reads its operands
-along its own D, a key read by several readers gets the union, and the
-roots (and every order-0 key) keep all 3m.  The jet over D is the
+evaluates each node of top order >= 1 only in the variables its readers
+differentiate along, its demand D: a ``Partial`` along v reads its
+parent along its own D and v, every other node reads its operands along
+its own D, a node read by several readers gets the union, and the roots
+(and every node of top order 0) keep all 3m.  The jet over D is the
 full-space jet restricted to the terms in D's variables, bit for bit: a
 coefficient in those variables sums the same products of coefficients
 in those variables, and restricting the term order (by degree, then
 lexicographic) to a subset of the variables keeps it as a subsequence,
 so the products come in the same order (``multiindex``).  An operand
-over more variables than its reader is restricted by one row gather; a
-``Partial`` reads its parent's rows through a table between the two
-spaces; a ``Coord`` whose variable is outside D is a constant.  The
-demand is not intersected with a node's ``support``: a product of jets
-over unequal variables would drop exact zeros, which can flip the sign
-of a zero coefficient.
-
-Both paths therefore return the same jets, bit for bit and in the same
-space.  A ``JetDomainError`` raised by a run gets the chart point of its
-first bad sample attached.
+over more variables, or at a higher order, than its reader is
+restricted by one row gather or slice; a ``Partial`` reads its parent's
+rows through a table between the two spaces; a ``Coord`` whose variable
+is outside D is a constant.  The demand is not intersected with a
+node's ``support``: a product of jets over unequal variables would drop
+exact zeros, which can flip the sign of a zero coefficient.  So both
+paths return the same jets, bit for bit, for the same top orders.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from itertools import repeat
 import operator
 import weakref
 import numpy as np
@@ -152,15 +150,16 @@ class ScalarField(metaclass=_Interned):
 
     def jet(self, p: ChartPoint, order: int) -> Jet:
         """The jet at ``p`` truncated at ``order``, memoised on ``p``."""
-        key = (self, order)
-        hit = p._cache.get(key)
-        if hit is None:
-            hit = _memo_jets([key], p)[0]
-        return hit
+        hit = p._cache.get(self)
+        if hit is None or hit.space.order < order:
+            _memo_eval((self,), order, p)
+            hit = p._cache[self]
+        return _lead(hit, jet_space(3 * p.m, order))
 
-    def _operands(self, order: int) -> tuple:
-        """The (node, order) keys whose jets this node's jet is computed
-        from, in the order it reads them."""
+    def _operands(self) -> tuple:
+        """The nodes whose jets this node's jet is computed from, in the
+        order it reads them (a ``Partial`` reads its parent one order
+        higher)."""
         return ()
 
     def value(self, p: ChartPoint) -> np.ndarray:
@@ -331,8 +330,8 @@ class Bin(ScalarField):
         self.op, self.a, self.b = op, a, b
         self.support = _union(a.support, b.support)
 
-    def _operands(self, order):
-        return ((self.a, order), (self.b, order))
+    def _operands(self):
+        return (self.a, self.b)
 
 
 class Pow(ScalarField):
@@ -342,8 +341,8 @@ class Pow(ScalarField):
         self.base, self.n = base, n
         self.support = base.support
 
-    def _operands(self, order):
-        return ((self.base, order),)
+    def _operands(self):
+        return (self.base,)
 
 
 class Func(ScalarField):
@@ -353,8 +352,8 @@ class Func(ScalarField):
         self.name, self.arg = name, arg
         self.support = arg.support
 
-    def _operands(self, order):
-        return ((self.arg, order),)
+    def _operands(self):
+        return (self.arg,)
 
 
 class Partial(ScalarField):
@@ -364,8 +363,8 @@ class Partial(ScalarField):
         self.parent, self.var = parent, int(var)
         self.support = parent.support
 
-    def _operands(self, order):
-        return ((self.parent, order + 1),)
+    def _operands(self):
+        return (self.parent,)
 
 
 def field(text: str, m: int) -> ScalarField:
@@ -386,11 +385,10 @@ def fvalue(arr, p: ChartPoint) -> np.ndarray:
     """Evaluate an object array (or a list) of fields to floats, with the
     points on a last axis."""
     arr = np.asarray(arr, dtype=object)
-    jets = _memo_jets([(as_field(f), 0) for f in arr.flat], p)
-    out = np.empty(arr.shape + (p.npoints,))
-    for idx, jet in zip(np.ndindex(arr.shape), jets):
-        out[idx] = jet.value
-    return out
+    roots = [as_field(f) for f in arr.flat]
+    _memo_eval(roots, 0, p)
+    out = np.array([p._cache[f].c[0] for f in roots], dtype=float)
+    return out.reshape(arr.shape + (p.npoints,))
 
 
 # -- jet-exact matrix inversion -------------------------------------------
@@ -434,8 +432,8 @@ class _MatrixInverse(metaclass=_Interned):
             for f in row:
                 self.support = _union(self.support, f.support)
 
-    def _operands(self, order):
-        return tuple((f, order) for row in self.rows for f in row)
+    def _operands(self):
+        return tuple(f for row in self.rows for f in row)
 
 
 class _MatInvEntry(ScalarField):
@@ -445,8 +443,8 @@ class _MatInvEntry(ScalarField):
         self.owner, self.i, self.j = owner, i, j
         self.support = owner.support
 
-    def _operands(self, order):
-        return ((self.owner, order),)
+    def _operands(self):
+        return (self.owner,)
 
 
 def finverse(mat: np.ndarray) -> np.ndarray:
@@ -455,9 +453,8 @@ def finverse(mat: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     owner = _MatrixInverse(tuple(tuple(as_field(f) for f in row) for row in mat))
     out = np.empty((owner.n, owner.n), dtype=object)
-    for i in range(owner.n):
-        for j in range(owner.n):
-            out[i, j] = _MatInvEntry(owner, i, j)
+    for i, j in np.ndindex(out.shape):
+        out[i, j] = _MatInvEntry(owner, i, j)
     return out
 
 
@@ -476,45 +473,75 @@ def fdet(mat: np.ndarray) -> ScalarField:
 
 
 # -- evaluation -------------------------------------------------------------
-_DONE = object()  # pushed above an entry, so it is popped once the entry's operands are done
+_DONE = object()  # pushed above a node, so it is popped once the node's operands are done
 
 
-def _compile(keys, memo):
-    """Yield entries ``(key, reads, plan, free)`` for the (node, order) keys
-    at and below ``keys`` that ``memo`` lacks, each after its operands.
+def _order(jet) -> int:
+    """The order of a stored jet, or of a matrix inverse's jets."""
+    return (jet.flat[0] if type(jet) is np.ndarray else jet).space.order
 
-    The consumer must add each yielded key to ``memo`` before it asks for
-    the next entry: the walk skips the keys ``memo`` holds, and graphs
-    are acyclic, so no key is yielded twice.  ``reads`` are the keys of
-    the operands, ``plan`` is None (every jet in the full space) and
-    ``free`` is empty.  The order is the one in which a depth-first
-    evaluation of the keys in turn, each node reading its operands in
-    turn, completes them; the first domain error a run raises is
-    therefore the one that evaluation would raise.  The walk keeps its
-    own stack, so graph height is bounded by memory only, and a run that
-    consumes it as it goes holds no list of entries.
-    """
-    stack = list(reversed(keys))
-    push, pop = stack.append, stack.pop
+
+def _walk(want, memo) -> tuple[list, list]:
+    """(nodes, frontier): the nodes of ``want`` and those below them that
+    ``memo`` lacks, each after its operands, in the order in which a
+    depth-first evaluation of ``want``, each node reading its operands in
+    turn, completes them; and the nodes of ``memo`` they read."""
+    nodes, frontier, seen = [], [], set()
+    stack = list(want)[::-1]
+    pop = stack.pop
     while stack:
-        key = pop()
-        if key is _DONE:
-            yield pop()
-        elif key not in memo:
-            reads = key[0]._operands(key[1])
-            push((key, reads, None, ()))
-            push(_DONE)
-            stack.extend(reversed(reads))
+        n = pop()
+        if n is _DONE:
+            nodes.append(pop())
+        elif n not in seen:
+            seen.add(n)
+            if n not in memo or n in want:
+                stack += (n, _DONE)
+                stack.extend(reversed(n._operands()))
+            else:
+                frontier.append(n)
+    return nodes, frontier
+
+
+def _plan(want: dict, memo) -> tuple[list, dict]:
+    """(nodes, tops): the nodes to evaluate for ``want``, a dict from
+    root to order, in evaluation order, and each one's top order.
+
+    A node's top order is the highest order a reader asks for: its own
+    top order, plus one through a ``Partial``.  A node that ``memo`` holds
+    at a lower order is evaluated again, first, with whatever below it is
+    held too low: nothing that ``memo`` lacks is below it.
+    """
+    nodes, frontier = _walk(want, memo)
+    tops = dict.fromkeys(nodes, 0)
+    tops.update(want)
+    for n in reversed(nodes):
+        k = tops[n] + (type(n) is Partial)
+        if k:  # an order-0 reader leaves its operands at order 0 or more
+            for r in n._operands():
+                if tops.get(r, 0) < k:
+                    tops[r] = k
+    todo = [(f, tops.get(f, 0)) for f in frontier if _order(memo[f]) < tops.get(f, 0)]
+    if todo:
+        again = {}  # the stored nodes to evaluate again, at their top orders
+        while todo:
+            n, k = todo.pop()
+            if again.get(n, -1) < k and _order(memo[n]) < k:
+                again[n] = k
+                k += type(n) is Partial
+                todo += ((r, k) for r in n._operands())
+        nodes = _walk(again, memo)[0] + nodes
+        tops.update(again)
+    return nodes, tops
 
 
 class _Restriction:
-    """The node of a tape entry that restricts an operand's jet to the
-    fewer variables of its reader."""
+    """The node of a tape entry restricting a jet to its reader's space."""
 
     __slots__ = ()
 
 
-_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_OPERANDS = operator.methodcaller("_operands")
 
 
 def _scaled(jet: Jet, v: float) -> Jet:
@@ -525,59 +552,62 @@ def _scaled(jet: Jet, v: float) -> Jet:
     return Jet(jet.space, jet.c * v + 0.0)
 
 
-def _run(entries, vals: dict, p: ChartPoint):
-    """Evaluate ``(key, reads, plan, free)`` entries in order at ``p``.
+def _lead(jet: Jet, space) -> Jet:
+    """``jet`` in ``space``, over its variables at an order no higher: its
+    leading rows, as terms are sorted by degree."""
+    return jet if jet.space is space else Jet(space, jet.c[: space.nterms])
 
-    Each entry reads its operands' jets from ``vals`` under the keys in
-    ``reads``, stores its own jet there under ``key`` and then deletes the
-    keys named in ``free``.  A ``plan`` of None evaluates in the full
-    space of the chart; a tape's plan names the entry's smaller space and
-    the table it reads its operand through.  A ``JetDomainError`` gets the
-    chart point of its first bad sample.
+
+def _run(entries, vals: dict, p: ChartPoint):
+    """Evaluate ``(node, space, reads, plan, free)`` entries in order at ``p``.
+
+    Each entry reads its operands' jets from ``vals`` under ``reads`` (the
+    leading rows its ``space`` needs), stores its jet under ``node`` and
+    deletes the keys in ``free``.  A tape's ``plan`` names the rows a
+    ``Partial`` or restriction reads or where a ``Coord`` sits; None means
+    the full space.  The order is ``_walk``'s depth-first postorder, so it
+    depends on the graph alone: the first ``JetDomainError`` (given the chart
+    point of its first bad sample) is the one a recursive evaluation raises.
     """
     try:
-        for key, reads, plan, free in entries:
-            node, order = key
+        for node, space, reads, plan, free in entries:
             kind = type(node)
             if kind is Bin:
-                a, b = reads
-                op = node.op
-                if op == "*" and type(node.a) is Const:
-                    jet = _scaled(vals[b], node.a.v)
-                elif op == "*" and type(node.b) is Const:
-                    jet = _scaled(vals[a], node.b.v)
-                elif op == "/" and type(node.a) is Const:
-                    jet = _scaled(vals[b].reciprocal(), node.a.v)
+                a, b, op = vals[reads[0]], vals[reads[1]], node.op
+                if a.space is not space or b.space is not space:
+                    a, b = _lead(a, space), _lead(b, space)
+                if type(node.a) is Const and op in "*/":
+                    jet = _scaled(b if op == "*" else b.reciprocal(), node.a.v)
+                elif type(node.b) is Const and op == "*":
+                    jet = _scaled(a, node.b.v)
+                elif op in "+-":  # as Jet's + and -, on the same space
+                    jet = Jet(space, a.c + b.c if op == "+" else a.c - b.c)
                 else:
-                    jet = _BIN_OPS[op](vals[a], vals[b])
-            elif kind is Partial:
-                if plan is None:
-                    jet = vals[reads[0]].partial(node.var)
-                else:
-                    space, rows, factor = plan
-                    jet = Jet(space, vals[reads[0]].c[rows] * factor)
+                    jet = a * b if op == "*" else a / b
+            elif kind is Partial:  # the parent's rows one order up, valid on a longer jet
+                up = plan or jet_space(space.nvars, space.order + 1).partial_table(node.var)
+                jet = Jet(space, vals[reads[0]].c[up[0]] * up[1])
             elif kind is Pow:
-                jet = vals[reads[0]] ** node.n
+                jet = _lead(vals[reads[0]], space) ** node.n
             elif kind is Func:
-                jet = getattr(vals[reads[0]], node.name)()
+                jet = getattr(_lead(vals[reads[0]], space), node.name)()
             elif kind is _MatInvEntry:
                 jet = vals[reads[0]][node.i, node.j]
             elif kind is _Restriction:
-                space, rows = plan
-                jet = Jet(space, vals[reads[0]].c[rows])
+                jet = Jet(space, vals[reads[0]].c[plan])
             elif kind is Const:
-                jet = Jet.constant(plan or jet_space(3 * p.m, order), node.v, p.npoints)
+                jet = Jet.constant(space, node.v, p.npoints)
             elif kind is Coord:
                 value = p.flat[node.var]
-                space, at = plan or (jet_space(3 * p.m, order), node.var)
+                at = node.var if plan is None else plan[0]
                 if at is None:  # the reader does not differentiate along it
                     jet = Jet.constant(space, value, p.npoints)
                 else:
                     jet = Jet.variable(space, at, value)
             else:  # _MatrixInverse: every entry of the inverse at once
-                A = np.fromiter((vals[r] for r in reads), dtype=object, count=len(reads))
+                A = np.fromiter((_lead(vals[r], space) for r in reads), dtype=object)
                 jet = _jet_inverse(A.reshape(node.n, node.n))
-            vals[key] = jet
+            vals[node] = jet
             for dead in free:
                 del vals[dead]
     except JetDomainError as err:
@@ -586,124 +616,107 @@ def _run(entries, vals: dict, p: ChartPoint):
         raise
 
 
-def _memo_jets(keys, p: ChartPoint) -> list:
-    """The jets of ``keys`` at ``p``, evaluating only what the point's
-    memo lacks and keeping every result in it."""
-    memo = p._cache
-    _run(_compile(keys, memo), memo, p)
-    return [memo[key] for key in keys]
+def _memo_eval(roots, order: int, p: ChartPoint):
+    """Store in the point's memo a jet of each of ``roots`` at ``order``
+    or higher, evaluating only what the memo lacks or holds too short."""
+    memo, n = p._cache, 3 * p.m
+    jet_space(n, order)  # refuses a negative order
+    want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
+    if want:
+        nodes, tops = _plan(want, memo)
+        by_order = [jet_space(n, k) for k in range(max(tops.values()) + 1)]
+        spaces = [by_order[tops[f]] for f in nodes]
+        _run(zip(nodes, spaces, map(_OPERANDS, nodes), repeat(None), repeat(())), memo, p)
 
 
-def _demand(entries, demand: dict) -> dict:
-    """Extend ``demand``, the chart variables the roots are differentiated
-    along, to every key of order >= 1 below them: a ``Partial`` along
-    ``v`` read along D reads its parent along D and ``v``; every other
-    node reads its operands along its own D.  A key read by several
-    readers gets the union.  Order-0 keys are read along nothing."""
-    for key, reads, _, _ in reversed(entries):
-        want = demand.get(key, _NO_VARS)
-        if type(key[0]) is Partial:
-            want = want | {key[0].var}
-        for r in reads:
-            if r[1]:
-                demand[r] = _union(demand[r], want) if r in demand else want
-    return demand
-
-
-def _tape_entries(keys, m: int) -> list:
-    """The entries of a tape for ``keys`` at points of dimension ``m``.
-
-    A key of order >= 1 is evaluated over the variables ``_demand`` gives
-    it, the roots and every order-0 key over all 3m.  A ``Partial`` reads
-    its parent through ``multiindex.partial_rows``; a ``Coord`` is a
-    constant where its variable is not read; an operand over more
-    variables than its reader is restricted once per set of variables, by
-    an entry placed before its first reader.  Each entry frees the jets
-    it was the last to read.
+def _tape_entries(roots, order: int, m: int) -> list:
+    """The entries of a tape for ``roots`` at ``order``, at points of
+    dimension ``m``: each node at its top order (``_plan``) over its
+    demand, as the module docstring says.  An operand over more variables
+    or at a higher order than its reader is restricted once per
+    (variables, order), by an entry placed before its first reader.  Each
+    entry frees the jets it was the last to read.
     """
     full = tuple(range(3 * m))
-    compiled = {}
-    for entry in _compile(keys, compiled):
-        compiled[entry[0]] = entry
-    demand = _demand(list(compiled.values()), {key: frozenset(full) for key in keys if key[1]})
-    sorted_vars = {frozenset(full): full}  # demand -> its sorted tuple, one object per set
-    over = {}  # key -> the sorted variables its jet is over
-    restricted = {}  # (key, variables) -> the key of that restriction
+    every = frozenset(full)
+    nodes, tops = _plan(dict.fromkeys(roots, order), {})
+    demand = dict.fromkeys(roots, every)
+    for n in reversed(nodes):
+        kind = type(n)
+        # an inverse entry passes its demand on, so a root entry's owner is over all 3m
+        want = demand.get(n, _NO_VARS) if tops[n] or kind is _MatInvEntry else _NO_VARS
+        if kind is Partial:
+            want = _union(want, frozenset((n.var,)))
+        if want:
+            for r in n._operands():
+                d = demand.get(r)
+                demand[r] = want if d is None else _union(d, want)
+    sorted_vars = {every: full}  # demand -> its sorted tuple, one object per set
+    over = {}  # node -> the (sorted variables, order) of its jet
+    restricted = {}  # (node, variables, order) -> the key of that restriction
     entries = []
 
-    def read(r, own):
-        if over[r] is own:
+    def read(r, own, k):
+        src, kr = over[r]
+        if src is own and kr == k:
             return r
-        rkey = restricted.get((r, own))
+        rkey = restricted.get((r, own, k))
         if rkey is None:
-            rkey = restricted[r, own] = (_Restriction(), r[1])
-            plan = (jet_space(len(own), r[1]), restriction(over[r], own, r[1]))
-            entries.append([rkey, (r,), plan, ()])
+            rkey = restricted[r, own, k] = _Restriction()
+            entries.append([rkey, jet_space(len(own), k), (r,), restriction(src, own, k), ()])
         return rkey
 
-    for key, reads, _, _ in compiled.values():
-        node, order = key
-        kind = type(node)
-        own = full
-        if order:
-            d = demand[key]
-            own = sorted_vars.get(d) or sorted_vars.setdefault(d, tuple(sorted(d)))
+    for n in nodes:
+        k, d = tops[n], demand.get(n)
+        own = sorted_vars.get(d) or sorted_vars.setdefault(d, tuple(sorted(d))) if k else full
+        kind = type(n)
+        reads = n._operands()
         plan = None
         if kind is Partial:
-            space = jet_space(len(own), order)
-            plan = (space, *partial_rows(over[reads[0]], own, order, node.var))
-        elif kind is Const:
-            plan = jet_space(len(own), order)
+            plan = partial_rows(over[n.parent][0], own, k, n.var)
         elif kind is Coord:
-            at = own.index(node.var) if node.var in own else None
-            plan = (jet_space(len(own), order), at)
+            plan = (own.index(n.var) if n.var in own else None,)
         elif kind is _MatInvEntry:
-            own = over[reads[0]]  # the owner's space holds the whole inverse
-        else:
-            for r in reads:
-                if over[r] is not own:
-                    reads = tuple(read(r, own) for r in reads)
-                    break
-        over[key] = own
-        entries.append([key, reads, plan, ()])
-    later = set(keys)  # keys read after the entry at hand; roots outlive the run
+            own, k = over[n.owner]  # the owner's space holds the whole inverse
+        elif kind is not Const:
+            reads = tuple(read(r, own, k) for r in reads)
+        over[n] = (own, k)
+        entries.append([n, jet_space(len(own), k), reads, plan, ()])
+    later = set(roots)  # keys read after the entry at hand; roots outlive the run
     for entry in reversed(entries):
-        dead = [r for r in entry[1] if r not in later]
+        dead = [r for r in entry[2] if r not in later]
         if dead:
             later.update(dead)
-            entry[3] = tuple(dict.fromkeys(dead))
+            entry[4] = tuple(dict.fromkeys(dead))
     return entries
 
 
 class Tape:
     """The evaluation of ``roots`` at ``order``, for points used once.
 
-    Compiled once per point dimension m, at its first run there, it runs
-    at any number of points.  Each (node, order) key with order >= 1 is
-    evaluated over the chart variables its readers differentiate along
-    (``_demand``), not all 3m; each entry frees the jets it was the last
-    to read, so a run holds only the jets still to be read, and nothing
-    is stored on the point.  The roots' jets equal the memo path's bit
-    for bit.  A tape is not interned: its owner (the double field, for
-    the action integrand) keeps it, so it is compiled once.
+    Compiled once per point dimension m (``_tape_entries``), at its first
+    run there, it runs at any number of points; a run holds only the jets
+    still to be read and stores nothing on the point.  The roots' jets
+    equal the memo path's bit for bit.  A tape is not interned: its owner
+    (the double field, for the action integrand) keeps it.
     """
 
-    __slots__ = ("keys", "_entries")
+    __slots__ = ("roots", "order", "_entries")
 
     def __init__(self, roots: tuple, order: int):
-        self.keys = [(f, order) for f in roots]
+        self.roots, self.order = tuple(roots), order
         self._entries = {}
 
     def entries(self, m: int) -> list:
         """The run's entries at points of dimension ``m``."""
         entries = self._entries.get(m)
         if entries is None:
-            # compiling allocates ~100k tuples and lists, which would set
+            # compiling allocates ~50k tuples and lists, which would set
             # off full cycle collections over the live graph's nodes
             enabled = gc.isenabled()
             gc.disable()
             try:
-                entries = self._entries[m] = _tape_entries(self.keys, m)
+                entries = self._entries[m] = _tape_entries(self.roots, self.order, m)
             finally:
                 if enabled:
                     gc.enable()
@@ -713,4 +726,5 @@ class Tape:
         """The roots' jets at ``p``."""
         vals = {}
         _run(self.entries(p.m), vals, p)
-        return [vals[key] for key in self.keys]
+        space = jet_space(3 * p.m, self.order)
+        return [_lead(vals[f], space) for f in self.roots]

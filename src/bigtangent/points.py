@@ -8,8 +8,9 @@ broadcasts over the same trailing axis, and ``select(k)`` is a batch of
 one too.
 
 Each point also owns the memo that ``fields`` keeps for the points a
-verification suite reuses: every jet evaluated there, keyed by (node,
-order), freed when the point is dropped.  Points evaluated once, the
+verification suite reuses: one jet per node evaluated there, keyed by
+the node and held at the highest order asked of it so far (a lower
+order is its leading rows), freed when the point is dropped.  Points evaluated once, the
 action integrand's chunks, go through the integrand's ``fields.Tape``
 instead, which stores nothing on them.
 """

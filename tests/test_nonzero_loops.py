@@ -187,6 +187,30 @@ def dense_courant_nijenhuis_values(pack, endo, p):
     return values
 
 
+def dense_deformed_curvatures(nabla, F):
+    """The construction that builds the deformed bracket of the direction
+    pair again for every argument."""
+    m = nabla.m
+    basis = dfield._coord_basis(m)
+    R = fields.fzeros(2 * m, 2 * m, 2 * m, 2 * m)
+    for a in range(2 * m):
+        for b in range(a + 1, 2 * m):
+            for c in range(2 * m):
+                W = dfield.metric_bracket(F, basis[a], basis[b]) + dfield.wedge_product(
+                    nabla, F, basis[a], basis[b]
+                )
+                val = dfield.deformed_curvature_apply(nabla, basis[a], basis[b], W, basis[c])
+                R[a, b, c] = val
+                R[b, a, c] = -1.0 * val
+    Ric = fields.fzeros(2 * m, 2 * m)
+    for b, c in np.ndindex(2 * m, 2 * m):
+        Ric[b, c] = 0.5 * fsum(
+            term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
+        )
+    rho = fsum((1, F.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
+    return R, Ric, rho
+
+
 def dense_scalar_curvature_in_basis(nabla, F, P):
     """The construction that applies the whole deformed curvature for
     each component it reads."""
@@ -196,9 +220,10 @@ def dense_scalar_curvature_in_basis(nabla, F, P):
     for q in range(2 * m):
         for s in range(q, 2 * m):
             Ric[q, s] = 0.5 * fsum(
-                (1, dfield.deformed_curvature_apply(nabla, F, basis[a], P[:, k], P[:, l])[a])
+                (1, dfield.deformed_curvature_apply(nabla, basis[a], P[:, k], W, P[:, l])[a])
                 for a in range(2 * m)
                 for k, l in ((q, s), (s, q))
+                for W in [dfield.deformed_bracket(nabla, F, basis[a], P[:, k])]
             )
             Ric[s, q] = Ric[q, s]
     Gt = P.T @ F.G @ P
@@ -264,6 +289,24 @@ def test_lie_derivative_and_directional_match_the_dense_loop(ladder):
             assert tc.directional(X, f) is dense_directional(X, f)
         for T in Ts:
             _same(tc.lie_derivative(X, T).comps, dense_lie_derivative(X, T))
+
+
+def test_deformed_curvatures_build_each_bracket_once(ladder, monkeypatch):
+    F, (Dbar, _), *_ = ladder
+    m = F.m
+    want = dense_deformed_curvatures(Dbar, F)
+    calls = []
+    deformed_bracket = dfield.deformed_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return deformed_bracket(*args)
+
+    monkeypatch.setattr(dfield, "deformed_bracket", counting)
+    got = dfield.deformed_curvatures(Dbar, F)
+    assert len(calls) == m * (2 * m - 1)  # one per direction pair a < b
+    for g, w in zip(got, want):
+        _same(g, w)
 
 
 def test_courant_nijenhuis_residual_builds_each_image_once():

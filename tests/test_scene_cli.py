@@ -483,25 +483,25 @@ def test_check_double_builds_rho_and_its_tape_once(tmp_path, capsys, monkeypatch
         "[scene]\nm = 1\nsamples = 4\nmc_samples = 2500\n\n"
         "[double_field]\nsigma1 = 1 + (1/2)*y1^2\ndensity = (1/10)*x1^2\n"
     )
-    rhos, compiled = [], []
-    curvatures, compile_ = dfield.deformed_curvatures, fields._compile
+    rhos, planned = [], []
+    curvatures, plan = dfield.deformed_curvatures, fields._plan
 
     def counting_curvatures(nabla, pack):
         out = curvatures(nabla, pack)
         rhos.append(out[2])
         return out
 
-    def counting_compile(keys, memo):
-        compiled.append(list(keys))
-        return compile_(keys, memo)
+    def counting_plan(want, memo):
+        planned.append(dict(want))
+        return plan(want, memo)
 
     monkeypatch.setattr(dfield, "deformed_curvatures", counting_curvatures)
-    monkeypatch.setattr(fields, "_compile", counting_compile)
+    monkeypatch.setattr(fields, "_plan", counting_plan)
     assert cli.main(["check", _write(tmp_path, text), "--suite", "double"]) == 0
     capsys.readouterr()
     assert len(rhos) == 1
     # the tape's roots are rho, the density and det sigma, all at order 0
-    tapes = [keys for keys in compiled if len(keys) == 3 and keys[0] == (rhos[0], 0)]
+    tapes = [want for want in planned if len(want) == 3 and list(want.items())[0] == (rhos[0], 0)]
     assert len(tapes) == 1
 
 
