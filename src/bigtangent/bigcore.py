@@ -27,6 +27,8 @@ from .tensorcalc import GeneralizedSection, TensorField
 # invertible.
 COND_LIMIT = 1e8
 
+MAX_M = 4  # the largest m a scene may have: every suite finishes in bounded time up to it
+
 
 def sample_matrix(comps, p: ChartPoint) -> np.ndarray:
     """Values of an object matrix at the points ``p``, with shape
@@ -107,8 +109,8 @@ class CanonicalPack:
 
 
 def canonical_pack(m: int) -> CanonicalPack:
-    if not 1 <= m <= 4:
-        raise ValueError("dimension must be 1..4")
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"dimension must be 1..{MAX_M}")
     n = 3 * m
     lam_c = fields.fzeros(n)
     P_c = fields.fzeros(n, n)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, bigcore, conns, dfield, fields, gstruct, horizon
 from . import metrics, scene as scene_mod, tensorcalc as tc
 from .jets import JetDomainError
-from .points import ChartPoint, sample_box
+from .points import ChartPoint, parse_point, sample_box
 from .scene import SceneError, SceneFile, load_scene
 
 
@@ -98,13 +98,10 @@ def _suite_double(sc: SceneFile, seed, samples, tol) -> list:
     return [rep]
 
 
-_SUITES = {
-    "canonical": _suite_canonical,
-    "triple": _suite_triple,
-    "horizontal": _suite_horizontal,
-    "metric": _suite_metric,
-    "double": _suite_double,
-}
+_SUITES = dict(zip(
+    scene_mod.SUITE_NAMES,
+    (_suite_canonical, _suite_triple, _suite_horizontal, _suite_metric, _suite_double),
+    strict=True))
 
 
 def run_suites(
@@ -120,11 +117,8 @@ def run_suites(
     and tol override the scene's values when given.
     """
     which = list(which) if which else list(sc.suites)
-    for k, name in enumerate(which):
-        if name not in _SUITES:
-            raise SceneError(f"unknown suite {name!r}")
-        if name in which[:k]:
-            raise SceneError(f"suite {name!r} is named twice")
+    if err := scene_mod.suite_error(which):
+        raise SceneError(err)
     seed = sc.seed if seed is None else seed
     samples = sc.samples if samples is None else samples
     out = {
@@ -153,34 +147,6 @@ def run_suites(
 
 
 # -- point evaluation ------------------------------------------------------
-def parse_point(text: str, m: int) -> ChartPoint:
-    """Parse "x=a,b;y=c,d;z=e,f" into a one-point batch."""
-    blocks = {"x": None, "y": None, "z": None}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise SceneError(f"bad point component {part!r}")
-        key, _, vals = part.partition("=")
-        key = key.strip()
-        if key not in blocks:
-            raise SceneError(f"unknown coordinate block {key!r}")
-        if blocks[key] is not None:
-            raise SceneError(f"coordinate block {key!r} is given twice")
-        try:
-            arr = np.array([float(v) for v in vals.split(",")], dtype=float)
-        except ValueError as exc:
-            raise SceneError(f"bad number in {part!r}: {exc}") from exc
-        if arr.shape != (m,):
-            raise SceneError(f"{key} needs {m} values, got {arr.size}")
-        blocks[key] = arr
-    for key, arr in blocks.items():
-        if arr is None:
-            blocks[key] = np.zeros(m)
-    return ChartPoint(blocks["x"], blocks["y"], blocks["z"])
-
-
 def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:
     """Evaluate a named object of the scene at one chart point."""
     objects = sc.objects()

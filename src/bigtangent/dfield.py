@@ -37,6 +37,7 @@ from .bigcore import (
     validation_values,
     well_conditioned,
 )
+from .exprdsl import parse_expr
 from .fields import ScalarField, fsum
 from .points import ChartPoint, sample_box
 from .report import Report, largest
@@ -142,15 +143,14 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint) -> Report:
     return rep
 
 
-def eigenbundles(vm: VerticalMetric, p: ChartPoint):
-    """Eigenbundle frames of the compatibility endomorphism.
+def eigenbundles(vm: VerticalMetric, p: ChartPoint) -> Report:
+    """Check the eigenbundle frames of the compatibility endomorphism.
 
-    Returns (Ip, Im, Report) where the columns of the 2m x m object
-    matrices Ip, Im are the images of the y-basis under
-    iota_pm Y = (Y, (flat_psi pm flat_sigma) Y); they span the
-    (pm 1)-eigenbundles.  The report checks, at the points p, the
-    eigenvector property, the mutual orthogonality of the two bundles,
-    and the two pullback identities for sigma.
+    The columns of the 2m x m halves Ip, Im of ``_iota_frame`` are the
+    images of the y-basis under iota_pm Y = (Y, (flat_psi pm flat_sigma) Y);
+    they span the (pm 1)-eigenbundles.  The report checks, at the points
+    p, the eigenvector property, the mutual orthogonality of the two
+    bundles, and the two pullback identities for sigma.
     """
     m = vm.m
     S, P = sigma_psi_from_vm(vm)
@@ -184,7 +184,7 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint):
         np.swapaxes(Ipv, 1, 2) @ g2 @ Ipv - Sv,
         np.swapaxes(Imv, 1, 2) @ g2 @ Imv + Sv,
     )
-    return Ip, Im, rep
+    return rep
 
 
 # -- double fields ---------------------------------------------------------
@@ -801,14 +801,16 @@ def _integrand_values(m: int, tape: fields.Tape, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+SPARSE_LEVEL = 4  # the sparse action's Smolyak level; its error estimate reads level - 1
+CHUNK = 1024  # the most integrand points one tape run takes
+
+
 def action(
     F: DoubleField,
     box=None,
     method: str = "mc",
     samples: int = 10000,
     seed: int = 0,
-    level: int = 4,
-    chunk: int = 1024,
 ) -> ActionResult:
     """Truncated action integral of a double field.
 
@@ -817,14 +819,14 @@ def action(
     Jacobian against the chart coordinates, so plain chart quadrature
     applies.  method "mc" gives a seeded Monte Carlo estimate with its
     standard error.  method "sparse" applies the Smolyak rule of
-    ``sparse_grid`` at ``level`` over S, the set of chart variables the
+    ``sparse_grid`` at ``SPARSE_LEVEL`` over S, the set of chart variables the
     integrand reads (the union of its fields' ``support``), with the
     other coordinates at their intervals' midpoints, and scales the sum
     by the volume of the other intervals; for such an integrand this is
     the Smolyak rule over all 3m variables.  Its error estimate is the
     difference from the rule of level - 1, whose nodes are among the
     evaluated ones.  The integrand is evaluated once per node, in runs
-    of at most ``chunk`` points.
+    of at most ``CHUNK`` points.
     """
     m = F.m
     n = 3 * m
@@ -845,7 +847,7 @@ def action(
         vals = np.empty(samples)
         done = 0
         while done < samples:
-            take = min(chunk, samples - done)
+            take = min(CHUNK, samples - done)
             pts = rng.uniform(0.0, 1.0, size=(n, take)) * (hi - lo) + lo
             vals[done : done + take] = _integrand_values(m, tape, pts)
             done += take
@@ -854,17 +856,15 @@ def action(
         return ActionResult(est, se)
 
     if method == "sparse":
-        if level < 1:  # the error estimate needs the rule of level - 1
-            raise ValueError(f"the sparse rule needs level >= 1, got {level}")
         S = sorted(set().union(*(f.support for f in tape.roots)))
-        nodes, w = sparse_grid(len(S), level)
-        coarse = sparse_grid(len(S), level - 1)[1]
+        nodes, w = sparse_grid(len(S), SPARSE_LEVEL)
+        coarse = sparse_grid(len(S), SPARSE_LEVEL - 1)[1]
         pts = np.repeat(0.5 * (hi + lo), nodes.shape[1], axis=1)
         pts[S] = 0.5 * (hi - lo)[S] * nodes + pts[S]
         vals = np.concatenate(
             [
-                _integrand_values(m, tape, pts[:, start : start + chunk])
-                for start in range(0, pts.shape[1], chunk)
+                _integrand_values(m, tape, pts[:, start : start + CHUNK])
+                for start in range(0, pts.shape[1], CHUNK)
             ]
         )
         scale = volume / 2 ** len(S)
@@ -892,8 +892,7 @@ def verify_double_field(
     Dbar, Dtilde = F.connections
     vm = F.vm
     rep.extend(compatibility_check(vm, p))
-    _, _, erep = eigenbundles(vm, p)
-    rep.extend(erep)
+    rep.extend(eigenbundles(vm, p))
 
     S2, P2 = sigma_psi_from_vm(vm)
     rt = []
@@ -935,7 +934,7 @@ def verify_double_field(
     rng = np.random.default_rng(seed + 1)
     Y1 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y1")
     Y2 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y2")
-    f = fields.field("exp(y1) + x1*z1", m)
+    f = parse_expr("exp(y1) + x1*z1", m)
     lhs = metric_bracket(F, Y1, Y2 * f)
     Yf = fiber_derivative(Y1, f)
     gYY = fsum((1, Y1[a], F.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
@@ -971,7 +970,7 @@ def verify_double_field(
     rep.add("deformed Ricci tensor is symmetric", ricv - np.swapaxes(ricv, 0, 1))
     mix = rng.normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
     P = fields.field_array(mix, (2 * m, 2 * m), "P")
-    y1 = fields.field("y1", m)
+    y1 = parse_expr("y1", m)
     for a, b in np.ndindex(2 * m, 2 * m):
         P[a, b] = P[a, b] + (0.1 * ((a + b) % 3)) * y1
     rho2 = scalar_curvature_in_basis(Dbar, F, P)

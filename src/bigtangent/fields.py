@@ -62,12 +62,12 @@ loop serves two callers:
   compiles once, frees each jet right after its last use, so a run holds
   only the jets still to be read, and it stores nothing on the point.
 
-Each path wins a benchmark workload, so both stay (with jets keyed by
-node and order, on a 2-vCPU host, a tape for every memo call took the
-m = 3 identity-check body from 3.15-3.31 to 4.58-4.87 s; the tape's
-restricted jet spaces below took the kitchen-sink check body from
-1.77-1.79 to 1.54-1.56 s).  A ``JetDomainError`` raised by a run gets
-the chart point of its first bad sample attached.
+Each path wins a benchmark workload, so both stay (perfbench on a
+2-vCPU host, one jet per node: a tape for every memo call took
+m3-identities from 2.51-2.95 to 4.18-4.96 s, and the integrand run
+through the memo took kitchen-sink from 1.42-1.51 to 1.71-1.80 s and
+its peak RSS from 73 to 349 MB).  A ``JetDomainError`` raised by a run
+gets the chart point of its first bad sample attached.
 
 The memo path evaluates every jet in all 3m chart variables.  A tape
 evaluates each node of top order >= 1 only in the variables its readers
@@ -367,13 +367,6 @@ class Partial(ScalarField):
         return (self.parent,)
 
 
-def field(text: str, m: int) -> ScalarField:
-    """The graph of the DSL expression ``text``, as ``exprdsl.parse_expr``."""
-    from .exprdsl import parse_expr  # exprdsl builds the nodes of this module
-
-    return parse_expr(text, m)
-
-
 # -- object arrays of fields ----------------------------------------------
 def fzeros(*shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
@@ -398,11 +391,21 @@ def _jet_inverse(A: np.ndarray) -> np.ndarray:
 
     The seed is numpy's inverse of the value part at each point; each Newton
     step X <- X(2I - AX) doubles the order to which X is exact, so
-    ceil(log2(order+1)) steps suffice.
+    ceil(log2(order+1)) steps suffice.  A singular value part raises
+    ``JetDomainError`` at its first sample.
     """
     space, npoints = A[0, 0].space, A[0, 0].npoints
     n = len(A)
-    inv0 = np.linalg.inv(np.moveaxis(np.array([[a.value for a in row] for row in A]), -1, 0))
+    values = np.moveaxis(np.array([[a.value for a in row] for row in A]), -1, 0)
+    try:
+        inv0 = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        for k, value in enumerate(values):  # the batch fails as a whole: find the sample
+            try:
+                np.linalg.inv(value)
+            except np.linalg.LinAlgError:
+                raise JetDomainError("singular matrix", k) from None
+        raise
     X = np.empty((n, n), dtype=object)
     for i, j in np.ndindex(n, n):
         X[i, j] = Jet.constant(space, inv0[:, i, j], npoints)

@@ -30,10 +30,6 @@ class AdaptedFrame:
     c: np.ndarray  # (n, m)
     point: ChartPoint
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.hstack([self.a, self.b, self.c])
-
 
 # -- axiom check ----------------------------------------------------------
 def triple_axiom_check(T: CanonicalPack, points: ChartPoint, tol: float = 1e-9) -> Report:

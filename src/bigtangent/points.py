@@ -45,7 +45,8 @@ class ChartPoint:
         return self.flat.shape[1]
 
     def text(self, k: int) -> str:
-        """The k-th point as ``x=..;y=..;z=..``, the CLI's ``--point`` form."""
+        """The k-th point as ``x=..;y=..;z=..``, the CLI's ``--point`` form,
+        which ``parse_point`` reads back bit for bit."""
         return ";".join(
             f"{key}=" + ",".join(repr(v) for v in blk[:, k].tolist())
             for key, blk in zip("xyz", (self.x, self.y, self.z))
@@ -56,26 +57,48 @@ class ChartPoint:
         return ChartPoint(self.x[:, k], self.y[:, k], self.z[:, k])
 
 
-def sample_box(
-    m: int,
-    npoints: int,
-    seed: int,
-    low: float = -1.0,
-    high: float = 1.0,
-    min_vertical: float | None = None,
-) -> ChartPoint:
-    """Uniform sample points in a coordinate box.
+def parse_point(text: str, m: int) -> ChartPoint:
+    """Parse "x=a,b;y=c,d;z=e,f", the form ``ChartPoint.text`` writes, into
+    a one-point batch; an omitted block is zero."""
+    blocks = {"x": None, "y": None, "z": None}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"bad point component {part!r}")
+        key, _, vals = part.partition("=")
+        key = key.strip()
+        if key not in blocks:
+            raise ValueError(f"unknown coordinate block {key!r}")
+        if blocks[key] is not None:
+            raise ValueError(f"coordinate block {key!r} is given twice")
+        try:
+            arr = np.array([float(v) for v in vals.split(",")], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"bad number in {part!r}: {exc}") from exc
+        if arr.shape != (m,):
+            raise ValueError(f"{key} needs {m} values, got {arr.size}")
+        blocks[key] = arr
+    return ChartPoint(*(np.zeros(m) if arr is None else arr for arr in blocks.values()))
+
+
+def sample_box(m: int, npoints: int, seed: int, min_vertical: float | None = None) -> ChartPoint:
+    """Uniform sample points in the box [-1, 1)^{3m}.
 
     ``min_vertical`` resamples y and z entries until they are at least
     that far from zero (Euler-field checks are meaningless on the zero
-    section).
+    section); it must be below 1, the box's half-width, or no draw could
+    qualify.
     """
+    if min_vertical is not None and not min_vertical < 1.0:
+        raise ValueError(f"min_vertical must be < 1, got {min_vertical}")
     rng = np.random.default_rng(seed)
-    coords = rng.uniform(low, high, size=(3, m, npoints))
+    coords = rng.uniform(-1.0, 1.0, size=(3, m, npoints))
     if min_vertical is not None:
         for blk in (1, 2):
             small = np.abs(coords[blk]) < min_vertical
             while np.any(small):
-                coords[blk][small] = rng.uniform(low, high, size=int(small.sum()))
+                coords[blk][small] = rng.uniform(-1.0, 1.0, size=int(small.sum()))
                 small = np.abs(coords[blk]) < min_vertical
     return ChartPoint(*coords)

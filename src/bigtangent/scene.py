@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dfield, fields, horizon, metrics
 from .bigcore import (
+    MAX_M,
     canonical_pack,
     check_matrix,
     parse_components,
@@ -32,6 +33,17 @@ from .bigcore import (
 )
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
+
+
+def suite_error(names) -> str | None:
+    """Why ``names`` is no selection of ``SUITE_NAMES`` (a name unknown or repeated), or None."""
+    for k, name in enumerate(names):
+        if name not in SUITE_NAMES:
+            return f"unknown suite {name!r}"
+        if name in names[:k]:
+            return f"suite {name!r} is named twice"
+    return None
+
 
 # The built-in objects that ``eval --object`` names besides the scene's
 # vector fields, each with the function that builds its components from
@@ -193,11 +205,8 @@ def _load_scalar_options(cfg, path, sc):
         names = cfg.get(sec, "suites").replace(",", " ").split()
         if not names:
             _fail(path, sec, "suites: must name at least one suite")
-        for k, name in enumerate(names):
-            if name not in SUITE_NAMES:
-                _fail(path, sec, f"unknown suite {name!r}")
-            if name in names[:k]:
-                _fail(path, sec, f"suites: {name!r} is named twice")
+        if err := suite_error(names):
+            _fail(path, sec, err)
         sc.suites = tuple(names)
     if cfg.has_option(sec, "box"):
         pairs = []
@@ -286,16 +295,16 @@ def load_scene(path: str) -> SceneFile:
         m = cfg.getint("scene", "m")
     except (ValueError, configparser.NoOptionError) as exc:
         raise SceneError(f"{path}: [scene]: m: {exc}") from exc
-    if not 1 <= m <= 4:
-        _fail(path, "scene", f"m must be 1..4, got {m}")
+    if not 1 <= m <= MAX_M:
+        _fail(path, "scene", f"m must be 1..{MAX_M}, got {m}")
 
     sc = SceneFile(path=path, m=m)
     _load_scalar_options(cfg, path, sc)
 
     if cfg.has_section("tolerances"):
         for key in cfg.options("tolerances"):
-            if key not in SUITE_NAMES:
-                _fail(path, "tolerances", f"unknown suite {key!r}")
+            if err := suite_error([key]):
+                _fail(path, "tolerances", err)
             try:
                 tol = cfg.getfloat("tolerances", key)
             except ValueError as exc:

@@ -20,6 +20,15 @@ from bigtangent.points import ChartPoint
 from bigtangent.tensorcalc import TensorField
 
 
+# -- sample points ---------------------------------------------------------
+def box_points(m: int, npoints: int, seed: int, low: float, high: float) -> ChartPoint:
+    """Uniform sample points in the box [low, high)^{3m}, the draw
+    ``sample_box`` makes for the unit box, for fields that need to keep
+    away from a singular point."""
+    rng = np.random.default_rng(seed)
+    return ChartPoint(*rng.uniform(low, high, size=(3, m, npoints)))
+
+
 # -- finite differences ---------------------------------------------------
 def shifted(point: ChartPoint, var: int, h: float) -> ChartPoint:
     """``point`` with chart variable ``var`` moved by ``h``."""

@@ -257,7 +257,7 @@ def test_acceptance_6_double_field_identities():
 
 def test_acceptance_6_action_checks():
     flat, _, _ = _fixture_fields()
-    res = dfield.action(flat, method="sparse", level=4)
+    res = dfield.action(flat, method="sparse")
     assert abs(res.value) < 1e-12
 
     # a field whose deformed scalar curvature is genuinely nonzero

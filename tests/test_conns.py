@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bigtangent import conns, fields, horizon, tensorcalc as tc
+from bigtangent import conns, fields, horizon, parse_expr, tensorcalc as tc
 from bigtangent.bigcore import canonical_pack
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import Report, largest
@@ -12,7 +12,7 @@ def _diag_metric(entries, m):
     n = 3 * m
     comps = fields.fzeros(n, n)
     for i, e in enumerate(entries):
-        comps[i, i] = fields.field(e, m) if isinstance(e, str) else fields.as_field(e)
+        comps[i, i] = parse_expr(e, m) if isinstance(e, str) else fields.as_field(e)
     return TensorField(("down", "down"), comps, m)
 
 
@@ -58,8 +58,8 @@ def test_levi_civita_metric_compatibility_and_torsion():
     m = 1
     n = 3 * m
     comps = fields.fzeros(n, n)
-    comps[0, 0] = fields.field("exp(2*x1)", m)
-    comps[1, 1] = fields.field("2 + y1^2", m)
+    comps[0, 0] = parse_expr("exp(2*x1)", m)
+    comps[1, 1] = parse_expr("2 + y1^2", m)
     comps[2, 2] = fields.ONE
     comps[0, 1] = comps[1, 0] = fields.as_field(0.3)
     g = TensorField(("down", "down"), comps, m)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigtangent import dfield, fields, horizon, metrics, scene
+from bigtangent import dfield, fields, horizon, metrics, parse_expr, scene
 from bigtangent.bigcore import (
     parse_components,
     sample_matrix,
@@ -94,8 +94,10 @@ def test_compatibility_flags_incompatible_metric():
 
 def test_eigenbundles_flat_hand_value():
     vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    Ip, Im, rep = dfield.eigenbundles(vm, sample_box(1, 5, seed=0))
+    rep = dfield.eigenbundles(vm, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
+    B = dfield._iota_frame(*dfield.sigma_psi_from_vm(vm), 1)
+    Ip, Im = B[:, :1], B[:, 1:]
     p = sample_box(1, 5, seed=4)
     assert np.max(np.abs(fields.fvalue(Ip, p)[:, 0] - np.array([[1.0], [1.0]]))) < 1e-12
     assert np.max(np.abs(fields.fvalue(Im, p)[:, 0] - np.array([[1.0], [-1.0]]))) < 1e-12
@@ -103,7 +105,7 @@ def test_eigenbundles_flat_hand_value():
 
 def test_eigenbundles_curved():
     vm = _curved_field(2, psi=True).vm
-    _, _, rep = dfield.eigenbundles(vm, sample_box(2, 20, seed=0))
+    rep = dfield.eigenbundles(vm, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 
@@ -260,7 +262,7 @@ def test_metric_bracket_flat_constant_sections():
 def test_metric_bracket_antisymmetry():
     F = _curved_field(2, psi=True)
     rng = np.random.default_rng(14)
-    y1 = fields.field("y1", 2)
+    y1 = parse_expr("y1", 2)
     Y1 = np.array(
         [fields.as_field(v) + v * y1 for v in rng.normal(size=4)], dtype=object
     )
@@ -400,13 +402,13 @@ def test_action_flat_gauss_is_zero():
     F = dfield.DoubleField(
         horizon.flat_bundle(2), [["1", "0"], ["0", "1"]], density="x1"
     )
-    r = dfield.action(F, method="sparse", level=3)
+    r = dfield.action(F, method="sparse")
     assert abs(r.value) < 1e-12
 
 
 def test_action_constant_sigma_scales_nothing():
     F = dfield.DoubleField(horizon.flat_bundle(1), [["4"]])
-    r = dfield.action(F, method="sparse", level=3)
+    r = dfield.action(F, method="sparse")
     assert abs(r.value) < 1e-12
 
 
@@ -418,7 +420,7 @@ def test_action_mc_is_seeded_and_matches_gauss():
     r1 = dfield.action(F, method="mc", samples=4000, seed=20)
     r1b = dfield.action(F, method="mc", samples=4000, seed=20)
     assert r1.value == r1b.value
-    rg = dfield.action(F, method="sparse", level=4)
+    rg = dfield.action(F, method="sparse")
     assert abs(r1.value - rg.value) < 4.0 * r1.error + abs(rg.error)
 
 
@@ -626,14 +628,6 @@ def test_action_mc_needs_two_samples():
     for samples in (-1, 0, 1):
         with pytest.raises(ValueError, match="samples >= 2"):
             dfield.action(F, method="mc", samples=samples)
-
-
-def test_action_sparse_needs_level_1():
-    # level 0 has no coarser rule to estimate its error from
-    F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
-    for level in (-1, 0):
-        with pytest.raises(ValueError, match="level >= 1"):
-            dfield.action(F, method="sparse", level=level)
 
 
 def test_field_from_riemannian_matches_sasaki_vertical_part():

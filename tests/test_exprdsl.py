@@ -7,7 +7,7 @@ from bigtangent import fields
 from bigtangent.exprdsl import MAX_HEIGHT, DependencyError, ParseError, parse_expr
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
-from oracles import fd_oracle
+from oracles import box_points, fd_oracle
 
 
 def pt(m=2, seed=0, n=1, **kw):
@@ -76,7 +76,7 @@ def test_variable_blocks():
 
 def test_eval_jet_matches_fd_oracle():
     m = 2
-    p = sample_box(m, 6, seed=42, low=0.3, high=1.2)
+    p = box_points(m, 6, seed=42, low=0.3, high=1.2)
     e = parse_expr("sin(x1*y2) + exp(z1) * log(x2 + 2) - sqrt(y1 + z2 + 3)", m)
     j = e.jet(p, 3)
     rng = np.random.default_rng(3)
@@ -166,3 +166,11 @@ def test_deterministic_sampling():
     c = sample_box(2, 50, seed=1, min_vertical=0.05)
     assert np.all(np.abs(c.y) >= 0.05)
     assert np.all(np.abs(c.z) >= 0.05)
+
+
+def test_min_vertical_must_be_below_the_half_width():
+    # no draw from [-1, 1) is 1 or more from zero but -1.0, so resampling
+    # would not end
+    for bad in (1.0, 2.0):
+        with pytest.raises(ValueError, match="min_vertical must be < 1"):
+            sample_box(1, 3, seed=0, min_vertical=bad)

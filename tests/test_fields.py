@@ -13,7 +13,7 @@ from bigtangent import dfield, fields, horizon, scene
 from bigtangent.exprdsl import parse_expr
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
-from oracles import fd_oracle, shifted
+from oracles import box_points, fd_oracle, shifted
 
 
 def fmat(rows) -> np.ndarray:
@@ -30,14 +30,14 @@ def test_a_point_of_coordinate_vectors_is_a_batch_of_one():
     batch = ChartPoint([[0.3], [-0.2]], [[0.1], [0.4]], [[-0.5], [0.2]])
     assert one.flat.shape == (6, 1) and np.array_equal(one.flat, batch.flat)
     assert one.text(0) == batch.text(0) == "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2"
-    f = fields.field("sin(x1*y2) + z1^2/x2", 2)
+    f = parse_expr("sin(x1*y2) + z1^2/x2", 2)
     assert np.array_equal(f.jet(one, 2).c, f.jet(batch, 2).c)
 
 
 def test_field_value_matches_expr():
-    p = sample_box(2, 8, seed=3, low=0.5, high=1.5)
+    p = box_points(2, 8, seed=3, low=0.5, high=1.5)
     text = "sin(x1*y1) + z2^2 / x2"
-    f = fields.field(text, 2)
+    f = parse_expr(text, 2)
     assert parse_expr(text, 2) is f
     for k in range(p.npoints):
         pk = p.select(k)
@@ -49,9 +49,9 @@ def test_field_value_matches_expr():
 
 def test_partial_matches_fd():
     m = 1
-    p = sample_box(m, 5, seed=11, low=0.4, high=1.1)
+    p = box_points(m, 5, seed=11, low=0.4, high=1.1)
     text = "exp(x1)*sin(y1) + z1^3"
-    f = fields.field(text, m)
+    f = parse_expr(text, m)
     # d/dx1 then d/dy1 (vars 0 and 1 in flat order)
     fxy = f.partial(0).partial(1)
     for k in range(p.npoints):
@@ -64,7 +64,7 @@ def test_partial_matches_fd():
 
 def test_cache_lives_on_point():
     p = sample_box(1, 3, seed=0)
-    f = fields.field("x1*y1", 1)
+    f = parse_expr("x1*y1", 1)
     j1 = f.jet(p, 2)
     j2 = f.jet(p, 2)
     assert j1 is j2
@@ -74,11 +74,11 @@ def test_cache_lives_on_point():
 
 def test_matrix_inverse_values_and_derivatives():
     m = 1
-    p = sample_box(m, 6, seed=5, low=0.2, high=0.9)
+    p = box_points(m, 6, seed=5, low=0.2, high=0.9)
     a = fmat(
         [
-            [fields.field("1 + x1^2", m), fields.field("y1", m)],
-            [fields.field("y1", m), fields.field("2 + z1^2", m)],
+            [parse_expr("1 + x1^2", m), parse_expr("y1", m)],
+            [parse_expr("y1", m), parse_expr("2 + z1^2", m)],
         ]
     )
     inv = fields.finverse(a)
@@ -119,8 +119,8 @@ def test_matrix_inverse_second_derivatives_fd():
     m = 1
     a = fmat(
         [
-            [fields.field("2 + sin(x1)", m), fields.field("x1*y1", m)],
-            [fields.field("x1*y1", m), fields.field("3 + y1^2", m)],
+            [parse_expr("2 + sin(x1)", m), parse_expr("x1*y1", m)],
+            [parse_expr("x1*y1", m), parse_expr("3 + y1^2", m)],
         ]
     )
     inv = fields.finverse(a)
@@ -139,9 +139,9 @@ def test_matrix_inverse_second_derivatives_fd():
 
 def test_inverse_solve_and_fdet():
     m = 1
-    p = sample_box(m, 4, seed=2, low=0.3, high=1.0)
-    a = fmat([[2.0, fields.field("x1", m)], [0.0, fields.field("1 + y1^2", m)]])
-    rhs = np.array([fields.field("z1", m), fields.ONE], dtype=object)
+    p = box_points(m, 4, seed=2, low=0.3, high=1.0)
+    a = fmat([[2.0, parse_expr("x1", m)], [0.0, parse_expr("1 + y1^2", m)]])
+    rhs = np.array([parse_expr("z1", m), fields.ONE], dtype=object)
     x = fields.finverse(a) @ rhs
     av = fields.fvalue(a, p)
     xv = fields.fvalue(np.array(x, dtype=object), p)
@@ -152,33 +152,46 @@ def test_inverse_solve_and_fdet():
 
 
 def test_constant_folding_keeps_zero_nodes_out():
-    f = fields.as_field(0.0) * fields.field("x1", 1) + fields.as_field(0)
+    f = fields.as_field(0.0) * parse_expr("x1", 1) + fields.as_field(0)
     assert isinstance(f, fields.Const) and f.v == 0.0
-    g = fields.ONE * fields.field("x1", 1)
+    g = fields.ONE * parse_expr("x1", 1)
     assert isinstance(g, fields.Coord)
 
 
 def test_equal_constructions_are_one_node():
     text = "sin(x1*y2) + z1^3 / exp(x2)"
-    f = fields.field(text, 2)
-    assert fields.field(text, 2) is f
+    f = parse_expr(text, 2)
+    assert parse_expr(text, 2) is f
     assert fields.Bin("+", f.a, f.b) is f
     assert f.partial(0) is f.partial(0)
     assert fields.Const(2) is fields.Const(2.0)
-    a = fmat([[fields.field("1 + x1^2", 1), 0.0], [0.0, 2.0]])
+    a = fmat([[parse_expr("1 + x1^2", 1), 0.0], [0.0, 2.0]])
     assert fields.finverse(a)[0, 0] is fields.finverse(a.copy())[0, 0]
 
 
 def test_partial_outside_support_is_zero():
-    f = fields.field("exp(x1)", 1)
+    f = parse_expr("exp(x1)", 1)
     assert f.support == {0}
     assert f.partial(1) is fields.ZERO and f.partial(2) is fields.ZERO
-    g = fields.field("x1*y2 + sin(z1)", 2)
+    g = parse_expr("x1*y2 + sin(z1)", 2)
     assert g.support == {0, 3, 4}
     assert g.partial(0).support == g.support
     assert fields.ONE.support == frozenset()
-    inv = fields.finverse(fmat([[fields.field("2 + x1", 1), 0.0], [0.0, 1.0]]))
+    inv = fields.finverse(fmat([[parse_expr("2 + x1", 1), 0.0], [0.0, 1.0]]))
     assert inv[1, 1].support == {0} and inv[1, 1].partial(1) is fields.ZERO
+
+
+def test_singular_matrix_is_a_domain_error_at_its_first_sample():
+    # numpy inverts the batch as a whole; the error names the first
+    # singular sample, so the chart point reaches the message
+    inv = fields.finverse(fmat([[fields.Coord(0)]]))
+    with pytest.raises(JetDomainError) as err:
+        fields.fvalue(inv, ChartPoint([0.0], [0.5], [0.5]))
+    assert err.value.index == 0
+    assert str(err.value) == "singular matrix at x=0.0;y=0.5;z=0.5"
+    with pytest.raises(JetDomainError) as err:
+        fields.fvalue(inv, ChartPoint([[1.0, 0.0, 0.0]], [[0.0] * 3], [[0.0] * 3]))
+    assert err.value.index == 1
 
 
 def test_negative_zero_constant_is_its_own_node():
@@ -190,7 +203,7 @@ def test_negative_zero_constant_is_its_own_node():
 
 
 def test_dropped_graph_is_freed():
-    f = fields.field("cos(x1 * 12.375) + y1^7 * 0.3125", 1)
+    f = parse_expr("cos(x1 * 12.375) + y1^7 * 0.3125", 1)
     probe = weakref.ref(f.a)
     f.jet(sample_box(1, 2, seed=0), 1)
     del f
@@ -200,8 +213,8 @@ def test_dropped_graph_is_freed():
 
 @pytest.mark.parametrize("text", ["exp(x1)", "sin(x1) * cos(z1) - 2", "x1^3 / (1 + z1^2)"])
 def test_folded_partial_matches_jet_partial(text):
-    f = fields.field(text, 1)
-    p = sample_box(1, 5, seed=4, low=0.2, high=0.9)
+    f = parse_expr(text, 1)
+    p = box_points(1, 5, seed=4, low=0.2, high=0.9)
     for var in {0, 1, 2} - f.support:
         assert f.partial(var) is fields.ZERO
         for order in range(3):
@@ -260,7 +273,7 @@ def _fd(f, p, alpha):
 def test_field_graph_matches_numpy_and_fd(case):
     m, (text, numpy_value) = case
     p = sample_box(m, 4, seed=m)
-    f = fields.field(text, m)
+    f = parse_expr(text, m)
     with np.errstate(all="ignore"):
         want = numpy_value(p.flat)
     assume(np.all(np.abs(want) < 1e100))
@@ -278,7 +291,7 @@ def test_field_graph_matches_numpy_and_fd(case):
                 alpha[w] += 1
             fd = _fd(f, p0, alpha)
             assert abs(j.deriv(alpha)[0] - fd) <= 1e-6 * max(1.0, abs(fd)), (text, alpha)
-    assert fields.field(text, m) is f
+    assert parse_expr(text, m) is f
 
 
 def _assert_jets_close(got, want, scale):
@@ -292,7 +305,7 @@ def _assert_jets_close(got, want, scale):
 def test_jet_reciprocal_identity(case):
     # f * (1/f) = 1 where f is nonzero
     m, (text, _) = case
-    f = fields.field(text, m)
+    f = parse_expr(text, m)
     p = sample_box(m, 4, seed=m)
     assume(np.min(np.abs(f.value(p))) > 1e-2)
     fj, rj = f.jet(p, 2), (1 / f).jet(p, 2)
@@ -305,7 +318,7 @@ def test_jet_reciprocal_identity(case):
 def test_jet_exp_log_and_sqrt_square_identities(case):
     # exp(log g) = g and sqrt(g)^2 = g for the positive g = 1 + f^2
     m, (text, _) = case
-    g = 1 + fields.field(text, m) ** 2
+    g = 1 + parse_expr(text, m) ** 2
     p = sample_box(m, 4, seed=m)
     want = g.jet(p, 2)
     scale = max(1.0, np.max(np.abs(want.c)))
@@ -318,7 +331,7 @@ def test_jet_exp_log_and_sqrt_square_identities(case):
 def test_second_partials_commute(case):
     # both orders of a mixed partial read the same order-2 jet coefficient
     m, (text, _) = case
-    f = fields.field(text, m)
+    f = parse_expr(text, m)
     p = sample_box(m, 4, seed=m)
     j = f.jet(p, 2)
     for v in range(3 * m):
@@ -341,8 +354,8 @@ _FACTORS = [
     0.0,
     fields.Coord(0),
     fields.Coord(2),
-    fields.field("sin(x1) * y1", 1),
-    fields.field("exp(z1) - x1", 1).partial(2),
+    parse_expr("sin(x1) * y1", 1),
+    parse_expr("exp(z1) - x1", 1).partial(2),
 ]
 
 
@@ -364,7 +377,7 @@ def _hand_sum(terms, start):
         ).map(lambda t: (t[0], *t[1])),
         max_size=6,
     ),
-    st.sampled_from([fields.ZERO, fields.Coord(1), fields.field("x1 + y1^2", 1)]),
+    st.sampled_from([fields.ZERO, fields.Coord(1), parse_expr("x1 + y1^2", 1)]),
 )
 def test_fsum_is_the_hand_loop_node(terms, start):
     assert fields.fsum(terms, start) is _hand_sum(terms, start)
@@ -415,7 +428,7 @@ def test_vertical_derivative_builds_only_nonzero_directions(monkeypatch):
     m = 1
     F = dfield.DoubleField(horizon.flat_bundle(m), [["1 + y1^2"]])
     nabla = F.D0
-    s = np.array([fields.field("x1*y1", m), fields.field("z1", m)], dtype=object)
+    s = np.array([parse_expr("x1*y1", m), parse_expr("z1", m)], dtype=object)
     want = dfield.section_derivative(nabla, m + 1, s)
     built = []
     section_derivative = dfield.section_derivative
@@ -523,7 +536,7 @@ def test_action_compiles_the_integrand_tape_once(monkeypatch):
         return plan(want, memo)
 
     monkeypatch.setattr(fields, "_plan", counting)
-    dfield.action(F, method="mc", samples=40, chunk=8)  # five chunks
+    dfield.action(F, method="mc", samples=2 * dfield.CHUNK + 1)  # three chunks
     # the tape's roots are rho, the density and det sigma, all at order 0;
     # the other plans are the memo evaluations of the field's checks
     tapes = [want for want in planned if len(want) == 3 and list(want.items())[1] == (F.density, 0)]
@@ -533,7 +546,7 @@ def test_action_compiles_the_integrand_tape_once(monkeypatch):
 def test_tape_compile_pauses_the_cycle_collector(monkeypatch):
     # the collector is off while a tape compiles and comes back in the
     # state it was in, also when compiling raises
-    f = fields.field("x1*y1 + exp(z1)", 1)
+    f = parse_expr("x1*y1 + exp(z1)", 1)
     seen = []
 
     def failing(want, memo):
@@ -574,7 +587,7 @@ def test_tape_matches_the_memo(case):
     # the tape, which frees jets as it goes, against the memoised evaluation,
     # for the field and its first partials as one root set
     m, (text, _) = case
-    f = fields.field(text, m)
+    f = parse_expr(text, m)
     roots = (f, *(f.partial(v) for v in sorted(f.support)))
     pts = sample_box(m, 4, seed=m).flat
     for order in range(3):

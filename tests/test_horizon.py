@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bigtangent import bigcore, fields, horizon, tensorcalc as tc
+from bigtangent import bigcore, fields, horizon, parse_expr, tensorcalc as tc
 from bigtangent.bigcore import parse_components
 from bigtangent.fields import ScalarField
 from bigtangent.points import ChartPoint, sample_box
@@ -18,7 +18,7 @@ def _gamma_curved():
     G = fields.fzeros(2, 2, 2)
     G[1, 0, 1] = fields.ONE
     G[1, 1, 0] = fields.ONE
-    G[0, 1, 1] = fields.field("0 - exp(2*x1)", 2)
+    G[0, 1, 1] = parse_expr("0 - exp(2*x1)", 2)
     return G
 
 
@@ -33,7 +33,7 @@ def test_from_linear_connection_flat():
 def test_from_linear_connection_hand_case():
     m = 1
     G = fields.fzeros(1, 1, 1)
-    G[0, 0, 0] = fields.field("x1", 1)
+    G[0, 0, 0] = parse_expr("x1", 1)
     H = horizon.from_linear_connection(G, m)
     p = sample_box(m, 8, seed=1)
     np.testing.assert_allclose(H.t[0, 0].value(p), p.y[0] * p.x[0])
@@ -90,7 +90,7 @@ def test_lift_round_trip_reads_back():
     H = horizon.lift_from_tm(t, m)
     for i in range(m):
         for j in range(m):
-            want = fields.field(str(t[i, j]) if isinstance(t[i, j], str) else "0", m)
+            want = parse_expr(str(t[i, j]) if isinstance(t[i, j], str) else "0", m)
             assert np.max(np.abs((H.t[i, j] - want).value(p))) < 1e-12
     G = _gamma_curved()
     HG = horizon.from_linear_connection(G, m)
@@ -152,7 +152,7 @@ def test_second_order_projector_matches_tm_lift():
     eta = ["x1*y2 + y1^2", "sin(x2)*y1"]
     sof = horizon.canonical_second_order_extension(eta, m)
     Q, H = horizon.second_order_projector(sof)
-    H2 = horizon.lift_from_tm([[-0.5 * fields.field(e, m).partial(m + i) for e in eta]
+    H2 = horizon.lift_from_tm([[-0.5 * parse_expr(e, m).partial(m + i) for e in eta]
                                for i in range(m)], m)
     p = sample_box(m, 10, seed=10)
     for i in range(m):
@@ -377,7 +377,7 @@ def test_decompose_d_flat_splitting():
     m = 1
     H = horizon.flat_bundle(m)
     comps = fields.fzeros(3)
-    comps[0] = fields.field("x1*y1 + z1^2", m)
+    comps[0] = parse_expr("x1*y1 + z1^2", m)
     w = tc.one_form(comps, m)
     dp, dpp, dd = decompose_d(w, H)
     p = sample_box(m, 6, seed=18)
@@ -441,10 +441,10 @@ def test_is_liouville_related():
     m = 2
     p = sample_box(m, 6, seed=21)
     comps = fields.fzeros(3 * m)
-    comps[0] = fields.field("x1*y2", m)
+    comps[0] = parse_expr("x1*y2", m)
     comps[m] = fields.Coord(2 * m)
     comps[m + 1] = fields.Coord(2 * m + 1)
-    comps[2 * m] = fields.field("sin(x1)", m)
+    comps[2 * m] = parse_expr("sin(x1)", m)
     assert is_liouville_related(tc.one_form(comps, m), p)
     assert not is_liouville_related(tc.one_form(fields.fzeros(3 * m), m), p)
     comps[m] = fields.Coord(m)  # y-coefficient y1 instead of z1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bigtangent import fields
+from bigtangent import fields, parse_expr
 from bigtangent.fields import _jet_inverse
 from bigtangent.jets import Jet, JetDomainError, jet_space
 from bigtangent.multiindex import JetSpace, multi_indices, partial_rows, restriction
@@ -62,7 +62,7 @@ def test_reciprocal_and_division():
 def test_overflowing_high_derivative_leaves_lower_rows_finite():
     # at x1 = 1e-120, d^3(1/x1)/3! = -1e480 overflows; the value and first
     # derivative rows, where w^3 is an exact zero, must not turn into NaN
-    f = fields.field("1/x1", 1)
+    f = parse_expr("1/x1", 1)
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.0]]), np.array([[0.0]]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = f.jet(p, 3).c[:, 0]
@@ -80,7 +80,7 @@ def test_overflowing_derivative_leaves_exactly_zero_rows_zero():
     for t, v in zip(sp.terms, c):
         assert v == {(0, 0, 0): 1e120, (1, 0, 0): -1e240, (2, 0, 0): np.inf,
                      (3, 0, 0): -np.inf}.get(t, 0.0), t
-    f = fields.field("1/x1", 1)
+    f = parse_expr("1/x1", 1)
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
     with np.errstate(over="ignore", divide="ignore"):
         c = f.jet(p, 2).c[:, 0]
@@ -97,7 +97,7 @@ def test_constant_over_an_overflowing_jet_has_the_reciprocals_rows():
     with np.errstate(over="ignore", divide="ignore"):
         want = Jet.variable(jet_space(3, 3), 0, np.array([1e-120])).reciprocal().c
         for text in ("1/x1", "2*(1/x1)", "(1/x1)*2"):
-            f = fields.field(text, 1)
+            f = parse_expr(text, 1)
             scale = 1.0 if text == "1/x1" else 2.0
             for c in (f.jet(p, 3).c, fields.Tape((f,), 3).run(p)[0].c):
                 assert not np.isnan(c).any(), text
@@ -110,18 +110,18 @@ def test_constant_denominator_scales_without_nan_rows():
     # tape
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
     with np.errstate(over="ignore", divide="ignore"):
-        want = fields.field("1/x1", 1).jet(p, 3).c * 0.5 + 0.0
+        want = parse_expr("1/x1", 1).jet(p, 3).c * 0.5 + 0.0
         for text in ("(1/x1)/2", "(1/x1)*(1/2)"):
-            f = fields.field(text, 1)
+            f = parse_expr(text, 1)
             for c in (f.jet(p, 3).c, fields.Tape((f,), 3).run(p)[0].c):
                 assert not np.isnan(c).any(), text
                 assert np.array_equal(c, want), text
     assert np.isinf(want).any()
     # a constant over a constant folds to a * (1/b), as it evaluated before
-    three_tenths = fields.field("3/10", 1)
+    three_tenths = parse_expr("3/10", 1)
     assert type(three_tenths) is fields.Const and three_tenths.v == 3.0 * (1.0 / 10.0)
     with pytest.raises(JetDomainError, match="division by zero"):
-        fields.field("x1/0", 1).value(p)
+        parse_expr("x1/0", 1).value(p)
 
 
 def test_analytic_functions_against_closed_forms():

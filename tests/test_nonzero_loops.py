@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigtangent import bigcore, conns, dfield, fields, horizon, scene, tensorcalc as tc
+from bigtangent import bigcore, conns, dfield, fields, horizon, parse_expr, scene, tensorcalc as tc
 from bigtangent.fields import fsum
 from bigtangent.points import sample_box
 from bigtangent.report import largest
@@ -313,7 +313,7 @@ def test_courant_nijenhuis_residual_builds_each_image_once():
     m = 2
     pack = bigcore.canonical_pack(m)
     p = sample_box(m, 3, seed=0).select(0)
-    f = fields.field("1 + x1*y2", m)
+    f = parse_expr("1 + x1*y2", m)
 
     def scaled(pack, A):  # f S_P, whose Courant-Nijenhuis tensor is not zero
         FA = bigcore.pair_endo_P(pack, A)
@@ -363,7 +363,7 @@ def test_scalar_curvature_in_basis_matches_the_dense_construction(ladder):
     F, (Dbar, _), *_ = ladder
     m = F.m
     mix = np.random.default_rng(1).normal(size=(2 * m, 2 * m)) + 2.0 * np.eye(2 * m)
-    y1 = fields.field("y1", m)
+    y1 = parse_expr("y1", m)
     P = fields.fzeros(2 * m, 2 * m)
     for a, b in np.ndindex(2 * m, 2 * m):
         P[a, b] = fields.as_field(mix[a, b]) + (0.1 * ((a + b) % 3)) * y1

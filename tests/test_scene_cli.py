@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigtangent import cli, conns, fields, metrics
-from bigtangent.bigcore import canonical_pack
+from bigtangent.bigcore import MAX_M, canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
-from bigtangent.points import sample_box
+from bigtangent.points import ChartPoint, parse_point, sample_box
 from bigtangent.scene import OBJECTS, SUITE_NAMES, SceneError, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -37,7 +37,6 @@ def test_load_minimal_scene(tmp_path):
     assert sc.suites == ("canonical", "triple", "horizontal", "metric", "double")
     # flat defaults: identity sigma, flat bundle
     p_ = np.zeros((1, 1))
-    from bigtangent.points import ChartPoint
 
     pt = ChartPoint(p_, p_, p_)
     assert float(fields.fvalue(sc.double_field.sigma, pt)[0, 0, 0]) == 1.0
@@ -56,11 +55,13 @@ def test_load_scene_errors(tmp_path):
         load_scene(_write(tmp_path, "m = 1\n"))  # no [scene] section
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 9\n"))
+    with pytest.raises(SceneError, match=rf"\[scene\]: m must be 1\.\.{MAX_M}, got {MAX_M + 1}"):
+        load_scene(_write(tmp_path, f"[scene]\nm = {MAX_M + 1}\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites = nope\n"))
     with pytest.raises(SceneError, match=r"\[scene\]: suites: must name at least one suite"):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites =\n"))
-    with pytest.raises(SceneError, match=r"\[scene\]: suites: 'triple' is named twice"):
+    with pytest.raises(SceneError, match=r"\[scene\]: suite 'triple' is named twice"):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nsuites = triple triple\n"))
     with pytest.raises(SceneError):
         load_scene(_write(tmp_path, "[scene]\nm = 1\nwhatever = 3\n"))
@@ -101,7 +102,6 @@ def test_bundle_resolution_precedence(tmp_path):
         "[horizontal_bundle]\nt1 = y1^2\n"
     )
     sc = load_scene(_write(tmp_path, text))
-    from bigtangent.points import ChartPoint
 
     pt = ChartPoint([[0.3]], [[0.5]], [[0.2]])
     # the explicit bundle wins over the metric's Levi-Civita bundle
@@ -224,7 +224,7 @@ def test_cli_domain_error_exits_2_without_traceback(tmp_path, capsys):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         head, sep, point = proc.stderr.strip().partition(" at ")
         assert where + ": log of a non-positive value" in head and sep
-        assert cli.parse_point(point, 2).x[0, 0] <= 0.0
+        assert parse_point(point, 2).x[0, 0] <= 0.0
     # eval names the object and reports the point it was given
     assert cli.main(["eval", path, "--object", "dfield.density", "--point", "x=-0.5,0.25"]) == 2
     err = capsys.readouterr().err
@@ -350,7 +350,7 @@ def test_action_domain_error_names_a_gauss_node(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1
     head, sep, point = err.strip().partition(" at ")
     assert head == "error: suite double: log of a non-positive value" and sep
-    assert cli.parse_point(point, 2).x[0, 0] + 1.5 <= 0.0
+    assert parse_point(point, 2).x[0, 0] + 1.5 <= 0.0
 
 
 def test_m3_double_suite_runs_in_bounded_time(tmp_path):
@@ -425,19 +425,59 @@ def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
         sys.setrecursionlimit(limit)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_point_text_round_trips_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    flat = rng.normal(scale=10.0 ** rng.integers(-5, 5, size=(3 * m, 1)), size=(3 * m, 6))
+    flat[:, 0], flat[:, 1], flat[:, 2] = -0.0, 5e-324, 1.7e308
+    flat[::2, 3] = -5e-324
+    p = ChartPoint(flat[:m], flat[m : 2 * m], flat[2 * m :])
+    for k in range(p.npoints):
+        got, want = parse_point(p.text(k), m).flat, p.select(k).flat
+        assert got.tobytes() == want.tobytes(), p.text(k)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_scene_and_flag_reject_the_same_suite_lists(tmp_path, capsys):
+    assert tuple(cli._SUITES) == SUITE_NAMES
+    flat = str(SCENES / "flat.scene")
+    for names, message in (
+        (["nope"], "unknown suite 'nope'"),
+        (["triple", "metric", "triple"], "suite 'triple' is named twice"),
+        (["canonical", "Double"], "unknown suite 'Double'"),
+    ):
+        path = _write(tmp_path, "[scene]\nm = 1\nsuites = " + " ".join(names) + "\n")
+        assert cli.main(["check", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: [scene]: {message}\n"
+        flags = [arg for name in names for arg in ("--suite", name)]
+        assert cli.main(["check", flat, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+
+def test_singular_matrix_names_the_object_and_the_point(tmp_path, capsys):
+    path = _write(tmp_path, "[scene]\nm = 1\n\n[double_field]\nsigma1 = x1 + y1\n")
+    argv = ["eval", path, "--object", "dfield.rho", "--point", "x=0.25;y=-0.25;z=0.1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: object dfield.rho: singular matrix at x=0.25;y=-0.25;z=0.1\n"
+
+
 def test_parse_point():
-    p = cli.parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
+    p = parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
     assert p.flat.shape == (6, 1) and p.npoints == 1
     assert np.allclose(p.flat[:, 0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     # omitted blocks default to zero
-    p2 = cli.parse_point("y=1,2", 2)
+    p2 = parse_point("y=1,2", 2)
     assert np.allclose(p2.x[:, 0], 0.0) and np.allclose(p2.y[:, 0], [1, 2])
-    with pytest.raises(SceneError):
-        cli.parse_point("q=1,2", 2)
-    with pytest.raises(SceneError):
-        cli.parse_point("x=1", 2)
-    with pytest.raises(SceneError, match="coordinate block 'x' is given twice"):
-        cli.parse_point("x=0.1;x=0.7;y=0.2;z=0.3", 1)
+    with pytest.raises(ValueError, match="unknown coordinate block 'q'"):
+        parse_point("q=1,2", 2)
+    with pytest.raises(ValueError, match="x needs 2 values, got 1"):
+        parse_point("x=1", 2)
+    with pytest.raises(ValueError, match="coordinate block 'x' is given twice"):
+        parse_point("x=0.1;x=0.7;y=0.2;z=0.3", 1)
 
 
 def test_eval_object_matches_library(capsys):
@@ -448,7 +488,7 @@ def test_eval_object_matches_library(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     pack = canonical_pack(2)
-    pt = cli.parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
+    pt = parse_point("x=0.1,0.2;y=0.3,0.4;z=0.5,0.6", 2)
     want = pack.P.value(pt)[..., 0]
     assert np.max(np.abs(np.array(payload["components"]) - want)) < 1e-12
 

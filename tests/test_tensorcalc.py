@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bigtangent import fields, tensorcalc as tc
+from bigtangent import fields, parse_expr, tensorcalc as tc
 from bigtangent.points import ChartPoint, sample_box
 from oracles import check_antisymmetric, nijenhuis_via_brackets
 
@@ -21,7 +21,7 @@ def flat_value(W: np.ndarray, v: np.ndarray, tol: float = tc.RANK_TOL) -> np.nda
 
 
 def f(text, m):
-    return fields.field(text, m)
+    return parse_expr(text, m)
 
 
 def rand_poly_vector(m, rng):
