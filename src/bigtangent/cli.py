@@ -215,29 +215,31 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return 0
-    try:
-        sc = load_scene(args.scene)
-        if args.command == "check":
-            code, payload = run_suites(
-                sc,
-                which=args.suite,
-                seed=args.seed,
-                samples=args.samples,
-                tol=args.tol,
-            )
-            _emit(payload, args.json_path)
-            return code
-        point = parse_point(args.point, sc.m)
+    # field graphs hold no reference cycles: the collector would only re-walk them
+    with fields.collector_paused():
         try:
-            payload = eval_object(sc, args.object, point)
-        except JetDomainError as err:
-            err.where = f"object {args.object}"
-            raise
-        _emit(payload, args.json_path)
-        return 0
-    except (SceneError, OSError, ValueError, JetDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            sc = load_scene(args.scene)
+            if args.command == "check":
+                code, payload = run_suites(
+                    sc,
+                    which=args.suite,
+                    seed=args.seed,
+                    samples=args.samples,
+                    tol=args.tol,
+                )
+                _emit(payload, args.json_path)
+                return code
+            point = parse_point(args.point, sc.m)
+            try:
+                payload = eval_object(sc, args.object, point)
+            except JetDomainError as err:
+                err.where = f"object {args.object}"
+                raise
+            _emit(payload, args.json_path)
+            return 0
+        except (SceneError, OSError, ValueError, JetDomainError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

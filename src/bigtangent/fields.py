@@ -7,14 +7,19 @@ higher.  This keeps every derived tensor component (connection
 coefficients, curvatures, ...) representable as a field again, with all
 derivatives exact.
 
-Nodes are hash-consed: every constructor looks its arguments up in one
-module-level table of weak references, keyed by (class, arguments) with
-child nodes compared by identity, and returns the live node equal to the
-one requested instead of building a second; a hit does not run
-``__init__`` again.  Structurally equal subgraphs are therefore one object.
-A ``Const`` key also carries the sign of its value, so ``Const(-0.0)``
-stays distinct from ``ZERO``.  An entry lives as long as its node, so
-dropping the last reference to a graph frees it.
+Nodes are hash-consed: every construction (a class call, an operator,
+``partial``, a constant fold, ``finverse``) probes one module-level table
+of weak references once (``_intern``), keyed by (class, arguments) with
+child nodes compared by identity.  A hit returns the live node equal to
+the one requested; a miss builds it, running its class's ``__init__``
+once.  Structurally equal subgraphs are therefore one object.  A ``Const``
+key also carries the sign of its value, so ``Const(-0.0)`` stays distinct
+from ``ZERO``; the module holds both, so a zero test is an identity test.
+An entry lives as long as its node, and a node refers only to nodes built
+before it, so graphs hold no reference cycles: dropping the last
+reference to one frees it without the cyclic collector, which a caller
+may pause (``collector_paused``; every ``bigtangent`` command does, and
+``test_a_command_leaves_no_cyclic_garbage_of_its_graphs`` checks it).
 
 Each node records at construction its ``support``, the frozenset of
 chart variables it can depend on; ``f.partial(v)`` is ``ZERO`` when ``v``
@@ -27,8 +32,8 @@ first; the arithmetic folds make that the node ``fsum`` builds for the
 same terms.  Every other sum of field products is formed by ``fsum``: a
 term ``(sign, *factors)`` multiplies its factors left to right and is
 added to or subtracted from the running sum with ``+``/``-``; a term with
-a constant-zero factor (``is_zero``, the test the arithmetic folds use)
-is skipped before any product is built.  The folds would drop such a
+a constant-zero factor (``is_zero``, as the arithmetic folds test it) is
+skipped before any product is built.  The folds would drop such a
 term anyway, so ``fsum`` preserves the graph: it returns the very node
 the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
 the terms shapes that node (and so the last bits of its values).  The
@@ -91,6 +96,8 @@ paths return the same jets, bit for bit, for the same top orders.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import reduce
 import gc
 import math
 from itertools import repeat
@@ -119,21 +126,29 @@ def _forget(ref: _Ref):
         del _NODES[ref.key]
 
 
+def _intern(key: tuple):
+    """The live node of ``key``, ``(cls, *args)``, found by one probe of
+    ``_NODES``; on a miss, a new node, on which ``type.__call__`` runs
+    ``cls.__init__(*args)``, looked up on the class now, once."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = type.__call__(*key)  # not the metaclass's __call__, which interns
+    ref = _NODES[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 class _Interned(type):
-    """Metaclass returning the live node equal to the one requested."""
+    """Metaclass: calling a node class interns its ``_key``."""
 
     def _key(cls, *args) -> tuple:
         return (cls, *args)
 
     def __call__(cls, *args):
-        key = cls._key(*args)
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            node = super().__call__(*args)
-            ref = _NODES[key] = _Ref(node, _forget)
-            ref.key = key
-        return node
+        return _intern(cls._key(*args))
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -166,67 +181,68 @@ class ScalarField(metaclass=_Interned):
         return self.jet(p, 0).value
 
     def partial(self, var: int) -> "ScalarField":
-        return Partial(self, var) if var in self.support else ZERO
+        return _intern((Partial, self, var)) if var in self.support else ZERO
 
     # -- arithmetic (with light constant folding) ------------------------
-    # Most operands are not constants, so each fold sits behind one test.
+    # Most operands are not constants, so each fold sits behind one test;
+    # a fold tests for zero as ``is_zero`` does, inline.
     def __add__(self, other):
-        other = as_field(other)
+        other = other if isinstance(other, ScalarField) else Const(other)
         if type(self) is Const or type(other) is Const:
-            if is_zero(other):
+            if other is ZERO or other is _NEG_ZERO:
                 return self
-            if is_zero(self):
+            if self is ZERO or self is _NEG_ZERO:
                 return other
             if type(self) is type(other):
                 return Const(self.v + other.v)
-        return Bin("+", self, other)
+        return _intern((Bin, "+", self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_field(other)
+        other = other if isinstance(other, ScalarField) else Const(other)
         if type(other) is Const:
-            if is_zero(other):
+            if other is ZERO or other is _NEG_ZERO:
                 return self
             if type(self) is Const:
                 return Const(self.v - other.v)
-        return Bin("-", self, other)
+        return _intern((Bin, "-", self, other))
 
-    def __rsub__(self, other):
-        return as_field(other) - self
+    def __rsub__(self, other):  # other is not a field, or its __sub__ would run
+        return Const(other) - self
 
     def __neg__(self):
-        if isinstance(self, Const):
+        if type(self) is Const:
             return Const(-self.v)
-        return Bin("-", ZERO, self)
+        return _intern((Bin, "-", ZERO, self))
 
     def __mul__(self, other):
-        other = as_field(other)
+        other = other if isinstance(other, ScalarField) else Const(other)
         if type(self) is Const or type(other) is Const:
-            if is_zero(self) or is_zero(other):
+            if self is ZERO or self is _NEG_ZERO or other is ZERO or other is _NEG_ZERO:
                 return ZERO
-            if _is_const(self, 1.0):
+            if self is ONE:
                 return other
-            if _is_const(other, 1.0):
+            if other is ONE:
                 return self
             if type(self) is type(other):
                 return Const(self.v * other.v)
-        return Bin("*", self, other)
+        return _intern((Bin, "*", self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_field(other)
+        other = other if isinstance(other, ScalarField) else Const(other)
         if type(other) is Const:
             if other.v != 0.0:
                 # a constant factor, which evaluation scales by as a number
                 return self * Const(1.0 / other.v)
-            if is_zero(self):
+            if self is ZERO or self is _NEG_ZERO:
                 return ZERO
-        return Bin("/", self, other)
+        return _intern((Bin, "/", self, other))
 
     def __rtruediv__(self, other):
-        return Bin("/", as_field(other), self)
+        return _intern((Bin, "/", Const(other), self))
 
     def __pow__(self, n: int):
         if not isinstance(n, (int, np.integer)):
@@ -257,41 +273,38 @@ class Const(ScalarField):
         v = float(v)
         return (cls, v, math.copysign(1.0, v))
 
-    def __init__(self, v: float):
-        self.v = float(v)
+    def __init__(self, v: float, sign: float):
+        self.v = v  # sign, the key's copysign(1, v), is v's own
         self.support = _NO_VARS
 
 
 ZERO = Const(0.0)
+_NEG_ZERO = Const(-0.0)  # held here, so it is the one live Const(-0.0)
 ONE = Const(1.0)
 
 
-def _is_const(f, v) -> bool:
-    return type(f) is Const and f.v == v
-
-
 def is_zero(f) -> bool:
-    """True for a constant-zero field, ``ZERO`` or ``Const(-0.0)``."""
-    return type(f) is Const and f.v == 0.0
+    """True for a constant-zero field: ``ZERO`` or ``Const(-0.0)``, by identity."""
+    return f is ZERO or f is _NEG_ZERO
 
 
 def fsum(terms, start=ZERO):
     """``start`` plus or minus the product of each term's factors.
 
     Each term is ``(sign, *factors)`` with ``sign`` +1 or -1; the factors
-    are multiplied left to right.  A term with a constant-zero factor is
-    skipped before any product is built.  The result is the node the loop
-    ``acc = start; acc = acc +/- f1 * f2 * ...`` over the same terms
-    returns.
+    are multiplied left to right.  A term with a factor that is ``ZERO`` or
+    ``Const(-0.0)`` (``is_zero``'s identity test, inline) is skipped before
+    any product is built.  The result is the node the loop
+    ``acc = start; acc = acc +/- f1 * f2 * ...`` over the same terms returns.
     """
     acc = start
     for sign, *factors in terms:
-        if any(map(is_zero, factors)):
-            continue
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = prod * f
-        acc = acc + prod if sign > 0 else acc - prod
+        for f in factors:
+            if f is ZERO or f is _NEG_ZERO:
+                break
+        else:
+            prod = reduce(operator.mul, factors)
+            acc = acc + prod if sign > 0 else acc - prod
     return acc
 
 
@@ -454,10 +467,10 @@ def finverse(mat: np.ndarray) -> np.ndarray:
     """Entrywise fields of the inverse of a field matrix (jet-exact)."""
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    owner = _MatrixInverse(tuple(tuple(as_field(f) for f in row) for row in mat))
+    owner = _intern((_MatrixInverse, tuple(tuple(as_field(f) for f in row) for row in mat)))
     out = np.empty((owner.n, owner.n), dtype=object)
     for i, j in np.ndindex(out.shape):
-        out[i, j] = _MatInvEntry(owner, i, j)
+        out[i, j] = _intern((_MatInvEntry, owner, i, j))
     return out
 
 
@@ -694,6 +707,19 @@ def _tape_entries(roots, order: int, m: int) -> list:
     return entries
 
 
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector off, then leave it on
+    or off as it was; reference counting alone frees the acyclic graphs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Tape:
     """The evaluation of ``roots`` at ``order``, for points used once.
 
@@ -716,13 +742,8 @@ class Tape:
         if entries is None:
             # compiling allocates ~50k tuples and lists, which would set
             # off full cycle collections over the live graph's nodes
-            enabled = gc.isenabled()
-            gc.disable()
-            try:
+            with collector_paused():
                 entries = self._entries[m] = _tape_entries(self.roots, self.order, m)
-            finally:
-                if enabled:
-                    gc.enable()
         return entries
 
     def run(self, p: ChartPoint) -> list:

@@ -273,10 +273,11 @@ def load_scene(path: str) -> SceneFile:
     """
     cfg = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
-        try:
-            cfg.read_file(fh)
-        except configparser.Error as exc:
-            raise SceneError(f"{path}: {exc}") from exc
+        text = fh.read()
+    try:
+        cfg.read_string(text, source=path)
+    except configparser.Error as exc:
+        raise SceneError(f"{path}: {exc}") from exc
     if not cfg.has_section("scene"):
         _fail(path, "scene", "missing [scene] section")
     for sec in cfg.sections():
@@ -302,11 +303,15 @@ def load_scene(path: str) -> SceneFile:
     _load_scalar_options(cfg, path, sc)
 
     if cfg.has_section("tolerances"):
-        for key in cfg.options("tolerances"):
+        # its keys are suite names, matched as written, not lower-cased
+        written = configparser.ConfigParser(interpolation=None)
+        written.optionxform = str
+        written.read_string(text, source=path)
+        for key in written.options("tolerances"):
             if err := suite_error([key]):
                 _fail(path, "tolerances", err)
             try:
-                tol = cfg.getfloat("tolerances", key)
+                tol = written.getfloat("tolerances", key)
             except ValueError as exc:
                 _fail(path, "tolerances", f"{key}: {exc}")
             if err := option_error("tol", tol):

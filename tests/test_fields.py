@@ -202,6 +202,68 @@ def test_negative_zero_constant_is_its_own_node():
     assert not np.any(np.signbit(fields.ZERO.value(p)))
 
 
+def _kinds():
+    """One construction of each node kind, as (label, build, key): ``build``
+    builds only that node, from operands the list holds, and ``key`` is its
+    ``_NODES`` key."""
+    f = parse_expr("sin(x1) * y1 + 7.25", 1)
+    x, y = fields.Coord(0), fields.Coord(1)
+    # the constants of the folds and coerced floats, held so those hit
+    two, c, half = fields.Const(2.0), fields.Const(3.0625), fields.Const(2.5)
+    mat = fmat([[f, 0.5], [x, 3.0]])
+    owner = fields.finverse(mat)[0, 0].owner
+    owner_key = (fields._MatrixInverse, owner.rows)
+    return [
+        ("Const", lambda: fields.Const(6.375), (fields.Const, 6.375, 1.0)),
+        ("Const(-0.0)", lambda: fields.Const(-0.0), (fields.Const, -0.0, -1.0)),
+        ("Const fold", lambda: two * c, (fields.Const, 6.125, 1.0)),
+        ("Coord", lambda: fields.Coord(2), (fields.Coord, 2)),
+        ("+", lambda: f + x, (fields.Bin, "+", f, x)),
+        ("radd", lambda: 2.5 + f, (fields.Bin, "+", f, half)),
+        ("-", lambda: f - y, (fields.Bin, "-", f, y)),
+        ("rsub", lambda: 2.5 - f, (fields.Bin, "-", half, f)),
+        ("neg", lambda: -f, (fields.Bin, "-", fields.ZERO, f)),
+        ("*", lambda: f * y, (fields.Bin, "*", f, y)),
+        ("/", lambda: x / f, (fields.Bin, "/", x, f)),
+        ("rtruediv", lambda: 2.5 / f, (fields.Bin, "/", half, f)),
+        ("Bin", lambda: fields.Bin("*", x, y), (fields.Bin, "*", x, y)),
+        ("Pow", lambda: f**3, (fields.Pow, f, 3)),
+        ("Func", lambda: f.exp(), (fields.Func, "exp", f)),
+        ("Partial", lambda: f.partial(1), (fields.Partial, f, 1)),
+        ("_MatrixInverse", lambda: fields._MatrixInverse(owner.rows), owner_key),
+        ("_MatInvEntry", lambda: fields._MatInvEntry(owner, 1, 0), (fields._MatInvEntry, owner, 1, 0)),
+    ]
+
+
+def test_every_node_kind_is_interned_under_its_key():
+    for label, build, key in _kinds():
+        node = build()
+        assert build() is node, label
+        assert fields._NODES[key]() is node, label
+        assert sum(ref() is node for ref in list(fields._NODES.values())) == 1, label
+
+
+def test_a_new_node_runs_init_once_and_a_hit_none(monkeypatch):
+    # counted as perfbench's tracer counts built nodes: a patched __init__
+    # that counts a call when it is the node's own class's __init__
+    built = []
+    for cls in (fields.Const, fields.Coord, fields.Bin, fields.Pow, fields.Func,
+                fields.Partial, fields._MatrixInverse, fields._MatInvEntry):
+        def counting(self, *args, _init=cls.__dict__["__init__"], _cls=cls):
+            if type(self) is _cls:
+                built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for label, build, key in _kinds():
+        fresh = key not in fields._NODES or fields._NODES[key]() is None
+        del built[:]
+        node = build()
+        assert built == ([node] if fresh else []), label
+        assert build() is node and len(built) == fresh, label
+    assert fresh  # the matrix inverse's entry (1, 0) was not built before
+
+
 def test_dropped_graph_is_freed():
     f = parse_expr("cos(x1 * 12.375) + y1^7 * 0.3125", 1)
     probe = weakref.ref(f.a)
@@ -352,6 +414,7 @@ _FACTORS = [
     0.5,
     -3.0,
     0.0,
+    -0.0,
     fields.Coord(0),
     fields.Coord(2),
     parse_expr("sin(x1) * y1", 1),

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtangent import cli, conns, fields, metrics
+from bigtangent import cli, conns, dfield, fields, metrics
 from bigtangent.bigcore import MAX_M, canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
+from bigtangent.jets import Jet
 from bigtangent.points import ChartPoint, parse_point, sample_box
 from bigtangent.scene import OBJECTS, SUITE_NAMES, SceneError, load_scene
 
@@ -456,6 +458,23 @@ def test_scene_and_flag_reject_the_same_suite_lists(tmp_path, capsys):
         assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["suites", "tolerances", "--suite"])
+def test_every_suite_name_input_rejects_another_case(tmp_path, capsys, where):
+    # configparser lower-cases keys, but [tolerances] keys are suite names
+    # and match as written, as the scene's suites and the flag do
+    text = "[scene]\nm = 1\nsuites = " + ("TRIPLE" if where == "suites" else "triple") + "\n"
+    if where == "tolerances":
+        text += "\n[tolerances]\nTRIPLE = 1e-3\n"
+    path = _write(tmp_path, text)
+    flags = ["--suite", "TRIPLE"] if where == "--suite" else []
+    assert cli.main(["check", path, *flags]) == 2
+    out, err = capsys.readouterr()
+    prefix = "" if where == "--suite" else f"{path}: [{where if where == 'tolerances' else 'scene'}]: "
+    assert out == "" and err == f"error: {prefix}unknown suite 'TRIPLE'\n"
+    lower = load_scene(_write(tmp_path, "[scene]\nm = 1\n\n[tolerances]\ntriple = 1e-3\n"))
+    assert lower.tol_overrides == {"triple": 1e-3}
+
+
 def test_singular_matrix_names_the_object_and_the_point(tmp_path, capsys):
     path = _write(tmp_path, "[scene]\nm = 1\n\n[double_field]\nsigma1 = x1 + y1\n")
     argv = ["eval", path, "--object", "dfield.rho", "--point", "x=0.25;y=-0.25;z=0.1"]
@@ -463,6 +482,70 @@ def test_singular_matrix_names_the_object_and_the_point(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: object dfield.rho: singular matrix at x=0.25;y=-0.25;z=0.1\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled):
+    # a command runs with the cyclic collector off, and main leaves it as it
+    # found it on every way out: exit 0, 1 or 2, or an exception
+    seen = []
+    canonical = cli._SUITES["canonical"]
+
+    def suite(*args):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("suite failed")
+        return canonical(*args)
+
+    monkeypatch.setitem(cli._SUITES, "canonical", suite)
+    flat, perturbed = str(SCENES / "flat.scene"), str(SCENES / "perturbed.scene")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, want, fail in (
+            (["check", flat, "--suite", "canonical"], 0, False),
+            (["check", perturbed], 1, False),
+            (["eval", flat, "--object", "nosuch", "--point", "x=0"], 2, False),
+            (["check", flat, "--suite", "canonical"], RuntimeError, True),
+        ):
+            if want is RuntimeError:
+                with pytest.raises(RuntimeError, match="suite failed"):
+                    cli.main(argv)
+            else:
+                assert cli.main(argv) == want
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == [False, False, False]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(SCENES / "kitchen-sink.scene")],
+        ["eval", str(SCENES / "kitchen-sink.scene"), "--object", "dfield.rho",
+         "--point", "x=0.1,0.2;y=0.3,-0.4;z=0.5,0.25"],
+    ],
+    ids=["check", "eval"],
+)
+def test_a_command_leaves_no_cyclic_garbage_of_its_graphs(capsys, argv):
+    # the reason the collector may be paused: with it off, reference
+    # counting frees every field graph, jet and double field a command made
+    gc.collect()
+    del gc.garbage[:]
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(argv) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+    capsys.readouterr()
+    kinds = (fields.ScalarField, Jet, fields._MatrixInverse, fields._Ref, dfield.DoubleField)
+    assert not [type(o).__name__ for o in garbage if isinstance(o, kinds)]
+    assert len(garbage) <= 500
 
 
 def test_parse_point():
