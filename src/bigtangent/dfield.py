@@ -876,6 +876,7 @@ def action(
 
 
 # -- aggregate verification ------------------------------------------------
+@fields.collector_paused()  # its graphs hold no reference cycles
 def verify_double_field(
     F: DoubleField, seed: int = 0, n: int = 10, tol: float = 1e-8
 ) -> Report:
@@ -884,7 +885,9 @@ def verify_double_field(
     and pairing preservation of the base and final connections, the
     Leibniz rule of the metric bracket, the vanishing and total
     antisymmetry of the final skew torsion with a dual-route oracle,
-    Ricci symmetry, and basis invariance of the scalar curvature."""
+    Ricci symmetry, and basis invariance of the scalar curvature.  It
+    runs with the cyclic collector paused, and restores the caller's
+    setting on return and on an exception."""
     m = F.m
     p = sample_box(m, n, seed=seed)
     rep = Report("double field identities", tol=tol)

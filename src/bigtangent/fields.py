@@ -18,7 +18,8 @@ from ``ZERO``; the module holds both, so a zero test is an identity test.
 An entry lives as long as its node, and a node refers only to nodes built
 before it, so graphs hold no reference cycles: dropping the last
 reference to one frees it without the cyclic collector, which a caller
-may pause (``collector_paused``; every ``bigtangent`` command does, and
+may pause (``collector_paused``; every ``bigtangent`` command and
+``dfield.verify_double_field`` do, and
 ``test_a_command_leaves_no_cyclic_garbage_of_its_graphs`` checks it).
 
 Each node records at construction its ``support``, the frozenset of
@@ -48,24 +49,39 @@ read only those of degree <= k of its operands, and terms are sorted by
 degree, so a reader at a lower order reads the leading rows, bit for bit
 (the matrix inverse excepted: its Newton steps at a higher order refine
 the value row too).  One planner (``_plan``) walks the graph below a set
-of roots, giving the nodes in dependency order and their top orders, and
-one loop (``_run``) evaluates them, each doing one ``Jet`` operation on
-its operands' jets (a constant factor of ``*``, or a constant numerator
-of ``/``, scales the other jet as a number, so an overflowed row takes
-no 0 * inf).  Graph height is therefore bounded by memory, not by
-Python's recursion limit.  Every point is one batch, a ``ChartPoint``
-whose ``flat`` array (3m, npoints) a ``Coord`` reads its row of.  The
-loop serves two callers:
+of roots, giving the nodes in dependency order and their top orders.  A
+constant factor of ``*``, or a constant numerator of ``/``, scales the
+other jet as a number, so an overflowed row takes no 0 * inf.  Graph
+height is bounded by memory, not by Python's recursion limit.  Every
+point is one batch, a ``ChartPoint`` whose ``flat`` array (3m, npoints)
+a ``Coord`` reads its row of.  The plan has two callers:
 
 - suite points, which verification reuses across many fields: ``jet``,
   ``value`` and ``fvalue`` keep one jet per node in the point's memo,
   plan only what the memo lacks, or holds at too low an order, and
   store the results there.  Equal subgraphs are one node, so they share
-  one memo slot, and the memo is freed when the point is dropped.
+  one memo slot, and the memo is freed when the point is dropped.  A
+  plan of ``GROUPED_NODES`` nodes or more at ``GROUPED_POINTS`` points
+  or fewer runs level by level (``_memo_run``; level scheduling,
+  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a
+  node's level is one more than its operands' highest, and the sums,
+  differences, products, constant scalings and partials along one
+  variable of a level that share a top order and operand orders are one
+  gather and one numpy call over their block of a per-order (nterms,
+  nodes, npoints) buffer (batched Taylor mode, Bettencourt, Johnson &
+  Duvenaud, 2019).  Other nodes run through ``_run``.  A node of a group
+  is stored as a read-only view of its buffer row.  A ``JetDomainError``
+  replays the plan through ``_run`` in postorder, so it is the one
+  recursion raises.  Other plans run through ``_run`` alone: a smaller
+  plan's groups are too small to repay their cost, and a wider batch's
+  gathers cost more memory traffic than the calls save (on a 2-vCPU
+  host, rho's subplans of 1,000-3,000 nodes took 1.1-1.4x the loop's
+  time, and rho at 128 points 1.2x, at 1,024 points 1.8x).
 - points evaluated once, the action integrand's chunks: the ``Tape`` of
   the integrand, which its one owner ``DoubleField.integrand_tape``
-  compiles once, frees each jet right after its last use, so a run holds
-  only the jets still to be read, and it stores nothing on the point.
+  compiles once, runs through ``_run`` and frees each jet right after its
+  last use, so a run holds only the jets still to be read, and it stores
+  nothing on the point.
 
 Each path wins a benchmark workload, so both stay (perfbench on a
 2-vCPU host, one jet per node: a tape for every memo call took
@@ -105,7 +121,7 @@ import operator
 import weakref
 import numpy as np
 
-from .jets import Jet, JetDomainError, jet_space
+from .jets import Jet, JetDomainError, jet_space, mul_coeffs
 from .multiindex import partial_rows, restriction
 from .points import ChartPoint
 
@@ -400,16 +416,19 @@ def fvalue(arr, p: ChartPoint) -> np.ndarray:
 # -- jet-exact matrix inversion -------------------------------------------
 def _jet_inverse(A: np.ndarray) -> np.ndarray:
     """Invert a square object array of jets (one shared space) by Newton
-    iteration.
+    iteration on their (nterms, n, n, npoints) coefficient array.
 
     The seed is numpy's inverse of the value part at each point; each Newton
     step X <- X(2I - AX) doubles the order to which X is exact, so
-    ceil(log2(order+1)) steps suffice.  A singular value part raises
-    ``JetDomainError`` at its first sample.
+    ceil(log2(order+1)) steps suffice.  A matrix product adds each entry's
+    n jet products left to right from the first, as object ``@`` does, so
+    the jets are those of the object arrays' Newton bit for bit.  A
+    singular value part raises ``JetDomainError`` at its first sample.
+    The jets returned are views of one read-only array.
     """
-    space, npoints = A[0, 0].space, A[0, 0].npoints
-    n = len(A)
-    values = np.moveaxis(np.array([[a.value for a in row] for row in A]), -1, 0)
+    space, n = A[0, 0].space, len(A)
+    a = np.array([[jet.c for jet in row] for row in A]).transpose(2, 0, 1, 3)
+    values = a[0].transpose(2, 0, 1)
     try:
         inv0 = np.linalg.inv(values)
     except np.linalg.LinAlgError:
@@ -419,16 +438,27 @@ def _jet_inverse(A: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 raise JetDomainError("singular matrix", k) from None
         raise
-    X = np.empty((n, n), dtype=object)
+    x = np.zeros(a.shape)
+    x[0] = inv0.transpose(1, 2, 0)
+    two = (np.arange(space.nterms) == 0)[:, None, None] * 2.0  # the constant jet 2
+    diag = (slice(None), *np.diag_indices(n))
+
+    def matmul(a, b):
+        acc = mul_coeffs(space, a[:, :, :1], b[:, None, 0])
+        for s in range(1, n):
+            acc += mul_coeffs(space, a[:, :, s, None], b[:, None, s])
+        return acc
+
+    for _ in range(0 if space.order == 0 else math.ceil(math.log2(space.order + 1))):
+        e = -matmul(a, x)  # E = 2I - AX
+        e[diag] += two
+        x = matmul(x, e)
+    x = np.ascontiguousarray(x.transpose(1, 2, 0, 3))
+    x.flags.writeable = False
+    out = np.empty((n, n), dtype=object)
     for i, j in np.ndindex(n, n):
-        X[i, j] = Jet.constant(space, inv0[:, i, j], npoints)
-    steps = 0 if space.order == 0 else math.ceil(math.log2(space.order + 1))
-    diag = np.diag_indices(n)
-    for _ in range(steps):
-        E = -(A @ X)  # E = 2I - AX
-        E[diag] = E[diag] + 2.0
-        X = X @ E
-    return X
+        out[i, j] = Jet(space, x[i, j])
+    return out
 
 
 class _MatrixInverse(metaclass=_Interned):
@@ -546,7 +576,8 @@ def _plan(want: dict, memo) -> tuple[list, dict]:
                 again[n] = k
                 k += type(n) is Partial
                 todo += ((r, k) for r in n._operands())
-        nodes = _walk(again, memo)[0] + nodes
+        # a root held too low may be among them: it is evaluated once, first
+        nodes = _walk(again, memo)[0] + [n for n in nodes if n not in again]
         tops.update(again)
     return nodes, tops
 
@@ -558,6 +589,7 @@ class _Restriction:
 
 
 _OPERANDS = operator.methodcaller("_operands")
+GROUPED_NODES, GROUPED_POINTS = 4000, 64  # the plans run in groups: see the module docstring
 
 
 def _scaled(jet: Jet, v: float) -> Jet:
@@ -632,6 +664,82 @@ def _run(entries, vals: dict, p: ChartPoint):
         raise
 
 
+def _memo_run(nodes, tops, memo: dict, p: ChartPoint):
+    """Evaluate the plan ``nodes`` at ``p`` one group of like nodes at a
+    time, level by level, as the module docstring says, and store each
+    node's jet in ``memo``: the jets of ``_run``, bit for bit."""
+    groups, at = {}, {}  # at: node -> (the order of its buffer row, its level)
+
+    def row(r):  # a stored operand is copied to a row first, at level 0
+        got = at[r] = (memo[r].space.order, 0)
+        groups.setdefault((0, Jet, got[0]), []).append(r)
+        return got
+
+    for n in nodes:
+        k, kind = tops[n], type(n)
+        if kind is Bin and n.op != "/":
+            a, b = n.a, n.b
+            if n.op == "*" and (type(a) is Const or type(b) is Const):
+                a = b if type(a) is Const else a  # the factor that is not a constant
+                ka, level = at.get(a) or row(a)
+                key = (level + 1, "c", k, ka)
+            else:
+                (ka, la), (kb, lb) = at.get(a) or row(a), at.get(b) or row(b)
+                key = (1 + (la if la > lb else lb), n.op, k, ka, kb)
+        elif kind is Partial:
+            ka, level = at.get(n.parent) or row(n.parent)
+            key = (level + 1, n.var, k, ka)
+        else:  # run by ``_run``, reading the memo; an inverse's entry at its owner's order
+            level = 1 + max([at.get(r, (0, 0))[1] for r in n._operands()], default=0)
+            if kind is _MatInvEntry:
+                k = at[n.owner][0] if n.owner in at else _order(memo[n.owner])
+            key = (level, kind, k)
+        at[n] = (k, key[0])
+        groups.setdefault(key, []).append(n)
+    m, bufs, slot = 3 * p.m, {}, at  # a node's row in its buffer replaces its (order, level)
+    run = sorted(groups.items(), key=lambda item: item[0][0])
+    # by level, in blocks of at most 256 nodes, which bound the memory of a block's gathers
+    run = [(key, g[i : i + 256]) for key, g in run for i in range(0, len(g), 256)]
+    for (_, _, k, *_), group in run:  # each group's block of its order's buffer
+        start = bufs.get(k, 0)
+        slot.update(zip(group, range(start, start + len(group))))
+        bufs[k] = start + len(group)
+    spaces = {k: jet_space(m, k) for k in bufs}  # buffers terms first, so rows index as a jet's
+    bufs = {k: np.empty((spaces[k].nterms, size, p.npoints)) for k, size in bufs.items()}
+
+    def gather(rs, k, rows):  # the given rows of the jets of rs
+        x = bufs[k].take([*map(slot.get, rs)], 1) if len(rs) > 1 else bufs[k][:, slot[rs[0]], None]
+        return x[rows]
+
+    for (_, op, k, *ks), group in run:
+        space, start = spaces[k], slot[group[0]]
+        out, lead = bufs[k][:, start : start + len(group)], slice(spaces[k].nterms)
+        if isinstance(op, type):  # stored jets, or nodes run one by one
+            if op is not Jet:
+                _run([(n, space, n._operands(), None, ()) for n in group], memo, p)
+            if op is not _MatrixInverse:
+                np.moveaxis(out, 1, 0)[...] = [memo[n].c for n in group]
+            continue
+        if op == "c":  # scaled by constants, as ``_scaled``
+            rs, vs = zip(*[(n.a, n.b.v) if type(n.b) is Const else (n.b, n.a.v) for n in group])
+            np.multiply(gather(rs, ks[0], lead), np.array(vs)[:, None], out=out)
+            out += 0.0
+        elif type(op) is int:  # a partial along op: its parent's rows one order up
+            up, factor = jet_space(m, k + 1).partial_table(op)
+            np.multiply(gather([n.parent for n in group], ks[0], up), factor[:, None], out=out)
+        else:
+            x = gather([n.a for n in group], ks[0], lead)
+            y = gather([n.b for n in group], ks[1], lead)
+            if op == "*":
+                out[...] = mul_coeffs(space, x, y)
+            else:  # as Jet's + and -
+                (np.add if op == "+" else np.subtract)(x, y, out=out)
+        view = np.moveaxis(out, 1, 0)
+        view.flags.writeable = False  # a stored jet is a read-only view of its row
+        for n, c in zip(group, view):
+            memo[n] = Jet(space, c)
+
+
 def _memo_eval(roots, order: int, p: ChartPoint):
     """Store in the point's memo a jet of each of ``roots`` at ``order``
     or higher, evaluating only what the memo lacks or holds too short."""
@@ -640,8 +748,12 @@ def _memo_eval(roots, order: int, p: ChartPoint):
     want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
     if want:
         nodes, tops = _plan(want, memo)
-        by_order = [jet_space(n, k) for k in range(max(tops.values()) + 1)]
-        spaces = [by_order[tops[f]] for f in nodes]
+        if len(nodes) >= GROUPED_NODES and p.npoints <= GROUPED_POINTS:
+            try:
+                return _memo_run(nodes, tops, memo, p)
+            except JetDomainError:
+                pass  # replayed in postorder: the error is then the one recursion raises
+        spaces = [jet_space(n, tops[f]) for f in nodes]
         _run(zip(nodes, spaces, map(_OPERANDS, nodes), repeat(None), repeat(())), memo, p)
 
 

@@ -40,6 +40,22 @@ class JetDomainError(ArithmeticError):
         return text if self.where is None else f"{self.where}: {text}"
 
 
+def mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product in ``space`` of coefficient arrays (nterms, ..., npoints)
+    whose middle axes broadcast, one numpy call per layer.  Each term's
+    products are summed in mul_table order, starting from +0.0, so results
+    match np.add.at over mul_table bit for bit."""
+    layers, pos = space.mul_layers
+    if len(layers) == 1:  # order 0: one product per point
+        return a * b + 0.0
+    (_, ai, bi), *rest = layers
+    acc = a[ai] * b[bi]
+    for start, ai, bi in rest:
+        acc[start:] += a[ai] * b[bi]
+    acc += 0.0  # a -0.0 sum becomes +0.0, as when accumulating from zeros
+    return acc if pos is None else acc[pos]
+
+
 class Jet:
     __slots__ = ("space", "c")
 
@@ -115,18 +131,7 @@ class Jet:
             return Jet(self.space, self.c * other)
         if other.space is not self.space:
             raise ValueError("jet space mismatch")
-        # Each term's products are summed in mul_table order, starting from
-        # +0.0, so results match np.add.at over mul_table bit for bit.
-        layers, pos = self.space.mul_layers
-        a, b = self.c, other.c
-        if len(layers) == 1:  # order 0: one product per point
-            return Jet(self.space, a * b + 0.0)
-        (_, ai, bi), *rest = layers
-        acc = a[ai] * b[bi]
-        for start, ai, bi in rest:
-            acc[start:] += a[ai] * b[bi]
-        acc += 0.0  # a -0.0 sum becomes +0.0, as when accumulating from zeros
-        return Jet(self.space, acc if pos is None else acc[pos])
+        return Jet(self.space, mul_coeffs(self.space, self.c, other.c))
 
     __rmul__ = __mul__
 

@@ -10,11 +10,13 @@ constructions.  None is part of the package.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from bigtangent import horizon, metrics, tensorcalc as tc
 from bigtangent.fields import ScalarField, fzeros
+from bigtangent.jets import Jet, JetDomainError
 from bigtangent.metrics import BigMetric
 from bigtangent.points import ChartPoint
 from bigtangent.tensorcalc import TensorField
@@ -121,3 +123,32 @@ def lagrangian_metric(L, m: int) -> BigMetric:
     """The Lagrangian metric of L over the bundle of its spray, as a scene
     with a ``[lagrangian]`` section builds it."""
     return metrics.lagrangian_metric(L, horizon.spray_from_lagrangian(L, m)[1])
+
+
+# -- jets -------------------------------------------------------------------
+def object_jet_inverse(A: np.ndarray) -> np.ndarray:
+    """The Newton inverse of a square object array of jets run entry by
+    entry: numpy's object ``@`` of ``Jet`` products, which adds each entry's
+    products left to right from the first, and ``+ 2.0`` on the diagonal."""
+    space, npoints = A[0, 0].space, A[0, 0].npoints
+    n = len(A)
+    values = np.moveaxis(np.array([[a.value for a in row] for row in A]), -1, 0)
+    try:
+        inv0 = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        for k, value in enumerate(values):
+            try:
+                np.linalg.inv(value)
+            except np.linalg.LinAlgError:
+                raise JetDomainError("singular matrix", k) from None
+        raise
+    X = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        X[i, j] = Jet.constant(space, inv0[:, i, j], npoints)
+    steps = 0 if space.order == 0 else math.ceil(math.log2(space.order + 1))
+    diag = np.diag_indices(n)
+    for _ in range(steps):
+        E = -(A @ X)  # E = 2I - AX
+        E[diag] = E[diag] + 2.0
+        X = X @ E
+    return X

@@ -364,6 +364,37 @@ def test_verified_field_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_double_field_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    F = dfield.DoubleField(horizon.flat_bundle(1), [["1 + y1^2"]], density="x1*z1")
+    seen = []
+
+    def compatibility_check(vm, p):
+        seen.append(gc.isenabled())
+        return real(vm, p)
+
+    real = dfield.compatibility_check
+    monkeypatch.setattr(dfield, "compatibility_check", compatibility_check)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        paused = dfield.verify_double_field(F, n=3)
+        assert gc.isenabled() is enabled and seen == [False]
+
+        def fails(vm, p):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(dfield, "compatibility_check", fails)
+        with pytest.raises(RuntimeError, match="check failed"):
+            dfield.verify_double_field(F, n=3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    monkeypatch.setattr(dfield, "compatibility_check", real)
+    unpaused = dfield.verify_double_field.__wrapped__(F, n=3)
+    assert paused.to_json() == unpaused.to_json()
+
+
 def test_verify_double_field_sigma_psi_curved():
     rep = dfield.verify_double_field(_curved_field(2, psi=True), n=5)
     assert rep.passed, rep.to_json()

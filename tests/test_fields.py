@@ -2,7 +2,9 @@ import gc
 import operator
 import sys
 import weakref
+from itertools import repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -711,6 +713,123 @@ def test_lower_order_jet_is_the_leading_rows(f, coords, k, extra):
     lead = high.c[: low.space.nterms]
     assert np.array_equal(low.c, lead, equal_nan=True)
     assert np.array_equal(np.signbit(low.c), np.signbit(lead))
+
+
+def _grouped_node_fields(inner):
+    """``_node_fields``, plus an entry of the inverse of a 2x2 matrix and a
+    constant times a product."""
+    return st.one_of(
+        _node_fields(inner),
+        st.tuples(st.lists(inner, min_size=4, max_size=4), st.integers(0, 3)).map(
+            lambda t: fields.finverse(fmat([t[0][:2], t[0][2:]]))[divmod(t[1], 2)]
+        ),
+        st.tuples(st.sampled_from([-0.0, 0.5, -3.0, 1e300]), inner, inner).map(
+            lambda t: t[0] * (t[1] * t[2])
+        ),
+    )
+
+
+def _two_orders_of_one_inverse() -> list:
+    """An entry of an inverse, and the partial of another: the inverse is
+    read at two orders."""
+    x, y = parse_expr("2 + x1", 1), parse_expr("y1", 1)
+    inv = fields.finverse(fmat([[x, y], [y, 3.0]]))
+    return [inv[0, 0], inv[0, 1].partial(0)]
+
+
+def _run_jets(roots, order, p) -> dict:
+    """The memo ``_run`` leaves after evaluating the plan of ``roots`` at
+    ``order`` over a copy of ``p``'s memo, or the error it raises."""
+    memo = p._cache
+    want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
+    nodes, tops = fields._plan(want, memo)
+    spaces = [fields.jet_space(3 * p.m, tops[f]) for f in nodes]
+    out = dict(memo)
+    try:
+        entries = zip(nodes, spaces, map(fields._OPERANDS, nodes), repeat(None), repeat(()))
+        fields._run(entries, out, p)
+    except JetDomainError as err:
+        return err
+    return out
+
+
+def _assert_same_memo(got: dict, want: dict):
+    assert set(got) == set(want)
+    for node, jet in want.items():
+        if type(jet) is np.ndarray:  # a matrix inverse's jets
+            _assert_same_jets(list(got[node].flat), list(jet.flat))
+        else:
+            _assert_same_jets([got[node]], [jet])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.recursive(_leaf_fields(), _grouped_node_fields, max_leaves=8), min_size=1, max_size=3
+    ),
+    st.sampled_from([1, 3]),
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 1e-160, 700.0]), min_size=9, max_size=9),
+    st.integers(0, 2),
+)
+@example([-3.0 * (fields.Coord(0) * fields.Coord(1))], 1, [0.5] * 9, 1)  # -0.0 rows, scaled
+@example(_two_orders_of_one_inverse(), 3, [0.5, -1.25, 3.0] * 3, 0)
+def test_grouped_evaluation_stores_the_jets_of_run(roots, width, coords, order):
+    # the memo path runs a large plan level by level, in groups (here every
+    # plan); it must store what the per-node loop stores over the same
+    # plan, for every node, bit for bit, the sign of zero, NaN and
+    # overflowed rows included.  Asking for order 0 and then 2 evaluates
+    # the roots again, over a memo that holds the nodes below them at too
+    # low an order.
+    p = ChartPoint(*np.reshape(coords[: 3 * width], (3, 1, width)))
+    with np.errstate(all="ignore"), mock.patch.object(fields, "GROUPED_NODES", 0):
+        for k in (0, order, 2):
+            want = _run_jets(roots, k, p)
+            if isinstance(want, JetDomainError):
+                with pytest.raises(JetDomainError) as err:
+                    fields._memo_eval(roots, k, p)
+                assert (err.value.message, err.value.index) == (want.message, want.index)
+                return
+            fields._memo_eval(roots, k, p)
+            _assert_same_memo(p._cache, want)
+
+
+def test_grouped_run_replays_a_domain_error_in_postorder(monkeypatch):
+    # the first operand holds a deep sqrt, which fails at sample 1; the
+    # second a shallow log, which fails at sample 0 and sits at a lower
+    # level.  A recursive evaluation meets the sqrt first, and so must the
+    # grouped run's error.
+    monkeypatch.setattr(fields, "GROUPED_NODES", 0)
+    x, y = fields.Coord(0), fields.Coord(1)
+    deep = x
+    for _ in range(6):
+        deep = (deep + y) - y
+    f = deep.sqrt() + y.log()
+    p = ChartPoint([[0.5, -1.0]], [[-1.0, 0.5]], [[0.25, 0.25]])
+    with pytest.raises(JetDomainError) as err:
+        f.value(p)
+    assert err.value.index == 1
+    assert str(err.value) == f"sqrt at a non-positive value at {p.text(1)}"
+
+
+def test_memo_path_groups_only_large_narrow_plans(monkeypatch):
+    # a small plan, or a batch of many points, runs node by node; a large
+    # plan at few points runs in groups, and stores read-only views
+    grouped, run = [], fields._memo_run
+    monkeypatch.setattr(fields, "_memo_run", lambda *args: grouped.append(args[0]) or run(*args))
+    x, y = fields.Coord(0), fields.Coord(1)
+    big = fields.fsum((1, x * y, fields.Const(i + 2.0)) for i in range(fields.GROUPED_NODES // 2))
+    assert len(fields._plan({big: 1}, {})[0]) >= fields.GROUPED_NODES
+    wide = sample_box(1, fields.GROUPED_POINTS + 1, seed=0)
+    big.jet(wide, 1)
+    (x * y + x).jet(sample_box(1, 3, seed=0), 1)
+    assert grouped == [] and wide._cache[x * y].c.flags.writeable
+    p = sample_box(1, fields.GROUPED_POINTS, seed=0)
+    jet = big.jet(p, 1)
+    assert len(grouped) == 1
+    with pytest.raises(ValueError):
+        jet.c[0] = 1.0
+    with pytest.raises(ValueError):
+        p._cache[x * y].c += 1.0
 
 
 def test_one_point_rho_evaluates_each_node_once(kitchen_sink_integrand):

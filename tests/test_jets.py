@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from bigtangent.fields import _jet_inverse
 from bigtangent.jets import Jet, JetDomainError, jet_space
 from bigtangent.multiindex import JetSpace, multi_indices, partial_rows, restriction
 from bigtangent.points import ChartPoint
+from oracles import object_jet_inverse
 
 
 def test_multi_index_count():
@@ -329,6 +331,32 @@ def test_matmul_of_jet_arrays_is_the_left_to_right_loop_bit_for_bit():
             for s in range(1, k):
                 want = want + a[i, s] * b[s, j]
             _assert_same_bits(got[i, j].c, want.c)
+
+
+def test_array_inverse_is_the_object_newton_bit_for_bit():
+    # the Newton inverse on one coefficient array against the same steps
+    # run jet by jet with object arrays, and the same first singular sample
+    rng = np.random.default_rng(17)
+    for n, order, width in itertools.product((1, 2, 3, 4, 6, 9), range(5), (1, 10, 1024)):
+        sp = jet_space(2, order)
+        A = np.empty((n, n), dtype=object)
+        for i, j in np.ndindex(n, n):
+            A[i, j] = Jet(sp, _holey(rng, (sp.nterms, width)))
+        for i in range(n):
+            A[i, i].c[0] = np.abs(A[i, i].c[0]) + 4.0  # diagonally dominant
+        got, want = _jet_inverse(A), object_jet_inverse(A)
+        for i, j in np.ndindex(n, n):
+            assert got[i, j].space is sp
+            _assert_same_bits(got[i, j].c, want[i, j].c)
+        if width == 10:
+            bad = A.copy()
+            for j in range(n):  # a zero row at samples 3 and 7
+                bad[0, j] = Jet(sp, A[0, j].c.copy())
+                bad[0, j].c[0, [3, 7]] = 0.0
+            for invert in (_jet_inverse, object_jet_inverse):
+                with pytest.raises(JetDomainError) as err:
+                    invert(bad)
+                assert (err.value.message, err.value.index) == ("singular matrix", 3)
 
 
 def test_restriction_and_partial_tables_between_subsets():
