@@ -18,6 +18,9 @@ output does:
   ``_BUNDLE_SOURCES`` table in ``CHECKOUT/tests/test_scene_cli.py``;
 - ``check`` on the perfbench m3-identities scene at benchmark seed 7,
   written by ``make_inputs`` of ``CHECKOUT/perfbench/workloads.py``;
+- ``check``, all five suites, on the ROADMAP's Baseline m = 4 scene,
+  ``M4_SCENE`` below, which this script writes (its double suite is the
+  heaviest integrand run, about 12,500 sparse-grid points);
 - ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for that
   scene's double field, with S its scene seed, as the benchmark calls it;
 - ``eval --object NAME`` for every name of ``EVAL_OBJECTS`` on
@@ -47,6 +50,37 @@ EVAL_OBJECTS = (
 EVAL_POINTS = {"kitchen-sink": "x=0.3,-0.2;y=0.1,0.4;z=-0.5,0.2", "flat": "x=0.3;y=0.1;z=-0.5"}
 # the scene header that test_check_passes_on_every_bundle_source writes
 BUNDLE_HEADER = "[scene]\nm = 2\nsamples = 6\nmc_samples = 64\n\n"
+# the ROADMAP's Baseline m = 4 scene
+M4_SCENE = """\
+[scene]
+m = 4
+seed = 0
+samples = 10
+mc_samples = 1024
+
+[base_metric]
+row1 = 1; 0; 0; 0
+row2 = 0; exp(2*x1); 0; 0
+row3 = 0; 0; 1 + x2^2/10; 0
+row4 = 0; 0; 0; 1
+
+[lagrangian]
+L = (1/2)*(exp(x1)*y1^2 + y2^2 + y3^2 + y4^2)
+
+[vector_fields]
+w = y1; 0 - x2; z1*z2; 1; 0; x1*y2; 0; 0; 0; 0; 0; 0
+
+[double_field]
+sigma1 = 1 + (1/2)*y2^2; 0; 0; 0
+sigma2 = 0; 1; 0; 0
+sigma3 = 0; 0; 1 + y1^2/10; 0
+sigma4 = 0; 0; 0; 1
+psi1 = 0; x1*y2; 0; 0
+psi2 = 0 - x1*y2; 0; 0; 0
+psi3 = 0; 0; 0; x3
+psi4 = 0; 0; 0 - x3; 0
+density = (x1^2 + y1^2 + x4^2)/10
+"""
 VERIFY = (
     "import json, sys\n"
     "from bigtangent import dfield, scene\n"
@@ -113,6 +147,8 @@ def main(argv=None) -> int:
     name, scene_seed = m3_scene(root, work)
     run(out, "check-m3", cli + ["check", name], work, src)
     run(out, "verify-m3", ["-c", VERIFY, name, str(scene_seed)], work, src)
+    (work / "m4.scene").write_text(M4_SCENE)
+    run(out, "check-m4", cli + ["check", "m4.scene"], work, src)
     for stem, point in EVAL_POINTS.items():
         for obj in EVAL_OBJECTS:
             argv = ["eval", f"scenes/{stem}.scene", "--object", obj, "--point", point]

@@ -91,8 +91,9 @@ def vm_from_sigma_psi(sigma, psi, m: int) -> VerticalMetric:
     S = parse_grid(sigma, m, "xyz", "sigma")
     P = parse_grid(psi, m, "xyz", "psi")
     Sinv = fields.finverse(S)
-    L = -1.0 * (Sinv @ P)
-    H = S - P @ (Sinv @ P)
+    SP = fields.fdot(Sinv, P)
+    L = -1.0 * SP
+    H = S - fields.fdot(P, SP)
     return VerticalMetric(H, Sinv, L, m)
 
 
@@ -101,7 +102,7 @@ def sigma_psi_from_vm(vm: VerticalMetric):
     if not vm.strongly_nondegenerate:
         raise ValueError("the z-block restriction is degenerate")
     S = fields.finverse(vm.k)
-    P = -1.0 * (S @ vm.l)
+    P = -1.0 * fields.fdot(S, vm.l)
     return S, P
 
 
@@ -414,7 +415,7 @@ def pair_connection(F: DoubleField, cplus: np.ndarray, cminus: np.ndarray) -> Ve
         dB = np.empty((2 * m, 2 * m), dtype=object)
         for idx in np.ndindex(2 * m, 2 * m):
             dB[idx] = F.H.frame_derivative(B[idx], a)
-        gamma[a] = ((B @ Ga - dB) @ F.Binv).T
+        gamma[a] = fields.fdot(fields.fdot(B, Ga) - dB, F.Binv).T
     return VerticalConnection(gamma, F.H)
 
 
@@ -550,9 +551,9 @@ def ladder_brackets(F: DoubleField) -> tuple:
     Binv fb, summed against f.
     """
     m, Binv = F.m, F.Binv
-    fc = F.frame_brackets @ Binv.T  # fc[q, i] = Binv @ [B_{m+q}, B_i]
-    bp = np.tensordot(Binv[m:].T, fc[:, :, :m], axes=1)
-    bm = np.tensordot(Binv[:m].T, fc[:, :, m:].transpose(1, 0, 2), axes=1)
+    fc = fields.fdot(F.frame_brackets, Binv.T)  # fc[q, i] = Binv @ [B_{m+q}, B_i]
+    bp = fields.fdot(Binv[m:].T, fc[:, :, :m])
+    bm = fields.fdot(Binv[:m].T, fc[:, :, m:].transpose(1, 0, 2))
     return bp, bm
 
 
@@ -569,7 +570,7 @@ def gualtieri_torsion(nabla: VerticalConnection, F: DoubleField) -> np.ndarray:
     """Totally covariant skew torsion via the cyclic sum of the
     difference tensor against the base connection."""
     m = nabla.m
-    xi = (nabla.gamma[m:] - F.D0.gamma[m:]) @ F.G
+    xi = fields.fdot(nabla.gamma[m:] - F.D0.gamma[m:], F.G)
     # tau[a, b, c] = xi[a, b, c] + xi[b, c, a] + xi[c, a, b]
     return xi + xi.transpose(2, 0, 1) + xi.transpose(1, 2, 0)
 
@@ -616,10 +617,10 @@ def field_adapted_connection(F: DoubleField):
     cplus, cminus = F.torsion_pair
     bp, bm = ladder_brackets(F)
     # column v of each: an eigenbundle projection of the v-th fiber direction
-    prp, prm = F.B[:, :m] @ F.Binv[:m], F.B[:, m:] @ F.Binv[m:]
+    prp, prm = fields.fdot(F.B[:, :m], F.Binv[:m]), fields.fdot(F.B[:, m:], F.Binv[m:])
     ctp, ctm = cplus.copy(), cminus.copy()
-    ctp[m:] = np.tensordot(prp.T, cplus[m:], axes=1) + bp
-    ctm[m:] = np.tensordot(prm.T, cminus[m:], axes=1) - bm
+    ctp[m:] = fields.fdot(prp.T, cplus[m:]) + bp
+    ctm[m:] = fields.fdot(prm.T, cminus[m:]) - bm
     Dtilde = pair_connection(F, ctp, ctm)
     tau = gualtieri_torsion(Dtilde, F)
     gamma = Dtilde.gamma.copy()
@@ -710,7 +711,7 @@ def scalar_curvature_in_basis(
                 (1, component(a, k, l)) for a in range(2 * m) for k, l in ((q, s), (s, q))
             )
             Ric[s, q] = Ric[q, s]
-    Gt = P.T @ F.G @ P
+    Gt = fields.fdot(fields.fdot(P.T, F.G), P)
     Gtinv = fields.finverse(Gt)
     return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
 

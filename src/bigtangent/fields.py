@@ -27,19 +27,17 @@ chart variables it can depend on; ``f.partial(v)`` is ``ZERO`` when ``v``
 is not in ``f.support``, so structurally zero derivatives are never
 built or evaluated.
 
-A matrix product of object arrays of fields is numpy's ``@`` (or
-``tensordot``), which adds the entries' products left to right from the
-first; the arithmetic folds make that the node ``fsum`` builds for the
-same terms.  Every other sum of field products is formed by ``fsum``: a
-term ``(sign, *factors)`` multiplies its factors left to right and is
-added to or subtracted from the running sum with ``+``/``-``; a term with
-a constant-zero factor (``is_zero``, as the arithmetic folds test it) is
-skipped before any product is built.  The folds would drop such a
-term anyway, so ``fsum`` preserves the graph: it returns the very node
-the equivalent ``acc = acc +/- a * b`` loop returns.  Only the order of
-the terms shapes that node (and so the last bits of its values).  The
-hot construction loops hand it no zero terms: they walk only the
-indices that can give a nonzero term, in the dense loop's order.
+Every sum of field products is one ``Sum`` node, which ``fsum`` builds
+with one interning probe: its start and its kept terms ``(sign, *factors)``
+in the order given, after the folds of the loop ``acc = start; acc = acc
++/- f1 * f2 * ...``.  A term with a constant-zero factor (``is_zero``) is
+skipped, constant factors fold as ``*`` folds them, no kept term returns
+``start`` and a sole ``+`` term over a zero start returns its product.
+Equal sums are one node; only the order of the terms shapes it (and so
+the last bits of its values).  The hot construction loops walk only the
+indices that can give a nonzero term.  A matrix product of field arrays
+is ``fdot``, one ``fsum`` per entry: numpy's ``@`` would build the
+loop's chain of product and ``+`` nodes.
 
 Evaluation never recurses, and it evaluates each node once per point
 batch, at its top order: the highest order any reader asks for (a
@@ -49,39 +47,32 @@ read only those of degree <= k of its operands, and terms are sorted by
 degree, so a reader at a lower order reads the leading rows, bit for bit
 (the matrix inverse excepted: its Newton steps at a higher order refine
 the value row too).  One planner (``_plan``) walks the graph below a set
-of roots, giving the nodes in dependency order and their top orders.  A
-constant factor of ``*``, or a constant numerator of ``/``, scales the
-other jet as a number, so an overflowed row takes no 0 * inf.  Graph
-height is bounded by memory, not by Python's recursion limit.  Every
-point is one batch, a ``ChartPoint`` whose ``flat`` array (3m, npoints)
-a ``Coord`` reads its row of.  The plan has two callers:
+of roots, giving the nodes in dependency order and their top orders, and
+one runner (``_run``) evaluates them.  A constant factor, or a constant
+numerator of ``/``, scales the other jet as a number, so an overflowed
+row takes no 0 * inf.  A ``Sum`` multiplies each term's factors left to
+right with ``mul_coeffs`` and adds or subtracts the products from the
+start left to right (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13; JAX's Taylor-mode ``jet`` likewise propagates a whole
+contraction as one primitive, Bettencourt, Johnson & Duvenaud, 2019):
+the loop's floating-point operations in its order, at the top order its
+chain of nodes would have had, so its jet is the chain's bit for bit.
+Its operands, the start and the factors that are not constants, come in
+the order the chain's depth-first evaluation meets them, so its
+``JetDomainError`` is the chain's.  Graph height is bounded by memory,
+not by Python's recursion limit.  Every point is one batch, a
+``ChartPoint`` whose ``flat`` array (3m, npoints) a ``Coord`` reads its
+row of.  The plan has two callers:
 
 - suite points, which verification reuses across many fields: ``jet``,
   ``value`` and ``fvalue`` keep one jet per node in the point's memo,
   plan only what the memo lacks, or holds at too low an order, and
   store the results there.  Equal subgraphs are one node, so they share
-  one memo slot, and the memo is freed when the point is dropped.  A
-  plan of ``GROUPED_NODES`` nodes or more at ``GROUPED_POINTS`` points
-  or fewer runs level by level (``_memo_run``; level scheduling,
-  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): a
-  node's level is one more than its operands' highest, and the sums,
-  differences, products, constant scalings and partials along one
-  variable of a level that share a top order and operand orders are one
-  gather and one numpy call over their block of a per-order (nterms,
-  nodes, npoints) buffer (batched Taylor mode, Bettencourt, Johnson &
-  Duvenaud, 2019).  Other nodes run through ``_run``.  A node of a group
-  is stored as a read-only view of its buffer row.  A ``JetDomainError``
-  replays the plan through ``_run`` in postorder, so it is the one
-  recursion raises.  Other plans run through ``_run`` alone: a smaller
-  plan's groups are too small to repay their cost, and a wider batch's
-  gathers cost more memory traffic than the calls save (on a 2-vCPU
-  host, rho's subplans of 1,000-3,000 nodes took 1.1-1.4x the loop's
-  time, and rho at 128 points 1.2x, at 1,024 points 1.8x).
+  one memo slot, and the memo is freed when the point is dropped.
 - points evaluated once, the action integrand's chunks: the ``Tape`` of
   the integrand, which its one owner ``DoubleField.integrand_tape``
-  compiles once, runs through ``_run`` and frees each jet right after its
-  last use, so a run holds only the jets still to be read, and it stores
-  nothing on the point.
+  compiles once, frees each jet right after its last use, so a run holds
+  only the jets still to be read, and it stores nothing on the point.
 
 Each path wins a benchmark workload, so both stay (perfbench on a
 2-vCPU host, one jet per node: a tape for every memo call took
@@ -249,13 +240,10 @@ class ScalarField(metaclass=_Interned):
 
     def __truediv__(self, other):
         other = other if isinstance(other, ScalarField) else Const(other)
-        if type(other) is Const:
-            if other.v != 0.0:
-                # a constant factor, which evaluation scales by as a number
-                return self * Const(1.0 / other.v)
-            if self is ZERO or self is _NEG_ZERO:
-                return ZERO
-        return _intern((Bin, "/", self, other))
+        if type(other) is Const and other.v != 0.0:
+            # a constant factor, which evaluation scales by as a number
+            return self * Const(1.0 / other.v)
+        return _intern((Bin, "/", self, other))  # a zero divisor raises when evaluated
 
     def __rtruediv__(self, other):
         return _intern((Bin, "/", Const(other), self))
@@ -304,24 +292,58 @@ def is_zero(f) -> bool:
     return f is ZERO or f is _NEG_ZERO
 
 
-def fsum(terms, start=ZERO):
-    """``start`` plus or minus the product of each term's factors.
+def fsum(terms, start=ZERO) -> ScalarField:
+    """``start`` plus or minus the product of each term's factors: the
+    ``Sum`` node of the module docstring, or what the loop's folds leave.
 
     Each term is ``(sign, *factors)`` with ``sign`` +1 or -1; the factors
     are multiplied left to right.  A term with a factor that is ``ZERO`` or
-    ``Const(-0.0)`` (``is_zero``'s identity test, inline) is skipped before
-    any product is built.  The result is the node the loop
-    ``acc = start; acc = acc +/- f1 * f2 * ...`` over the same terms returns.
+    ``Const(-0.0)`` (``is_zero``'s identity test, inline), or whose leading
+    constants multiply to zero, is skipped.  The leading constants of a
+    term are one factor, and ``ONE`` after another factor is dropped.
     """
-    acc = start
+    acc, kept = as_field(start), []
     for sign, *factors in terms:
+        lead, prod = None, [sign]  # lead: the product of the leading constants
         for f in factors:
+            if type(f) is not Const:
+                if isinstance(f, ScalarField):
+                    prod.append(f)
+                    continue
+                f = Const(f)
             if f is ZERO or f is _NEG_ZERO:
                 break
+            if len(prod) == 1:
+                lead = f if lead is None else Const(lead.v * f.v)
+            elif f is not ONE:
+                prod.append(f)
         else:
-            prod = reduce(operator.mul, factors)
-            acc = acc + prod if sign > 0 else acc - prod
-    return acc
+            if lead is ZERO or lead is _NEG_ZERO:
+                continue
+            if lead is not None:
+                if len(prod) == 1 and not kept and type(acc) is Const:
+                    acc = acc + lead if sign > 0 else acc - lead  # a constant start
+                    continue
+                if lead is not ONE or len(prod) == 1:
+                    prod.insert(1, lead)
+            kept.append(tuple(prod))
+    if not kept:
+        return acc
+    if len(kept) == 1 and kept[0][0] > 0 and (acc is ZERO or acc is _NEG_ZERO):
+        return reduce(operator.mul, kept[0][1:])
+    return _intern((Sum, acc, tuple(kept)))
+
+
+def fdot(a, b) -> np.ndarray:
+    """The contraction of the last axis of the object array ``a`` with the
+    first axis of ``b``, as ``np.tensordot(a, b, axes=1)``: each entry is
+    one ``fsum`` of its products, in the order of the contracted index."""
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    rows = a.reshape(-1, a.shape[-1]).tolist()
+    cols = b.reshape(b.shape[0], -1).T.tolist()
+    out = np.empty(len(rows) * len(cols), dtype=object)
+    out[:] = [fsum(zip(repeat(1), row, col)) for row in rows for col in cols]
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def as_field(x) -> ScalarField:
@@ -394,6 +416,27 @@ class Partial(ScalarField):
 
     def _operands(self):
         return (self.parent,)
+
+
+class Sum(ScalarField):
+    """``start`` plus or minus the product of each of ``terms``, as
+    ``fsum`` keeps them; see the module docstring."""
+
+    __slots__ = ("start", "terms", "ops")
+
+    def __init__(self, start, terms):
+        self.start, self.terms = start, terms
+        ops = [f for term in terms for f in term[1:] if type(f) is not Const]
+        if type(start) is not Const:
+            ops.insert(0, start)
+        self.ops = tuple(ops)
+        support = start.support
+        for other in {f.support for f in ops}:
+            support = _union(support, other)
+        self.support = support
+
+    def _operands(self):
+        return self.ops
 
 
 # -- object arrays of fields ----------------------------------------------
@@ -509,8 +552,6 @@ def fdet(mat: np.ndarray) -> ScalarField:
     n = mat.shape[0]
     if n == 1:
         return as_field(mat[0, 0])
-    if n == 2:
-        return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     rows = np.delete(mat, 0, axis=0)
     return fsum(
         (-1 if j % 2 else 1, as_field(mat[0, j]), fdet(np.delete(rows, j, axis=1)))
@@ -589,7 +630,6 @@ class _Restriction:
 
 
 _OPERANDS = operator.methodcaller("_operands")
-GROUPED_NODES, GROUPED_POINTS = 4000, 64  # the plans run in groups: see the module docstring
 
 
 def _scaled(jet: Jet, v: float) -> Jet:
@@ -604,6 +644,41 @@ def _lead(jet: Jet, space) -> Jet:
     """``jet`` in ``space``, over its variables at an order no higher: its
     leading rows, as terms are sorted by degree."""
     return jet if jet.space is space else Jet(space, jet.c[: space.nterms])
+
+
+def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
+    """The coefficients of ``node`` in ``space`` from ``jets``, those of
+    its operands in order: the chain's operations, in its order."""
+    nt, start, owned = space.nterms, node.start, False
+    if type(start) is not Const:
+        acc = next(jets).c[:nt]
+    elif node.terms[0][0] > 0 and (start is ZERO or start is _NEG_ZERO):
+        acc = None  # the folds start the chain at its first product
+    else:
+        acc = Jet.constant(space, start.v, p.npoints).c
+    for sign, *factors in node.terms:
+        prod = None
+        for f in factors:
+            if type(f) is Const:  # a leading constant is a number until its factor comes
+                prod = f.v if prod is None else prod * f.v + 0.0
+                continue
+            jet = next(jets)
+            x = jet.c if jet.space is space else jet.c[:nt]
+            if prod is None:
+                prod = x
+            elif type(prod) is float:  # as ``_scaled``
+                prod = x * prod + 0.0
+            else:
+                prod = mul_coeffs(space, prod, x)
+        if type(prod) is float:
+            prod = Jet.constant(space, prod, p.npoints).c
+        if acc is None:
+            acc = prod
+        elif owned:
+            (np.add if sign > 0 else np.subtract)(acc, prod, out=acc)
+        else:
+            acc, owned = acc + prod if sign > 0 else acc - prod, True
+    return acc
 
 
 def _run(entries, vals: dict, p: ChartPoint):
@@ -632,6 +707,8 @@ def _run(entries, vals: dict, p: ChartPoint):
                     jet = Jet(space, a.c + b.c if op == "+" else a.c - b.c)
                 else:
                     jet = a * b if op == "*" else a / b
+            elif kind is Sum:
+                jet = Jet(space, _sum_coeffs(node, space, map(vals.__getitem__, reads), p))
             elif kind is Partial:  # the parent's rows one order up, valid on a longer jet
                 up = plan or jet_space(space.nvars, space.order + 1).partial_table(node.var)
                 jet = Jet(space, vals[reads[0]].c[up[0]] * up[1])
@@ -664,82 +741,6 @@ def _run(entries, vals: dict, p: ChartPoint):
         raise
 
 
-def _memo_run(nodes, tops, memo: dict, p: ChartPoint):
-    """Evaluate the plan ``nodes`` at ``p`` one group of like nodes at a
-    time, level by level, as the module docstring says, and store each
-    node's jet in ``memo``: the jets of ``_run``, bit for bit."""
-    groups, at = {}, {}  # at: node -> (the order of its buffer row, its level)
-
-    def row(r):  # a stored operand is copied to a row first, at level 0
-        got = at[r] = (memo[r].space.order, 0)
-        groups.setdefault((0, Jet, got[0]), []).append(r)
-        return got
-
-    for n in nodes:
-        k, kind = tops[n], type(n)
-        if kind is Bin and n.op != "/":
-            a, b = n.a, n.b
-            if n.op == "*" and (type(a) is Const or type(b) is Const):
-                a = b if type(a) is Const else a  # the factor that is not a constant
-                ka, level = at.get(a) or row(a)
-                key = (level + 1, "c", k, ka)
-            else:
-                (ka, la), (kb, lb) = at.get(a) or row(a), at.get(b) or row(b)
-                key = (1 + (la if la > lb else lb), n.op, k, ka, kb)
-        elif kind is Partial:
-            ka, level = at.get(n.parent) or row(n.parent)
-            key = (level + 1, n.var, k, ka)
-        else:  # run by ``_run``, reading the memo; an inverse's entry at its owner's order
-            level = 1 + max([at.get(r, (0, 0))[1] for r in n._operands()], default=0)
-            if kind is _MatInvEntry:
-                k = at[n.owner][0] if n.owner in at else _order(memo[n.owner])
-            key = (level, kind, k)
-        at[n] = (k, key[0])
-        groups.setdefault(key, []).append(n)
-    m, bufs, slot = 3 * p.m, {}, at  # a node's row in its buffer replaces its (order, level)
-    run = sorted(groups.items(), key=lambda item: item[0][0])
-    # by level, in blocks of at most 256 nodes, which bound the memory of a block's gathers
-    run = [(key, g[i : i + 256]) for key, g in run for i in range(0, len(g), 256)]
-    for (_, _, k, *_), group in run:  # each group's block of its order's buffer
-        start = bufs.get(k, 0)
-        slot.update(zip(group, range(start, start + len(group))))
-        bufs[k] = start + len(group)
-    spaces = {k: jet_space(m, k) for k in bufs}  # buffers terms first, so rows index as a jet's
-    bufs = {k: np.empty((spaces[k].nterms, size, p.npoints)) for k, size in bufs.items()}
-
-    def gather(rs, k, rows):  # the given rows of the jets of rs
-        x = bufs[k].take([*map(slot.get, rs)], 1) if len(rs) > 1 else bufs[k][:, slot[rs[0]], None]
-        return x[rows]
-
-    for (_, op, k, *ks), group in run:
-        space, start = spaces[k], slot[group[0]]
-        out, lead = bufs[k][:, start : start + len(group)], slice(spaces[k].nterms)
-        if isinstance(op, type):  # stored jets, or nodes run one by one
-            if op is not Jet:
-                _run([(n, space, n._operands(), None, ()) for n in group], memo, p)
-            if op is not _MatrixInverse:
-                np.moveaxis(out, 1, 0)[...] = [memo[n].c for n in group]
-            continue
-        if op == "c":  # scaled by constants, as ``_scaled``
-            rs, vs = zip(*[(n.a, n.b.v) if type(n.b) is Const else (n.b, n.a.v) for n in group])
-            np.multiply(gather(rs, ks[0], lead), np.array(vs)[:, None], out=out)
-            out += 0.0
-        elif type(op) is int:  # a partial along op: its parent's rows one order up
-            up, factor = jet_space(m, k + 1).partial_table(op)
-            np.multiply(gather([n.parent for n in group], ks[0], up), factor[:, None], out=out)
-        else:
-            x = gather([n.a for n in group], ks[0], lead)
-            y = gather([n.b for n in group], ks[1], lead)
-            if op == "*":
-                out[...] = mul_coeffs(space, x, y)
-            else:  # as Jet's + and -
-                (np.add if op == "+" else np.subtract)(x, y, out=out)
-        view = np.moveaxis(out, 1, 0)
-        view.flags.writeable = False  # a stored jet is a read-only view of its row
-        for n, c in zip(group, view):
-            memo[n] = Jet(space, c)
-
-
 def _memo_eval(roots, order: int, p: ChartPoint):
     """Store in the point's memo a jet of each of ``roots`` at ``order``
     or higher, evaluating only what the memo lacks or holds too short."""
@@ -748,11 +749,6 @@ def _memo_eval(roots, order: int, p: ChartPoint):
     want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
     if want:
         nodes, tops = _plan(want, memo)
-        if len(nodes) >= GROUPED_NODES and p.npoints <= GROUPED_POINTS:
-            try:
-                return _memo_run(nodes, tops, memo, p)
-            except JetDomainError:
-                pass  # replayed in postorder: the error is then the one recursion raises
         spaces = [jet_space(n, tops[f]) for f in nodes]
         _run(zip(nodes, spaces, map(_OPERANDS, nodes), repeat(None), repeat(())), memo, p)
 

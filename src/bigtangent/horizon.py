@@ -205,7 +205,7 @@ def spray_from_lagrangian(L, m: int):
             start=Lf.partial(j),
         )
     check_matrix(validation_values(g, m), "Lagrangian Hessian", invertible=True)
-    eta = fields.finverse(g) @ rhs
+    eta = fields.fdot(fields.finverse(g), rhs)
     t = fields.fzeros(m, m)
     for i in range(m):
         for j in range(m):
@@ -281,9 +281,9 @@ def _change_frame(T: TensorField, H: HorizontalBundle, source: str, target: str)
     comps = T.comps
     for var in T.sig:
         if var == "up":
-            comps = np.tensordot(comps, up, axes=([0], [1]))
+            comps = fields.fdot(np.moveaxis(comps, 0, -1), up.T)
         else:
-            comps = np.tensordot(comps, down, axes=([0], [0]))
+            comps = fields.fdot(np.moveaxis(comps, 0, -1), down)
     return TensorField(T.sig, comps, T.m, frame=target)
 
 

@@ -120,7 +120,7 @@ def _require_natural(*tensors):
 # -- contractions ---------------------------------------------------------
 def apply_11(A: TensorField, v: TensorField) -> TensorField:
     """(1,1) tensor applied to a vector: (A v)^i = A^i_j v^j."""
-    out = np.tensordot(A.comps, v.comps, axes=([1], [0]))
+    out = fields.fdot(A.comps, v.comps)
     return vector(out, A.m, A.frame)
 
 
@@ -308,11 +308,11 @@ def same_colspace(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL) -> bool:
 # -- field-level musical helpers ------------------------------------------
 def sharp_field(W: TensorField, alpha: TensorField) -> TensorField:
     """Field-level sharp of a (2,0) tensor: (sharp a)^j = W^{ij} a_i."""
-    out = np.tensordot(alpha.comps, W.comps, axes=([0], [0]))
+    out = fields.fdot(alpha.comps, W.comps)
     return vector(out, W.m, W.frame)
 
 
 def flat_field_form(W: TensorField, X: TensorField) -> TensorField:
     """Field-level lowering by a (0,2) tensor: (flat X)_j = W_{ij} X^i."""
-    out = np.tensordot(X.comps, W.comps, axes=([0], [0]))
+    out = fields.fdot(X.comps, W.comps)
     return one_form(out, W.m, W.frame)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -65,6 +67,18 @@ def fd_oracle(f: ScalarField, p: ChartPoint, multi_index, h: float = 1e-5) -> fl
         return float(f.jet(point, 0).value[0])
 
     return rec(p, multi_index)
+
+
+# -- sums of products -------------------------------------------------------
+def hand_sum(terms, start):
+    """The accumulation loop ``fields.fsum`` replaces, ``acc = start;
+    acc = acc +/- f1 * f2 * ...``, every product built with the operators
+    and none skipped: a chain of product and ``+``/``-`` nodes."""
+    acc = start
+    for sign, *factors in terms:
+        prod = reduce(operator.mul, factors)
+        acc = acc + prod if sign > 0 else acc - prod
+    return acc
 
 
 # -- tensors --------------------------------------------------------------

@@ -2,9 +2,7 @@ import gc
 import operator
 import sys
 import weakref
-from itertools import repeat
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from bigtangent import dfield, fields, horizon, scene
 from bigtangent.exprdsl import parse_expr
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
-from oracles import box_points, fd_oracle, shifted
+from oracles import box_points, fd_oracle, hand_sum, shifted
 
 
 def fmat(rows) -> np.ndarray:
@@ -234,6 +232,12 @@ def _kinds():
         ("Partial", lambda: f.partial(1), (fields.Partial, f, 1)),
         ("_MatrixInverse", lambda: fields._MatrixInverse(owner.rows), owner_key),
         ("_MatInvEntry", lambda: fields._MatInvEntry(owner, 1, 0), (fields._MatInvEntry, owner, 1, 0)),
+        (
+            "fsum",
+            lambda: fields.fsum([(1, f, x), (-1, 2.0, y), (1, fields.ONE, c, f, fields.ZERO)], y),
+            (fields.Sum, y, ((1, f, x), (-1, two, y))),
+        ),
+        ("Sum", lambda: fields.Sum(x, ((1, f, y),)), (fields.Sum, x, ((1, f, y),))),
     ]
 
 
@@ -250,7 +254,7 @@ def test_a_new_node_runs_init_once_and_a_hit_none(monkeypatch):
     # that counts a call when it is the node's own class's __init__
     built = []
     for cls in (fields.Const, fields.Coord, fields.Bin, fields.Pow, fields.Func,
-                fields.Partial, fields._MatrixInverse, fields._MatInvEntry):
+                fields.Partial, fields.Sum, fields._MatrixInverse, fields._MatInvEntry):
         def counting(self, *args, _init=cls.__dict__["__init__"], _cls=cls):
             if type(self) is _cls:
                 built.append(self)
@@ -424,15 +428,6 @@ _FACTORS = [
 ]
 
 
-def _hand_sum(terms, start):
-    """The accumulation loop fsum replaces: every product built, none skipped."""
-    acc = start
-    for sign, a, b, *rest in terms:
-        prod = a * b * rest[0] if rest else a * b
-        acc = acc + prod if sign > 0 else acc - prod
-    return acc
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(
@@ -445,17 +440,25 @@ def _hand_sum(terms, start):
     st.sampled_from([fields.ZERO, fields.Coord(1), parse_expr("x1 + y1^2", 1)]),
 )
 def test_fsum_is_the_hand_loop_node(terms, start):
-    assert fields.fsum(terms, start) is _hand_sum(terms, start)
-    assert fields.fsum(iter(terms), start=start) is _hand_sum(terms, start)
+    # fsum builds one Sum node where the loop builds a chain of product and
+    # +/- nodes, so the two are compared by their jets; equal sums are one
+    # node, however the terms are handed over
+    got = fields.fsum(terms, start)
+    assert fields.fsum(iter(terms), start=start) is got
+    p = sample_box(1, 3, seed=5)
+    want = hand_sum(terms, start).jet(p, 2)
+    _assert_same_jets([got.jet(sample_box(1, 3, seed=5), 2)], [want])
 
 
 def test_matrix_products_build_the_fsum_node():
-    # numpy's @, dot and tensordot over object arrays add each entry's
-    # products left to right from the first; the folds make that the node
-    # fsum builds for the same terms
+    # fdot, the matrix product of object arrays of fields, builds each entry
+    # as fsum of its products in the order of the contracted index; numpy's
+    # @, dot and tensordot add those products left to right from the first,
+    # as chains of nodes with the same jets
     rng = np.random.default_rng(20)
     pool = [fields.as_field(f) for f in _FACTORS]
     pick = np.frompyfunc(lambda i: pool[i], 1, 1)
+    p = sample_box(1, 2, seed=6)
     for _ in range(200):
         n, k, l = (int(v) for v in rng.integers(1, 4, size=3))
         a = pick(rng.integers(len(pool), size=(n, k)))
@@ -463,11 +466,36 @@ def test_matrix_products_build_the_fsum_node():
         want = np.empty((n, l), dtype=object)
         for i, j in np.ndindex(n, l):
             want[i, j] = fields.fsum((1, a[i, s], b[s, j]) for s in range(k))
-        for got in (a @ b, np.dot(a, b), np.tensordot(a, b, axes=([1], [0]))):
-            assert got.shape == (n, l)
-            assert all(g is w for g, w in zip(got.flat, want.flat))
-        v = b[:, 0]
-        assert all(g is w for g, w in zip(a @ v, want[:, 0]))
+        got = fields.fdot(a, b)
+        assert got.shape == (n, l)
+        assert all(g is w for g, w in zip(got.flat, want.flat))
+        assert all(g is w for g, w in zip(fields.fdot(a, b[:, 0]), want[:, 0]))
+        c = pick(rng.integers(len(pool), size=(l, 2, n)))
+        d = fields.fdot(got, c)
+        assert d.shape == (n, 2, n)
+        assert all(
+            g is fields.fsum((1, got[i, s], c[s, j, r]) for s in range(l))
+            for (i, j, r), g in np.ndenumerate(d)
+        )
+        for chain in (a @ b, np.dot(a, b), np.tensordot(a, b, axes=([1], [0]))):
+            _assert_same_jets(
+                [f.jet(p, 1) for f in chain.flat],
+                [f.jet(sample_box(1, 2, seed=6), 1) for f in want.flat],
+            )
+
+
+def test_a_zero_divisor_raises_over_a_zero_numerator_too():
+    # 0/0 builds its quotient node and raises when evaluated, as 1/0 does;
+    # only a literal-zero factor of * folds, so (1/0)*0 is 0
+    x = fields.Coord(0)
+    p = sample_box(1, 2, seed=0)
+    quotients = [fields.ZERO / fields.ZERO, fields.Const(-0.0) / 0.0, (x - x) / 0]
+    quotients += [parse_expr(text, 1) for text in ("0/0", "x1*0/0", "(x1-x1)/0", "1/0")]
+    for f in quotients:
+        assert type(f) is fields.Bin and f.op == "/"
+        with pytest.raises(JetDomainError, match="^division by zero at "):
+            f.value(p)
+    assert parse_expr("(1/0)*0", 1) is fields.ZERO
 
 
 def test_fsum_skips_zero_terms_before_multiplying(monkeypatch):
@@ -559,8 +587,8 @@ def test_integrand_tape_frees_jets_after_their_last_use(kitchen_sink_integrand):
     p = ChartPoint(*np.split(pts, 3))
     entries = tape.entries(p.m)
     fields._run(entries, held, p)
-    assert len(entries) > 8000
-    assert held.peak <= 0.05 * len(entries), (held.peak, len(entries))
+    assert len(entries) > 2000
+    assert held.peak <= 0.15 * len(entries), (held.peak, len(entries))
     assert set(held) == set(tape.roots)  # only the roots outlive the run
     assert p._cache == {}  # nothing is stored on the point
     assert not any(key[0] is fields.Tape for key in fields._NODES)  # tapes are not interned
@@ -586,7 +614,7 @@ def test_integrand_tape_reads_fewer_coefficient_rows(kitchen_sink_integrand):
     fields._run(tape.entries(p.m), restricted, p)
     p._cache = whole = Rows()
     fields._memo_eval(tape.roots, 0, p)
-    assert restricted.count <= 0.8 * whole.count, (restricted.count, whole.count)
+    assert restricted.count <= 0.85 * whole.count, (restricted.count, whole.count)
 
 
 def test_action_compiles_the_integrand_tape_once(monkeypatch):
@@ -715,121 +743,89 @@ def test_lower_order_jet_is_the_leading_rows(f, coords, k, extra):
     assert np.array_equal(np.signbit(low.c), np.signbit(lead))
 
 
-def _grouped_node_fields(inner):
-    """``_node_fields``, plus an entry of the inverse of a 2x2 matrix and a
-    constant times a product."""
-    return st.one_of(
-        _node_fields(inner),
-        st.tuples(st.lists(inner, min_size=4, max_size=4), st.integers(0, 3)).map(
-            lambda t: fields.finverse(fmat([t[0][:2], t[0][2:]]))[divmod(t[1], 2)]
-        ),
-        st.tuples(st.sampled_from([-0.0, 0.5, -3.0, 1e300]), inner, inner).map(
-            lambda t: t[0] * (t[1] * t[2])
-        ),
-    )
+_SUM_FACTORS = [
+    fields.ZERO,
+    fields.Const(-0.0),
+    fields.ONE,
+    fields.Const(2.5),
+    -3.0,
+    fields.Const(1e200),
+    fields.Const(1e-200),
+    fields.Coord(0),
+    fields.Coord(1),
+    fields.Coord(2),
+    parse_expr("sin(x1) * y1", 1),
+    parse_expr("exp(z1) - x1", 1).partial(2),
+    parse_expr("exp(x1 * y1)", 1),
+    parse_expr("exp(x1 * y1) - exp(y1 * x1)", 1),
+]
+# values with -0.0 rows; through exp or 1e200 rows overflow, and inf - inf
+# or 0 * inf make NaN rows
+_SUM_VALUES = [0.0, -0.0, 0.5, -1.25, 3.0, 1e-160, 700.0]
 
 
-def _two_orders_of_one_inverse() -> list:
-    """An entry of an inverse, and the partial of another: the inverse is
-    read at two orders."""
-    x, y = parse_expr("2 + x1", 1), parse_expr("y1", 1)
-    inv = fields.finverse(fmat([[x, y], [y, 3.0]]))
-    return [inv[0, 0], inv[0, 1].partial(0)]
+def _chain_memo_jets(root, coords, width, orders) -> list:
+    """``root``'s jets at ``orders`` in turn, through the memo of one fresh
+    point of ``width`` samples."""
+    p = ChartPoint(*np.reshape(coords[: 3 * width], (3, 1, width)))
+    return [root.jet(p, k) for k in orders]
 
 
-def _run_jets(roots, order, p) -> dict:
-    """The memo ``_run`` leaves after evaluating the plan of ``roots`` at
-    ``order`` over a copy of ``p``'s memo, or the error it raises."""
-    memo = p._cache
-    want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
-    nodes, tops = fields._plan(want, memo)
-    spaces = [fields.jet_space(3 * p.m, tops[f]) for f in nodes]
-    out = dict(memo)
-    try:
-        entries = zip(nodes, spaces, map(fields._OPERANDS, nodes), repeat(None), repeat(()))
-        fields._run(entries, out, p)
-    except JetDomainError as err:
-        return err
-    return out
-
-
-def _assert_same_memo(got: dict, want: dict):
-    assert set(got) == set(want)
-    for node, jet in want.items():
-        if type(jet) is np.ndarray:  # a matrix inverse's jets
-            _assert_same_jets(list(got[node].flat), list(jet.flat))
-        else:
-            _assert_same_jets([got[node]], [jet])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(
-        st.recursive(_leaf_fields(), _grouped_node_fields, max_leaves=8), min_size=1, max_size=3
+        st.tuples(
+            st.sampled_from([1, -1]),
+            st.lists(st.sampled_from(_SUM_FACTORS), min_size=1, max_size=3),
+        ).map(lambda t: (t[0], *t[1])),
+        max_size=6,
     ),
-    st.sampled_from([1, 3]),
-    st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 1e-160, 700.0]), min_size=9, max_size=9),
+    st.sampled_from(
+        [fields.ZERO, fields.Const(-0.0), fields.Const(1.5), fields.Coord(1), parse_expr("x1 + y1^2", 1)]
+    ),
+    st.lists(st.sampled_from(_SUM_VALUES), min_size=9, max_size=9),
     st.integers(0, 2),
 )
-@example([-3.0 * (fields.Coord(0) * fields.Coord(1))], 1, [0.5] * 9, 1)  # -0.0 rows, scaled
-@example(_two_orders_of_one_inverse(), 3, [0.5, -1.25, 3.0] * 3, 0)
-def test_grouped_evaluation_stores_the_jets_of_run(roots, width, coords, order):
-    # the memo path runs a large plan level by level, in groups (here every
-    # plan); it must store what the per-node loop stores over the same
-    # plan, for every node, bit for bit, the sign of zero, NaN and
-    # overflowed rows included.  Asking for order 0 and then 2 evaluates
-    # the roots again, over a memo that holds the nodes below them at too
-    # low an order.
-    p = ChartPoint(*np.reshape(coords[: 3 * width], (3, 1, width)))
-    with np.errstate(all="ignore"), mock.patch.object(fields, "GROUPED_NODES", 0):
-        for k in (0, order, 2):
-            want = _run_jets(roots, k, p)
-            if isinstance(want, JetDomainError):
-                with pytest.raises(JetDomainError) as err:
-                    fields._memo_eval(roots, k, p)
-                assert (err.value.message, err.value.index) == (want.message, want.index)
-                return
-            fields._memo_eval(roots, k, p)
-            _assert_same_memo(p._cache, want)
+# the folds start at the first product, so its -0.0 value row survives
+@example([(1, fields.Coord(0)), (-1, fields.Coord(2))], fields.ZERO, [-0.0, 0.5, 0.0] * 3, 0)
+@example(  # a leading constant scales a product that overflowed
+    [(-1, fields.Const(1e200), fields.Coord(0), fields.Coord(1)), (1, fields.Coord(2), 2.5)],
+    fields.Coord(1), [1e200, 3.0, -0.0] * 3, 1,
+)
+def test_sum_jets_are_the_chain_jets(terms, start, coords, order):
+    # a Sum runs the chain's floating-point operations in the chain's order,
+    # so its jets are the hand loop's bit for bit, the sign of zero, NaN
+    # and overflowed rows included: on the memo path at widths 1 and 3, at
+    # one order and when evaluated again from order 0 to 2, and on a tape
+    # at width 1,024
+    f, chain = fields.fsum(terms, start), hand_sum(terms, start)
+    pts = np.random.default_rng(order).choice(np.array(coords), size=(3, 1024))
+    with np.errstate(all="ignore"):
+        for width in (1, 3):
+            for orders in ((order,), (0, 2)):
+                got = _chain_memo_jets(f, coords, width, orders)
+                _assert_same_jets(got, _chain_memo_jets(chain, coords, width, orders))
+        for k in range(3):
+            got = fields.Tape((f,), k).run(ChartPoint(*np.split(pts, 3)))
+            _assert_same_jets(got, fields.Tape((chain,), k).run(ChartPoint(*np.split(pts, 3))))
 
 
-def test_grouped_run_replays_a_domain_error_in_postorder(monkeypatch):
-    # the first operand holds a deep sqrt, which fails at sample 1; the
-    # second a shallow log, which fails at sample 0 and sits at a lower
-    # level.  A recursive evaluation meets the sqrt first, and so must the
-    # grouped run's error.
-    monkeypatch.setattr(fields, "GROUPED_NODES", 0)
+def test_sum_raises_the_chain_domain_error():
+    # the first term's sqrt fails at sample 1, the later term's log at
+    # sample 0: evaluation meets the sqrt first, as the chain's does, on
+    # the memo path and on a tape
     x, y = fields.Coord(0), fields.Coord(1)
-    deep = x
-    for _ in range(6):
-        deep = (deep + y) - y
-    f = deep.sqrt() + y.log()
-    p = ChartPoint([[0.5, -1.0]], [[-1.0, 0.5]], [[0.25, 0.25]])
-    with pytest.raises(JetDomainError) as err:
-        f.value(p)
-    assert err.value.index == 1
-    assert str(err.value) == f"sqrt at a non-positive value at {p.text(1)}"
-
-
-def test_memo_path_groups_only_large_narrow_plans(monkeypatch):
-    # a small plan, or a batch of many points, runs node by node; a large
-    # plan at few points runs in groups, and stores read-only views
-    grouped, run = [], fields._memo_run
-    monkeypatch.setattr(fields, "_memo_run", lambda *args: grouped.append(args[0]) or run(*args))
-    x, y = fields.Coord(0), fields.Coord(1)
-    big = fields.fsum((1, x * y, fields.Const(i + 2.0)) for i in range(fields.GROUPED_NODES // 2))
-    assert len(fields._plan({big: 1}, {})[0]) >= fields.GROUPED_NODES
-    wide = sample_box(1, fields.GROUPED_POINTS + 1, seed=0)
-    big.jet(wide, 1)
-    (x * y + x).jet(sample_box(1, 3, seed=0), 1)
-    assert grouped == [] and wide._cache[x * y].c.flags.writeable
-    p = sample_box(1, fields.GROUPED_POINTS, seed=0)
-    jet = big.jet(p, 1)
-    assert len(grouped) == 1
-    with pytest.raises(ValueError):
-        jet.c[0] = 1.0
-    with pytest.raises(ValueError):
-        p._cache[x * y].c += 1.0
+    terms = [(1, x.sqrt(), y), (-1, y.log(), x)]
+    f = fields.fsum(terms)
+    assert type(f) is fields.Sum
+    flat = np.array([[0.5, -1.0], [-1.0, 0.5], [0.25, 0.25]])
+    p = ChartPoint(*np.split(flat, 3))
+    for root in (f, hand_sum(terms, fields.ZERO)):
+        for run in (lambda q: root.value(q), lambda q: fields.Tape((root,), 1).run(q)):
+            with pytest.raises(JetDomainError) as err:
+                run(ChartPoint(*np.split(flat, 3)))
+            assert err.value.index == 1
+            assert str(err.value) == f"sqrt at a non-positive value at {p.text(1)}"
 
 
 def test_one_point_rho_evaluates_each_node_once(kitchen_sink_integrand):

@@ -2,7 +2,8 @@
 build the very nodes of the dense loops they replace.
 
 Each reference below is the dense loop body: it walks every index and
-leaves the skipping of constant-zero terms to ``fsum``.  Nodes are
+leaves the skipping of constant-zero terms to ``fsum`` (and to ``fdot``,
+whose entries are ``fsum`` nodes, for a matrix product).  Nodes are
 interned, so equal graphs are the same objects and every component is
 compared with ``is``.
 """
@@ -226,7 +227,7 @@ def dense_scalar_curvature_in_basis(nabla, F, P):
                 for W in [dfield.deformed_bracket(nabla, F, basis[a], P[:, k])]
             )
             Ric[s, q] = Ric[q, s]
-    Gt = P.T @ F.G @ P
+    Gt = fields.fdot(fields.fdot(P.T, F.G), P)
     Gtinv = fields.finverse(Gt)
     return fsum((1, Gtinv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
 

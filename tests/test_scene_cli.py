@@ -789,6 +789,22 @@ def test_docs_name_every_reserved_object_name():
     assert set(re.findall(r"`([^`]+)`", rest)) == set(OBJECTS) - lowercase
 
 
+def test_zero_over_zero_exits_2_as_one_over_zero(tmp_path, capsys):
+    # a zero divisor is a domain error over a zero numerator too, so 0/0 in
+    # [base_metric] is refused at load with the point, as 1/0 is
+    errors = []
+    for text in ("1 + 0/0", "1 + 1/0"):
+        path = _write(tmp_path, f"[scene]\nm = 2\n\n[base_metric]\nrow1 = {text}; 0\nrow2 = 0; 1\n")
+        assert cli.main(["check", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        head, sep, point = err.strip().partition(" at ")
+        assert head == f"error: {path}: [base_metric]: division by zero" and sep
+        parse_point(point, 2)
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
 def test_load_scene_lets_program_errors_propagate(tmp_path, monkeypatch):
     # only input errors become SceneError (exit 2); a TypeError is a bug
     def broken(g, H):
