@@ -37,7 +37,18 @@ Equal sums are one node; only the order of the terms shapes it (and so
 the last bits of its values).  The hot construction loops walk only the
 indices that can give a nonzero term.  A matrix product of field arrays
 is ``fdot``, one ``fsum`` per entry: numpy's ``@`` would build the
-loop's chain of product and ``+`` nodes.
+loop's chain of one-term sums.
+
+The operators build ``Sum`` nodes too, after their constant folds:
+``a + b`` and ``a - b`` are the start ``a`` with the term ``(1, b)`` or
+``(-1, b)``, ``-a`` and ``a * b`` the term ``(-1, a)`` or ``(1, a, b)``
+over a zero start, and ``a / b`` the term ``(1, a, Func("reciprocal",
+b))``.  A quotient is interned as it stands, not through ``fsum``, so a
+constant-zero numerator stays in it and its divisor is still evaluated:
+``0/0`` raises as ``1/0`` does.  So every node is a ``Const``, a
+``Coord``, a ``Sum``, a ``Pow``, a ``Func``, a ``Partial`` or an entry
+of a matrix inverse, and one branch of the runner evaluates every sum
+and product.
 
 Evaluation never recurses, and it evaluates each node once per point
 batch, at its top order: the highest order any reader asks for (a
@@ -48,21 +59,21 @@ degree, so a reader at a lower order reads the leading rows, bit for bit
 (the matrix inverse excepted: its Newton steps at a higher order refine
 the value row too).  One planner (``_plan``) walks the graph below a set
 of roots, giving the nodes in dependency order and their top orders, and
-one runner (``_run``) evaluates them.  A constant factor, or a constant
-numerator of ``/``, scales the other jet as a number, so an overflowed
-row takes no 0 * inf.  A ``Sum`` multiplies each term's factors left to
-right with ``mul_coeffs`` and adds or subtracts the products from the
-start left to right (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., ch. 13; JAX's Taylor-mode ``jet`` likewise propagates a whole
-contraction as one primitive, Bettencourt, Johnson & Duvenaud, 2019):
-the loop's floating-point operations in its order, at the top order its
-chain of nodes would have had, so its jet is the chain's bit for bit.
-Its operands, the start and the factors that are not constants, come in
-the order the chain's depth-first evaluation meets them, so its
-``JetDomainError`` is the chain's.  Graph height is bounded by memory,
-not by Python's recursion limit.  Every point is one batch, a
-``ChartPoint`` whose ``flat`` array (3m, npoints) a ``Coord`` reads its
-row of.  The plan has two callers:
+one runner (``_run``) evaluates them.  A ``Sum`` multiplies each term's
+factors left to right with ``mul_coeffs`` and adds or subtracts the
+products from the start left to right (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13; JAX's Taylor-mode ``jet`` likewise
+propagates a whole contraction as one primitive, Bettencourt, Johnson &
+Duvenaud, 2019): the loop's floating-point operations in its order, at
+the top order its chain of nodes would have had, so its jet is the
+chain's bit for bit.  A constant factor scales the product of the others
+as a number, so an overflowed row takes no 0 * inf.  Its operands, the
+start and the factors that are not constants, come in the order the
+chain's depth-first evaluation meets them, so its ``JetDomainError`` is
+the chain's, and a quotient's numerator raises before its divisor.
+Graph height is bounded by memory, not by Python's recursion limit.
+Every point is one batch, a ``ChartPoint`` whose ``flat`` array (3m,
+npoints) a ``Coord`` reads its row of.  The plan has two callers:
 
 - suite points, which verification reuses across many fields: ``jet``,
   ``value`` and ``fvalue`` keep one jet per node in the point's memo,
@@ -202,7 +213,7 @@ class ScalarField(metaclass=_Interned):
                 return other
             if type(self) is type(other):
                 return Const(self.v + other.v)
-        return _intern((Bin, "+", self, other))
+        return _intern((Sum, self, ((1, other),)))
 
     __radd__ = __add__
 
@@ -213,7 +224,7 @@ class ScalarField(metaclass=_Interned):
                 return self
             if type(self) is Const:
                 return Const(self.v - other.v)
-        return _intern((Bin, "-", self, other))
+        return _intern((Sum, self, ((-1, other),)))
 
     def __rsub__(self, other):  # other is not a field, or its __sub__ would run
         return Const(other) - self
@@ -221,7 +232,7 @@ class ScalarField(metaclass=_Interned):
     def __neg__(self):
         if type(self) is Const:
             return Const(-self.v)
-        return _intern((Bin, "-", ZERO, self))
+        return _intern((Sum, ZERO, ((-1, self),)))
 
     def __mul__(self, other):
         other = other if isinstance(other, ScalarField) else Const(other)
@@ -234,7 +245,7 @@ class ScalarField(metaclass=_Interned):
                 return self
             if type(self) is type(other):
                 return Const(self.v * other.v)
-        return _intern((Bin, "*", self, other))
+        return _intern((Sum, ZERO, ((1, self, other),)))
 
     __rmul__ = __mul__
 
@@ -243,10 +254,12 @@ class ScalarField(metaclass=_Interned):
         if type(other) is Const and other.v != 0.0:
             # a constant factor, which evaluation scales by as a number
             return self * Const(1.0 / other.v)
-        return _intern((Bin, "/", self, other))  # a zero divisor raises when evaluated
+        # interned as it stands, so a zero numerator keeps its divisor, which
+        # is still evaluated: a zero divisor raises then, 0/0 included
+        return _intern((Sum, ZERO, ((1, self, _intern((Func, "reciprocal", other))),)))
 
     def __rtruediv__(self, other):
-        return _intern((Bin, "/", Const(other), self))
+        return _intern((Sum, ZERO, ((1, Const(other), _intern((Func, "reciprocal", self))),)))
 
     def __pow__(self, n: int):
         if not isinstance(n, (int, np.integer)):
@@ -374,17 +387,6 @@ class Coord(ScalarField):
         self.support = frozenset((self.var,))
 
 
-class Bin(ScalarField):
-    __slots__ = ("op", "a", "b")
-
-    def __init__(self, op, a, b):
-        self.op, self.a, self.b = op, a, b
-        self.support = _union(a.support, b.support)
-
-    def _operands(self):
-        return (self.a, self.b)
-
-
 class Pow(ScalarField):
     __slots__ = ("base", "n")
 
@@ -420,19 +422,22 @@ class Partial(ScalarField):
 
 class Sum(ScalarField):
     """``start`` plus or minus the product of each of ``terms``, as
-    ``fsum`` keeps them; see the module docstring."""
+    ``fsum`` keeps them or an operator builds them (a quotient keeps a
+    zero numerator, so its divisor is still evaluated); see the module
+    docstring."""
 
     __slots__ = ("start", "terms", "ops")
 
     def __init__(self, start, terms):
         self.start, self.terms = start, terms
-        ops = [f for term in terms for f in term[1:] if type(f) is not Const]
-        if type(start) is not Const:
-            ops.insert(0, start)
-        self.ops = tuple(ops)
+        ops = [] if type(start) is Const else [start]
         support = start.support
-        for other in {f.support for f in ops}:
-            support = _union(support, other)
+        for term in terms:
+            for f in term[1:]:
+                if type(f) is not Const:
+                    ops.append(f)
+                    support = _union(support, f.support)
+        self.ops = tuple(ops)
         self.support = support
 
     def _operands(self):
@@ -632,14 +637,6 @@ class _Restriction:
 _OPERANDS = operator.methodcaller("_operands")
 
 
-def _scaled(jet: Jet, v: float) -> Jet:
-    """``jet`` times the constant ``v``, as a number.  On finite rows this
-    is the product with ``v``'s constant jet bit for bit (that jet's zero
-    rows add only zeros, and ``+ 0.0`` turns a -0.0 into +0.0 as the
-    product does), but a row where ``jet`` overflowed takes no 0 * inf."""
-    return Jet(jet.space, jet.c * v + 0.0)
-
-
 def _lead(jet: Jet, space) -> Jet:
     """``jet`` in ``space``, over its variables at an order no higher: its
     leading rows, as terms are sorted by degree."""
@@ -651,14 +648,17 @@ def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
     its operands in order: the chain's operations, in its order."""
     nt, start, owned = space.nterms, node.start, False
     if type(start) is not Const:
-        acc = next(jets).c[:nt]
+        jet = next(jets)
+        acc = jet.c if jet.space is space else jet.c[:nt]
     elif node.terms[0][0] > 0 and (start is ZERO or start is _NEG_ZERO):
         acc = None  # the folds start the chain at its first product
+    elif start is ZERO:
+        acc = 0.0  # stands for ZERO's jet, each of whose rows is 0.0
     else:
         acc = Jet.constant(space, start.v, p.npoints).c
-    for sign, *factors in node.terms:
+    for term in node.terms:
         prod = None
-        for f in factors:
+        for f in term[1:]:
             if type(f) is Const:  # a leading constant is a number until its factor comes
                 prod = f.v if prod is None else prod * f.v + 0.0
                 continue
@@ -666,7 +666,7 @@ def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
             x = jet.c if jet.space is space else jet.c[:nt]
             if prod is None:
                 prod = x
-            elif type(prod) is float:  # as ``_scaled``
+            elif type(prod) is float:  # a number: no 0 * inf, and -0.0 + 0.0 is +0.0 as in mul_coeffs
                 prod = x * prod + 0.0
             else:
                 prod = mul_coeffs(space, prod, x)
@@ -675,9 +675,9 @@ def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
         if acc is None:
             acc = prod
         elif owned:
-            (np.add if sign > 0 else np.subtract)(acc, prod, out=acc)
+            (np.add if term[0] > 0 else np.subtract)(acc, prod, out=acc)
         else:
-            acc, owned = acc + prod if sign > 0 else acc - prod, True
+            acc, owned = acc + prod if term[0] > 0 else acc - prod, True
     return acc
 
 
@@ -695,19 +695,7 @@ def _run(entries, vals: dict, p: ChartPoint):
     try:
         for node, space, reads, plan, free in entries:
             kind = type(node)
-            if kind is Bin:
-                a, b, op = vals[reads[0]], vals[reads[1]], node.op
-                if a.space is not space or b.space is not space:
-                    a, b = _lead(a, space), _lead(b, space)
-                if type(node.a) is Const and op in "*/":
-                    jet = _scaled(b if op == "*" else b.reciprocal(), node.a.v)
-                elif type(node.b) is Const and op == "*":
-                    jet = _scaled(a, node.b.v)
-                elif op in "+-":  # as Jet's + and -, on the same space
-                    jet = Jet(space, a.c + b.c if op == "+" else a.c - b.c)
-                else:
-                    jet = a * b if op == "*" else a / b
-            elif kind is Sum:
+            if kind is Sum:
                 jet = Jet(space, _sum_coeffs(node, space, map(vals.__getitem__, reads), p))
             elif kind is Partial:  # the parent's rows one order up, valid on a longer jet
                 up = plan or jet_space(space.nvars, space.order + 1).partial_table(node.var)

@@ -17,8 +17,8 @@ from functools import reduce
 import numpy as np
 
 from bigtangent import horizon, metrics, tensorcalc as tc
-from bigtangent.fields import ScalarField, fzeros
-from bigtangent.jets import Jet, JetDomainError
+from bigtangent.fields import Const, ScalarField, fzeros
+from bigtangent.jets import Jet, JetDomainError, mul_coeffs
 from bigtangent.metrics import BigMetric
 from bigtangent.points import ChartPoint
 from bigtangent.tensorcalc import TensorField
@@ -79,6 +79,27 @@ def hand_sum(terms, start):
         prod = reduce(operator.mul, factors)
         acc = acc + prod if sign > 0 else acc - prod
     return acc
+
+
+def operator_jet(op: str, a: ScalarField, b: ScalarField, ja: Jet, jb: Jet) -> Jet:
+    """The jet of ``a op b``, ``op`` one of ``+ - * /``, by the two-operand
+    rule, from the jets ``ja`` and ``jb`` of ``a`` and ``b`` in one space
+    (``-a`` is ``ZERO - a``): ``+`` and ``-`` add or subtract the
+    coefficients, ``*`` multiplies them with ``mul_coeffs`` and ``/`` is
+    ``a * b.reciprocal()``.  A constant factor of ``*``, or a constant
+    numerator of ``/``, scales the other jet as a number, ``c * x + 0.0``:
+    a -0.0 becomes +0.0 as in the product, and an overflowed row takes no
+    0 * inf."""
+    space = ja.space
+    if op in "+-":
+        return Jet(space, ja.c + jb.c if op == "+" else ja.c - jb.c)
+    if op == "/":
+        jb = jb.reciprocal()
+    if type(a) is Const:
+        return Jet(space, a.v * jb.c + 0.0)
+    if type(b) is Const and op == "*":
+        return Jet(space, b.v * ja.c + 0.0)
+    return Jet(space, mul_coeffs(space, ja.c, jb.c))
 
 
 # -- tensors --------------------------------------------------------------

@@ -13,7 +13,7 @@ from bigtangent import dfield, fields, horizon, scene
 from bigtangent.exprdsl import parse_expr
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
-from oracles import box_points, fd_oracle, hand_sum, shifted
+from oracles import box_points, fd_oracle, hand_sum, operator_jet, shifted
 
 
 def fmat(rows) -> np.ndarray:
@@ -162,7 +162,8 @@ def test_equal_constructions_are_one_node():
     text = "sin(x1*y2) + z1^3 / exp(x2)"
     f = parse_expr(text, 2)
     assert parse_expr(text, 2) is f
-    assert fields.Bin("+", f.a, f.b) is f
+    a, ((sign, b),) = f.start, f.terms
+    assert sign == 1 and a + b is f and fields.Sum(a, ((1, b),)) is f
     assert f.partial(0) is f.partial(0)
     assert fields.Const(2) is fields.Const(2.0)
     a = fmat([[parse_expr("1 + x1^2", 1), 0.0], [0.0, 2.0]])
@@ -210,6 +211,7 @@ def _kinds():
     x, y = fields.Coord(0), fields.Coord(1)
     # the constants of the folds and coerced floats, held so those hit
     two, c, half = fields.Const(2.0), fields.Const(3.0625), fields.Const(2.5)
+    inv = fields.Func("reciprocal", f)  # the divisor's node of a quotient
     mat = fmat([[f, 0.5], [x, 3.0]])
     owner = fields.finverse(mat)[0, 0].owner
     owner_key = (fields._MatrixInverse, owner.rows)
@@ -218,15 +220,14 @@ def _kinds():
         ("Const(-0.0)", lambda: fields.Const(-0.0), (fields.Const, -0.0, -1.0)),
         ("Const fold", lambda: two * c, (fields.Const, 6.125, 1.0)),
         ("Coord", lambda: fields.Coord(2), (fields.Coord, 2)),
-        ("+", lambda: f + x, (fields.Bin, "+", f, x)),
-        ("radd", lambda: 2.5 + f, (fields.Bin, "+", f, half)),
-        ("-", lambda: f - y, (fields.Bin, "-", f, y)),
-        ("rsub", lambda: 2.5 - f, (fields.Bin, "-", half, f)),
-        ("neg", lambda: -f, (fields.Bin, "-", fields.ZERO, f)),
-        ("*", lambda: f * y, (fields.Bin, "*", f, y)),
-        ("/", lambda: x / f, (fields.Bin, "/", x, f)),
-        ("rtruediv", lambda: 2.5 / f, (fields.Bin, "/", half, f)),
-        ("Bin", lambda: fields.Bin("*", x, y), (fields.Bin, "*", x, y)),
+        ("+", lambda: f + x, (fields.Sum, f, ((1, x),))),
+        ("radd", lambda: 2.5 + f, (fields.Sum, f, ((1, half),))),
+        ("-", lambda: f - y, (fields.Sum, f, ((-1, y),))),
+        ("rsub", lambda: 2.5 - f, (fields.Sum, half, ((-1, f),))),
+        ("neg", lambda: -f, (fields.Sum, fields.ZERO, ((-1, f),))),
+        ("*", lambda: f * y, (fields.Sum, fields.ZERO, ((1, f, y),))),
+        ("/", lambda: x / f, (fields.Sum, fields.ZERO, ((1, x, inv),))),
+        ("rtruediv", lambda: 2.5 / f, (fields.Sum, fields.ZERO, ((1, half, inv),))),
         ("Pow", lambda: f**3, (fields.Pow, f, 3)),
         ("Func", lambda: f.exp(), (fields.Func, "exp", f)),
         ("Partial", lambda: f.partial(1), (fields.Partial, f, 1)),
@@ -253,8 +254,8 @@ def test_a_new_node_runs_init_once_and_a_hit_none(monkeypatch):
     # counted as perfbench's tracer counts built nodes: a patched __init__
     # that counts a call when it is the node's own class's __init__
     built = []
-    for cls in (fields.Const, fields.Coord, fields.Bin, fields.Pow, fields.Func,
-                fields.Partial, fields.Sum, fields._MatrixInverse, fields._MatInvEntry):
+    for cls in (fields.Const, fields.Coord, fields.Pow, fields.Func, fields.Partial,
+                fields.Sum, fields._MatrixInverse, fields._MatInvEntry):
         def counting(self, *args, _init=cls.__dict__["__init__"], _cls=cls):
             if type(self) is _cls:
                 built.append(self)
@@ -272,7 +273,7 @@ def test_a_new_node_runs_init_once_and_a_hit_none(monkeypatch):
 
 def test_dropped_graph_is_freed():
     f = parse_expr("cos(x1 * 12.375) + y1^7 * 0.3125", 1)
-    probe = weakref.ref(f.a)
+    probe = weakref.ref(f.start)
     f.jet(sample_box(1, 2, seed=0), 1)
     del f
     gc.collect()
@@ -485,14 +486,19 @@ def test_matrix_products_build_the_fsum_node():
 
 
 def test_a_zero_divisor_raises_over_a_zero_numerator_too():
-    # 0/0 builds its quotient node and raises when evaluated, as 1/0 does;
-    # only a literal-zero factor of * folds, so (1/0)*0 is 0
+    # 0/0 builds its quotient node, numerator times the divisor's
+    # reciprocal, with a zero numerator kept, and raises when evaluated, as
+    # 1/0 does; only a literal-zero factor of * folds, so (1/0)*0 is 0
     x = fields.Coord(0)
     p = sample_box(1, 2, seed=0)
-    quotients = [fields.ZERO / fields.ZERO, fields.Const(-0.0) / 0.0, (x - x) / 0]
-    quotients += [parse_expr(text, 1) for text in ("0/0", "x1*0/0", "(x1-x1)/0", "1/0")]
-    for f in quotients:
-        assert type(f) is fields.Bin and f.op == "/"
+    zero, diff = fields.ZERO, x - x
+    quotients = [(zero / zero, zero), (fields.Const(-0.0) / 0.0, fields.Const(-0.0)), (diff / 0, diff)]
+    quotients += [
+        (parse_expr(text, 1), numerator)
+        for text, numerator in (("0/0", zero), ("x1*0/0", zero), ("(x1-x1)/0", diff), ("1/0", fields.ONE))
+    ]
+    for f, numerator in quotients:
+        assert f is fields.Sum(zero, ((1, numerator, fields.Func("reciprocal", zero)),))
         with pytest.raises(JetDomainError, match="^division by zero at "):
             f.value(p)
     assert parse_expr("(1/0)*0", 1) is fields.ZERO
@@ -826,6 +832,76 @@ def test_sum_raises_the_chain_domain_error():
                 run(ChartPoint(*np.split(flat, 3)))
             assert err.value.index == 1
             assert str(err.value) == f"sqrt at a non-positive value at {p.text(1)}"
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# constants of both signs, fields and numbers, on either side of an operator;
+# the log and sqrt raise at a non-positive sample
+_OPERANDS = [*_SUM_FACTORS, fields.Const(-3.0), 0.0, 2.5, parse_expr("log(x1)", 1), parse_expr("sqrt(y1)", 1)]
+
+
+def _outcome(run):
+    """``run()``'s jets, or the message and sample of its ``JetDomainError``."""
+    try:
+        return run()
+    except JetDomainError as err:
+        return err.message, err.index
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([*_OPERATORS, "neg"]),
+    st.sampled_from(_OPERANDS),
+    st.sampled_from(_OPERANDS),
+    st.lists(st.sampled_from(_SUM_VALUES), min_size=9, max_size=9),
+)
+# the numerator fails at sample 1 of three, the divisor at sample 0 (and
+# at the one sample of width 1): the numerator's error comes first
+@example("/", parse_expr("log(x1)", 1), parse_expr("sqrt(y1)", 1), [0.5, -1.25, 0.5, -1.25, 0.5, 0.5, 3.0, 3.0, 3.0])
+@example("/", fields.ZERO, fields.Coord(1), [0.5, 0.0, 0.0] * 3)  # 0/0 raises
+@example("*", fields.Const(-3.0), fields.Coord(0), [0.5, -0.0, 3.0] * 3)  # -3 * 0.0 rows are +0.0
+@example("*", fields.Coord(0), -3.0, [0.5, -0.0, 3.0] * 3)
+def test_each_operator_runs_the_two_operand_rule(op, a, b, coords):
+    # each operator builds a Sum node; where no constant fold returns an
+    # operand or a constant, its jet is the two-operand rule's
+    # (oracles.operator_jet) from its operands' jets, bit for bit, the sign
+    # of zero, NaN and overflowed rows included, on the memo path and on a
+    # tape at widths 1 and 3 and orders 0-2; its first domain error is the
+    # rule's, which evaluates the numerator before the divisor
+    if op == "neg":
+        x, y = fields.ZERO, fields.as_field(a)
+        node, op = -y, "-"
+    else:
+        assume(isinstance(a, fields.ScalarField) or isinstance(b, fields.ScalarField))
+        node = _OPERATORS[op](a, b)
+        x, y = fields.as_field(a), fields.as_field(b)
+        if op in "+*" and not isinstance(a, fields.ScalarField):
+            x, y = y, x  # number + field is field + number, and so for *
+        if op == "/" and type(y) is fields.Const and y.v != 0.0:
+            op, y = "*", fields.Const(1.0 / y.v)  # a constant divisor is its reciprocal factor
+    if type(node) is fields.Const or node is x or node is y:
+        return  # folded
+
+    def rule(q, k):
+        jx, jy = x.jet(q, k), y.jet(q, k)
+        return [operator_jet(op, x, y, jx, jy), jx, jy]
+
+    with np.errstate(all="ignore"):
+        for width in (1, 3):
+            pts = np.reshape(coords[: 3 * width], (3, 1, width))
+            for k in range(3):
+                p = ChartPoint(*pts)
+                want = _outcome(lambda: rule(ChartPoint(*pts), k))
+                runs = (
+                    lambda: [node.jet(p, k), x.jet(p, k), y.jet(p, k)],
+                    lambda: fields.Tape((node, x, y), k).run(ChartPoint(*pts)),
+                )
+                for run in runs:
+                    got = _outcome(run)
+                    if type(want) is tuple:
+                        assert got == want
+                    else:
+                        _assert_same_jets(got, want)
 
 
 def test_one_point_rho_evaluates_each_node_once(kitchen_sink_integrand):

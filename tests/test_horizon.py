@@ -362,8 +362,9 @@ def _substitute_x(f: ScalarField, subs) -> ScalarField:
         return subs[f.var] if f.var < len(subs) else f
     if isinstance(f, fields.Const):
         return f
-    if isinstance(f, fields.Bin):
-        return fields.Bin(f.op, _substitute_x(f.a, subs), _substitute_x(f.b, subs))
+    if isinstance(f, fields.Sum):
+        terms = tuple((sign, *(_substitute_x(g, subs) for g in factors)) for sign, *factors in f.terms)
+        return fields.Sum(_substitute_x(f.start, subs), terms)
     if isinstance(f, fields.Pow):
         return fields.Pow(_substitute_x(f.base, subs), f.n)
     if isinstance(f, fields.Func):
