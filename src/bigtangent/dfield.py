@@ -795,7 +795,7 @@ def _integrand_values(m: int, tape: fields.Tape, pts: np.ndarray) -> np.ndarray:
     as an (3m, npoints) array, run on ``tape``, the field's
     ``integrand_tape``."""
     p = ChartPoint(pts[:m], pts[m : 2 * m], pts[2 * m :])
-    rv, dv, detv = (jet.value for jet in tape.run(p))
+    rv, dv, detv = (jet[0] for jet in tape.run(p))
     vals = np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv))
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand sample")

@@ -1,11 +1,12 @@
 """Lazy scalar fields over the 3m chart with exact derivatives.
 
 A ``ScalarField`` is a node in a computational graph.  Evaluating a node
-at a ``ChartPoint`` produces a ``Jet``; requesting a partial derivative
-returns a new node whose jet is read off the parent's jet one order
-higher.  This keeps every derived tensor component (connection
-coefficients, curvatures, ...) representable as a field again, with all
-derivatives exact.
+at a ``ChartPoint`` produces its jet, a coefficient array in a
+``JetSpace`` (``jets``); requesting a partial derivative returns a new
+node whose jet is read off the parent's jet one order higher.  This
+keeps every derived tensor component (connection coefficients,
+curvatures, ...) representable as a field again, with all derivatives
+exact.
 
 Nodes are hash-consed: every construction (a class call, an operator,
 ``partial``, a constant fold, ``finverse``) probes one module-level table
@@ -123,8 +124,8 @@ import operator
 import weakref
 import numpy as np
 
-from .jets import Jet, JetDomainError, jet_space, mul_coeffs
-from .multiindex import partial_rows, restriction
+from .jets import FUNCTIONS, JetDomainError, constant, mul_coeffs, power, variable
+from .multiindex import jet_space, partial_rows, restriction
 from .points import ChartPoint
 
 _NO_VARS = frozenset()
@@ -181,13 +182,15 @@ class ScalarField(metaclass=_Interned):
 
     __slots__ = ("support", "__weakref__")
 
-    def jet(self, p: ChartPoint, order: int) -> Jet:
-        """The jet at ``p`` truncated at ``order``, memoised on ``p``."""
+    def jet(self, p: ChartPoint, order: int) -> np.ndarray:
+        """The jet at ``p`` in ``jet_space(3m, order)``, memoised on ``p``:
+        the memo's coefficient array, or its leading rows if it is longer."""
+        nterms = jet_space(3 * p.m, order).nterms
         hit = p._cache.get(self)
-        if hit is None or hit.space.order < order:
+        if hit is None or len(hit) < nterms:
             _memo_eval((self,), order, p)
             hit = p._cache[self]
-        return _lead(hit, jet_space(3 * p.m, order))
+        return hit if len(hit) == nterms else hit[:nterms]
 
     def _operands(self) -> tuple:
         """The nodes whose jets this node's jet is computed from, in the
@@ -196,7 +199,7 @@ class ScalarField(metaclass=_Interned):
         return ()
 
     def value(self, p: ChartPoint) -> np.ndarray:
-        return self.jet(p, 0).value
+        return self.jet(p, 0)[0]
 
     def partial(self, var: int) -> "ScalarField":
         return _intern((Partial, self, var)) if var in self.support else ZERO
@@ -457,14 +460,14 @@ def fvalue(arr, p: ChartPoint) -> np.ndarray:
     arr = np.asarray(arr, dtype=object)
     roots = [as_field(f) for f in arr.flat]
     _memo_eval(roots, 0, p)
-    out = np.array([p._cache[f].c[0] for f in roots], dtype=float)
+    out = np.array([p._cache[f][0] for f in roots], dtype=float)
     return out.reshape(arr.shape + (p.npoints,))
 
 
 # -- jet-exact matrix inversion -------------------------------------------
-def _jet_inverse(A: np.ndarray) -> np.ndarray:
-    """Invert a square object array of jets (one shared space) by Newton
-    iteration on their (nterms, n, n, npoints) coefficient array.
+def _jet_inverse(space, A: np.ndarray) -> np.ndarray:
+    """Invert the (n, n, nterms, npoints) array ``A`` of jets in ``space``
+    by Newton iteration on its (nterms, n, n, npoints) transpose.
 
     The seed is numpy's inverse of the value part at each point; each Newton
     step X <- X(2I - AX) doubles the order to which X is exact, so
@@ -472,10 +475,10 @@ def _jet_inverse(A: np.ndarray) -> np.ndarray:
     n jet products left to right from the first, as object ``@`` does, so
     the jets are those of the object arrays' Newton bit for bit.  A
     singular value part raises ``JetDomainError`` at its first sample.
-    The jets returned are views of one read-only array.
+    The inverse is returned as one read-only (n, n, nterms, npoints) array.
     """
-    space, n = A[0, 0].space, len(A)
-    a = np.array([[jet.c for jet in row] for row in A]).transpose(2, 0, 1, 3)
+    n = len(A)
+    a = A.transpose(2, 0, 1, 3)
     values = a[0].transpose(2, 0, 1)
     try:
         inv0 = np.linalg.inv(values)
@@ -503,10 +506,7 @@ def _jet_inverse(A: np.ndarray) -> np.ndarray:
         x = matmul(x, e)
     x = np.ascontiguousarray(x.transpose(1, 2, 0, 3))
     x.flags.writeable = False
-    out = np.empty((n, n), dtype=object)
-    for i, j in np.ndindex(n, n):
-        out[i, j] = Jet(space, x[i, j])
-    return out
+    return x
 
 
 class _MatrixInverse(metaclass=_Interned):
@@ -568,11 +568,6 @@ def fdet(mat: np.ndarray) -> ScalarField:
 _DONE = object()  # pushed above a node, so it is popped once the node's operands are done
 
 
-def _order(jet) -> int:
-    """The order of a stored jet, or of a matrix inverse's jets."""
-    return (jet.flat[0] if type(jet) is np.ndarray else jet).space.order
-
-
 def _walk(want, memo) -> tuple[list, list]:
     """(nodes, frontier): the nodes of ``want`` and those below them that
     ``memo`` lacks, each after its operands, in the order in which a
@@ -595,7 +590,7 @@ def _walk(want, memo) -> tuple[list, list]:
     return nodes, frontier
 
 
-def _plan(want: dict, memo) -> tuple[list, dict]:
+def _plan(want: dict, memo, nvars: int) -> tuple[list, dict]:
     """(nodes, tops): the nodes to evaluate for ``want``, a dict from
     root to order, in evaluation order, and each one's top order.
 
@@ -604,6 +599,10 @@ def _plan(want: dict, memo) -> tuple[list, dict]:
     at a lower order is evaluated again, first, with whatever below it is
     held too low: nothing that ``memo`` lacks is below it.
     """
+
+    def short(n, k):  # fewer rows than order k has terms; an inverse's are shape[-2]
+        return memo[n].shape[-2] < jet_space(nvars, k).nterms
+
     nodes, frontier = _walk(want, memo)
     tops = dict.fromkeys(nodes, 0)
     tops.update(want)
@@ -613,12 +612,12 @@ def _plan(want: dict, memo) -> tuple[list, dict]:
             for r in n._operands():
                 if tops.get(r, 0) < k:
                     tops[r] = k
-    todo = [(f, tops.get(f, 0)) for f in frontier if _order(memo[f]) < tops.get(f, 0)]
+    todo = [(f, tops.get(f, 0)) for f in frontier if short(f, tops.get(f, 0))]
     if todo:
         again = {}  # the stored nodes to evaluate again, at their top orders
         while todo:
             n, k = todo.pop()
-            if again.get(n, -1) < k and _order(memo[n]) < k:
+            if again.get(n, -1) < k and short(n, k):
                 again[n] = k
                 k += type(n) is Partial
                 todo += ((r, k) for r in n._operands())
@@ -637,25 +636,19 @@ class _Restriction:
 _OPERANDS = operator.methodcaller("_operands")
 
 
-def _lead(jet: Jet, space) -> Jet:
-    """``jet`` in ``space``, over its variables at an order no higher: its
-    leading rows, as terms are sorted by degree."""
-    return jet if jet.space is space else Jet(space, jet.c[: space.nterms])
-
-
 def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
     """The coefficients of ``node`` in ``space`` from ``jets``, those of
     its operands in order: the chain's operations, in its order."""
     nt, start, owned = space.nterms, node.start, False
     if type(start) is not Const:
         jet = next(jets)
-        acc = jet.c if jet.space is space else jet.c[:nt]
+        acc = jet if len(jet) == nt else jet[:nt]
     elif node.terms[0][0] > 0 and (start is ZERO or start is _NEG_ZERO):
         acc = None  # the folds start the chain at its first product
     elif start is ZERO:
         acc = 0.0  # stands for ZERO's jet, each of whose rows is 0.0
     else:
-        acc = Jet.constant(space, start.v, p.npoints).c
+        acc = constant(space, start.v, p.npoints)
     for term in node.terms:
         prod = None
         for f in term[1:]:
@@ -663,7 +656,7 @@ def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
                 prod = f.v if prod is None else prod * f.v + 0.0
                 continue
             jet = next(jets)
-            x = jet.c if jet.space is space else jet.c[:nt]
+            x = jet if len(jet) == nt else jet[:nt]
             if prod is None:
                 prod = x
             elif type(prod) is float:  # a number: no 0 * inf, and -0.0 + 0.0 is +0.0 as in mul_coeffs
@@ -671,7 +664,7 @@ def _sum_coeffs(node: Sum, space, jets, p: ChartPoint) -> np.ndarray:
             else:
                 prod = mul_coeffs(space, prod, x)
         if type(prod) is float:
-            prod = Jet.constant(space, prod, p.npoints).c
+            prod = constant(space, prod, p.npoints)
         if acc is None:
             acc = prod
         elif owned:
@@ -696,30 +689,30 @@ def _run(entries, vals: dict, p: ChartPoint):
         for node, space, reads, plan, free in entries:
             kind = type(node)
             if kind is Sum:
-                jet = Jet(space, _sum_coeffs(node, space, map(vals.__getitem__, reads), p))
+                jet = _sum_coeffs(node, space, map(vals.__getitem__, reads), p)
             elif kind is Partial:  # the parent's rows one order up, valid on a longer jet
                 up = plan or jet_space(space.nvars, space.order + 1).partial_table(node.var)
-                jet = Jet(space, vals[reads[0]].c[up[0]] * up[1])
+                jet = vals[reads[0]][up[0]] * up[1]
             elif kind is Pow:
-                jet = _lead(vals[reads[0]], space) ** node.n
+                jet = power(space, vals[reads[0]][: space.nterms], node.n)
             elif kind is Func:
-                jet = getattr(_lead(vals[reads[0]], space), node.name)()
-            elif kind is _MatInvEntry:
+                jet = FUNCTIONS[node.name](space, vals[reads[0]][: space.nterms])
+            elif kind is _MatInvEntry:  # a view of the owner's read-only array
                 jet = vals[reads[0]][node.i, node.j]
             elif kind is _Restriction:
-                jet = Jet(space, vals[reads[0]].c[plan])
+                jet = vals[reads[0]][plan]
             elif kind is Const:
-                jet = Jet.constant(space, node.v, p.npoints)
+                jet = constant(space, node.v, p.npoints)
             elif kind is Coord:
                 value = p.flat[node.var]
                 at = node.var if plan is None else plan[0]
                 if at is None:  # the reader does not differentiate along it
-                    jet = Jet.constant(space, value, p.npoints)
+                    jet = constant(space, value, p.npoints)
                 else:
-                    jet = Jet.variable(space, at, value)
+                    jet = variable(space, at, value)
             else:  # _MatrixInverse: every entry of the inverse at once
-                A = np.fromiter((_lead(vals[r], space) for r in reads), dtype=object)
-                jet = _jet_inverse(A.reshape(node.n, node.n))
+                A = np.array([vals[r][: space.nterms] for r in reads])
+                jet = _jet_inverse(space, A.reshape(node.n, node.n, *A.shape[1:]))
             vals[node] = jet
             for dead in free:
                 del vals[dead]
@@ -733,10 +726,10 @@ def _memo_eval(roots, order: int, p: ChartPoint):
     """Store in the point's memo a jet of each of ``roots`` at ``order``
     or higher, evaluating only what the memo lacks or holds too short."""
     memo, n = p._cache, 3 * p.m
-    jet_space(n, order)  # refuses a negative order
-    want = {f: order for f in roots if f not in memo or memo[f].space.order < order}
+    nterms = jet_space(n, order).nterms  # refuses a negative order
+    want = {f: order for f in roots if f not in memo or len(memo[f]) < nterms}
     if want:
-        nodes, tops = _plan(want, memo)
+        nodes, tops = _plan(want, memo, n)
         spaces = [jet_space(n, tops[f]) for f in nodes]
         _run(zip(nodes, spaces, map(_OPERANDS, nodes), repeat(None), repeat(())), memo, p)
 
@@ -751,7 +744,7 @@ def _tape_entries(roots, order: int, m: int) -> list:
     """
     full = tuple(range(3 * m))
     every = frozenset(full)
-    nodes, tops = _plan(dict.fromkeys(roots, order), {})
+    nodes, tops = _plan(dict.fromkeys(roots, order), {}, 3 * m)
     demand = dict.fromkeys(roots, every)
     for n in reversed(nodes):
         kind = type(n)
@@ -843,8 +836,8 @@ class Tape:
         return entries
 
     def run(self, p: ChartPoint) -> list:
-        """The roots' jets at ``p``."""
+        """The roots' jets at ``p``, in ``jet_space(3m, order)``."""
         vals = {}
         _run(self.entries(p.m), vals, p)
-        space = jet_space(3 * p.m, self.order)
-        return [_lead(vals[f], space) for f in self.roots]
+        nterms = jet_space(3 * p.m, self.order).nterms
+        return [vals[f][:nterms] for f in self.roots]

@@ -1,10 +1,11 @@
 """Truncated multivariate Taylor jets.
 
-A ``Jet`` carries the Taylor coefficients (value and scaled partial
-derivatives) of a scalar quantity at a batch of evaluation points.
-Coefficients are stored as an array of shape (nterms, npoints); all
-arithmetic broadcasts over the point axis, so evaluating an expression
-graph at 50 sample points costs one graph traversal, not fifty.
+A jet is its coefficient array in a ``JetSpace``, of shape (nterms,
+npoints): the Taylor coefficients (value and scaled partial derivatives)
+of a scalar quantity at a batch of evaluation points.  Every operation
+here is a function of the space and the array, and broadcasts over the
+point axis, so evaluating an expression graph at 50 sample points costs
+one graph traversal, not fifty.
 
 Coefficient convention: ``c[alpha] = (d^alpha f) / alpha!``, so the
 partial derivative for a multi-index alpha is ``c[alpha] * alpha!``.
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .multiindex import JetSpace, jet_space
+from .multiindex import JetSpace
 
 
 class JetDomainError(ArithmeticError):
@@ -56,176 +57,115 @@ def mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc if pos is None else acc[pos]
 
 
-class Jet:
-    __slots__ = ("space", "c")
+def constant(space: JetSpace, value, npoints: int) -> np.ndarray:
+    """The jet of ``value`` (a number or one per point) at ``npoints`` points."""
+    c = np.zeros((space.nterms, npoints))
+    c[0] = value
+    return c
 
-    def __init__(self, space: JetSpace, c: np.ndarray):
-        self.space = space
-        self.c = c
 
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def constant(space: JetSpace, value, npoints: int) -> "Jet":
-        c = np.zeros((space.nterms, npoints))
-        c[0] = value
-        return Jet(space, c)
+def variable(space: JetSpace, var: int, value: np.ndarray) -> np.ndarray:
+    """The jet of the ``var``-th variable of ``space``, at ``value``."""
+    c = constant(space, value, len(value))
+    if space.order >= 1:
+        e = [0] * space.nvars
+        e[var] = 1
+        c[space.index[tuple(e)]] = 1.0
+    return c
 
-    @staticmethod
-    def variable(space: JetSpace, var: int, value: np.ndarray) -> "Jet":
-        jet = Jet.constant(space, value, len(value))
-        if space.order >= 1:
-            e = [0] * space.nvars
-            e[var] = 1
-            jet.c[space.index[tuple(e)]] = 1.0
-        return jet
 
-    # -- basic accessors -------------------------------------------------
-    @property
-    def value(self) -> np.ndarray:
-        return self.c[0]
+def power(space: JetSpace, c: np.ndarray, n: int) -> np.ndarray:
+    """``c`` to the integer power ``n``, by binary exponentiation; a
+    negative ``n`` raises the reciprocal to ``-n``."""
+    if n < 0:
+        return power(space, reciprocal(space, c), -n)
+    result = constant(space, 1.0, c.shape[-1])
+    base = c
+    k = int(n)
+    while k:
+        if k & 1:
+            result = mul_coeffs(space, result, base)
+        base = mul_coeffs(space, base, base)
+        k >>= 1
+    return result
 
-    @property
-    def npoints(self) -> int:
-        return self.c.shape[1]
 
-    def deriv(self, alpha) -> np.ndarray:
-        """Partial derivative values for multi-index ``alpha``."""
-        alpha = tuple(alpha)
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
-        return self.c[self.space.index[alpha]] * fac
+def compose(space: JetSpace, c: np.ndarray, derivs: list[np.ndarray]) -> np.ndarray:
+    """Compose a scalar power series with the nilpotent part of ``c``.
 
-    def partial(self, var: int) -> "Jet":
-        """The jet of d(self)/dx_var, one order lower."""
-        rows, factor = self.space.partial_table(var)
-        lower = jet_space(self.space.nvars, self.space.order - 1)
-        return Jet(lower, self.c[rows] * factor)
+    ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.  The rows of
+    w^k below degree k are exact zeros, so its term is added to the rows
+    of degree >= k only: an overflowed f^(k) leaves the lower rows finite.
+    Where f^(k) overflowed, a row of degree >= k in which w^k is an exact
+    zero takes no term either, as 0 * inf would make it NaN.
+    """
+    w = c.copy()
+    w[0] = 0.0
+    out = constant(space, derivs[0], c.shape[-1])
+    wk = None
+    for k in range(1, space.order + 1):
+        wk = w if wk is None else mul_coeffs(space, wk, w)
+        low = int(np.searchsorted(space.degrees, k))  # terms are sorted by degree
+        d = derivs[k][None, :]
+        if np.isinf(d).any():
+            with np.errstate(invalid="ignore"):  # the 0 * inf products are dropped
+                term = wk[low:] * d
+            out[low:] += np.where((wk[low:] == 0.0) & np.isinf(d), 0.0, term)
+        else:
+            out[low:] += wk[low:] * d
+    return out
 
-    # -- ring operations -------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jet space mismatch")
-            return other
-        return Jet.constant(self.space, other, self.npoints)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Jet(self.space, self.c + other.c)
+def _checked_value(c: np.ndarray, bad: np.ndarray, what: str) -> np.ndarray:
+    if np.any(bad):
+        raise JetDomainError(what, int(np.argmax(bad)))
+    return c[0]
 
-    __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Jet(self.space, self.c - other.c)
+def reciprocal(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    v = _checked_value(c, c[0] == 0.0, "division by zero")
+    derivs = [((-1.0) ** k) / v ** (k + 1) for k in range(space.order + 1)]
+    return compose(space, c, derivs)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
-    def __neg__(self):
-        return Jet(self.space, -self.c)
+def sin(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    v = c[0]
+    cycle = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
+    derivs = [cycle[k % 4] / math.factorial(k) for k in range(space.order + 1)]
+    return compose(space, c, derivs)
 
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c * other)
-        if other.space is not self.space:
-            raise ValueError("jet space mismatch")
-        return Jet(self.space, mul_coeffs(self.space, self.c, other.c))
 
-    __rmul__ = __mul__
+def cos(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    v = c[0]
+    cycle = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
+    derivs = [cycle[k % 4] / math.factorial(k) for k in range(space.order + 1)]
+    return compose(space, c, derivs)
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.c / other)
-        return self * other.reciprocal()
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
+def exp(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    e = np.exp(c[0])
+    derivs = [e / math.factorial(k) for k in range(space.order + 1)]
+    return compose(space, c, derivs)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, (int, np.integer)):
-            raise TypeError("jet exponent must be an integer")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = Jet.constant(self.space, 1.0, self.npoints)
-        base = self
-        k = int(n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
-    # -- analytic functions ----------------------------------------------
-    def _compose(self, derivs: list[np.ndarray]) -> "Jet":
-        """Compose a scalar power series with the nilpotent part.
+def log(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    v = _checked_value(c, c[0] <= 0.0, "log of a non-positive value")
+    derivs = [np.log(v)]
+    for k in range(1, space.order + 1):
+        derivs.append(((-1.0) ** (k - 1)) / (k * v ** k))
+    return compose(space, c, derivs)
 
-        ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.  The
-        rows of w^k below degree k are exact zeros, so its term is added
-        to the rows of degree >= k only: an overflowed f^(k) leaves the
-        lower rows finite.  Where f^(k) overflowed, a row of degree >= k
-        in which w^k is an exact zero takes no term either, as 0 * inf
-        would make it NaN.
-        """
-        order = self.space.order
-        w = Jet(self.space, self.c.copy())
-        w.c[0] = 0.0
-        out = Jet.constant(self.space, derivs[0], self.npoints)
-        wk = None
-        for k in range(1, order + 1):
-            wk = w if wk is None else wk * w
-            low = int(np.searchsorted(self.space.degrees, k))  # terms are sorted by degree
-            d = derivs[k][None, :]
-            if np.isinf(d).any():
-                with np.errstate(invalid="ignore"):  # the 0 * inf products are dropped
-                    term = wk.c[low:] * d
-                out.c[low:] += np.where((wk.c[low:] == 0.0) & np.isinf(d), 0.0, term)
-            else:
-                out.c[low:] += wk.c[low:] * d
-        return out
 
-    def _checked_value(self, cond: np.ndarray, what: str) -> np.ndarray:
-        if np.any(cond):
-            raise JetDomainError(what, int(np.argmax(cond)))
-        return self.value
+def sqrt(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    bad = (c[0] < 0.0) | ((c[0] == 0.0) & (space.order >= 1))
+    v = _checked_value(c, bad, "sqrt at a non-positive value")
+    derivs = [np.sqrt(v)]
+    coef = 0.5
+    for k in range(1, space.order + 1):
+        derivs.append(coef * v ** (0.5 - k))
+        coef *= (0.5 - k) / (k + 1)
+    return compose(space, c, derivs)
 
-    def reciprocal(self) -> "Jet":
-        v = self._checked_value(self.value == 0.0, "division by zero")
-        derivs = [((-1.0) ** k) / v ** (k + 1) for k in range(self.space.order + 1)]
-        return self._compose(derivs)
 
-    def sin(self) -> "Jet":
-        v = self.value
-        cycle = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
-        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(derivs)
-
-    def cos(self) -> "Jet":
-        v = self.value
-        cycle = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
-        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(derivs)
-
-    def exp(self) -> "Jet":
-        e = np.exp(self.value)
-        derivs = [e / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(derivs)
-
-    def log(self) -> "Jet":
-        v = self._checked_value(self.value <= 0.0, "log of a non-positive value")
-        derivs = [np.log(v)]
-        for k in range(1, self.space.order + 1):
-            derivs.append(((-1.0) ** (k - 1)) / (k * v ** k))
-        return self._compose(derivs)
-
-    def sqrt(self) -> "Jet":
-        bad = (self.value < 0.0) | ((self.value == 0.0) & (self.space.order >= 1))
-        v = self._checked_value(bad, "sqrt at a non-positive value")
-        derivs = [np.sqrt(v)]
-        coef = 0.5
-        for k in range(1, self.space.order + 1):
-            derivs.append(coef * v ** (0.5 - k))
-            coef *= (0.5 - k) / (k + 1)
-        return self._compose(derivs)
+# name -> analytic function, the functions a ``fields.Func`` node applies
+FUNCTIONS = {f.__name__: f for f in (reciprocal, sin, cos, exp, log, sqrt)}

@@ -18,8 +18,9 @@ import numpy as np
 
 from bigtangent import horizon, metrics, tensorcalc as tc
 from bigtangent.fields import Const, ScalarField, fzeros
-from bigtangent.jets import Jet, JetDomainError, mul_coeffs
+from bigtangent.jets import JetDomainError, mul_coeffs
 from bigtangent.metrics import BigMetric
+from bigtangent.multiindex import JetSpace, jet_space
 from bigtangent.points import ChartPoint
 from bigtangent.tensorcalc import TensorField
 
@@ -64,7 +65,7 @@ def fd_oracle(f: ScalarField, p: ChartPoint, multi_index, h: float = 1e-5) -> fl
                 return (
                     rec(shifted(point, var, h), down) - rec(shifted(point, var, -h), down)
                 ) / (2.0 * h)
-        return float(f.jet(point, 0).value[0])
+        return float(f.jet(point, 0)[0, 0])
 
     return rec(p, multi_index)
 
@@ -81,25 +82,24 @@ def hand_sum(terms, start):
     return acc
 
 
-def operator_jet(op: str, a: ScalarField, b: ScalarField, ja: Jet, jb: Jet) -> Jet:
+def operator_jet(op: str, a: ScalarField, b: ScalarField, space: JetSpace, ja, jb) -> np.ndarray:
     """The jet of ``a op b``, ``op`` one of ``+ - * /``, by the two-operand
-    rule, from the jets ``ja`` and ``jb`` of ``a`` and ``b`` in one space
-    (``-a`` is ``ZERO - a``): ``+`` and ``-`` add or subtract the
-    coefficients, ``*`` multiplies them with ``mul_coeffs`` and ``/`` is
-    ``a * b.reciprocal()``.  A constant factor of ``*``, or a constant
-    numerator of ``/``, scales the other jet as a number, ``c * x + 0.0``:
-    a -0.0 becomes +0.0 as in the product, and an overflowed row takes no
-    0 * inf."""
-    space = ja.space
+    rule, from the coefficient arrays ``ja`` and ``jb`` of ``a`` and ``b``
+    in ``space`` (``-a`` is ``ZERO - a``): ``+`` and ``-`` add or subtract
+    them, ``*`` multiplies them with ``mul_coeffs`` and ``/`` is ``a``
+    times the reference ``Jet.reciprocal`` of ``b``.  A constant factor of
+    ``*``, or a constant numerator of ``/``, scales the other jet as a
+    number, ``c * x + 0.0``: a -0.0 becomes +0.0 as in the product, and an
+    overflowed row takes no 0 * inf."""
     if op in "+-":
-        return Jet(space, ja.c + jb.c if op == "+" else ja.c - jb.c)
+        return ja + jb if op == "+" else ja - jb
     if op == "/":
-        jb = jb.reciprocal()
+        jb = Jet(space, jb).reciprocal().c
     if type(a) is Const:
-        return Jet(space, a.v * jb.c + 0.0)
+        return a.v * jb + 0.0
     if type(b) is Const and op == "*":
-        return Jet(space, b.v * ja.c + 0.0)
-    return Jet(space, mul_coeffs(space, ja.c, jb.c))
+        return b.v * ja + 0.0
+    return mul_coeffs(space, ja, jb)
 
 
 # -- tensors --------------------------------------------------------------
@@ -161,6 +161,187 @@ def lagrangian_metric(L, m: int) -> BigMetric:
 
 
 # -- jets -------------------------------------------------------------------
+class Jet:
+    """A reference jet object: a ``JetSpace`` and its (nterms, npoints)
+    coefficient array ``c``, with the ring operations and analytic
+    functions as methods.  The array functions of ``bigtangent.jets`` are
+    checked against it bit for bit; it also runs the object Newton inverse
+    (``object_jet_inverse``) and the two-operand rule (``operator_jet``)."""
+
+    __slots__ = ("space", "c")
+
+    def __init__(self, space: JetSpace, c: np.ndarray):
+        self.space = space
+        self.c = c
+
+    # -- constructors ----------------------------------------------------
+    @staticmethod
+    def constant(space: JetSpace, value, npoints: int) -> "Jet":
+        c = np.zeros((space.nterms, npoints))
+        c[0] = value
+        return Jet(space, c)
+
+    @staticmethod
+    def variable(space: JetSpace, var: int, value: np.ndarray) -> "Jet":
+        jet = Jet.constant(space, value, len(value))
+        if space.order >= 1:
+            e = [0] * space.nvars
+            e[var] = 1
+            jet.c[space.index[tuple(e)]] = 1.0
+        return jet
+
+    # -- basic accessors -------------------------------------------------
+    @property
+    def value(self) -> np.ndarray:
+        return self.c[0]
+
+    @property
+    def npoints(self) -> int:
+        return self.c.shape[1]
+
+    def deriv(self, alpha) -> np.ndarray:
+        """Partial derivative values for multi-index ``alpha``."""
+        alpha = tuple(alpha)
+        fac = 1.0
+        for a in alpha:
+            fac *= math.factorial(a)
+        return self.c[self.space.index[alpha]] * fac
+
+    def partial(self, var: int) -> "Jet":
+        """The jet of d(self)/dx_var, one order lower."""
+        rows, factor = self.space.partial_table(var)
+        lower = jet_space(self.space.nvars, self.space.order - 1)
+        return Jet(lower, self.c[rows] * factor)
+
+    # -- ring operations -------------------------------------------------
+    def _coerce(self, other):
+        if isinstance(other, Jet):
+            if other.space is not self.space:
+                raise ValueError("jet space mismatch")
+            return other
+        return Jet.constant(self.space, other, self.npoints)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return Jet(self.space, self.c + other.c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return Jet(self.space, self.c - other.c)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return Jet(self.space, -self.c)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.space, self.c * other)
+        if other.space is not self.space:
+            raise ValueError("jet space mismatch")
+        return Jet(self.space, mul_coeffs(self.space, self.c, other.c))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.space, self.c / other)
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def __pow__(self, n: int):
+        if not isinstance(n, (int, np.integer)):
+            raise TypeError("jet exponent must be an integer")
+        if n < 0:
+            return self.reciprocal() ** (-n)
+        result = Jet.constant(self.space, 1.0, self.npoints)
+        base = self
+        k = int(n)
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    # -- analytic functions ----------------------------------------------
+    def _compose(self, derivs: list[np.ndarray]) -> "Jet":
+        """Compose a scalar power series with the nilpotent part.
+
+        ``derivs[k]`` must hold f^(k)(value)/k! for k = 0..order.  The
+        rows of w^k below degree k are exact zeros, so its term is added
+        to the rows of degree >= k only: an overflowed f^(k) leaves the
+        lower rows finite.  Where f^(k) overflowed, a row of degree >= k
+        in which w^k is an exact zero takes no term either, as 0 * inf
+        would make it NaN.
+        """
+        order = self.space.order
+        w = Jet(self.space, self.c.copy())
+        w.c[0] = 0.0
+        out = Jet.constant(self.space, derivs[0], self.npoints)
+        wk = None
+        for k in range(1, order + 1):
+            wk = w if wk is None else wk * w
+            low = int(np.searchsorted(self.space.degrees, k))  # terms are sorted by degree
+            d = derivs[k][None, :]
+            if np.isinf(d).any():
+                with np.errstate(invalid="ignore"):  # the 0 * inf products are dropped
+                    term = wk.c[low:] * d
+                out.c[low:] += np.where((wk.c[low:] == 0.0) & np.isinf(d), 0.0, term)
+            else:
+                out.c[low:] += wk.c[low:] * d
+        return out
+
+    def _checked_value(self, cond: np.ndarray, what: str) -> np.ndarray:
+        if np.any(cond):
+            raise JetDomainError(what, int(np.argmax(cond)))
+        return self.value
+
+    def reciprocal(self) -> "Jet":
+        v = self._checked_value(self.value == 0.0, "division by zero")
+        derivs = [((-1.0) ** k) / v ** (k + 1) for k in range(self.space.order + 1)]
+        return self._compose(derivs)
+
+    def sin(self) -> "Jet":
+        v = self.value
+        cycle = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
+        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
+        return self._compose(derivs)
+
+    def cos(self) -> "Jet":
+        v = self.value
+        cycle = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
+        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
+        return self._compose(derivs)
+
+    def exp(self) -> "Jet":
+        e = np.exp(self.value)
+        derivs = [e / math.factorial(k) for k in range(self.space.order + 1)]
+        return self._compose(derivs)
+
+    def log(self) -> "Jet":
+        v = self._checked_value(self.value <= 0.0, "log of a non-positive value")
+        derivs = [np.log(v)]
+        for k in range(1, self.space.order + 1):
+            derivs.append(((-1.0) ** (k - 1)) / (k * v ** k))
+        return self._compose(derivs)
+
+    def sqrt(self) -> "Jet":
+        bad = (self.value < 0.0) | ((self.value == 0.0) & (self.space.order >= 1))
+        v = self._checked_value(bad, "sqrt at a non-positive value")
+        derivs = [np.sqrt(v)]
+        coef = 0.5
+        for k in range(1, self.space.order + 1):
+            derivs.append(coef * v ** (0.5 - k))
+            coef *= (0.5 - k) / (k + 1)
+        return self._compose(derivs)
+
+
 def object_jet_inverse(A: np.ndarray) -> np.ndarray:
     """The Newton inverse of a square object array of jets run entry by
     entry: numpy's object ``@`` of ``Jet`` products, which adds each entry's

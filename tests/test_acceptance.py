@@ -10,11 +10,12 @@ import numpy as np
 from bigtangent import cli, conns, dfield, fields, gstruct, horizon, metrics
 from bigtangent.bigcore import canonical_pack, verify_section2
 from bigtangent.exprdsl import parse_expr
+from bigtangent.multiindex import jet_space
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
 import bigtangent.tensorcalc as tc
-from oracles import fd_oracle, lagrangian_metric, sasaki_metric
+from oracles import Jet, fd_oracle, lagrangian_metric, sasaki_metric
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -66,7 +67,7 @@ def test_acceptance_1_jet_derivatives_match_finite_differences():
             rng.uniform(0.2, 0.8, size=m),
             rng.uniform(0.2, 0.8, size=m),
         )
-        j = e.jet(p, 3)
+        j = Jet(jet_space(3 * m, 3), e.jet(p, 3))
         for order, h, rich in ((1, 1e-5, False), (2, 2e-3, True), (3, 5e-3, True)):
             for _ in range(2):
                 alpha = [0] * (3 * m)

@@ -395,6 +395,20 @@ def test_verify_double_field_pauses_the_collector_and_restores_it(enabled, monke
     assert paused.to_json() == unpaused.to_json()
 
 
+def test_scalar_curvature_basis_check_fails_on_a_z_dependent_sigma():
+    # a known defect, pinned so that it shows: the deformed curvature is not
+    # tensorial in its section slot, so "scalar curvature is basis
+    # independent" fails once sigma reads z (5.206e-5 at seed 0; see the
+    # ROADMAP item on the deformed curvature).  This test is meant to change
+    # when that defect is mended; until then every other identity passes.
+    F = dfield.DoubleField(horizon.flat_bundle(1), [["1 + 0.01*z1"]])
+    rep = dfield.verify_double_field(F, seed=0, n=6)
+    failed = [e["identity"] for e in rep.entries if not e["pass"]]
+    assert failed == ["scalar curvature is basis independent"]
+    assert 1e-5 <= rep["scalar curvature is basis independent"]["max_residual"] <= 1e-4
+    assert len(rep.entries) > 20
+
+
 def test_verify_double_field_sigma_psi_curved():
     rep = dfield.verify_double_field(_curved_field(2, psi=True), n=5)
     assert rep.passed, rep.to_json()

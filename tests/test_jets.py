@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bigtangent import fields, parse_expr
+from bigtangent import fields, jets, parse_expr
 from bigtangent.fields import _jet_inverse
-from bigtangent.jets import Jet, JetDomainError, jet_space
-from bigtangent.multiindex import JetSpace, multi_indices, partial_rows, restriction
+from bigtangent.jets import FUNCTIONS, JetDomainError, constant, mul_coeffs, power, variable
+from bigtangent.multiindex import JetSpace, jet_space, multi_indices, partial_rows, restriction
 from bigtangent.points import ChartPoint
-from oracles import object_jet_inverse
+from oracles import Jet, object_jet_inverse
 
 
 def test_multi_index_count():
@@ -21,7 +21,7 @@ def test_multi_index_count():
 
 def test_variable_jet_structure():
     sp = jet_space(2, 3)
-    j = Jet.variable(sp, 0, np.array([2.5]))
+    j = Jet(sp, variable(sp, 0, np.array([2.5])))
     assert j.value[0] == 2.5
     assert j.deriv((1, 0))[0] == 1.0
     assert j.deriv((0, 1))[0] == 0.0
@@ -31,9 +31,9 @@ def test_variable_jet_structure():
 def test_product_leibniz():
     # (x*y) at (3, 5): d/dx = y, d/dy = x, d2/dxdy = 1
     sp = jet_space(2, 2)
-    x = Jet.variable(sp, 0, np.array([3.0]))
-    y = Jet.variable(sp, 1, np.array([5.0]))
-    p = x * y
+    x = variable(sp, 0, np.array([3.0]))
+    y = variable(sp, 1, np.array([5.0]))
+    p = Jet(sp, mul_coeffs(sp, x, y))
     assert p.value[0] == 15.0
     assert p.deriv((1, 0))[0] == 5.0
     assert p.deriv((0, 1))[0] == 3.0
@@ -43,22 +43,22 @@ def test_product_leibniz():
 
 def test_polynomial_third_derivative_exact():
     sp = jet_space(1, 3)
-    x = Jet.variable(sp, 0, np.array([1.7]))
-    f = x ** 3 - 2 * x + 4.0
+    x = variable(sp, 0, np.array([1.7]))
+    f = Jet(sp, power(sp, x, 3) - 2 * x + constant(sp, 4.0, 1))
     assert f.deriv((3,))[0] == pytest.approx(6.0, abs=1e-14)
     assert f.deriv((1,))[0] == pytest.approx(3 * 1.7 ** 2 - 2, abs=1e-13)
 
 
 def test_reciprocal_and_division():
     sp = jet_space(1, 4)
-    x = Jet.variable(sp, 0, np.array([2.0]))
-    r = 1.0 / x
+    x = variable(sp, 0, np.array([2.0]))
+    r = Jet(sp, jets.reciprocal(sp, x))
     # d^k (1/x) = (-1)^k k! / x^(k+1)
     for k in range(5):
         expect = (-1) ** k * math.factorial(k) / 2.0 ** (k + 1)
         assert r.deriv((k,))[0] == pytest.approx(expect, rel=1e-14)
-    q = (x * x + 1) / x
-    assert q.value[0] == pytest.approx(2.5)
+    q = mul_coeffs(sp, mul_coeffs(sp, x, x) + constant(sp, 1.0, 1), r.c)
+    assert q[0, 0] == pytest.approx(2.5)
 
 
 def test_overflowing_high_derivative_leaves_lower_rows_finite():
@@ -67,7 +67,7 @@ def test_overflowing_high_derivative_leaves_lower_rows_finite():
     f = parse_expr("1/x1", 1)
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.0]]), np.array([[0.0]]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = f.jet(p, 3).c[:, 0]
+        c = f.jet(p, 3)[:, 0]
     # rows: 1, then z1, y1, x1 (the last variable first)
     assert c[:4].tolist() == [1e120, 0.0, 0.0, -1e240]
 
@@ -78,14 +78,14 @@ def test_overflowing_derivative_leaves_exactly_zero_rows_zero():
     # 0 and not 0 * inf = NaN
     sp = jet_space(3, 3)
     with np.errstate(over="ignore", divide="ignore"):
-        c = Jet.variable(sp, 0, np.array([1e-120])).reciprocal().c[:, 0]
+        c = jets.reciprocal(sp, variable(sp, 0, np.array([1e-120])))[:, 0]
     for t, v in zip(sp.terms, c):
         assert v == {(0, 0, 0): 1e120, (1, 0, 0): -1e240, (2, 0, 0): np.inf,
                      (3, 0, 0): -np.inf}.get(t, 0.0), t
     f = parse_expr("1/x1", 1)
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
     with np.errstate(over="ignore", divide="ignore"):
-        c = f.jet(p, 2).c[:, 0]
+        c = f.jet(p, 2)[:, 0]
     # rows: 1, then z1, y1, x1, then the degree-2 rows, x1^2 last
     assert c.tolist() == [1e120, 0.0, 0.0, -1e240] + [0.0] * 5 + [np.inf]
 
@@ -97,11 +97,12 @@ def test_constant_over_an_overflowing_jet_has_the_reciprocals_rows():
     # other jet as a number, on the memo path and on a tape
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
     with np.errstate(over="ignore", divide="ignore"):
-        want = Jet.variable(jet_space(3, 3), 0, np.array([1e-120])).reciprocal().c
+        sp = jet_space(3, 3)
+        want = jets.reciprocal(sp, variable(sp, 0, np.array([1e-120])))
         for text in ("1/x1", "2*(1/x1)", "(1/x1)*2"):
             f = parse_expr(text, 1)
             scale = 1.0 if text == "1/x1" else 2.0
-            for c in (f.jet(p, 3).c, fields.Tape((f,), 3).run(p)[0].c):
+            for c in (f.jet(p, 3), fields.Tape((f,), 3).run(p)[0]):
                 assert not np.isnan(c).any(), text
                 assert np.array_equal(c, want * scale), text
 
@@ -112,10 +113,10 @@ def test_constant_denominator_scales_without_nan_rows():
     # tape
     p = ChartPoint(np.array([[1e-120]]), np.array([[0.3]]), np.array([[0.2]]))
     with np.errstate(over="ignore", divide="ignore"):
-        want = parse_expr("1/x1", 1).jet(p, 3).c * 0.5 + 0.0
+        want = parse_expr("1/x1", 1).jet(p, 3) * 0.5 + 0.0
         for text in ("(1/x1)/2", "(1/x1)*(1/2)"):
             f = parse_expr(text, 1)
-            for c in (f.jet(p, 3).c, fields.Tape((f,), 3).run(p)[0].c):
+            for c in (f.jet(p, 3), fields.Tape((f,), 3).run(p)[0]):
                 assert not np.isnan(c).any(), text
                 assert np.array_equal(c, want), text
     assert np.isinf(want).any()
@@ -129,8 +130,8 @@ def test_constant_denominator_scales_without_nan_rows():
 def test_analytic_functions_against_closed_forms():
     sp = jet_space(1, 4)
     v = 0.7
-    x = Jet.variable(sp, 0, np.array([v]))
-    s, c, e, lg, sq = x.sin(), x.cos(), x.exp(), x.log(), x.sqrt()
+    x = variable(sp, 0, np.array([v]))
+    s, c, e, lg, sq = (Jet(sp, f(sp, x)) for f in (jets.sin, jets.cos, jets.exp, jets.log, jets.sqrt))
     assert s.deriv((2,))[0] == pytest.approx(-math.sin(v), rel=1e-13)
     assert c.deriv((3,))[0] == pytest.approx(math.sin(v), rel=1e-13)
     assert e.deriv((4,))[0] == pytest.approx(math.exp(v), rel=1e-13)
@@ -143,17 +144,17 @@ def test_chain_rule_composition():
     # f = exp(sin(x^2)) has a known first derivative
     sp = jet_space(1, 2)
     v = 0.9
-    x = Jet.variable(sp, 0, np.array([v]))
-    f = (x ** 2).sin().exp()
+    x = variable(sp, 0, np.array([v]))
+    f = Jet(sp, jets.exp(sp, jets.sin(sp, power(sp, x, 2))))
     expect = math.exp(math.sin(v * v)) * math.cos(v * v) * 2 * v
     assert f.deriv((1,))[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_partial_lowers_order():
     sp = jet_space(2, 3)
-    x = Jet.variable(sp, 0, np.array([1.1]))
-    y = Jet.variable(sp, 1, np.array([-0.4]))
-    f = x ** 2 * y + y ** 3
+    x = variable(sp, 0, np.array([1.1]))
+    y = variable(sp, 1, np.array([-0.4]))
+    f = Jet(sp, mul_coeffs(sp, power(sp, x, 2), y) + power(sp, y, 3))
     fx = f.partial(0)
     assert fx.space.order == 2
     assert fx.value[0] == pytest.approx(2 * 1.1 * -0.4)
@@ -166,29 +167,29 @@ def test_batched_points_match_loop():
     rng = np.random.default_rng(7)
     vals = rng.uniform(0.2, 1.5, size=11)
     sp = jet_space(1, 3)
-    x = Jet.variable(sp, 0, vals)
-    f = (x.log() + x ** 2).sin()
+    x = variable(sp, 0, vals)
+    f = jets.sin(sp, jets.log(sp, x) + power(sp, x, 2))
     for k, v in enumerate(vals):
-        xk = Jet.variable(sp, 0, np.array([v]))
-        fk = (xk.log() + xk ** 2).sin()
-        np.testing.assert_allclose(f.c[:, k], fk.c[:, 0], rtol=1e-13, atol=1e-15)
+        xk = variable(sp, 0, np.array([v]))
+        fk = jets.sin(sp, jets.log(sp, xk) + power(sp, xk, 2))
+        np.testing.assert_allclose(f[:, k], fk[:, 0], rtol=1e-13, atol=1e-15)
 
 
 def test_domain_errors():
     sp = jet_space(1, 2)
-    zero = Jet.variable(sp, 0, np.array([0.0]))
-    neg = Jet.variable(sp, 0, np.array([-1.0]))
+    zero = variable(sp, 0, np.array([0.0]))
+    neg = variable(sp, 0, np.array([-1.0]))
     with pytest.raises(JetDomainError):
-        zero.reciprocal()
+        jets.reciprocal(sp, zero)
     with pytest.raises(JetDomainError):
-        neg.log()
+        jets.log(sp, neg)
     with pytest.raises(JetDomainError):
-        neg.sqrt()
+        jets.sqrt(sp, neg)
     with pytest.raises(JetDomainError):
-        zero.sqrt()  # derivative of sqrt blows up at 0
+        jets.sqrt(sp, zero)  # derivative of sqrt blows up at 0
     # order-0 sqrt at exactly zero is fine
     sp0 = jet_space(1, 0)
-    assert Jet.variable(sp0, 0, np.array([0.0])).sqrt().value[0] == 0.0
+    assert jets.sqrt(sp0, variable(sp0, 0, np.array([0.0])))[0, 0] == 0.0
 
 
 def _mul_reference(space, a, b):
@@ -208,7 +209,7 @@ def test_product_matches_add_at_bit_for_bit():
             for arr in (a, b):
                 hole = rng.random(arr.shape) < 0.3
                 arr[hole] = rng.choice([0.0, -0.0], size=int(hole.sum()))
-            got = (Jet(sp, a) * Jet(sp, b)).c
+            got = mul_coeffs(sp, a, b)
             want = _mul_reference(sp, a, b)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -218,7 +219,7 @@ def test_product_of_signed_zeros_is_positive_zero():
     sp = jet_space(2, 2)
     a = np.full((sp.nterms, 3), -0.0)
     b = np.ones((sp.nterms, 3))
-    got = (Jet(sp, a) * Jet(sp, b)).c
+    got = mul_coeffs(sp, a, b)
     assert np.array_equal(np.signbit(got), np.signbit(_mul_reference(sp, a, b)))
     assert not np.signbit(got).any()
 
@@ -277,7 +278,7 @@ def _assert_same_bits(got, want):
 
 
 def test_restricted_arithmetic_is_the_restricted_full_result_bit_for_bit():
-    # products, sums, the _compose functions and the Newton inverse of jets
+    # products, sums, the composed functions and the Newton inverse of jets
     # over a subset of the variables equal the full-space results on the
     # subset's rows
     rng = np.random.default_rng(13)
@@ -287,34 +288,32 @@ def test_restricted_arithmetic_is_the_restricted_full_result_bit_for_bit():
         sub = _subset(rng, full)
         big, small = jet_space(n, order), jet_space(len(sub), order)
         rows = restriction(full, sub, order)
-
-        def cut(jet):
-            return Jet(small, jet.c[rows])
-
         for width in (1, 7, 64):
-            a, b = (Jet(big, _holey(rng, (big.nterms, width))) for _ in range(2))
-            pos = Jet(big, a.c.copy())
-            pos.c[0] = np.abs(pos.c[0]) + 0.5  # inside every function's domain
-            pairs = [(a * b, cut(a) * cut(b)), (a + b, cut(a) + cut(b)), (a - b, cut(a) - cut(b))]
-            for name in ("reciprocal", "exp", "log", "sqrt", "sin", "cos"):
-                pairs.append((getattr(pos, name)(), getattr(cut(pos), name)()))
+            a, b = (_holey(rng, (big.nterms, width)) for _ in range(2))
+            pos = a.copy()
+            pos[0] = np.abs(pos[0]) + 0.5  # inside every function's domain
+            pairs = [
+                (mul_coeffs(big, a, b), mul_coeffs(small, a[rows], b[rows])),
+                (a + b, a[rows] + b[rows]),
+                (a - b, a[rows] - b[rows]),
+            ]
+            for f in FUNCTIONS.values():
+                pairs.append((f(big, pos), f(small, pos[rows])))
             k = 3
-            A = np.empty((k, k), dtype=object)
-            for i, j in np.ndindex(k, k):
-                A[i, j] = Jet(big, _holey(rng, (big.nterms, width)))
+            A = _holey(rng, (k, k, big.nterms, width))
             for i in range(k):
-                A[i, i].c[0] = np.abs(A[i, i].c[0]) + 4.0  # diagonally dominant
-            inv = _jet_inverse(A)
-            inv_small = _jet_inverse(np.frompyfunc(cut, 1, 1)(A))
+                A[i, i, 0] = np.abs(A[i, i, 0]) + 4.0  # diagonally dominant
+            inv = _jet_inverse(big, A)
+            inv_small = _jet_inverse(small, A[:, :, rows])
             pairs += [(inv[i, j], inv_small[i, j]) for i in range(k) for j in range(k)]
             for whole, part in pairs:
-                assert part.space is small
-                _assert_same_bits(part.c, whole.c[rows])
+                assert part.shape == (small.nterms, width)
+                _assert_same_bits(part, whole[rows])
 
 
 def test_matmul_of_jet_arrays_is_the_left_to_right_loop_bit_for_bit():
-    # the Newton inverse multiplies object arrays of jets with @, which
-    # adds each entry's products left to right from the first
+    # the reference Newton inverse multiplies object arrays of jets with @,
+    # which adds each entry's products left to right from the first
     rng = np.random.default_rng(15)
     for _ in range(100):
         sp = jet_space(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
@@ -333,30 +332,93 @@ def test_matmul_of_jet_arrays_is_the_left_to_right_loop_bit_for_bit():
             _assert_same_bits(got[i, j].c, want.c)
 
 
+def _object_jets(space, A):
+    """The (n, n) object array of reference jets whose coefficients are
+    ``A[i, j]``, views of ``A``."""
+    out = np.empty(A.shape[:2], dtype=object)
+    for i, j in np.ndindex(out.shape):
+        out[i, j] = Jet(space, A[i, j])
+    return out
+
+
 def test_array_inverse_is_the_object_newton_bit_for_bit():
     # the Newton inverse on one coefficient array against the same steps
     # run jet by jet with object arrays, and the same first singular sample
     rng = np.random.default_rng(17)
     for n, order, width in itertools.product((1, 2, 3, 4, 6, 9), range(5), (1, 10, 1024)):
         sp = jet_space(2, order)
-        A = np.empty((n, n), dtype=object)
-        for i, j in np.ndindex(n, n):
-            A[i, j] = Jet(sp, _holey(rng, (sp.nterms, width)))
+        A = _holey(rng, (n, n, sp.nterms, width))
         for i in range(n):
-            A[i, i].c[0] = np.abs(A[i, i].c[0]) + 4.0  # diagonally dominant
-        got, want = _jet_inverse(A), object_jet_inverse(A)
+            A[i, i, 0] = np.abs(A[i, i, 0]) + 4.0  # diagonally dominant
+        got, want = _jet_inverse(sp, A), object_jet_inverse(_object_jets(sp, A))
+        assert got.shape == A.shape and not got.flags.writeable
         for i, j in np.ndindex(n, n):
-            assert got[i, j].space is sp
-            _assert_same_bits(got[i, j].c, want[i, j].c)
+            assert want[i, j].space is sp
+            _assert_same_bits(got[i, j], want[i, j].c)
         if width == 10:
             bad = A.copy()
-            for j in range(n):  # a zero row at samples 3 and 7
-                bad[0, j] = Jet(sp, A[0, j].c.copy())
-                bad[0, j].c[0, [3, 7]] = 0.0
-            for invert in (_jet_inverse, object_jet_inverse):
+            bad[0, :, 0, 3] = bad[0, :, 0, 7] = 0.0  # a zero row at samples 3 and 7
+            for invert in (lambda: _jet_inverse(sp, bad), lambda: object_jet_inverse(_object_jets(sp, bad))):
                 with pytest.raises(JetDomainError) as err:
-                    invert(bad)
+                    invert()
                 assert (err.value.message, err.value.index) == ("singular matrix", 3)
+
+
+def _outcome(run):
+    """``run()``'s coefficient array, or the message and sample of its
+    ``JetDomainError``."""
+    try:
+        with np.errstate(all="ignore"):
+            return run()
+    except JetDomainError as err:
+        return err.message, err.index
+
+
+def _special_arrays(rng, space, width):
+    """Coefficient arrays of ``space`` at ``width`` points: one inside every
+    function's domain with +0.0 and -0.0 holes; it with its value row or
+    its last row all -0.0, inf, -inf or NaN; and it with a value row that
+    leaves the domains of reciprocal, log and sqrt at a later sample."""
+    base = _holey(rng, (space.nterms, width))
+    base[0] = np.abs(base[0]) + 0.5
+    out = [base]
+    for row in (0, space.nterms - 1):
+        for v in (-0.0, np.inf, -np.inf, np.nan):
+            c = base.copy()
+            c[row] = v
+            out.append(c)
+    c = base.copy()
+    c[0] = np.array([0.5, -1.0, 0.0])[-width:]
+    out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("width", (1, 3))
+@pytest.mark.parametrize("order", range(4))
+def test_each_jet_function_is_the_reference_method_bit_for_bit(order, width):
+    # the array functions of bigtangent.jets against the object Jet they
+    # were ported from (tests/oracles.py): the same bits, NaN, inf and the
+    # sign of zero included, or the same JetDomainError message and sample
+    rng = np.random.default_rng(10 * order + width)
+    sp = jet_space(2, order)
+    values = np.array([0.7, -0.0, 2.5])[:width]
+    for value in (values, -0.0, 3.25):
+        _assert_same_bits(constant(sp, value, width), Jet.constant(sp, value, width).c)
+    for var in range(sp.nvars):
+        _assert_same_bits(variable(sp, var, values), Jet.variable(sp, var, values).c)
+    for c in _special_arrays(rng, sp, width):
+        runs = [(lambda f=f: f(sp, c), lambda name=name: getattr(Jet(sp, c), name)().c)
+                for name, f in FUNCTIONS.items()]
+        runs += [(lambda n=n: power(sp, c, n), lambda n=n: (Jet(sp, c) ** n).c) for n in range(-3, 5)]
+        for got_run, want_run in runs:
+            before = c.copy()
+            got, want = _outcome(got_run), _outcome(want_run)
+            _assert_same_bits(c, before)  # the operand is left as it was
+            if type(want) is tuple:
+                assert got == want
+            else:
+                _assert_same_bits(got, want)
+    assert set(FUNCTIONS) == {"reciprocal", "sin", "cos", "exp", "log", "sqrt"}
 
 
 def test_restriction_and_partial_tables_between_subsets():
@@ -373,9 +435,8 @@ def test_restriction_and_partial_tables_between_subsets():
         dst = tuple(sorted(set(dst) | {var})) if order else dst
         up = jet_space(n, order + 1)
         c = _holey(rng, (up.nterms, 5))
-        jet = Jet(up, c)
         c_src = c[restriction(full, src, order + 1)]
-        whole = jet.partial(var).c
+        whole = Jet(up, c).partial(var).c  # the reference partial, read off the full jet
         rows, factor = partial_rows(src, dst, order, var)
         assert factor.shape == (jet_space(len(dst), order).nterms, 1)
         _assert_same_bits(c_src[rows] * factor, whole[restriction(full, dst, order)] if order else whole)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from bigtangent import cli, conns, dfield, fields, metrics
 from bigtangent.bigcore import MAX_M, canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
-from bigtangent.jets import Jet
 from bigtangent.points import ChartPoint, parse_point, sample_box
 from bigtangent.scene import OBJECTS, SUITE_NAMES, SceneError, load_scene
 
@@ -386,6 +385,23 @@ def test_overdeep_expressions_exit_2(tmp_path, capsys):
             assert err.startswith(f"error: {path}: [base_metric]: expression ")
 
 
+@pytest.mark.parametrize(
+    "m,rows",
+    [(2, "row1 = exp(1000*x1); 1\nrow2 = 2; 1\n"), (1, "row1 = exp(1000*x1)\n")],
+    ids=["m2-asymmetric", "m1"],
+)
+def test_an_overflowed_metric_sample_exits_2(tmp_path, capsys, m, rows):
+    # exp(1000*x1) overflows to inf at a sample point, so the symmetry
+    # residual is NaN, which compares false with any bound: the samples are
+    # checked for finiteness first, not passed on to fail as singular
+    path = _write(tmp_path, f"[scene]\nm = {m}\n\n[base_metric]\n{rows}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: [base_metric]: metric is not finite at a sample point\n"
+
+
 def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
     # sigma11 = 1 + 0.97*y2^2, written as a sum as tall as the parser allows:
     # "1" is one level, "0.01*y2^2" three, and each "+" adds one.  At m = 4
@@ -530,7 +546,8 @@ def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled)
 )
 def test_a_command_leaves_no_cyclic_garbage_of_its_graphs(capsys, argv):
     # the reason the collector may be paused: with it off, reference
-    # counting frees every field graph, jet and double field a command made
+    # counting frees every field graph, jet (a coefficient array) and double
+    # field a command made
     gc.collect()
     del gc.garbage[:]
     flags = gc.get_debug()
@@ -543,7 +560,7 @@ def test_a_command_leaves_no_cyclic_garbage_of_its_graphs(capsys, argv):
         gc.set_debug(flags)
         del gc.garbage[:]
     capsys.readouterr()
-    kinds = (fields.ScalarField, Jet, fields._MatrixInverse, fields._Ref, dfield.DoubleField)
+    kinds = (fields.ScalarField, np.ndarray, fields._MatrixInverse, fields._Ref, dfield.DoubleField)
     assert not [type(o).__name__ for o in garbage if isinstance(o, kinds)]
     assert len(garbage) <= 500
 
@@ -614,9 +631,9 @@ def test_check_double_builds_rho_and_its_tape_once(tmp_path, capsys, monkeypatch
         rhos.append(out[2])
         return out
 
-    def counting_plan(want, memo):
+    def counting_plan(want, memo, nvars):
         planned.append(dict(want))
-        return plan(want, memo)
+        return plan(want, memo, nvars)
 
     monkeypatch.setattr(dfield, "deformed_curvatures", counting_curvatures)
     monkeypatch.setattr(fields, "_plan", counting_plan)
