@@ -18,11 +18,14 @@ output does:
   ``_BUNDLE_SOURCES`` table in ``CHECKOUT/tests/test_scene_cli.py``;
 - ``check`` on the perfbench m3-identities scene at benchmark seed 7,
   written by ``make_inputs`` of ``CHECKOUT/perfbench/workloads.py``;
+- ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for that
+  scene's double field, with S its scene seed, as the benchmark's
+  m3-identities body calls it (``verify-m3``): the scene's own suites
+  leave out the double suite, so this is the one m = 3 run of the base
+  connection c0 and the Ricci trace;
 - ``check``, all five suites, on the ROADMAP's Baseline m = 4 scene,
   ``M4_SCENE`` below, which this script writes (its double suite is the
   heaviest integrand run, about 12,500 sparse-grid points);
-- ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for that
-  scene's double field, with S its scene seed, as the benchmark calls it;
 - ``eval --object NAME`` for every name of ``EVAL_OBJECTS`` on
   ``scenes/kitchen-sink.scene`` and ``scenes/flat.scene``, at the scene's
   point in ``EVAL_POINTS``.  On ``flat``, which has no Lagrangian and no

@@ -215,8 +215,8 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return 0
-    # field graphs hold no reference cycles: the collector would only re-walk them
-    with fields.collector_paused():
+    # field graphs hold no cycles to collect; checks report non-finite samples
+    with fields.collector_paused(), np.errstate(all="ignore"):
         try:
             sc = load_scene(args.scene)
             if args.command == "check":

@@ -92,32 +92,37 @@ def _structure_functions(conn: Connection) -> np.ndarray:
 
 
 # -- constructors ---------------------------------------------------------
-def christoffel_symbols(g: np.ndarray, variables) -> np.ndarray:
+def christoffel_symbols(g: np.ndarray, variables, pairs=None) -> np.ndarray:
     """Levi-Civita symbols gamma[a, b, c] = 1/2 g^{cd} (d_a g_{db}
     + d_b g_{ad} - d_d g_{ab}) of a symmetric n x n matrix of fields,
-    where d_a is the partial along chart variable ``variables[a]``."""
+    where d_a is the partial along chart variable ``variables[a]``.
+    Only the symbols gamma[a, b, .] of the index pairs (a, b) in ``pairs``
+    (default: every pair) are built; the others are left zero."""
     n = len(g)
     ginv = fields.finverse(g)
-    d = [[[g[r, s].partial(v) for v in variables] for s in range(n)] for r in range(n)]
-    sym = fields.fzeros(n, n, n)
-    for a, b, e in np.ndindex(n, n, n):
-        sym[a, b, e] = d[e][b][a] + d[a][e][b] - d[a][b][e]
     gamma = fields.fzeros(n, n, n)
-    for a, b, c in np.ndindex(n, n, n):
-        gamma[a, b, c] = 0.5 * fields.fsum((1, ginv[c, e], sym[a, b, e]) for e in range(n))
+    for a, b in np.ndindex(n, n) if pairs is None else pairs:
+        da, db = variables[a], variables[b]
+        sym = [
+            g[e, b].partial(da) + g[a, e].partial(db) - g[a, b].partial(variables[e])
+            for e in range(n)
+        ]
+        for c in range(n):
+            gamma[a, b, c] = 0.5 * fields.fsum((1, ginv[c, e], sym[e]) for e in range(n))
     return gamma
 
 
-def levi_civita(g: TensorField) -> Connection:
+def levi_civita(g: TensorField, pairs=None) -> Connection:
     """Levi-Civita connection of a symmetric (0,2) chart metric, in the
-    natural frame."""
+    natural frame; with ``pairs``, only the symbols
+    ``christoffel_symbols`` builds for those index pairs."""
     if g.sig != ("down", "down") or g.frame != "natural":
         raise ValueError("levi_civita needs a natural-frame (0,2) tensor")
-    return Connection(christoffel_symbols(g.comps, range(g.n)), g.m, H=None)
+    return Connection(christoffel_symbols(g.comps, range(g.n), pairs), g.m, H=None)
 
 
 def vranceanu_bott(
-    D: Connection, H: horizon.HorizontalBundle, multi: bool = False
+    D: Connection, H: horizon.HorizontalBundle, multi: bool = False, block=None
 ) -> Connection:
     """Project an ambient natural-frame connection onto the splitting.
 
@@ -125,6 +130,8 @@ def vranceanu_bott(
     pr_V (or, with multi=True, the finer block projections with the
     bracket rule across the two vertical blocks); mixed pairs use the
     bracket rules nabla_X Y = pr_V [X, Y] and nabla_Y X = pr_H [Y, X].
+    With ``block`` (0, 1 or 2), only the coefficients gamma[a, b, c] with
+    b and c in that block are built.
     """
     if D.H is not None:
         raise ValueError("the ambient connection must be in the natural frame")
@@ -132,9 +139,10 @@ def vranceanu_bott(
     n = 3 * m
     E, C = horizon.frame_matrices(H)
     gamma = fields.fzeros(n, n, n)
+    span = range(n) if block is None else range(block * m, (block + 1) * m)
     for a in range(n):
         ba = _block(a, m)
-        for b in range(n):
+        for b in span:
             bb = _block(b, m)
             if ba > 0 and bb > 0 and multi and ba != bb:
                 continue  # pr_{V_b} of a vanishing coordinate bracket
@@ -152,7 +160,8 @@ def vranceanu_bott(
                 else:
                     keep = range(m, n)
             for c in keep:
-                gamma[a, b, c] = fields.fsum((1, C[c, r], nat[r]) for r in range(n))
+                if c in span:
+                    gamma[a, b, c] = fields.fsum((1, C[c, r], nat[r]) for r in range(n))
     # the finer vertical blocks are preserved along vertical directions
     # only; whether they survive horizontal directions depends on the
     # bundle, so preservation_residuals checks just the coarse H and V

@@ -15,9 +15,10 @@ bracket-corrected pair, and finally a pairing- and metric-preserving
 connection on the fibers whose totally skew torsion vanishes.  The
 field holds the parts the rungs share (the fiber metric, the
 eigenbundle frame, the base connection, the torsion pair), each a
-cached property built once.  On top
-of that sit the deformed curvature, Ricci and scalar curvatures and a
-truncated-box action integral.
+cached property built once, the base connection from only the
+Levi-Civita symbols its y-block reads.  On top of that sit the deformed
+curvature, built only where the Ricci trace reads it, the Ricci and
+scalar curvatures, and a truncated-box action integral.
 """
 
 from __future__ import annotations
@@ -256,11 +257,15 @@ class DoubleField:
         Lifts sigma to a block-diagonal chart metric over the adapted
         coframe (``metrics.block_lift``), projects its Levi-Civita
         connection onto the splitting, restricts to the y-block and
-        corrects it to preserve sigma.
+        corrects it to preserve sigma.  Only the y-block of the projection
+        is built, and of the Levi-Civita symbols only those it reads,
+        gamma[a, b, .] with a vertical and b in the y-block: a horizontal
+        direction takes the bracket rule, which reads none.
         """
         m = self.m
-        Dsig = conns.levi_civita(metrics.block_lift(self.sigma, self.H))
-        vb = conns.vranceanu_bott(Dsig, self.H)
+        pairs = [(a, b) for a in range(m, 3 * m) for b in range(m, 2 * m)]
+        Dsig = conns.levi_civita(metrics.block_lift(self.sigma, self.H), pairs)
+        vb = conns.vranceanu_bott(Dsig, self.H, block=1)
         return _metricize(self, vb.gamma[:, m : 2 * m, m : 2 * m])
 
     @cached_property
@@ -294,7 +299,9 @@ class DoubleField:
 
     @cached_property
     def curvatures(self):
-        """(R, Ric, rho) of ``deformed_curvatures`` for the final connection."""
+        """(K, Ric, rho) of ``deformed_curvatures`` for the final connection:
+        the contracted curvature components, the Ricci trace and the
+        scalar curvature."""
         return deformed_curvatures(self.connections[0], self)
 
     @cached_property
@@ -346,17 +353,19 @@ def section_derivative(nabla: VerticalConnection, a: int, s: np.ndarray) -> np.n
     key = (a, *s)
     out = nabla._derivatives.get(key)
     if out is None:
-        m = nabla.m
-        nonzero = [b for b in range(2 * m) if not fields.is_zero(s[b])]
-        out = fields.fzeros(2 * m)
-        for c in range(2 * m):
-            out[c] = fsum(
-                ((1, s[b], nabla.gamma[a, b, c]) for b in nonzero),
-                start=nabla.H.frame_derivative(s[c], a),
-            )
+        comps = [_section_derivative_component(nabla, a, s, c) for c in range(len(s))]
+        out = np.array(comps, dtype=object)
         out.flags.writeable = False
         nabla._derivatives[key] = out
     return out
+
+
+def _section_derivative_component(nabla, a: int, s: np.ndarray, c: int) -> ScalarField:
+    """Component c of ``section_derivative(nabla, a, s)``, built alone."""
+    return fsum(
+        ((1, s[b], nabla.gamma[a, b, c]) for b in range(2 * nabla.m) if not fields.is_zero(s[b])),
+        start=nabla.H.frame_derivative(s[c], a),
+    )
 
 
 def _direction_parts(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray) -> list:
@@ -380,13 +389,6 @@ def vertical_derivative(nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray)
     for c in range(2 * m):
         out[c] = fsum((1, z, d[c]) for z, d in parts)
     return out
-
-
-def _vertical_derivative_component(
-    nabla: VerticalConnection, Z: np.ndarray, s: np.ndarray, c: int
-) -> ScalarField:
-    """Component c of ``vertical_derivative(nabla, Z, s)``, the same node."""
-    return fsum((1, z, d[c]) for z, d in _direction_parts(nabla, Z, s))
 
 
 def _coord_basis(m: int) -> list:
@@ -638,39 +640,51 @@ def deformed_bracket(nabla: VerticalConnection, F: DoubleField, Za, Zb) -> np.nd
     return metric_bracket(F, Za, Zb) + wedge_product(nabla, F, Za, Zb)
 
 
-def deformed_curvature_apply(
-    nabla: VerticalConnection, Za: np.ndarray, Zb: np.ndarray, W: np.ndarray, Yc: np.ndarray
-) -> np.ndarray:
-    """The antisymmetrized second derivative minus the derivative along
-    W, the direction pair's ``deformed_bracket``."""
-    first = vertical_derivative(nabla, Za, vertical_derivative(nabla, Zb, Yc))
-    second = vertical_derivative(nabla, Zb, vertical_derivative(nabla, Za, Yc))
-    third = vertical_derivative(nabla, W, Yc)
-    return first - second - third
+def _curvature_component(nabla, Za, Zb, W, Yc, inner: tuple, e: int) -> ScalarField:
+    """Component e of the deformed curvature of the direction pair
+    (Za, Zb) applied to Yc: nabla_Za nabla_Zb Yc - nabla_Zb nabla_Za Yc
+    minus the derivative along W, the pair's ``deformed_bracket``.
+    ``inner`` is (nabla_Zb Yc, nabla_Za Yc), two ``vertical_derivative``s;
+    their derivatives are built for component e alone, while those of Yc
+    come from the memo, which every pair shares."""
+    m = nabla.m
+
+    def outer(Z, s):
+        return fsum(
+            (1, Z[v], _section_derivative_component(nabla, m + v, s, e))
+            for v in range(2 * m)
+            if not fields.is_zero(Z[v])
+        )
+
+    third = fsum((1, w, d[e]) for w, d in _direction_parts(nabla, W, Yc))
+    return outer(Za, inner[0]) - outer(Zb, inner[1]) - third
 
 
 def deformed_curvatures(nabla: VerticalConnection, F: DoubleField):
-    """Deformed curvature R[a, b, c, d] (direction pair a, b; argument
-    c; output d), the symmetrized Ricci trace over the fiber coordinate
-    frame, and the scalar contraction against the inverse metric.
-    Returns (R, Ric, rho) with object-array components."""
+    """(K, Ric, rho), object arrays: the components K[a, b, c] =
+    R[a, b, c, a] of the deformed curvature (direction pair a, b; argument
+    c; output a) that the symmetrized Ricci trace over the fiber coordinate
+    frame, Ric[b, c] = 1/2 sum_a (K[a, b, c] + K[a, c, b]), reads, and the
+    scalar contraction rho of Ric against the inverse metric.  Of each
+    R(e_a, e_b) e_c, a < b, only the components a and b are built."""
     m = nabla.m
     basis = _coord_basis(m)
-    R = fields.fzeros(2 * m, 2 * m, 2 * m, 2 * m)
+    K = fields.fzeros(2 * m, 2 * m, 2 * m)
     for a in range(2 * m):
         for b in range(a + 1, 2 * m):
             W = deformed_bracket(nabla, F, basis[a], basis[b])
             for c in range(2 * m):
-                val = deformed_curvature_apply(nabla, basis[a], basis[b], W, basis[c])
-                R[a, b, c] = val
-                R[b, a, c] = -1.0 * val
+                inner = tuple(vertical_derivative(nabla, basis[d], basis[c]) for d in (b, a))
+                args = (nabla, basis[a], basis[b], W, basis[c], inner)
+                K[a, b, c] = _curvature_component(*args, a)
+                K[b, a, c] = -1.0 * _curvature_component(*args, b)
     Ric = fields.fzeros(2 * m, 2 * m)
     for b, c in np.ndindex(2 * m, 2 * m):
         Ric[b, c] = 0.5 * fsum(
-            term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
+            term for a in range(2 * m) for term in ((1, K[a, b, c]), (1, K[a, c, b]))
         )
     rho = fsum((1, F.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
-    return R, Ric, rho
+    return K, Ric, rho
 
 
 def scalar_curvature_in_basis(
@@ -682,10 +696,9 @@ def scalar_curvature_in_basis(
     deformed curvature is tensorial.
 
     The Ricci trace reads only component a of the curvature applied to
-    (e_a, P_k, P_l), so only that component is built, as
-    ``deformed_curvature_apply`` builds it: the inner derivative
-    nabla_{P_k} P_l is shared by every a, and the deformed bracket of
-    (e_a, P_k) by every l.
+    (e_a, P_k, P_l), so only that component is built
+    (``_curvature_component``): the inner derivative nabla_{P_k} P_l is
+    shared by every a, and the deformed bracket of (e_a, P_k) by every l.
     """
     m = nabla.m
     P = fields.field_array(P, (2 * m, 2 * m), "P")
@@ -697,12 +710,8 @@ def scalar_curvature_in_basis(
             inner[k, l] = vertical_derivative(nabla, P[:, k], P[:, l])
         if (a, k) not in bracket:
             bracket[a, k] = deformed_bracket(nabla, F, basis[a], P[:, k])
-        first = _vertical_derivative_component(nabla, basis[a], inner[k, l], a)
-        second = _vertical_derivative_component(
-            nabla, P[:, k], vertical_derivative(nabla, basis[a], P[:, l]), a
-        )
-        third = _vertical_derivative_component(nabla, bracket[a, k], P[:, l], a)
-        return first - second - third
+        pair = (inner[k, l], vertical_derivative(nabla, basis[a], P[:, l]))
+        return _curvature_component(nabla, basis[a], P[:, k], bracket[a, k], P[:, l], pair, a)
 
     Ric = fields.fzeros(2 * m, 2 * m)
     for q in range(2 * m):

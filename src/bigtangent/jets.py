@@ -85,8 +85,9 @@ def power(space: JetSpace, c: np.ndarray, n: int) -> np.ndarray:
     while k:
         if k & 1:
             result = mul_coeffs(space, result, base)
-        base = mul_coeffs(space, base, base)
         k >>= 1
+        if k:  # the square after the last bit would go unread
+            base = mul_coeffs(space, base, base)
     return result
 
 

@@ -2,9 +2,10 @@
 
 Each is compared against the package code it checks: finite differences
 against exact jets, explicit Lie brackets against the Nijenhuis formula,
-permutations against the stored antisymmetry of forms, and the lifted
+permutations against the stored antisymmetry of forms, the lifted
 metric of a base metric against the scene's and the double field's
-constructions.  None is part of the package.
+constructions, and the whole deformed curvature against the components
+the Ricci trace reads.  None is part of the package.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import reduce
 
 import numpy as np
 
-from bigtangent import horizon, metrics, tensorcalc as tc
-from bigtangent.fields import Const, ScalarField, fzeros
+from bigtangent import dfield, horizon, metrics, tensorcalc as tc
+from bigtangent.fields import Const, ScalarField, fsum, fzeros
 from bigtangent.jets import JetDomainError, mul_coeffs
 from bigtangent.metrics import BigMetric
 from bigtangent.multiindex import JetSpace, jet_space
@@ -158,6 +159,52 @@ def lagrangian_metric(L, m: int) -> BigMetric:
     """The Lagrangian metric of L over the bundle of its spray, as a scene
     with a ``[lagrangian]`` section builds it."""
     return metrics.lagrangian_metric(L, horizon.spray_from_lagrangian(L, m)[1])
+
+
+# -- deformed curvature -----------------------------------------------------
+def deformed_curvature_apply(nabla, Za, Zb, W, Yc) -> np.ndarray:
+    """All 2m components of the deformed curvature of the direction pair
+    (Za, Zb) applied to Yc: the antisymmetrized second derivative minus
+    the derivative along W, the pair's ``deformed_bracket``."""
+    first = dfield.vertical_derivative(nabla, Za, dfield.vertical_derivative(nabla, Zb, Yc))
+    second = dfield.vertical_derivative(nabla, Zb, dfield.vertical_derivative(nabla, Za, Yc))
+    third = dfield.vertical_derivative(nabla, W, Yc)
+    return first - second - third
+
+
+def dense_deformed_curvatures(nabla, F):
+    """(R, Ric, rho): every component R[a, b, c, d] of the deformed
+    curvature (direction pair a, b; argument c; output d), with the
+    deformed bracket of the direction pair built again for every
+    argument, its symmetrized Ricci trace and the scalar curvature."""
+    m = nabla.m
+    basis = dfield._coord_basis(m)
+    R = fzeros(2 * m, 2 * m, 2 * m, 2 * m)
+    for a in range(2 * m):
+        for b in range(a + 1, 2 * m):
+            for c in range(2 * m):
+                W = dfield.metric_bracket(F, basis[a], basis[b]) + dfield.wedge_product(
+                    nabla, F, basis[a], basis[b]
+                )
+                val = deformed_curvature_apply(nabla, basis[a], basis[b], W, basis[c])
+                R[a, b, c] = val
+                R[b, a, c] = -1.0 * val
+    Ric = fzeros(2 * m, 2 * m)
+    for b, c in np.ndindex(2 * m, 2 * m):
+        Ric[b, c] = 0.5 * fsum(
+            term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
+        )
+    rho = fsum((1, F.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
+    return R, Ric, rho
+
+
+def contracted_curvature(R: np.ndarray) -> np.ndarray:
+    """K[a, b, c] = R[a, b, c, a], the components of R the Ricci trace reads."""
+    n = len(R)
+    K = fzeros(n, n, n)
+    for a, b, c in np.ndindex(n, n, n):
+        K[a, b, c] = R[a, b, c, a]
+    return K
 
 
 # -- jets -------------------------------------------------------------------

@@ -17,7 +17,7 @@ from bigtangent.bigcore import (
 from bigtangent.jets import JetDomainError
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
-from oracles import sasaki_metric
+from oracles import dense_deformed_curvatures, sasaki_metric
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -426,9 +426,11 @@ def test_deformed_curvatures_flat():
     F = dfield.DoubleField(horizon.flat_bundle(1), [["1"]])
     # the third item is the field, which deformed_curvatures takes
     Dbar, _, third = dfield.field_adapted_connection(F)
-    R, Ric, rho = dfield.deformed_curvatures(Dbar, third)
+    K, Ric, rho = dfield.deformed_curvatures(Dbar, third)
+    R = dense_deformed_curvatures(Dbar, third)[0]  # every component, not only K's
     p = sample_box(1, 5, seed=18)
     assert np.max(np.abs(fields.fvalue(R, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(K, p))) < 1e-12
     assert np.max(np.abs(np.asarray(rho.value(p)))) < 1e-12
 
 

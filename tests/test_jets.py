@@ -421,6 +421,32 @@ def test_each_jet_function_is_the_reference_method_bit_for_bit(order, width):
     assert set(FUNCTIONS) == {"reciprocal", "sin", "cos", "exp", "log", "sqrt"}
 
 
+def test_power_squares_only_what_it_reads(monkeypatch):
+    # binary exponentiation takes one product per set bit, the first by the
+    # constant jet 1, and squares the base only before a later bit: an
+    # unread square would cost a product, and could overflow on its own
+    sp = jet_space(2, 2)
+    c = np.random.default_rng(3).normal(size=(sp.nterms, 3))
+    big = c.copy()
+    big[0] = 1e200  # whose square overflows
+    want = {n: (Jet(sp, c) ** n).c for n in range(-3, 5)}
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mul_coeffs(*args)
+
+    monkeypatch.setattr(jets, "mul_coeffs", counting)
+    for n, products in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 3)):
+        calls.clear()
+        power(sp, c, n)
+        assert len(calls) == products
+    with np.errstate(all="raise"):
+        power(sp, big, 1)
+    for n in range(-3, 5):
+        _assert_same_bits(power(sp, c, n), want[n])
+
+
 def test_restriction_and_partial_tables_between_subsets():
     # tables between two subsets compose with the tables from the full
     # space, and a partial read through partial_rows is the full partial

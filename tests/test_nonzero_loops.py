@@ -18,6 +18,7 @@ from bigtangent.fields import fsum
 from bigtangent.points import sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import GeneralizedSection, TensorField
+from oracles import contracted_curvature, deformed_curvature_apply, dense_deformed_curvatures
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -188,30 +189,6 @@ def dense_courant_nijenhuis_values(pack, endo, p):
     return values
 
 
-def dense_deformed_curvatures(nabla, F):
-    """The construction that builds the deformed bracket of the direction
-    pair again for every argument."""
-    m = nabla.m
-    basis = dfield._coord_basis(m)
-    R = fields.fzeros(2 * m, 2 * m, 2 * m, 2 * m)
-    for a in range(2 * m):
-        for b in range(a + 1, 2 * m):
-            for c in range(2 * m):
-                W = dfield.metric_bracket(F, basis[a], basis[b]) + dfield.wedge_product(
-                    nabla, F, basis[a], basis[b]
-                )
-                val = dfield.deformed_curvature_apply(nabla, basis[a], basis[b], W, basis[c])
-                R[a, b, c] = val
-                R[b, a, c] = -1.0 * val
-    Ric = fields.fzeros(2 * m, 2 * m)
-    for b, c in np.ndindex(2 * m, 2 * m):
-        Ric[b, c] = 0.5 * fsum(
-            term for a in range(2 * m) for term in ((1, R[a, b, c, a]), (1, R[a, c, b, a]))
-        )
-    rho = fsum((1, F.Ginv[q, s], Ric[q, s]) for q, s in np.ndindex(2 * m, 2 * m))
-    return R, Ric, rho
-
-
 def dense_scalar_curvature_in_basis(nabla, F, P):
     """The construction that applies the whole deformed curvature for
     each component it reads."""
@@ -221,7 +198,7 @@ def dense_scalar_curvature_in_basis(nabla, F, P):
     for q in range(2 * m):
         for s in range(q, 2 * m):
             Ric[q, s] = 0.5 * fsum(
-                (1, dfield.deformed_curvature_apply(nabla, basis[a], P[:, k], W, P[:, l])[a])
+                (1, deformed_curvature_apply(nabla, basis[a], P[:, k], W, P[:, l])[a])
                 for a in range(2 * m)
                 for k, l in ((q, s), (s, q))
                 for W in [dfield.deformed_bracket(nabla, F, basis[a], P[:, k])]
@@ -304,10 +281,22 @@ def test_deformed_curvatures_build_each_bracket_once(ladder, monkeypatch):
         return deformed_bracket(*args)
 
     monkeypatch.setattr(dfield, "deformed_bracket", counting)
-    got = dfield.deformed_curvatures(Dbar, F)
+    K, Ric, rho = dfield.deformed_curvatures(Dbar, F)
     assert len(calls) == m * (2 * m - 1)  # one per direction pair a < b
-    for g, w in zip(got, want):
-        _same(g, w)
+    R, want_ric, want_rho = want
+    _same(K, contracted_curvature(R))
+    _same(Ric, want_ric)
+    assert rho is want_rho
+    _same(F.curvatures[0], K)
+    assert F.curvatures[2] is rho
+
+
+def test_base_connection_is_the_y_block_of_the_dense_projection(ladder):
+    # c0 builds only the Levi-Civita symbols and projected coefficients
+    # its y-block reads; the dense projection builds them all
+    F, _, _, _, vb = ladder
+    m = F.m
+    _same(F.c0, dfield._metricize(F, vb.gamma[:, m : 2 * m, m : 2 * m]))
 
 
 def test_courant_nijenhuis_residual_builds_each_image_once():

@@ -402,6 +402,21 @@ def test_an_overflowed_metric_sample_exits_2(tmp_path, capsys, m, rows):
     assert err == f"error: {path}: [base_metric]: metric is not finite at a sample point\n"
 
 
+def test_an_overflowed_metric_sample_prints_only_its_error_line(tmp_path):
+    # numpy's overflow and invalid-value warnings stay off stderr: the
+    # non-finite sample is reported once, as the check's error line
+    path = _write(tmp_path, "[scene]\nm = 1\n\n[base_metric]\nrow1 = exp(1000*x1)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigtangent.cli", "check", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}: [base_metric]: metric is not finite at a sample point\n"
+
+
 def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
     # sigma11 = 1 + 0.97*y2^2, written as a sum as tall as the parser allows:
     # "1" is one level, "0.01*y2^2" three, and each "+" adds one.  At m = 4
