@@ -345,6 +345,27 @@ def test_kitchen_sink_rho_tape_is_small():
     assert len(fields.Tape((F.curvatures[2],), 0).entries(2)) <= 9000
 
 
+def test_kitchen_sink_curvatures_build_little_beyond_rho(monkeypatch):
+    # c0 builds only the Levi-Civita symbols its y-block reads, and the
+    # deformed curvature only the components the Ricci trace reads: 2,163
+    # new nodes, 1,956 of them below rho, where building all of R and every
+    # symbol made 3,098.  Nodes that other tests keep alive only lower it.
+    F = scene.load_scene(str(SCENES / "kitchen-sink.scene")).double_field
+    created = []
+    ref = fields._Ref
+
+    class Counting(ref):
+        __slots__ = ()
+
+        def __new__(cls, node, callback):
+            created.append(node)  # kept alive, so each node counts once
+            return ref.__new__(cls, node, callback)
+
+    monkeypatch.setattr(fields, "_Ref", Counting)
+    F.curvatures
+    assert len(created) <= 2300
+
+
 def test_verify_double_field_sigma_curved():
     rep = dfield.verify_double_field(_curved_field(2), n=5)
     assert rep.passed, rep.to_json()
