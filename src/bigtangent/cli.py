@@ -49,7 +49,7 @@ def _suite_triple(sc: SceneFile, seed, samples, tol) -> list:
 
 def _suite_horizontal(sc: SceneFile, seed, samples, tol) -> list:
     p = sample_box(sc.m, samples, seed=seed)
-    rep = conns.verify_section4(sc.bundle, sc.big_metric.tensor, p, tol=tol)
+    rep = conns.verify_section4(sc.big_metric, p, tol=tol)
     if sc.spray is not None:
         rep.add(
             "spray satisfies the Lagrangian field equation",

@@ -72,23 +72,11 @@ class Connection:
 
 
 def _structure_functions(conn: Connection) -> np.ndarray:
-    """c[a, b, k]: frame components of the bracket [e_a, e_b]."""
-    m = conn.m
-    n = 3 * m
-    c = fields.fzeros(n, n, n)
+    """c[a, b, k]: frame components of the bracket [e_a, e_b], zero in
+    the natural frame."""
     if conn.H is None:
-        return c
-    E, C = horizon.frame_matrices(conn.H)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if a >= m and b >= m:
-                continue  # coordinate vertical fields commute
-            br = tc.bracket_components(E[:, a], E[:, b])
-            for k in range(n):
-                s = fields.fsum((1, C[k, r], br[r]) for r in range(n))
-                c[a, b, k] = s
-                c[b, a, k] = -1.0 * s
-    return c
+        return fields.fzeros(conn.n, conn.n, conn.n)
+    return conn.H.structure_functions
 
 
 # -- constructors ---------------------------------------------------------
@@ -302,28 +290,25 @@ def _cyclic_sum(Rv: np.ndarray) -> np.ndarray:
     return Rv + p1 + p2
 
 
-def verify_section4(
-    H: horizon.HorizontalBundle,
-    g_for_D: TensorField,
-    p: ChartPoint,
-    tol: float = 1e-8,
-) -> Report:
+def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
     """Check the torsion and curvature identities of the projected and
-    canonical connections of H at the points p.
+    canonical connections of a big metric's bundle at the points p.
 
-    g_for_D supplies the torsionless ambient connection (its
-    Levi-Civita connection).  Projectable horizontal test fields are
-    the lifts X_i of the constant base fields, which the frame already
-    provides.
+    ``gm`` is a ``metrics.BigMetric``: its bundle ``H``, its Levi-Civita
+    connection ``levi_civita``, the torsionless ambient connection, and
+    ``connection``, that connection projected onto H.  Projectable
+    horizontal test fields are the lifts X_i of the constant base
+    fields, which the frame already provides.
     """
+    H = gm.H
     m = H.m
     dim = 3 * m
     rep = Report("horizontal bundle connection identities", tol=tol)
 
-    D = levi_civita(g_for_D)
+    D = gm.levi_civita
     rep.add("ambient connection is torsionless", torsion(D).value(p))
 
-    nab = vranceanu_bott(D, H)
+    nab = gm.connection
     nab_bar = vranceanu_bott(D, H, multi=True)
     can = canonical_bott(H)
     R_H = horizon.ehresmann_curvature(H)

@@ -40,6 +40,7 @@ from .bigcore import (
 )
 from .exprdsl import parse_expr
 from .fields import ScalarField, fsum
+from .jets import JetDomainError
 from .points import ChartPoint, sample_box
 from .report import Report, largest
 
@@ -455,21 +456,6 @@ def _metricize(F: DoubleField, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma_preservation_residual(F: DoubleField, c: np.ndarray, p: ChartPoint) -> np.ndarray:
-    """Sampled covariant differential of sigma under a y-block connection
-    c[a, i, j]."""
-    return fields.fvalue(covariant_metric_differential(F.H, c, F.sigma), p)
-
-
-def metric_preservation_residual(
-    nabla: VerticalConnection, G: np.ndarray, p: ChartPoint
-) -> np.ndarray:
-    """Sampled covariant differential of a fiber metric G (object or
-    numeric 2m x 2m matrix) under a fiber connection."""
-    G = fields.field_array(G, (2 * nabla.m, 2 * nabla.m), "G")
-    return fields.fvalue(covariant_metric_differential(nabla.H, nabla.gamma, G), p)
-
-
 def dpm_connections(F: DoubleField):
     """The psi-torsion pair: along y-directions each connection of the
     pair picks up half the sharped contraction of the leafwise exterior
@@ -530,13 +516,6 @@ def metric_bracket(F: DoubleField, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray
     return a - b - w
 
 
-def fiber_derivative(Y: np.ndarray, f: ScalarField) -> ScalarField:
-    """Y(f) for a fiber vector field Y (2m direction components): the sum
-    of Y[r] times the partial of f along chart variable m + r."""
-    m = len(Y) // 2
-    return fsum((1, Y[r], f.partial(m + r)) for r in range(2 * m))
-
-
 def ladder_brackets(F: DoubleField) -> tuple:
     """(bp, bm): the frame components the connection ladder reads of the
     metric brackets of projected fiber directions and frame columns,
@@ -557,15 +536,6 @@ def ladder_brackets(F: DoubleField) -> tuple:
     bp = fields.fdot(Binv[m:].T, fc[:, :, :m])
     bm = fields.fdot(Binv[:m].T, fc[:, :, m:].transpose(1, 0, 2))
     return bp, bm
-
-
-def vertical_gradient(F: DoubleField, f: ScalarField) -> np.ndarray:
-    """Sharped fiber differential of a scalar."""
-    m = F.m
-    out = fields.fzeros(2 * m)
-    for c in range(2 * m):
-        out[c] = fsum((1, F.Ginv[c, b], f.partial(m + b)) for b in range(2 * m))
-    return out
 
 
 def gualtieri_torsion(nabla: VerticalConnection, F: DoubleField) -> np.ndarray:
@@ -802,12 +772,16 @@ def sparse_grid(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
 def _integrand_values(m: int, tape: fields.Tape, pts: np.ndarray) -> np.ndarray:
     """exp(-2 density) * rho * |det sigma|^{1/2} at chart points given
     as an (3m, npoints) array, run on ``tape``, the field's
-    ``integrand_tape``."""
+    ``integrand_tape``; a value that is not finite raises a
+    ``JetDomainError`` at the first such point."""
     p = ChartPoint(pts[:m], pts[m : 2 * m], pts[2 * m :])
     rv, dv, detv = (jet[0] for jet in tape.run(p))
     vals = np.exp(-2.0 * dv) * rv * np.sqrt(np.abs(detv))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand sample")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        err = JetDomainError("the action integrand is not finite", int(np.argmax(bad)))
+        err.point = p.text(err.index)
+        raise err
     return vals
 
 
@@ -918,43 +892,35 @@ def verify_double_field(
         tol=1e-10,
     )
 
-    rep.add("base connection preserves sigma", sigma_preservation_residual(F, F.c0, p))
+    def preserved(gamma, G):
+        """Sampled covariant differential of a fiber metric G (object or
+        numeric matrix) under the coefficients gamma."""
+        G = fields.field_array(G, np.shape(G), "G")
+        return fields.fvalue(covariant_metric_differential(F.H, gamma, G), p)
+
+    rep.add("base connection preserves sigma", preserved(F.c0, F.sigma))
     cplus, cminus = F.torsion_pair
     rep.add(
-        "torsion pair preserves sigma",
-        sigma_preservation_residual(F, cplus, p),
-        sigma_preservation_residual(F, cminus, p),
+        "torsion pair preserves sigma", preserved(cplus, F.sigma), preserved(cminus, F.sigma)
     )
     g2 = pairing_matrix(m)
-    rep.add(
-        "base connection preserves the fiber metric",
-        metric_preservation_residual(F.D0, F.G, p),
-    )
-    rep.add(
-        "base connection preserves the split pairing",
-        metric_preservation_residual(F.D0, g2, p),
-    )
-    rep.add(
-        "final connection preserves the fiber metric",
-        metric_preservation_residual(Dbar, F.G, p),
-    )
-    rep.add(
-        "final connection preserves the split pairing",
-        metric_preservation_residual(Dbar, g2, p),
-    )
+    rep.add("base connection preserves the fiber metric", preserved(F.D0.gamma, F.G))
+    rep.add("base connection preserves the split pairing", preserved(F.D0.gamma, g2))
+    rep.add("final connection preserves the fiber metric", preserved(Dbar.gamma, F.G))
+    rep.add("final connection preserves the split pairing", preserved(Dbar.gamma, g2))
 
     # Leibniz rule of the metric bracket on seeded data
     rng = np.random.default_rng(seed + 1)
     Y1 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y1")
     Y2 = fields.field_array(rng.normal(size=2 * m), (2 * m,), "Y2")
     f = parse_expr("exp(y1) + x1*z1", m)
+    df = np.array([f.partial(m + r) for r in range(2 * m)], dtype=object)
     lhs = metric_bracket(F, Y1, Y2 * f)
-    Yf = fiber_derivative(Y1, f)
     gYY = fsum((1, Y1[a], F.G[a, b], Y2[b]) for a, b in np.ndindex(2 * m, 2 * m))
     rhs = (
         metric_bracket(F, Y1, Y2) * f
-        + Y2 * Yf
-        - vertical_gradient(F, f) * (0.5 * gYY)
+        + Y2 * fields.fdot(Y1, df)[()]  # Y1(f)
+        - fields.fdot(F.Ginv, df) * (0.5 * gYY)  # the sharped fiber differential of f
     )
     rep.add(
         "metric bracket satisfies the deformed Leibniz rule",

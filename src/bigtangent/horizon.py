@@ -6,13 +6,14 @@ vertical coordinate distributions.  The module builds such bundles from
 linear connection coefficients, from tangent-side or cotangent-side
 horizontal data, from regular Lagrangians via their spray, and from
 second-order vector fields; it also provides the adapted frame and
-coframe, the change to and from the adapted frame, and the Ehresmann
-curvature.
+coframe, the change to and from the adapted frame, the structure
+functions of the adapted frame, and the Ehresmann curvature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +61,25 @@ class HorizontalBundle:
             start=f.partial(a),
         )
 
-    def horizontal_frame(self) -> list:
-        """The fields X_i: the first m columns of the frame matrix."""
-        E, _ = frame_matrices(self)
-        return [tc.vector(E[:, i], self.m) for i in range(self.m)]
+    # Built once per bundle: the Ehresmann curvature and the torsion and
+    # curvature of every connection in the adapted frame read it.
+    @cached_property
+    def structure_functions(self) -> np.ndarray:
+        """c[a, b, k]: adapted-frame components of the bracket [e_a, e_b]."""
+        m = self.m
+        n = 3 * m
+        c = fields.fzeros(n, n, n)
+        E, C = frame_matrices(self)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if a >= m and b >= m:
+                    continue  # coordinate vertical fields commute
+                br = tc.bracket_components(E[:, a], E[:, b])
+                for k in range(n):
+                    s = fields.fsum((1, C[k, r], br[r]) for r in range(n))
+                    c[a, b, k] = s
+                    c[b, a, k] = -1.0 * s
+        return c
 
 
 def frame_matrices(H: HorizontalBundle):
@@ -290,14 +306,11 @@ def _change_frame(T: TensorField, H: HorizontalBundle, source: str, target: str)
 def ehresmann_curvature(H: HorizontalBundle) -> TensorField:
     """Vertical-valued curvature 2-form: R(Z1, Z2) = pr_V of the bracket
     of the horizontal parts, so that the no-mixed-torsion deformation of
-    a torsionless connection has torsion -R."""
+    a torsionless connection has torsion -R.  Its entries are the
+    vertical structure functions c[i, j, k] of horizontal pairs."""
     m = H.m
     comps = fields.fzeros(3 * m, 3 * m, 3 * m)
-    frame = H.horizontal_frame()
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = tc.lie_bracket(frame[i], frame[j])
-            for k in range(m, 3 * m):
-                comps[k, i, j] = br.comps[k]
-                comps[k, j, i] = -1.0 * br.comps[k]
+    # the horizontal frame fields have constant horizontal components, so
+    # the adapted vertical components of [X_i, X_j] are its natural ones
+    comps[m:, :m, :m] = H.structure_functions[:m, :m, m:].transpose(2, 0, 1)
     return TensorField(("up", "down", "down"), comps, m)

@@ -40,14 +40,26 @@ class BigMetric:
             raise ValueError("metric must be a natural-frame (0,2) tensor")
         m = self.m
         gv = check_matrix(validation_values(t.comps, m), "metric", symmetry=1)
-        check_matrix(gv[:, m:, m:], "vertical restriction", invertible=True)
+        # each row scaled to a largest entry of 1 (a zero row stays zero):
+        # the vertical restriction diag(s*g, g^-1/s) of a lift of s*g then
+        # passes or fails as that of g does
+        vert = gv[:, m:, m:]
+        scale = np.max(np.abs(vert), axis=2, keepdims=True)
+        vert = vert / np.where(scale > 0, scale, np.inf)
+        check_matrix(vert, "vertical restriction", invertible=True)
 
-    # Built once per metric, so both metric checks share one connection.
+    # Built once per metric, so the horizontal and both metric checks
+    # share one Levi-Civita connection and one projection of it.
+    @cached_property
+    def levi_civita(self) -> conns.Connection:
+        """The Levi-Civita connection of the metric, in the natural frame."""
+        return conns.levi_civita(self.tensor)
+
     @cached_property
     def connection(self) -> conns.Connection:
         """The canonical metric connection: the Levi-Civita connection
         of the metric, projected onto the blocks of H."""
-        return conns.vranceanu_bott(conns.levi_civita(self.tensor), self.H)
+        return conns.vranceanu_bott(self.levi_civita, self.H)
 
 
 # -- constructors ---------------------------------------------------------

@@ -35,6 +35,14 @@ def box_points(m: int, npoints: int, seed: int, low: float, high: float) -> Char
     return ChartPoint(*rng.uniform(low, high, size=(3, m, npoints)))
 
 
+# -- horizontal bundles ----------------------------------------------------
+def horizontal_frame(H: horizon.HorizontalBundle) -> list:
+    """The fields X_i of a horizontal bundle: the first m columns of its
+    frame matrix."""
+    E, _ = horizon.frame_matrices(H)
+    return [tc.vector(E[:, i], H.m) for i in range(H.m)]
+
+
 # -- finite differences ---------------------------------------------------
 def shifted(point: ChartPoint, var: int, h: float) -> ChartPoint:
     """``point`` with chart variable ``var`` moved by ``h``."""

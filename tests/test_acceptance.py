@@ -134,7 +134,7 @@ def test_acceptance_4_gamma_bundle_identities():
     m = 2
     H = horizon.from_linear_connection(metrics.base_christoffels(_BASE, m), m)
     gm = metrics.sasaki_type_metric(_BASE, H)
-    rep = conns.verify_section4(H, gm.tensor, sample_box(m, 20, seed=0), tol=1e-8)
+    rep = conns.verify_section4(gm, sample_box(m, 20, seed=0), tol=1e-8)
     assert rep["projected torsion is minus the curvature of H"]["max_residual"] < 1e-8
     for name in (
         "R(Y, X) X' is the horizontal part of [Y, nabla_X X']",

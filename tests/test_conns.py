@@ -3,9 +3,11 @@ import pytest
 
 from bigtangent import conns, fields, horizon, parse_expr, tensorcalc as tc
 from bigtangent.bigcore import canonical_pack
+from bigtangent.metrics import BigMetric
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import Report, largest
 from bigtangent.tensorcalc import TensorField
+from oracles import horizontal_frame
 
 
 def _diag_metric(entries, m):
@@ -167,7 +169,7 @@ def canonical_rule_check(H: horizon.HorizontalBundle, p: ChartPoint) -> Report:
 
     # rule 1: nabla_X X' as S^{-1} of the V1 part of [X, S X']
     res = []
-    Xs = H.horizontal_frame()
+    Xs = horizontal_frame(H)
     for i in range(m):
         for j in range(m):
             SXj = tc.apply_11(S, Xs[j])
@@ -252,9 +254,8 @@ def test_torsion_curvature_antisymmetry():
 
 def test_verify_section4_flat():
     m = 2
-    rep = conns.verify_section4(
-        horizon.flat_bundle(m), _diag_metric([1] * 6, m), sample_box(m, 10, seed=0)
-    )
+    gm = BigMetric(_diag_metric([1] * 6, m), m, horizon.flat_bundle(m))
+    rep = conns.verify_section4(gm, sample_box(m, 10, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-12
 
@@ -263,7 +264,7 @@ def test_verify_section4_curved_gamma_bundle():
     m = 2
     H = horizon.from_linear_connection(_gamma_curved(m), m)
     g = _diag_metric([1, "exp(2*x1)", 1, "2 + y1^2", 1, 1], m)
-    rep = conns.verify_section4(H, g, sample_box(m, 20, seed=1))
+    rep = conns.verify_section4(BigMetric(g, m, H), sample_box(m, 20, seed=1))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-8
     # the projectable branch must have been exercised
@@ -273,7 +274,7 @@ def test_verify_section4_curved_gamma_bundle():
 def test_verify_section4_nonprojectable_bundle_skips_corollary():
     H = horizon.lift_from_tm([["y1^2"]], 1)
     g = _diag_metric([1, 1, 1], 1)
-    rep = conns.verify_section4(H, g, sample_box(1, 10, seed=2))
+    rep = conns.verify_section4(BigMetric(g, 1, H), sample_box(1, 10, seed=2))
     with pytest.raises(KeyError):
         rep["projectable canonical connection: R(Y, X) X' = 0"]
     assert rep.meta["canonical_projectability_residual"] > 0.1

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bigtangent import bigcore, fields, horizon, parse_expr, tensorcalc as tc
+from bigtangent import bigcore, fields, horizon, metrics, parse_expr, scene, tensorcalc as tc
 from bigtangent.bigcore import parse_components
 from bigtangent.fields import ScalarField
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
+from oracles import horizontal_frame
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def _gamma_zero(m):
@@ -25,7 +30,7 @@ def _gamma_curved():
 def test_from_linear_connection_flat():
     H = horizon.from_linear_connection(_gamma_zero(2), 2)
     p = sample_box(2, 5, seed=0)
-    X1 = H.horizontal_frame()[0].value(p)
+    X1 = horizontal_frame(H)[0].value(p)
     np.testing.assert_allclose(X1[0], 1.0)
     np.testing.assert_allclose(X1[1:], 0.0)
 
@@ -134,7 +139,7 @@ def test_second_order_projector_flat():
     sof = horizon.SecondOrderField(["0"], ["0"], m)
     Q, H = horizon.second_order_projector(sof)
     p = sample_box(m, 5, seed=9)
-    X1 = H.horizontal_frame()[0].value(p)
+    X1 = horizontal_frame(H)[0].value(p)
     np.testing.assert_allclose(X1[0], 1.0)
     np.testing.assert_allclose(X1[1:], 0.0)
     # Q acts as +1 on dy, 0 on dz, -1 on the horizontal lift
@@ -182,7 +187,7 @@ def test_coframe_duality_and_projectors():
     m = 2
     H = horizon.from_linear_connection(_gamma_curved(), m)
     p = sample_box(m, 10, seed=13)
-    frame = H.horizontal_frame() + [tc.basis_vector(m + i, m) for i in range(m)] + [
+    frame = horizontal_frame(H) + [tc.basis_vector(m + i, m) for i in range(m)] + [
         tc.basis_vector(2 * m + i, m) for i in range(m)
     ]
     E, C = horizon.frame_matrices(H)
@@ -229,12 +234,41 @@ def test_ehresmann_constant_quadratic_spray_is_flat():
     assert horizon.ehresmann_curvature(H).max_abs(p) < 1e-10
 
 
+def test_ehresmann_curvature_is_the_vertical_structure_functions():
+    # R_H[k, i, j] is the node c[i, j, k] for k >= m, and that is the node
+    # the bracket of the horizontal frame fields gives; every other entry
+    # is ZERO
+    sc = scene.load_scene(str(SCENES / "kitchen-sink.scene"))
+    g = [["1", "0", "0"], ["0", "exp(2*x1)", "0"], ["0", "0", "1"]]
+    bundles = [
+        sc.bundle,
+        sc.lagrangian_metric.H,  # the spray's
+        horizon.from_linear_connection(metrics.base_christoffels(g, 3), 3),
+        horizon.lift_from_cotm([["x1*z1 + z2^2", "z1"], ["0", "sin(x2)*z2"]], 2),
+    ]
+    for H in bundles:
+        m = H.m
+        R = horizon.ehresmann_curvature(H).comps
+        c = H.structure_functions
+        assert H.structure_functions is c  # built once
+        X = horizontal_frame(H)
+        for k, i, j in np.ndindex(R.shape):
+            if k >= m and i < m and j < m:
+                assert R[k, i, j] is c[i, j, k]
+                if i != j:
+                    br = tc.lie_bracket(X[min(i, j)], X[max(i, j)]).comps[k]
+                    assert R[k, i, j] is (br if i < j else -1.0 * br)
+            else:
+                assert R[k, i, j] is fields.ZERO
+        assert any(not fields.is_zero(e) for e in R.flat)  # genuinely curved
+
+
 def _fd_bracket(H, i, j, p0, h=1e-5):
     """Finite-difference bracket of the horizontal frame fields at an
     unbatched point (independent oracle)."""
     m = H.m
-    Xi = H.horizontal_frame()[i]
-    Xj = H.horizontal_frame()[j]
+    Xi = horizontal_frame(H)[i]
+    Xj = horizontal_frame(H)[j]
     base = np.concatenate([np.ravel(p0.x), np.ravel(p0.y), np.ravel(p0.z)])
 
     def val(F, coords):

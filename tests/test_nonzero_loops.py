@@ -18,7 +18,12 @@ from bigtangent.fields import fsum
 from bigtangent.points import sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import GeneralizedSection, TensorField
-from oracles import contracted_curvature, deformed_curvature_apply, dense_deformed_curvatures
+from oracles import (
+    contracted_curvature,
+    deformed_curvature_apply,
+    dense_deformed_curvatures,
+    horizontal_frame,
+)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -260,7 +265,7 @@ def test_lie_derivative_and_directional_match_the_dense_loop(ladder):
     F, _, gsig, *_ = ladder
     m = F.m
     Xs = [tc.vector(gsig.comps[0], m), tc.vector(gsig.comps[m + 1], m)]
-    Xs += F.H.horizontal_frame()
+    Xs += horizontal_frame(F.H)
     Ts = [gsig, TensorField(("up", "down"), gsig.comps, m), tc.vector(gsig.comps[2 * m], m)]
     for X in Xs:
         for f in gsig.comps.flat:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtangent import cli, conns, dfield, fields, metrics
+from bigtangent import cli, conns, dfield, fields, metrics, tensorcalc as tc
 from bigtangent.bigcore import MAX_M, canonical_pack
 from bigtangent.exprdsl import MAX_HEIGHT
 from bigtangent.points import ChartPoint, parse_point, sample_box
@@ -417,6 +417,38 @@ def test_an_overflowed_metric_sample_prints_only_its_error_line(tmp_path):
     assert proc.stderr == f"error: {path}: [base_metric]: metric is not finite at a sample point\n"
 
 
+def test_a_non_finite_action_integrand_names_its_suite_and_point(tmp_path):
+    # the integrand's factor exp(2000*x1^2) overflows where |x1| > 0.6: the
+    # run fails as an input error on one line, naming the suite and the
+    # first bad sample
+    text = (
+        "[scene]\nm = 1\nmc_samples = 64\n\n"
+        "[double_field]\nsigma1 = 1 + y1^2\ndensity = -1000*x1^2\n"
+    )
+    path = _write(tmp_path, text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigtangent.cli", "check", path, "--suite", "double"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: suite double: the action integrand is not finite at x=-1.0;y=0.0;z=0.0\n"
+    )
+
+
+def test_a_rescaled_base_metric_or_lagrangian_is_not_singular(tmp_path, capsys):
+    # the lift of s*g has the vertical restriction diag(s*g, g^-1/s), whose
+    # condition number s^2 says nothing about whether g is invertible
+    header = "[scene]\nm = 1\nsamples = 3\nmc_samples = 16\n\n"
+    for body in ("[base_metric]\nrow1 = 10000\n", "[lagrangian]\nL = 5000*y1^2\n"):
+        path = _write(tmp_path, header + body)
+        assert cli.main(["check", path]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+
 def test_tallest_double_field_entry_evaluates_rho(tmp_path, capsys):
     # sigma11 = 1 + 0.97*y2^2, written as a sum as tall as the parser allows:
     # "1" is one level, "0.01*y2^2" three, and each "+" adds one.  At m = 4
@@ -713,6 +745,26 @@ def test_metric_suite_builds_each_connection_once_on_one_batch(capsys, monkeypat
     capsys.readouterr()
     assert len(built) == 2  # the big metric's and the Lagrangian metric's
     assert len(drawn) == 1
+
+
+def test_horizontal_and_metric_suites_share_each_bundle_and_metric_construction(
+    capsys, monkeypatch
+):
+    # each bundle brackets its adapted frame once (its structure functions,
+    # which R_H and every torsion and curvature read); the big metric's
+    # Levi-Civita connection and its projection serve both suites
+    counts = {"bracket_components": 0, "levi_civita": 0, "vranceanu_bott": 0}
+    for owner, name in ((tc, "bracket_components"), (conns, "levi_civita"),
+                        (conns, "vranceanu_bott")):
+        def counting(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    scene = str(SCENES / "kitchen-sink.scene")
+    assert cli.main(["check", scene, "--suite", "horizontal", "--suite", "metric"]) == 0
+    capsys.readouterr()
+    assert counts == {"bracket_components": 66, "levi_civita": 2, "vranceanu_bott": 3}
 
 
 def test_vector_field_cannot_take_a_builtin_name(tmp_path, capsys):
