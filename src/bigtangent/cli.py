@@ -12,6 +12,7 @@ batch of points, and report assembly is sequential and ordered.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,9 @@ def _emit(payload: dict, json_path: str | None):
     sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+# Built once per process: a parser holds reference cycles.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bigtangent",
         description="Verify big-tangent geometry identities from scene files.",
@@ -210,36 +213,45 @@ def main(argv=None) -> int:
     p_eval.add_argument("--json", dest="json_path", default=None)
 
     sub.add_parser("version", help="print the package version")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "version":
         print(__version__)
         return 0
-    # field graphs hold no cycles to collect; checks report non-finite samples
-    with fields.collector_paused(), np.errstate(all="ignore"):
-        try:
-            sc = load_scene(args.scene)
-            if args.command == "check":
-                code, payload = run_suites(
-                    sc,
-                    which=args.suite,
-                    seed=args.seed,
-                    samples=args.samples,
-                    tol=args.tol,
-                )
-                _emit(payload, args.json_path)
-                return code
-            point = parse_point(args.point, sc.m)
-            try:
-                payload = eval_object(sc, args.object, point)
-            except JetDomainError as err:
-                err.where = f"object {args.object}"
-                raise
+    return _run(args)
+
+
+# Graphs hold no cycles, so reference counting frees them; the collector
+# resumes after _run returns, so no collection scans a command's graphs.
+@fields.collector_paused()
+@np.errstate(all="ignore")  # checks report non-finite samples
+def _run(args) -> int:
+    try:
+        sc = load_scene(args.scene)
+        if args.command == "check":
+            code, payload = run_suites(
+                sc,
+                which=args.suite,
+                seed=args.seed,
+                samples=args.samples,
+                tol=args.tol,
+            )
             _emit(payload, args.json_path)
-            return 0
-        except (SceneError, OSError, ValueError, JetDomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return code
+        point = parse_point(args.point, sc.m)
+        try:
+            payload = eval_object(sc, args.object, point)
+        except JetDomainError as err:
+            err.where = f"object {args.object}"
+            raise
+        _emit(payload, args.json_path)
+        return 0
+    except (SceneError, OSError, ValueError, JetDomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

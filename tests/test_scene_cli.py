@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,62 @@ def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled)
         gc.enable()
     capsys.readouterr()
     assert seen == [False, False, False]
+
+
+def test_the_collector_resumes_only_after_a_command_freed_its_scene(capsys, monkeypatch):
+    # a collection that starts while a command's scene is alive scans all of
+    # its graphs and moves them to an older generation; with the threshold
+    # at 1, the first allocation after the collector resumes starts one
+    scenes, alive = [], []
+
+    def load(path):
+        sc = load_scene(path)
+        scenes.append(weakref.ref(sc))
+        return sc
+
+    def watch(phase, info):
+        if phase == "start" and scenes:
+            alive.append(scenes[-1]() is not None)
+
+    monkeypatch.setattr(cli, "load_scene", load)
+    ks = str(SCENES / "kitchen-sink.scene")
+    threshold = gc.get_threshold()
+    gc.callbacks.append(watch)
+    gc.set_threshold(1)
+    try:
+        for argv, want in (
+            (["eval", ks, "--object", "P", "--point", "x=0.1,0.2"], 0),
+            (["check", ks, "--suite", "triple"], 0),
+            (["eval", ks, "--object", "nosuch", "--point", "x=0"], 2),
+        ):
+            assert cli.main(argv) == want
+            gc.collect()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(watch)
+    capsys.readouterr()
+    assert len(scenes) == 3 and alive and not any(alive)
+
+
+def test_commands_in_one_process_share_one_parser(capsys):
+    # an argument parser holds reference cycles: it is built once, so a
+    # command leaves none of its objects for the collector
+    eval_argv = ["eval", str(SCENES / "flat.scene"), "--object", "P", "--point", "x=0"]
+    assert cli.main(eval_argv) == 0
+    gc.collect()
+    del gc.garbage[:]
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(eval_argv) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+    capsys.readouterr()
+    assert cli._parser() is cli._parser()
+    assert not [type(o).__name__ for o in garbage if type(o).__module__ == "argparse"]
 
 
 @pytest.mark.parametrize(
