@@ -16,6 +16,7 @@ canonical connection determined by the horizontal bundle alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,13 +71,53 @@ class Connection:
             "V": gv[:, ~horizontal][:, :, horizontal],
         }
 
+    # Built once per connection: the horizontal and metric suites read
+    # the torsion and curvature of the same connections.
+    @cached_property
+    def torsion(self) -> TensorField:
+        """T(e_a, e_b) = nabla_a e_b - nabla_b e_a - [e_a, e_b], components
+        comps[k, a, b] in the connection's frame."""
+        n = self.n
+        c = fields.fzeros(n, n, n) if self.H is None else self.H.structure_functions
+        out = fields.fzeros(n, n, n)
+        for a in range(n):
+            for b in range(n):
+                for k in range(n):
+                    out[k, a, b] = self.gamma[a, b, k] - self.gamma[b, a, k] - c[a, b, k]
+        return TensorField(("up", "down", "down"), out, self.m, frame=self.frame)
 
-def _structure_functions(conn: Connection) -> np.ndarray:
-    """c[a, b, k]: frame components of the bracket [e_a, e_b], zero in
-    the natural frame."""
-    if conn.H is None:
-        return fields.fzeros(conn.n, conn.n, conn.n)
-    return conn.H.structure_functions
+    @cached_property
+    def curvature(self) -> TensorField:
+        """R(e_a, e_b) e_c, components comps[e, a, b, c] in the connection's
+        frame, with structure-function corrections for the non-holonomic
+        adapted frame."""
+        n = self.n
+        g = self.gamma
+        c = fields.fzeros(n, n, n) if self.H is None else self.H.structure_functions
+        out = fields.fzeros(n, n, n, n)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for cc in range(n):
+                    # (sign, d-factor, row of e-factors) of the d-sum, zero d-factors dropped
+                    rows = [
+                        (sign, f, row)
+                        for d in range(n)
+                        for sign, f, row in (
+                            (1, g[b, cc, d], g[a, d]),
+                            (-1, g[a, cc, d], g[b, d]),
+                            (-1, c[a, b, d], g[d, cc]),
+                        )
+                        if not fields.is_zero(f)
+                    ]
+                    for e in range(n):
+                        s = fields.fsum(
+                            ((sign, f, row[e]) for sign, f, row in rows),
+                            start=self.frame_derivative(g[b, cc, e], a)
+                            - self.frame_derivative(g[a, cc, e], b),
+                        )
+                        out[e, a, b, cc] = s
+                        out[e, b, a, cc] = -1.0 * s
+        return TensorField(("up", "down", "down", "down"), out, self.m, frame=self.frame)
 
 
 # -- constructors ---------------------------------------------------------
@@ -125,7 +166,7 @@ def vranceanu_bott(
         raise ValueError("the ambient connection must be in the natural frame")
     m = H.m
     n = 3 * m
-    E, C = horizon.frame_matrices(H)
+    E, C = H.frame
     gamma = fields.fzeros(n, n, n)
     span = range(n) if block is None else range(block * m, (block + 1) * m)
     for a in range(n):
@@ -199,53 +240,7 @@ def canonical_bott(H: horizon.HorizontalBundle) -> Connection:
     return Connection(gamma, m, H=H)
 
 
-# -- torsion, curvature, covariant differential ---------------------------
-def torsion(conn: Connection) -> TensorField:
-    """T(e_a, e_b) = nabla_a e_b - nabla_b e_a - [e_a, e_b], components
-    comps[k, a, b] in the connection's frame."""
-    n = conn.n
-    c = _structure_functions(conn)
-    out = fields.fzeros(n, n, n)
-    for a in range(n):
-        for b in range(n):
-            for k in range(n):
-                out[k, a, b] = conn.gamma[a, b, k] - conn.gamma[b, a, k] - c[a, b, k]
-    return TensorField(("up", "down", "down"), out, conn.m, frame=conn.frame)
-
-
-def curvature(conn: Connection) -> TensorField:
-    """R(e_a, e_b) e_c, components comps[e, a, b, c] in the connection's
-    frame, with structure-function corrections for the non-holonomic
-    adapted frame."""
-    n = conn.n
-    g = conn.gamma
-    c = _structure_functions(conn)
-    out = fields.fzeros(n, n, n, n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for cc in range(n):
-                # (sign, d-factor, row of e-factors) of the d-sum, zero d-factors dropped
-                rows = [
-                    (sign, f, row)
-                    for d in range(n)
-                    for sign, f, row in (
-                        (1, g[b, cc, d], g[a, d]),
-                        (-1, g[a, cc, d], g[b, d]),
-                        (-1, c[a, b, d], g[d, cc]),
-                    )
-                    if not fields.is_zero(f)
-                ]
-                for e in range(n):
-                    s = fields.fsum(
-                        ((sign, f, row[e]) for sign, f, row in rows),
-                        start=conn.frame_derivative(g[b, cc, e], a)
-                        - conn.frame_derivative(g[a, cc, e], b),
-                    )
-                    out[e, a, b, cc] = s
-                    out[e, b, a, cc] = -1.0 * s
-    return TensorField(("up", "down", "down", "down"), out, conn.m, frame=conn.frame)
-
-
+# -- covariant differential -----------------------------------------------
 def covariant_differential(conn: Connection, T: TensorField) -> TensorField:
     """nabla T with one extra leading down slot (the direction), all
     components in the connection's frame."""
@@ -306,17 +301,17 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
     rep = Report("horizontal bundle connection identities", tol=tol)
 
     D = gm.levi_civita
-    rep.add("ambient connection is torsionless", torsion(D).value(p))
+    rep.add("ambient connection is torsionless", D.torsion.value(p))
 
     nab = gm.connection
     nab_bar = vranceanu_bott(D, H, multi=True)
     can = canonical_bott(H)
     R_H = horizon.ehresmann_curvature(H)
 
-    T = torsion(nab)
+    T = nab.torsion
     Tn = horizon.to_natural(T, H)
     rep.add("projected torsion is minus the curvature of H", (Tn + R_H).value(p))
-    T_bar = torsion(nab_bar)
+    T_bar = nab_bar.torsion
     Tbv = T_bar.value(p)
     rep.add(
         "block-preserving variant has no mixed vertical torsion",
@@ -324,14 +319,14 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
         Tbv[:, 2 * m :, m : 2 * m],
     )
 
-    R = curvature(nab)
+    R = nab.curvature
     Rv = R.value(p)
 
     # curvature on two vertical directions and a horizontal argument
     rep.add("R(vertical, vertical) kills horizontal arguments", Rv[:, m:, m:, :m])
 
     # R(Y, X) X' equals the horizontal part of [Y, nabla_X X']
-    E, C = horizon.frame_matrices(H)
+    E, C = H.frame
     res = []
     for i in range(m):
         for j in range(m):
@@ -371,9 +366,9 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
     rep.add("R(X, X') Y = T(Y, R_H(X, X')) - nabla_Y R_H(X, X')", fields.fvalue(res, p))
 
     # finer vertical-block identities
-    R_bar = curvature(nab_bar)
+    R_bar = nab_bar.curvature
     Rbv = R_bar.value(p)
-    R_can = curvature(can)
+    R_can = can.curvature
     Rcv = R_can.value(p)
     v1 = slice(m, 2 * m)
     v2 = slice(2 * m, None)
@@ -421,7 +416,7 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
         rep.add(f"cyclic sum over vertical triples vanishes ({label})", cyc[:, m:, m:, m:])
 
     # classical first Bianchi for the torsionless ambient connection
-    RD = curvature(D)
+    RD = D.curvature
     rep.add("first Bianchi identity for the ambient connection", _cyclic_sum(RD.value(p)))
 
     # bracket rule along lifted fields

@@ -61,6 +61,27 @@ class HorizontalBundle:
             start=f.partial(a),
         )
 
+    # Built once per bundle and shared by every reader (the structure
+    # functions, the frame change, the projected connections): read-only.
+    @cached_property
+    def frame(self):
+        """(E, C): frame matrix with columns (X_i, d/dy, d/dz) and its
+        inverse, whose rows are the adapted coframe."""
+        m = self.m
+        E = fields.fzeros(3 * m, 3 * m)
+        C = fields.fzeros(3 * m, 3 * m)
+        for a in range(3 * m):
+            E[a, a] = fields.ONE
+            C[a, a] = fields.ONE
+        for i in range(m):
+            for j in range(m):
+                E[m + j, i] = -1.0 * self.t[i, j]
+                E[2 * m + j, i] = -1.0 * self.tau[i, j]
+                C[m + j, i] = self.t[i, j]
+                C[2 * m + j, i] = self.tau[i, j]
+        E.flags.writeable = C.flags.writeable = False
+        return E, C
+
     # Built once per bundle: the Ehresmann curvature and the torsion and
     # curvature of every connection in the adapted frame read it.
     @cached_property
@@ -69,7 +90,7 @@ class HorizontalBundle:
         m = self.m
         n = 3 * m
         c = fields.fzeros(n, n, n)
-        E, C = frame_matrices(self)
+        E, C = self.frame
         for a in range(n):
             for b in range(a + 1, n):
                 if a >= m and b >= m:
@@ -80,24 +101,6 @@ class HorizontalBundle:
                     c[a, b, k] = s
                     c[b, a, k] = -1.0 * s
         return c
-
-
-def frame_matrices(H: HorizontalBundle):
-    """(E, C): frame matrix with columns (X_i, d/dy, d/dz) and its
-    inverse, whose rows are the adapted coframe."""
-    m = H.m
-    E = fields.fzeros(3 * m, 3 * m)
-    C = fields.fzeros(3 * m, 3 * m)
-    for a in range(3 * m):
-        E[a, a] = fields.ONE
-        C[a, a] = fields.ONE
-    for i in range(m):
-        for j in range(m):
-            E[m + j, i] = -1.0 * H.t[i, j]
-            E[2 * m + j, i] = -1.0 * H.tau[i, j]
-            C[m + j, i] = H.t[i, j]
-            C[2 * m + j, i] = H.tau[i, j]
-    return E, C
 
 
 def flat_bundle(m: int) -> HorizontalBundle:
@@ -292,7 +295,7 @@ def _change_frame(T: TensorField, H: HorizontalBundle, source: str, target: str)
     with the frame matrix E back, down slots the other way round."""
     if T.frame != source:
         raise tc.FrameError(f"input must carry {source} components")
-    E, C = frame_matrices(H)
+    E, C = H.frame
     up, down = (C, E) if target == "adapted" else (E, C)
     comps = T.comps
     for var in T.sig:

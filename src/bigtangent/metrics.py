@@ -61,6 +61,11 @@ class BigMetric:
         of the metric, projected onto the blocks of H."""
         return conns.vranceanu_bott(self.levi_civita, self.H)
 
+    @cached_property
+    def adapted(self) -> TensorField:
+        """The metric's components in the adapted frame of H."""
+        return horizon.to_adapted(self.tensor, self.H)
+
 
 # -- constructors ---------------------------------------------------------
 def base_christoffels(g, m: int):
@@ -104,20 +109,18 @@ def canonical_metric_connection(gm: BigMetric, p: ChartPoint, tol: float = 1e-8)
     Levi-Civita connection): block preservation, parallel transport of
     the blockwise metric, and cross-block torsion values."""
     m = gm.m
-    H = gm.H
     nab = gm.connection
     rep = Report("canonical metric connection properties", tol=tol)
 
     pres = nab.preservation_residuals(p)
     rep.add("horizontal and vertical bundles are preserved", *pres.values(), tol=1e-10)
 
-    gad = horizon.to_adapted(gm.tensor, H)
-    dg = conns.covariant_differential(nab, gad)
+    dg = conns.covariant_differential(nab, gm.adapted)
     dgv = dg.value(p)
     rep.add("metric is parallel on horizontal triples", dgv[:m, :m, :m])
     rep.add("metric is parallel on vertical triples", dgv[m:, m:, m:])
 
-    Tv = conns.torsion(nab).value(p)
+    Tv = nab.torsion.value(p)
     rep.add("torsion on horizontal pairs is vertical", Tv[:m, :m, :m])
     rep.add("torsion on vertical pairs is horizontal", Tv[m:, m:, m:])
 
@@ -145,10 +148,9 @@ def cartan_tensor(gm: BigMetric) -> TensorField:
     C[i, j, k] = d g(X_j, X_k) / d y^i, zero outside the horizontal
     block.  Vanishes iff the horizontal metric is projectable."""
     m = gm.m
-    gad = horizon.to_adapted(gm.tensor, gm.H)
     comps = fields.fzeros(3 * m, 3 * m, 3 * m)
     for i, j, k in np.ndindex(m, m, m):
-        comps[i, j, k] = gad.comps[j, k].partial(m + i)
+        comps[i, j, k] = gm.adapted.comps[j, k].partial(m + i)
     return TensorField(("down", "down", "down"), comps, m, frame="adapted")
 
 
@@ -166,13 +168,9 @@ def curvature_identity_suite(gm: BigMetric, p: ChartPoint, tol: float = 1e-7) ->
     rep = Report("covariant curvature identities", tol=tol)
 
     nab = gm.connection
-    R = conns.curvature(nab)
-    T = conns.torsion(nab)
-    gad = horizon.to_adapted(gm.tensor, gm.H)
-
-    Rv = R.value(p)  # [e, a, b, c, pt]
-    Tv = T.value(p)
-    gv = gad.value(p)
+    Rv = nab.curvature.value(p)  # [e, a, b, c, pt]
+    Tv = nab.torsion.value(p)
+    gv = gm.adapted.value(p)
     Cv = cartan_tensor(gm).value(p)
 
     # R4[a1, a2, a3, a4] = g[a1, e] R[e, a3, a4, a2]

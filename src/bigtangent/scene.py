@@ -69,7 +69,20 @@ OBJECTS = {
     "spray.zeta": lambda sc: sc.spray.zeta,
 }
 
-_SCENE_KEYS = {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "perturb_s"}
+def _section_keys(m: int) -> dict:
+    """The keys each section may hold at base dimension m; the names in
+    ``[vector_fields]`` are free and ``[tolerances]`` is checked on its own."""
+    def rows(prefix):
+        return {f"{prefix}{i}" for i in range(1, m + 1)}
+
+    return {
+        "scene": {"m", "seed", "samples", "mc_samples", "tol", "suites", "box", "perturb_s"},
+        "base_metric": rows("row"),
+        "connection": set().union(*(rows(f"c{i}_") for i in range(1, m + 1))),
+        "lagrangian": {"l"},
+        "horizontal_bundle": rows("t") | rows("tau"),
+        "double_field": rows("sigma") | rows("psi") | {"density"},
+    }
 
 
 class SceneError(ValueError):
@@ -121,6 +134,11 @@ def _building(path, where, prefix=""):
         raise
     except _INPUT_ERRORS as exc:
         _fail(path, where, f"{prefix}{exc}")
+
+
+def _given(cfg, section, prefix, m) -> bool:
+    """Whether any key of the row family prefix1..prefixm is present."""
+    return any(cfg.has_option(section, f"{prefix}{i}") for i in range(1, m + 1))
 
 
 def _rows(cfg, path, section, prefix, m):
@@ -182,9 +200,6 @@ class SceneFile:
 
 def _load_scalar_options(cfg, path, sc):
     sec = "scene"
-    for key in cfg.options(sec):
-        if key not in _SCENE_KEYS:
-            _fail(path, sec, f"unknown key {key}")
     # perturb_s is the negative-control switch: it adds eps * dx^1 (x) dz_1
     # to the canonical tensor S before the canonical suite runs
     for key, get in (
@@ -232,30 +247,40 @@ def _load_scalar_options(cfg, path, sc):
         sc.box = tuple(pairs)
 
 
+def _checked(H: horizon.HorizontalBundle) -> horizon.HorizontalBundle:
+    """H, once t and tau are finite at the validation points: a bad entry
+    then names the bundle's section, not the big metric that lifts it."""
+    for name in ("t", "tau"):
+        check_matrix(validation_values(getattr(H, name), H.m), f"bundle coefficient {name}")
+    return H
+
+
 def _load_bundle(cfg, path, sc, spray_bundle):
     """Resolve the horizontal bundle from the most specific data given;
     ``spray_bundle`` is the Lagrangian's, or None without one."""
     m = sc.m
     if cfg.has_section("horizontal_bundle"):
         sec = "horizontal_bundle"
-        has_t = cfg.has_option(sec, "t1")
-        has_tau = cfg.has_option(sec, "tau1")
+        has_t = _given(cfg, sec, "t", m)
+        has_tau = _given(cfg, sec, "tau", m)
         with _building(path, sec):
             if has_t and has_tau:
                 t = _rows(cfg, path, sec, "t", m)
                 tau = _rows(cfg, path, sec, "tau", m)
-                return horizon.HorizontalBundle(np.array(t, dtype=object),
-                                                np.array(tau, dtype=object), m)
-            if has_t:
-                return horizon.lift_from_tm(_rows(cfg, path, sec, "t", m), m)
-            if has_tau:
-                return horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
-        _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
+                H = horizon.HorizontalBundle(np.array(t, dtype=object),
+                                             np.array(tau, dtype=object), m)
+            elif has_t:
+                H = horizon.lift_from_tm(_rows(cfg, path, sec, "t", m), m)
+            elif has_tau:
+                H = horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
+            else:
+                _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
+            return _checked(H)
     if cfg.has_section("connection"):
         sec = "connection"
         gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
         with _building(path, sec):
-            return horizon.from_linear_connection(gamma, m)
+            return _checked(horizon.from_linear_connection(gamma, m))
     if sc.base_metric is not None:
         return horizon.from_linear_connection(
             metrics.base_christoffels(sc.base_metric, m), m
@@ -298,6 +323,10 @@ def load_scene(path: str) -> SceneFile:
         raise SceneError(f"{path}: [scene]: m: {exc}") from exc
     if not 1 <= m <= MAX_M:
         _fail(path, "scene", f"m must be 1..{MAX_M}, got {m}")
+    for sec, keys in _section_keys(m).items():
+        for key in cfg.options(sec) if cfg.has_section(sec) else ():
+            if key not in keys:
+                _fail(path, sec, f"unknown key {key}")
 
     sc = SceneFile(path=path, m=m)
     _load_scalar_options(cfg, path, sc)
@@ -369,7 +398,7 @@ def load_scene(path: str) -> SceneFile:
     if cfg.has_section("double_field"):
         sec = "double_field"
         sigma = _rows(cfg, path, sec, "sigma", m)
-        psi = _rows(cfg, path, sec, "psi", m) if cfg.has_option(sec, "psi1") else None
+        psi = _rows(cfg, path, sec, "psi", m) if _given(cfg, sec, "psi", m) else None
         density = cfg.get(sec, "density", fallback=None)
         with _building(path, sec):
             sc.double_field = dfield.DoubleField(sc.bundle, sigma, psi, density)

@@ -53,20 +53,13 @@ class TensorField:
 
     def __add__(self, other: "TensorField") -> "TensorField":
         self._match(other)
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.comps[idx] + other.comps[idx]
-        return TensorField(self.sig, out, self.m, self.frame)
+        return TensorField(self.sig, self.comps + other.comps, self.m, self.frame)
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         return self + (other * -1.0)
 
     def __mul__(self, scalar) -> "TensorField":
-        s = as_field(scalar)
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.comps[idx] * s
-        return TensorField(self.sig, out, self.m, self.frame)
+        return TensorField(self.sig, self.comps * as_field(scalar), self.m, self.frame)
 
     __rmul__ = __mul__
 

@@ -39,7 +39,7 @@ def box_points(m: int, npoints: int, seed: int, low: float, high: float) -> Char
 def horizontal_frame(H: horizon.HorizontalBundle) -> list:
     """The fields X_i of a horizontal bundle: the first m columns of its
     frame matrix."""
-    E, _ = horizon.frame_matrices(H)
+    E, _ = H.frame
     return [tc.vector(E[:, i], H.m) for i in range(H.m)]
 
 

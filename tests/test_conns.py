@@ -32,8 +32,8 @@ def test_levi_civita_euclidean_is_flat():
     lc = conns.levi_civita(g)
     p = sample_box(1, 10, seed=0)
     assert np.max(np.abs(fields.fvalue(lc.gamma, p))) < 1e-12
-    assert conns.torsion(lc).max_abs(p) < 1e-12
-    assert conns.curvature(lc).max_abs(p) < 1e-12
+    assert lc.torsion.max_abs(p) < 1e-12
+    assert lc.curvature.max_abs(p) < 1e-12
 
 
 def test_levi_civita_exponential_metric_hand_value():
@@ -53,7 +53,7 @@ def test_levi_civita_exponential_metric_is_flat():
     g = _diag_metric(["exp(2*x1)", 1, 1], 1)
     lc = conns.levi_civita(g)
     p = sample_box(1, 20, seed=2)
-    assert conns.curvature(lc).max_abs(p) < 1e-10
+    assert lc.curvature.max_abs(p) < 1e-10
 
 
 def test_levi_civita_metric_compatibility_and_torsion():
@@ -68,14 +68,14 @@ def test_levi_civita_metric_compatibility_and_torsion():
     lc = conns.levi_civita(g)
     p = sample_box(m, 20, seed=3)
     assert conns.covariant_differential(lc, g).max_abs(p) < 1e-9
-    assert conns.torsion(lc).max_abs(p) < 1e-9
+    assert lc.torsion.max_abs(p) < 1e-9
 
 
 def test_levi_civita_hyperbolic_plane_curvature_component():
     # dx^2 + exp(2*x1) dy^2 on the first two chart directions:
     # R(d/dx, d/dy) d/dy = -exp(2*x1) d/dx
     g = _diag_metric([1, "exp(2*x1)", 1], 1)
-    R = conns.curvature(conns.levi_civita(g))
+    R = conns.levi_civita(g).curvature
     p = sample_box(1, 10, seed=4)
     want = np.exp(2.0 * p.x[0])
     got = R.comps[0, 0, 1, 1].value(p)
@@ -99,8 +99,8 @@ def test_vranceanu_bott_flat_everything():
     vb = conns.vranceanu_bott(D, H)
     p = sample_box(m, 10, seed=6)
     assert np.max(np.abs(fields.fvalue(vb.gamma, p))) < 1e-12
-    assert conns.torsion(vb).max_abs(p) < 1e-12
-    assert conns.curvature(vb).max_abs(p) < 1e-12
+    assert vb.torsion.max_abs(p) < 1e-12
+    assert vb.curvature.max_abs(p) < 1e-12
 
 
 def test_vranceanu_bott_torsion_is_minus_ehresmann():
@@ -109,7 +109,7 @@ def test_vranceanu_bott_torsion_is_minus_ehresmann():
     D = conns.levi_civita(_diag_metric([1] * 6, m))
     vb = conns.vranceanu_bott(D, H)
     p = sample_box(m, 20, seed=7)
-    T = horizon.to_natural(conns.torsion(vb), H)
+    T = horizon.to_natural(vb.torsion, H)
     R_H = horizon.ehresmann_curvature(H)
     assert R_H.max_abs(p) > 0.1  # genuinely curved fixture
     assert (T + R_H).max_abs(p) < 1e-9
@@ -120,7 +120,7 @@ def test_vranceanu_bott_multi_kills_mixed_vertical_torsion():
     H = horizon.from_linear_connection(_gamma_curved(m), m)
     D = conns.levi_civita(_diag_metric([1, "exp(2*x1)", 1, 1, 1, 1], m))
     vb = conns.vranceanu_bott(D, H, multi=True)
-    Tv = conns.torsion(vb).value(sample_box(m, 10, seed=8))
+    Tv = vb.torsion.value(sample_box(m, 10, seed=8))
     assert np.max(np.abs(Tv[:, m : 2 * m, 2 * m :])) < 1e-12
     assert np.max(np.abs(Tv[:, 2 * m :, m : 2 * m])) < 1e-12
 
@@ -152,7 +152,7 @@ def test_canonical_bott_flat_and_gamma_bundle():
     assert largest(conns.projectability_residual(can, p)) < 1e-12
     # vertical directions are flat: all such coefficients vanish
     assert np.max(np.abs(fields.fvalue(can.gamma[m:, :, :], p))) < 1e-12
-    Rv = conns.curvature(can).value(p)
+    Rv = can.curvature.value(p)
     assert np.max(np.abs(Rv[:, m:, m:, :])) < 1e-12
 
 
@@ -164,7 +164,7 @@ def canonical_rule_check(H: horizon.HorizontalBundle, p: ChartPoint) -> Report:
     n = 3 * m
     conn = conns.canonical_bott(H)
     S = canonical_pack(m).S
-    E, C = horizon.frame_matrices(H)
+    E, C = H.frame
     rep = Report("canonical connection derivative rules", tol=1e-9)
 
     # rule 1: nabla_X X' as S^{-1} of the V1 part of [X, S X']
@@ -246,8 +246,8 @@ def test_torsion_curvature_antisymmetry():
     D = conns.levi_civita(_diag_metric([1, "exp(2*x1)", 1, 1, 1, 1], m))
     vb = conns.vranceanu_bott(D, H)
     p = sample_box(m, 5, seed=13)
-    Tv = conns.torsion(vb).value(p)
-    Rv = conns.curvature(vb).value(p)
+    Tv = vb.torsion.value(p)
+    Rv = vb.curvature.value(p)
     assert np.max(np.abs(Tv + np.swapaxes(Tv, 1, 2))) < 1e-12
     assert np.max(np.abs(Rv + np.swapaxes(Rv, 1, 2))) < 1e-12
 

@@ -190,7 +190,7 @@ def test_coframe_duality_and_projectors():
     frame = horizontal_frame(H) + [tc.basis_vector(m + i, m) for i in range(m)] + [
         tc.basis_vector(2 * m + i, m) for i in range(m)
     ]
-    E, C = horizon.frame_matrices(H)
+    E, C = H.frame
     coframe = [tc.one_form(C[a], m) for a in range(3 * m)]
     for a, al in enumerate(coframe):
         for b, v in enumerate(frame):
@@ -206,6 +206,16 @@ def test_coframe_duality_and_projectors():
     vV = np.moveaxis(prV.value(p), -1, 0)
     assert np.max(np.abs(vH @ vH - vH)) < 1e-12
     assert np.max(np.abs(vH + vV - np.eye(3 * m))) < 1e-12
+
+
+def test_the_frame_is_built_once_and_read_only():
+    # every reader of the bundle shares (E, C), so neither can be written
+    H = horizon.from_linear_connection(_gamma_curved(), 2)
+    E, C = H.frame
+    assert H.frame[0] is E and H.frame[1] is C
+    for arr in (E, C):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = fields.ZERO
 
 
 def test_adapted_natural_round_trip():
@@ -432,7 +442,7 @@ def test_decompose_d_partial_term_tracks_curvature():
         (horizon.flat_bundle(m), False),
         (horizon.from_linear_connection(_gamma_curved(), m), True),
     ]:
-        _, C = horizon.frame_matrices(H)
+        _, C = H.frame
         kappas = [tc.one_form(C[a], m) for a in range(2 * m, 3 * m)]
         dp, dpp, dd = decompose_d(kappas[0], H)
         assert (dd.max_abs(p) > 1e-3) == curved

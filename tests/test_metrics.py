@@ -149,7 +149,7 @@ def cartan_via_lie_derivative(gm: metrics.BigMetric) -> TensorField:
     g_ext = horizon.to_natural(
         TensorField(("down", "down"), hcomps, m, frame="adapted"), H
     )
-    E, _ = horizon.frame_matrices(H)
+    E, _ = H.frame
     comps = fields.fzeros(3 * m, 3 * m, 3 * m)
     for i in range(m):
         # S X_i is the i-th y-direction for the standard nilpotent S

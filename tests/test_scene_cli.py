@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,68 @@ def test_an_overflowed_metric_sample_prints_only_its_error_line(tmp_path):
     assert proc.stderr == f"error: {path}: [base_metric]: metric is not finite at a sample point\n"
 
 
+_DOMAIN = "log of a non-positive value at "
+_OVERFLOW = "bundle coefficient t is not finite at a sample point\n"
+
+
+@pytest.mark.parametrize(
+    "section, entry, message",
+    [
+        ("horizontal_bundle", "t1 = log(x1)", _DOMAIN),
+        ("horizontal_bundle", "tau1 = log(x1)", _DOMAIN),
+        ("horizontal_bundle", "t1 = exp(1000*x1)", _OVERFLOW),
+        ("connection", "c1_1 = log(x1)", _DOMAIN),
+        ("connection", "c1_1 = exp(1000*x1)", _OVERFLOW),
+    ],
+    ids=["t-log", "tau-log", "t-overflow", "connection-log", "connection-overflow"],
+)
+def test_a_bad_bundle_coefficient_names_its_own_section(tmp_path, section, entry, message):
+    # the bundle's coefficients are checked where the bundle is read, not
+    # first evaluated by the big metric's lift under [base_metric]
+    path = _write(tmp_path, f"[scene]\nm = 1\n\n[{section}]\n{entry}\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigtangent.cli", "check", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {path}: [{section}]: {message}")
+
+
+@pytest.mark.parametrize(
+    "m, text, message",
+    [
+        (1, "[double_field]\nsigma1 = 1\ndensty = x1\n", "[double_field]: unknown key densty"),
+        (1, "[base_metric]\nrow1 = 1\nrow2 = 5\n", "[base_metric]: unknown key row2"),
+        (
+            2,
+            "[double_field]\nsigma1 = 1; 0\nsigma2 = 0; 1\npsi2 = 0 - x1; 0\n",
+            "[double_field]: missing key psi1",
+        ),
+        (
+            2,
+            "[horizontal_bundle]\nt1 = 0; 0\nt2 = 0; 0\ntau2 = x1; 0\n",
+            "[horizontal_bundle]: missing key tau1",
+        ),
+        (1, "[lagrangian]\nL = y1^2\nl2 = y1^4\n", "[lagrangian]: unknown key l2"),
+        (1, "[connection]\nc1_1 = 0\nc1_2 = 0\n", "[connection]: unknown key c1_2"),
+    ],
+    ids=["densty", "row2", "psi2-alone", "tau2-alone", "lagrangian", "connection"],
+)
+def test_a_key_the_loader_does_not_read_exits_2(tmp_path, capsys, m, text, message):
+    # a misspelt key, a row past m or part of a row family would otherwise
+    # load as if absent: a default density, a zero psi or tau
+    path = _write(tmp_path, f"[scene]\nm = {m}\n\n{text}")
+    with pytest.raises(SceneError) as info:
+        load_scene(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert cli.main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: {message}\n"
+
+
 def test_a_non_finite_action_integrand_names_its_suite_and_point(tmp_path):
     # the integrand's factor exp(2000*x1^2) overflows where |x1| > 0.6: the
     # run fails as an input error on one line, naming the suite and the
@@ -822,6 +885,40 @@ def test_horizontal_and_metric_suites_share_each_bundle_and_metric_construction(
     assert cli.main(["check", scene, "--suite", "horizontal", "--suite", "metric"]) == 0
     capsys.readouterr()
     assert counts == {"bracket_components": 66, "levi_civita": 2, "vranceanu_bott": 3}
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("kitchen-sink", {"curvature": 5, "torsion": 4, "adapted": 2, "frame": 2}),
+        ("m3", {"curvature": 4, "torsion": 3, "adapted": 1, "frame": 1}),
+    ],
+)
+def test_horizontal_and_metric_suites_build_each_derived_tensor_once(
+    tmp_path, capsys, monkeypatch, name, expected
+):
+    # a connection owns its torsion and curvature, a bundle its frame and
+    # a big metric its adapted form, so the metric suite reads what the
+    # horizontal suite built.  That suite builds the curvature of D, nab,
+    # nab_bar and can and the torsion of the first three; on kitchen-sink
+    # the metric suite adds both of the Lagrangian metric's connection,
+    # and that metric brings a second bundle
+    from bigtangent import horizon
+
+    counts = dict.fromkeys(expected, 0)
+    for cls, attr in ((conns.Connection, "curvature"), (conns.Connection, "torsion"),
+                      (metrics.BigMetric, "adapted"), (horizon.HorizontalBundle, "frame")):
+        def counting(self, _build=cls.__dict__[attr].func, _attr=attr):
+            counts[_attr] += 1
+            return _build(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(cls, attr)
+        monkeypatch.setattr(cls, attr, prop)
+    path = _write(tmp_path, _M3_SCENE) if name == "m3" else str(SCENES / f"{name}.scene")
+    assert cli.main(["check", path, "--suite", "horizontal", "--suite", "metric"]) == 0
+    capsys.readouterr()
+    assert counts == expected
 
 
 def test_vector_field_cannot_take_a_builtin_name(tmp_path, capsys):

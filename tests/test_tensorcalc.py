@@ -298,3 +298,24 @@ def test_frame_mismatch_rejected():
     Y = tc.basis_vector(0, m)
     with pytest.raises(tc.FrameError):
         tc.lie_bracket(X, Y)
+
+
+def test_tensor_sum_and_scaling_are_the_elementwise_nodes():
+    # the field graph interns its nodes, so each entry is the very node the
+    # scalar operator builds on the two entries
+    m = 1
+    rng = np.random.default_rng(3)
+    X, Y = rand_poly_vector(m, rng), rand_poly_vector(m, rng)
+    A = tc.TensorField(("up", "down"), np.outer(X.comps, Y.comps), m)
+    B = tc.TensorField(("up", "down"), np.outer(Y.comps, X.comps), m)
+    s = f("exp(x1)*y1", m)
+    for got, want in (
+        ((A + B).comps, lambda idx: A.comps[idx] + B.comps[idx]),
+        ((A * s).comps, lambda idx: A.comps[idx] * s),
+        ((2.5 * A).comps, lambda idx: A.comps[idx] * fields.as_field(2.5)),
+        ((A - B).comps, lambda idx: A.comps[idx] + B.comps[idx] * fields.as_field(-1.0)),
+    ):
+        for idx in np.ndindex(got.shape):
+            assert got[idx] is want(idx)
+    scalar = tc.TensorField((), np.array(s, dtype=object), m)
+    assert (scalar + scalar).comps[()] is s + s
