@@ -50,13 +50,17 @@ def well_conditioned(values: np.ndarray) -> bool:
 def check_matrix(values, what: str, symmetry: int = 0, invertible: bool = False):
     """Raise ValueError naming ``what`` unless the sampled matrices
     ``values[k]`` are finite, symmetric (``symmetry`` 1) or antisymmetric
-    (-1) to 1e-10 and, when ``invertible``, well conditioned; return
-    ``values``."""
+    (-1) to 1e-10 and, when ``invertible``, well conditioned with a finite
+    inverse; return ``values``."""
     if not np.isfinite(values).all():  # first: a NaN residual passes any bound
         raise ValueError(f"{what} is not finite at a sample point")
     if symmetry and largest(values - symmetry * np.swapaxes(values, 1, 2)) > 1e-10:
         raise ValueError(f"{what} is not {'symmetric' if symmetry > 0 else 'antisymmetric'}")
-    if invertible and not well_conditioned(values):
+    # a tiny matrix, such as [[1e-320]], is well conditioned, but its
+    # inverse overflows in every object built from it
+    if invertible and not (
+        well_conditioned(values) and np.isfinite(np.linalg.inv(values)).all()
+    ):
         raise ValueError(f"{what} is singular at a sample point")
     return values
 

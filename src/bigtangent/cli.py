@@ -1,9 +1,11 @@
 """Command line front end: scene checking, object evaluation, version.
 
 Exit code contract: 0 all identities pass, 1 at least one identity
-fails, 2 input error (bad scene, unknown object, bad point, or a scene
+fails, 2 input error (bad scene, unknown object, bad point, a scene
 expression evaluated outside its domain, such as log of a non-positive
-value; its message names the suite or object and the chart point).
+value, whose message names the suite or object and the chart point, or
+a derived object that fails its check, whose message names the suite
+or object).
 Reports are emitted as JSON and are byte-identical across runs for the
 same scene, seed, and flags; each suite evaluates its fields at one
 batch of points, and report assembly is sequential and ordered.
@@ -15,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -105,6 +108,23 @@ _SUITES = dict(zip(
     strict=True))
 
 
+@contextmanager
+def _naming(where: str):
+    """Name ``where`` in an input error raised inside the block, as the
+    load names a section: a domain error takes it as its ``where``,
+    another ValueError is raised again after it; a SceneError, which
+    names its own place, passes unchanged."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except JetDomainError as err:
+        err.where = where
+        raise
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
+
+
 def run_suites(
     sc: SceneFile,
     which=None,
@@ -133,11 +153,8 @@ def run_suites(
     }
     all_pass = True
     for name in which:
-        try:
+        with _naming(f"suite {name}"):
             reports = _SUITES[name](sc, seed, samples, sc.suite_tol(name, tol))
-        except JetDomainError as err:
-            err.where = f"suite {name}"
-            raise
         ok = all(r.passed for r in reports)
         all_pass &= ok
         out["suites"].append(
@@ -242,11 +259,8 @@ def _run(args) -> int:
             _emit(payload, args.json_path)
             return code
         point = parse_point(args.point, sc.m)
-        try:
+        with _naming(f"object {args.object}"):
             payload = eval_object(sc, args.object, point)
-        except JetDomainError as err:
-            err.where = f"object {args.object}"
-            raise
         _emit(payload, args.json_path)
         return 0
     except (SceneError, OSError, ValueError, JetDomainError) as exc:

@@ -89,16 +89,16 @@ def block_lift(g: np.ndarray, H: horizon.HorizontalBundle) -> TensorField:
 
 
 def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
-    """The block lift of g over H; g may depend on (x, y)."""
-    m = H.m
-    gm = parse_grid(g, m, "xy", "g")
-    check_matrix(validation_values(gm, m), "fiber metric", invertible=True)
-    return BigMetric(block_lift(gm, H), m, H)
+    """The block lift of g over H; g may depend on (x, y).  The caller
+    owns the check that g is invertible: the scene's ``[base_metric]``
+    check, the spray's Hessian check, or g the identity."""
+    return BigMetric(block_lift(parse_grid(g, H.m, "xy", "g"), H), H.m, H)
 
 
 def lagrangian_metric(L, H: horizon.HorizontalBundle) -> BigMetric:
     """Coframe-form metric of the fiber Hessian of a regular Lagrangian,
-    over H, the horizontal bundle of its spray."""
+    over H, the horizontal bundle of its spray, whose construction
+    checked the Hessian."""
     return sasaki_type_metric(horizon.fiber_hessian(L, H.m), H)
 
 

@@ -170,7 +170,7 @@ class SceneFile:
     perturb_s: float = 0.0
     tol_overrides: dict = dc_field(default_factory=dict)
     base_metric: np.ndarray | None = None
-    lagrangian: str | None = None
+    lagrangian: "fields.ScalarField | None" = None
     vector_fields: dict = dc_field(default_factory=dict)
     bundle: horizon.HorizontalBundle | None = None
     big_metric: "metrics.BigMetric | None" = None
@@ -256,7 +256,8 @@ def _checked(H: horizon.HorizontalBundle) -> horizon.HorizontalBundle:
 
 
 def _load_bundle(cfg, path, sc, spray_bundle):
-    """Resolve the horizontal bundle from the most specific data given;
+    """Resolve the horizontal bundle from the most specific data given,
+    and name the section that gave it (``scene`` for the flat default);
     ``spray_bundle`` is the Lagrangian's, or None without one."""
     m = sc.m
     if cfg.has_section("horizontal_bundle"):
@@ -275,19 +276,18 @@ def _load_bundle(cfg, path, sc, spray_bundle):
                 H = horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
             else:
                 _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
-            return _checked(H)
+            return _checked(H), sec
     if cfg.has_section("connection"):
         sec = "connection"
         gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
         with _building(path, sec):
-            return _checked(horizon.from_linear_connection(gamma, m))
+            return _checked(horizon.from_linear_connection(gamma, m)), sec
     if sc.base_metric is not None:
-        return horizon.from_linear_connection(
-            metrics.base_christoffels(sc.base_metric, m), m
-        )
+        gamma = metrics.base_christoffels(sc.base_metric, m)
+        return horizon.from_linear_connection(gamma, m), "base_metric"
     if spray_bundle is not None:
-        return spray_bundle
-    return horizon.flat_bundle(m)
+        return spray_bundle, "lagrangian"
+    return horizon.flat_bundle(m), "scene"
 
 
 def load_scene(path: str) -> SceneFile:
@@ -351,7 +351,7 @@ def load_scene(path: str) -> SceneFile:
         rows = _rows(cfg, path, "base_metric", "row", m)
         with _building(path, "base_metric"):
             g = parse_grid(rows, m, {"x"}, "base_metric")
-            check_matrix(validation_values(g, m), "metric", symmetry=1)
+            check_matrix(validation_values(g, m), "metric", symmetry=1, invertible=True)
         sc.base_metric = g
 
     # the spray is built once: its bundle also carries the Lagrangian metric
@@ -360,11 +360,11 @@ def load_scene(path: str) -> SceneFile:
     if cfg.has_section("lagrangian"):
         if not cfg.has_option("lagrangian", "l"):
             _fail(path, "lagrangian", "missing key L")
-        sc.lagrangian = cfg.get("lagrangian", "l")
         with _building(path, "lagrangian"):
+            sc.lagrangian = horizon.lagrangian_field(cfg.get("lagrangian", "l"), m)
             sc.spray, spray_bundle = horizon.spray_from_lagrangian(sc.lagrangian, m)
 
-    sc.bundle = _load_bundle(cfg, path, sc, spray_bundle)
+    sc.bundle, bundle_section = _load_bundle(cfg, path, sc, spray_bundle)
 
     if cfg.has_section("vector_fields"):
         for name in cfg.options("vector_fields"):
@@ -389,7 +389,9 @@ def load_scene(path: str) -> SceneFile:
             [[fields.ONE if i == j else fields.ZERO for j in range(m)] for i in range(m)],
             dtype=object,
         )
-    with _building(path, "base_metric"):
+    # g is checked above; a lift that fails then fails on the bundle's
+    # coefficients, so it names the section that gave the bundle
+    with _building(path, bundle_section):
         sc.big_metric = metrics.sasaki_type_metric(g_base, sc.bundle)
     if sc.lagrangian is not None:
         with _building(path, "lagrangian"):

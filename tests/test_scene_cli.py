@@ -421,6 +421,7 @@ def test_an_overflowed_metric_sample_prints_only_its_error_line(tmp_path):
 
 _DOMAIN = "log of a non-positive value at "
 _OVERFLOW = "bundle coefficient t is not finite at a sample point\n"
+_LIFT_OVERFLOW = "metric is not finite at a sample point\n"
 
 
 @pytest.mark.parametrize(
@@ -431,12 +432,18 @@ _OVERFLOW = "bundle coefficient t is not finite at a sample point\n"
         ("horizontal_bundle", "t1 = exp(1000*x1)", _OVERFLOW),
         ("connection", "c1_1 = log(x1)", _DOMAIN),
         ("connection", "c1_1 = exp(1000*x1)", _OVERFLOW),
+        ("horizontal_bundle", "t1 = 1e200", _LIFT_OVERFLOW),
+        ("horizontal_bundle", "tau1 = 1e200", _LIFT_OVERFLOW),
+        ("connection", "c1_1 = 1e200", _LIFT_OVERFLOW),
     ],
-    ids=["t-log", "tau-log", "t-overflow", "connection-log", "connection-overflow"],
+    ids=["t-log", "tau-log", "t-overflow", "connection-log", "connection-overflow",
+         "t-lift-overflow", "tau-lift-overflow", "connection-lift-overflow"],
 )
 def test_a_bad_bundle_coefficient_names_its_own_section(tmp_path, section, entry, message):
     # the bundle's coefficients are checked where the bundle is read, not
-    # first evaluated by the big metric's lift under [base_metric]
+    # first evaluated by the big metric's lift under [base_metric]; a
+    # coefficient that is finite but overflows in the lift (t^2 = 1e400)
+    # names the bundle's section too, since the lift is built under it
     path = _write(tmp_path, f"[scene]\nm = 1\n\n[{section}]\n{entry}\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -466,13 +473,43 @@ def test_a_bad_bundle_coefficient_names_its_own_section(tmp_path, section, entry
         ),
         (1, "[lagrangian]\nL = y1^2\nl2 = y1^4\n", "[lagrangian]: unknown key l2"),
         (1, "[connection]\nc1_1 = 0\nc1_2 = 0\n", "[connection]: unknown key c1_2"),
+        (None, "[base_metric]\nrow1 = 1\n", "[scene]: missing [scene] section"),
+        (1, "box = 0 1 2; -1 1; -1 1\n", "[scene]: box interval '0 1 2' is not 'lo hi'"),
+        (
+            1,
+            "[horizontal_bundle]\n",
+            "[horizontal_bundle]: needs t1.. rows, tau1.. rows, or both",
+        ),
+        (1, "[vector_fields]\nw = 1; 2\n", "[vector_fields]: w has 2 components, expected 3"),
+        (
+            1,
+            "[base_metric]\nrow1 = 1e-320\n\n[horizontal_bundle]\nt1 = y1\n",
+            "[base_metric]: metric is singular at a sample point",
+        ),
+        (
+            1,
+            "[double_field]\nsigma1 = 1e-320\n",
+            "[double_field]: sigma is singular at a sample point",
+        ),
+        (
+            1,
+            "[lagrangian]\nL = 1e-320*y1^2\n",
+            "[lagrangian]: Lagrangian Hessian is singular at a sample point",
+        ),
     ],
-    ids=["densty", "row2", "psi2-alone", "tau2-alone", "lagrangian", "connection"],
+    ids=["densty", "row2", "psi2-alone", "tau2-alone", "lagrangian", "connection",
+         "no-scene-section", "box-triple", "empty-bundle", "vector-field-length",
+         "g-inverse-overflows", "sigma-inverse-overflows", "hessian-inverse-overflows"],
 )
 def test_a_key_the_loader_does_not_read_exits_2(tmp_path, capsys, m, text, message):
     # a misspelt key, a row past m or part of a row family would otherwise
-    # load as if absent: a default density, a zero psi or tau
-    path = _write(tmp_path, f"[scene]\nm = {m}\n\n{text}")
+    # load as if absent: a default density, a zero psi or tau.  The other
+    # cases are the loader's own shape errors (m None writes no [scene]),
+    # and matrices like [[1e-320]]: perfectly conditioned, but with an
+    # inverse of inf, so refused where they are read, not by the objects
+    # built from their inverse (the lift over the bundle, the k block)
+    header = "" if m is None else f"[scene]\nm = {m}\n\n"
+    path = _write(tmp_path, header + text)
     with pytest.raises(SceneError) as info:
         load_scene(path)
     assert str(info.value) == f"{path}: {message}"
@@ -992,6 +1029,68 @@ def test_load_builds_the_spray_once(tmp_path, monkeypatch):
     sc = load_scene(_write(tmp_path, "[scene]\nm = 1\n\n[lagrangian]\nL = exp(x1)*y1^2/2\n"))
     assert len(built) == 1
     assert sc.bundle is sc.double_field.H is sc.lagrangian_metric.H
+
+
+_KITCHEN_SINK_L = "(1/2)*(exp(x1)*y1^2 + y2^2)"
+
+
+@pytest.mark.parametrize(
+    "name, evaluations, parses",
+    [("kitchen-sink", 6, 1), ("m3", 4, 0), ("lagrangian", 5, 1)],
+)
+def test_load_checks_and_parses_each_input_once(
+    tmp_path, monkeypatch, name, evaluations, parses
+):
+    # [base_metric] is the one check of g and the spray the one check of
+    # the Hessian, so the lifts of g and of the Hessian are not checked
+    # again; L is parsed once and its field handed on to the spray, the
+    # Lagrangian metric and the Lagrangian double field.  Kitchen-sink
+    # evaluates g, the Hessian, both lifts, sigma and psi; the m = 3 scene
+    # (the benchmark's) g, its lift, sigma and psi; the Lagrangian-only
+    # scene the Hessian, the lifts over the spray's bundle, sigma and psi
+    from bigtangent import bigcore, exprdsl
+
+    evaluated, parsed = [], []
+    validation_values, parse_expr = bigcore.validation_values, exprdsl.parse_expr
+
+    def counting_values(comps, m):
+        evaluated.append(m)
+        return validation_values(comps, m)
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return parse_expr(text, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bigtangent") and (
+            getattr(mod, "validation_values", None) is validation_values
+        ):
+            monkeypatch.setattr(mod, "validation_values", counting_values)
+    monkeypatch.setattr(exprdsl, "parse_expr", counting_parse)
+    texts = {
+        "m3": _M3_SCENE,
+        "lagrangian": f"[scene]\nm = 2\n\n[lagrangian]\nL = {_KITCHEN_SINK_L}\n",
+    }
+    load_scene(_write(tmp_path, texts[name]) if name in texts else str(SCENES / f"{name}.scene"))
+    assert len(evaluated) == evaluations
+    assert parsed.count(_KITCHEN_SINK_L) == parses
+
+
+def test_a_derived_object_check_names_its_suite_or_object(tmp_path, capsys):
+    # psi = 1e200 passes its own check, but the fiber metric's h block,
+    # sigma - psi sigma^-1 psi, overflows where a suite or eval builds it
+    text = (
+        "[scene]\nm = 2\nsamples = 3\nmc_samples = 16\n\n[double_field]\n"
+        "sigma1 = 1; 0\nsigma2 = 0; 1\npsi1 = 0; 1e200\npsi2 = -1e200; 0\n"
+    )
+    path = _write(tmp_path, text)
+    for argv, where in (
+        (["check", path, "--suite", "double"], "suite double"),
+        (["eval", path, "--object", "dfield.rho", "--point", "x=0,0"], "object dfield.rho"),
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {where}: h block is not finite at a sample point\n"
 
 
 def test_eval_builds_only_the_object_it_names(capsys, monkeypatch):
