@@ -29,7 +29,10 @@ output does:
 - ``eval --object NAME`` for every name of ``EVAL_OBJECTS`` on
   ``scenes/kitchen-sink.scene`` and ``scenes/flat.scene``, at the scene's
   point in ``EVAL_POINTS``.  On ``flat``, which has no Lagrangian and no
-  vector field, ``spray.*`` and ``w`` exit 2 as unknown objects.
+  vector field, ``spray.*`` and ``w`` exit 2 as unknown objects;
+- ``check`` on each scene of ``ERROR_SCENES``, which this script writes:
+  each exits 2 with one ``error:`` line, so the load-time and suite-time
+  input errors, their text and their order, are pinned too.
 """
 
 from __future__ import annotations
@@ -84,6 +87,27 @@ psi3 = 0; 0; 0; x3
 psi4 = 0; 0; 0 - x3; 0
 density = (x1^2 + y1^2 + x4^2)/10
 """
+# name -> a scene that ``check`` refuses: the three bundles whose lift
+# overflows, a domain error and an inverse that overflows at load, the
+# loader's checks of sigma, psi and the Hessian, and a domain error
+# inside the double suite
+ERROR_SCENES = {
+    "lift-overflow-t": "[scene]\nm = 1\n\n[horizontal_bundle]\nt1 = 1e200\n",
+    "lift-overflow-tau": "[scene]\nm = 1\n\n[horizontal_bundle]\ntau1 = 1e200\n",
+    "lift-overflow-connection": "[scene]\nm = 1\n\n[connection]\nc1_1 = 1e200\n",
+    "base-metric-log": "[scene]\nm = 1\n\n[base_metric]\nrow1 = log(x1)\n",
+    "sigma-inverse-overflows": "[scene]\nm = 1\n\n[double_field]\nsigma1 = 1e-320\n",
+    "sigma-not-symmetric": "[scene]\nm = 2\n\n[double_field]\nsigma1 = 1; 1\nsigma2 = 0; 1\n",
+    "psi-not-antisymmetric": (
+        "[scene]\nm = 2\n\n[double_field]\nsigma1 = 1; 0\nsigma2 = 0; 1\n"
+        "psi1 = 0; x1\npsi2 = x1; 0\n"
+    ),
+    "hessian-singular": "[scene]\nm = 1\n\n[lagrangian]\nL = x1*y1\n",
+    "density-log": (
+        "[scene]\nm = 2\nsuites = double\n\n[double_field]\n"
+        "sigma1 = 1; 0\nsigma2 = 0; 1\ndensity = 2 + log(x1)\n"
+    ),
+}
 VERIFY = (
     "import json, sys\n"
     "from bigtangent import dfield, scene\n"
@@ -156,6 +180,9 @@ def main(argv=None) -> int:
         for obj in EVAL_OBJECTS:
             argv = ["eval", f"scenes/{stem}.scene", "--object", obj, "--point", point]
             run(out, f"eval-{stem}-{obj}", cli + argv, root, src)
+    for stem, text in ERROR_SCENES.items():
+        (work / f"error-{stem}.scene").write_text(text)
+        run(out, f"error-{stem}", cli + ["check", f"error-{stem}.scene"], work, src)
     return 0
 
 

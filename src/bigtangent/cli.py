@@ -17,15 +17,13 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, bigcore, conns, dfield, fields, gstruct, horizon
 from . import metrics, scene as scene_mod, tensorcalc as tc
-from .jets import JetDomainError
 from .points import ChartPoint, parse_point, sample_box
-from .scene import SceneError, SceneFile, load_scene
+from .scene import SceneError, SceneFile, load_scene, located
 
 
 # -- suite runners ---------------------------------------------------------
@@ -108,23 +106,6 @@ _SUITES = dict(zip(
     strict=True))
 
 
-@contextmanager
-def _naming(where: str):
-    """Name ``where`` in an input error raised inside the block, as the
-    load names a section: a domain error takes it as its ``where``,
-    another ValueError is raised again after it; a SceneError, which
-    names its own place, passes unchanged."""
-    try:
-        yield
-    except SceneError:
-        raise
-    except JetDomainError as err:
-        err.where = where
-        raise
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from err
-
-
 def run_suites(
     sc: SceneFile,
     which=None,
@@ -135,7 +116,8 @@ def run_suites(
     """Run the selected verification suites; return (exit code, report).
 
     ``which`` defaults to the scene's suite selection; seed, samples,
-    and tol override the scene's values when given.
+    and tol override the scene's values when given.  An input error
+    inside a suite raises a SceneError that names it, ``suite NAME: ...``.
     """
     which = list(which) if which else list(sc.suites)
     if err := scene_mod.suite_error(which):
@@ -153,7 +135,7 @@ def run_suites(
     }
     all_pass = True
     for name in which:
-        with _naming(f"suite {name}"):
+        with located(f"suite {name}"):
             reports = _SUITES[name](sc, seed, samples, sc.suite_tol(name, tol))
         ok = all(r.passed for r in reports)
         all_pass &= ok
@@ -166,13 +148,15 @@ def run_suites(
 
 # -- point evaluation ------------------------------------------------------
 def eval_object(sc: SceneFile, name: str, point: ChartPoint) -> dict:
-    """Evaluate a named object of the scene at one chart point."""
+    """Evaluate a named object of the scene at one chart point; an input
+    error in it raises a SceneError that names it, ``object NAME: ...``."""
     objects = sc.objects()
     if name not in objects:
         known = ", ".join(sorted(n for n in objects if n != "dfield.rho") + ["dfield.rho"])
         raise SceneError(f"unknown object {name!r} (known: {known})")
-    comps = np.asarray(objects[name](sc), dtype=object)
-    vals = fields.fvalue(comps, point)[..., 0]
+    with located(f"object {name}"):
+        comps = np.asarray(objects[name](sc), dtype=object)
+        vals = fields.fvalue(comps, point)[..., 0]
     return {
         "object": name,
         "frame": "natural",
@@ -259,11 +243,10 @@ def _run(args) -> int:
             _emit(payload, args.json_path)
             return code
         point = parse_point(args.point, sc.m)
-        with _naming(f"object {args.object}"):
-            payload = eval_object(sc, args.object, point)
+        payload = eval_object(sc, args.object, point)
         _emit(payload, args.json_path)
         return 0
-    except (SceneError, OSError, ValueError, JetDomainError) as exc:
+    except (OSError, ValueError) as exc:  # a SceneError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -194,7 +194,8 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint) -> Report:
 @dataclass
 class DoubleField:
     """A horizontal bundle plus a compatible fiber metric, stored
-    through the component pair (sigma, psi) and an optional density."""
+    through the component pair (sigma, psi) and an optional density.
+    Builds only: the loader checks sigma and psi."""
 
     H: horizon.HorizontalBundle
     sigma: np.ndarray
@@ -213,8 +214,6 @@ class DoubleField:
             self.density = parse_components(
                 [self.density], m, {"x", "y", "z"}, "density", count=1
             )[0]
-        check_matrix(validation_values(self.sigma, m), "sigma", symmetry=1, invertible=True)
-        check_matrix(validation_values(self.psi, m), "psi", symmetry=-1)
 
     @property
     def m(self) -> int:

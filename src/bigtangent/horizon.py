@@ -20,12 +20,10 @@ import numpy as np
 from . import fields, tensorcalc as tc
 from .bigcore import (
     canonical_pack,
-    check_matrix,
     forced_fiber_part,
     parse_components,
     parse_grid,
     sample_matrix,
-    validation_values,
 )
 from .fields import ScalarField
 from .points import ChartPoint
@@ -213,7 +211,7 @@ def spray_from_lagrangian(L, m: int):
     eta solves the pointwise linear system
     (d2L/dy dy) eta = dL/dx - y.(d2L/dx dy); the tangent-side bundle has
     t_i^j = -(1/2) d eta^j / dy^i and lifts to the full chart.
-    Returns (SecondOrderField, HorizontalBundle).
+    Returns (SecondOrderField, HorizontalBundle); the loader checks the Hessian.
     """
     Lf = lagrangian_field(L, m)
     g = fiber_hessian(Lf, m)
@@ -223,7 +221,6 @@ def spray_from_lagrangian(L, m: int):
             ((-1, fields.Coord(m + k), Lf.partial(m + j).partial(k)) for k in range(m)),
             start=Lf.partial(j),
         )
-    check_matrix(validation_values(g, m), "Lagrangian Hessian", invertible=True)
     eta = fields.fdot(fields.finverse(g), rhs)
     t = fields.fzeros(m, m)
     for i in range(m):

@@ -25,20 +25,16 @@ class JetDomainError(ArithmeticError):
 
     ``index`` is the first bad sample of the batch.  The field node that
     evaluated the jet sets ``point`` to that sample's chart coordinates,
-    and a caller may set ``where`` to name what was being evaluated; both
-    appear in the message.
+    which the message then names.
     """
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.message, self.index = message, index
-        self.point = self.where = None
+        self.point = None
 
     def __str__(self):
-        text = self.message
-        if self.point is not None:
-            text = f"{text} at {self.point}"
-        return text if self.where is None else f"{self.where}: {text}"
+        return self.message if self.point is None else f"{self.message} at {self.point}"
 
 
 def mul_coeffs(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:

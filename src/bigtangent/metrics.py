@@ -27,26 +27,12 @@ from .tensorcalc import TensorField
 
 @dataclass
 class BigMetric:
-    """Symmetric (0,2) chart tensor plus the horizontal bundle H its
-    canonical connection projects onto."""
+    """Symmetric natural-frame (0,2) chart tensor plus the horizontal
+    bundle H its canonical connection projects onto."""
 
     tensor: TensorField
     m: int
     H: horizon.HorizontalBundle
-
-    def __post_init__(self):
-        t = self.tensor
-        if t.sig != ("down", "down") or t.frame != "natural":
-            raise ValueError("metric must be a natural-frame (0,2) tensor")
-        m = self.m
-        gv = check_matrix(validation_values(t.comps, m), "metric", symmetry=1)
-        # each row scaled to a largest entry of 1 (a zero row stays zero):
-        # the vertical restriction diag(s*g, g^-1/s) of a lift of s*g then
-        # passes or fails as that of g does
-        vert = gv[:, m:, m:]
-        scale = np.max(np.abs(vert), axis=2, keepdims=True)
-        vert = vert / np.where(scale > 0, scale, np.inf)
-        check_matrix(vert, "vertical restriction", invertible=True)
 
     # Built once per metric, so the horizontal and both metric checks
     # share one Levi-Civita connection and one projection of it.
@@ -88,17 +74,32 @@ def block_lift(g: np.ndarray, H: horizon.HorizontalBundle) -> TensorField:
     return horizon.to_natural(TensorField(("down", "down"), comps, m, frame="adapted"), H)
 
 
+def check_lift(gm: BigMetric) -> BigMetric:
+    """``gm``, once it is finite and symmetric at the validation points and
+    its vertical restriction invertible there: the loader's check of a
+    lift, run under the section that gave the lifted data."""
+    m = gm.m
+    gv = check_matrix(validation_values(gm.tensor.comps, m), "metric", symmetry=1)
+    # each row scaled to a largest entry of 1 (a zero row stays zero):
+    # the vertical restriction diag(s*g, g^-1/s) of a lift of s*g then
+    # passes or fails as that of g does
+    vert = gv[:, m:, m:]
+    scale = np.max(np.abs(vert), axis=2, keepdims=True)
+    vert = vert / np.where(scale > 0, scale, np.inf)
+    check_matrix(vert, "vertical restriction", invertible=True)
+    return gm
+
+
 def sasaki_type_metric(g, H: horizon.HorizontalBundle) -> BigMetric:
-    """The block lift of g over H; g may depend on (x, y).  The caller
-    owns the check that g is invertible: the scene's ``[base_metric]``
-    check, the spray's Hessian check, or g the identity."""
+    """The block lift of g over H; g may depend on (x, y).  Builds only:
+    the loader checks g (``[base_metric]``, the spray's Hessian, or g the
+    identity) and then the lift (``check_lift``)."""
     return BigMetric(block_lift(parse_grid(g, H.m, "xy", "g"), H), H.m, H)
 
 
 def lagrangian_metric(L, H: horizon.HorizontalBundle) -> BigMetric:
     """Coframe-form metric of the fiber Hessian of a regular Lagrangian,
-    over H, the horizontal bundle of its spray, whose construction
-    checked the Hessian."""
+    over H, the horizontal bundle of its spray."""
     return sasaki_type_metric(horizon.fiber_hessian(L, H.m), H)
 
 

@@ -16,6 +16,7 @@ SceneFile is ready for the verification suites.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -124,16 +125,17 @@ def _fail(path, where, msg):
 
 
 @contextmanager
-def _building(path, where, prefix=""):
-    """Turn an input error of the construction inside the block into a
-    SceneError naming section ``where``, its message after ``prefix``; a
-    SceneError passes unchanged."""
+def located(label: str):
+    """Turn an input error raised inside the block into a SceneError whose
+    message is ``label: message``; a SceneError, which names its own
+    place, passes unchanged.  The loader labels a section
+    (``PATH: [SECTION]``), the command line a suite or an object."""
     try:
         yield
     except SceneError:
         raise
     except _INPUT_ERRORS as exc:
-        _fail(path, where, f"{prefix}{exc}")
+        raise SceneError(f"{label}: {exc}") from exc
 
 
 def _given(cfg, section, prefix, m) -> bool:
@@ -264,7 +266,7 @@ def _load_bundle(cfg, path, sc, spray_bundle):
         sec = "horizontal_bundle"
         has_t = _given(cfg, sec, "t", m)
         has_tau = _given(cfg, sec, "tau", m)
-        with _building(path, sec):
+        with located(f"{path}: [{sec}]"):
             if has_t and has_tau:
                 t = _rows(cfg, path, sec, "t", m)
                 tau = _rows(cfg, path, sec, "tau", m)
@@ -280,7 +282,7 @@ def _load_bundle(cfg, path, sc, spray_bundle):
     if cfg.has_section("connection"):
         sec = "connection"
         gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
-        with _building(path, sec):
+        with located(f"{path}: [{sec}]"):
             return _checked(horizon.from_linear_connection(gamma, m)), sec
     if sc.base_metric is not None:
         gamma = metrics.base_christoffels(sc.base_metric, m)
@@ -290,32 +292,48 @@ def _load_bundle(cfg, path, sc, spray_bundle):
     return horizon.flat_bundle(m), "scene"
 
 
+# One parser per key rule, lower-cased or as written (for [tolerances]),
+# built once per process and emptied before each read: a parser holds
+# reference cycles, and so would each section's getters of its
+# converters, so it has none.
+@functools.cache
+def _parser(as_written: bool) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    for name in list(parser.converters):
+        del parser.converters[name]
+    if as_written:
+        parser.optionxform = str
+    return parser
+
+
+def _read(text, path, as_written=False) -> configparser.ConfigParser:
+    """The parser of ``as_written`` holding ``text`` alone."""
+    parser = _parser(as_written)
+    for sec in parser.sections():
+        parser.remove_section(sec)
+    parser.defaults().clear()
+    parser.read_string(text, source=path)
+    return parser
+
+
 def load_scene(path: str) -> SceneFile:
     """Parse, validate, and pre-construct a scene file.
 
-    Raises SceneError with the offending section (and key where it
-    helps) on any problem; missing files surface as OSError.
+    Each object is checked right after it is built, under the section
+    that gave its data; the constructors only build.  Raises SceneError
+    with the offending section (and key where it helps) on any problem;
+    missing files surface as OSError.
     """
-    cfg = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         text = fh.read()
     try:
-        cfg.read_string(text, source=path)
+        cfg = _read(text, path)
     except configparser.Error as exc:
         raise SceneError(f"{path}: {exc}") from exc
     if not cfg.has_section("scene"):
         _fail(path, "scene", "missing [scene] section")
     for sec in cfg.sections():
-        if sec not in (
-            "scene",
-            "base_metric",
-            "connection",
-            "lagrangian",
-            "vector_fields",
-            "horizontal_bundle",
-            "double_field",
-            "tolerances",
-        ):
+        if sec not in (*_section_keys(1), "vector_fields", "tolerances"):
             _fail(path, sec, "unknown section")
     try:
         m = cfg.getint("scene", "m")
@@ -333,9 +351,7 @@ def load_scene(path: str) -> SceneFile:
 
     if cfg.has_section("tolerances"):
         # its keys are suite names, matched as written, not lower-cased
-        written = configparser.ConfigParser(interpolation=None)
-        written.optionxform = str
-        written.read_string(text, source=path)
+        written = _read(text, path, as_written=True)
         for key in written.options("tolerances"):
             if err := suite_error([key]):
                 _fail(path, "tolerances", err)
@@ -349,7 +365,7 @@ def load_scene(path: str) -> SceneFile:
 
     if cfg.has_section("base_metric"):
         rows = _rows(cfg, path, "base_metric", "row", m)
-        with _building(path, "base_metric"):
+        with located(f"{path}: [base_metric]"):
             g = parse_grid(rows, m, {"x"}, "base_metric")
             check_matrix(validation_values(g, m), "metric", symmetry=1, invertible=True)
         sc.base_metric = g
@@ -360,9 +376,11 @@ def load_scene(path: str) -> SceneFile:
     if cfg.has_section("lagrangian"):
         if not cfg.has_option("lagrangian", "l"):
             _fail(path, "lagrangian", "missing key L")
-        with _building(path, "lagrangian"):
+        with located(f"{path}: [lagrangian]"):
             sc.lagrangian = horizon.lagrangian_field(cfg.get("lagrangian", "l"), m)
             sc.spray, spray_bundle = horizon.spray_from_lagrangian(sc.lagrangian, m)
+            hessian = validation_values(horizon.fiber_hessian(sc.lagrangian, m), m)
+            check_matrix(hessian, "Lagrangian Hessian", invertible=True)
 
     sc.bundle, bundle_section = _load_bundle(cfg, path, sc, spray_bundle)
 
@@ -372,12 +390,9 @@ def load_scene(path: str) -> SceneFile:
                 _fail(path, "vector_fields", f"{name}: reserved for a built-in object")
             comps = [s.strip() for s in cfg.get("vector_fields", name).split(";")]
             if len(comps) != 3 * m:
-                _fail(
-                    path,
-                    "vector_fields",
-                    f"{name} has {len(comps)} components, expected {3 * m}",
-                )
-            with _building(path, "vector_fields", f"{name}: "):
+                msg = f"{name} has {len(comps)} components, expected {3 * m}"
+                _fail(path, "vector_fields", msg)
+            with located(f"{path}: [vector_fields]: {name}"):
                 sc.vector_fields[name] = np.array(
                     parse_components(comps, m, {"x", "y", "z"}, name, count=3 * m),
                     dtype=object,
@@ -385,30 +400,37 @@ def load_scene(path: str) -> SceneFile:
 
     g_base = sc.base_metric
     if g_base is None:
-        g_base = np.array(
-            [[fields.ONE if i == j else fields.ZERO for j in range(m)] for i in range(m)],
-            dtype=object,
-        )
+        g_base = fields.fzeros(m, m)
+        np.fill_diagonal(g_base, fields.ONE)
     # g is checked above; a lift that fails then fails on the bundle's
     # coefficients, so it names the section that gave the bundle
-    with _building(path, bundle_section):
-        sc.big_metric = metrics.sasaki_type_metric(g_base, sc.bundle)
+    with located(f"{path}: [{bundle_section}]"):
+        sc.big_metric = metrics.check_lift(metrics.sasaki_type_metric(g_base, sc.bundle))
     if sc.lagrangian is not None:
-        with _building(path, "lagrangian"):
-            sc.lagrangian_metric = metrics.lagrangian_metric(sc.lagrangian, spray_bundle)
+        with located(f"{path}: [lagrangian]"):
+            gm = metrics.lagrangian_metric(sc.lagrangian, spray_bundle)
+            sc.lagrangian_metric = metrics.check_lift(gm)
 
     if cfg.has_section("double_field"):
         sec = "double_field"
         sigma = _rows(cfg, path, sec, "sigma", m)
         psi = _rows(cfg, path, sec, "psi", m) if _given(cfg, sec, "psi", m) else None
         density = cfg.get(sec, "density", fallback=None)
-        with _building(path, sec):
-            sc.double_field = dfield.DoubleField(sc.bundle, sigma, psi, density)
-    elif sc.base_metric is not None:
-        sc.double_field = dfield.DoubleField(sc.bundle, sc.base_metric)
-    elif sc.lagrangian is not None:
-        sc.double_field = dfield.field_from_lagrangian(sc.lagrangian, spray_bundle)
-    else:
-        eye = [["1" if i == j else "0" for j in range(m)] for i in range(m)]
-        sc.double_field = dfield.DoubleField(sc.bundle, eye)
+        with located(f"{path}: [{sec}]"):
+            F = dfield.DoubleField(sc.bundle, sigma, psi, density)
+            S = check_matrix(validation_values(F.sigma, m), "sigma", symmetry=1, invertible=True)
+            P = check_matrix(validation_values(F.psi, m), "psi", symmetry=-1)
+            # the h block of the fiber metric, sigma - psi sigma^-1 psi,
+            # from the same samples: a finiteness check
+            with np.errstate(all="ignore"):
+                h = S - P @ np.linalg.solve(S, P)
+            check_matrix(h, "fiber metric")
+    elif sc.base_metric is None and sc.lagrangian is not None:
+        # sigma is the Hessian, checked above, and symmetric bit for bit
+        with located(f"{path}: [lagrangian]"):
+            F = dfield.field_from_lagrangian(sc.lagrangian, spray_bundle)
+            check_matrix(validation_values(F.psi, m), "psi", symmetry=-1)
+    else:  # not checked: sigma is g, checked above, or the identity; psi is zero
+        F = dfield.DoubleField(sc.bundle, g_base)
+    sc.double_field = F
     return sc

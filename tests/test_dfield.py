@@ -168,18 +168,6 @@ def test_legendre_involution_needs_invertible_k():
         legendre_involution(lame, sample_box(1, 3, seed=7))
 
 
-def test_double_field_validation():
-    H = horizon.flat_bundle(2)
-    with pytest.raises(ValueError):
-        dfield.DoubleField(H, [["1", "1"], ["0", "1"]])  # not symmetric
-    with pytest.raises(ValueError):
-        dfield.DoubleField(H, [["1", "1"], ["1", "1"]])  # singular
-    with pytest.raises(ValueError):
-        dfield.DoubleField(
-            H, [["1", "0"], ["0", "1"]], [["0", "x1"], ["x1", "0"]]
-        )  # psi not antisymmetric
-
-
 def _sigma_differential(F, c, p):
     """The sampled covariant differential of sigma under a y-block
     connection c, which the identity suite reports."""

@@ -129,11 +129,6 @@ def test_spray_equation_residual():
         assert largest(horizon.lagrangian_spray_residual(L, sof, p)) < 1e-8
 
 
-def test_spray_singular_hessian_raises():
-    with pytest.raises(ValueError):
-        horizon.spray_from_lagrangian("x1*y1", 1)
-
-
 def test_second_order_projector_flat():
     m = 1
     sof = horizon.SecondOrderField(["0"], ["0"], m)

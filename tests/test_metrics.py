@@ -51,12 +51,14 @@ def test_big_metric_rejects_degenerate_vertical_part():
     comps[1, 2] = comps[2, 1] = fields.ONE
     comps[1, 1] = fields.ONE
     # z-z entry identically zero but the block is still invertible
-    metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
+    gm = metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
+    assert metrics.check_lift(gm) is gm
     comps2 = fields.fzeros(3, 3)
     comps2[0, 0] = fields.ONE
     comps2[1, 1] = fields.ONE
-    with pytest.raises(ValueError):
-        metrics.BigMetric(TensorField(("down", "down"), comps2, m), m, horizon.flat_bundle(m))
+    gm2 = metrics.BigMetric(TensorField(("down", "down"), comps2, m), m, horizon.flat_bundle(m))
+    with pytest.raises(ValueError, match="^vertical restriction is singular"):
+        metrics.check_lift(gm2)
 
 
 def test_big_metric_rejects_asymmetry():
@@ -64,8 +66,9 @@ def test_big_metric_rejects_asymmetry():
     comps = fields.fzeros(3, 3)
     comps[0, 0] = comps[1, 1] = comps[2, 2] = fields.ONE
     comps[0, 1] = fields.ONE
-    with pytest.raises(ValueError):
-        metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
+    gm = metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
+    with pytest.raises(ValueError, match="^metric is not symmetric$"):
+        metrics.check_lift(gm)
 
 
 def test_canonical_metric_connection_flat():

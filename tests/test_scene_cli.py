@@ -496,18 +496,40 @@ def test_a_bad_bundle_coefficient_names_its_own_section(tmp_path, section, entry
             "[lagrangian]\nL = 1e-320*y1^2\n",
             "[lagrangian]: Lagrangian Hessian is singular at a sample point",
         ),
+        (
+            1,
+            "[lagrangian]\nL = x1*y1\n",
+            "[lagrangian]: Lagrangian Hessian is singular at a sample point",
+        ),
+        (
+            2,
+            "[double_field]\nsigma1 = 1; 1\nsigma2 = 0; 1\n",
+            "[double_field]: sigma is not symmetric",
+        ),
+        (
+            2,
+            "[double_field]\nsigma1 = 1; 1\nsigma2 = 1; 1\n",
+            "[double_field]: sigma is singular at a sample point",
+        ),
+        (
+            2,
+            "[double_field]\nsigma1 = 1; 0\nsigma2 = 0; 1\npsi1 = 0; x1\npsi2 = x1; 0\n",
+            "[double_field]: psi is not antisymmetric",
+        ),
     ],
     ids=["densty", "row2", "psi2-alone", "tau2-alone", "lagrangian", "connection",
          "no-scene-section", "box-triple", "empty-bundle", "vector-field-length",
-         "g-inverse-overflows", "sigma-inverse-overflows", "hessian-inverse-overflows"],
+         "g-inverse-overflows", "sigma-inverse-overflows", "hessian-inverse-overflows",
+         "hessian-singular", "sigma-not-symmetric", "sigma-singular", "psi-not-antisymmetric"],
 )
 def test_a_key_the_loader_does_not_read_exits_2(tmp_path, capsys, m, text, message):
     # a misspelt key, a row past m or part of a row family would otherwise
     # load as if absent: a default density, a zero psi or tau.  The other
     # cases are the loader's own shape errors (m None writes no [scene]),
-    # and matrices like [[1e-320]]: perfectly conditioned, but with an
+    # matrices like [[1e-320]]: perfectly conditioned, but with an
     # inverse of inf, so refused where they are read, not by the objects
-    # built from their inverse (the lift over the bundle, the k block)
+    # built from their inverse (the lift over the bundle, the k block),
+    # and the checks the loader runs on the spray and the double field
     header = "" if m is None else f"[scene]\nm = {m}\n\n"
     path = _write(tmp_path, header + text)
     with pytest.raises(SceneError) as info:
@@ -766,7 +788,24 @@ def test_a_command_leaves_no_cyclic_garbage_of_its_graphs(capsys, argv):
     capsys.readouterr()
     kinds = (fields.ScalarField, np.ndarray, fields._MatrixInverse, fields._Ref, dfield.DoubleField)
     assert not [type(o).__name__ for o in garbage if isinstance(o, kinds)]
+    # nor the scene's parsers, which are built once per process
+    assert not [type(o).__name__ for o in garbage if type(o).__module__ == "configparser"]
     assert len(garbage) <= 500
+
+
+def test_a_load_reads_only_its_own_file(tmp_path):
+    # the loader's parsers are built once and emptied before each read, so
+    # no section, [DEFAULT] key or [tolerances] key of an earlier file
+    # reaches a later load
+    default = _write(tmp_path, "[DEFAULT]\nfoo = 1\n\n[scene]\nm = 1\n", "default.scene")
+    with pytest.raises(SceneError) as info:
+        load_scene(default)
+    assert str(info.value) == f"{default}: [scene]: unknown key foo"
+    full = "[scene]\nm = 1\n\n[base_metric]\nrow1 = 2\n\n[tolerances]\nmetric = 1e-3\n"
+    sc = load_scene(_write(tmp_path, full, "full.scene"))
+    assert sc.base_metric is not None and sc.tol_overrides == {"metric": 1e-3}
+    sc = load_scene(_write(tmp_path, "[scene]\nm = 1\n", "bare.scene"))
+    assert sc.base_metric is None and sc.tol_overrides == {}
 
 
 def test_parse_point():
@@ -1036,18 +1075,20 @@ _KITCHEN_SINK_L = "(1/2)*(exp(x1)*y1^2 + y2^2)"
 
 @pytest.mark.parametrize(
     "name, evaluations, parses",
-    [("kitchen-sink", 6, 1), ("m3", 4, 0), ("lagrangian", 5, 1)],
+    [("kitchen-sink", 6, 1), ("m3", 2, 0), ("lagrangian", 4, 1), ("flat", 1, 0)],
 )
 def test_load_checks_and_parses_each_input_once(
     tmp_path, monkeypatch, name, evaluations, parses
 ):
-    # [base_metric] is the one check of g and the spray the one check of
-    # the Hessian, so the lifts of g and of the Hessian are not checked
-    # again; L is parsed once and its field handed on to the spray, the
-    # Lagrangian metric and the Lagrangian double field.  Kitchen-sink
-    # evaluates g, the Hessian, both lifts, sigma and psi; the m = 3 scene
-    # (the benchmark's) g, its lift, sigma and psi; the Lagrangian-only
-    # scene the Hessian, the lifts over the spray's bundle, sigma and psi
+    # [base_metric] is the one check of g and [lagrangian] the one check
+    # of the Hessian, so neither is checked again as a sigma; a field of g
+    # or of the identity is not checked (its psi is zero), and the
+    # Lagrangian field's psi only.  L is parsed once and its field handed
+    # on to the spray, the Lagrangian metric and the Lagrangian double
+    # field.  Kitchen-sink evaluates g, the Hessian, both lifts, sigma and
+    # psi (the fiber metric is computed from their samples); the m = 3
+    # scene (the benchmark's) g and its lift; the Lagrangian-only scene
+    # the Hessian, the lifts over the spray's bundle and psi; flat the lift
     from bigtangent import bigcore, exprdsl
 
     evaluated, parsed = [], []
@@ -1076,21 +1117,75 @@ def test_load_checks_and_parses_each_input_once(
     assert parsed.count(_KITCHEN_SINK_L) == parses
 
 
-def test_a_derived_object_check_names_its_suite_or_object(tmp_path, capsys):
+def test_a_fiber_metric_that_overflows_is_a_load_error(tmp_path, capsys):
     # psi = 1e200 passes its own check, but the fiber metric's h block,
-    # sigma - psi sigma^-1 psi, overflows where a suite or eval builds it
+    # sigma - psi sigma^-1 psi, overflows: every command refuses the scene
+    # at load, eval of an object that never reads the field included
     text = (
         "[scene]\nm = 2\nsamples = 3\nmc_samples = 16\n\n[double_field]\n"
         "sigma1 = 1; 0\nsigma2 = 0; 1\npsi1 = 0; 1e200\npsi2 = -1e200; 0\n"
     )
     path = _write(tmp_path, text)
-    for argv, where in (
-        (["check", path, "--suite", "double"], "suite double"),
-        (["eval", path, "--object", "dfield.rho", "--point", "x=0,0"], "object dfield.rho"),
+    message = f"{path}: [double_field]: fiber metric is not finite at a sample point"
+    with pytest.raises(SceneError) as info:
+        load_scene(path)
+    assert str(info.value) == message
+    for argv in (
+        ["check", path, "--suite", "double"],
+        ["eval", path, "--object", "dfield.rho", "--point", "x=0,0"],
+        ["eval", path, "--object", "P", "--point", "x=0,0"],
     ):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {where}: h block is not finite at a sample point\n"
+        assert out == "" and err == f"error: {message}\n"
+
+
+def test_a_derived_object_check_names_its_suite_or_object(capsys, monkeypatch):
+    # an input error raised inside a suite or an eval names the suite or
+    # the object, as the load names a section; an ArithmeticError that is
+    # no domain error exits 2 too, as it does at load
+    path = str(SCENES / "flat.scene")
+    sc = load_scene(path)
+    message = "h block is not finite at a sample point"
+    for exc in (ValueError, OverflowError):
+        def failing(*args, exc=exc):
+            raise exc(message)
+
+        monkeypatch.setitem(cli._SUITES, "double", failing)
+        monkeypatch.setitem(OBJECTS, "dfield.sigma", failing)
+        for argv, where in (
+            (["check", path, "--suite", "double"], "suite double"),
+            (["eval", path, "--object", "dfield.sigma", "--point", "x=0"], "object dfield.sigma"),
+        ):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {where}: {message}\n"
+        with pytest.raises(SceneError, match=f"^suite double: {message}$"):
+            cli.run_suites(sc, which=["double"])
+        with pytest.raises(SceneError, match=f"^object dfield.sigma: {message}$"):
+            cli.eval_object(sc, "dfield.sigma", parse_point("x=0", 1))
+
+
+def test_constructors_run_no_evaluation(monkeypatch):
+    # the loader runs every load-time check; building a lift, a spray or
+    # a double field from kitchen-sink's inputs only builds graphs
+    from bigtangent import horizon
+
+    sc = load_scene(str(SCENES / "kitchen-sink.scene"))
+    L, H, m = sc.lagrangian, sc.bundle, sc.m
+    sigma = [["1 + (1/2)*y2^2", "0"], ["0", "1"]]
+    psi = [["0", "x1*y2"], ["0 - x1*y2", "0"]]
+    runs = []
+    run = fields._run
+    monkeypatch.setattr(fields, "_run", lambda *args: runs.append(args) or run(*args))
+    _, spray_bundle = horizon.spray_from_lagrangian(L, m)
+    metrics.sasaki_type_metric(sc.base_metric, H)
+    metrics.lagrangian_metric(L, spray_bundle)
+    dfield.DoubleField(H, sigma, psi, "(1/10)*(x1^2 + y1^2)")
+    dfield.field_from_lagrangian(L, spray_bundle)
+    assert runs == []
+    fields.fvalue(sc.base_metric, parse_point("x=0,0", m))  # the counter sees a run
+    assert len(runs) == 1
 
 
 def test_eval_builds_only_the_object_it_names(capsys, monkeypatch):
