@@ -6,7 +6,7 @@ bivector P = dy_i ^ dz_i, the symmetric pairing Q = dy_i (.) dz_i, the
 2-nilpotent S = dx^i (x) dy_i, U = (Q+P)/2, the evaluation function
 ev = z_i y^i and the Euler field E = y^i d/dy^i + z_i d/dz_i.  Lifts take base data (components in
 x only, or the declared extended dependencies) to vector fields on the
-chart.
+chart.  The pair structures S_P and S_varpi are matrices on stacked (X, a).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .exprdsl import DependencyError  # noqa: F401 (raised by parse_components)
 from .fields import ScalarField, as_field
 from .points import ChartPoint, sample_box
 from .report import Report, largest
-from .tensorcalc import GeneralizedSection, TensorField
+from .tensorcalc import TensorField
 
 
 # Largest condition number a sampled matrix may have and still count as
@@ -214,47 +214,33 @@ def base_bracket(X, Y, m: int) -> list[ScalarField]:
 
 
 # -- pair endomorphisms of Prop 2.3 ---------------------------------------
-def pair_endo_P(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSection:
-    """S_P (X, a) = (S X + sharp_P a, -tS a), with (tS a)_i = a_j S^j_i."""
-    X = tc.apply_11(pack.S, A.X) + tc.sharp_field(pack.P, A.alpha)
-    return GeneralizedSection(X, tc.flat_field_form(pack.S, A.alpha) * -1.0)
+def pair_endomorphisms(pack: CanonicalPack) -> tuple:
+    """S_P (X, a) = (S X + sharp_P a, -tS a) and S_varpi (X, a) =
+    (S X, flat_varpi X - tS a), with (tS a)_i = a_j S^j_i, as 6m x 6m
+    object matrices on sections stacked as (X, a): [[S, P^T], [0, -S^T]]
+    and [[S, 0], [varpi^T, -S^T]]."""
+    S, zero = pack.S.comps, fields.fzeros(3 * pack.m, 3 * pack.m)
+    minus_tS = S.T * -1.0
+    return (
+        np.block([[S, pack.P.comps.T], [zero, minus_tS]]),
+        np.block([[S, zero], [pack.varpi.comps.T, minus_tS]]),
+    )
 
 
-def pair_endo_varpi(pack: CanonicalPack, A: GeneralizedSection) -> GeneralizedSection:
-    """S_varpi (X, a) = (S X, flat_varpi X - tS a)."""
-    X = tc.apply_11(pack.S, A.X)
-    form = tc.flat_field_form(pack.varpi, A.X) - tc.flat_field_form(pack.S, A.alpha)
-    return GeneralizedSection(X, form)
-
-
-def _basis_sections(m: int) -> list:
-    """The pairs (d/dx^a, 0), then the pairs (0, dx^a), over the 3m chart
-    variables."""
-    n = 3 * m
-    zero_vec = tc.vector(fields.fzeros(n), m)
-    zero_form = tc.one_form(fields.fzeros(n), m)
-    return [GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)] + [
-        GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)
-    ]
-
-
-def _courant_nijenhuis_values(pack, endo, p) -> list:
-    """Courant-Nijenhuis tensor of a pair endomorphism on pairs of basis
-    sections: the values at ``p`` of its vector and form parts."""
-    basis = _basis_sections(pack.m)
-    images = [endo(pack, A) for A in basis]
-    values = []
-    for a, (A, FA) in enumerate(zip(basis, images)):
-        for B, FB in zip(basis[a + 1 :], images[a + 1 :]):
-            N = tc.courant_bracket(FA, FB)
-            inner = tc.courant_bracket(FA, B)
-            inner2 = tc.courant_bracket(A, FB)
-            corr = endo(
-                pack,
-                GeneralizedSection(inner.X + inner2.X, inner.alpha + inner2.alpha),
-            )
-            values += [(N.X - corr.X).value(p), (N.alpha - corr.alpha).value(p)]
-    return values
+def courant_nijenhuis(F: np.ndarray) -> np.ndarray:
+    """The Courant-Nijenhuis tensor of a pair endomorphism F, a 2n x 2n
+    object matrix on stacked sections, on the basis sections e_A: one row
+    [F e_A, F e_B] - F([F e_A, e_B] + [e_A, F e_B]) for each pair A < B.
+    F e_A is column A of F."""
+    N = len(F)
+    e = fields.fzeros(N, N)
+    e[np.diag_indices(N)] = fields.ONE
+    rows = []
+    for A in range(N):
+        for B in range(A + 1, N):
+            inner = tc.courant_bracket(F[:, A], e[B]) + tc.courant_bracket(e[A], F[:, B])
+            rows.append(tc.courant_bracket(F[:, A], F[:, B]) - fields.fdot(F, inner))
+    return np.array(rows)
 
 
 # -- random base data helpers ---------------------------------------------
@@ -330,16 +316,11 @@ def verify_section2(
     rep.add("L_E Q = -2Q", (tc.lie_derivative(pack.E, pack.Q) + pack.Q * 2.0).value(pe))
 
     # generalized 2-nilpotent pair structures
-    pk = p.select(0)
-    for name, endo in (("S_P", pair_endo_P), ("S_varpi", pair_endo_varpi)):
-        twice = []
-        for sec in _basis_sections(m):
-            sq = endo(pack, endo(pack, sec))
-            twice += [sq.X.value(pk), sq.alpha.value(pk)]
-        rep.add(f"{name}^2 = 0 on pairs", *twice)
+    for name, F in zip(("S_P", "S_varpi"), pair_endomorphisms(pack)):
+        rep.add(f"{name}^2 = 0 on pairs", fields.fvalue(fields.fdot(F, F), p))
         rep.add(
             f"Courant-Nijenhuis of {name} on basis sections",
-            *_courant_nijenhuis_values(pack, endo, pk),
+            fields.fvalue(courant_nijenhuis(F), p),
         )
 
     # complete/vertical lift identities on random base data

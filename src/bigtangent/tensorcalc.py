@@ -1,10 +1,10 @@
 """Tensor algebra and differential operators on the 3m-dimensional chart.
 
 Components are stored as object arrays of ScalarField, one axis of
-extent 3m per tensor slot.  All differential operators (Lie bracket,
-Lie derivative, exterior derivative, Schouten bracket, Nijenhuis
-tensor, Courant bracket) act in the natural frame only; adapted-frame
-tensors must be converted before differentiating.
+extent 3m per tensor slot; a section (X, a) of TM + T*M is one 2n-vector.
+All differential operators (Lie bracket, Lie derivative, exterior
+derivative, Schouten bracket, Nijenhuis tensor, Courant bracket) act in
+the natural frame only; adapted-frame tensors must be converted first.
 
 Conventions:
   - (1,1) tensor A: comps[i, j] = A^i_j, so (A v)^i = A^i_j v^j.
@@ -17,8 +17,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +72,8 @@ class TensorField:
 def vector(comps, m: int, frame: str = "natural") -> TensorField:
     return TensorField(("up",), comps, m, frame)
 
-def one_form(comps, m: int, frame: str = "natural") -> TensorField:
-    return TensorField(("down",), comps, m, frame)
+def one_form(comps, m: int) -> TensorField:
+    return TensorField(("down",), comps, m)
 
 
 def basis_vector(var: int, m: int) -> TensorField:
@@ -84,42 +82,10 @@ def basis_vector(var: int, m: int) -> TensorField:
     return vector(c, m)
 
 
-def basis_form(var: int, m: int) -> TensorField:
-    c = fzeros(3 * m)
-    c[var] = fields.ONE
-    return one_form(c, m)
-
-
-@dataclass
-class GeneralizedSection:
-    """A pair (vector field, 1-form) on the chart."""
-
-    X: TensorField
-    alpha: TensorField
-
-    def __post_init__(self):
-        if self.X.m != self.alpha.m:
-            raise ValueError("pair components disagree on dimension")
-        if self.X.sig != ("up",) or self.alpha.sig != ("down",):
-            raise ValueError("pair must be (vector, 1-form)")
-
-
 def _require_natural(*tensors):
     for t in tensors:
         if t.frame != "natural":
             raise FrameError("differential operators act in the natural frame only")
-
-
-# -- contractions ---------------------------------------------------------
-def apply_11(A: TensorField, v: TensorField) -> TensorField:
-    """(1,1) tensor applied to a vector: (A v)^i = A^i_j v^j."""
-    out = fields.fdot(A.comps, v.comps)
-    return vector(out, A.m, A.frame)
-
-
-def pair(alpha: TensorField, v: TensorField) -> ScalarField:
-    """<alpha, v> = alpha_i v^i."""
-    return fsum((1, alpha.comps[i], v.comps[i]) for i in range(alpha.n))
 
 
 def directional(X: TensorField, f: ScalarField) -> ScalarField:
@@ -254,15 +220,33 @@ def nijenhuis_tensor(A: TensorField) -> TensorField:
 
 
 # -- Courant bracket ------------------------------------------------------
-def courant_bracket(A: GeneralizedSection, B: GeneralizedSection) -> GeneralizedSection:
-    """[(X,a),(Y,mu)] = ([X,Y], L_X mu - L_Y a + 1/2 d(a(Y) - mu(X)))."""
-    X, alpha = A.X, A.alpha
-    Y, mu = B.X, B.alpha
-    br = lie_bracket(X, Y)
-    form = lie_derivative(X, mu) - lie_derivative(Y, alpha)
-    corr = differential(pair(alpha, Y) - pair(mu, X), X.m)
-    form = form + corr * 0.5
-    return GeneralizedSection(br, form)
+def courant_bracket(u, v) -> np.ndarray:
+    """[(X, a), (Y, b)] = ([X, Y], L_X b - L_Y a + 1/2 d(a(Y) - b(X))) for
+    sections stacked as natural-frame 2n-vectors u = (X, a), v = (Y, b); its
+    form part is X^j d_j b_k - Y^j d_j a_k
+    + 1/2 (b_j d_k X^j - a_j d_k Y^j + Y^j d_k a_j - X^j d_k b_j)."""
+    n = len(u) // 2
+    X, a, Y, b = u[:n], u[n:], v[:n], v[n:]
+
+    # only the terms whose derivative factor can be nonzero are formed
+    halves = [[] for _ in range(n)]  # the terms 1/2 c_j d_k f^j, by k
+    for j in range(n):
+        for sign, c, f in ((1, b, X), (-1, a, Y), (1, Y, a), (-1, X, b)):
+            if not is_zero(c[j]):
+                for k in sorted(f[j].support):
+                    halves[k].append((sign, 0.5, c[j], f[j].partial(k)))
+
+    def terms(k):
+        for sign, c, f in ((1, X, b[k]), (-1, Y, a[k])):  # c^j d_j f
+            for j in sorted(f.support):
+                if not is_zero(c[j]):
+                    yield sign, c[j], f.partial(j)
+        yield from halves[k]
+
+    out = np.concatenate([bracket_components(X, Y), fzeros(n)])
+    for k in range(n):
+        out[n + k] = fsum(terms(k))
+    return out
 
 
 # -- musical maps (numeric, rank-aware) -----------------------------------
@@ -303,9 +287,3 @@ def sharp_field(W: TensorField, alpha: TensorField) -> TensorField:
     """Field-level sharp of a (2,0) tensor: (sharp a)^j = W^{ij} a_i."""
     out = fields.fdot(alpha.comps, W.comps)
     return vector(out, W.m, W.frame)
-
-
-def flat_field_form(W: TensorField, X: TensorField) -> TensorField:
-    """Field-level lowering by a (0,2) tensor: (flat X)_j = W_{ij} X^i."""
-    out = fields.fdot(X.comps, W.comps)
-    return one_form(out, W.m, W.frame)

@@ -2,6 +2,7 @@
 
 Each is compared against the package code it checks: finite differences
 against exact jets, explicit Lie brackets against the Nijenhuis formula,
+the Courant bracket of generalized sections against its component form,
 permutations against the stored antisymmetry of forms, the lifted
 metric of a base metric against the scene's and the double field's
 constructions, and the whole deformed curvature against the components
@@ -13,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from bigtangent import dfield, horizon, metrics, tensorcalc as tc
-from bigtangent.fields import Const, ScalarField, fsum, fzeros
+from bigtangent.fields import Const, ScalarField, fdot, fsum, fzeros
 from bigtangent.jets import JetDomainError, mul_coeffs
 from bigtangent.metrics import BigMetric
 from bigtangent.multiindex import JetSpace, jet_space
@@ -133,6 +135,16 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def apply_11(A: TensorField, v: TensorField) -> TensorField:
+    """(1,1) tensor applied to a vector: (A v)^i = A^i_j v^j."""
+    return tc.vector(fdot(A.comps, v.comps), A.m, A.frame)
+
+
+def pair(alpha: TensorField, v: TensorField) -> ScalarField:
+    """<alpha, v> = alpha_i v^i."""
+    return fsum((1, alpha.comps[i], v.comps[i]) for i in range(alpha.n))
+
+
 def nijenhuis_via_brackets(A: TensorField) -> TensorField:
     """Oracle: N(e_i, e_j) assembled from explicit Lie brackets."""
     tc._require_natural(A)
@@ -141,16 +153,87 @@ def nijenhuis_via_brackets(A: TensorField) -> TensorField:
     out = fzeros(n, n, n)
     basis = [tc.basis_vector(i, m) for i in range(n)]
     for i in range(n):
-        Ai = tc.apply_11(A, basis[i])
+        Ai = apply_11(A, basis[i])
         for j in range(n):
-            Aj = tc.apply_11(A, basis[j])
+            Aj = apply_11(A, basis[j])
             term = tc.lie_bracket(Ai, Aj)
-            term = term - tc.apply_11(A, tc.lie_bracket(Ai, basis[j]))
-            term = term - tc.apply_11(A, tc.lie_bracket(basis[i], Aj))
+            term = term - apply_11(A, tc.lie_bracket(Ai, basis[j]))
+            term = term - apply_11(A, tc.lie_bracket(basis[i], Aj))
             # A^2 [e_i, e_j] = 0 for coordinate fields
             for k in range(n):
                 out[k, i, j] = term.comps[k]
     return TensorField(("up", "down", "down"), out, m)
+
+
+# -- generalized sections --------------------------------------------------
+@dataclass
+class GeneralizedSection:
+    """A pair (vector field, 1-form) on the chart."""
+
+    X: TensorField
+    alpha: TensorField
+
+    def stacked(self) -> np.ndarray:
+        """The components (X, alpha) as one 2n-vector."""
+        return np.concatenate([self.X.comps, self.alpha.comps])
+
+
+def courant_bracket(A: GeneralizedSection, B: GeneralizedSection) -> GeneralizedSection:
+    """[(X,a),(Y,mu)] = ([X,Y], L_X mu - L_Y a + 1/2 d(a(Y) - mu(X))),
+    assembled from the Lie bracket, Lie derivatives and the differential."""
+    X, alpha = A.X, A.alpha
+    Y, mu = B.X, B.alpha
+    form = tc.lie_derivative(X, mu) - tc.lie_derivative(Y, alpha)
+    corr = tc.differential(pair(alpha, Y) - pair(mu, X), X.m)
+    return GeneralizedSection(tc.lie_bracket(X, Y), form + corr * 0.5)
+
+
+def flat_field_form(W: TensorField, X: TensorField) -> TensorField:
+    """Lowering by a (0,2) tensor: (flat X)_j = W_{ij} X^i."""
+    return tc.one_form(fdot(X.comps, W.comps), W.m)
+
+
+def pair_endo_P(pack, A: GeneralizedSection) -> GeneralizedSection:
+    """S_P (X, a) = (S X + sharp_P a, -tS a), with (tS a)_i = a_j S^j_i."""
+    X = apply_11(pack.S, A.X) + tc.sharp_field(pack.P, A.alpha)
+    return GeneralizedSection(X, flat_field_form(pack.S, A.alpha) * -1.0)
+
+
+def pair_endo_varpi(pack, A: GeneralizedSection) -> GeneralizedSection:
+    """S_varpi (X, a) = (S X, flat_varpi X - tS a)."""
+    X = apply_11(pack.S, A.X)
+    form = flat_field_form(pack.varpi, A.X) - flat_field_form(pack.S, A.alpha)
+    return GeneralizedSection(X, form)
+
+
+def basis_sections(m: int) -> list:
+    """The pairs (d/dx^a, 0), then the pairs (0, dx^a), over the 3m chart
+    variables."""
+    n = 3 * m
+    zero_vec = tc.vector(fzeros(n), m)
+    zero_form = tc.one_form(fzeros(n), m)
+    return [GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)] + [
+        GeneralizedSection(zero_vec, tc.one_form(tc.basis_vector(i, m).comps, m))
+        for i in range(n)
+    ]
+
+
+def courant_nijenhuis_via_brackets(pack, endo) -> np.ndarray:
+    """Oracle: the Courant-Nijenhuis tensor of the pair endomorphism
+    ``endo(pack, section)`` on pairs A < B of basis sections, assembled
+    from three Courant brackets of sections and one image per pair; one
+    stacked row per pair, as ``bigcore.courant_nijenhuis`` gives it."""
+    basis = basis_sections(pack.m)
+    images = [endo(pack, A) for A in basis]
+    rows = []
+    for a, (A, FA) in enumerate(zip(basis, images)):
+        for B, FB in zip(basis[a + 1 :], images[a + 1 :]):
+            N = courant_bracket(FA, FB)
+            inner = courant_bracket(FA, B)
+            inner2 = courant_bracket(A, FB)
+            corr = endo(pack, GeneralizedSection(inner.X + inner2.X, inner.alpha + inner2.alpha))
+            rows.append(GeneralizedSection(N.X - corr.X, N.alpha - corr.alpha).stacked())
+    return np.array(rows)
 
 
 # -- metrics --------------------------------------------------------------

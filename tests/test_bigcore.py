@@ -4,8 +4,17 @@ import pytest
 from bigtangent import bigcore, fields, parse_expr, tensorcalc as tc
 from bigtangent.bigcore import forced_fiber_part, parse_components
 from bigtangent.points import ChartPoint, sample_box
+from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
-from oracles import check_antisymmetric
+from oracles import (
+    GeneralizedSection,
+    apply_11,
+    basis_sections,
+    check_antisymmetric,
+    courant_nijenhuis_via_brackets,
+    pair_endo_P,
+    pair_endo_varpi,
+)
 
 
 def extended_lift_tm(xi, eta, m: int, generalized: bool = False) -> TensorField:
@@ -199,7 +208,7 @@ def test_vertical_brackets_vanish_and_s_projects():
     pk = bigcore.canonical_pack(m)
     n = 3 * m
     Z = tc.vector([parse_expr("x1*z1", m), parse_expr("y1", m), fields.ONE], m)
-    SZ = tc.apply_11(pk.S, Z)
+    SZ = apply_11(pk.S, Z)
     expect = fields.fzeros(n)
     expect[m] = Z.comps[0]
     assert (SZ - tc.vector(expect, m)).max_abs(p) < 1e-12
@@ -225,6 +234,53 @@ def test_pushforward_relations():
     for i in range(m):
         uv[2 * m + i] = a.comps[m + i]
     assert (Ua - tc.vector(uv, m)).max_abs(p) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pair_structures_fold_to_zero_in_both_constructions(m):
+    # each matrix is its oracle endomorphism, and for the canonical pack
+    # every component of F.F and of the Courant-Nijenhuis tensor folds to
+    # ZERO whether built from components or from brackets of sections
+    pack = bigcore.canonical_pack(m)
+    p = sample_box(m, 3, seed=m)
+    basis = basis_sections(m)
+    for F, endo in zip(bigcore.pair_endomorphisms(pack), (pair_endo_P, pair_endo_varpi)):
+        images = np.array([endo(pack, A).stacked() for A in basis]).T
+        np.testing.assert_array_equal(fields.fvalue(F, p), fields.fvalue(images, p))
+        squares = [endo(pack, endo(pack, A)).stacked() for A in basis]
+        for comps in (
+            fields.fdot(F, F),
+            bigcore.courant_nijenhuis(F),
+            np.array(squares),
+            courant_nijenhuis_via_brackets(pack, endo),
+        ):
+            assert all(c is fields.ZERO for c in comps.flat)
+
+
+def _scaled(endo, f):
+    """The endomorphism f * endo of sections."""
+
+    def scaled(pack, A):
+        FA = endo(pack, A)
+        return GeneralizedSection(FA.X * f, FA.alpha * f)
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "m, f", [(2, "1 + x1*y2"), (3, "1 + x1*y2 + z3*y1")], ids=["m2", "m3"]
+)
+def test_courant_nijenhuis_matches_the_bracket_oracle(m, f):
+    # f S_P and f S_varpi are not Courant-integrable, so the residuals are
+    # not zero and both constructions must agree on them
+    pack = bigcore.canonical_pack(m)
+    f = parse_expr(f, m)
+    p = sample_box(m, 3, seed=0)
+    for F, endo in zip(bigcore.pair_endomorphisms(pack), (pair_endo_P, pair_endo_varpi)):
+        got = fields.fvalue(bigcore.courant_nijenhuis(F * f), p)
+        want = fields.fvalue(courant_nijenhuis_via_brackets(pack, _scaled(endo, f)), p)
+        assert largest(want) > 1e-3
+        assert largest(got - want) <= 1e-12 * largest(want)
 
 
 @pytest.mark.parametrize("m", [1, 2])

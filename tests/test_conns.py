@@ -7,7 +7,7 @@ from bigtangent.metrics import BigMetric
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import Report, largest
 from bigtangent.tensorcalc import TensorField
-from oracles import horizontal_frame
+from oracles import apply_11, horizontal_frame
 
 
 def _diag_metric(entries, m):
@@ -172,7 +172,7 @@ def canonical_rule_check(H: horizon.HorizontalBundle, p: ChartPoint) -> Report:
     Xs = horizontal_frame(H)
     for i in range(m):
         for j in range(m):
-            SXj = tc.apply_11(S, Xs[j])
+            SXj = apply_11(S, Xs[j])
             br = tc.lie_bracket(Xs[i], SXj)
             ad = np.tensordot(br.comps, C, axes=([0], [1]))
             for r in range(n):

@@ -9,7 +9,7 @@ from bigtangent.fields import ScalarField
 from bigtangent.points import ChartPoint, sample_box
 from bigtangent.report import largest
 from bigtangent.tensorcalc import TensorField
-from oracles import horizontal_frame
+from oracles import horizontal_frame, pair
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -189,7 +189,7 @@ def test_coframe_duality_and_projectors():
     coframe = [tc.one_form(C[a], m) for a in range(3 * m)]
     for a, al in enumerate(coframe):
         for b, v in enumerate(frame):
-            got = fields.as_field(tc.pair(al, v)).value(p)
+            got = fields.as_field(pair(al, v)).value(p)
             np.testing.assert_allclose(got, 1.0 if a == b else 0.0, atol=1e-12)
     hcomps = fields.fzeros(3 * m, 3 * m)
     hcomps[:, :m] = E[:, :m]

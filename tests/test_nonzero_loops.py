@@ -13,11 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigtangent import bigcore, conns, dfield, fields, horizon, parse_expr, scene, tensorcalc as tc
+from bigtangent import conns, dfield, fields, horizon, parse_expr, scene, tensorcalc as tc
 from bigtangent.fields import fsum
-from bigtangent.points import sample_box
-from bigtangent.report import largest
-from bigtangent.tensorcalc import GeneralizedSection, TensorField
+from bigtangent.tensorcalc import TensorField
 from oracles import (
     contracted_curvature,
     deformed_curvature_apply,
@@ -147,6 +145,24 @@ def dense_bracket_components(X, Y):
     return out
 
 
+def dense_courant_bracket(u, v):
+    n = len(u) // 2
+    X, a, Y, b = u[:n], u[n:], v[:n], v[n:]
+
+    def terms(k):
+        for sign, c, f in ((1, X, b[k]), (-1, Y, a[k])):
+            for j in range(n):
+                yield sign, c[j], f.partial(j)
+        for j in range(n):
+            for sign, c, f in ((1, b, X), (-1, a, Y), (1, Y, a), (-1, X, b)):
+                yield sign, 0.5, c[j], f[j].partial(k)
+
+    out = np.concatenate([dense_bracket_components(X, Y), fields.fzeros(n)])
+    for k in range(n):
+        out[n + k] = fsum(terms(k))
+    return out
+
+
 def dense_directional(X, f):
     return fsum((1, X.comps[i], f.partial(i)) for i in range(X.n))
 
@@ -167,31 +183,6 @@ def dense_lie_derivative(X, T):
     for idx in np.ndindex(T.comps.shape):
         out[idx] = fsum(terms(idx), start=dense_directional(X, T.comps[idx]))
     return out
-
-
-def dense_courant_nijenhuis_values(pack, endo, p):
-    m = pack.m
-    n = 3 * m
-    zero_vec = tc.vector(fields.fzeros(n), m)
-    zero_form = tc.one_form(fields.fzeros(n), m)
-    basis = [
-        GeneralizedSection(tc.basis_vector(i, m), zero_form) for i in range(n)
-    ] + [GeneralizedSection(zero_vec, tc.basis_form(i, m)) for i in range(n)]
-    values = []
-    for a, A in enumerate(basis):
-        FA = endo(pack, A)
-        for B in basis[a + 1 :]:
-            FB = endo(pack, B)
-            N = tc.courant_bracket(FA, FB)
-            inner = tc.courant_bracket(FA, B)
-            inner2 = tc.courant_bracket(A, FB)
-            corr = endo(
-                pack,
-                GeneralizedSection(inner.X + inner2.X, inner.alpha + inner2.alpha),
-            )
-            N = GeneralizedSection(N.X - corr.X, N.alpha - corr.alpha)
-            values += [N.X.value(p), N.alpha.value(p)]
-    return values
 
 
 def dense_scalar_curvature_in_basis(nabla, F, P):
@@ -261,6 +252,17 @@ def test_bracket_components_match_the_dense_loop(ladder):
     _same(tc.bracket_components(x, F.sigma[0]), dense_bracket_components(x, F.sigma[0]))
 
 
+def test_courant_bracket_matches_the_dense_loop(ladder):
+    F, _, gsig, *_ = ladder
+    E, C = F.H.frame
+    n = 3 * F.m
+    sections = [np.concatenate([E[:, a], C[a]]) for a in range(n)]
+    sections += [np.concatenate([gsig.comps[0], gsig.comps[F.m + 1]])]
+    for a, u in enumerate(sections):
+        for v in sections[a + 1 :]:
+            _same(tc.courant_bracket(u, v), dense_courant_bracket(u, v))
+
+
 def test_lie_derivative_and_directional_match_the_dense_loop(ladder):
     F, _, gsig, *_ = ladder
     m = F.m
@@ -302,30 +304,6 @@ def test_base_connection_is_the_y_block_of_the_dense_projection(ladder):
     F, _, _, _, vb = ladder
     m = F.m
     _same(F.c0, dfield._metricize(F, vb.gamma[:, m : 2 * m, m : 2 * m]))
-
-
-def test_courant_nijenhuis_residual_builds_each_image_once():
-    m = 2
-    pack = bigcore.canonical_pack(m)
-    p = sample_box(m, 3, seed=0).select(0)
-    f = parse_expr("1 + x1*y2", m)
-
-    def scaled(pack, A):  # f S_P, whose Courant-Nijenhuis tensor is not zero
-        FA = bigcore.pair_endo_P(pack, A)
-        return GeneralizedSection(FA.X * f, FA.alpha * f)
-
-    calls = []
-
-    def counting(pack, A):
-        calls.append(A)
-        return scaled(pack, A)
-
-    got = bigcore._courant_nijenhuis_values(pack, counting, p)
-    want = dense_courant_nijenhuis_values(pack, scaled, p)
-    assert largest(*got) > 1e-3
-    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
-    basis = 6 * m  # the 3m basis vectors and the 3m basis forms
-    assert len(calls) == basis + basis * (basis - 1) // 2  # the images, then one per pair
 
 
 # -- the section-derivative memo ---------------------------------------------

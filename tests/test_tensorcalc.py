@@ -3,7 +3,8 @@ import pytest
 
 from bigtangent import fields, parse_expr, tensorcalc as tc
 from bigtangent.points import ChartPoint, sample_box
-from oracles import check_antisymmetric, nijenhuis_via_brackets
+from bigtangent.report import largest
+from oracles import apply_11, check_antisymmetric, nijenhuis_via_brackets
 
 
 def flat_value(W: np.ndarray, v: np.ndarray, tol: float = tc.RANK_TOL) -> np.ndarray:
@@ -90,8 +91,8 @@ def test_lie_derivative_one_one():
     )
     X = rand_poly_vector(m, rng)
     Y = rand_poly_vector(m, rng)
-    left = tc.apply_11(tc.lie_derivative(X, A), Y)
-    right = tc.lie_bracket(X, tc.apply_11(A, Y)) - tc.apply_11(A, tc.lie_bracket(X, Y))
+    left = apply_11(tc.lie_derivative(X, A), Y)
+    right = tc.lie_bracket(X, apply_11(A, Y)) - apply_11(A, tc.lie_bracket(X, Y))
     assert (left - right).max_abs(p) < 1e-9
 
 
@@ -233,44 +234,46 @@ def test_nijenhuis_matches_bracket_oracle():
     np.testing.assert_allclose(v, -np.transpose(v, (0, 2, 1, 3)), atol=1e-12)
 
 
+def stacked(comps) -> np.ndarray:
+    """A section of TM + T*M as the 2n-vector (X, a) of its component fields."""
+    return fields.field_array(comps, (len(comps),), "section")
+
+
 def test_courant_bracket_cases():
     m = 1
+    n = 3 * m
     p = sample_box(m, 6, seed=15)
-    zero_f = tc.one_form([0, 0, 0], m)
-    A = tc.GeneralizedSection(tc.basis_vector(0, m), zero_f)
-    B = tc.GeneralizedSection(tc.basis_vector(1, m), zero_f)
-    out = tc.courant_bracket(A, B)
-    assert out.X.max_abs(p) == 0.0 and out.alpha.max_abs(p) == 0.0
+    A = stacked([1, 0, 0, 0, 0, 0])  # (d/dx1, 0)
+    B = stacked([0, 1, 0, 0, 0, 0])  # (d/dy1, 0)
+    out = fields.fvalue(tc.courant_bracket(A, B), p)
+    assert largest(out[:n]) == 0.0 and largest(out[n:]) == 0.0
     # [(dx1, 0), (0, x1 dx1)] = (0, 1/2 dx1)
-    C = tc.GeneralizedSection(tc.vector([0, 0, 0], m), tc.one_form([f("x1", m), 0, 0], m))
-    out = tc.courant_bracket(A, C)
-    assert out.X.max_abs(p) == 0.0
-    v = out.alpha.value(p)
+    C = stacked([0, 0, 0, f("x1", m), 0, 0])
+    out = fields.fvalue(tc.courant_bracket(A, C), p)
+    assert largest(out[:n]) == 0.0
+    v = out[n:]
     np.testing.assert_allclose(v[0], 0.5, atol=1e-14)
     np.testing.assert_allclose(v[1:], 0.0, atol=1e-14)
 
 
 def test_courant_antisymmetric_and_reduces_to_lie():
     m = 1
+    n = 3 * m
     rng = np.random.default_rng(21)
     p = sample_box(m, 8, seed=16)
     def rand_section():
-        return tc.GeneralizedSection(
-            rand_poly_vector(m, rng),
-            tc.one_form(rand_poly_vector(m, rng).comps, m),
-        )
+        X = rand_poly_vector(m, rng).comps
+        return np.concatenate([X, rand_poly_vector(m, rng).comps])
     A, B = rand_section(), rand_section()
-    AB = tc.courant_bracket(A, B)
-    BA = tc.courant_bracket(B, A)
-    assert (AB.X + BA.X).max_abs(p) < 1e-10
-    assert (AB.alpha + BA.alpha).max_abs(p) < 1e-10
+    both = fields.fvalue(tc.courant_bracket(A, B) + tc.courant_bracket(B, A), p)
+    assert largest(both[:n]) < 1e-10
+    assert largest(both[n:]) < 1e-10
     # pairs (X, 0) reduce to the Lie bracket
-    zf = tc.one_form([0, 0, 0], m)
-    X0 = tc.GeneralizedSection(A.X, zf)
-    Y0 = tc.GeneralizedSection(B.X, zf)
-    red = tc.courant_bracket(X0, Y0)
-    assert (red.X - tc.lie_bracket(A.X, B.X)).max_abs(p) < 1e-12
-    assert red.alpha.max_abs(p) < 1e-12
+    zf = fields.fzeros(n)
+    red = tc.courant_bracket(np.concatenate([A[:n], zf]), np.concatenate([B[:n], zf]))
+    lie = tc.lie_bracket(tc.vector(A[:n], m), tc.vector(B[:n], m))
+    assert (tc.vector(red[:n], m) - lie).max_abs(p) < 1e-12
+    assert largest(fields.fvalue(red[n:], p)) < 1e-12
 
 
 def test_sharp_flat_numeric():
