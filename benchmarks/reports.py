@@ -26,6 +26,11 @@ output does:
 - ``check``, all five suites, on the ROADMAP's Baseline m = 4 scene,
   ``M4_SCENE`` below, which this script writes (its double suite is the
   heaviest integrand run, about 12,500 sparse-grid points);
+- ``check``, all five suites, on ``LAGRANGIAN_SCENE`` below, an m = 2
+  scene with a ``[lagrangian]`` and no ``[base_metric]`` or
+  ``[double_field]``, which this script writes: its double field is the
+  Lagrangian one (``dfield.field_from_lagrangian``) over the spray's
+  bundle, which no other run here builds;
 - ``eval --object NAME`` for every name of ``EVAL_OBJECTS`` on
   ``scenes/kitchen-sink.scene`` and ``scenes/flat.scene``, at the scene's
   point in ``EVAL_POINTS``.  On ``flat``, which has no Lagrangian and no
@@ -86,6 +91,16 @@ psi2 = 0 - x1*y2; 0; 0; 0
 psi3 = 0; 0; 0; x3
 psi4 = 0; 0; 0 - x3; 0
 density = (x1^2 + y1^2 + x4^2)/10
+"""
+# an m = 2 scene with a Lagrangian alone: the double field of L over its spray
+LAGRANGIAN_SCENE = """\
+[scene]
+m = 2
+samples = 6
+mc_samples = 64
+
+[lagrangian]
+L = (1/2)*(exp(x1)*y1^2 + y2^2)
 """
 # name -> a scene that ``check`` refuses: the three bundles whose lift
 # overflows, a domain error and an inverse that overflows at load, the
@@ -176,6 +191,8 @@ def main(argv=None) -> int:
     run(out, "verify-m3", ["-c", VERIFY, name, str(scene_seed)], work, src)
     (work / "m4.scene").write_text(M4_SCENE)
     run(out, "check-m4", cli + ["check", "m4.scene"], work, src)
+    (work / "lagrangian.scene").write_text(LAGRANGIAN_SCENE)
+    run(out, "check-lagrangian", cli + ["check", "lagrangian.scene"], work, src)
     for stem, point in EVAL_POINTS.items():
         for obj in EVAL_OBJECTS:
             argv = ["eval", f"scenes/{stem}.scene", "--object", obj, "--point", point]

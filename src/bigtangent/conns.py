@@ -136,8 +136,7 @@ def christoffel_symbols(g: np.ndarray, variables, pairs=None) -> np.ndarray:
             g[e, b].partial(da) + g[a, e].partial(db) - g[a, b].partial(variables[e])
             for e in range(n)
         ]
-        for c in range(n):
-            gamma[a, b, c] = 0.5 * fields.fsum((1, ginv[c, e], sym[e]) for e in range(n))
+        gamma[a, b] = 0.5 * fields.fdot(ginv, sym)
     return gamma
 
 
@@ -188,9 +187,8 @@ def vranceanu_bott(
                     keep = range(bb * m, (bb + 1) * m)
                 else:
                     keep = range(m, n)
-            for c in keep:
-                if c in span:
-                    gamma[a, b, c] = fields.fsum((1, C[c, r], nat[r]) for r in range(n))
+            cs = [c for c in keep if c in span]
+            gamma[a, b, cs] = fields.fdot(C[cs], nat)
     # the finer vertical blocks are preserved along vertical directions
     # only; whether they survive horizontal directions depends on the
     # bundle, so preservation_residuals checks just the coarse H and V
@@ -330,16 +328,11 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
     res = []
     for i in range(m):
         for j in range(m):
-            Wnat = [
-                fields.fsum((1, nab.gamma[i, j, k], E[r, k]) for k in range(m))
-                for r in range(dim)
-            ]
+            Wnat = fields.fdot(nab.gamma[i, j, :m], E[:, :m].T)
             for a in range(m, dim):
                 rhs = fields.fzeros(dim)
-                for cix in range(m):
-                    rhs[cix] = fields.fsum((1, C[cix, r], Wnat[r].partial(a)) for r in range(dim))
-                for e in range(dim):
-                    res.append(R.comps[e, a, i, j] - rhs[e])
+                rhs[:m] = fields.fdot(C[:m], [w.partial(a) for w in Wnat])
+                res.extend(R.comps[:, a, i, j] - rhs)
     rep.add("R(Y, X) X' is the horizontal part of [Y, nabla_X X']", fields.fvalue(res, p))
 
     # R(X, X') Y from the torsion and derivative of the H-curvature
@@ -427,9 +420,7 @@ def verify_section4(gm, p: ChartPoint, tol: float = 1e-8) -> Report:
             for k in range(m):
                 br[m + k] = H.t[i, k].partial(b)
                 br[2 * m + k] = H.tau[i, k].partial(b)
-            for cix in range(dim):
-                rhs = fields.fsum((1, C[cix, r], br[r]) for r in range(dim))
-                res.append(nab.gamma[i, b, cix] - rhs)
+            res.extend(nab.gamma[i, b] - fields.fdot(C, br))
     rep.add("nabla_X Y = [X, Y] along lifted horizontal fields", fields.fvalue(res, p))
 
     # declared block preservation as coefficient sparsity

@@ -2,11 +2,12 @@
 
 The fibers of the 3m chart carry the split pairing
 g = 1/2 (dy (.) dz + dz (.) dy).  Identifying the z-block with the dual
-of the y-block writes a symmetric fiber metric as a block matrix
-(h, l^t; l, k); compatibility with the pairing means the associated
+of the y-block writes a symmetric fiber metric as its 2m x 2m object matrix
+G = (h, l^t; l, k); compatibility with the pairing means the associated
 endomorphism squares to the identity, and such metrics correspond
 bijectively to pairs (sigma, psi) of a nondegenerate y-block metric and
 a 2-form.  A horizontal bundle plus such a pair is a double field.
+No constructor here evaluates: ``scene.load_scene`` checks sigma and psi.
 
 The module builds the connection ladder of a double field: a
 sigma-preserving base connection from the projected Levi-Civita
@@ -30,14 +31,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import conns, fields, horizon, metrics
-from .bigcore import (
-    check_matrix,
-    parse_components,
-    parse_grid,
-    sample_matrix,
-    validation_values,
-    well_conditioned,
-)
+from .bigcore import parse_components, parse_grid, sample_matrix
 from .exprdsl import parse_expr
 from .fields import ScalarField, fsum
 from .jets import JetDomainError
@@ -53,42 +47,10 @@ def pairing_matrix(m: int) -> np.ndarray:
     return g2
 
 
-@dataclass
-class VerticalMetric:
-    """Symmetric fiber metric in block form.
-
-    h is the y-block (0,2) part, k the z-block written as a symmetric
-    2-contravariant tensor on the y-side, and l the mixed block as a
-    (1,1) tensor: the full matrix in (y, z) coordinates is
-    [[h, l^t], [l, k]].  Invertibility of k, which the inverse
-    correspondence ``sigma_psi_from_vm`` needs, is recorded in
-    `strongly_nondegenerate`; operations that need the inverse of the
-    full matrix enforce it.
-    """
-
-    h: np.ndarray
-    k: np.ndarray
-    l: np.ndarray
-    m: int
-    strongly_nondegenerate: bool = dc_field(init=False)
-
-    def __post_init__(self):
-        m = self.m
-        for name in ("h", "k", "l"):
-            setattr(self, name, fields.field_array(getattr(self, name), (m, m), name))
-        Gv = validation_values(self.matrix(), m)
-        check_matrix(Gv[:, :m, :m], "h block", symmetry=1)
-        kv = check_matrix(Gv[:, m:, m:], "k block", symmetry=1)
-        self.strongly_nondegenerate = well_conditioned(kv)
-
-    def matrix(self) -> np.ndarray:
-        """Full 2m x 2m object matrix in (y, z) coordinates."""
-        return np.block([[self.h, self.l.T], [self.l, self.k]])
-
-
 # -- the (sigma, psi) correspondence --------------------------------------
-def vm_from_sigma_psi(sigma, psi, m: int) -> VerticalMetric:
-    """Fiber metric of a pair: k = sigma^{-1}, l = -sharp_sigma flat_psi,
+def fiber_metric(sigma, psi, m: int) -> np.ndarray:
+    """The fiber metric G = [[h, l^t], [l, k]] of a pair, a 2m x 2m object
+    matrix in (y, z) coordinates: k = sigma^{-1}, l = -sharp_sigma flat_psi,
     h = sigma - psi sigma^{-1} psi."""
     S = parse_grid(sigma, m, "xyz", "sigma")
     P = parse_grid(psi, m, "xyz", "psi")
@@ -96,37 +58,37 @@ def vm_from_sigma_psi(sigma, psi, m: int) -> VerticalMetric:
     SP = fields.fdot(Sinv, P)
     L = -1.0 * SP
     H = S - fields.fdot(P, SP)
-    return VerticalMetric(H, Sinv, L, m)
+    return np.block([[H, L.T], [L, Sinv]])
 
 
-def sigma_psi_from_vm(vm: VerticalMetric):
+def sigma_psi_from_vm(G: np.ndarray):
     """Inverse correspondence: sigma = k^{-1}, psi = -sigma l."""
-    if not vm.strongly_nondegenerate:
-        raise ValueError("the z-block restriction is degenerate")
-    S = fields.finverse(vm.k)
-    P = -1.0 * fields.fdot(S, vm.l)
+    m = len(G) // 2
+    S = fields.finverse(G[m:, m:])
+    P = -1.0 * fields.fdot(S, G[m:, :m])
     return S, P
 
 
-def phi_matrix(vm: VerticalMetric) -> np.ndarray:
-    """Endomorphism with 2 g(phi Z, Z') = gV(Z, Z'): blocks
-    [[l, sharp_k], [flat_h, l^t]]."""
-    return np.block([[vm.l, vm.k], [vm.h, vm.l.T]])
+def phi_matrix(G: np.ndarray) -> np.ndarray:
+    """Endomorphism with 2 g(phi Z, Z') = gV(Z, Z'): G with its two block
+    rows swapped, [[l, sharp_k], [flat_h, l^t]]."""
+    m = len(G) // 2
+    return np.concatenate([G[m:], G[:m]])
 
 
-def compatibility_check(vm: VerticalMetric, p: ChartPoint) -> Report:
+def compatibility_check(G: np.ndarray, p: ChartPoint) -> Report:
     """The defining identities of the compatibility endomorphism phi
-    (``phi_matrix``).
+    (``phi_matrix``) of the fiber metric G.
 
     Checks, at the points p, phi^2 = Id, the symmetry of phi for the
     split pairing, the two pairing/metric exchange identities, and the
     three block conditions equivalent to phi^2 = Id.
     """
-    m = vm.m
+    m = len(G) // 2
     rep = Report("fiber metric compatibility", tol=1e-9)
 
-    Pv = sample_matrix(phi_matrix(vm), p)
-    Gv = sample_matrix(vm.matrix(), p)
+    Pv = sample_matrix(phi_matrix(G), p)
+    Gv = sample_matrix(G, p)
     g2 = pairing_matrix(m)
 
     rep.add("phi squared is the identity", Pv @ Pv - np.eye(2 * m))
@@ -137,17 +99,16 @@ def compatibility_check(vm: VerticalMetric, p: ChartPoint) -> Report:
     )
     rep.add("phi is symmetric for the fiber metric", np.swapaxes(Pv, 1, 2) @ Gv - Gv @ Pv)
 
-    hv = sample_matrix(vm.h, p)
-    kv = sample_matrix(vm.k, p)
-    lv = sample_matrix(vm.l, p)
+    hv, kv, lv = Gv[:, :m, :m], Gv[:, m:, m:], Gv[:, m:, :m]
     rep.add("block condition: l^2 + k h = id", lv @ lv + kv @ hv - np.eye(m))
     rep.add("block condition: l k + k l^t = 0", lv @ kv + kv @ np.swapaxes(lv, 1, 2))
     rep.add("block condition: h l + l^t h = 0", hv @ lv + np.swapaxes(lv, 1, 2) @ hv)
     return rep
 
 
-def eigenbundles(vm: VerticalMetric, p: ChartPoint) -> Report:
-    """Check the eigenbundle frames of the compatibility endomorphism.
+def eigenbundles(G: np.ndarray, p: ChartPoint) -> Report:
+    """Check the eigenbundle frames of the compatibility endomorphism of
+    the fiber metric G.
 
     The columns of the 2m x m halves Ip, Im of ``_iota_frame`` are the
     images of the y-basis under iota_pm Y = (Y, (flat_psi pm flat_sigma) Y);
@@ -155,14 +116,14 @@ def eigenbundles(vm: VerticalMetric, p: ChartPoint) -> Report:
     p, the eigenvector property, the mutual orthogonality of the two
     bundles, and the two pullback identities for sigma.
     """
-    m = vm.m
-    S, P = sigma_psi_from_vm(vm)
+    m = len(G) // 2
+    S, P = sigma_psi_from_vm(G)
     B = _iota_frame(S, P, m)
     Ip, Im = B[:, :m], B[:, m:]
 
     rep = Report("eigenbundles of the compatibility endomorphism", tol=1e-9)
-    Gv = sample_matrix(vm.matrix(), p)
-    Phiv = sample_matrix(phi_matrix(vm), p)
+    Gv = sample_matrix(G, p)
+    Phiv = sample_matrix(phi_matrix(G), p)
     Ipv = sample_matrix(Ip, p)
     Imv = sample_matrix(Im, p)
     Sv = sample_matrix(S, p)
@@ -224,14 +185,9 @@ class DoubleField:
     # (and the section-derivative memo of D0).  No part holds the field,
     # so a field is freed by reference counting alone.
     @cached_property
-    def vm(self) -> VerticalMetric:
-        """The fiber metric of (sigma, psi)."""
-        return vm_from_sigma_psi(self.sigma, self.psi, self.m)
-
-    @cached_property
     def G(self) -> np.ndarray:
-        """The fiber metric as a 2m x 2m matrix in (y, z) coordinates."""
-        return self.vm.matrix()
+        """The fiber metric of (sigma, psi) (``fiber_metric``)."""
+        return fiber_metric(self.sigma, self.psi, self.m)
 
     @cached_property
     def Ginv(self) -> np.ndarray:
@@ -448,11 +404,9 @@ def _metricize(F: DoubleField, c: np.ndarray) -> np.ndarray:
     m = F.m
     sinv = F.sigma_inv
     T = covariant_metric_differential(F.H, c, F.sigma)
-    out = fields.fzeros(3 * m, m, m)
-    for a, i, j in np.ndindex(3 * m, m, m):
-        corr = fsum((1, sinv[j, b], T[a, b, i]) for b in range(m))
-        out[a, i, j] = c[a, i, j] + 0.5 * corr
-    return out
+    # corr[a, i, j] = sum_b sinv[j, b] T[a, b, i]
+    corr = fields.fdot(sinv, T.transpose(1, 0, 2)).transpose(1, 2, 0)
+    return c + 0.5 * corr
 
 
 def dpm_connections(F: DoubleField):
@@ -468,13 +422,12 @@ def dpm_connections(F: DoubleField):
             - F.psi[i, k].partial(m + j)
             + F.psi[i, j].partial(m + k)
         )
+    # corr[i, j, k] = sum_b sinv[k, b] dpsi[i, j, b]
+    corr = fields.fdot(sinv, dpsi.transpose(2, 0, 1)).transpose(1, 2, 0)
     out = []
     for sign in (1.0, -1.0):
         c = F.c0.copy()
-        for i in range(m):
-            for j, k in np.ndindex(m, m):
-                corr = fsum((1, sinv[k, b], dpsi[i, j, b]) for b in range(m))
-                c[m + i, j, k] = c[m + i, j, k] + (0.5 * sign) * corr
+        c[m : 2 * m] = c[m : 2 * m] + (0.5 * sign) * corr
         out.append(_metricize(F, c))
     return out[0], out[1]
 
@@ -501,10 +454,7 @@ def wedge_product(
     for b in range(2 * m):
         d = (section_derivative(nabla, m + b, Y1), section_derivative(nabla, m + b, Y2))
         beta[b] = fsum((sign, y, g, d[w][q]) for sign, y, g, w, q in terms)
-    out = fields.fzeros(2 * m)
-    for c in range(2 * m):
-        out[c] = 0.5 * fsum((1, F.Ginv[c, b], beta[b]) for b in range(2 * m))
-    return out
+    return 0.5 * fields.fdot(F.Ginv, beta)
 
 
 def metric_bracket(F: DoubleField, Y1: np.ndarray, Y2: np.ndarray) -> np.ndarray:
@@ -554,15 +504,11 @@ def gualtieri_via_deformed_torsion(
     m = nabla.m
     tau = fields.fzeros(2 * m, 2 * m, 2 * m)
     basis = _coord_basis(m)
-    for a in range(2 * m):
-        for b in range(2 * m):
-            da = nabla.gamma[m + a, b, :].copy()
-            db = nabla.gamma[m + b, a, :].copy()
-            br = metric_bracket(F, basis[a], basis[b])
-            wd = wedge_product(nabla, F, basis[a], basis[b])
-            T = da - db - br - wd
-            for c in range(2 * m):
-                tau[a, b, c] = fsum((1, T[e], F.G[e, c]) for e in range(2 * m))
+    for a, b in np.ndindex(2 * m, 2 * m):
+        br = metric_bracket(F, basis[a], basis[b])
+        wd = wedge_product(nabla, F, basis[a], basis[b])
+        T = nabla.gamma[m + a, b] - nabla.gamma[m + b, a] - br - wd
+        tau[a, b] = fields.fdot(T, F.G)
     return tau
 
 
@@ -595,9 +541,9 @@ def field_adapted_connection(F: DoubleField):
     Dtilde = pair_connection(F, ctp, ctm)
     tau = gualtieri_torsion(Dtilde, F)
     gamma = Dtilde.gamma.copy()
-    for a, b, c in np.ndindex(2 * m, 2 * m, 2 * m):
-        phi = fsum((1, F.Ginv[c, e], tau[a, b, e]) for e in range(2 * m))
-        gamma[m + a, b, c] = gamma[m + a, b, c] - (1.0 / 3.0) * phi
+    # phi[a, b, c] = sum_e Ginv[c, e] tau[a, b, e]
+    phi = fields.fdot(F.Ginv, tau.transpose(2, 0, 1)).transpose(1, 2, 0)
+    gamma[m:] = gamma[m:] - (1.0 / 3.0) * phi
     Dbar = VerticalConnection(gamma, F.H)
     return Dbar, Dtilde, F
 
@@ -876,11 +822,10 @@ def verify_double_field(
     rep = Report("double field identities", tol=tol)
 
     Dbar, Dtilde = F.connections
-    vm = F.vm
-    rep.extend(compatibility_check(vm, p))
-    rep.extend(eigenbundles(vm, p))
+    rep.extend(compatibility_check(F.G, p))
+    rep.extend(eigenbundles(F.G, p))
 
-    S2, P2 = sigma_psi_from_vm(vm)
+    S2, P2 = sigma_psi_from_vm(F.G)
     rt = []
     for i, j in np.ndindex(m, m):
         rt.append(S2[i, j] - F.sigma[i, j])

@@ -71,8 +71,8 @@ def adapted_frame(
         a = np.asarray(a_seed, dtype=float)
     b = Sk @ a
     sharpP, sharpQ = Pk.T, Qk.T
-    flatP = np.linalg.pinv(sharpP, rcond=1e-9)
-    flatQ = np.linalg.pinv(sharpQ, rcond=1e-9)
+    flatP = np.linalg.pinv(sharpP, rcond=tc.RANK_TOL)
+    flatQ = np.linalg.pinv(sharpQ, rcond=tc.RANK_TOL)
 
     def g(Y1, Y2):
         return (flatQ @ Y1) @ Y2
@@ -83,7 +83,7 @@ def adapted_frame(
     # dual vectors w^j in V with g(b_i, w^j) = delta; V = im sharp_Q
     _, V_im = tc.kernel_image(Qk)
     G = np.array([[g(b[:, i], V_im[:, r]) for r in range(2 * m)] for i in range(m)])
-    W = V_im @ np.linalg.pinv(G, rcond=1e-9)  # (n, m), g(b_i, w^j) = delta
+    W = V_im @ np.linalg.pinv(G, rcond=tc.RANK_TOL)  # (n, m), g(b_i, w^j) = delta
     # make the w's g-isotropic: subtract half the Gram matrix along b
     gram = np.array([[g(W[:, i], W[:, j]) for j in range(m)] for i in range(m)])
     ctil = W - 0.5 * b @ gram.T
@@ -170,8 +170,8 @@ def integrability_check(
         for k in range(points.npoints):
             Zk = Zv[:, :, k]
             for i in range(m):
-                alphaP = np.linalg.pinv(Pv[:, :, k].T, rcond=1e-9) @ Zk[:, i]
-                alphaQ = np.linalg.pinv(Qv[:, :, k].T, rcond=1e-9) @ Zk[:, i]
+                alphaP = np.linalg.pinv(Pv[:, :, k].T, rcond=tc.RANK_TOL) @ Zk[:, i]
+                alphaQ = np.linalg.pinv(Qv[:, :, k].T, rcond=tc.RANK_TOL) @ Zk[:, i]
                 for j in range(m):
                     iso += [alphaP @ Zk[:, j], alphaQ @ Zk[:, j]]
             stacked = np.hstack([Zk, Bv[:, :, k]])

@@ -93,10 +93,9 @@ class HorizontalBundle:
                 if a >= m and b >= m:
                     continue  # coordinate vertical fields commute
                 br = tc.bracket_components(E[:, a], E[:, b])
-                for k in range(n):
-                    s = fields.fsum((1, C[k, r], br[r]) for r in range(n))
-                    c[a, b, k] = s
-                    c[b, a, k] = -1.0 * s
+                s = fields.fdot(C, br)
+                c[a, b] = s
+                c[b, a] = -1.0 * s
         return c
 
 

@@ -28,23 +28,28 @@ def _curved_field(m=2, psi=False, H=None):
     return dfield.DoubleField(H or horizon.flat_bundle(m), sigma, psi_tab)
 
 
+def _flat_metric():
+    """The fiber metric G of sigma = 1, psi = 0 at m = 1."""
+    return dfield.DoubleField(horizon.flat_bundle(1), [["1"]], [["0"]]).G
+
+
 def test_vm_from_sigma_psi_identity():
-    vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
+    G = _flat_metric()
     p = sample_box(1, 5, seed=0)
-    assert np.max(np.abs(fields.fvalue(vm.h, p) - 1.0)) < 1e-12
-    assert np.max(np.abs(fields.fvalue(vm.k, p) - 1.0)) < 1e-12
-    assert np.max(np.abs(fields.fvalue(vm.l, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(G[:1, :1], p) - 1.0)) < 1e-12
+    assert np.max(np.abs(fields.fvalue(G[1:, 1:], p) - 1.0)) < 1e-12
+    assert np.max(np.abs(fields.fvalue(G[1:, :1], p))) < 1e-12
 
 
 def test_vm_from_sigma_psi_matrix_oracle():
     m = 2
-    vm = dfield.vm_from_sigma_psi(
-        [["1", "0"], ["0", "2"]], [["0", "x1"], ["0 - x1", "0"]], m
-    )
+    G = dfield.DoubleField(
+        horizon.flat_bundle(m), [["1", "0"], ["0", "2"]], [["0", "x1"], ["0 - x1", "0"]]
+    ).G
     p = sample_box(m, 10, seed=1)
-    hv = np.moveaxis(fields.fvalue(vm.h, p), -1, 0)
-    kv = np.moveaxis(fields.fvalue(vm.k, p), -1, 0)
-    lv = np.moveaxis(fields.fvalue(vm.l, p), -1, 0)
+    hv = sample_matrix(G[:m, :m], p)
+    kv = sample_matrix(G[m:, m:], p)
+    lv = sample_matrix(G[m:, :m], p)
     for idx in range(p.npoints):
         S = np.diag([1.0, 2.0])
         P = np.array([[0.0, p.x[0, idx]], [-p.x[0, idx], 0.0]])
@@ -57,7 +62,7 @@ def test_vm_from_sigma_psi_matrix_oracle():
 def test_sigma_psi_round_trip():
     m = 2
     F = _curved_field(m, psi=True)
-    S, P = dfield.sigma_psi_from_vm(F.vm)
+    S, P = dfield.sigma_psi_from_vm(F.G)
     p = sample_box(m, 10, seed=2)
     ds = fields.fvalue(S - F.sigma, p)
     dp = fields.fvalue(P - F.psi, p)
@@ -66,26 +71,26 @@ def test_sigma_psi_round_trip():
 
 
 def test_compatibility_flat_swap():
-    vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    rep = dfield.compatibility_check(vm, sample_box(1, 5, seed=0))
+    G = _flat_metric()
+    rep = dfield.compatibility_check(G, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
     p = sample_box(1, 5, seed=3)
-    pv = np.moveaxis(fields.fvalue(dfield.phi_matrix(vm), p), -1, 0)
+    pv = np.moveaxis(fields.fvalue(dfield.phi_matrix(G), p), -1, 0)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.max(np.abs(pv - swap)) < 1e-12
 
 
 def test_compatibility_of_constructed_metrics():
-    vm = _curved_field(2, psi=True).vm
-    rep = dfield.compatibility_check(vm, sample_box(2, 20, seed=0))
+    G = _curved_field(2, psi=True).G
+    rep = dfield.compatibility_check(G, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 
 
 def test_compatibility_flags_incompatible_metric():
-    one = fields.ONE
-    bad = dfield.VerticalMetric([[one]], [[one]], [[one]], 1)
-    assert not well_conditioned(validation_values(bad.matrix(), 1))
+    one = np.array([[fields.ONE]], dtype=object)
+    bad = np.block([[one, one], [one, one]])
+    assert not well_conditioned(validation_values(bad, 1))
     rep = dfield.compatibility_check(bad, sample_box(1, 5, seed=0))
     assert not rep.passed
     # l^2 + k h = 2 for this metric, one away from the identity
@@ -93,10 +98,10 @@ def test_compatibility_flags_incompatible_metric():
 
 
 def test_eigenbundles_flat_hand_value():
-    vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
-    rep = dfield.eigenbundles(vm, sample_box(1, 5, seed=0))
+    G = _flat_metric()
+    rep = dfield.eigenbundles(G, sample_box(1, 5, seed=0))
     assert rep.passed, rep.to_json()
-    B = dfield._iota_frame(*dfield.sigma_psi_from_vm(vm), 1)
+    B = dfield._iota_frame(*dfield.sigma_psi_from_vm(G), 1)
     Ip, Im = B[:, :1], B[:, 1:]
     p = sample_box(1, 5, seed=4)
     assert np.max(np.abs(fields.fvalue(Ip, p)[:, 0] - np.array([[1.0], [1.0]]))) < 1e-12
@@ -104,14 +109,14 @@ def test_eigenbundles_flat_hand_value():
 
 
 def test_eigenbundles_curved():
-    vm = _curved_field(2, psi=True).vm
-    rep = dfield.eigenbundles(vm, sample_box(2, 20, seed=0))
+    G = _curved_field(2, psi=True).G
+    rep = dfield.eigenbundles(G, sample_box(2, 20, seed=0))
     assert rep.passed, rep.to_json()
     assert rep.max_residual < 1e-9
 
 
-def hessian_vm(K, m: int) -> dfield.VerticalMetric:
-    """Fiber metric from the fiber Hessian of a chart function: the
+def hessian_vm(K, m: int) -> np.ndarray:
+    """Fiber metric G from the fiber Hessian of a chart function: the
     three blocks are the second partials on the (y,y), (z,z) and (y,z)
     coordinate pairs."""
     Kf = parse_components([K], m, {"x", "y", "z"}, "K", count=1)[0]
@@ -123,47 +128,57 @@ def hessian_vm(K, m: int) -> dfield.VerticalMetric:
         k[i, j] = Kf.partial(2 * m + i).partial(2 * m + j)
         # l maps the y-block to itself; row index from the z-slot
         l[i, j] = Kf.partial(m + j).partial(2 * m + i)
-    return dfield.VerticalMetric(h, k, l, m)
+    return np.block([[h, l.T], [l, k]])
 
 
-def legendre_involution(vm: dfield.VerticalMetric, p: ChartPoint) -> ChartPoint:
-    """(x, y, z) -> (x, k z, k^{-1} y) with k evaluated at the point."""
-    if not vm.strongly_nondegenerate:
+def _blocks(G: np.ndarray) -> tuple:
+    """(h, k, l), the blocks of G = [[h, l^t], [l, k]]."""
+    m = len(G) // 2
+    return G[:m, :m], G[m:, m:], G[m:, :m]
+
+
+def legendre_involution(G: np.ndarray, p: ChartPoint) -> ChartPoint:
+    """(x, y, z) -> (x, k z, k^{-1} y) with k, the z-block of the fiber
+    metric G, evaluated at the point."""
+    m = len(G) // 2
+    k = G[m:, m:]
+    if not well_conditioned(validation_values(k, m)):
         raise ValueError("the z-block restriction is degenerate")
-    kv = sample_matrix(vm.k, p)
+    kv = sample_matrix(k, p)
     y = np.einsum("pij,jp->ip", kv, p.z)
     z = np.linalg.solve(kv, np.moveaxis(p.y, -1, 0)[..., None])[..., 0].T
     return ChartPoint(p.x, y, z)
 
 
 def test_hessian_vm_hand_values():
-    vm = hessian_vm("y1*z1", 1)
-    assert not vm.strongly_nondegenerate
-    assert well_conditioned(validation_values(vm.matrix(), 1))
+    G = hessian_vm("y1*z1", 1)
+    h, k, l = _blocks(G)
+    assert not well_conditioned(validation_values(k, 1))
+    assert well_conditioned(validation_values(G, 1))
     p = sample_box(1, 5, seed=5)
-    assert np.max(np.abs(fields.fvalue(vm.h, p))) < 1e-12
-    assert np.max(np.abs(fields.fvalue(vm.k, p))) < 1e-12
-    assert np.max(np.abs(fields.fvalue(vm.l, p) - 1.0)) < 1e-12
+    assert np.max(np.abs(fields.fvalue(h, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(k, p))) < 1e-12
+    assert np.max(np.abs(fields.fvalue(l, p) - 1.0)) < 1e-12
 
-    vm2 = hessian_vm("(1/2)*(y1^2 + z1^2) + y1*z1", 1)
-    assert vm2.strongly_nondegenerate
-    assert not well_conditioned(validation_values(vm2.matrix(), 1))
-    for blk in (vm2.h, vm2.k, vm2.l):
+    G2 = hessian_vm("(1/2)*(y1^2 + z1^2) + y1*z1", 1)
+    assert well_conditioned(validation_values(_blocks(G2)[1], 1))
+    assert not well_conditioned(validation_values(G2, 1))
+    for blk in _blocks(G2):
         assert np.max(np.abs(fields.fvalue(blk, p) - 1.0)) < 1e-12
 
 
 def test_legendre_involution_swaps_and_squares_to_identity():
-    vm = dfield.vm_from_sigma_psi([["1"]], [["0"]], 1)
+    G = _flat_metric()
     p = sample_box(1, 10, seed=6)
-    q = legendre_involution(vm, p)
+    q = legendre_involution(G, p)
     assert np.allclose(q.y, p.z) and np.allclose(q.z, p.y)
-    qq = legendre_involution(vm, q)
+    qq = legendre_involution(G, q)
     assert np.allclose(qq.y, p.y) and np.allclose(qq.z, p.z)
 
 
 def test_legendre_involution_needs_invertible_k():
-    vm = hessian_vm("y1*z1", 1)
-    lame = dfield.VerticalMetric(vm.l, vm.h, vm.l, 1)  # k block is zero
+    h, _, l = _blocks(hessian_vm("y1*z1", 1))
+    lame = np.block([[l, l.T], [l, h]])  # k block is zero
     with pytest.raises(ValueError):
         legendre_involution(lame, sample_box(1, 3, seed=7))
 
@@ -384,9 +399,9 @@ def test_verify_double_field_pauses_the_collector_and_restores_it(enabled, monke
     F = dfield.DoubleField(horizon.flat_bundle(1), [["1 + y1^2"]], density="x1*z1")
     seen = []
 
-    def compatibility_check(vm, p):
+    def compatibility_check(G, p):
         seen.append(gc.isenabled())
-        return real(vm, p)
+        return real(G, p)
 
     real = dfield.compatibility_check
     monkeypatch.setattr(dfield, "compatibility_check", compatibility_check)
@@ -396,7 +411,7 @@ def test_verify_double_field_pauses_the_collector_and_restores_it(enabled, monke
         paused = dfield.verify_double_field(F, n=3)
         assert gc.isenabled() is enabled and seen == [False]
 
-        def fails(vm, p):
+        def fails(G, p):
             raise RuntimeError("check failed")
 
         monkeypatch.setattr(dfield, "compatibility_check", fails)

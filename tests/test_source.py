@@ -102,7 +102,7 @@ def test_every_definition_is_read():
     Names are matched bare, not by owner: a definition counts as read when
     any package code reads the same name on anything, so a method or
     property that shares its name with one the package reads elsewhere
-    (an ``AdaptedFrame.matrix`` beside ``VerticalMetric.matrix()``, say)
+    (a ``DoubleField.value`` beside ``ScalarField.value()``, say)
     passes unread.  Such a pair needs a look by hand."""
     defined, attributes, read, loaded = {}, {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
