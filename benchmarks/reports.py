@@ -16,13 +16,15 @@ output does:
 - ``check`` on the four bundle-source scenes of
   ``test_check_passes_on_every_bundle_source``, read from that test's
   ``_BUNDLE_SOURCES`` table in ``CHECKOUT/tests/test_scene_cli.py``;
-- ``check`` on the perfbench m3-identities scene at benchmark seed 7,
-  written by ``make_inputs`` of ``CHECKOUT/perfbench/workloads.py``;
-- ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for that
-  scene's double field, with S its scene seed, as the benchmark's
-  m3-identities body calls it (``verify-m3``): the scene's own suites
-  leave out the double suite, so this is the one m = 3 run of the base
-  connection c0 and the Ricci trace;
+- ``check`` on the perfbench m3-identities scene at benchmark seeds 7
+  (``check-m3``) and 2 (``check-m3-seed2``), written by ``make_inputs``
+  of ``CHECKOUT/perfbench/workloads.py``: the scene seed sets the suites'
+  points and random data, so two seeds pin two sets of them;
+- ``verify_double_field(F, seed=S, n=10).as_dict()`` as JSON for each of
+  those scenes' double field, with S its scene seed, as the benchmark's
+  m3-identities body calls it (``verify-m3``, ``verify-m3-seed2``): the
+  scenes' own suites leave out the double suite, so these are the m = 3
+  runs of the base connection c0 and the Ricci trace;
 - ``check``, all five suites, on the ROADMAP's Baseline m = 4 scene,
   ``M4_SCENE`` below, which this script writes (its double suite is the
   heaviest integrand run, about 12,500 sparse-grid points);
@@ -50,7 +52,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-M3_SEED = 7  # the perfbench seed whose m3-identities scene is checked
+# the perfbench seeds whose m3-identities scene is checked, each with the
+# suffix of its runs' names
+M3_SEEDS = {7: "", 2: "-seed2"}
 # the 16 built-in names of scene.OBJECTS, then kitchen-sink's vector field
 EVAL_OBJECTS = (
     "S", "P", "Q", "U", "lambda", "g_V", "omega_V", "H.t", "H.tau", "metric.tensor",
@@ -143,8 +147,9 @@ def bundle_sources(root: Path) -> dict:
     raise SystemExit("error: no _BUNDLE_SOURCES in tests/test_scene_cli.py")
 
 
-def m3_scene(root: Path, work: Path) -> tuple[str, int]:
-    """(scene file name in ``work``, scene seed) of perfbench's m3 workload."""
+def m3_scene(root: Path, work: Path, seed: int) -> tuple[str, int]:
+    """(scene file name in ``work``, scene seed) of perfbench's m3 workload
+    at benchmark seed ``seed``."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py"
     )
@@ -153,7 +158,7 @@ def m3_scene(root: Path, work: Path) -> tuple[str, int]:
     sys.dont_write_bytecode = True  # leave the checkout's perfbench/ as it is
     spec.loader.exec_module(workloads)
     workloads.WORK = work
-    inp = workloads.make_inputs("m3-identities", M3_SEED)
+    inp = workloads.make_inputs("m3-identities", seed)
     return Path(inp.scene).name, inp.scene_seed
 
 
@@ -186,9 +191,10 @@ def main(argv=None) -> int:
         name = f"bundle-{k}.scene"
         (work / name).write_text(f"# {source}\n" + BUNDLE_HEADER + table)
         run(out, f"check-bundle-{k}", cli + ["check", name], work, src)
-    name, scene_seed = m3_scene(root, work)
-    run(out, "check-m3", cli + ["check", name], work, src)
-    run(out, "verify-m3", ["-c", VERIFY, name, str(scene_seed)], work, src)
+    for seed, suffix in M3_SEEDS.items():
+        name, scene_seed = m3_scene(root, work, seed)
+        run(out, f"check-m3{suffix}", cli + ["check", name], work, src)
+        run(out, f"verify-m3{suffix}", ["-c", VERIFY, name, str(scene_seed)], work, src)
     (work / "m4.scene").write_text(M4_SCENE)
     run(out, "check-m4", cli + ["check", "m4.scene"], work, src)
     (work / "lagrangian.scene").write_text(LAGRANGIAN_SCENE)

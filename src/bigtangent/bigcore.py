@@ -36,12 +36,6 @@ def sample_matrix(comps, p: ChartPoint) -> np.ndarray:
     return np.moveaxis(fields.fvalue(comps, p), -1, 0)
 
 
-def validation_values(comps, m: int) -> np.ndarray:
-    """Values of an object matrix at the points its constructor validates
-    it at, ``sample_box(m, 10, seed=0)``, with shape (10, rows, cols)."""
-    return sample_matrix(comps, sample_box(m, 10, seed=0))
-
-
 def well_conditioned(values: np.ndarray) -> bool:
     """Whether every sampled matrix ``values[k]`` counts as invertible."""
     return bool(np.max(np.linalg.cond(values)) < COND_LIMIT)
@@ -227,22 +221,6 @@ def pair_endomorphisms(pack: CanonicalPack) -> tuple:
     )
 
 
-def courant_nijenhuis(F: np.ndarray) -> np.ndarray:
-    """The Courant-Nijenhuis tensor of a pair endomorphism F, a 2n x 2n
-    object matrix on stacked sections, on the basis sections e_A: one row
-    [F e_A, F e_B] - F([F e_A, e_B] + [e_A, F e_B]) for each pair A < B.
-    F e_A is column A of F."""
-    N = len(F)
-    e = fields.fzeros(N, N)
-    e[np.diag_indices(N)] = fields.ONE
-    rows = []
-    for A in range(N):
-        for B in range(A + 1, N):
-            inner = tc.courant_bracket(F[:, A], e[B]) + tc.courant_bracket(e[A], F[:, B])
-            rows.append(tc.courant_bracket(F[:, A], F[:, B]) - fields.fdot(F, inner))
-    return np.array(rows)
-
-
 # -- random base data helpers ---------------------------------------------
 def rand_x_poly(m: int, rng) -> ScalarField:
     """A random quadratic polynomial in the base coordinates only."""
@@ -320,7 +298,7 @@ def verify_section2(
         rep.add(f"{name}^2 = 0 on pairs", fields.fvalue(fields.fdot(F, F), p))
         rep.add(
             f"Courant-Nijenhuis of {name} on basis sections",
-            fields.fvalue(courant_nijenhuis(F), p),
+            fields.fvalue(tc.nijenhuis(F, tc.courant_bracket), p),
         )
 
     # complete/vertical lift identities on random base data

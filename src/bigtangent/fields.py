@@ -35,10 +35,11 @@ in the order given, after the folds of the loop ``acc = start; acc = acc
 skipped, constant factors fold as ``*`` folds them, no kept term returns
 ``start`` and a sole ``+`` term over a zero start returns its product.
 Equal sums are one node; only the order of the terms shapes it (and so
-the last bits of its values).  The hot construction loops walk only the
-indices that can give a nonzero term.  A matrix product of field arrays
-is ``fdot``, one ``fsum`` per entry: numpy's ``@`` would build the
-loop's chain of one-term sums.
+the last bits of its values).  The hot construction loops walk, in the
+dense loop's order, only the indices that ``is_zero`` and ``support``
+leave able to give a nonzero term.  A matrix product of field arrays is
+``fdot``, one ``fsum`` per entry over the nonzero left factors: numpy's
+``@`` would build the loop's chain of one-term sums.
 
 The operators build ``Sum`` nodes too, after their constant folds:
 ``a + b`` and ``a - b`` are the start ``a`` with the term ``(1, b)`` or
@@ -353,12 +354,16 @@ def fsum(terms, start=ZERO) -> ScalarField:
 def fdot(a, b) -> np.ndarray:
     """The contraction of the last axis of the object array ``a`` with the
     first axis of ``b``, as ``np.tensordot(a, b, axes=1)``: each entry is
-    one ``fsum`` of its products, in the order of the contracted index."""
+    one ``fsum`` of the products whose left factor is not ``is_zero``, in
+    the order of the contracted index (``fsum`` skips a zero right one)."""
     a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    rows = a.reshape(-1, a.shape[-1]).tolist()
+    rows = [
+        [(j, f) for j, f in enumerate(row) if not is_zero(f)]
+        for row in a.reshape(-1, a.shape[-1]).tolist()
+    ]
     cols = b.reshape(b.shape[0], -1).T.tolist()
     out = np.empty(len(rows) * len(cols), dtype=object)
-    out[:] = [fsum(zip(repeat(1), row, col)) for row in rows for col in cols]
+    out[:] = [fsum((1, f, col[j]) for j, f in row) for row in rows for col in cols]
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 

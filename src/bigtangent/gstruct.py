@@ -130,7 +130,7 @@ def integrability_check(
     m = T.m
     n = 3 * m
     rep = Report("integrability", tol=tol, meta={"m": m})
-    rep.add("N_S = 0", tc.nijenhuis_tensor(T.S).value(points))
+    rep.add("N_S = 0", fields.fvalue(tc.nijenhuis(T.S.comps, tc.bracket_components), points))
     rep.add("[P,P] = 0", tc.schouten_bracket(T.P, T.P).value(points))
     if test_functions is None:
         # Defaults: the 3m coordinates plus random quadratics.  Quadratic

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import conns, fields, horizon
-from .bigcore import check_matrix, parse_grid, validation_values
+from .bigcore import check_matrix, parse_grid, sample_matrix
 from .points import ChartPoint
 from .report import Report, largest
 from .tensorcalc import TensorField
@@ -74,12 +74,12 @@ def block_lift(g: np.ndarray, H: horizon.HorizontalBundle) -> TensorField:
     return horizon.to_natural(TensorField(("down", "down"), comps, m, frame="adapted"), H)
 
 
-def check_lift(gm: BigMetric) -> BigMetric:
-    """``gm``, once it is finite and symmetric at the validation points and
-    its vertical restriction invertible there: the loader's check of a
-    lift, run under the section that gave the lifted data."""
+def check_lift(gm: BigMetric, p: ChartPoint) -> BigMetric:
+    """``gm``, once it is finite and symmetric at the validation points
+    ``p`` and its vertical restriction invertible there: the loader's check
+    of a lift, run under the section that gave the lifted data."""
     m = gm.m
-    gv = check_matrix(validation_values(gm.tensor.comps, m), "metric", symmetry=1)
+    gv = check_matrix(sample_matrix(gm.tensor.comps, p), "metric", symmetry=1)
     # each row scaled to a largest entry of 1 (a zero row stays zero):
     # the vertical restriction diag(s*g, g^-1/s) of a lift of s*g then
     # passes or fails as that of g does

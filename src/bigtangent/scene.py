@@ -30,8 +30,9 @@ from .bigcore import (
     check_matrix,
     parse_components,
     parse_grid,
-    validation_values,
+    sample_matrix,
 )
+from .points import ChartPoint, sample_box
 
 SUITE_NAMES = ("canonical", "triple", "horizontal", "metric", "double")
 
@@ -249,18 +250,18 @@ def _load_scalar_options(cfg, path, sc):
         sc.box = tuple(pairs)
 
 
-def _checked(H: horizon.HorizontalBundle) -> horizon.HorizontalBundle:
-    """H, once t and tau are finite at the validation points: a bad entry
-    then names the bundle's section, not the big metric that lifts it."""
+def _checked(H: horizon.HorizontalBundle, p: ChartPoint) -> horizon.HorizontalBundle:
+    """H, once t and tau are finite at the validation points ``p``: a bad
+    entry then names the bundle's section, not the big metric that lifts it."""
     for name in ("t", "tau"):
-        check_matrix(validation_values(getattr(H, name), H.m), f"bundle coefficient {name}")
+        check_matrix(sample_matrix(getattr(H, name), p), f"bundle coefficient {name}")
     return H
 
 
-def _load_bundle(cfg, path, sc, spray_bundle):
+def _load_bundle(cfg, path, sc, spray_bundle, p):
     """Resolve the horizontal bundle from the most specific data given,
     and name the section that gave it (``scene`` for the flat default);
-    ``spray_bundle`` is the Lagrangian's, or None without one."""
+    ``spray_bundle`` is the Lagrangian's or None, ``p`` the validation points."""
     m = sc.m
     if cfg.has_section("horizontal_bundle"):
         sec = "horizontal_bundle"
@@ -278,12 +279,12 @@ def _load_bundle(cfg, path, sc, spray_bundle):
                 H = horizon.lift_from_cotm(_rows(cfg, path, sec, "tau", m), m)
             else:
                 _fail(path, sec, "needs t1.. rows, tau1.. rows, or both")
-            return _checked(H), sec
+            return _checked(H, p), sec
     if cfg.has_section("connection"):
         sec = "connection"
         gamma = [_rows(cfg, path, sec, f"c{i}_", m) for i in range(1, m + 1)]
         with located(f"{path}: [{sec}]"):
-            return _checked(horizon.from_linear_connection(gamma, m)), sec
+            return _checked(horizon.from_linear_connection(gamma, m), p), sec
     if sc.base_metric is not None:
         gamma = metrics.base_christoffels(sc.base_metric, m)
         return horizon.from_linear_connection(gamma, m), "base_metric"
@@ -347,6 +348,7 @@ def load_scene(path: str) -> SceneFile:
                 _fail(path, sec, f"unknown key {key}")
 
     sc = SceneFile(path=path, m=m)
+    p = sample_box(m, 10, seed=0)  # every check's points: what several read is evaluated once
     _load_scalar_options(cfg, path, sc)
 
     if cfg.has_section("tolerances"):
@@ -367,7 +369,7 @@ def load_scene(path: str) -> SceneFile:
         rows = _rows(cfg, path, "base_metric", "row", m)
         with located(f"{path}: [base_metric]"):
             g = parse_grid(rows, m, {"x"}, "base_metric")
-            check_matrix(validation_values(g, m), "metric", symmetry=1, invertible=True)
+            check_matrix(sample_matrix(g, p), "metric", symmetry=1, invertible=True)
         sc.base_metric = g
 
     # the spray is built once: its bundle also carries the Lagrangian metric
@@ -379,10 +381,10 @@ def load_scene(path: str) -> SceneFile:
         with located(f"{path}: [lagrangian]"):
             sc.lagrangian = horizon.lagrangian_field(cfg.get("lagrangian", "l"), m)
             sc.spray, spray_bundle = horizon.spray_from_lagrangian(sc.lagrangian, m)
-            hessian = validation_values(horizon.fiber_hessian(sc.lagrangian, m), m)
+            hessian = sample_matrix(horizon.fiber_hessian(sc.lagrangian, m), p)
             check_matrix(hessian, "Lagrangian Hessian", invertible=True)
 
-    sc.bundle, bundle_section = _load_bundle(cfg, path, sc, spray_bundle)
+    sc.bundle, bundle_section = _load_bundle(cfg, path, sc, spray_bundle, p)
 
     if cfg.has_section("vector_fields"):
         for name in cfg.options("vector_fields"):
@@ -405,11 +407,11 @@ def load_scene(path: str) -> SceneFile:
     # g is checked above; a lift that fails then fails on the bundle's
     # coefficients, so it names the section that gave the bundle
     with located(f"{path}: [{bundle_section}]"):
-        sc.big_metric = metrics.check_lift(metrics.sasaki_type_metric(g_base, sc.bundle))
+        sc.big_metric = metrics.check_lift(metrics.sasaki_type_metric(g_base, sc.bundle), p)
     if sc.lagrangian is not None:
         with located(f"{path}: [lagrangian]"):
             gm = metrics.lagrangian_metric(sc.lagrangian, spray_bundle)
-            sc.lagrangian_metric = metrics.check_lift(gm)
+            sc.lagrangian_metric = metrics.check_lift(gm, p)
 
     if cfg.has_section("double_field"):
         sec = "double_field"
@@ -418,8 +420,8 @@ def load_scene(path: str) -> SceneFile:
         density = cfg.get(sec, "density", fallback=None)
         with located(f"{path}: [{sec}]"):
             F = dfield.DoubleField(sc.bundle, sigma, psi, density)
-            S = check_matrix(validation_values(F.sigma, m), "sigma", symmetry=1, invertible=True)
-            P = check_matrix(validation_values(F.psi, m), "psi", symmetry=-1)
+            S = check_matrix(sample_matrix(F.sigma, p), "sigma", symmetry=1, invertible=True)
+            P = check_matrix(sample_matrix(F.psi, p), "psi", symmetry=-1)
             # the h block of the fiber metric, sigma - psi sigma^-1 psi,
             # from the same samples: a finiteness check
             with np.errstate(all="ignore"):
@@ -429,7 +431,7 @@ def load_scene(path: str) -> SceneFile:
         # sigma is the Hessian, checked above, and symmetric bit for bit
         with located(f"{path}: [lagrangian]"):
             F = dfield.field_from_lagrangian(sc.lagrangian, spray_bundle)
-            check_matrix(validation_values(F.psi, m), "psi", symmetry=-1)
+            check_matrix(sample_matrix(F.psi, p), "psi", symmetry=-1)
     else:  # not checked: sigma is g, checked above, or the identity; psi is zero
         F = dfield.DoubleField(sc.bundle, g_base)
     sc.double_field = F

@@ -113,7 +113,8 @@ def bracket_components(X, Y) -> np.ndarray:
 
     out = fzeros(n)
     for k in range(n):
-        out[k] = fsum(terms(X[k], Y[k]))
+        if X[k].support or Y[k].support:
+            out[k] = fsum(terms(X[k], Y[k]))
     return out
 
 
@@ -179,44 +180,40 @@ def schouten_bracket(P1: TensorField, P2: TensorField) -> TensorField:
     if P1.sig != ("up", "up") or P2.sig != ("up", "up"):
         raise ValueError("Schouten bracket needs two bivectors")
     n = P1.n
+    A, B = P1.comps, P2.comps
+
+    def terms(i, j, k):  # the dense s-loop's terms that can be nonzero
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            f1, f2 = A[b, c], B[b, c]
+            for s in sorted(f1.support | f2.support):
+                if s in f2.support and not is_zero(A[s, a]):
+                    yield 1, A[s, a], f2.partial(s)
+                if s in f1.support and not is_zero(B[s, a]):
+                    yield 1, B[s, a], f1.partial(s)
+
     out = fzeros(n, n, n)
     for i, j, k in np.ndindex(n, n, n):
-        out[i, j, k] = fsum(
-            term
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-            for r in range(n)
-            for term in (
-                (1, P1.comps[r, a], P2.comps[b, c].partial(r)),
-                (1, P2.comps[r, a], P1.comps[b, c].partial(r)),
-            )
-        )
+        out[i, j, k] = fsum(terms(i, j, k))
     return TensorField(("up", "up", "up"), out, P1.m)
 
 
 # -- Nijenhuis tensor -----------------------------------------------------
-def nijenhuis_tensor(A: TensorField) -> TensorField:
-    """Nijenhuis torsion of a (1,1) tensor, components N^k_{ij}.
-
-    The classical tensor N(X,Y) = A^2[X,Y] + [AX,AY] - A[AX,Y] - A[X,AY]
-    evaluated on coordinate fields; the A^2 bracket term vanishes there.
-    """
-    _require_natural(A)
-    if A.sig != ("up", "down"):
-        raise ValueError("Nijenhuis tensor needs a (1,1) tensor")
-    n = A.n
-    out = fzeros(n, n, n)  # [k, i, j]
-    for k, i, j in np.ndindex(n, n, n):
-        out[k, i, j] = fsum(
-            term
-            for r in range(n)
-            for term in (
-                (1, A.comps[r, i], A.comps[k, j].partial(r)),
-                (-1, A.comps[r, j], A.comps[k, i].partial(r)),
-                (-1, A.comps[k, r], A.comps[r, j].partial(i)),
-                (1, A.comps[k, r], A.comps[r, i].partial(j)),
-            )
-        )
-    return TensorField(("up", "down", "down"), out, A.m)
+def nijenhuis(F: np.ndarray, bracket) -> np.ndarray:
+    """The Nijenhuis tensor of the N x N object matrix F for ``bracket``
+    (``bracket_components`` for a (1,1) tensor in the natural frame,
+    ``courant_bracket`` for a pair endomorphism on stacked sections), on
+    the coordinate basis e_A: one row [F e_A, F e_B] - F([F e_A, e_B] +
+    [e_A, F e_B]) for each pair A < B.  F e_A is column A of F; the term
+    F^2 [e_A, e_B] vanishes, as basis elements have zero bracket."""
+    N = len(F)
+    e = fzeros(N, N)
+    e[np.diag_indices(N)] = fields.ONE
+    rows = []
+    for A in range(N):
+        for B in range(A + 1, N):
+            inner = bracket(F[:, A], e[B]) + bracket(e[A], F[:, B])
+            rows.append(bracket(F[:, A], F[:, B]) - fields.fdot(F, inner))
+    return np.array(rows)
 
 
 # -- Courant bracket ------------------------------------------------------
@@ -245,7 +242,8 @@ def courant_bracket(u, v) -> np.ndarray:
 
     out = np.concatenate([bracket_components(X, Y), fzeros(n)])
     for k in range(n):
-        out[n + k] = fsum(terms(k))
+        if a[k].support or b[k].support or halves[k]:
+            out[n + k] = fsum(terms(k))
     return out
 
 

@@ -1,12 +1,13 @@
 """Independent oracles and constructions that several test modules share.
 
 Each is compared against the package code it checks: finite differences
-against exact jets, explicit Lie brackets against the Nijenhuis formula,
-the Courant bracket of generalized sections against its component form,
-permutations against the stored antisymmetry of forms, the lifted
-metric of a base metric against the scene's and the double field's
-constructions, and the whole deformed curvature against the components
-the Ricci trace reads.  None is part of the package.
+against exact jets, explicit Lie brackets and the dense component formula
+against the Nijenhuis construction, the Courant bracket of generalized
+sections against its component form, permutations against the stored
+antisymmetry of forms, the lifted metric of a base metric against the
+scene's and the double field's constructions, and the whole deformed
+curvature against the components the Ricci trace reads.  None is part of
+the package.
 """
 
 from __future__ import annotations
@@ -145,6 +146,33 @@ def pair(alpha: TensorField, v: TensorField) -> ScalarField:
     return fsum((1, alpha.comps[i], v.comps[i]) for i in range(alpha.n))
 
 
+def nijenhuis_components(A: TensorField) -> TensorField:
+    """Oracle: the Nijenhuis torsion N^k_{ij} of a (1,1) tensor from its
+    dense component formula A^r_i d_r A^k_j - A^r_j d_r A^k_i
+    - A^k_r d_i A^r_j + A^k_r d_j A^r_i, summed over every r."""
+    n = A.n
+    out = fzeros(n, n, n)  # [k, i, j]
+    for k, i, j in np.ndindex(n, n, n):
+        out[k, i, j] = fsum(
+            term
+            for r in range(n)
+            for term in (
+                (1, A.comps[r, i], A.comps[k, j].partial(r)),
+                (-1, A.comps[r, j], A.comps[k, i].partial(r)),
+                (-1, A.comps[k, r], A.comps[r, j].partial(i)),
+                (1, A.comps[k, r], A.comps[r, i].partial(j)),
+            )
+        )
+    return TensorField(("up", "down", "down"), out, A.m)
+
+
+def pair_rows(N: TensorField) -> np.ndarray:
+    """The components N^k_{AB} of a (1,2) tensor, one row per pair A < B:
+    the layout of ``tc.nijenhuis``."""
+    n = N.n
+    return np.array([N.comps[:, A, B] for A in range(n) for B in range(A + 1, n)])
+
+
 def nijenhuis_via_brackets(A: TensorField) -> TensorField:
     """Oracle: N(e_i, e_j) assembled from explicit Lie brackets."""
     tc._require_natural(A)
@@ -222,7 +250,8 @@ def courant_nijenhuis_via_brackets(pack, endo) -> np.ndarray:
     """Oracle: the Courant-Nijenhuis tensor of the pair endomorphism
     ``endo(pack, section)`` on pairs A < B of basis sections, assembled
     from three Courant brackets of sections and one image per pair; one
-    stacked row per pair, as ``bigcore.courant_nijenhuis`` gives it."""
+    stacked row per pair, as ``tc.nijenhuis(F, tc.courant_bracket)`` gives
+    it."""
     basis = basis_sections(pack.m)
     images = [endo(pack, A) for A in basis]
     rows = []

@@ -240,8 +240,10 @@ def test_pushforward_relations():
 def test_pair_structures_fold_to_zero_in_both_constructions(m):
     # each matrix is its oracle endomorphism, and for the canonical pack
     # every component of F.F and of the Courant-Nijenhuis tensor folds to
-    # ZERO whether built from components or from brackets of sections
+    # ZERO whether built from components or from brackets of sections, as
+    # every row of the Nijenhuis tensor of S does
     pack = bigcore.canonical_pack(m)
+    assert all(c is fields.ZERO for c in tc.nijenhuis(pack.S.comps, tc.bracket_components).flat)
     p = sample_box(m, 3, seed=m)
     basis = basis_sections(m)
     for F, endo in zip(bigcore.pair_endomorphisms(pack), (pair_endo_P, pair_endo_varpi)):
@@ -250,7 +252,7 @@ def test_pair_structures_fold_to_zero_in_both_constructions(m):
         squares = [endo(pack, endo(pack, A)).stacked() for A in basis]
         for comps in (
             fields.fdot(F, F),
-            bigcore.courant_nijenhuis(F),
+            tc.nijenhuis(F, tc.courant_bracket),
             np.array(squares),
             courant_nijenhuis_via_brackets(pack, endo),
         ):
@@ -277,7 +279,7 @@ def test_courant_nijenhuis_matches_the_bracket_oracle(m, f):
     f = parse_expr(f, m)
     p = sample_box(m, 3, seed=0)
     for F, endo in zip(bigcore.pair_endomorphisms(pack), (pair_endo_P, pair_endo_varpi)):
-        got = fields.fvalue(bigcore.courant_nijenhuis(F * f), p)
+        got = fields.fvalue(tc.nijenhuis(F * f, tc.courant_bracket), p)
         want = fields.fvalue(courant_nijenhuis_via_brackets(pack, _scaled(endo, f)), p)
         assert largest(want) > 1e-3
         assert largest(got - want) <= 1e-12 * largest(want)

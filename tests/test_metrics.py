@@ -52,13 +52,13 @@ def test_big_metric_rejects_degenerate_vertical_part():
     comps[1, 1] = fields.ONE
     # z-z entry identically zero but the block is still invertible
     gm = metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
-    assert metrics.check_lift(gm) is gm
+    assert metrics.check_lift(gm, sample_box(m, 10, seed=0)) is gm
     comps2 = fields.fzeros(3, 3)
     comps2[0, 0] = fields.ONE
     comps2[1, 1] = fields.ONE
     gm2 = metrics.BigMetric(TensorField(("down", "down"), comps2, m), m, horizon.flat_bundle(m))
     with pytest.raises(ValueError, match="^vertical restriction is singular"):
-        metrics.check_lift(gm2)
+        metrics.check_lift(gm2, sample_box(m, 10, seed=0))
 
 
 def test_big_metric_rejects_asymmetry():
@@ -68,7 +68,7 @@ def test_big_metric_rejects_asymmetry():
     comps[0, 1] = fields.ONE
     gm = metrics.BigMetric(TensorField(("down", "down"), comps, m), m, horizon.flat_bundle(m))
     with pytest.raises(ValueError, match="^metric is not symmetric$"):
-        metrics.check_lift(gm)
+        metrics.check_lift(gm, sample_box(m, 10, seed=0))
 
 
 def test_canonical_metric_connection_flat():

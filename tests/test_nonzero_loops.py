@@ -8,12 +8,14 @@ interned, so equal graphs are the same objects and every component is
 compared with ``is``.
 """
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bigtangent import conns, dfield, fields, horizon, parse_expr, scene, tensorcalc as tc
+from bigtangent import bigcore, conns, dfield, fields, horizon, parse_expr, scene
+from bigtangent import tensorcalc as tc
 from bigtangent.fields import fsum
 from bigtangent.tensorcalc import TensorField
 from oracles import (
@@ -185,6 +187,31 @@ def dense_lie_derivative(X, T):
     return out
 
 
+def dense_fdot(a, b):
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    rows = a.reshape(-1, a.shape[-1]).tolist()
+    cols = b.reshape(b.shape[0], -1).T.tolist()
+    out = np.empty(len(rows) * len(cols), dtype=object)
+    out[:] = [fsum(zip(repeat(1), row, col)) for row in rows for col in cols]
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def dense_schouten_bracket(P1, P2):
+    n = P1.n
+    out = fields.fzeros(n, n, n)
+    for i, j, k in np.ndindex(n, n, n):
+        out[i, j, k] = fsum(
+            term
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            for r in range(n)
+            for term in (
+                (1, P1.comps[r, a], P2.comps[b, c].partial(r)),
+                (1, P2.comps[r, a], P1.comps[b, c].partial(r)),
+            )
+        )
+    return out
+
+
 def dense_scalar_curvature_in_basis(nabla, F, P):
     """The construction that applies the whole deformed curvature for
     each component it reads."""
@@ -304,6 +331,43 @@ def test_base_connection_is_the_y_block_of_the_dense_projection(ladder):
     F, _, _, _, vb = ladder
     m = F.m
     _same(F.c0, dfield._metricize(F, vb.gamma[:, m : 2 * m, m : 2 * m]))
+
+
+def test_fdot_matches_the_dense_loop():
+    # factors drawn from ZERO, Const(-0.0), a raw 0.0, other constants and
+    # fields, so rows and columns hold every kind of zero
+    x, z = parse_expr("x1 + y1", 1), parse_expr("z1^2", 1)
+    kinds = np.array(
+        [fields.ZERO, fields.Const(-0.0), 0.0, 2.0, fields.ONE, -1.5, x, z, x * z], dtype=object
+    )
+    rng = np.random.default_rng(0)
+    for shape_a, shape_b in [((3, 4), (4, 2)), ((4,), (4, 3)), ((2, 4), (4,)), ((2, 2, 4), (4, 2))]:
+        for _ in range(20):
+            a = kinds[rng.integers(len(kinds), size=shape_a)]
+            b = kinds[rng.integers(len(kinds), size=shape_b)]
+            _same(fields.fdot(a, b), dense_fdot(a, b))
+    zero_row = np.array([fields.ZERO, fields.Const(-0.0), 0.0], dtype=object)
+    _same(fields.fdot(zero_row, np.array([x, z, x * z], dtype=object)), fields.ZERO)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_schouten_bracket_matches_the_dense_loop(m):
+    # the canonical P, and two bivectors that add entries in x, y and z to
+    # P on overlapping sets of pairs
+    P = bigcore.canonical_pack(m).P
+    n = 3 * m
+
+    def bivector(skip, shift):
+        comps = P.comps.copy()
+        for i, j in np.ndindex(n, n):
+            if i < j and (i + j) % 3 != skip:
+                f = P.comps[i, j] + fields.Coord((i + shift * j) % n) * fields.Coord(j) + 0.5
+                comps[i, j], comps[j, i] = f, -f
+        return TensorField(("up", "up"), comps, m)
+
+    W, V = bivector(1, 1), bivector(2, 2)
+    for P1, P2 in ((P, P), (P, W), (W, P), (W, W), (W, V), (V, W)):
+        _same(tc.schouten_bracket(P1, P2).comps, dense_schouten_bracket(P1, P2))
 
 
 # -- the section-derivative memo ---------------------------------------------

@@ -1014,6 +1014,30 @@ def test_horizontal_and_metric_suites_build_each_derived_tensor_once(
     assert counts == expected
 
 
+def test_canonical_and_triple_suites_sum_only_what_can_be_nonzero(
+    tmp_path, capsys, monkeypatch
+):
+    # the benchmark's m3-identities scene at benchmark seed 7: the
+    # Nijenhuis rows of S, S_P and S_varpi apply constant matrices to
+    # brackets that are all ZERO, which fdot and the brackets skip without
+    # an fsum call per component
+    calls = []
+    fsum = fields.fsum
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fsum(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bigtangent") and getattr(mod, "fsum", None) is fsum:
+            monkeypatch.setattr(mod, "fsum", counting)
+    text = _M3_SCENE.replace("m = 3\n", "m = 3\nseed = 870260\nsamples = 10\n")
+    path = _write(tmp_path, text)
+    assert cli.main(["check", path, "--suite", "canonical", "--suite", "triple"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 11_000
+
+
 def test_vector_field_cannot_take_a_builtin_name(tmp_path, capsys):
     # such a vector field would hide the built-in object from `eval`, or
     # be hidden by it
@@ -1106,25 +1130,32 @@ def test_load_checks_and_parses_each_input_once(
     # psi (the fiber metric is computed from their samples); the m = 3
     # scene (the benchmark's) g and its lift; the Lagrangian-only scene
     # the Hessian, the lifts over the spray's bundle and psi; flat the lift
-    from bigtangent import bigcore, exprdsl
+    # All of them read one batch of validation points.
+    from bigtangent import bigcore, exprdsl, scene
 
-    evaluated, parsed = [], []
-    validation_values, parse_expr = bigcore.validation_values, exprdsl.parse_expr
+    evaluated, parsed, drawn = [], [], []
+    sample_matrix, parse_expr = bigcore.sample_matrix, exprdsl.parse_expr
+    sample_box = scene.sample_box
 
-    def counting_values(comps, m):
-        evaluated.append(m)
-        return validation_values(comps, m)
+    def counting_values(comps, p):
+        evaluated.append(p)
+        return sample_matrix(comps, p)
 
     def counting_parse(text, *args, **kwargs):
         parsed.append(text)
         return parse_expr(text, *args, **kwargs)
 
+    def counting_box(*args, **kwargs):
+        drawn.append((args, kwargs))
+        return sample_box(*args, **kwargs)
+
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("bigtangent") and (
-            getattr(mod, "validation_values", None) is validation_values
+            getattr(mod, "sample_matrix", None) is sample_matrix
         ):
-            monkeypatch.setattr(mod, "validation_values", counting_values)
+            monkeypatch.setattr(mod, "sample_matrix", counting_values)
     monkeypatch.setattr(exprdsl, "parse_expr", counting_parse)
+    monkeypatch.setattr(scene, "sample_box", counting_box)
     texts = {
         "m3": _M3_SCENE,
         "lagrangian": f"[scene]\nm = 2\n\n[lagrangian]\nL = {_KITCHEN_SINK_L}\n",
@@ -1132,6 +1163,8 @@ def test_load_checks_and_parses_each_input_once(
     load_scene(_write(tmp_path, texts[name]) if name in texts else str(SCENES / f"{name}.scene"))
     assert len(evaluated) == evaluations
     assert parsed.count(_KITCHEN_SINK_L) == parses
+    assert len(drawn) == 1
+    assert evaluated[0].npoints == 10 and all(p is evaluated[0] for p in evaluated)
 
 
 def test_a_fiber_metric_that_overflows_is_a_load_error(tmp_path, capsys):
